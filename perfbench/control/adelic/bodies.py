@@ -1,0 +1,299 @@
+"""Symmetric convex bodies at the archimedean places and their polars.
+
+Shape parameters are exact rationals so that taking the polar twice
+returns the original body on the nose.  Gauge evaluation is the only
+floating-point step.  At a complex place the pairing carries a factor 2,
+which shows up as the constant c in every polar formula, and bodies must
+be invariant under the simultaneous rotation of all (Re, Im) pairs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
+
+from .exactla import mat_det, mat_inv
+from .numberfield import NumberField
+
+
+def _as_fraction_tuple(xs) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x) for x in xs)
+
+
+@dataclass(frozen=True)
+class Ball:
+    """Euclidean ball of a given radius; valid at every place."""
+
+    radius: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "radius", Fraction(self.radius))
+        if self.radius <= 0:
+            raise ValueError("ball radius must be positive")
+
+    def intrinsic_dim(self) -> int | None:
+        return None
+
+    def gauge_many(self, pts: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(pts, axis=1) / float(self.radius)
+
+    def polar(self, c: int) -> "Ball":
+        return Ball(Fraction(1) / (c * self.radius))
+
+    def circumradius(self) -> float:
+        return float(self.radius)
+
+    def lipschitz(self) -> float:
+        return 1.0 / float(self.radius)
+
+    def scaled(self, f: Fraction) -> "Ball":
+        return Ball(self.radius * f)
+
+
+@dataclass(frozen=True)
+class Box:
+    """Axis-aligned box given by halfwidths; real places only."""
+
+    halfwidths: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "halfwidths", _as_fraction_tuple(self.halfwidths))
+        if not self.halfwidths or any(h <= 0 for h in self.halfwidths):
+            raise ValueError("box halfwidths must be positive")
+
+    def intrinsic_dim(self) -> int:
+        return len(self.halfwidths)
+
+    @cached_property
+    def _h(self) -> np.ndarray:
+        return np.array([float(h) for h in self.halfwidths])
+
+    def gauge_many(self, pts: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(pts) / self._h, axis=1)
+
+    def polar(self, c: int) -> "CrossPolytope":
+        return CrossPolytope(tuple(Fraction(1) / (c * h) for h in self.halfwidths))
+
+    def circumradius(self) -> float:
+        return float(np.linalg.norm(self._h))
+
+    def lipschitz(self) -> float:
+        return float(np.max(1.0 / self._h))
+
+    def scaled(self, f: Fraction) -> "Box":
+        return Box(tuple(h * f for h in self.halfwidths))
+
+
+@dataclass(frozen=True)
+class CrossPolytope:
+    """Convex hull of +-scale_i e_i; real places only."""
+
+    scales: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "scales", _as_fraction_tuple(self.scales))
+        if not self.scales or any(s <= 0 for s in self.scales):
+            raise ValueError("cross-polytope scales must be positive")
+
+    def intrinsic_dim(self) -> int:
+        return len(self.scales)
+
+    @cached_property
+    def _s(self) -> np.ndarray:
+        return np.array([float(s) for s in self.scales])
+
+    def gauge_many(self, pts: np.ndarray) -> np.ndarray:
+        return np.sum(np.abs(pts) / self._s, axis=1)
+
+    def polar(self, c: int) -> "Box":
+        return Box(tuple(Fraction(1) / (c * s) for s in self.scales))
+
+    def circumradius(self) -> float:
+        return float(np.max(self._s))
+
+    def lipschitz(self) -> float:
+        return float(np.linalg.norm(1.0 / self._s))
+
+    def scaled(self, f: Fraction) -> "CrossPolytope":
+        return CrossPolytope(tuple(s * f for s in self.scales))
+
+
+@dataclass(frozen=True)
+class Ellipsoid:
+    """Quadratic-form body {x : x^T Q x <= 1} for symmetric positive definite Q."""
+
+    q: tuple[tuple[Fraction, ...], ...]
+
+    def __post_init__(self):
+        q = tuple(_as_fraction_tuple(row) for row in self.q)
+        object.__setattr__(self, "q", q)
+        m = len(q)
+        if any(len(row) != m for row in q):
+            raise ValueError("quadratic form must be square")
+        for i in range(m):
+            for j in range(i):
+                if q[i][j] != q[j][i]:
+                    raise ValueError("quadratic form must be symmetric")
+        # Sylvester criterion, exact
+        for k in range(1, m + 1):
+            minor = [list(row[:k]) for row in q[:k]]
+            if mat_det(minor) <= 0:
+                raise ValueError("quadratic form must be positive definite")
+
+    def intrinsic_dim(self) -> int:
+        return len(self.q)
+
+    @cached_property
+    def _qf(self) -> np.ndarray:
+        return np.array([[float(x) for x in row] for row in self.q])
+
+    def gauge_many(self, pts: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.einsum("ni,ij,nj->n", pts, self._qf, pts))
+
+    def polar(self, c: int) -> "Ellipsoid":
+        inv = mat_inv([list(row) for row in self.q])
+        c2 = Fraction(c * c)
+        return Ellipsoid(tuple(tuple(c2 * x for x in row) for row in inv))
+
+    def circumradius(self) -> float:
+        return 1.0 / np.sqrt(np.min(np.linalg.eigvalsh(self._qf)))
+
+    def lipschitz(self) -> float:
+        return float(np.sqrt(np.max(np.linalg.eigvalsh(self._qf))))
+
+    def scaled(self, f: Fraction) -> "Ellipsoid":
+        f2 = Fraction(f) ** 2
+        return Ellipsoid(tuple(tuple(x / f2 for x in row) for row in self.q))
+
+    def commutes_with_pair_rotation(self) -> bool:
+        """Exact check that Q commutes with the block rotation J (J_2k = -e, J_2k+1 = e)."""
+        m = len(self.q)
+        if m % 2 != 0:
+            return False
+
+        def jq(i, j):
+            # (J Q)_{ij}: J swaps each (2k, 2k+1) row pair with signs
+            if i % 2 == 0:
+                return -self.q[i + 1][j]
+            return self.q[i - 1][j]
+
+        def qj(i, j):
+            # (Q J)_{ij}
+            if j % 2 == 0:
+                return self.q[i][j + 1]
+            return -self.q[i][j - 1]
+
+        return all(jq(i, j) == qj(i, j) for i in range(m) for j in range(m))
+
+
+Shape = Ball | Box | CrossPolytope | Ellipsoid
+
+
+@dataclass(frozen=True)
+class PlaceBody:
+    """A shape attached to one archimedean place of known kind and ambient dim."""
+
+    kind: str  # "real" or "complex"
+    dim: int
+    shape: Shape
+
+    def __post_init__(self):
+        if self.kind not in ("real", "complex"):
+            raise ValueError("place kind must be 'real' or 'complex'")
+        idim = self.shape.intrinsic_dim()
+        if idim is not None and idim != self.dim:
+            raise ValueError("shape dimension does not match the place dimension")
+        if self.kind == "complex":
+            if isinstance(self.shape, (Box, CrossPolytope)):
+                raise ValueError("boxes and cross-polytopes are only valid at real places")
+            if isinstance(self.shape, Ellipsoid) and not self.shape.commutes_with_pair_rotation():
+                raise ValueError(
+                    "an ellipsoid at a complex place must be rotation invariant "
+                    "(Q must commute with the pairwise rotation)")
+
+    @property
+    def twist(self) -> int:
+        return 2 if self.kind == "complex" else 1
+
+    def gauge(self, x: np.ndarray) -> float:
+        return float(self.shape.gauge_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+    def gauge_many(self, pts: np.ndarray) -> np.ndarray:
+        return self.shape.gauge_many(pts)
+
+    def polar(self) -> "PlaceBody":
+        return PlaceBody(self.kind, self.dim, self.shape.polar(self.twist))
+
+    def scaled(self, f: Fraction) -> "PlaceBody":
+        return PlaceBody(self.kind, self.dim, self.shape.scaled(Fraction(f)))
+
+
+class ProductBody:
+    """Product of per-place bodies; the gauge is the max of the place gauges."""
+
+    def __init__(self, field: NumberField, n: int, place_bodies: list[PlaceBody]):
+        dims = field.place_dims(n)
+        kinds = [k for k, _ in field.places]
+        if len(place_bodies) != len(dims):
+            raise ValueError(
+                f"expected one body per archimedean place "
+                f"({len(dims)}), got {len(place_bodies)}")
+        for pb, dim, kind in zip(place_bodies, dims, kinds):
+            if pb.dim != dim:
+                raise ValueError(f"body dimension {pb.dim} does not match place dimension {dim}")
+            if pb.kind != kind:
+                raise ValueError(f"body kind {pb.kind!r} does not match place kind {kind!r}")
+        self.field = field
+        self.n = n
+        self.place_bodies = list(place_bodies)
+        self.slices = field.place_slices(n)
+        self.ambient_dim = n * field.degree
+
+    def gauge(self, x: np.ndarray) -> float:
+        return float(self.gauge_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+    def gauge_many(self, pts: np.ndarray) -> np.ndarray:
+        pts = np.asarray(pts, dtype=float)
+        out = np.zeros(len(pts))
+        for pb, (_, a, b) in zip(self.place_bodies, self.slices):
+            np.maximum(out, pb.gauge_many(pts[:, a:b]), out=out)
+        return out
+
+    def polar(self) -> "ProductBody":
+        return ProductBody(self.field, self.n, [pb.polar() for pb in self.place_bodies])
+
+    def scaled(self, f: Fraction) -> "ProductBody":
+        return ProductBody(self.field, self.n, [pb.scaled(f) for pb in self.place_bodies])
+
+    def circumradii(self) -> list[float]:
+        return [pb.shape.circumradius() for pb in self.place_bodies]
+
+    def bounding_ellipsoid(self) -> np.ndarray:
+        """Diagonal q with {gauge <= 1} contained in {x^T diag(q) x <= #places}.
+
+        Per place the body sits in the ball of its circumradius R_v, so
+        x_v^T x_v / R_v^2 <= 1 there; summing the blocks gives the bound
+        used to seed lattice enumeration.
+        """
+        q = np.empty(self.ambient_dim)
+        for pb, (_, a, b) in zip(self.place_bodies, self.slices):
+            r = pb.shape.circumradius()
+            q[a:b] = 1.0 / (r * r)
+        return q
+
+    def enumeration_quadratic_bound(self, t: float) -> float:
+        """Right-hand side for x^T diag(q) x covering {gauge <= t}."""
+        return len(self.place_bodies) * t * t
+
+    def lipschitz(self) -> float:
+        return max(pb.shape.lipschitz() for pb in self.place_bodies)
+
+
+def uniform_ball_body(field: NumberField, n: int, radius: Fraction) -> ProductBody:
+    """The same ball at every place; the usual default body."""
+    bodies = [PlaceBody(kind, dim, Ball(Fraction(radius)))
+              for (kind, _), dim in zip(field.places, field.place_dims(n))]
+    return ProductBody(field, n, bodies)
