@@ -27,7 +27,6 @@ from .omodules import (
     KRankTracker,
     flatten_kvector,
     kmat_inv,
-    kmat_mul,
     kmat_transpose,
     module_from_matrix,
     standard_module,
@@ -111,7 +110,6 @@ __all__ = [
     "flatten_kvector",
     "inhomogeneous_minimum",
     "kmat_inv",
-    "kmat_mul",
     "kmat_transpose",
     "lattice_equal",
     "lattice_from_module",

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .lattices import lattice_from_module, lattice_equal, polar_lattice
 from .omodules import flatten_kvector
-from .scenario import PRESET_SCENARIOS, Scenario, parse_scenario
+from .scenario import PRESET_SCENARIOS, parse_scenario
 from .transference import (
     AdelicBody,
     MinimaReport,
@@ -33,8 +33,6 @@ from .transference import (
     mu_product_report,
     transference_check,
 )
-
-COMMANDS = ("polar", "minima", "transference", "mu", "verify-duality", "paper-example")
 
 
 def _fmt(x: float) -> str:
@@ -117,9 +115,10 @@ def _field_header(rep: _Report, body: AdelicBody):
 
 
 def _minima_lines(rep: _Report, report: MinimaReport, d: int):
-    for i, (lam, p) in enumerate(zip(report.minima, report.points), start=1):
+    for i, (lam, p, w) in enumerate(
+            zip(report.minima, report.points, report.witnesses), start=1):
         rep.line(f"lambda_{i}={_fmt(lam)} coords={_fmt_coords(p.coords)} "
-                 f"preimage={_fmt_kvector(p.preimage)}")
+                 f"preimage={_fmt_kvector(w)}")
     for ell, slack in enumerate(report.thunder_slacks, start=1):
         bound = report.classical[(ell - 1) * d]
         rep.line(f"thunder ell={ell} lambda={_fmt(report.minima[ell - 1])} "
@@ -154,7 +153,7 @@ def cmd_transference(body: AdelicBody, options, rep: _Report) -> int:
     _field_header(rep, body)
     fl = tr.flags
     rep.human(f"hypotheses: totally_real={fl.totally_real} cm={fl.cm} "
-              f"(asserted: {fl.cm_was_asserted}) complex_invariance={fl.complex_invariance}")
+              f"(asserted: {fl.cm_was_asserted})")
     if tr.lower is not None:
         rep.human(f"bounds: {_fmt(tr.lower)} <= product <= {_fmt(tr.upper)}")
     else:
@@ -195,14 +194,7 @@ def cmd_verify_duality(body: AdelicBody, options, rep: _Report) -> int:
 
 
 def cmd_paper_example(args, rep: _Report) -> int:
-    text = load_scenario_text("Q_sqrt2")
-    scn = parse_scenario(text)
-    opts = scn.options(DEFAULT_OPTIONS).with_overrides(
-        precision_bits=args.precision,
-        resolution=args.resolution,
-        enumeration_cap=args.cap,
-    )
-    body = scn.build(opts)
+    body, opts = _build(args, load_scenario_text("Q_sqrt2"))
     field = body.field
     checks: list[tuple[str, str, str, bool]] = []
 
@@ -238,19 +230,18 @@ def cmd_paper_example(args, rep: _Report) -> int:
     return 0 if all_ok else 1
 
 
+_SCENARIO_COMMANDS = {
+    "polar": cmd_polar,
+    "minima": cmd_minima,
+    "transference": cmd_transference,
+    "mu": cmd_mu,
+    "verify-duality": cmd_verify_duality,
+}
+
+
 def _run_command(args, text: str, rep: _Report) -> int:
     body, opts = _build(args, text)
-    if args.command == "polar":
-        return cmd_polar(body, opts, rep)
-    if args.command == "minima":
-        return cmd_minima(body, opts, rep)
-    if args.command == "transference":
-        return cmd_transference(body, opts, rep)
-    if args.command == "mu":
-        return cmd_mu(body, opts, rep)
-    if args.command == "verify-duality":
-        return cmd_verify_duality(body, opts, rep)
-    raise AssertionError(f"unhandled command {args.command}")
+    return _SCENARIO_COMMANDS[args.command](body, opts, rep)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,6 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.resolution is not None and args.resolution < 2:
+        ap.error("argument --resolution: must be at least 2")
 
     try:
         if args.command == "paper-example":

@@ -10,15 +10,13 @@ class ComputeOptions:
     """Precision / search budget configuration.
 
     precision_bits drives the root-finder convergence target (the working
-    arithmetic is double precision).  rel_tol is the single relative
-    tolerance threaded through every floating comparison.  bound_tol is the
-    slack applied to theorem-bound verdicts.
+    arithmetic is double precision).  bound_tol is the slack applied to
+    theorem-bound verdicts.
     """
 
     precision_bits: int = 53
     resolution: int = 64
     enumeration_cap: int = 1_000_000
-    rel_tol: float = 1e-9
     bound_tol: float = 1e-6
     lll_delta: float = 0.99
 

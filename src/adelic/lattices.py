@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .bodies import ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
 from .exactla import RankTracker
-from .numberfield import FieldElement, NumberField
+from .numberfield import NumberField
 from .omodules import KModule, KVector
 
 
@@ -197,7 +197,6 @@ class LatticePoint:
     coords: tuple[int, ...]  # over the reduced basis used for the search
     point: np.ndarray
     gauge: float
-    preimage: KVector | None
 
     def sort_key(self):
         return (self.gauge, self.coords)
@@ -273,9 +272,35 @@ def enumerate_below(
         vec = np.asarray(c, dtype=float) @ lat.basis
         g = body.gauge(vec)
         if g <= t * (1 + 1e-12):
-            points.append(LatticePoint(c, vec, g, lat.preimage_of(c)))
+            points.append(LatticePoint(c, vec, g))
     points.sort(key=LatticePoint.sort_key)
     return points
+
+
+def points_by_gauge(
+    lat: EmbeddedLattice,
+    body: ProductBody,
+    options: ComputeOptions = DEFAULT_OPTIONS,
+) -> Iterator[LatticePoint]:
+    """Nonzero points of a reduced lattice in nondecreasing (gauge, coords) order.
+
+    One point per +- pair, as in `enumerate_below`.  The search level
+    starts at the least basis gauge and doubles, for at most 60 rounds;
+    each round yields only the points above the previous level (with the
+    same 1e-12 slack `enumerate_below` keeps), so no pair comes twice.
+    The stream simply ends after the last round; callers say what they
+    did not find.  A consumer that stops early saves the later rounds.
+    """
+    t = min(body.gauge(lat.basis[i]) for i in range(lat.dim))
+    if t <= 0:
+        raise ConditioningError("reduced basis vector of zero gauge")
+    floor = -math.inf
+    for _ in range(60):
+        for p in enumerate_below(lat, body, t, options):
+            if p.gauge > floor:
+                yield p
+        floor = t * (1 + 1e-12)
+        t *= 2
 
 
 def classical_minima(
@@ -288,28 +313,22 @@ def classical_minima(
 
     Returns one point per milestone: the j-th entry realizes the j-th
     minimum, i.e. its gauge is minimal among lattice points that extend
-    j-1 previous witnesses to a linearly independent set.  Independence
-    is decided exactly on integer coordinates.
+    j-1 previous witnesses to a linearly independent set.  The points
+    come from `points_by_gauge`, and the search stops at the `count`-th
+    milestone.  Independence is decided exactly on integer coordinates.
     """
     m = lat.dim
     if count is None:
         count = m
     if count > m:
         raise ValueError("cannot ask for more minima than the lattice rank")
-    red = lat.reduced(options.lll_delta)
-    t = min(body.gauge(red.basis[i]) for i in range(m))
-    if t <= 0:
-        raise ConditioningError("reduced basis vector of zero gauge")
-    for _ in range(60):
-        points = enumerate_below(red, body, t, options)
-        tracker = RankTracker(m)
-        milestones: list[LatticePoint] = []
-        for p in points:
-            if tracker.try_add([Fraction(x) for x in p.coords]):
-                milestones.append(p)
-                if len(milestones) == count:
-                    return milestones
-        t *= 2
+    tracker = RankTracker(m)
+    milestones: list[LatticePoint] = []
+    for p in points_by_gauge(lat.reduced(options.lll_delta), body, options):
+        if tracker.try_add([Fraction(x) for x in p.coords]):
+            milestones.append(p)
+            if len(milestones) == count:
+                return milestones
     raise ConditioningError("successive minima search did not reach the requested rank")
 
 

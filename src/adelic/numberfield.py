@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConditioningError
 from .exactla import (
     Matrix,
-    identity_matrix,
     is_integral_mat,
     mat_det,
     mat_inv,
@@ -409,11 +408,6 @@ class NumberField:
         d = self.degree
         els = [self.element(row) for row in self.basis_matrix]
         return [[(els[i] * els[j]).trace() for j in range(d)] for i in range(d)]
-
-    def coords_in_basis(self, x: FieldElement) -> list[Fraction]:
-        """Coordinates of x over the integral basis (exact)."""
-        bt = [[self.basis_matrix[j][i] for j in range(self.degree)] for i in range(self.degree)]
-        return solve_vec(bt, list(x.coords))
 
     def same_presentation(self, other: "NumberField") -> bool:
         """Same defining polynomial and same integral basis.

@@ -17,7 +17,6 @@ from .exactla import (
     mat_det,
     mat_inv,
     mat_mul,
-    mat_solve,
     mat_vec,
     is_integral_mat,
 )
@@ -50,27 +49,6 @@ def flatten_kvector(xs: Sequence[FieldElement]) -> list[Fraction]:
 
 def kmat_transpose(a: list[list[FieldElement]]) -> list[list[FieldElement]]:
     return [list(col) for col in zip(*a)]
-
-
-def kmat_mul(a, b):
-    bt = kmat_transpose(b)
-    out = []
-    for row in a:
-        out.append([_ksum(x * y for x, y in zip(row, col)) for col in bt])
-    return out
-
-
-def kmat_vec(a, v):
-    return [_ksum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def _ksum(items):
-    total = None
-    for it in items:
-        total = it if total is None else total + it
-    if total is None:
-        raise ValueError("empty sum over the field")
-    return total
 
 
 def kmat_inv(a: list[list[FieldElement]]) -> list[list[FieldElement]]:
@@ -271,8 +249,9 @@ class KModule:
         for v in dual_z:
             if not dual.contains(v):
                 raise ConditioningError("trace dual routes disagree")
+        dual_z_inv = _transpose_inv_cols(dual_z)
         for v in dual.zbasis:
-            coords = mat_vec(_transpose_inv_cols(dual_z), flatten_kvector(v))
+            coords = mat_vec(dual_z_inv, flatten_kvector(v))
             if any(c.denominator != 1 for c in coords):
                 raise ConditioningError("trace dual routes disagree")
         return dual

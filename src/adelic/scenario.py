@@ -186,6 +186,8 @@ def parse_scenario(text: str) -> Scenario:
             precision = _int(value, where)
         elif key == "resolution":
             resolution = _int(value, where)
+            if resolution < 2:
+                raise ScenarioError(f"{where}: resolution must be at least 2")
         elif key == "cap":
             cap = _int(value, where)
         else:

@@ -1,9 +1,10 @@
 """Adelic convex bodies: polars, successive minima, transference verdicts.
 
 The body pairs a rank-n module (its behavior at all finite places) with
-one convex body per archimedean place.  Minima are found by enumerating
-the embedded lattice by growing gauge level and keeping points whose
-exact preimages increase the rank over K.  Dilation acts on the infinite
+one convex body per archimedean place.  Minima are found by reading the
+embedded lattice's points in gauge order (`points_by_gauge`) and keeping
+those whose exact preimages increase the rank over K; a preimage is
+built only while that rank is below n.  Dilation acts on the infinite
 places only, so a point's minimum level is just its gauge.
 """
 
@@ -21,8 +22,8 @@ from .lattices import (
     EmbeddedLattice,
     LatticePoint,
     covering_radius_bounds,
-    enumerate_below,
     lattice_from_module,
+    points_by_gauge,
 )
 from .omodules import KModule, KRankTracker, KVector
 
@@ -78,47 +79,48 @@ class MinimaReport:
     minima: list[float]            # adelic minima over K, length n
     witnesses: list[KVector]       # exact preimages, K-linearly independent
     points: list[LatticePoint]     # the corresponding lattice points
-    classical: list[float]         # minima over R of the same lattice
+    classical: list[float]         # the first (n-1)d+1 minima over R of the same lattice
     thunder_slacks: list[float]    # classical[(l-1)*d] - minima[l-1], per l
 
 
 def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -> MinimaReport:
     """Successive minima with exact K-independence bookkeeping.
 
-    Also reports the classical minima of the underlying real lattice up
-    to index (n-1)d+1 and checks lambda_l <= classical[(l-1)d+1], which
-    holds because a K-span of dimension l-1 has real dimension (l-1)d.
+    One pass over `points_by_gauge` feeds two exact trackers: the K-rank
+    of the preimages (the adelic minima) and the rank over Q of the
+    integer coordinates (the classical minima up to index (n-1)d+1).  A
+    point's preimage is built only while the K-rank is below n, and it
+    becomes the witness when it raises that rank.  The pass stops once
+    both lists are complete.  Each lambda_l <= classical[(l-1)d+1] is
+    checked, which holds because a K-span of dimension l-1 has real
+    dimension (l-1)d.
     """
     field = body.field
     n, d = body.n, field.degree
     target_classical = (n - 1) * d + 1
     red = body.lattice().reduced(options.lll_delta)
-    t = min(body.infinite_part.gauge(red.basis[i]) for i in range(red.dim))
-    if t <= 0:
-        raise ConditioningError("reduced basis vector of zero gauge")
-
-    for _ in range(60):
-        points = enumerate_below(red, body.infinite_part, t, options)
-        ktracker = KRankTracker(field, n)
-        rtracker = RankTracker(red.dim)
-        minima: list[float] = []
-        witnesses: list[KVector] = []
-        kept: list[LatticePoint] = []
-        classical: list[float] = []
-        for p in points:
-            if rtracker.try_add([Fraction(c) for c in p.coords]):
-                classical.append(p.gauge)
-            if len(minima) < n and ktracker.try_add(list(p.preimage)):
+    ktracker = KRankTracker(field, n)
+    rtracker = RankTracker(red.dim)
+    minima: list[float] = []
+    witnesses: list[KVector] = []
+    kept: list[LatticePoint] = []
+    classical: list[float] = []
+    for p in points_by_gauge(red, body.infinite_part, options):
+        if len(classical) < target_classical and rtracker.try_add(
+                [Fraction(c) for c in p.coords]):
+            classical.append(p.gauge)
+        if len(minima) < n:
+            preimage = red.preimage_of(p.coords)
+            if ktracker.try_add(list(preimage)):
                 minima.append(p.gauge)
-                witnesses.append(p.preimage)
+                witnesses.append(preimage)
                 kept.append(p)
-        if len(minima) == n and len(classical) >= target_classical:
+        if len(minima) == n and len(classical) == target_classical:
             slacks = [classical[(l - 1) * d] - minima[l - 1] for l in range(1, n + 1)]
             if any(s < -1e-9 * (1 + abs(minima[-1])) for s in slacks):
                 raise ConditioningError(
                     "adelic minima exceeded their classical milestones")
             return MinimaReport(minima, witnesses, kept, classical, slacks)
-        t *= 2
     raise ConditioningError("minima search did not reach full rank over K")
 
 
@@ -136,7 +138,6 @@ class HypothesisFlags:
     totally_real: bool
     cm: bool
     cm_was_asserted: bool
-    complex_invariance: bool = True  # guaranteed by the body classes
 
     @property
     def lower_bound_applies(self) -> bool:

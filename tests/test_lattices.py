@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adelic import lattices
 from adelic import (
     Ball,
     Box,
@@ -161,8 +162,35 @@ def test_enumerate_keeps_preimages():
     pts = enumerate_below(lat, body, 1.01)
     assert pts, "the unit of the ring should appear"
     for p in pts:
-        emb = k.embed_vector(p.preimage)
+        emb = k.embed_vector(lat.preimage_of(p.coords))
         assert np.allclose(emb, p.point, atol=1e-9)
+
+
+def test_points_by_gauge_yields_each_pair_once_in_order(monkeypatch):
+    lat = integer_lattice([[3, 1], [1, 2]]).reduced()
+    body = q_body(2, Box((F(1), F(1, 3))))
+    levels = []
+    real = lattices.enumerate_below
+
+    def spy(lat, body, t, options):
+        levels.append(t)
+        return real(lat, body, t, options)
+
+    monkeypatch.setattr(lattices, "enumerate_below", spy)
+    got = []
+    for p in lattices.points_by_gauge(lat, body):
+        if len(levels) > 3:
+            break  # the first point of round 4; rounds 1 to 3 are complete
+        got.append(p)
+    assert levels[1] == 2 * levels[0] and levels[2] == 2 * levels[1]
+    whole = real(lat, body, levels[2], ComputeOptions())
+    assert [(p.coords, p.gauge) for p in got] == [(p.coords, p.gauge) for p in whole]
+    assert [p.sort_key() for p in got] == sorted(p.sort_key() for p in got)
+    pairs = {min(p.coords, tuple(-c for c in p.coords)) for p in got}
+    assert len(pairs) == len(got)
+    # every round after the first contributed points of its own
+    for lo, hi in zip(levels, levels[1:3]):
+        assert any(lo * (1 + 1e-12) < p.gauge <= hi * (1 + 1e-12) for p in got)
 
 
 # -- classical minima --------------------------------------------------------

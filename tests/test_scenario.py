@@ -283,6 +283,19 @@ def test_cli_minima_witness_lines(capsys):
     assert any(ln.startswith("thunder ell=1 ") for ln in lines)
 
 
+def test_cli_minima_machine_lines_rank_two(capsys, tmp_path):
+    path = tmp_path / "custom.ini"
+    path.write_text(CUSTOM)
+    code, out, _ = run_cli(["minima", str(path), "--machine"], capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        "lambda_1=1.41421356237 coords=[1,0,0,0] preimage=[0,0;1,0]",
+        "lambda_2=2.44948974278 coords=[1,0,-1,0] preimage=[-2,0;1,0]",
+        "thunder ell=1 lambda=1.41421356237 classical_bound=1.41421356237 slack=0",
+        "thunder ell=2 lambda=2.44948974278 classical_bound=2.44948974278 slack=0",
+    ]
+
+
 def test_cli_polar_and_verify_duality(capsys):
     code, out, _ = run_cli(["polar", "Q_i", "--machine"], capsys)
     assert code == 0
@@ -313,6 +326,26 @@ def test_cli_exit_code_2_on_bad_input(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(["transference"], capsys)
     assert code == 2
+
+
+def test_cli_resolution_below_two_is_an_argument_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mu", "Q", "--resolution", "1"])
+    assert exc.value.code == 2
+    assert "resolution" in capsys.readouterr().err
+
+
+def test_scenario_resolution_below_two_is_an_input_error(capsys, tmp_path):
+    text = load_scenario_text("Q") + "\n[options]\nresolution = 1\n"
+    assert "at least 2" in scenario_error(text)
+    path = tmp_path / "low.ini"
+    path.write_text(text)
+    code, _, err = run_cli(["mu", str(path)], capsys)
+    assert code == 2
+    assert "resolution must be at least 2" in err
+    code, out, _ = run_cli(["mu", "--all", str(tmp_path), "--machine"], capsys)
+    assert code == 2
+    assert "error kind=input" in out
 
 
 def test_cli_exit_code_3_on_cap(capsys):

@@ -6,12 +6,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from adelic import transference
 from adelic import (
     AdelicBody,
     Ball,
     Box,
+    EmbeddedLattice,
     FractionalIdeal,
     KModule,
+    KRankTracker,
     PlaceBody,
     ProductBody,
     adelic_equal,
@@ -119,6 +122,37 @@ def test_rank_two_minima_and_monotonicity():
     assert rep.minima == sorted(rep.minima)
 
 
+def test_preimages_are_built_only_for_k_rank_candidates(monkeypatch):
+    # the third classical milestone (gauge sqrt 2) comes after the K-rank is full
+    k = preset_field("Q_sqrt2")
+    body = AdelicBody(standard_module(k, 2), uniform_ball_body(k, 2, F(1)))
+    calls = {"preimage_of": 0, "try_add": 0, "points": 0}
+    preimage_of, try_add = EmbeddedLattice.preimage_of, KRankTracker.try_add
+    points_by_gauge = transference.points_by_gauge
+
+    def counted_preimage_of(self, coords):
+        calls["preimage_of"] += 1
+        return preimage_of(self, coords)
+
+    def counted_try_add(self, vec):
+        calls["try_add"] += 1
+        return try_add(self, vec)
+
+    def counted_points_by_gauge(*args):
+        for p in points_by_gauge(*args):
+            calls["points"] += 1
+            yield p
+
+    monkeypatch.setattr(EmbeddedLattice, "preimage_of", counted_preimage_of)
+    monkeypatch.setattr(KRankTracker, "try_add", counted_try_add)
+    monkeypatch.setattr(transference, "points_by_gauge", counted_points_by_gauge)
+    rep = adelic_minima(body)
+    assert rep.minima == pytest.approx([1.0, 1.0], abs=1e-9)
+    assert rep.classical == pytest.approx([1.0, 1.0, 2 ** 0.5], abs=1e-9)
+    assert calls["preimage_of"] == calls["try_add"] >= 2
+    assert calls["preimage_of"] < calls["points"]
+
+
 def test_thunder_slacks_are_nonnegative():
     for name in ("Q_sqrt2", "Q_i"):
         k = preset_field(name)
@@ -127,7 +161,7 @@ def test_thunder_slacks_are_nonnegative():
         assert len(rep.thunder_slacks) == 2
         for slack in rep.thunder_slacks:
             assert slack >= -1e-9
-        assert len(rep.classical) >= (2 - 1) * k.degree + 1
+        assert len(rep.classical) == (2 - 1) * k.degree + 1
 
 
 def test_minima_scaling_covariance():
