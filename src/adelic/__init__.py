@@ -26,8 +26,6 @@ from .omodules import (
     KModule,
     KRankTracker,
     flatten_kvector,
-    kmat_inv,
-    kmat_transpose,
     module_from_matrix,
     standard_module,
     t_n,
@@ -109,8 +107,6 @@ __all__ = [
     "enumerate_below",
     "flatten_kvector",
     "inhomogeneous_minimum",
-    "kmat_inv",
-    "kmat_transpose",
     "lattice_equal",
     "lattice_from_module",
     "module_from_matrix",

@@ -46,6 +46,10 @@ class Ball:
     def circumradius(self) -> float:
         return float(self.radius)
 
+    def bounding_diag(self, dim: int) -> np.ndarray:
+        r = self.circumradius()
+        return np.full(dim, 1.0 / (r * r))
+
     def lipschitz(self) -> float:
         return 1.0 / float(self.radius)
 
@@ -80,6 +84,10 @@ class Box:
     def circumradius(self) -> float:
         return float(np.linalg.norm(self._h))
 
+    def bounding_diag(self, dim: int) -> np.ndarray:
+        # sum x_i^2 / h_i^2 <= m on the box
+        return 1.0 / (dim * self._h ** 2)
+
     def lipschitz(self) -> float:
         return float(np.max(1.0 / self._h))
 
@@ -113,6 +121,10 @@ class CrossPolytope:
 
     def circumradius(self) -> float:
         return float(np.max(self._s))
+
+    def bounding_diag(self, dim: int) -> np.ndarray:
+        # sum x_i^2 / s_i^2 <= (sum |x_i| / s_i)^2 <= 1 on the cross-polytope
+        return 1.0 / self._s ** 2
 
     def lipschitz(self) -> float:
         return float(np.linalg.norm(1.0 / self._s))
@@ -160,6 +172,10 @@ class Ellipsoid:
 
     def circumradius(self) -> float:
         return 1.0 / np.sqrt(np.min(np.linalg.eigvalsh(self._qf)))
+
+    def bounding_diag(self, dim: int) -> np.ndarray:
+        r = self.circumradius()
+        return np.full(dim, 1.0 / (r * r))
 
     def lipschitz(self) -> float:
         return float(np.sqrt(np.max(np.linalg.eigvalsh(self._qf))))
@@ -274,14 +290,15 @@ class ProductBody:
     def bounding_ellipsoid(self) -> np.ndarray:
         """Diagonal q with {gauge <= 1} contained in {x^T diag(q) x <= #places}.
 
-        Per place the body sits in the ball of its circumradius R_v, so
-        x_v^T x_v / R_v^2 <= 1 there; summing the blocks gives the bound
+        Per place each shape gives its own diagonal bound with
+        x_v^T diag(q_v) x_v <= 1 on the body: 1/(m h_i^2) for a box of m
+        halfwidths h_i, 1/s_i^2 for a cross-polytope, and the circumradius
+        ball for balls and ellipsoids.  Summing the blocks gives the bound
         used to seed lattice enumeration.
         """
         q = np.empty(self.ambient_dim)
         for pb, (_, a, b) in zip(self.place_bodies, self.slices):
-            r = pb.shape.circumradius()
-            q[a:b] = 1.0 / (r * r)
+            q[a:b] = pb.shape.bounding_diag(b - a)
         return q
 
     def enumeration_quadratic_bound(self, t: float) -> float:

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .lattices import lattice_from_module, lattice_equal, polar_lattice
 from .omodules import flatten_kvector
-from .scenario import PRESET_SCENARIOS, parse_scenario
+from .scenario import OPTION_MINIMA, PRESET_SCENARIOS, parse_scenario
 from .transference import (
     AdelicBody,
     MinimaReport,
@@ -278,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.resolution is not None and args.resolution < 2:
-        ap.error("argument --resolution: must be at least 2")
+    for key, least in OPTION_MINIMA.items():
+        if getattr(args, key) is not None and getattr(args, key) < least:
+            ap.error(f"argument --{key}: must be at least {least}")
 
     try:
         if args.command == "paper-example":

@@ -1,8 +1,10 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals and over a number field.
 
-Small dense systems only.  Everything here is Fraction-based Gaussian
-elimination, used where floating point would silently destroy
-unimodularity and duality identities.
+Small dense systems only.  Everything here is Gaussian elimination on
+exact entries, used where floating point would silently destroy
+unimodularity and duality identities.  The entries may be `Fraction`s
+or number field elements (matrices over K); pivots and eliminations are
+tested with `!= 0`, which both types support.
 """
 
 from __future__ import annotations
@@ -11,10 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
-
-
-def to_fractions(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def identity_matrix(m: int) -> Matrix:
@@ -67,7 +65,7 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix:
         inv = Fraction(1) / aug[c][c]
         aug[c] = [x * inv for x in aug[c]]
         for r in range(n):
-            if r != c and aug[r][c]:
+            if r != c and aug[r][c] != 0:
                 f = aug[r][c]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
     return [row[n:] for row in aug]
@@ -87,12 +85,6 @@ def is_integral_vec(v: Sequence[Fraction]) -> bool:
 
 def is_integral_mat(a: Matrix) -> bool:
     return all(is_integral_vec(row) for row in a)
-
-
-def solve_integral(a: Matrix, b: Matrix):
-    """Solve A X = B and return X only if it is integral, else None."""
-    x = mat_solve(a, b)
-    return x if is_integral_mat(x) else None
 
 
 class RankTracker:
@@ -120,12 +112,3 @@ class RankTracker:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-
-def mat_rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    tracker = RankTracker(len(a[0]))
-    for row in a:
-        tracker.try_add(row)
-    return tracker.rank

@@ -1,15 +1,17 @@
 """Embedded lattices in R^(n*d): reduction, enumeration, minima, covering radii.
 
 A lattice carries the diagonal twisted form F, a float basis (rows), and
-optionally an exact back map to K-vectors.  All rank decisions are made
-exactly on integer coordinates; floats only measure gauges.
+optionally an exact back map to K-vectors.  All rank decisions, over Q
+and over K, are made exactly on integer coordinates; the back map is
+applied only to the points a caller keeps (`preimage_of`).  Floats only
+measure gauges, and enumeration is seeded by each body's own diagonal
+bounding form (`ProductBody.bounding_ellipsoid`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -17,9 +19,9 @@ import numpy as np
 from .bodies import ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
-from .exactla import RankTracker
+from .exactla import RankTracker, mat_det
 from .numberfield import NumberField
-from .omodules import KModule, KVector
+from .omodules import KModule, KVector, kcombination
 
 
 class EmbeddedLattice:
@@ -69,25 +71,14 @@ class EmbeddedLattice:
               for j in range(self.dim)] for i in range(self.dim)])
         new_back = None
         if self.back_map is not None:
-            zero = tuple(self.field.zero() for _ in range(self.n))
-            new_back = []
-            for row in u:
-                acc = list(zero)
-                for c, vec in zip(row, self.back_map):
-                    if c:
-                        acc = [a + c * v for a, v in zip(acc, vec)]
-                new_back.append(tuple(acc))
+            new_back = [kcombination(self.field, self.n, row, self.back_map) for row in u]
         return EmbeddedLattice(self.field, self.n, new_basis, self.form, new_back,
                                self.conjugated)
 
     def preimage_of(self, coords: Sequence[int]) -> KVector | None:
         if self.back_map is None:
             return None
-        acc = [self.field.zero() for _ in range(self.n)]
-        for c, vec in zip(coords, self.back_map):
-            if c:
-                acc = [a + c * v for a, v in zip(acc, vec)]
-        return tuple(acc)
+        return kcombination(self.field, self.n, coords, self.back_map)
 
 
 def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:
@@ -129,17 +120,10 @@ def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice, tol: float = 1e-8) -> 
     cr = np.rint(c)
     if np.max(np.abs(c - cr)) > tol:
         return False
-    det = _int_det([[int(x) for x in row] for row in cr])
-    if abs(det) != 1:
+    if abs(mat_det([[int(x) for x in row] for row in cr])) != 1:
         return False
     scale = max(1.0, float(np.max(np.abs(a.basis))))
     return float(np.max(np.abs(cr @ b.basis - a.basis))) <= tol * scale
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    from .exactla import mat_det
-
-    return int(mat_det([[Fraction(x) for x in row] for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,15 +238,8 @@ def enumerate_below(
     """
     if t <= 0:
         return []
-    q = body.bounding_ellipsoid()
-    a = (lat.basis * q) @ lat.basis.T
-    try:
-        chol = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("bounding form is numerically singular") from exc
-    r = chol.T
     bound = body.enumeration_quadratic_bound(t) * (1 + 1e-9)
-    coords = _enumerate_quadratic(r, bound, options.enumeration_cap)
+    coords = _enumerate_quadratic(_bounding_factor(lat, body), bound, options.enumeration_cap)
 
     points: list[LatticePoint] = []
     for c in coords:
@@ -277,6 +254,15 @@ def enumerate_below(
     return points
 
 
+def _bounding_factor(lat: EmbeddedLattice, body: ProductBody) -> np.ndarray:
+    """Upper triangular R with |R c|^2 the body's bounding form at the point c."""
+    q = body.bounding_ellipsoid()
+    try:
+        return np.linalg.cholesky((lat.basis * q) @ lat.basis.T).T
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError("bounding form is numerically singular") from exc
+
+
 def points_by_gauge(
     lat: EmbeddedLattice,
     body: ProductBody,
@@ -285,15 +271,21 @@ def points_by_gauge(
     """Nonzero points of a reduced lattice in nondecreasing (gauge, coords) order.
 
     One point per +- pair, as in `enumerate_below`.  The search level
-    starts at the least basis gauge and doubles, for at most 60 rounds;
-    each round yields only the points above the previous level (with the
-    same 1e-12 slack `enumerate_below` keeps), so no pair comes twice.
+    starts at a lower bound for the first minimum, read off the body's
+    bounding form, and doubles, for at most 60 rounds; so a minimum is
+    found at a level below twice its value, even when every basis
+    vector lies far outside a skewed body.  Each round yields only the
+    points above the previous level (with the same 1e-12 slack
+    `enumerate_below` keeps), so no pair comes twice.
     The stream simply ends after the last round; callers say what they
     did not find.  A consumer that stops early saves the later rounds.
     """
-    t = min(body.gauge(lat.basis[i]) for i in range(lat.dim))
+    # a nonzero point has |R c| >= min_i R_ii (its last nonzero coordinate is
+    # at least 1 in size), and its bounding form is at most the bound at its gauge
+    r = _bounding_factor(lat, body)
+    t = float(np.min(np.abs(np.diag(r)))) / math.sqrt(body.enumeration_quadratic_bound(1.0))
     if t <= 0:
-        raise ConditioningError("reduced basis vector of zero gauge")
+        raise ConditioningError("bounding form is numerically singular")
     floor = -math.inf
     for _ in range(60):
         for p in enumerate_below(lat, body, t, options):
@@ -325,7 +317,7 @@ def classical_minima(
     tracker = RankTracker(m)
     milestones: list[LatticePoint] = []
     for p in points_by_gauge(lat.reduced(options.lll_delta), body, options):
-        if tracker.try_add([Fraction(x) for x in p.coords]):
+        if tracker.try_add(p.coords):
             milestones.append(p)
             if len(milestones) == count:
                 return milestones

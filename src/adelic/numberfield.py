@@ -21,7 +21,6 @@ from .exactla import (
     is_integral_mat,
     mat_det,
     mat_inv,
-    mat_mul,
     mat_solve,
     solve_vec,
 )
@@ -417,17 +416,6 @@ class NumberField:
         """
         return self is other or (
             self.poly == other.poly and self.basis_matrix == other.basis_matrix)
-
-    def complementary_basis(self) -> list[FieldElement]:
-        """Trace-dual basis: Tr(dual_i * b_j) = delta_ij."""
-        dual_coords = mat_mul(mat_inv(self.trace_gram), self.basis_matrix)
-        duals = [self.element(row) for row in dual_coords]
-        els = self.basis_elements()
-        for i, u in enumerate(duals):
-            for j, b in enumerate(els):
-                if (u * b).trace() != (1 if i == j else 0):
-                    raise ConditioningError("trace-dual basis failed verification")
-        return duals
 
     # -- archimedean places --------------------------------------------------
 

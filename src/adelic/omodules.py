@@ -9,16 +9,19 @@ of the Z-basis, and the spans are required to agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ConditioningError
 from .exactla import (
     Matrix,
+    RankTracker,
+    is_integral_mat,
     mat_det,
     mat_inv,
     mat_mul,
     mat_vec,
-    is_integral_mat,
+    transpose,
 )
 from .numberfield import FieldElement, NumberField
 
@@ -43,59 +46,48 @@ def flatten_kvector(xs: Sequence[FieldElement]) -> list[Fraction]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# matrices over K
-
-
-def kmat_transpose(a: list[list[FieldElement]]) -> list[list[FieldElement]]:
-    return [list(col) for col in zip(*a)]
-
-
-def kmat_inv(a: list[list[FieldElement]]) -> list[list[FieldElement]]:
-    n = len(a)
-    field = a[0][0].field
-    aug = [row[:] + [field.one() if i == j else field.zero() for j in range(n)]
-           for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if not aug[r][c].is_zero()), None)
-        if pivot is None:
-            raise ValueError("singular matrix over the field")
-        if pivot != c:
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
+def kcombination(
+    field: NumberField, n: int, coeffs: Sequence, kvectors: Sequence[KVector],
+) -> KVector:
+    """The K-vector sum of c * v over paired coefficients and vectors of length n."""
+    acc = [field.zero() for _ in range(n)]
+    for c, vec in zip(coeffs, kvectors):
+        if c:
+            acc = [a + c * v for a, v in zip(acc, vec)]
+    return tuple(acc)
 
 
 class KRankTracker:
-    """Incremental rank over K of a growing set of vectors in K^n."""
+    """Incremental rank over K of lattice points, read on their Z-coordinates.
 
-    def __init__(self, field: NumberField, n: int):
+    `zbasis` is a Q-basis of K^n, the Z-basis of the lattice.  For each
+    integral-basis element b, row i of the matrix M_b holds the
+    coordinates of b * z_i, so the K-span of the point with coordinates
+    c is spanned over Q by its d images c M_b.  One exact `RankTracker`
+    holds the Q-span of the K-spans accepted so far: a point raises the
+    K-rank exactly when it leaves that span, and then its images join
+    it.  On an O-module the entries of every M_b are integers.
+    """
+
+    def __init__(self, field: NumberField, zbasis: Sequence[KVector]):
         self.field = field
-        self.n = n
-        self.rows: list[list[FieldElement]] = []
-        self.pivots: list[int] = []
+        inv = _transpose_inv_cols(zbasis)
+        # M_b transposed, so that the image c M_b is one mat_vec
+        self.actions = [
+            transpose([mat_vec(inv, flatten_kvector([b * x for x in z])) for z in zbasis])
+            for b in field.basis_elements()]
+        self.span = RankTracker(len(zbasis))
 
-    def try_add(self, vec: Sequence[FieldElement]) -> bool:
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not v[p].is_zero():
-                f = v[p] / row[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        pivot = next((i for i, x in enumerate(v) if not x.is_zero()), None)
-        if pivot is None:
+    def try_add(self, coords: Sequence[int]) -> bool:
+        if not self.span.try_add(coords):
             return False
-        self.rows.append(v)
-        self.pivots.append(pivot)
+        for action in self.actions:
+            self.span.try_add(mat_vec(action, coords))
         return True
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return self.span.rank // self.field.degree
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +104,7 @@ class FractionalIdeal:
         self.coord_matrix: Matrix = [list(b.coords) for b in self.zbasis]
         if mat_det(self.coord_matrix) == 0:
             raise ValueError("ideal basis is linearly dependent")
-        self._coord_inv = mat_inv(
-            [[self.coord_matrix[j][i] for j in range(field.degree)]
-             for i in range(field.degree)])
+        self._coord_inv = mat_inv(transpose(self.coord_matrix))
         if validate:
             self._validate_module_structure()
 
@@ -160,12 +150,6 @@ class FractionalIdeal:
     def whole_ring(cls, field: NumberField) -> "FractionalIdeal":
         return cls(field, field.basis_elements(), validate=False)
 
-    @classmethod
-    def principal(cls, field: NumberField, x: FieldElement) -> "FractionalIdeal":
-        if x.is_zero():
-            raise ValueError("zero does not generate a fractional ideal")
-        return cls(field, [x * b for b in field.basis_elements()], validate=False)
-
     def __repr__(self):
         return f"FractionalIdeal({[list(b.coords) for b in self.zbasis]})"
 
@@ -183,36 +167,23 @@ class KModule:
                 raise ValueError("ideal belongs to a different field")
             if len(w) != n:
                 raise ValueError("pseudo-basis vectors must have length equal to the rank")
-        wmat = [list(w) for _, w in self.pseudo]
-        self._wmat = wmat
-        self._wmat_inv = kmat_inv(wmat)  # raises if the vectors are K-dependent
-        self._zbasis: list[KVector] | None = None
-        self._flat_inv: Matrix | None = None
+        # raises if the vectors are K-dependent
+        self._wmat_inv = mat_inv([list(w) for _, w in self.pseudo])
 
-    @property
+    @cached_property
     def zbasis(self) -> list[KVector]:
         """Z-basis of the module: ideal generators times pseudo-vectors."""
-        if self._zbasis is None:
-            out: list[KVector] = []
-            for a, w in self.pseudo:
-                for alpha in a.zbasis:
-                    out.append(tuple(alpha * x for x in w))
-            self._zbasis = out
-        return self._zbasis
+        return [tuple(alpha * x for x in w) for a, w in self.pseudo for alpha in a.zbasis]
 
-    def _flat_matrix_inv(self) -> Matrix:
-        if self._flat_inv is None:
-            cols = [flatten_kvector(z) for z in self.zbasis]
-            nd = len(cols)
-            mat = [[cols[j][i] for j in range(nd)] for i in range(nd)]
-            self._flat_inv = mat_inv(mat)
-        return self._flat_inv
+    @cached_property
+    def _flat_inv(self) -> Matrix:
+        return _transpose_inv_cols(self.zbasis)
 
     def coords_of(self, x: Sequence[FieldElement]) -> list[Fraction]:
         """Rational coordinates of x over the Z-basis."""
         if len(x) != self.rank:
             raise ValueError("vector length does not match module rank")
-        return mat_vec(self._flat_matrix_inv(), flatten_kvector(x))
+        return mat_vec(self._flat_inv, flatten_kvector(x))
 
     def contains(self, x: Sequence[FieldElement]) -> bool:
         return all(c.denominator == 1 for c in self.coords_of(x))
@@ -226,8 +197,8 @@ class KModule:
     def trace_dual(self) -> "KModule":
         """Dual module under the pairing sum Tr(x_k y_k), two routes cross-checked."""
         field = self.field
-        # rows of (W^t)^{-1} pair to delta_ij with the rows of W
-        wstar = kmat_inv(kmat_transpose(self._wmat))
+        # rows of (W^t)^{-1} = (W^{-1})^t pair to delta_ij with the rows of W
+        wstar = transpose(self._wmat_inv)
         dual = KModule(field, [(a.trace_dual(), tuple(row))
                                for (a, _), row in zip(self.pseudo, wstar)])
 
@@ -238,14 +209,7 @@ class KModule:
         if mat_det(gram) == 0:
             raise ConditioningError("pairing Gram matrix of the Z-basis is singular")
         ginv = mat_inv(gram)
-        dual_z: list[KVector] = []
-        for i in range(nd):
-            vec = [field.zero() for _ in range(self.rank)]
-            for j in range(nd):
-                c = ginv[i][j]
-                if c:
-                    vec = [v + c * z for v, z in zip(vec, zb[j])]
-            dual_z.append(tuple(vec))
+        dual_z = [kcombination(field, self.rank, row, zb) for row in ginv]
         for v in dual_z:
             if not dual.contains(v):
                 raise ConditioningError("trace dual routes disagree")
@@ -260,11 +224,9 @@ class KModule:
         return f"KModule(rank={self.rank}, field={self.field!r})"
 
 
-def _transpose_inv_cols(kvectors: list[KVector]) -> Matrix:
-    cols = [flatten_kvector(z) for z in kvectors]
-    nd = len(cols)
-    mat = [[cols[j][i] for j in range(nd)] for i in range(nd)]
-    return mat_inv(mat)
+def _transpose_inv_cols(kvectors: Sequence[KVector]) -> Matrix:
+    """Inverse of the matrix whose columns are the flattened K-vectors."""
+    return mat_inv(transpose([flatten_kvector(z) for z in kvectors]))
 
 
 def standard_module(field: NumberField, n: int) -> KModule:
@@ -279,7 +241,5 @@ def standard_module(field: NumberField, n: int) -> KModule:
 
 def module_from_matrix(field: NumberField, a: list[list[FieldElement]]) -> KModule:
     """The module A * O^n, generated over O by the columns of A."""
-    n = len(a)
     ring = FractionalIdeal.whole_ring(field)
-    cols = kmat_transpose(a)
-    return KModule(field, [(ring, tuple(col)) for col in cols])
+    return KModule(field, [(ring, tuple(col)) for col in transpose(a)])

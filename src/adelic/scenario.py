@@ -23,6 +23,9 @@ from .transference import AdelicBody
 
 PRESET_SCENARIOS = ("Q", "Q_sqrt2", "Q_sqrt5", "Q_i", "Q_sqrt-3")
 
+# least accepted value of each [options] key; the CLI flags share it
+OPTION_MINIMA = {"precision": 1, "resolution": 2, "cap": 1}
+
 
 @dataclass
 class FieldSpec:
@@ -178,21 +181,16 @@ def parse_scenario(text: str) -> Scenario:
     fs = _parse_field_section(sections.get("field"))
     ms = _parse_module_section(sections.get("module"))
     bodies = _parse_body_sections(sections)
-    precision = resolution = cap = None
-    opts = sections.get("options", {})
-    for key, (value, lineno) in opts.items():
+    options: dict[str, int] = {}
+    for key, (value, lineno) in sections.get("options", {}).items():
         where = f"[options] {key} (line {lineno})"
-        if key == "precision":
-            precision = _int(value, where)
-        elif key == "resolution":
-            resolution = _int(value, where)
-            if resolution < 2:
-                raise ScenarioError(f"{where}: resolution must be at least 2")
-        elif key == "cap":
-            cap = _int(value, where)
-        else:
+        if key not in OPTION_MINIMA:
             raise ScenarioError(f"line {lineno}: unknown key {key!r} in [options]")
-    return Scenario(fs, ms, bodies, precision, resolution, cap)
+        options[key] = _int(value, where)
+        if options[key] < OPTION_MINIMA[key]:
+            raise ScenarioError(f"{where}: {key} must be at least {OPTION_MINIMA[key]}")
+    return Scenario(fs, ms, bodies, options.get("precision"), options.get("resolution"),
+                    options.get("cap"))
 
 
 def _parse_field_section(sec) -> FieldSpec:

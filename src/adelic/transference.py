@@ -3,9 +3,11 @@
 The body pairs a rank-n module (its behavior at all finite places) with
 one convex body per archimedean place.  Minima are found by reading the
 embedded lattice's points in gauge order (`points_by_gauge`) and keeping
-those whose exact preimages increase the rank over K; a preimage is
-built only while that rank is below n.  Dilation acts on the infinite
-places only, so a point's minimum level is just its gauge.
+those that increase the rank over K.  That rank is decided exactly on
+the points' integer coordinates, through the action of the integral
+basis on the module's Z-basis; only the kept points, the witnesses, are
+mapped back to exact K-vectors.  Dilation acts on the infinite places
+only, so a point's minimum level is just its gauge.
 """
 
 from __future__ import annotations
@@ -86,12 +88,12 @@ class MinimaReport:
 def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -> MinimaReport:
     """Successive minima with exact K-independence bookkeeping.
 
-    One pass over `points_by_gauge` feeds two exact trackers: the K-rank
-    of the preimages (the adelic minima) and the rank over Q of the
-    integer coordinates (the classical minima up to index (n-1)d+1).  A
-    point's preimage is built only while the K-rank is below n, and it
-    becomes the witness when it raises that rank.  The pass stops once
-    both lists are complete.  Each lambda_l <= classical[(l-1)d+1] is
+    One pass over `points_by_gauge` feeds two exact trackers, both on
+    the points' integer coordinates: the K-rank (the adelic minima; see
+    `KRankTracker`) and the rank over Q (the classical minima up to
+    index (n-1)d+1).  A point that raises the K-rank is a witness, and
+    only witnesses get an exact preimage.  The pass stops once both
+    lists are complete.  Each lambda_l <= classical[(l-1)d+1] is
     checked, which holds because a K-span of dimension l-1 has real
     dimension (l-1)d.
     """
@@ -99,22 +101,19 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     n, d = body.n, field.degree
     target_classical = (n - 1) * d + 1
     red = body.lattice().reduced(options.lll_delta)
-    ktracker = KRankTracker(field, n)
+    ktracker = KRankTracker(field, red.back_map)
     rtracker = RankTracker(red.dim)
     minima: list[float] = []
     witnesses: list[KVector] = []
     kept: list[LatticePoint] = []
     classical: list[float] = []
     for p in points_by_gauge(red, body.infinite_part, options):
-        if len(classical) < target_classical and rtracker.try_add(
-                [Fraction(c) for c in p.coords]):
+        if len(classical) < target_classical and rtracker.try_add(p.coords):
             classical.append(p.gauge)
-        if len(minima) < n:
-            preimage = red.preimage_of(p.coords)
-            if ktracker.try_add(list(preimage)):
-                minima.append(p.gauge)
-                witnesses.append(preimage)
-                kept.append(p)
+        if len(minima) < n and ktracker.try_add(p.coords):
+            minima.append(p.gauge)
+            witnesses.append(red.preimage_of(p.coords))
+            kept.append(p)
         if len(minima) == n and len(classical) == target_classical:
             slacks = [classical[(l - 1) * d] - minima[l - 1] for l in range(1, n + 1)]
             if any(s < -1e-9 * (1 + abs(minima[-1])) for s in slacks):

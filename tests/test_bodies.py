@@ -251,6 +251,34 @@ def test_bounding_ellipsoid_contains_the_body():
             assert np.all(quad <= body.enumeration_quadratic_bound(1.0) * (1 + 1e-9))
 
 
+def test_bounding_form_fits_skewed_boxes_and_cross_polytopes():
+    """Each place's block of the form contains its body and hugs it.
+
+    Random points of a skewed box and of a cross-polytope, their corners
+    and vertices included, satisfy x_v^T diag(q_v) x_v <= 1, with equality
+    at every vertex; along each axis the form reaches at most sqrt(m)
+    halfwidths past the box, not the box's circumradius.
+    """
+    rng = np.random.default_rng(29)
+    k = preset_field("Q_sqrt2")
+    h, s = np.array([1.0, 30.0]), np.array([1 / 3, 5.0])
+    body = ProductBody(k, 2, [PlaceBody("real", 2, Box((F(1), F(30)))),
+                              PlaceBody("real", 2, CrossPolytope((F(1, 3), F(5))))])
+    q = body.bounding_ellipsoid()
+    (_, a1, b1), (_, a2, b2) = body.slices
+    corners = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]]) * h
+    box_pts = np.vstack([corners, rng.uniform(-h, h, size=(500, 2))])
+    vertices = np.vstack([np.diag(s), -np.diag(s)])
+    dirs = rng.normal(size=(500, 2))
+    cross = body.place_bodies[1].shape
+    cross_pts = np.vstack([vertices, dirs / cross.gauge_many(dirs)[:, None]
+                           * rng.uniform(0, 1, size=(500, 1))])
+    for pts, qv, tips in ((box_pts, q[a1:b1], corners), (cross_pts, q[a2:b2], vertices)):
+        assert np.all(np.sum(pts * pts * qv, axis=1) <= 1 + 1e-12)
+        assert np.sum(tips * tips * qv, axis=1) == pytest.approx(np.ones(len(tips)))
+    assert np.all(1 / np.sqrt(q[a1:b1]) <= math.sqrt(2) * h * (1 + 1e-12))
+
+
 def test_product_polar_inclusion_by_sampling():
     """Points of the polar-of-product lie in the product of the polars.
 

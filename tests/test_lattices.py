@@ -166,6 +166,26 @@ def test_enumerate_keeps_preimages():
         assert np.allclose(emb, p.point, atol=1e-9)
 
 
+def test_points_by_gauge_starts_below_the_first_minimum(monkeypatch):
+    # generators (2, 0) and (1, 2) have gauges 200 and 100 in the thin box;
+    # the first minimum is (0, 4) at 0.04
+    lat = integer_lattice([[2, 1], [0, 2]]).reduced()
+    body = q_body(2, Box((F(1, 100), F(100))))
+    assert min(body.gauge(row) for row in lat.basis) >= 100
+    levels = []
+    real = lattices.enumerate_below
+
+    def spy(lat, body, t, options):
+        levels.append(t)
+        return real(lat, body, t, options)
+
+    monkeypatch.setattr(lattices, "enumerate_below", spy)
+    first = next(lattices.points_by_gauge(lat, body))
+    assert np.allclose(np.abs(first.point), [0, 4])
+    assert first.gauge == pytest.approx(0.04)
+    assert levels[0] <= first.gauge <= levels[-1] < 2 * first.gauge
+
+
 def test_points_by_gauge_yields_each_pair_once_in_order(monkeypatch):
     lat = integer_lattice([[3, 1], [1, 2]]).reduced()
     body = q_body(2, Box((F(1), F(1, 3))))

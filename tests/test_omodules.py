@@ -9,7 +9,6 @@ from adelic import (
     KModule,
     KRankTracker,
     flatten_kvector,
-    kmat_inv,
     module_from_matrix,
     preset_field,
     quadratic_field,
@@ -17,6 +16,9 @@ from adelic import (
     standard_module,
     t_n,
 )
+
+from adelic.exactla import mat_inv
+from field_reference import complementary_basis
 
 F = Fraction
 
@@ -30,7 +32,7 @@ def field(request):
 
 def test_whole_ring_dual_matches_complementary_basis(field):
     dual = FractionalIdeal.whole_ring(field).trace_dual()
-    expected = FractionalIdeal(field, field.complementary_basis())
+    expected = FractionalIdeal(field, complementary_basis(field))
     assert dual.equals(expected)
 
 
@@ -38,13 +40,13 @@ def test_ideal_biduality(field):
     ring = FractionalIdeal.whole_ring(field)
     assert ring.trace_dual().trace_dual().equals(ring)
     x = field.element([F(3)] + [F(1)] * (field.degree - 1))
-    principal = FractionalIdeal.principal(field, x)
+    principal = FractionalIdeal.whole_ring(field).scaled(x)
     assert principal.trace_dual().trace_dual().equals(principal)
 
 
 def test_principal_ideal_dual_is_scaled_ring_dual(field):
     x = field.element([F(2)] + [F(1)] * (field.degree - 1))
-    lhs = FractionalIdeal.principal(field, x).trace_dual()
+    lhs = FractionalIdeal.whole_ring(field).scaled(x).trace_dual()
     rhs = FractionalIdeal.whole_ring(field).trace_dual().scaled(x.inverse())
     assert lhs.equals(rhs)
 
@@ -146,7 +148,7 @@ def test_matrix_module_dual_follows_inverse_transpose(field):
     m = module_from_matrix(field, a)
     dual = m.trace_dual()
     ring_dual = FractionalIdeal.whole_ring(field).trace_dual()
-    ainv = kmat_inv(a)  # rows of A^-1 are columns of A^-t
+    ainv = mat_inv(a)  # rows of A^-1 are columns of A^-t
     expected = KModule(field, [(ring_dual, tuple(row)) for row in ainv])
     assert dual.equals(expected)
 
@@ -169,7 +171,7 @@ def test_module_dual_pairing_integral(field):
 def test_pseudo_basis_with_scaled_ideals():
     q = rational_field()
     one, zero = q.one(), q.zero()
-    two_z = FractionalIdeal.principal(q, q.from_rational(2))
+    two_z = FractionalIdeal.whole_ring(q).scaled(q.from_rational(2))
     z = FractionalIdeal.whole_ring(q)
     m = KModule(q, [(two_z, (one, zero)), (z, (zero, one))])
     flat = sorted(flatten_kvector(v) for v in m.zbasis)
@@ -192,14 +194,22 @@ def test_kmodule_validation():
 
 def test_krank_tracker_works_over_k_not_q():
     k = quadratic_field(2)
-    one, theta, zero = k.one(), k.theta(), k.zero()
-    tr = KRankTracker(k, 2)
-    assert tr.try_add((one, zero))
+    zb = standard_module(k, 2).zbasis  # (1,0), (theta,0), (0,1), (0,theta)
+    assert [flatten_kvector(z) for z in zb] == [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    tr = KRankTracker(k, zb)
+    assert tr.try_add((1, 0, 0, 0))
     # theta*(1,0) is Q-independent of (1,0) but K-dependent
-    assert not tr.try_add((theta, zero))
-    assert tr.try_add((theta, one))
+    assert not tr.try_add((0, 1, 0, 0))
+    assert tr.try_add((0, 1, 1, 0))  # (theta, 1)
     assert tr.rank == 2
-    assert not tr.try_add((one, theta))
+    assert not tr.try_add((1, 0, 0, 1))  # (1, theta)
+    # on a Q-basis that is not O-stable theta acts with entries like 2/3
+    third = k.theta() / 3
+    zero, one = k.zero(), k.one()
+    tr = KRankTracker(k, [(one, zero), (third, zero), (zero, one), (zero, third)])
+    assert tr.try_add((0, 1, 0, 0))  # (theta/3, 0)
+    assert not tr.try_add((1, 0, 0, 0))  # (1, 0) = (3/theta) (theta/3, 0)
 
 
 def test_t_n_is_the_componentwise_trace_sum():

@@ -329,23 +329,28 @@ def test_cli_exit_code_2_on_bad_input(capsys, tmp_path):
 
 
 def test_cli_resolution_below_two_is_an_argument_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["mu", "Q", "--resolution", "1"])
-    assert exc.value.code == 2
-    assert "resolution" in capsys.readouterr().err
+    # resolution below 2, cap and precision below 1: bad input, not a failed run
+    for flag, value, least in (("--resolution", "1", 2), ("--cap", "0", 1), ("--cap", "-1", 1),
+                               ("--precision", "0", 1), ("--precision", "-3", 1)):
+        with pytest.raises(SystemExit) as exc:
+            main(["mu", "Q", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least {least}" in capsys.readouterr().err
 
 
 def test_scenario_resolution_below_two_is_an_input_error(capsys, tmp_path):
-    text = load_scenario_text("Q") + "\n[options]\nresolution = 1\n"
-    assert "at least 2" in scenario_error(text)
-    path = tmp_path / "low.ini"
-    path.write_text(text)
-    code, _, err = run_cli(["mu", str(path)], capsys)
-    assert code == 2
-    assert "resolution must be at least 2" in err
-    code, out, _ = run_cli(["mu", "--all", str(tmp_path), "--machine"], capsys)
-    assert code == 2
-    assert "error kind=input" in out
+    for key, value, least in (("resolution", "1", 2), ("cap", "0", 1), ("cap", "-1", 1),
+                              ("precision", "-3", 1)):
+        text = load_scenario_text("Q") + f"\n[options]\n{key} = {value}\n"
+        assert f"at least {least}" in scenario_error(text)
+        path = tmp_path / "low.ini"
+        path.write_text(text)
+        code, _, err = run_cli(["mu", str(path)], capsys)
+        assert code == 2
+        assert f"{key} must be at least {least}" in err
+        code, out, _ = run_cli(["mu", "--all", str(tmp_path), "--machine"], capsys)
+        assert code == 2
+        assert "error kind=input" in out
 
 
 def test_cli_exit_code_3_on_cap(capsys):

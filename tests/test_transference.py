@@ -123,9 +123,13 @@ def test_rank_two_minima_and_monotonicity():
 
 
 def test_preimages_are_built_only_for_k_rank_candidates(monkeypatch):
-    # the third classical milestone (gauge sqrt 2) comes after the K-rank is full
+    # K-rank is decided on coordinates; only the n witnesses get a preimage.
+    # On 2O x O the point (0, theta) of gauge sqrt 2 is tried and rejected
+    # between the witnesses (0, 1) and (2, 0).
     k = preset_field("Q_sqrt2")
-    body = AdelicBody(standard_module(k, 2), uniform_ball_body(k, 2, F(1)))
+    two, one, zero = k.from_rational(2), k.one(), k.zero()
+    mod = module_from_matrix(k, [[two, zero], [zero, one]])
+    body = AdelicBody(mod, uniform_ball_body(k, 2, F(1)))
     calls = {"preimage_of": 0, "try_add": 0, "points": 0}
     preimage_of, try_add = EmbeddedLattice.preimage_of, KRankTracker.try_add
     points_by_gauge = transference.points_by_gauge
@@ -147,10 +151,9 @@ def test_preimages_are_built_only_for_k_rank_candidates(monkeypatch):
     monkeypatch.setattr(KRankTracker, "try_add", counted_try_add)
     monkeypatch.setattr(transference, "points_by_gauge", counted_points_by_gauge)
     rep = adelic_minima(body)
-    assert rep.minima == pytest.approx([1.0, 1.0], abs=1e-9)
-    assert rep.classical == pytest.approx([1.0, 1.0, 2 ** 0.5], abs=1e-9)
-    assert calls["preimage_of"] == calls["try_add"] >= 2
-    assert calls["preimage_of"] < calls["points"]
+    assert rep.minima == pytest.approx([1.0, 2.0], abs=1e-9)
+    assert rep.classical == pytest.approx([1.0, 2 ** 0.5, 2.0], abs=1e-9)
+    assert calls["preimage_of"] == 2 < calls["try_add"] <= calls["points"]
 
 
 def test_thunder_slacks_are_nonnegative():
