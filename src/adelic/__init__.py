@@ -28,7 +28,6 @@ from .omodules import (
     flatten_kvector,
     module_from_matrix,
     standard_module,
-    t_n,
 )
 from .bodies import (
     Ball,
@@ -118,7 +117,6 @@ __all__ = [
     "rational_field",
     "serialize_scenario",
     "standard_module",
-    "t_n",
     "transference_check",
     "uniform_ball_body",
 ]

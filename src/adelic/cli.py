@@ -85,10 +85,18 @@ class _Report:
             print(ln, file=out)
 
 
+def _read_scenario_file(path: Path) -> str:
+    """The file's text; a directory or an unreadable or non-UTF-8 file is bad input."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read scenario file {str(path)!r}: {exc}") from None
+
+
 def load_scenario_text(name: str) -> str:
     p = Path(name)
     if p.exists():
-        return p.read_text()
+        return _read_scenario_file(p)
     if name in PRESET_SCENARIOS:
         return (resources.files("adelic") / "scenarios" / f"{name}.ini").read_text()
     raise ScenarioError(
@@ -306,7 +314,7 @@ def main(argv=None) -> int:
                 rep = _Report(args.machine)
                 rep.line(f"scenario file={path}")
                 try:
-                    code = _run_command(args, path.read_text(), rep)
+                    code = _run_command(args, _read_scenario_file(path), rep)
                 except ScenarioError as exc:
                     rep.line(f"error kind=input detail={exc}")
                     code = 2

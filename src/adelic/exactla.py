@@ -2,9 +2,10 @@
 
 Small dense systems only.  Everything here is Gaussian elimination on
 exact entries, used where floating point would silently destroy
-unimodularity and duality identities.  The entries may be `Fraction`s
-or number field elements (matrices over K); pivots and eliminations are
-tested with `!= 0`, which both types support.
+unimodularity and duality identities.  The entries may be `Fraction`s,
+integers (products of integer matrices stay integers) or number field
+elements (matrices over K); pivots and eliminations are tested with
+`!= 0`, which all of them support.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ def transpose(a: Matrix) -> Matrix:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def mat_det(a: Matrix) -> Fraction:
@@ -85,6 +86,11 @@ def is_integral_vec(v: Sequence[Fraction]) -> bool:
 
 def is_integral_mat(a: Matrix) -> bool:
     return all(is_integral_vec(row) for row in a)
+
+
+def is_unimodular(a: Matrix) -> bool:
+    """Integral with determinant +-1: a change of basis of one Z-lattice."""
+    return is_integral_mat(a) and abs(mat_det(a)) == 1
 
 
 class RankTracker:

@@ -1,11 +1,12 @@
 """Embedded lattices in R^(n*d): reduction, enumeration, minima, covering radii.
 
 A lattice carries the diagonal twisted form F, a float basis (rows), and
-optionally an exact back map to K-vectors.  All rank decisions, over Q
-and over K, are made exactly on integer coordinates; the back map is
-applied only to the points a caller keeps (`preimage_of`).  Floats only
-measure gauges, and enumeration is seeded by each body's own diagonal
-bounding form (`ProductBody.bounding_ellipsoid`).
+optionally a back map to K-vectors (a module's Z-basis) with the integer
+transform U from it to the basis; reduction composes U.  All rank
+decisions, over Q and over K, are made exactly on integer coordinates;
+a point is mapped back to a K-vector only when a caller keeps it
+(`preimage_of`).  Floats only measure gauges, and enumeration is seeded
+by each body's own diagonal bounding form (`ProductBody.bounding_ellipsoid`).
 """
 
 from __future__ import annotations
@@ -19,13 +20,17 @@ import numpy as np
 from .bodies import ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
-from .exactla import RankTracker, mat_det
+from .exactla import RankTracker, mat_det, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
 from .omodules import KModule, KVector, kcombination
 
 
 class EmbeddedLattice:
-    """Full-rank lattice in R^m with a diagonal form and optional exact preimages."""
+    """Full-rank lattice in R^m with a diagonal form and optional exact preimages.
+
+    Basis row i is the embedding of sum_k transform[i][k] * back_map[k];
+    the transform defaults to the identity.
+    """
 
     def __init__(
         self,
@@ -35,6 +40,7 @@ class EmbeddedLattice:
         form: np.ndarray,
         back_map: list[KVector] | None = None,
         conjugated: bool = False,
+        transform: list[list[int]] | None = None,
     ):
         basis = np.asarray(basis, dtype=float)
         m = basis.shape[0]
@@ -46,14 +52,18 @@ class EmbeddedLattice:
         self.form = np.asarray(form, dtype=float)
         self.back_map = back_map
         self.conjugated = conjugated
+        if transform is None:
+            transform = [[int(i == j) for j in range(m)] for i in range(m)]
+        self.transform = transform
         if back_map is not None:
             if len(back_map) != m:
                 raise ValueError("back map must have one K-vector per basis row")
-            scale = max(1.0, float(np.max(np.abs(basis))))
-            for vec, row in zip(back_map, basis):
-                emb = field.embed_vector(vec, conjugated)
-                if float(np.max(np.abs(emb - row))) > 1e-9 * scale:
-                    raise ValueError("back map does not embed onto the basis rows")
+            u = np.array(transform, dtype=float)
+            emb = np.array([field.embed_vector(vec, conjugated) for vec in back_map])
+            # an entry of u @ emb may be off by the rounding error of its terms
+            scale = max(1.0, float(np.max(np.abs(u) @ np.abs(emb))))
+            if float(np.max(np.abs(u @ emb - basis))) > 1e-9 * scale:
+                raise ValueError("back map does not embed onto the basis rows")
 
     @property
     def dim(self) -> int:
@@ -69,16 +79,14 @@ class EmbeddedLattice:
         new_basis = np.array(
             [[sum(u[i][k] * self.basis[k][j] for k in range(self.dim))
               for j in range(self.dim)] for i in range(self.dim)])
-        new_back = None
-        if self.back_map is not None:
-            new_back = [kcombination(self.field, self.n, row, self.back_map) for row in u]
-        return EmbeddedLattice(self.field, self.n, new_basis, self.form, new_back,
-                               self.conjugated)
+        return EmbeddedLattice(self.field, self.n, new_basis, self.form, self.back_map,
+                               self.conjugated, mat_mul(u, self.transform))
 
     def preimage_of(self, coords: Sequence[int]) -> KVector | None:
         if self.back_map is None:
             return None
-        return kcombination(self.field, self.n, coords, self.back_map)
+        module_coords = mat_vec(transpose(self.transform), coords)
+        return kcombination(self.field, self.n, module_coords, self.back_map)
 
 
 def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:
@@ -241,15 +249,13 @@ def enumerate_below(
     bound = body.enumeration_quadratic_bound(t) * (1 + 1e-9)
     coords = _enumerate_quadratic(_bounding_factor(lat, body), bound, options.enumeration_cap)
 
-    points: list[LatticePoint] = []
-    for c in coords:
-        first = next(x for x in c if x != 0)
-        if first < 0:
-            continue
-        vec = np.asarray(c, dtype=float) @ lat.basis
-        g = body.gauge(vec)
-        if g <= t * (1 + 1e-12):
-            points.append(LatticePoint(c, vec, g))
+    kept = [c for c in coords if next(x for x in c if x != 0) > 0]
+    if not kept:
+        return []
+    vecs = [np.asarray(c, dtype=float) @ lat.basis for c in kept]
+    gauges = body.gauge_many(np.array(vecs))
+    points = [LatticePoint(c, vec, float(g))
+              for c, vec, g in zip(kept, vecs, gauges) if g <= t * (1 + 1e-12)]
     points.sort(key=LatticePoint.sort_key)
     return points
 

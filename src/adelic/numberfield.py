@@ -21,8 +21,10 @@ from .exactla import (
     is_integral_mat,
     mat_det,
     mat_inv,
+    mat_mul,
     mat_solve,
     solve_vec,
+    transpose,
 )
 
 # ---------------------------------------------------------------------------
@@ -69,13 +71,6 @@ def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
             lead = a[-1]
             a = [c / lead for c in a]
     return a
-
-
-def _eval_frac(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _eval_complex(p: Sequence[float], z: complex) -> complex:
@@ -307,7 +302,13 @@ class NumberField:
         self._basis_inv = mat_inv(basis)
         self._validate_ring()
 
-        gram = self._trace_gram()
+        # Tr(theta^k) for k < d from the multiplication matrices, then for
+        # d <= k <= 2d-2 through the reduction table theta^k = sum r_j theta^j
+        low = [self.element([int(i == j) for i in range(d)]).trace() for j in range(d)]
+        powers = low + [sum((r * t for r, t in zip(red, low)), Fraction(0))
+                        for red in self._reduction[:d - 1]]
+        self.trace_form: Matrix = [[powers[i + j] for j in range(d)] for i in range(d)]
+        gram = mat_mul(mat_mul(basis, self.trace_form), transpose(basis))
         if not is_integral_mat(gram):
             raise ValueError("trace pairings of the integral basis are not integers")
         self.trace_gram: Matrix = gram
@@ -402,11 +403,6 @@ class NumberField:
         coords = mat_solve(bt, [[p[k] for p in products] for k in range(d)])
         if not is_integral_mat(coords):
             raise ValueError("integral basis is not closed under multiplication")
-
-    def _trace_gram(self) -> Matrix:
-        d = self.degree
-        els = [self.element(row) for row in self.basis_matrix]
-        return [[(els[i] * els[j]).trace() for j in range(d)] for i in range(d)]
 
     def same_presentation(self, other: "NumberField") -> bool:
         """Same defining polynomial and same integral basis.

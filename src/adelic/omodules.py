@@ -1,9 +1,11 @@
 """Fractional ideals and finitely generated O-modules in K^n.
 
-Modules are carried as pseudo-bases (ideal, vector) and expanded to exact
-Z-bases of rank n*d on demand.  The trace dual is computed two independent
-ways, once through the pseudo-basis and once through the full Gram matrix
-of the Z-basis, and the spans are required to agree.
+Modules are carried as pseudo-bases (ideal, vector), after Cohen, GTM
+193, ch. 1.  Their exact Z-bases are held as coordinate matrices over
+the power basis, and comparisons and traces are products of those with
+the field's trace form P[i][j] = Tr(theta^(i+j)).  The trace dual is
+built through the pseudo-basis and checked by its pairing matrix with
+the module, which must be integral with determinant +-1.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .exactla import (
     Matrix,
     RankTracker,
     is_integral_mat,
+    is_unimodular,
     mat_det,
     mat_inv,
     mat_mul,
@@ -26,16 +29,6 @@ from .exactla import (
 from .numberfield import FieldElement, NumberField
 
 KVector = tuple[FieldElement, ...]
-
-
-def t_n(x: Sequence[FieldElement], y: Sequence[FieldElement]) -> Fraction:
-    """Sum of Tr(x_k * y_k): the standard bilinear pairing on K^n."""
-    if len(x) != len(y):
-        raise ValueError("vectors of different length")
-    total = Fraction(0)
-    for a, b in zip(x, y):
-        total += (a * b).trace()
-    return total
 
 
 def flatten_kvector(xs: Sequence[FieldElement]) -> list[Fraction]:
@@ -58,28 +51,34 @@ def kcombination(
 
 
 class KRankTracker:
-    """Incremental rank over K of lattice points, read on their Z-coordinates.
+    """Incremental rank over K of lattice points, read on their integer coordinates.
 
-    `zbasis` is a Q-basis of K^n, the Z-basis of the lattice.  For each
-    integral-basis element b, row i of the matrix M_b holds the
-    coordinates of b * z_i, so the K-span of the point with coordinates
-    c is spanned over Q by its d images c M_b.  One exact `RankTracker`
-    holds the Q-span of the K-spans accepted so far: a point raises the
-    K-rank exactly when it leaves that span, and then its images join
-    it.  On an O-module the entries of every M_b are integers.
+    Coordinates c over the basis U z (U = `transform`, z the module's
+    Z-basis) are c U over z.  On z an integral-basis element b acts
+    block-diagonally, block i being its integer action on the i-th ideal
+    of the pseudo-basis, so the K-span of the point is spanned over Q by
+    its d images c U M_b.  One exact `RankTracker` holds the Q-span of
+    the K-spans accepted so far: a point raises the K-rank exactly when
+    it leaves that span, and then its images join it.
     """
 
-    def __init__(self, field: NumberField, zbasis: Sequence[KVector]):
-        self.field = field
-        inv = _transpose_inv_cols(zbasis)
-        # M_b transposed, so that the image c M_b is one mat_vec
-        self.actions = [
-            transpose([mat_vec(inv, flatten_kvector([b * x for x in z])) for z in zbasis])
-            for b in field.basis_elements()]
-        self.span = RankTracker(len(zbasis))
+    def __init__(self, module: "KModule", transform: Sequence[Sequence[int]]):
+        d = module.field.degree
+        nd = module.rank * d
+        self.degree = d
+        # U and each U M_b transposed, so that an image is one mat_vec
+        self.coords_map = transpose(transform)
+        self.actions = []
+        for k in range(d):
+            m_b = [[0] * nd for _ in range(nd)]
+            for i, (ideal, _) in enumerate(module.pseudo):
+                for r, row in enumerate(ideal.actions[k]):
+                    m_b[i * d + r][i * d:(i + 1) * d] = row
+            self.actions.append(transpose(mat_mul(transform, m_b)))
+        self.span = RankTracker(nd)
 
     def try_add(self, coords: Sequence[int]) -> bool:
-        if not self.span.try_add(coords):
+        if not self.span.try_add(mat_vec(self.coords_map, coords)):
             return False
         for action in self.actions:
             self.span.try_add(mat_vec(action, coords))
@@ -87,7 +86,7 @@ class KRankTracker:
 
     @property
     def rank(self) -> int:
-        return self.span.rank // self.field.degree
+        return self.span.rank // self.degree
 
 
 # ---------------------------------------------------------------------------
@@ -104,28 +103,23 @@ class FractionalIdeal:
         self.coord_matrix: Matrix = [list(b.coords) for b in self.zbasis]
         if mat_det(self.coord_matrix) == 0:
             raise ValueError("ideal basis is linearly dependent")
-        self._coord_inv = mat_inv(transpose(self.coord_matrix))
-        if validate:
-            self._validate_module_structure()
+        if validate and not all(is_integral_mat(m) for m in self.actions):
+            raise ValueError("ideal basis is not stable under the ring")
 
-    def _validate_module_structure(self):
-        # closure under multiplication by the ring's integral basis
-        for b in self.field.basis_elements():
-            for a in self.zbasis:
-                if not self.contains(a * b):
-                    raise ValueError("ideal basis is not stable under the ring")
+    @cached_property
+    def actions(self) -> list[Matrix]:
+        """Per integral-basis element b, row j = coordinates of b * zbasis[j].
 
-    def coords_of(self, x: FieldElement) -> list[Fraction]:
-        return mat_vec(self._coord_inv, list(x.coords))
-
-    def contains(self, x: FieldElement) -> bool:
-        return all(c.denominator == 1 for c in self.coords_of(x))
+        All entries are integers exactly when the ideal is stable under O.
+        """
+        inv = mat_inv(self.coord_matrix)
+        return [mat_mul([list((b * a).coords) for a in self.zbasis], inv)
+                for b in self.field.basis_elements()]
 
     def equals(self, other: "FractionalIdeal") -> bool:
         if not self.field.same_presentation(other.field):
             return False
-        c = mat_mul(self.coord_matrix, mat_inv(other.coord_matrix))
-        return is_integral_mat(c) and abs(mat_det(c)) == 1
+        return is_unimodular(mat_mul(self.coord_matrix, mat_inv(other.coord_matrix)))
 
     def scaled(self, x: FieldElement) -> "FractionalIdeal":
         if x.is_zero():
@@ -134,17 +128,13 @@ class FractionalIdeal:
 
     def trace_dual(self) -> "FractionalIdeal":
         """The complementary ideal: all y with Tr(y * a) integral on this ideal."""
-        els = list(self.zbasis)
-        d = self.field.degree
-        gram = [[(els[i] * els[j]).trace() for j in range(d)] for i in range(d)]
-        dual_coords = mat_mul(mat_inv(gram), self.coord_matrix)
-        duals = [self.field.element(row) for row in dual_coords]
-        out = FractionalIdeal(self.field, duals)
-        for u in duals:
-            for b in els:
-                if (u * b).trace().denominator != 1:
-                    raise ConditioningError("ideal trace dual failed verification")
-        return out
+        c = self.coord_matrix
+        cp = mat_mul(c, self.field.trace_form)
+        dual_coords = mat_mul(mat_inv(mat_mul(cp, transpose(c))), c)
+        # the pairings Tr(u * a) of the two Z-bases form the identity
+        if not is_unimodular(mat_mul(dual_coords, transpose(cp))):
+            raise ConditioningError("ideal trace dual failed verification")
+        return FractionalIdeal(self.field, [self.field.element(row) for row in dual_coords])
 
     @classmethod
     def whole_ring(cls, field: NumberField) -> "FractionalIdeal":
@@ -176,23 +166,22 @@ class KModule:
         return [tuple(alpha * x for x in w) for a, w in self.pseudo for alpha in a.zbasis]
 
     @cached_property
-    def _flat_inv(self) -> Matrix:
-        return _transpose_inv_cols(self.zbasis)
+    def flat(self) -> Matrix:
+        """The Z-basis as rows of rational coordinates (`flatten_kvector`)."""
+        return [flatten_kvector(z) for z in self.zbasis]
 
-    def coords_of(self, x: Sequence[FieldElement]) -> list[Fraction]:
-        """Rational coordinates of x over the Z-basis."""
-        if len(x) != self.rank:
-            raise ValueError("vector length does not match module rank")
-        return mat_vec(self._flat_inv, flatten_kvector(x))
-
-    def contains(self, x: Sequence[FieldElement]) -> bool:
-        return all(c.denominator == 1 for c in self.coords_of(x))
+    def pairing(self, other: "KModule") -> Matrix:
+        """sum_k Tr(x_k y_k) over the Z-bases: self.flat (I_n (x) P) other.flat^t."""
+        p = self.field.trace_form
+        d = self.field.degree
+        other_p = [[x for k in range(0, len(y), d) for x in mat_vec(p, y[k:k + d])]
+                   for y in other.flat]
+        return mat_mul(self.flat, transpose(other_p))
 
     def equals(self, other: "KModule") -> bool:
         if self.rank != other.rank or not self.field.same_presentation(other.field):
             return False
-        c = [other.coords_of(z) for z in self.zbasis]
-        return is_integral_mat(c) and abs(mat_det(c)) == 1
+        return is_unimodular(mat_mul(self.flat, mat_inv(other.flat)))
 
     def trace_dual(self) -> "KModule":
         """Dual module under the pairing sum Tr(x_k y_k), two routes cross-checked."""
@@ -201,32 +190,14 @@ class KModule:
         wstar = transpose(self._wmat_inv)
         dual = KModule(field, [(a.trace_dual(), tuple(row))
                                for (a, _), row in zip(self.pseudo, wstar)])
-
-        # independent route: dual Z-basis from the Gram matrix of the pairing
-        zb = self.zbasis
-        nd = len(zb)
-        gram = [[t_n(zb[i], zb[j]) for j in range(nd)] for i in range(nd)]
-        if mat_det(gram) == 0:
-            raise ConditioningError("pairing Gram matrix of the Z-basis is singular")
-        ginv = mat_inv(gram)
-        dual_z = [kcombination(field, self.rank, row, zb) for row in ginv]
-        for v in dual_z:
-            if not dual.contains(v):
-                raise ConditioningError("trace dual routes disagree")
-        dual_z_inv = _transpose_inv_cols(dual_z)
-        for v in dual.zbasis:
-            coords = mat_vec(dual_z_inv, flatten_kvector(v))
-            if any(c.denominator != 1 for c in coords):
-                raise ConditioningError("trace dual routes disagree")
+        # second route: dual's Z-basis spans the lattice dual to ours (the
+        # span of G^-1 z, G the Gram matrix) iff their pairings are unimodular
+        if not is_unimodular(dual.pairing(self)):
+            raise ConditioningError("trace dual routes disagree")
         return dual
 
     def __repr__(self):
         return f"KModule(rank={self.rank}, field={self.field!r})"
-
-
-def _transpose_inv_cols(kvectors: Sequence[KVector]) -> Matrix:
-    """Inverse of the matrix whose columns are the flattened K-vectors."""
-    return mat_inv(transpose([flatten_kvector(z) for z in kvectors]))
 
 
 def standard_module(field: NumberField, n: int) -> KModule:

@@ -4,9 +4,10 @@ The body pairs a rank-n module (its behavior at all finite places) with
 one convex body per archimedean place.  Minima are found by reading the
 embedded lattice's points in gauge order (`points_by_gauge`) and keeping
 those that increase the rank over K.  That rank is decided exactly on
-the points' integer coordinates, through the action of the integral
-basis on the module's Z-basis; only the kept points, the witnesses, are
-mapped back to exact K-vectors.  Dilation acts on the infinite places
+the points' integer coordinates: the LLL transform carries them to the
+module's Z-basis, where the integral basis acts by integer blocks read
+from the ideals of the pseudo-basis.  Only the kept points, the
+witnesses, are mapped back to exact K-vectors.  Dilation acts on the infinite places
 only, so a point's minimum level is just its gauge.
 """
 
@@ -101,7 +102,7 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     n, d = body.n, field.degree
     target_classical = (n - 1) * d + 1
     red = body.lattice().reduced(options.lll_delta)
-    ktracker = KRankTracker(field, red.back_map)
+    ktracker = KRankTracker(body.finite_part, red.transform)
     rtracker = RankTracker(red.dim)
     minima: list[float] = []
     witnesses: list[KVector] = []

@@ -92,11 +92,16 @@ def test_reduction_shortens_a_skewed_basis():
 
 def test_reduction_keeps_back_map_exact():
     k = preset_field("Q_sqrt2")
-    lat = lattice_from_module(standard_module(k, 1))
+    one, zero = k.one(), k.zero()
+    skew = k.element([F(7), F(5)])
+    lat = lattice_from_module(module_from_matrix(k, [[one, skew], [zero, one]]))
     red = lat.reduced()
-    for vec, row in zip(red.back_map, red.basis):
-        emb = k.embed_vector(vec)
-        assert np.allclose(emb, row, atol=1e-12)
+    m = red.dim
+    assert red.transform != [[int(i == j) for j in range(m)] for i in range(m)]
+    assert red.back_map is lat.back_map
+    for i, row in enumerate(red.basis):
+        vec = red.preimage_of([int(i == j) for j in range(m)])
+        assert np.allclose(k.embed_vector(vec), row, atol=1e-9)
 
 
 def test_back_map_validation():

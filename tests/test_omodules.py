@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from adelic import (
+    ConditioningError,
     FractionalIdeal,
     KModule,
     KRankTracker,
@@ -14,11 +15,10 @@ from adelic import (
     quadratic_field,
     rational_field,
     standard_module,
-    t_n,
 )
 
 from adelic.exactla import mat_inv
-from field_reference import complementary_basis
+from field_reference import complementary_basis, contains, t_n
 
 F = Fraction
 
@@ -57,7 +57,7 @@ def test_discriminant_scales_dual_into_ring(field):
     dual = ring.trace_dual()
     disc = field.from_rational(field.discriminant)
     for e in dual.zbasis:
-        assert ring.contains(disc * e)
+        assert contains(ring, disc * e)
 
 
 def test_dual_pairing_is_integral(field):
@@ -73,11 +73,11 @@ def test_sqrt2_membership_examples():
     ring = FractionalIdeal.whole_ring(k)
     dual = ring.trace_dual()
     theta = k.theta()
-    assert ring.contains(theta)
-    assert not ring.contains(k.from_rational(F(1, 2)))
-    assert dual.contains(theta / 4)
-    assert dual.contains(k.from_rational(F(1, 2)))
-    assert not dual.contains(k.from_rational(F(1, 3)))
+    assert contains(ring, theta)
+    assert not contains(ring, k.from_rational(F(1, 2)))
+    assert contains(dual, theta / 4)
+    assert contains(dual, k.from_rational(F(1, 2)))
+    assert not contains(dual, k.from_rational(F(1, 3)))
 
 
 def test_ideal_equals_different_zbases():
@@ -102,8 +102,8 @@ def test_module_zbasis_and_membership():
     m = standard_module(k, 2)
     assert len(m.zbasis) == 4
     one, theta, zero = k.one(), k.theta(), k.zero()
-    assert m.contains((theta, one))
-    assert not m.contains((k.from_rational(F(1, 2)), zero))
+    assert contains(m, (theta, one))
+    assert not contains(m, (k.from_rational(F(1, 2)), zero))
 
 
 def test_module_equals_under_unimodular_change():
@@ -123,8 +123,8 @@ def test_matrix_module_generated_by_columns():
     one, zero = k.one(), k.zero()
     half = k.from_rational(F(1, 2))
     m = module_from_matrix(k, [[half, zero], [zero, one]])
-    assert m.contains((half, zero))
-    assert not m.contains((k.from_rational(F(1, 4)), zero))
+    assert contains(m, (half, zero))
+    assert not contains(m, (k.from_rational(F(1, 4)), zero))
 
 
 def test_rank_two_dual_of_diagonal_half():
@@ -168,6 +168,25 @@ def test_module_dual_pairing_integral(field):
             assert t_n(za, zb).denominator == 1
 
 
+def test_trace_dual_cross_check_catches_a_wrong_pseudo_route(monkeypatch, field):
+    # doubled ideal duals give a dual module that the pairing check rejects
+    m = module_from_matrix(field, [[field.one(), field.theta()],
+                                   [field.zero(), field.from_rational(2)]])
+    ideal_dual = FractionalIdeal.trace_dual
+    two = field.from_rational(2)
+    monkeypatch.setattr(FractionalIdeal, "trace_dual",
+                        lambda self: ideal_dual(self).scaled(two))
+    with pytest.raises(ConditioningError, match="trace dual routes disagree"):
+        m.trace_dual()
+
+
+def test_pairing_matrix_is_the_elementwise_trace_sum(field):
+    m = module_from_matrix(field, [[field.one(), field.theta()],
+                                   [field.zero(), field.from_rational(2)]])
+    dual = standard_module(field, 2)
+    assert m.pairing(dual) == [[t_n(x, y) for y in dual.zbasis] for x in m.zbasis]
+
+
 def test_pseudo_basis_with_scaled_ideals():
     q = rational_field()
     one, zero = q.one(), q.zero()
@@ -194,22 +213,27 @@ def test_kmodule_validation():
 
 def test_krank_tracker_works_over_k_not_q():
     k = quadratic_field(2)
-    zb = standard_module(k, 2).zbasis  # (1,0), (theta,0), (0,1), (0,theta)
-    assert [flatten_kvector(z) for z in zb] == [
-        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    tr = KRankTracker(k, zb)
+    m = standard_module(k, 2)  # Z-basis (1,0), (theta,0), (0,1), (0,theta)
+    assert m.flat == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    tr = KRankTracker(m, identity)
     assert tr.try_add((1, 0, 0, 0))
     # theta*(1,0) is Q-independent of (1,0) but K-dependent
     assert not tr.try_add((0, 1, 0, 0))
     assert tr.try_add((0, 1, 1, 0))  # (theta, 1)
     assert tr.rank == 2
     assert not tr.try_add((1, 0, 0, 1))  # (1, theta)
-    # on a Q-basis that is not O-stable theta acts with entries like 2/3
-    third = k.theta() / 3
-    zero, one = k.zero(), k.one()
-    tr = KRankTracker(k, [(one, zero), (third, zero), (zero, one), (zero, third)])
-    assert tr.try_add((0, 1, 0, 0))  # (theta/3, 0)
-    assert not tr.try_add((1, 0, 0, 0))  # (1, 0) = (3/theta) (theta/3, 0)
+    # over the basis with rows U z a point with coordinates c is c U on the
+    # Z-basis: rows (1,1), (theta,0), (0,1), (2,theta) of a unimodular U
+    u = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [2, 0, 0, 1]]
+    tr = KRankTracker(m, u)
+    assert tr.try_add((0, 0, 1, 0))  # (0, 1)
+    # -2 (1,1) + 2 (0,1) + (2,theta) = (0, theta), a K-multiple of (0, 1);
+    # read without U these coordinates would give (-2, 2 + theta)
+    assert not tr.try_add((-2, 0, 2, 1))
+    assert tr.try_add((0, 1, 0, 0))  # (theta, 0)
+    assert not tr.try_add((1, 0, 0, 0))  # (1, 1)
+    assert tr.rank == 2
 
 
 def test_t_n_is_the_componentwise_trace_sum():

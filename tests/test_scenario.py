@@ -16,6 +16,7 @@ from adelic import (
     serialize_scenario,
 )
 from adelic.cli import load_scenario_text, main
+from field_reference import contains
 
 F = Fraction
 
@@ -99,8 +100,8 @@ def test_pseudo_module_scenario():
     scn = parse_scenario(PSEUDO)
     body = scn.build()
     two = body.field.from_rational(2)
-    assert body.finite_part.contains((two, body.field.zero()))
-    assert not body.finite_part.contains((body.field.one(), body.field.zero()))
+    assert contains(body.finite_part, (two, body.field.zero()))
+    assert not contains(body.finite_part, (body.field.one(), body.field.zero()))
     assert serialize_scenario(parse_scenario(serialize_scenario(scn))) == \
         serialize_scenario(scn)
 
@@ -117,7 +118,7 @@ def test_single_rational_promotes_to_an_element():
     text = PSEUDO.replace("pseudo2 = 1,0; 0,1 | 0,0; 1,0",
                           "pseudo2 = 1; 0,1 | 0; 1")
     body = parse_scenario(text).build()
-    assert body.finite_part.contains((body.field.zero(), body.field.one()))
+    assert contains(body.finite_part, (body.field.zero(), body.field.one()))
 
 
 # -- diagnostics -------------------------------------------------------------
@@ -374,6 +375,31 @@ def test_cli_all_directory(capsys, tmp_path):
     code, _, err = run_cli(
         ["transference", "--all", str(tmp_path / "nope")], capsys)
     assert code == 2
+
+
+def test_cli_unreadable_scenario_file_is_an_input_error(capsys, tmp_path):
+    # a directory or a file that is not UTF-8 is bad input (exit 2), not a traceback
+    latin = tmp_path / "latin.ini"
+    latin.write_bytes(load_scenario_text("Q").encode() + b"# caf\xe9\n")
+    for path in (tmp_path, latin):
+        code, out, err = run_cli(["minima", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read scenario file")
+
+
+def test_cli_all_reports_unreadable_files_and_goes_on(capsys, tmp_path):
+    (tmp_path / "a_dir.ini").mkdir()
+    (tmp_path / "b_latin.ini").write_bytes(b"[field]\npreset = Q\n# caf\xe9\n")
+    (tmp_path / "c_good.ini").write_text(load_scenario_text("Q"))
+    code, out, _ = run_cli(["minima", "--all", str(tmp_path), "--machine"], capsys)
+    assert code == 2  # worst of 2, 2 and 0
+    blocks = out.split("scenario file=")[1:]
+    assert [b.splitlines()[0].rsplit("/", 1)[-1] for b in blocks] == [
+        "a_dir.ini", "b_latin.ini", "c_good.ini"]
+    assert "error kind=input detail=cannot read scenario file" in blocks[0]
+    assert "error kind=input detail=cannot read scenario file" in blocks[1]
+    assert "lambda_1=" in blocks[2]
 
 
 def env_plus(hash_seed):

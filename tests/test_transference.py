@@ -1,12 +1,13 @@
 """Adelic bodies: polarity, successive minima, and transference verdicts."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from adelic import transference
+from adelic import exactla, transference
 from adelic import (
     AdelicBody,
     Ball,
@@ -15,6 +16,7 @@ from adelic import (
     FractionalIdeal,
     KModule,
     KRankTracker,
+    NumberField,
     PlaceBody,
     ProductBody,
     adelic_equal,
@@ -154,6 +156,30 @@ def test_preimages_are_built_only_for_k_rank_candidates(monkeypatch):
     assert rep.minima == pytest.approx([1.0, 2.0], abs=1e-9)
     assert rep.classical == pytest.approx([1.0, 2 ** 0.5, 2.0], abs=1e-9)
     assert calls["preimage_of"] == 2 < calls["try_add"] <= calls["points"]
+
+
+def test_transference_inverts_no_nd_by_nd_matrix(monkeypatch):
+    # the exact work is d x d (ideals) and n x n over K (pseudo-vectors);
+    # degree >= 2 keeps n x n and d x d apart from nd x nd
+    sizes = []
+    mat_inv = exactla.mat_inv
+
+    def spy(a):
+        sizes.append(len(a))
+        return mat_inv(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "adelic" or name.startswith("adelic."):
+            for attr, value in list(vars(mod).items()):
+                if value is mat_inv:
+                    monkeypatch.setattr(mod, attr, spy)
+    cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for k in (preset_field("Q_sqrt2"), cubic):
+        one, zero, theta = k.one(), k.zero(), k.theta()
+        mod = module_from_matrix(k, [[one + theta, theta], [one, k.from_rational(3)]])
+        sizes.clear()
+        assert transference_check(AdelicBody(mod, uniform_ball_body(k, 2, F(1)))).passed
+        assert sizes and 2 * k.degree not in sizes
 
 
 def test_thunder_slacks_are_nonnegative():
