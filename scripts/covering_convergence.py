@@ -10,6 +10,7 @@ rate (the width decays like 1/resolution).
 """
 
 import argparse
+import sys
 
 from adelic import inhomogeneous_minimum, parse_scenario
 from adelic.cli import load_scenario_text
@@ -37,8 +38,9 @@ def main():
         width = hi - lo
         ratio = f"{width / prev_width:.3f}" if prev_width else "-"
         print(f"{k:>10} {lo:>12.8f} {hi:>12.8f} {width:>10.6f} {ratio:>7}")
-        if prev is not None:
-            assert prev[0] <= lo + 1e-12 and hi <= prev[1] + 1e-12, "brackets must nest"
+        if prev is not None and not (prev[0] <= lo + 1e-12 and hi <= prev[1] + 1e-12):
+            sys.exit(f"error: bracket [{lo:.17g}, {hi:.17g}] at resolution {k} does not "
+                     f"nest in [{prev[0]:.17g}, {prev[1]:.17g}] at resolution {k // 2}")
         prev, prev_width = (lo, hi), width
         k *= 2
 

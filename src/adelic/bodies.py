@@ -163,7 +163,10 @@ class Ellipsoid:
         return np.array([[float(x) for x in row] for row in self.q])
 
     def gauge_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.einsum("ni,ij,nj->n", pts, self._qf, pts))
+        # elementwise products and a per-row sum: unlike einsum or a matmul,
+        # a row's gauge does not depend on the other rows of the batch
+        terms = (pts[:, :, None] * self._qf) * pts[:, None, :]
+        return np.sqrt(terms.reshape(len(pts), -1).sum(axis=1))
 
     def polar(self, c: int) -> "Ellipsoid":
         inv = mat_inv([list(row) for row in self.q])

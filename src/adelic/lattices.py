@@ -344,7 +344,15 @@ def covering_radius_bounds(
 
     Grid points are corner-aligned (multiples of 1/resolution in cell
     coordinates) so that doubling the resolution refines the same grid.
-    Cost grows as resolution**dim; dimensions above 4 are rejected.
+    The lower end is the largest distance (in gauge) from a grid point to
+    its nearest lattice point, the upper end adds the Lipschitz slack of
+    the grid spacing.  Nearest points are searched only among offsets
+    whose cell meets the bounding form at the largest corner gauge, and
+    only for grid points whose corner gauge still exceeds the running
+    maximum, visited in decreasing order of it; so the cost is the grid
+    (resolution**dim corner gauges) plus a few exact minima, not
+    resolution**dim times the offset window.  Dimensions above 4 are
+    rejected.
     """
     if lat.dim > 4:
         raise DimensionLimitError(
@@ -378,16 +386,28 @@ def covering_radius_bounds(
             "from round relative to the lattice")
     offsets = np.stack(np.meshgrid(*[np.arange(-w, w + 2) for _ in range(m)],
                                    indexing="ij"), axis=-1).reshape(-1, m)
-    shift = offsets @ b
+    # a nearest point c of a grid point f (in [0, 1)^m) has gauge <= g0 at
+    # f - c, so |R (c - f)| is within the bounding form at g0, and
+    # |R (f - 1/2)| <= sum_j |R e_j| / 2: keep only the offsets c that can
+    # be one.  The rows kept are those of the full product, bit for bit.
+    r = _bounding_factor(red, body)
+    reach = (math.sqrt(body.enumeration_quadratic_bound(g0)) * (1 + 1e-9)
+             + 0.5 * float(np.sum(np.linalg.norm(r, axis=0))))
+    near = np.linalg.norm((offsets - 0.5) @ r.T, axis=1) <= reach
+    shift = (offsets @ b)[near]
 
-    best = np.full(len(grid), np.inf)
-    chunk = max(1, int(2_000_000 // max(len(grid), 1)))
-    for start in range(0, len(shift), chunk):
-        block = shift[start:start + chunk]
-        diffs = grid[:, None, :] - block[None, :, :]
-        g = body.gauge_many(diffs.reshape(-1, m)).reshape(len(grid), len(block))
-        np.minimum(best, g.min(axis=1), out=best)
+    # best <= corner_best per grid point, so once the next corner gauge is
+    # at most the running maximum no later grid point can raise it
+    order = np.argsort(-corner_best, kind="stable")
+    lower = -math.inf
+    most = max(1, 2_000_000 // len(shift))
+    start, size = 0, min(16, most)
+    while start < len(order) and corner_best[order[start]] > lower:
+        pts = grid[order[start:start + size]]
+        diffs = pts[:, None, :] - shift[None, :, :]
+        g = body.gauge_many(diffs.reshape(-1, m)).reshape(len(pts), len(shift))
+        lower = max(lower, float(np.max(g.min(axis=1))))
+        start, size = start + size, min(2 * size, most)
 
-    lower = float(np.max(best))
     slack = body.lipschitz() * (0.5 / k) * float(np.sum(np.linalg.norm(b, axis=1)))
     return lower, lower + slack

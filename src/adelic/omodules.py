@@ -148,6 +148,11 @@ class KModule:
     """Full O-module of rank n in K^n, given by a pseudo-basis."""
 
     def __init__(self, field: NumberField, pseudo: Sequence[tuple[FractionalIdeal, KVector]]):
+        self._set_pseudo(field, pseudo)
+        # raises if the vectors are K-dependent
+        self._wmat_inv = mat_inv([list(w) for _, w in self.pseudo])
+
+    def _set_pseudo(self, field: NumberField, pseudo: Sequence[tuple[FractionalIdeal, KVector]]):
         self.field = field
         self.rank = len(pseudo)
         self.pseudo = [(a, tuple(w)) for a, w in pseudo]
@@ -157,8 +162,14 @@ class KModule:
                 raise ValueError("ideal belongs to a different field")
             if len(w) != n:
                 raise ValueError("pseudo-basis vectors must have length equal to the rank")
-        # raises if the vectors are K-dependent
-        self._wmat_inv = mat_inv([list(w) for _, w in self.pseudo])
+
+    @classmethod
+    def _with_inverse(cls, field: NumberField, pseudo, wmat_inv: Matrix) -> "KModule":
+        """A module whose pseudo-vector matrix has the known inverse `wmat_inv`."""
+        module = cls.__new__(cls)
+        module._set_pseudo(field, pseudo)
+        module._wmat_inv = wmat_inv
+        return module
 
     @cached_property
     def zbasis(self) -> list[KVector]:
@@ -186,10 +197,12 @@ class KModule:
     def trace_dual(self) -> "KModule":
         """Dual module under the pairing sum Tr(x_k y_k), two routes cross-checked."""
         field = self.field
-        # rows of (W^t)^{-1} = (W^{-1})^t pair to delta_ij with the rows of W
+        # rows of (W^t)^{-1} = (W^{-1})^t pair to delta_ij with the rows of W,
+        # and W^t is their matrix's inverse
         wstar = transpose(self._wmat_inv)
-        dual = KModule(field, [(a.trace_dual(), tuple(row))
-                               for (a, _), row in zip(self.pseudo, wstar)])
+        dual = KModule._with_inverse(
+            field, [(a.trace_dual(), tuple(row)) for (a, _), row in zip(self.pseudo, wstar)],
+            transpose([list(w) for _, w in self.pseudo]))
         # second route: dual's Z-basis spans the lattice dual to ours (the
         # span of G^-1 z, G the Gram matrix) iff their pairings are unimodular
         if not is_unimodular(dual.pairing(self)):

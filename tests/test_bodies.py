@@ -309,3 +309,24 @@ def test_positivity_validation():
         Box((F(1), F(0)))
     with pytest.raises(ValueError):
         CrossPolytope(())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_gauges_do_not_depend_on_the_batch(dim):
+    """A row's gauge is the same bit for bit alone and inside a 500-row batch.
+
+    The covering search and enumeration batch their gauges in varying
+    groups, so an exact comparison of minima needs this.
+    """
+    rng = np.random.default_rng(31 + dim)
+    a = rng.integers(-3, 4, size=(dim, dim))
+    q = a @ a.T + dim * np.eye(dim, dtype=int)
+    shapes = [Ball(F(3, 2)),
+              Box(tuple(F(int(x), 4) for x in rng.integers(1, 13, size=dim))),
+              CrossPolytope(tuple(F(int(x), 3) for x in rng.integers(1, 10, size=dim))),
+              Ellipsoid(tuple(tuple(F(int(x), 7) for x in row) for row in q))]
+    pts = rng.normal(size=(500, dim)) * 3
+    for shape in shapes:
+        batch = shape.gauge_many(pts)
+        alone = np.array([shape.gauge_many(pts[i:i + 1])[0] for i in range(len(pts))])
+        assert np.array_equal(batch, alone), type(shape).__name__

@@ -13,8 +13,10 @@ from adelic import (
     CrossPolytope,
     ComputeOptions,
     DimensionLimitError,
+    Ellipsoid,
     EmbeddedLattice,
     EnumerationCapError,
+    NumberField,
     PlaceBody,
     ProductBody,
     classical_minima,
@@ -29,6 +31,7 @@ from adelic import (
     standard_module,
     uniform_ball_body,
 )
+from field_reference import covering_radius_full_window
 
 F = Fraction
 
@@ -358,3 +361,58 @@ def test_covering_radius_scaling():
     lo2, hi2 = covering_radius_bounds(lat, q_body(2, Ball(F(2))), resolution=32)
     assert lo2 == pytest.approx(lo1 / 2, rel=1e-9)
     assert hi2 == pytest.approx(hi1 / 2, rel=1e-9)
+
+
+def sqrt2_rank2_case():
+    k = preset_field("Q_sqrt2")
+    one, theta = k.one(), k.theta()
+    mod = module_from_matrix(k, [[one + theta, theta], [one, k.from_rational(3)]])
+    return lattice_from_module(mod), uniform_ball_body(k, 2, F(1))
+
+
+def covering_cases():
+    cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    skew = integer_lattice([[2, 1], [1, 3]])
+    lat, body = sqrt2_rank2_case()
+    return {
+        "z2-ball": (z_lattice(2), q_body(2, Ball(F(1))), 16),
+        "z2-skewed-box": (z_lattice(2), q_body(2, Box((F(1), F(3, 4)))), 16),
+        "sqrt2-rank2-r4": (lat, body, 4),
+        "cubic-rank1-r8": (lattice_from_module(standard_module(cubic, 1)),
+                           uniform_ball_body(cubic, 1, F(1)), 8),
+        "cross-polytope": (skew, q_body(2, Box((F(1), F(3, 4)))).polar(), 16),
+        "ellipsoid": (skew, q_body(2, Ellipsoid(((F(2), F(1)), (F(1), F(3))))), 16),
+    }
+
+
+@pytest.mark.parametrize("name", list(covering_cases()))
+def test_pruned_covering_search_matches_the_full_window(name):
+    lat, body, k = covering_cases()[name]
+    assert covering_radius_bounds(lat, body, resolution=k) == \
+        covering_radius_full_window(lat, body, k)
+
+
+def test_pruned_covering_search_measures_a_tenth_of_the_window(monkeypatch):
+    # Q(sqrt 2), rank 2, resolution 8: same bracket from under a tenth of the rows
+    lat, body = sqrt2_rank2_case()
+    rows = []
+    gauge_many = ProductBody.gauge_many
+    monkeypatch.setattr(ProductBody, "gauge_many",
+                        lambda self, pts: rows.append(len(pts)) or gauge_many(self, pts))
+    pruned = covering_radius_bounds(lat, body, resolution=8)
+    pruned_rows = sum(rows)
+    rows.clear()
+    full = covering_radius_full_window(lat, body, 8)
+    # the reference measures 8^4 corner gauges, then 8^4 * (2w+2)^4 window rows
+    window_rows = sum(rows) - 8 ** 4
+    assert pruned == full
+    assert 0 < pruned_rows < window_rows / 10
+
+
+def test_covering_search_window_cap():
+    # a 1 x 50 box over Z^2 needs a window of (2w+2)^2 = 3136 offsets
+    body = q_body(2, Box((F(1), F(50))))
+    with pytest.raises(EnumerationCapError, match="covering search window is too large"):
+        covering_radius_bounds(z_lattice(2), body, resolution=8,
+                               options=ComputeOptions(enumeration_cap=1000))
+    assert covering_radius_bounds(z_lattice(2), body, resolution=8) == (0.5, 0.625)

@@ -6,9 +6,11 @@ import pytest
 
 from adelic import (
     ConditioningError,
+    FieldElement,
     FractionalIdeal,
     KModule,
     KRankTracker,
+    NumberField,
     flatten_kvector,
     module_from_matrix,
     preset_field,
@@ -17,6 +19,7 @@ from adelic import (
     standard_module,
 )
 
+from adelic import omodules
 from adelic.exactla import mat_inv
 from field_reference import complementary_basis, contains, t_n
 
@@ -185,6 +188,27 @@ def test_pairing_matrix_is_the_elementwise_trace_sum(field):
                                    [field.zero(), field.from_rational(2)]])
     dual = standard_module(field, 2)
     assert m.pairing(dual) == [[t_n(x, y) for y in dual.zbasis] for x in m.zbasis]
+
+
+def test_trace_dual_inverts_no_matrix_over_k(monkeypatch):
+    # the dual's pseudo-vector matrix (W^-1)^t comes with its inverse W^t
+    k_entries = []
+    inverse = omodules.mat_inv
+
+    def spy(a):
+        k_entries.append(any(isinstance(x, FieldElement) for row in a for x in row))
+        return inverse(a)
+
+    monkeypatch.setattr(omodules, "mat_inv", spy)
+    cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for k in (preset_field("Q_sqrt2"), cubic):
+        one, theta = k.one(), k.theta()
+        m = module_from_matrix(k, [[one + theta, theta], [one, k.from_rational(3)]])
+        k_entries.clear()
+        dual = m.trace_dual()
+        bidual = dual.trace_dual()
+        assert k_entries and not any(k_entries)
+        assert bidual.equals(m)
 
 
 def test_pseudo_basis_with_scaled_ideals():

@@ -1,21 +1,40 @@
 """Smoke runs of the experiment scripts against the package in src/."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import adelic
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("argv", [
     ["transference_suite.py", "--presets", "Q_sqrt2", "--ranks", "1", "--trials", "1"],
-    ["covering_convergence.py", "Q_sqrt2", "--min-resolution", "4", "--max-resolution", "8"],
+    ["covering_convergence.py", "Q_sqrt2", "--min-resolution", "4", "--max-resolution", "32"],
 ], ids=["transference_suite", "covering_convergence"])
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_covering_convergence_exits_1_when_brackets_do_not_nest(monkeypatch):
+    # widening brackets must fail the run, also under python -O
+    widths = iter([0.5, 0.75])
+    monkeypatch.setattr(adelic, "inhomogeneous_minimum",
+                        lambda body, resolution: (1.0, 1.0 + next(widths)))
+    monkeypatch.setattr(sys, "argv", ["covering_convergence.py", "Q_sqrt2",
+                                      "--min-resolution", "4", "--max-resolution", "8"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(ROOT / "scripts" / "covering_convergence.py"), run_name="__main__")
+    # sys.exit with a message prints it to stderr and exits with status 1
+    message = exc.value.code
+    assert isinstance(message, str)
+    assert message.startswith("error:") and "does not nest" in message
+    assert "1.75" in message and "1.5" in message
