@@ -3,16 +3,20 @@
 A lattice carries the diagonal twisted form F, a float basis (rows), and
 optionally a back map to K-vectors (a module's Z-basis) with the integer
 transform U from it to the basis; reduction composes U.  All rank
-decisions, over Q and over K, are made exactly on integer coordinates;
-a point is mapped back to a K-vector only when a caller keeps it
-(`preimage_of`).  Floats only measure gauges, and enumeration is seeded
-by each body's own diagonal bounding form (`ProductBody.bounding_ellipsoid`).
+decisions, over Q and over K, are integer eliminations on integer
+coordinates; a point is mapped back to a K-vector only when a caller
+keeps it (`preimage_of`: its coordinates times U times the back map's
+rational coordinates, with no field multiplication).  Floats only
+measure gauges, and enumeration is seeded by each body's own diagonal
+bounding form (`ProductBody.bounding_ellipsoid`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -20,9 +24,9 @@ import numpy as np
 from .bodies import ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
-from .exactla import RankTracker, mat_det, mat_mul, mat_vec, transpose
+from .exactla import RankTracker, integer_matrix, mat_det, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
-from .omodules import KModule, KVector, kcombination
+from .omodules import KModule, KVector, flatten_kvector
 
 
 class EmbeddedLattice:
@@ -82,11 +86,20 @@ class EmbeddedLattice:
         return EmbeddedLattice(self.field, self.n, new_basis, self.form, self.back_map,
                                self.conjugated, mat_mul(u, self.transform))
 
+    @cached_property
+    def _preimage_map(self) -> tuple[list[list[int]], int]:
+        """(U N)^t and s, where N / s holds the back map's flattened coordinates."""
+        flat, s = integer_matrix([flatten_kvector(vec) for vec in self.back_map])
+        return transpose(mat_mul(self.transform, flat)), s
+
     def preimage_of(self, coords: Sequence[int]) -> KVector | None:
+        """The K-vector of the point: coords U times the flattened back map, in d-blocks."""
         if self.back_map is None:
             return None
-        module_coords = mat_vec(transpose(self.transform), coords)
-        return kcombination(self.field, self.n, module_coords, self.back_map)
+        rows, s = self._preimage_map
+        flat = [Fraction(x, s) for x in mat_vec(rows, coords)]
+        d = self.field.degree
+        return tuple(self.field.element(flat[k:k + d]) for k in range(0, len(flat), d))
 
 
 def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:

@@ -4,8 +4,11 @@ Modules are carried as pseudo-bases (ideal, vector), after Cohen, GTM
 193, ch. 1.  Their exact Z-bases are held as coordinate matrices over
 the power basis, and comparisons and traces are products of those with
 the field's trace form P[i][j] = Tr(theta^(i+j)).  The trace dual is
-built through the pseudo-basis and checked by its pairing matrix with
-the module, which must be integral with determinant +-1.
+built through the pseudo-basis, one dual per distinct ideal, and
+checked by its pairing matrix with the module, which must be integral
+with determinant +-1.  An ideal's integer action matrices are computed
+when first read and checked there; `KRankTracker` composes them into
+integer maps on lattice coordinates, so K-rank is decided on Python ints.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .errors import ConditioningError
 from .exactla import (
     Matrix,
     RankTracker,
+    integer_matrix,
     is_integral_mat,
     is_unimodular,
     mat_det,
@@ -39,17 +43,6 @@ def flatten_kvector(xs: Sequence[FieldElement]) -> list[Fraction]:
     return out
 
 
-def kcombination(
-    field: NumberField, n: int, coeffs: Sequence, kvectors: Sequence[KVector],
-) -> KVector:
-    """The K-vector sum of c * v over paired coefficients and vectors of length n."""
-    acc = [field.zero() for _ in range(n)]
-    for c, vec in zip(coeffs, kvectors):
-        if c:
-            acc = [a + c * v for a, v in zip(acc, vec)]
-    return tuple(acc)
-
-
 class KRankTracker:
     """Incremental rank over K of lattice points, read on their integer coordinates.
 
@@ -57,9 +50,10 @@ class KRankTracker:
     Z-basis) are c U over z.  On z an integral-basis element b acts
     block-diagonally, block i being its integer action on the i-th ideal
     of the pseudo-basis, so the K-span of the point is spanned over Q by
-    its d images c U M_b.  One exact `RankTracker` holds the Q-span of
-    the K-spans accepted so far: a point raises the K-rank exactly when
-    it leaves that span, and then its images join it.
+    its d images c U M_b.  U and the M_b are integer matrices, so every
+    image is an integer vector.  One exact `RankTracker` holds the
+    Q-span of the K-spans accepted so far: a point raises the K-rank
+    exactly when it leaves that span, and then its images join it.
     """
 
     def __init__(self, module: "KModule", transform: Sequence[Sequence[int]]):
@@ -78,6 +72,9 @@ class KRankTracker:
         self.span = RankTracker(nd)
 
     def try_add(self, coords: Sequence[int]) -> bool:
+        if len(coords) != self.span.dim:
+            raise ValueError(f"coordinates of length {len(coords)} in a K-rank tracker "
+                             f"of dimension {self.span.dim}")
         if not self.span.try_add(mat_vec(self.coords_map, coords)):
             return False
         for action in self.actions:
@@ -95,26 +92,39 @@ class KRankTracker:
 class FractionalIdeal:
     """Nonzero fractional ideal of O, held as an exact Z-basis."""
 
-    def __init__(self, field: NumberField, zbasis: Sequence[FieldElement], validate: bool = True):
+    def __init__(self, field: NumberField, zbasis: Sequence[FieldElement]):
         if len(zbasis) != field.degree:
             raise ValueError("ideal basis must have one generator per degree")
+        self._set_basis(field, zbasis)
+        if mat_det(self.coord_matrix) == 0:
+            raise ValueError("ideal basis is linearly dependent")
+        self.actions  # raises unless the basis is stable under the ring
+
+    def _set_basis(self, field: NumberField, zbasis: Sequence[FieldElement]):
         self.field = field
         self.zbasis = tuple(zbasis)
         self.coord_matrix: Matrix = [list(b.coords) for b in self.zbasis]
-        if mat_det(self.coord_matrix) == 0:
-            raise ValueError("ideal basis is linearly dependent")
-        if validate and not all(is_integral_mat(m) for m in self.actions):
-            raise ValueError("ideal basis is not stable under the ring")
+
+    @classmethod
+    def _known(cls, field: NumberField, zbasis: Sequence[FieldElement]) -> "FractionalIdeal":
+        """An ideal whose basis is independent and stable under O by construction."""
+        ideal = cls.__new__(cls)
+        ideal._set_basis(field, zbasis)
+        return ideal
 
     @cached_property
-    def actions(self) -> list[Matrix]:
-        """Per integral-basis element b, row j = coordinates of b * zbasis[j].
+    def actions(self) -> list[list[list[int]]]:
+        """Per integral-basis element b, row j = the integer coordinates of b * zbasis[j].
 
-        All entries are integers exactly when the ideal is stable under O.
+        Raises `ValueError` unless every entry is an integer, that is
+        unless the ideal is stable under O.
         """
         inv = mat_inv(self.coord_matrix)
-        return [mat_mul([list((b * a).coords) for a in self.zbasis], inv)
-                for b in self.field.basis_elements()]
+        actions = [mat_mul([list((b * a).coords) for a in self.zbasis], inv)
+                   for b in self.field.basis_elements()]
+        if not all(is_integral_mat(m) for m in actions):
+            raise ValueError("ideal basis is not stable under the ring")
+        return [[[x.numerator for x in row] for row in m] for m in actions]
 
     def equals(self, other: "FractionalIdeal") -> bool:
         if not self.field.same_presentation(other.field):
@@ -134,11 +144,12 @@ class FractionalIdeal:
         # the pairings Tr(u * a) of the two Z-bases form the identity
         if not is_unimodular(mat_mul(dual_coords, transpose(cp))):
             raise ConditioningError("ideal trace dual failed verification")
-        return FractionalIdeal(self.field, [self.field.element(row) for row in dual_coords])
+        # the complementary ideal of an O-ideal is an O-ideal
+        return FractionalIdeal._known(self.field, [self.field.element(row) for row in dual_coords])
 
     @classmethod
     def whole_ring(cls, field: NumberField) -> "FractionalIdeal":
-        return cls(field, field.basis_elements(), validate=False)
+        return cls._known(field, field.basis_elements())
 
     def __repr__(self):
         return f"FractionalIdeal({[list(b.coords) for b in self.zbasis]})"
@@ -182,12 +193,16 @@ class KModule:
         return [flatten_kvector(z) for z in self.zbasis]
 
     def pairing(self, other: "KModule") -> Matrix:
-        """sum_k Tr(x_k y_k) over the Z-bases: self.flat (I_n (x) P) other.flat^t."""
-        p = self.field.trace_form
+        """sum_k Tr(x_k y_k) over the Z-bases: self.flat (I_n (x) P) other.flat^t.
+
+        The product runs on the integer numerators of its three factors.
+        """
         d = self.field.degree
-        other_p = [[x for k in range(0, len(y), d) for x in mat_vec(p, y[k:k + d])]
-                   for y in other.flat]
-        return mat_mul(self.flat, transpose(other_p))
+        p, r = integer_matrix(self.field.trace_form)
+        a, s = integer_matrix(self.flat)
+        b, t = integer_matrix(other.flat)
+        other_p = [[x for k in range(0, len(y), d) for x in mat_vec(p, y[k:k + d])] for y in b]
+        return [[Fraction(x, r * s * t) for x in row] for row in mat_mul(a, transpose(other_p))]
 
     def equals(self, other: "KModule") -> bool:
         if self.rank != other.rank or not self.field.same_presentation(other.field):
@@ -200,8 +215,10 @@ class KModule:
         # rows of (W^t)^{-1} = (W^{-1})^t pair to delta_ij with the rows of W,
         # and W^t is their matrix's inverse
         wstar = transpose(self._wmat_inv)
+        # module_from_matrix and standard_module share one ideal across the pairs
+        duals = {a: a.trace_dual() for a in dict.fromkeys(a for a, _ in self.pseudo)}
         dual = KModule._with_inverse(
-            field, [(a.trace_dual(), tuple(row)) for (a, _), row in zip(self.pseudo, wstar)],
+            field, [(duals[a], tuple(row)) for (a, _), row in zip(self.pseudo, wstar)],
             transpose([list(w) for _, w in self.pseudo]))
         # second route: dual's Z-basis spans the lattice dual to ours (the
         # span of G^-1 z, G the Gram matrix) iff their pairings are unimodular

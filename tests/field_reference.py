@@ -9,6 +9,83 @@ from adelic import DEFAULT_OPTIONS, FieldElement, flatten_kvector
 from adelic.exactla import is_integral_vec, mat_inv, mat_mul, solve_vec, transpose
 
 
+def fraction_det(a) -> Fraction:
+    """Determinant by Gaussian elimination on `Fraction`s."""
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = Fraction(1) / m[c][c]
+        for r in range(c + 1, n):
+            if m[r][c]:
+                f = m[r][c] * inv
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def fraction_solve(a, b):
+    """Solve A X = B by Gauss-Jordan elimination on `Fraction`s."""
+    n = len(a)
+    aug = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, b)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix")
+        if pivot != c:
+            aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = Fraction(1) / aug[c][c]
+        aug[c] = [x * inv for x in aug[c]]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
+    return [row[n:] for row in aug]
+
+
+class FractionRankTracker:
+    """Incremental rank of rational vectors, eliminated on `Fraction`s."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows = []
+        self.pivots = []
+
+    def try_add(self, vec) -> bool:
+        v = [Fraction(x) for x in vec]
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                f = v[p] / row[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        pivot = next((i for i, x in enumerate(v) if x != 0), None)
+        if pivot is None:
+            return False
+        self.rows.append(v)
+        self.pivots.append(pivot)
+        return True
+
+
+def kcombination(field, n, coeffs, kvectors):
+    """The K-vector sum of c * v over paired coefficients and vectors of length n."""
+    acc = [field.zero() for _ in range(n)]
+    for c, vec in zip(coeffs, kvectors):
+        if c:
+            acc = [a + c * v for a, v in zip(acc, vec)]
+    return tuple(acc)
+
+
+def preimage_by_field_arithmetic(lat, coords):
+    """The K-vector of a lattice point: module coordinates coords U over the back map."""
+    module_coords = [sum(c * u for c, u in zip(coords, col)) for col in zip(*lat.transform)]
+    return kcombination(lat.field, lat.n, module_coords, lat.back_map)
+
+
 def complementary_basis(field):
     """Trace-dual basis of the integral basis: Tr(dual_i * b_j) = delta_ij.
 

@@ -16,6 +16,7 @@ from adelic import (
     Ellipsoid,
     EmbeddedLattice,
     EnumerationCapError,
+    FieldElement,
     NumberField,
     PlaceBody,
     ProductBody,
@@ -31,7 +32,7 @@ from adelic import (
     standard_module,
     uniform_ball_body,
 )
-from field_reference import covering_radius_full_window
+from field_reference import covering_radius_full_window, preimage_by_field_arithmetic
 
 F = Fraction
 
@@ -105,6 +106,38 @@ def test_reduction_keeps_back_map_exact():
     for i, row in enumerate(red.basis):
         vec = red.preimage_of([int(i == j) for j in range(m)])
         assert np.allclose(k.embed_vector(vec), row, atol=1e-9)
+
+
+def skewed_module(name):
+    if name == "Q_sqrt2":
+        k = preset_field("Q_sqrt2")
+        return module_from_matrix(k, [[k.one(), k.element([F(7), F(5)])], [k.zero(), k.one()]])
+    k = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    one, theta = k.one(), k.theta()
+    return module_from_matrix(k, [[one + theta, 3 * theta * theta - 4], [one, one + theta]])
+
+
+@pytest.mark.parametrize("name", ["Q_sqrt2", "x3-x-1"])
+def test_preimages_are_coordinate_products_without_field_multiplication(monkeypatch, name):
+    # the old route, module coordinates times the back map in field
+    # arithmetic, is the reference
+    red = lattice_from_module(skewed_module(name)).reduced()
+    m = red.dim
+    assert red.transform != [[int(i == j) for j in range(m)] for i in range(m)]
+    points = [[int(i == j) for j in range(m)] for i in range(m)]
+    points += [[(3 * i * j) % 7 - 3 for j in range(m)] for i in range(1, 4)]
+    expected = [preimage_by_field_arithmetic(red, c) for c in points]
+    muls = []
+    mul = FieldElement.__mul__
+
+    def spy(self, other):
+        muls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", spy)
+    monkeypatch.setattr(FieldElement, "__rmul__", spy)
+    assert [red.preimage_of(c) for c in points] == expected
+    assert muls == []
 
 
 def test_back_map_validation():

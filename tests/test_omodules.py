@@ -272,3 +272,53 @@ def test_flatten_kvector_layout():
     x = k.element([F(1), F(2)])
     y = k.element([F(3), F(4)])
     assert flatten_kvector((x, y)) == [F(1), F(2), F(3), F(4)]
+
+
+def test_krank_tracker_rejects_coordinates_of_the_wrong_length():
+    m = standard_module(quadratic_field(2), 2)
+    tr = KRankTracker(m, [[int(i == j) for j in range(4)] for i in range(4)])
+    for coords in ((1, 0, 0), (1, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="length"):
+            tr.try_add(coords)
+    assert tr.rank == 0
+
+
+def test_krank_tracker_actions_are_integer_matrices():
+    # half-integral ideal bases (Q_sqrt5, Q_sqrt-3) and a scaled ideal
+    # still act on their Z-bases by integer matrices
+    for name in ("Q_sqrt5", "Q_sqrt-3", "Q_sqrt2"):
+        k = preset_field(name)
+        half = FractionalIdeal.whole_ring(k).scaled(k.element([F(1, 2), F(3, 2)]))
+        m = KModule(k, [(half, (k.one(), k.zero())),
+                        (FractionalIdeal.whole_ring(k).trace_dual(), (k.theta(), k.one()))])
+        u = [[1, 0, 0, 0], [2, 1, 0, 0], [0, -3, 1, 0], [0, 0, 5, 1]]
+        tr = KRankTracker(m, u)
+        assert all(type(x) is int for action in tr.actions for row in action for x in row)
+        assert tr.try_add((1, 0, 0, 0)) and tr.try_add((0, 0, 1, 0))
+        assert all(type(x) is int for row in tr.span.rows for x in row)
+
+
+def test_ideal_actions_are_checked_for_integrality():
+    k = quadratic_field(2)
+    ring = FractionalIdeal.whole_ring(k)
+    assert ring.actions[1] == [[0, 1], [2, 0]]  # theta on 1, theta
+    assert all(type(x) is int for action in ring.actions for row in action for x in row)
+    with pytest.raises(ValueError, match="not stable under the ring"):
+        FractionalIdeal(k, [k.element([F(1, 2), F(0)]), k.theta()])
+
+
+def test_module_dual_builds_one_dual_per_ideal(monkeypatch, field):
+    calls = []
+    ideal_dual = FractionalIdeal.trace_dual
+
+    def counted(self):
+        calls.append(self)
+        return ideal_dual(self)
+
+    monkeypatch.setattr(FractionalIdeal, "trace_dual", counted)
+    one, zero, theta = field.one(), field.zero(), field.theta()
+    m = module_from_matrix(field, [[one, theta, zero], [zero, one, theta], [one, zero, one + one]])
+    dual = m.trace_dual()
+    assert len(calls) == 1
+    assert len({id(a) for a, _ in dual.pseudo}) == 1
+    assert dual.trace_dual().equals(m)
