@@ -65,7 +65,6 @@ from .scenario import (
     PRESET_SCENARIOS,
     Scenario,
     parse_scenario,
-    serialize_scenario,
 )
 
 __version__ = "0.1.0"
@@ -115,7 +114,6 @@ __all__ = [
     "preset_field",
     "quadratic_field",
     "rational_field",
-    "serialize_scenario",
     "standard_module",
     "transference_check",
     "uniform_ball_body",

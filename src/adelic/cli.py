@@ -22,7 +22,6 @@ from .errors import (
     ScenarioError,
 )
 from .lattices import lattice_from_module, lattice_equal, polar_lattice
-from .omodules import flatten_kvector
 from .scenario import OPTION_MINIMA, PRESET_SCENARIOS, parse_scenario
 from .transference import (
     AdelicBody,
@@ -210,8 +209,7 @@ def cmd_paper_example(args, rep: _Report) -> int:
 
     dual = body.finite_part.trace_dual()
     expected = sorted([(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4))])
-    got = sorted(flatten_kvector(z) for z in dual.zbasis)
-    got = [tuple(v) for v in got]
+    got = sorted(tuple(v) for v in dual.flat)
     got_txt = ";".join(",".join(str(c) for c in v) for v in got)
     want_txt = ";".join(",".join(str(c) for c in v) for v in expected)
     checks.append(("dual_basis", got_txt, want_txt, got == expected))

@@ -1,16 +1,15 @@
-"""Exact linear algebra over the rationals and over a number field.
+"""Exact linear algebra over the rationals.
 
 Small dense systems only, used where floating point would silently
-destroy unimodularity and duality identities.  Rational input (ints and
-`Fraction`s) runs on Python ints: each row is scaled to integers once
-and eliminated fraction-free (Bareiss 1968; Cohen, GTM 138, 2.2), with
-every division by the previous pivot exact, and a `Fraction` is built
-only for a returned determinant or for each entry of a returned
-solution.  `RankTracker` keeps primitive integer rows and builds no
-`Fraction` at all.  A system over K (number field elements, as in the
-pseudo-vector matrix of a module) is solved by Gauss-Jordan elimination
-instead: a Bareiss step over K would divide by a field element for
-every entry.
+destroy unimodularity and duality identities.  Input (ints and
+`Fraction`s) runs on Python ints through one elimination core: each row
+is scaled to integers once and eliminated fraction-free (Bareiss 1968;
+Cohen, GTM 138, 2.2), with every division by the previous pivot exact,
+and a `Fraction` is built only for a returned determinant or for each
+entry of a returned solution.  `RankTracker` keeps primitive integer
+rows and builds no `Fraction` at all.  A system over a number field K
+is brought here through its regular representation over Q (see
+`omodules.KModule.regular`), never eliminated on field elements.
 """
 
 from __future__ import annotations
@@ -37,10 +36,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def _is_rational(a: Matrix) -> bool:
-    return all(isinstance(x, (int, Fraction)) for row in a for x in row)
 
 
 def _integer_row(row: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -89,8 +84,6 @@ def mat_det(a: Matrix) -> Fraction:
 
 def mat_solve(a: Matrix, b: Matrix) -> Matrix:
     """Solve A X = B for square nonsingular A; B is n x k."""
-    if not (_is_rational(a) and _is_rational(b)):
-        return _solve_over_field(a, b)
     n = len(a)
     m = [_integer_row(list(ra) + list(rb))[0] for ra, rb in zip(a, b)]
     det = _bareiss(m, n)
@@ -104,25 +97,6 @@ def mat_solve(a: Matrix, b: Matrix) -> Matrix:
         x[i] = [(det * row[n + j] - sum(row[c] * x[c][j] for c in range(i + 1, n))) // row[i]
                 for j in range(len(row) - n)]
     return [[Fraction(v, det) for v in xi] for xi in x]
-
-
-def _solve_over_field(a: Matrix, b: Matrix) -> Matrix:
-    """Gauss-Jordan elimination for entries in any field, such as K."""
-    n = len(a)
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular matrix")
-        if pivot != c:
-            aug[c], aug[pivot] = aug[pivot], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for r in range(n):
-            if r != c and aug[r][c] != 0:
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def mat_inv(a: Matrix) -> Matrix:

@@ -20,7 +20,6 @@ from .exactla import (
     Matrix,
     is_integral_mat,
     mat_det,
-    mat_inv,
     mat_mul,
     mat_solve,
     solve_vec,
@@ -247,11 +246,6 @@ class FieldElement:
     def norm(self) -> Fraction:
         return mat_det(self.field._mult_matrix(self.coords))
 
-    def as_rational(self) -> Fraction:
-        if any(c != 0 for c in self.coords[1:]):
-            raise ValueError("element is not rational")
-        return self.coords[0]
-
     def __repr__(self):
         return f"FieldElement({list(self.coords)})"
 
@@ -299,7 +293,6 @@ class NumberField:
         self.basis_matrix: Matrix = basis
         if mat_det(basis) == 0:
             raise ValueError("integral basis is linearly dependent")
-        self._basis_inv = mat_inv(basis)
         self._validate_ring()
 
         # Tr(theta^k) for k < d from the multiplication matrices, then for
@@ -338,7 +331,7 @@ class NumberField:
     # -- construction helpers ------------------------------------------------
 
     def element(self, coords: Sequence[Fraction]) -> FieldElement:
-        return FieldElement(self, [Fraction(c) for c in coords])
+        return FieldElement(self, coords)
 
     def from_rational(self, q) -> FieldElement:
         return self.element([Fraction(q)] + [Fraction(0)] * (self.degree - 1))

@@ -1,14 +1,18 @@
 """Fractional ideals and finitely generated O-modules in K^n.
 
 Modules are carried as pseudo-bases (ideal, vector), after Cohen, GTM
-193, ch. 1.  Their exact Z-bases are held as coordinate matrices over
-the power basis, and comparisons and traces are products of those with
-the field's trace form P[i][j] = Tr(theta^(i+j)).  The trace dual is
-built through the pseudo-basis, one dual per distinct ideal, and
-checked by its pairing matrix with the module, which must be integral
-with determinant +-1.  An ideal's integer action matrices are computed
-when first read and checked there; `KRankTracker` composes them into
-integer maps on lattice coordinates, so K-rank is decided on Python ints.
+193, ch. 1.  The pseudo-vector matrix W over K is read through its
+regular representation R(W) over Q: the module's Z-basis is the integer
+product blockdiag(C_i) R(W) with the ideals' coordinate matrices C_i,
+K-independence is det R(W) != 0, and the dual's vectors (W^-1)^t come
+from one rational solve with R(W)^t.  Comparisons and traces are
+products of coordinate matrices with the field's trace form
+P[i][j] = Tr(theta^(i+j)).  The trace dual is built through the
+pseudo-basis, one dual per distinct ideal, and checked by its pairing
+matrix with the module, which must be integral with determinant +-1.
+An ideal's integer action matrices are computed when first read and
+checked there; `KRankTracker` composes them into integer maps on
+lattice coordinates, so K-rank is decided on Python ints.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .exactla import (
     mat_det,
     mat_inv,
     mat_mul,
+    mat_solve,
     mat_vec,
     transpose,
 )
@@ -159,11 +164,6 @@ class KModule:
     """Full O-module of rank n in K^n, given by a pseudo-basis."""
 
     def __init__(self, field: NumberField, pseudo: Sequence[tuple[FractionalIdeal, KVector]]):
-        self._set_pseudo(field, pseudo)
-        # raises if the vectors are K-dependent
-        self._wmat_inv = mat_inv([list(w) for _, w in self.pseudo])
-
-    def _set_pseudo(self, field: NumberField, pseudo: Sequence[tuple[FractionalIdeal, KVector]]):
         self.field = field
         self.rank = len(pseudo)
         self.pseudo = [(a, tuple(w)) for a, w in pseudo]
@@ -173,24 +173,45 @@ class KModule:
                 raise ValueError("ideal belongs to a different field")
             if len(w) != n:
                 raise ValueError("pseudo-basis vectors must have length equal to the rank")
-
-    @classmethod
-    def _with_inverse(cls, field: NumberField, pseudo, wmat_inv: Matrix) -> "KModule":
-        """A module whose pseudo-vector matrix has the known inverse `wmat_inv`."""
-        module = cls.__new__(cls)
-        module._set_pseudo(field, pseudo)
-        module._wmat_inv = wmat_inv
-        return module
+        # det R(W) is the norm of det W up to sign: nonzero iff the vectors are K-independent
+        if mat_det(self.regular) == 0:
+            raise ValueError("singular matrix")
 
     @cached_property
-    def zbasis(self) -> list[KVector]:
-        """Z-basis of the module: ideal generators times pseudo-vectors."""
-        return [tuple(alpha * x for x in w) for a, w in self.pseudo for alpha in a.zbasis]
+    def regular(self) -> Matrix:
+        """R(W), nd x nd over Q with flatten(x W) = flatten(x) R(W), W the pseudo-vector rows.
+
+        Block (i, j) is the transposed multiplication matrix of W_ij.
+        """
+        d = self.field.degree
+        rows: Matrix = [[] for _ in range(self.rank * d)]
+        for i, (_, w) in enumerate(self.pseudo):
+            for x in w:
+                for r, col in enumerate(transpose(self.field._mult_matrix(x.coords))):
+                    rows[i * d + r].extend(col)
+        return rows
 
     @cached_property
     def flat(self) -> Matrix:
-        """The Z-basis as rows of rational coordinates (`flatten_kvector`)."""
-        return [flatten_kvector(z) for z in self.zbasis]
+        """The Z-basis as rational coordinate rows (`flatten_kvector`), row (i, k) alpha_k w_i.
+
+        It is the integer product blockdiag(C_i) R(W), C_i the i-th ideal's `coord_matrix`.
+        """
+        d = self.field.degree
+        r, t = integer_matrix(self.regular)
+        out: Matrix = []
+        for i, (a, _) in enumerate(self.pseudo):
+            c, s = integer_matrix(a.coord_matrix)
+            block = mat_mul(c, r[i * d:(i + 1) * d])
+            out.extend([Fraction(x, s * t) for x in row] for row in block)
+        return out
+
+    @cached_property
+    def zbasis(self) -> list[KVector]:
+        """Z-basis of the module: ideal generators times pseudo-vectors, read off `flat`."""
+        d = self.field.degree
+        return [tuple(self.field.element(row[k:k + d]) for k in range(0, len(row), d))
+                for row in self.flat]
 
     def pairing(self, other: "KModule") -> Matrix:
         """sum_k Tr(x_k y_k) over the Z-bases: self.flat (I_n (x) P) other.flat^t.
@@ -211,15 +232,18 @@ class KModule:
 
     def trace_dual(self) -> "KModule":
         """Dual module under the pairing sum Tr(x_k y_k), two routes cross-checked."""
-        field = self.field
-        # rows of (W^t)^{-1} = (W^{-1})^t pair to delta_ij with the rows of W,
-        # and W^t is their matrix's inverse
-        wstar = transpose(self._wmat_inv)
+        field, n, d = self.field, self.rank, self.field.degree
+        # row i of W^-1 is the v with v W = e_i, that is flatten(v) R(W) = e_(id):
+        # column i of y below is flatten(v)
+        y = mat_solve(transpose(self.regular), [[int(r == i * d) for i in range(n)]
+                                                 for r in range(n * d)])
+        # the rows of (W^-1)^t pair to delta_ij with the rows of W; the j-th
+        # row is the j-th component of every row of W^-1, the j-th block of y
+        wstar = [tuple(field.element(col) for col in transpose(y[j * d:(j + 1) * d]))
+                 for j in range(n)]
         # module_from_matrix and standard_module share one ideal across the pairs
         duals = {a: a.trace_dual() for a in dict.fromkeys(a for a, _ in self.pseudo)}
-        dual = KModule._with_inverse(
-            field, [(duals[a], tuple(row)) for (a, _), row in zip(self.pseudo, wstar)],
-            transpose([list(w) for _, w in self.pseudo]))
+        dual = KModule(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)])
         # second route: dual's Z-basis spans the lattice dual to ours (the
         # span of G^-1 z, G the Gram matrix) iff their pairings are unimodular
         if not is_unimodular(dual.pairing(self)):

@@ -1,4 +1,4 @@
-"""Line-oriented scenario files: parse, validate, serialize, build.
+"""Line-oriented scenario files: parse, validate, build.
 
 The format is INI-style with `#` comment lines.  Rationals are written
 p/q.  Matrix values use one bracket form throughout: rows inside [[...]],
@@ -11,6 +11,7 @@ key, and line that caused them.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -75,9 +76,6 @@ class Scenario:
         module = _build_module(field, self.module)
         body = _build_infinite_part(field, self.module.rank, self.bodies)
         return AdelicBody(module, body)
-
-    def serialize(self) -> str:
-        return serialize_scenario(self)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +144,12 @@ def _element_list(text: str, where: str) -> list[list[Fraction]]:
     if not text.strip():
         raise ScenarioError(f"{where}: expected ';'-separated field elements")
     return [[_rational(c, where) for c in entry.split(",")] for entry in entries]
+
+
+def _index(name: str, prefix: str) -> int | None:
+    """k of a name prefix<k> with k in decimal digits and no leading zero, else None."""
+    suffix = name[len(prefix):]
+    return int(suffix) if re.fullmatch("[1-9][0-9]*", suffix) else None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -235,10 +239,9 @@ def _parse_module_section(sec) -> ModuleSpec:
         elif key == "matrix":
             ms.matrix = _element_matrix(value, where)
         elif key.startswith("pseudo"):
-            try:
-                idx = int(key[len("pseudo"):])
-            except ValueError:
-                raise ScenarioError(f"{where}: pseudo keys are pseudo1, pseudo2, ...") from None
+            idx = _index(key, "pseudo")
+            if idx is None:
+                raise ScenarioError(f"{where}: pseudo keys are pseudo1, pseudo2, ...")
             if "|" not in value:
                 raise ScenarioError(f"{where}: expected '<ideal basis> | <vector>'")
             left, _, right = value.partition("|")
@@ -262,11 +265,10 @@ def _parse_body_sections(sections) -> list[BodySpec]:
     indices = []
     for name in sections:
         if name.startswith("body.v"):
-            try:
-                indices.append(int(name[len("body.v"):]))
-            except ValueError:
-                raise ScenarioError(f"[{name}]: body sections are [body.v1], [body.v2], ...") \
-                    from None
+            idx = _index(name, "body.v")
+            if idx is None:
+                raise ScenarioError(f"[{name}]: body sections are [body.v1], [body.v2], ...")
+            indices.append(idx)
     if not indices:
         raise ScenarioError("missing body sections [body.v1], ...")
     if sorted(indices) != list(range(1, len(indices) + 1)):
@@ -399,74 +401,3 @@ def _build_infinite_part(field: NumberField, n: int, specs: list[BodySpec]) -> P
         return ProductBody(field, n, place_bodies)
     except ValueError as exc:
         raise ScenarioError(f"body sections: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _fmt_rational(x: Fraction) -> str:
-    return str(x)
-
-
-def _fmt_rational_list(xs) -> str:
-    return ", ".join(_fmt_rational(x) for x in xs)
-
-
-def _fmt_rational_matrix(rows) -> str:
-    return "[[" + "], [".join("; ".join(_fmt_rational(x) for x in row)
-                              for row in rows) + "]]"
-
-
-def _fmt_element(coords) -> str:
-    return ",".join(_fmt_rational(c) for c in coords)
-
-
-def serialize_scenario(spec: Scenario) -> str:
-    lines: list[str] = ["[field]"]
-    fs = spec.field
-    if fs.preset is not None:
-        lines.append(f"preset = {fs.preset}")
-    else:
-        lines.append(f"poly = {_fmt_rational_list(fs.poly)}")
-        lines.append(f"basis = {_fmt_rational_matrix(fs.basis)}")
-        if fs.discriminant is not None:
-            lines.append(f"discriminant = {fs.discriminant}")
-    if fs.cm:
-        lines.append("cm = true")
-
-    ms = spec.module
-    lines += ["", "[module]", f"rank = {ms.rank}"]
-    if ms.identity:
-        lines.append("identity = true")
-    elif ms.matrix is not None:
-        rows = "], [".join(
-            "; ".join(_fmt_element(e) for e in row) for row in ms.matrix)
-        lines.append(f"matrix = [[{rows}]]")
-    else:
-        for i, (ideal_elts, vec_elts) in enumerate(ms.pseudo, start=1):
-            left = "; ".join(_fmt_element(e) for e in ideal_elts)
-            right = "; ".join(_fmt_element(e) for e in vec_elts)
-            lines.append(f"pseudo{i} = {left} | {right}")
-
-    for i, bs in enumerate(spec.bodies, start=1):
-        lines += ["", f"[body.v{i}]", f"shape = {bs.shape}"]
-        if bs.shape == "ball":
-            lines.append(f"radius = {_fmt_rational(bs.radius)}")
-        elif bs.shape == "box":
-            lines.append(f"halfwidths = {_fmt_rational_list(bs.halfwidths)}")
-        elif bs.shape == "cross":
-            lines.append(f"scales = {_fmt_rational_list(bs.scales)}")
-        else:
-            lines.append(f"q = {_fmt_rational_matrix(bs.q)}")
-
-    opt_lines = []
-    if spec.precision is not None:
-        opt_lines.append(f"precision = {spec.precision}")
-    if spec.resolution is not None:
-        opt_lines.append(f"resolution = {spec.resolution}")
-    if spec.cap is not None:
-        opt_lines.append(f"cap = {spec.cap}")
-    if opt_lines:
-        lines += ["", "[options]"] + opt_lines
-    return "\n".join(lines) + "\n"

@@ -30,10 +30,15 @@ def fraction_det(a) -> Fraction:
     return det
 
 
-def fraction_solve(a, b):
-    """Solve A X = B by Gauss-Jordan elimination on `Fraction`s."""
+def gauss_jordan_solve(a, b):
+    """Solve A X = B by Gauss-Jordan elimination, over Q or over a number field K.
+
+    Entries are ints, `Fraction`s or `FieldElement`s of one field; the
+    reference for `exactla.mat_solve` and for the pseudo-vector inverse
+    that `KModule.trace_dual` reads through the regular representation.
+    """
     n = len(a)
-    aug = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, b)]
+    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for c in range(n):
         pivot = next((r for r in range(c, n) if aug[r][c] != 0), None)
         if pivot is None:

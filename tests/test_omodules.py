@@ -1,5 +1,6 @@
 """Fractional ideals, pseudo-based modules, and trace duality."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,9 @@ from adelic import (
 )
 
 from adelic import omodules
-from adelic.exactla import mat_inv
-from field_reference import complementary_basis, contains, t_n
+from adelic.cli import main
+from adelic.exactla import RankTracker, identity_matrix, transpose
+from field_reference import complementary_basis, contains, gauss_jordan_solve, t_n
 
 F = Fraction
 
@@ -151,7 +153,7 @@ def test_matrix_module_dual_follows_inverse_transpose(field):
     m = module_from_matrix(field, a)
     dual = m.trace_dual()
     ring_dual = FractionalIdeal.whole_ring(field).trace_dual()
-    ainv = mat_inv(a)  # rows of A^-1 are columns of A^-t
+    ainv = gauss_jordan_solve(a, identity_matrix(2))  # rows of A^-1 are columns of A^-t
     expected = KModule(field, [(ring_dual, tuple(row)) for row in ainv])
     assert dual.equals(expected)
 
@@ -191,15 +193,17 @@ def test_pairing_matrix_is_the_elementwise_trace_sum(field):
 
 
 def test_trace_dual_inverts_no_matrix_over_k(monkeypatch):
-    # the dual's pseudo-vector matrix (W^-1)^t comes with its inverse W^t
+    # (W^-1)^t is read through the regular representation R(W) over Q
     k_entries = []
-    inverse = omodules.mat_inv
 
-    def spy(a):
-        k_entries.append(any(isinstance(x, FieldElement) for row in a for x in row))
-        return inverse(a)
+    def spy(original):
+        def checked(a, *rest):
+            k_entries.append(any(isinstance(x, FieldElement) for row in a for x in row))
+            return original(a, *rest)
+        return checked
 
-    monkeypatch.setattr(omodules, "mat_inv", spy)
+    for name in ("mat_det", "mat_inv", "mat_solve"):
+        monkeypatch.setattr(omodules, name, spy(getattr(omodules, name)))
     cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for k in (preset_field("Q_sqrt2"), cubic):
         one, theta = k.one(), k.theta()
@@ -233,6 +237,95 @@ def test_kmodule_validation():
         KModule(k, [(ring, (one, zero)), (ring, (one, zero))])  # dependent
     with pytest.raises(ValueError):
         KModule(k, [(ring, (one,)), (ring, (one, zero))])  # ragged rank
+
+
+CUBIC = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+QUARTIC = NumberField([1, 0, 0, 0, 1], [[int(i == j) for j in range(4)] for i in range(4)])
+
+
+def k_dependent_rows(k):
+    """Pseudo-vectors that are K-dependent but Q-independent coordinate-wise."""
+    theta = k.theta()
+    if k.degree == 2:
+        return [(k.one(), theta), (theta, k.from_rational(2))]  # over Q(sqrt 2)
+    # theta^(i+j): each row is theta times the one before
+    return [tuple(theta ** (i + j) for j in range(3)) for i in range(3)]
+
+
+def rank_over_q(rows):
+    tracker = RankTracker(len(rows[0]))
+    return sum(tracker.try_add(row) for row in rows)
+
+
+@pytest.mark.parametrize("k", [quadratic_field(2), CUBIC], ids=["Q_sqrt2", "cubic"])
+def test_kmodule_rejects_k_dependent_vectors_that_are_q_independent(k):
+    rows = k_dependent_rows(k)
+    assert rank_over_q([flatten_kvector(w) for w in rows]) == len(rows)
+    ring = FractionalIdeal.whole_ring(k)
+    with pytest.raises(ValueError, match="singular matrix"):
+        KModule(k, [(ring, w) for w in rows])
+
+
+def test_cli_rejects_a_k_dependent_module_matrix(capsys, tmp_path):
+    # the matrices of k_dependent_rows, symmetric, so rows and columns agree;
+    # both fields have two places
+    fields = {
+        "quadratic": ("preset = Q_sqrt2", 2, "[[1,0; 0,1], [0,1; 2,0]]"),
+        "cubic": ("poly = -1, -1, 0, 1\nbasis = [[1; 0; 0], [0; 1; 0], [0; 0; 1]]", 3,
+                  "[[1,0,0; 0,1,0; 0,0,1], [0,1,0; 0,0,1; 1,1,0], [0,0,1; 1,1,0; 0,1,1]]"),
+    }
+    for name, (field_lines, rank, matrix) in fields.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(f"[field]\n{field_lines}\n[module]\nrank = {rank}\nmatrix = {matrix}\n"
+                        "[body.v1]\nshape = ball\nradius = 1\n"
+                        "[body.v2]\nshape = ball\nradius = 1\n")
+        assert main(["polar", str(path), "--machine"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: [module] matrix: singular matrix\n"
+
+
+def random_invertible_rows(k, n, rng):
+    while True:
+        rows = [tuple(k.element([rng.randint(-3, 3) for _ in range(k.degree)])
+                      for _ in range(n)) for _ in range(n)]
+        try:
+            return rows, gauss_jordan_solve(rows, identity_matrix(n))
+        except ValueError:
+            continue
+
+
+@pytest.mark.parametrize("k", [preset_field(name) for name in PRESETS] + [CUBIC, QUARTIC],
+                         ids=list(PRESETS) + ["cubic", "quartic"])
+def test_trace_dual_vectors_are_the_inverse_transpose(k):
+    rng = random.Random(k.degree)
+    ring = FractionalIdeal.whole_ring(k)
+    for n in range(1, 5):
+        rows, inverse = random_invertible_rows(k, n, rng)
+        dual = KModule(k, [(ring, w) for w in rows]).trace_dual()
+        assert [w for _, w in dual.pseudo] == [tuple(col) for col in transpose(inverse)]
+
+
+def test_flat_multiplies_no_field_elements(monkeypatch):
+    k = preset_field("Q_sqrt5")
+    half = FractionalIdeal.whole_ring(k).scaled(k.element([F(1, 2), F(3, 2)]))
+    rows = [(k.one(), k.theta()), (k.element([F(2, 3), F(-1)]), k.from_rational(5))]
+    m = KModule(k, [(half, rows[0]), (half.trace_dual(), rows[1])])
+    calls = []
+    mul = FieldElement.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    monkeypatch.setattr(FieldElement, "__rmul__", counted)
+    flat = m.flat
+    assert calls == []
+    monkeypatch.undo()
+    expected = [flatten_kvector(tuple(alpha * x for x in w)) for a, w in m.pseudo
+                for alpha in a.zbasis]
+    assert flat == expected
+    assert m.zbasis == [tuple(alpha * x for x in w) for a, w in m.pseudo for alpha in a.zbasis]
 
 
 def test_krank_tracker_works_over_k_not_q():

@@ -159,7 +159,8 @@ def test_preimages_are_built_only_for_k_rank_candidates(monkeypatch):
 
 
 def test_transference_inverts_no_nd_by_nd_matrix(monkeypatch):
-    # the exact work is d x d (ideals) and n x n over K (pseudo-vectors);
+    # the inverses are d x d (ideals); the pseudo-vector inverse is one
+    # nd x nd rational solve with n right-hand sides, not an inverse;
     # degree >= 2 keeps n x n and d x d apart from nd x nd
     sizes = []
     mat_inv = exactla.mat_inv
