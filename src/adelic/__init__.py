@@ -41,7 +41,6 @@ from .bodies import (
 from .lattices import (
     EmbeddedLattice,
     LatticePoint,
-    classical_minima,
     covering_radius_bounds,
     enumerate_below,
     lattice_equal,
@@ -100,7 +99,6 @@ __all__ = [
     "adelic_equal",
     "adelic_minima",
     "adelic_polar",
-    "classical_minima",
     "covering_radius_bounds",
     "enumerate_below",
     "flatten_kvector",

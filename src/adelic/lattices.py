@@ -9,6 +9,11 @@ keeps it (`preimage_of`: its coordinates times U times the back map's
 rational coordinates, with no field multiplication).  Floats only
 measure gauges, and enumeration is seeded by each body's own diagonal
 bounding form (`ProductBody.bounding_ellipsoid`).
+
+LLL recomputes one Gram-Schmidt row per step, and enumeration expands
+a numpy frontier level by level, one row per +- pair; both give the
+floats of the plain loops (full Gram-Schmidt after every step, a
+depth-first recursion over both signs) bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from .bodies import ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
-from .exactla import RankTracker, integer_matrix, mat_det, mat_mul, mat_vec, transpose
+from .exactla import integer_matrix, mat_det, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
 from .omodules import KModule, KVector, flatten_kvector
 
@@ -33,7 +38,9 @@ class EmbeddedLattice:
     """Full-rank lattice in R^m with a diagonal form and optional exact preimages.
 
     Basis row i is the embedding of sum_k transform[i][k] * back_map[k];
-    the transform defaults to the identity.
+    the transform defaults to the identity.  The back map's embedding is
+    computed once (or passed in as `back_embedding`) and shared by every
+    reduced copy.
     """
 
     def __init__(
@@ -45,6 +52,8 @@ class EmbeddedLattice:
         back_map: list[KVector] | None = None,
         conjugated: bool = False,
         transform: list[list[int]] | None = None,
+        *,
+        back_embedding: np.ndarray | None = None,
     ):
         basis = np.asarray(basis, dtype=float)
         m = basis.shape[0]
@@ -59,14 +68,18 @@ class EmbeddedLattice:
         if transform is None:
             transform = [[int(i == j) for j in range(m)] for i in range(m)]
         self.transform = transform
+        self.back_embedding = None
         if back_map is not None:
             if len(back_map) != m:
                 raise ValueError("back map must have one K-vector per basis row")
+            if back_embedding is None:
+                back_embedding = np.array([field.embed_vector(vec, conjugated)
+                                           for vec in back_map])
+            self.back_embedding = back_embedding
             u = np.array(transform, dtype=float)
-            emb = np.array([field.embed_vector(vec, conjugated) for vec in back_map])
             # an entry of u @ emb may be off by the rounding error of its terms
-            scale = max(1.0, float(np.max(np.abs(u) @ np.abs(emb))))
-            if float(np.max(np.abs(u @ emb - basis))) > 1e-9 * scale:
+            scale = max(1.0, float(np.max(np.abs(u) @ np.abs(back_embedding))))
+            if float(np.max(np.abs(u @ back_embedding - basis))) > 1e-9 * scale:
                 raise ValueError("back map does not embed onto the basis rows")
 
     @property
@@ -80,11 +93,14 @@ class EmbeddedLattice:
         """LLL reduction under the form, with the transform applied exactly."""
         scaled = self.basis * np.sqrt(self.form)
         u = _lll_transform(scaled, delta)
-        new_basis = np.array(
-            [[sum(u[i][k] * self.basis[k][j] for k in range(self.dim))
-              for j in range(self.dim)] for i in range(self.dim)])
+        # entry (i, j) sums u[i][k] * basis[k][j] over increasing k from +0.0,
+        # the floats of the per-entry sum
+        new_basis = np.zeros_like(self.basis)
+        for k, column in enumerate(np.array(u, dtype=float).T):
+            new_basis = new_basis + column[:, None] * self.basis[k]
         return EmbeddedLattice(self.field, self.n, new_basis, self.form, self.back_map,
-                               self.conjugated, mat_mul(u, self.transform))
+                               self.conjugated, mat_mul(u, self.transform),
+                               back_embedding=self.back_embedding)
 
     @cached_property
     def _preimage_map(self) -> tuple[list[list[int]], int]:
@@ -108,7 +124,8 @@ def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLa
     n = module.rank
     zb = module.zbasis
     basis = np.array([field.embed_vector(z, conjugated) for z in zb])
-    return EmbeddedLattice(field, n, basis, field.twisted_form_diag(n), list(zb), conjugated)
+    return EmbeddedLattice(field, n, basis, field.twisted_form_diag(n), list(zb), conjugated,
+                           back_embedding=basis)
 
 
 def polar_lattice(
@@ -152,43 +169,51 @@ def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice, tol: float = 1e-8) -> 
 
 
 def _lll_transform(b: np.ndarray, delta: float) -> list[list[int]]:
+    """The integer transform U of an LLL reduction of the rows of b.
+
+    Gram-Schmidt row i is a function of basis rows 0..i alone, so only
+    row k is recomputed: when the loop arrives at k and after each size
+    reduction of row k (after a swap that leaves k at 1, row 0 as well).
+    Each row is computed from scratch by the classical formulas, so every
+    mu and |b*|^2 read is the float a full recomputation would give.
+    """
     m = b.shape[0]
     b = b.copy()
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    bstar = np.zeros_like(b)
+    mu = np.zeros((m, m))
+    norms = np.zeros(m)
 
-    def gram_schmidt():
-        bstar = np.zeros_like(b)
-        mu = np.zeros((m, m))
-        norms = np.zeros(m)
-        for i in range(m):
-            bstar[i] = b[i]
-            for j in range(i):
-                mu[i, j] = (b[i] @ bstar[j]) / norms[j]
-                bstar[i] = bstar[i] - mu[i, j] * bstar[j]
-            norms[i] = bstar[i] @ bstar[i]
-            if norms[i] <= 0:
-                raise ConditioningError("lattice basis lost rank during reduction")
-        return mu, norms
+    def gram_schmidt_row(i: int):
+        bstar[i] = b[i]
+        for j in range(i):
+            mu[i, j] = (b[i] @ bstar[j]) / norms[j]
+            bstar[i] = bstar[i] - mu[i, j] * bstar[j]
+        norms[i] = bstar[i] @ bstar[i]
+        if norms[i] <= 0:
+            raise ConditioningError("lattice basis lost rank during reduction")
 
-    mu, norms = gram_schmidt()
+    gram_schmidt_row(0)
     k = 1
     guard = 0
     while k < m:
         guard += 1
         if guard > 100000:
             raise ConditioningError("reduction failed to terminate")
+        gram_schmidt_row(k)
         for j in range(k - 1, -1, -1):
             if abs(mu[k, j]) > 0.5:
                 r = round(mu[k, j])
                 b[k] -= r * b[j]
                 u[k] = [x - r * y for x, y in zip(u[k], u[j])]
-                mu, norms = gram_schmidt()
+                gram_schmidt_row(k)
         if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
             u[k - 1], u[k] = u[k], u[k - 1]
-            mu, norms = gram_schmidt()
+            if k == 1:
+                gram_schmidt_row(0)
             k = max(k - 1, 1)
     return u
 
@@ -207,41 +232,53 @@ class LatticePoint:
         return (self.gauge, self.coords)
 
 
-def _enumerate_quadratic(r: np.ndarray, bound: float, cap: int) -> list[tuple[int, ...]]:
-    """All nonzero integer c with |R c|^2 <= bound, R upper triangular."""
+def _enumerate_quadratic(r: np.ndarray, bound: float, cap: int) -> np.ndarray:
+    """All nonzero integer c with |R c|^2 <= bound, R upper triangular, one per +- pair.
+
+    The Fincke-Pohst search, breadth first from the last coordinate
+    down: at level i each frontier row takes every c_i in its range whose
+    term fits in its remaining bound.  The center, the row's sum of
+    R[i, j] c_j over j > i, is accumulated in increasing j, so every
+    range, term and remainder is the float of the depth-first recursion
+    node by node.  While every higher coordinate is zero c_i >= 0, so
+    each pair comes once; the rows (an int array) are returned with their
+    first nonzero coordinate positive.  Nodes are counted per level, and
+    a level that would take the count past `cap` is never built.
+    """
     m = r.shape[0]
-    out: list[tuple[int, ...]] = []
-    c = [0] * m
+    coords = np.zeros((1, m), dtype=np.int64)
+    remaining = np.array([float(bound)])
     nodes = 0
-
-    def recurse(i: int, remaining: float):
-        nonlocal nodes
-        if i < 0:
-            if any(c):
-                out.append(tuple(c))
-                if len(out) > cap:
-                    raise EnumerationCapError(
-                        f"enumeration produced more than {cap} points; "
-                        "raise the cap or shrink the search radius")
-            return
-        s = sum(r[i, j] * c[j] for j in range(i + 1, m))
-        rad = math.sqrt(max(remaining, 0.0))
-        lo = math.ceil((-s - rad) / r[i, i] - 1e-12)
-        hi = math.floor((-s + rad) / r[i, i] + 1e-12)
-        for ci in range(lo, hi + 1):
-            nodes += 1
-            if nodes > cap:
-                raise EnumerationCapError(
-                    f"enumeration visited more than {cap} nodes; "
-                    "raise the cap or shrink the search radius")
-            c[i] = ci
-            val = (r[i, i] * ci + s) ** 2
-            if val <= remaining + 1e-12:
-                recurse(i - 1, remaining - val)
-        c[i] = 0
-
-    recurse(m - 1, bound)
-    return out
+    for i in range(m - 1, -1, -1):
+        s = np.zeros(len(coords))
+        for j in range(i + 1, m):
+            s = s + r[i, j] * coords[:, j]
+        rad = np.sqrt(np.maximum(remaining, 0.0))
+        lo = np.ceil((-s - rad) / r[i, i] - 1e-12)
+        hi = np.floor((-s + rad) / r[i, i] + 1e-12)
+        # row 0 is the all-zero prefix: its range is symmetric, keep c_i >= 0
+        lo[0] = 0.0
+        counts = np.maximum(hi - lo + 1, 0)
+        nodes += float(np.sum(counts))
+        if not nodes <= cap:
+            raise EnumerationCapError(
+                f"enumeration would visit more than {cap} nodes; "
+                "raise the cap or shrink the search radius")
+        counts = counts.astype(np.int64)
+        parent = np.repeat(np.arange(len(coords)), counts)
+        starts = np.cumsum(counts) - counts
+        ci = np.repeat(lo.astype(np.int64) - starts, counts) + np.arange(len(parent))
+        # float_power is libm pow, as a scalar ** 2; an array's ** 2 is x * x
+        val = np.float_power(r[i, i] * ci + s[parent], 2.0)
+        rem = remaining[parent]
+        keep = val <= rem + 1e-12
+        coords = coords[parent[keep]]
+        coords[:, i] = ci[keep]
+        remaining = (rem - val)[keep]
+    # the zero vector stays first; flip each pair to its first-nonzero-positive member
+    coords = coords[1:]
+    first = coords[np.arange(len(coords)), np.argmax(coords != 0, axis=1)]
+    return coords * np.where(first < 0, -1, 1)[:, None]
 
 
 def enumerate_below(
@@ -255,20 +292,19 @@ def enumerate_below(
     The lattice must already be reduced; completeness comes from the
     bounding ellipsoid of the body.  The representative of a pair is the
     one whose first nonzero coordinate is positive, and the list is
-    ordered by (gauge, coordinates).
+    ordered by (gauge, coordinates).  The point vectors are one stacked
+    product, row by row the floats of c @ basis whatever the batch.
     """
     if t <= 0:
         return []
     bound = body.enumeration_quadratic_bound(t) * (1 + 1e-9)
     coords = _enumerate_quadratic(_bounding_factor(lat, body), bound, options.enumeration_cap)
-
-    kept = [c for c in coords if next(x for x in c if x != 0) > 0]
-    if not kept:
+    if not len(coords):
         return []
-    vecs = [np.asarray(c, dtype=float) @ lat.basis for c in kept]
-    gauges = body.gauge_many(np.array(vecs))
-    points = [LatticePoint(c, vec, float(g))
-              for c, vec, g in zip(kept, vecs, gauges) if g <= t * (1 + 1e-12)]
+    vecs = (coords.astype(float)[:, None, :] @ lat.basis)[:, 0, :]
+    gauges = body.gauge_many(vecs)
+    points = [LatticePoint(tuple(c), vec, float(g))
+              for c, vec, g in zip(coords.tolist(), vecs, gauges) if g <= t * (1 + 1e-12)]
     points.sort(key=LatticePoint.sort_key)
     return points
 
@@ -298,6 +334,8 @@ def points_by_gauge(
     `enumerate_below` keeps), so no pair comes twice.
     The stream simply ends after the last round; callers say what they
     did not find.  A consumer that stops early saves the later rounds.
+    A round that hits the enumeration cap raises, naming the minima
+    search, the round and its level.
     """
     # a nonzero point has |R c| >= min_i R_ii (its last nonzero coordinate is
     # at least 1 in size), and its bounding form is at most the bound at its gauge
@@ -306,41 +344,17 @@ def points_by_gauge(
     if t <= 0:
         raise ConditioningError("bounding form is numerically singular")
     floor = -math.inf
-    for _ in range(60):
-        for p in enumerate_below(lat, body, t, options):
+    for round_ in range(1, 61):
+        try:
+            points = enumerate_below(lat, body, t, options)
+        except EnumerationCapError as exc:
+            raise EnumerationCapError(
+                f"minima search, round {round_} at level t={t:.6g}: {exc}") from exc
+        for p in points:
             if p.gauge > floor:
                 yield p
         floor = t * (1 + 1e-12)
         t *= 2
-
-
-def classical_minima(
-    lat: EmbeddedLattice,
-    body: ProductBody,
-    count: int | None = None,
-    options: ComputeOptions = DEFAULT_OPTIONS,
-) -> list[LatticePoint]:
-    """First `count` successive minima over R, with witness points.
-
-    Returns one point per milestone: the j-th entry realizes the j-th
-    minimum, i.e. its gauge is minimal among lattice points that extend
-    j-1 previous witnesses to a linearly independent set.  The points
-    come from `points_by_gauge`, and the search stops at the `count`-th
-    milestone.  Independence is decided exactly on integer coordinates.
-    """
-    m = lat.dim
-    if count is None:
-        count = m
-    if count > m:
-        raise ValueError("cannot ask for more minima than the lattice rank")
-    tracker = RankTracker(m)
-    milestones: list[LatticePoint] = []
-    for p in points_by_gauge(lat.reduced(options.lll_delta), body, options):
-        if tracker.try_add(p.coords):
-            milestones.append(p)
-            if len(milestones) == count:
-                return milestones
-    raise ConditioningError("successive minima search did not reach the requested rank")
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,14 @@ class FractionalIdeal:
         return FractionalIdeal(self.field, [x * b for b in self.zbasis])
 
     def trace_dual(self) -> "FractionalIdeal":
-        """The complementary ideal: all y with Tr(y * a) integral on this ideal."""
+        """The complementary ideal: all y with Tr(y * a) integral on this ideal.
+
+        Computed once per ideal object.
+        """
+        return self._dual
+
+    @cached_property
+    def _dual(self) -> "FractionalIdeal":
         c = self.coord_matrix
         cp = mat_mul(c, self.field.trace_form)
         dual_coords = mat_mul(mat_inv(mat_mul(cp, transpose(c))), c)
@@ -154,7 +161,11 @@ class FractionalIdeal:
 
     @classmethod
     def whole_ring(cls, field: NumberField) -> "FractionalIdeal":
-        return cls._known(field, field.basis_elements())
+        """O as an ideal: one object per field, so that its dual is computed once."""
+        ring = vars(field).get("_whole_ring")
+        if ring is None:
+            ring = field._whole_ring = cls._known(field, field.basis_elements())
+        return ring
 
     def __repr__(self):
         return f"FractionalIdeal({[list(b.coords) for b in self.zbasis]})"

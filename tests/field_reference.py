@@ -5,8 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from adelic import DEFAULT_OPTIONS, FieldElement, flatten_kvector
-from adelic.exactla import is_integral_vec, mat_inv, mat_mul, solve_vec, transpose
+from adelic import (
+    DEFAULT_OPTIONS,
+    ConditioningError,
+    EnumerationCapError,
+    FieldElement,
+    flatten_kvector,
+)
+from adelic.exactla import RankTracker, is_integral_vec, mat_inv, mat_mul, solve_vec, transpose
+from adelic.lattices import points_by_gauge
 
 
 def fraction_det(a) -> Fraction:
@@ -155,3 +162,111 @@ def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):
     lower = float(np.max(best))
     slack = body.lipschitz() * (0.5 / k) * float(np.sum(np.linalg.norm(b, axis=1)))
     return lower, lower + slack
+
+
+def lll_transform_full_gram_schmidt(b, delta):
+    """LLL transform that recomputes every Gram-Schmidt row after each step.
+
+    The plain form of `adelic.lattices._lll_transform`, which recomputes
+    only the row the next decision reads; the two must agree exactly.
+    """
+    m = b.shape[0]
+    b = b.copy()
+    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+
+    def gram_schmidt():
+        bstar = np.zeros_like(b)
+        mu = np.zeros((m, m))
+        norms = np.zeros(m)
+        for i in range(m):
+            bstar[i] = b[i]
+            for j in range(i):
+                mu[i, j] = (b[i] @ bstar[j]) / norms[j]
+                bstar[i] = bstar[i] - mu[i, j] * bstar[j]
+            norms[i] = bstar[i] @ bstar[i]
+            if norms[i] <= 0:
+                raise ConditioningError("lattice basis lost rank during reduction")
+        return mu, norms
+
+    mu, norms = gram_schmidt()
+    k = 1
+    guard = 0
+    while k < m:
+        guard += 1
+        if guard > 100000:
+            raise ConditioningError("reduction failed to terminate")
+        for j in range(k - 1, -1, -1):
+            if abs(mu[k, j]) > 0.5:
+                r = round(mu[k, j])
+                b[k] -= r * b[j]
+                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                mu, norms = gram_schmidt()
+        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[[k - 1, k]] = b[[k, k - 1]]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            mu, norms = gram_schmidt()
+            k = max(k - 1, 1)
+    return u
+
+
+def enumerate_quadratic_recursive(r, bound, cap):
+    """All nonzero integer c with |R c|^2 <= bound, both members of each +- pair.
+
+    The depth-first Fincke-Pohst recursion with a per-node center sum,
+    the reference for `adelic.lattices._enumerate_quadratic`.
+    """
+    m = r.shape[0]
+    out = []
+    c = [0] * m
+    nodes = 0
+
+    def recurse(i, remaining):
+        nonlocal nodes
+        if i < 0:
+            if any(c):
+                out.append(tuple(c))
+                if len(out) > cap:
+                    raise EnumerationCapError(f"enumeration produced more than {cap} points")
+            return
+        s = sum(r[i, j] * c[j] for j in range(i + 1, m))
+        rad = math.sqrt(max(remaining, 0.0))
+        lo = math.ceil((-s - rad) / r[i, i] - 1e-12)
+        hi = math.floor((-s + rad) / r[i, i] + 1e-12)
+        for ci in range(lo, hi + 1):
+            nodes += 1
+            if nodes > cap:
+                raise EnumerationCapError(f"enumeration visited more than {cap} nodes")
+            c[i] = ci
+            val = (r[i, i] * ci + s) ** 2
+            if val <= remaining + 1e-12:
+                recurse(i - 1, remaining - val)
+        c[i] = 0
+
+    recurse(m - 1, bound)
+    return out
+
+
+def classical_minima(lat, body, count=None, options=DEFAULT_OPTIONS):
+    """First `count` successive minima over R, with witness points.
+
+    The j-th entry realizes the j-th minimum: its gauge is minimal among
+    lattice points that extend the j-1 previous witnesses to a linearly
+    independent set.  The points come from `points_by_gauge` on the
+    reduced lattice, and independence is decided exactly on their integer
+    coordinates.
+    """
+    m = lat.dim
+    if count is None:
+        count = m
+    if count > m:
+        raise ValueError("cannot ask for more minima than the lattice rank")
+    tracker = RankTracker(m)
+    milestones = []
+    for p in points_by_gauge(lat.reduced(options.lll_delta), body, options):
+        if tracker.try_add(p.coords):
+            milestones.append(p)
+            if len(milestones) == count:
+                return milestones
+    raise ConditioningError("successive minima search did not reach the requested rank")

@@ -25,7 +25,6 @@ from adelic import (
     adelic_equal,
     adelic_minima,
     adelic_polar,
-    classical_minima,
     covering_radius_bounds,
     enumerate_below,
     lattice_equal,
@@ -40,6 +39,7 @@ from adelic import (
     uniform_ball_body,
 )
 from adelic.cli import load_scenario_text
+from field_reference import classical_minima
 
 F = Fraction
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adelic import lattices
 from adelic import (
@@ -20,7 +22,6 @@ from adelic import (
     NumberField,
     PlaceBody,
     ProductBody,
-    classical_minima,
     covering_radius_bounds,
     enumerate_below,
     lattice_equal,
@@ -32,7 +33,13 @@ from adelic import (
     standard_module,
     uniform_ball_body,
 )
-from field_reference import covering_radius_full_window, preimage_by_field_arithmetic
+from field_reference import (
+    classical_minima,
+    covering_radius_full_window,
+    enumerate_quadratic_recursive,
+    lll_transform_full_gram_schmidt,
+    preimage_by_field_arithmetic,
+)
 
 F = Fraction
 
@@ -140,6 +147,48 @@ def test_preimages_are_coordinate_products_without_field_multiplication(monkeypa
     assert muls == []
 
 
+def test_reduction_reuses_the_back_map_embedding(monkeypatch):
+    lat = lattice_from_module(skewed_module("x3-x-1"))
+    calls = []
+    embed = NumberField.embed_vector
+    monkeypatch.setattr(NumberField, "embed_vector",
+                        lambda self, *args: calls.append(args) or embed(self, *args))
+    red = lat.reduced()
+    assert calls == []
+    assert red.back_embedding is lat.back_embedding
+    # each entry is the sum of u[i][k] * basis[k][j] over increasing k, bit for bit
+    u = red.transform
+    m = lat.dim
+    want = np.array([[sum(u[i][k] * lat.basis[k][j] for k in range(m)) for j in range(m)]
+                     for i in range(m)])
+    assert red.basis.tobytes() == want.tobytes()
+
+
+@st.composite
+def lll_bases(draw):
+    """Nonsingular integer bases of dimension 2-16: L D, L unit lower and D upper triangular."""
+    m = draw(st.integers(2, 16))
+    skew = draw(st.sampled_from([1, 10, 1000]))
+
+    def entry(lo, hi):
+        return draw(st.integers(lo, hi))
+
+    lower = [[1 if i == j else skew * entry(-3, 3) if j < i else 0 for j in range(m)]
+             for i in range(m)]
+    upper = [[entry(1, 4) if i == j else entry(-5, 5) if j > i else 0 for j in range(m)]
+             for i in range(m)]
+    return [[sum(lower[i][k] * upper[k][j] for k in range(m)) for j in range(m)]
+            for i in range(m)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(lll_bases())
+@example([[1, 0], [1000, 1]])
+def test_lll_transform_matches_full_gram_schmidt_reference(rows):
+    b = np.array(rows, dtype=float)
+    assert lattices._lll_transform(b, 0.99) == lll_transform_full_gram_schmidt(b, 0.99)
+
+
 def test_back_map_validation():
     with pytest.raises(ValueError, match="back map"):
         EmbeddedLattice(Q, 2, np.eye(2), np.ones(2),
@@ -194,6 +243,74 @@ def test_enumeration_cap_is_enforced():
     tiny = ComputeOptions(enumeration_cap=10)
     with pytest.raises(EnumerationCapError):
         enumerate_below(lat, q_body(3, Ball(F(1))), 6.0, tiny)
+
+
+def first_positive(coords):
+    return {c for c in coords if next(x for x in c if x != 0) > 0}
+
+
+@st.composite
+def triangular_forms(draw):
+    """Upper triangular R of dimension 1-10 and a bound holding a few dozen points."""
+    m = draw(st.integers(1, 10))
+    diag = draw(st.lists(st.floats(0.25, 4), min_size=m, max_size=m))
+    off = draw(st.lists(st.floats(-3, 3), min_size=m * m, max_size=m * m))
+    r = np.array([[diag[i] if i == j else (off[i * m + j] if j > i else 0.0)
+                   for j in range(m)] for i in range(m)])
+    scale = draw(st.floats(0.1, 2.5))
+    return r, scale * float(np.prod(diag)) ** (2 / m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangular_forms())
+@example((np.eye(3), 2.0))
+@example((np.array([[1.0, 0.5], [0.0, 2.0]]), 4.25))
+# y ** 2 (libm pow, as the recursion's scalar term) fits under this bound
+# and the product y * y does not: the terms must be the same floats
+@example((np.array([[float.fromhex("0x1.19d7382ea8ee8p+1")]]),
+          float.fromhex("0x1.364a2e45d9496p+2")))
+def test_breadth_first_enumeration_matches_the_recursion(case):
+    r, bound = case
+    got = [tuple(c) for c in lattices._enumerate_quadratic(r, bound, 10 ** 6).tolist()]
+    assert len(got) == len(set(got))
+    assert set(got) == first_positive(enumerate_quadratic_recursive(r, bound, 10 ** 6))
+
+
+def test_enumeration_cap_never_returns_a_partial_list():
+    r = np.linalg.cholesky(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])).T
+    full = lattices._enumerate_quadratic(r, 9.0, 10 ** 6)
+    outcomes = set()
+    for cap in range(1, 400):
+        try:
+            got = lattices._enumerate_quadratic(r, 9.0, cap)
+        except EnumerationCapError:
+            outcomes.add("raised")
+            continue
+        outcomes.add("complete")
+        assert got.tolist() == full.tolist()
+    assert outcomes == {"raised", "complete"}
+
+
+@pytest.mark.parametrize("m", [2, 4, 9, 16])
+def test_point_vectors_are_per_row_products(m):
+    rng = np.random.default_rng(m)
+    basis = rng.standard_normal((m, m)) * 7
+    coords = rng.integers(-40, 41, size=(500, m)).astype(float)
+    stacked = (coords[:, None, :] @ basis)[:, 0, :]
+    per_row = np.array([c @ basis for c in coords])
+    assert stacked.tobytes() == per_row.tobytes()
+    for i in (0, 123, 499):
+        alone = (coords[i:i + 1, None, :] @ basis)[:, 0, :]
+        assert alone.tobytes() == stacked[i:i + 1].tobytes()
+
+
+def test_enumerated_points_are_their_coordinates_times_the_basis():
+    lat = integer_lattice([[3, 1, 0, 2], [1, 4, 1, 0], [0, 1, 5, 1], [2, 0, 1, 6]]).reduced()
+    pts = enumerate_below(lat, q_body(4, Ball(F(1))), 9.0)
+    assert len(pts) > 50
+    for p in pts:
+        assert p.point.tobytes() == (np.asarray(p.coords, dtype=float) @ lat.basis).tobytes()
+        assert all(type(x) is int for x in p.coords)
 
 
 def test_enumerate_keeps_preimages():

@@ -400,6 +400,23 @@ def test_ideal_actions_are_checked_for_integrality():
         FractionalIdeal(k, [k.element([F(1, 2), F(0)]), k.theta()])
 
 
+def test_modules_over_one_field_share_the_ring_and_its_dual(monkeypatch):
+    k = preset_field("Q_sqrt2")
+    one, zero, theta = k.one(), k.zero(), k.theta()
+    first = module_from_matrix(k, [[one, theta], [zero, one]])
+    second = module_from_matrix(k, [[one + theta, zero], [one, one]])
+    ring = FractionalIdeal.whole_ring(k)
+    assert all(a is ring for m in (first, second) for a, _ in m.pseudo)
+    assert standard_module(k, 3).pseudo[0][0] is ring
+    first_dual = first.trace_dual()
+    inversions = []
+    inv = omodules.mat_inv
+    monkeypatch.setattr(omodules, "mat_inv", lambda a: inversions.append(a) or inv(a))
+    second_dual = second.trace_dual()
+    assert inversions == []
+    assert second_dual.pseudo[0][0] is first_dual.pseudo[0][0] is ring.trace_dual()
+
+
 def test_module_dual_builds_one_dual_per_ideal(monkeypatch, field):
     calls = []
     ideal_dual = FractionalIdeal.trace_dual

@@ -12,7 +12,9 @@ from adelic import (
     AdelicBody,
     Ball,
     Box,
+    ComputeOptions,
     EmbeddedLattice,
+    EnumerationCapError,
     FractionalIdeal,
     KModule,
     KRankTracker,
@@ -181,6 +183,17 @@ def test_transference_inverts_no_nd_by_nd_matrix(monkeypatch):
         sizes.clear()
         assert transference_check(AdelicBody(mod, uniform_ball_body(k, 2, F(1)))).passed
         assert sizes and 2 * k.degree not in sizes
+
+
+def test_minima_cap_error_names_the_stage_round_and_level(capsys):
+    body = unit_ball_body("Q_sqrt2", 2)
+    with pytest.raises(EnumerationCapError,
+                       match=r"^minima search, round 2 at level t=2: enumeration would "
+                             r"visit more than 10 nodes"):
+        adelic_minima(body, ComputeOptions(enumeration_cap=10))
+    from adelic.cli import main
+    assert main(["minima", "Q_sqrt2", "--cap", "2"]) == 3
+    assert "minima search, round 1 at level t=1:" in capsys.readouterr().err
 
 
 def test_thunder_slacks_are_nonnegative():
