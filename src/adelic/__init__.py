@@ -25,7 +25,6 @@ from .omodules import (
     FractionalIdeal,
     KModule,
     KRankTracker,
-    flatten_kvector,
     module_from_matrix,
     standard_module,
 )
@@ -101,7 +100,6 @@ __all__ = [
     "adelic_polar",
     "covering_radius_bounds",
     "enumerate_below",
-    "flatten_kvector",
     "inhomogeneous_minimum",
     "lattice_equal",
     "lattice_from_module",

@@ -6,14 +6,14 @@ transform U from it to the basis; reduction composes U.  All rank
 decisions, over Q and over K, are integer eliminations on integer
 coordinates; a point is mapped back to a K-vector only when a caller
 keeps it (`preimage_of`: its coordinates times U times the back map's
-rational coordinates, with no field multiplication).  Floats only
-measure gauges, and enumeration is seeded by each body's own diagonal
-bounding form (`ProductBody.bounding_ellipsoid`).
+integer coordinates N / s, the module's own).  Floats only measure
+gauges, and enumeration is seeded by each body's own diagonal bounding
+form (`ProductBody.bounding_ellipsoid`).
 
 LLL recomputes one Gram-Schmidt row per step, and enumeration expands
-a numpy frontier level by level, one row per +- pair; both give the
-floats of the plain loops (full Gram-Schmidt after every step, a
-depth-first recursion over both signs) bit for bit.
+a numpy frontier, one array per live coordinate, level by level; both
+give the floats of the plain loops (full Gram-Schmidt after every step,
+a depth-first recursion over both signs) bit for bit.
 """
 
 from __future__ import annotations
@@ -31,16 +31,16 @@ from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
 from .exactla import integer_matrix, mat_det, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
-from .omodules import KModule, KVector, flatten_kvector
+from .omodules import KModule, KVector
 
 
 class EmbeddedLattice:
     """Full-rank lattice in R^m with a diagonal form and optional exact preimages.
 
     Basis row i is the embedding of sum_k transform[i][k] * back_map[k];
-    the transform defaults to the identity.  The back map's embedding is
-    computed once (or passed in as `back_embedding`) and shared by every
-    reduced copy.
+    the transform defaults to the identity.  The back map's embedding and
+    its flattened coordinates (N, s) are computed once, or passed in as
+    `back_embedding` and `back_flat`, and shared by every reduced copy.
     """
 
     def __init__(
@@ -54,6 +54,7 @@ class EmbeddedLattice:
         transform: list[list[int]] | None = None,
         *,
         back_embedding: np.ndarray | None = None,
+        back_flat: tuple[list[list[int]], int] | None = None,
     ):
         basis = np.asarray(basis, dtype=float)
         m = basis.shape[0]
@@ -72,6 +73,9 @@ class EmbeddedLattice:
         if back_map is not None:
             if len(back_map) != m:
                 raise ValueError("back map must have one K-vector per basis row")
+            if back_flat is None:
+                back_flat = integer_matrix([[c for x in vec for c in x.coords]
+                                            for vec in back_map])
             if back_embedding is None:
                 back_embedding = np.array([field.embed_vector(vec, conjugated)
                                            for vec in back_map])
@@ -81,6 +85,7 @@ class EmbeddedLattice:
             scale = max(1.0, float(np.max(np.abs(u) @ np.abs(back_embedding))))
             if float(np.max(np.abs(u @ back_embedding - basis))) > 1e-9 * scale:
                 raise ValueError("back map does not embed onto the basis rows")
+        self.back_flat = back_flat
 
     @property
     def dim(self) -> int:
@@ -100,12 +105,12 @@ class EmbeddedLattice:
             new_basis = new_basis + column[:, None] * self.basis[k]
         return EmbeddedLattice(self.field, self.n, new_basis, self.form, self.back_map,
                                self.conjugated, mat_mul(u, self.transform),
-                               back_embedding=self.back_embedding)
+                               back_embedding=self.back_embedding, back_flat=self.back_flat)
 
     @cached_property
     def _preimage_map(self) -> tuple[list[list[int]], int]:
         """(U N)^t and s, where N / s holds the back map's flattened coordinates."""
-        flat, s = integer_matrix([flatten_kvector(vec) for vec in self.back_map])
+        flat, s = self.back_flat
         return transpose(mat_mul(self.transform, flat)), s
 
     def preimage_of(self, coords: Sequence[int]) -> KVector | None:
@@ -125,7 +130,7 @@ def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLa
     zb = module.zbasis
     basis = np.array([field.embed_vector(z, conjugated) for z in zb])
     return EmbeddedLattice(field, n, basis, field.twisted_form_diag(n), list(zb), conjugated,
-                           back_embedding=basis)
+                           back_embedding=basis, back_flat=module.int_flat)
 
 
 def polar_lattice(
@@ -246,13 +251,14 @@ def _enumerate_quadratic(r: np.ndarray, bound: float, cap: int) -> np.ndarray:
     a level that would take the count past `cap` is never built.
     """
     m = r.shape[0]
-    coords = np.zeros((1, m), dtype=np.int64)
+    # the frontier is one array per coordinate i+1..m-1, the lower ones being zero
+    cols: list[np.ndarray] = []
     remaining = np.array([float(bound)])
     nodes = 0
     for i in range(m - 1, -1, -1):
-        s = np.zeros(len(coords))
+        s = np.zeros(len(remaining))
         for j in range(i + 1, m):
-            s = s + r[i, j] * coords[:, j]
+            s = s + r[i, j] * cols[j - i - 1]
         rad = np.sqrt(np.maximum(remaining, 0.0))
         lo = np.ceil((-s - rad) / r[i, i] - 1e-12)
         hi = np.floor((-s + rad) / r[i, i] + 1e-12)
@@ -265,20 +271,26 @@ def _enumerate_quadratic(r: np.ndarray, bound: float, cap: int) -> np.ndarray:
                 f"enumeration would visit more than {cap} nodes; "
                 "raise the cap or shrink the search radius")
         counts = counts.astype(np.int64)
-        parent = np.repeat(np.arange(len(coords)), counts)
+        parent = np.repeat(np.arange(len(remaining)), counts)
         starts = np.cumsum(counts) - counts
         ci = np.repeat(lo.astype(np.int64) - starts, counts) + np.arange(len(parent))
         # float_power is libm pow, as a scalar ** 2; an array's ** 2 is x * x
         val = np.float_power(r[i, i] * ci + s[parent], 2.0)
         rem = remaining[parent]
         keep = val <= rem + 1e-12
-        coords = coords[parent[keep]]
-        coords[:, i] = ci[keep]
         remaining = (rem - val)[keep]
+        rows = parent[keep]
+        del parent, val, rem
+        # one column at a time, so the old and new frontier are never both whole
+        for k, col in enumerate(cols):
+            cols[k] = col[rows]
+        cols.insert(0, ci[keep])
     # the zero vector stays first; flip each pair to its first-nonzero-positive member
-    coords = coords[1:]
+    coords = np.stack(cols, axis=1)[1:]
+    del cols
     first = coords[np.arange(len(coords)), np.argmax(coords != 0, axis=1)]
-    return coords * np.where(first < 0, -1, 1)[:, None]
+    coords *= np.where(first < 0, -1, 1)[:, None]
+    return coords
 
 
 def enumerate_below(

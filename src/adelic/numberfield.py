@@ -2,8 +2,9 @@
 
 A field is Q[x]/(f) for a monic squarefree integer polynomial f.  Elements
 carry exact rational coordinates over the power basis; traces, Gram
-matrices and discriminants are computed without floating point.  Floats
-only enter through the root isolation that backs the embeddings.
+matrices and discriminants are computed without floating point, the
+reduction table and trace form as integers.  Floats only enter through
+the root isolation that backs the embeddings.
 """
 
 from __future__ import annotations
@@ -17,12 +18,14 @@ import numpy as np
 
 from .errors import ConditioningError
 from .exactla import (
+    IntMatrix,
     Matrix,
-    is_integral_mat,
+    integer_matrix,
     mat_det,
     mat_mul,
     mat_solve,
-    solve_vec,
+    mat_vec,
+    solve_scaled,
     transpose,
 )
 
@@ -145,6 +148,14 @@ def _newton_polish(poly: list[float], dpoly: list[float], z, steps: int = 6):
 # ---------------------------------------------------------------------------
 
 
+def _coerced(op):
+    """A binary operator of `FieldElement`, its other operand coerced into the field."""
+    def method(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else op(self, o)
+    return method
+
+
 class FieldElement:
     """Element of a number field, exact coordinates over the power basis."""
 
@@ -165,10 +176,8 @@ class FieldElement:
             return self.field.from_rational(Fraction(other))
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __add__(self, o):
         return FieldElement(self.field, [a + b for a, b in zip(self.coords, o.coords)])
 
     __radd__ = __add__
@@ -176,36 +185,26 @@ class FieldElement:
     def __neg__(self):
         return FieldElement(self.field, [-a for a in self.coords])
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __sub__(self, o):
         return FieldElement(self.field, [a - b for a, b in zip(self.coords, o.coords)])
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rsub__(self, o):
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field._mul_coords(self.coords, o.coords))
+    @_coerced
+    def __mul__(self, o):
+        return FieldElement(self.field, mat_vec(self.field._mult_matrix(self.coords), o.coords))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __truediv__(self, o):
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __rtruediv__(self, o):
         return o * self.inverse()
 
     def __pow__(self, k: int):
@@ -220,10 +219,8 @@ class FieldElement:
             k >>= 1
         return acc
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_coerced
+    def __eq__(self, o):
         return self.coords == o.coords
 
     def __hash__(self):
@@ -236,8 +233,8 @@ class FieldElement:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         m = self.field._mult_matrix(self.coords)
-        e1 = [Fraction(1)] + [Fraction(0)] * (self.field.degree - 1)
-        return FieldElement(self.field, solve_vec(m, e1))
+        e1 = [[int(i == 0)] for i in range(self.field.degree)]
+        return FieldElement(self.field, [row[0] for row in mat_solve(m, e1)])
 
     def trace(self) -> Fraction:
         m = self.field._mult_matrix(self.coords)
@@ -276,13 +273,13 @@ class NumberField:
         self.degree = len(coeffs) - 1
         self.name = name
 
-        # reduction table: coords of theta^k for k = d .. 2d-2
+        # reduction table: integer coords of theta^k for k = d .. 2d-2
         d = self.degree
-        self._reduction: list[tuple[Fraction, ...]] = []
-        cur = [-c for c in coeffs[:-1]]
+        self._reduction: list[tuple[int, ...]] = []
+        cur = [-c.numerator for c in coeffs[:-1]]
         self._reduction.append(tuple(cur))
         for _ in range(d - 2):
-            cur = [Fraction(0)] + cur
+            cur = [0] + cur
             top = cur.pop()
             cur = [c + top * r for c, r in zip(cur, self._reduction[0])]
             self._reduction.append(tuple(cur))
@@ -293,22 +290,25 @@ class NumberField:
         self.basis_matrix: Matrix = basis
         if mat_det(basis) == 0:
             raise ValueError("integral basis is linearly dependent")
-        self._validate_ring()
+        num, t = integer_matrix(basis)
+        # 1 = x B for B = N / t is N^t x = t e_0
+        if solve_scaled(transpose(num), [[t * (r == 0)] for r in range(d)])[1] != 1:
+            raise ValueError("integral basis does not contain 1")
+        if self._actions(num) is None:
+            raise ValueError("integral basis is not closed under multiplication")
 
         # Tr(theta^k) for k < d from the multiplication matrices, then for
         # d <= k <= 2d-2 through the reduction table theta^k = sum r_j theta^j
-        low = [self.element([int(i == j) for i in range(d)]).trace() for j in range(d)]
-        powers = low + [sum((r * t for r, t in zip(red, low)), Fraction(0))
-                        for red in self._reduction[:d - 1]]
-        self.trace_form: Matrix = [[powers[i + j] for j in range(d)] for i in range(d)]
-        gram = mat_mul(mat_mul(basis, self.trace_form), transpose(basis))
-        if not is_integral_mat(gram):
+        units = [[int(i == j) for i in range(d)] for j in range(d)]
+        low = [sum(m[i][i] for i in range(d)) for m in map(self._mult_matrix, units)]
+        powers = low + [sum(r * p for r, p in zip(red, low)) for red in self._reduction[:d - 1]]
+        self.trace_form: IntMatrix = [[powers[i + j] for j in range(d)] for i in range(d)]
+        # B P B^t on B's numerators
+        gram = mat_mul(mat_mul(num, self.trace_form), transpose(num))
+        if any(x % (t * t) for row in gram for x in row):
             raise ValueError("trace pairings of the integral basis are not integers")
-        self.trace_gram: Matrix = gram
-        disc = mat_det(gram)
-        if disc.denominator != 1:
-            raise ValueError("discriminant is not an integer")
-        self.discriminant = int(disc)
+        self.trace_gram: IntMatrix = [[x // (t * t) for x in row] for row in gram]
+        self.discriminant = int(mat_det(self.trace_gram))
         if claimed_discriminant is not None and claimed_discriminant != self.discriminant:
             raise ValueError(
                 f"claimed discriminant {claimed_discriminant} "
@@ -347,55 +347,37 @@ class NumberField:
             return self.from_rational(-self.poly[0])
         return self.element([0, 1] + [0] * (self.degree - 2))
 
-    def basis_elements(self) -> list[FieldElement]:
-        return [self.element(row) for row in self.basis_matrix]
-
     # -- exact arithmetic core -----------------------------------------------
 
-    def _mul_coords(self, a: Sequence[Fraction], b: Sequence[Fraction]):
-        d = self.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            c = conv[k]
-            if c:
-                red = self._reduction[k - d]
-                out = [o + c * rr for o, rr in zip(out, red)]
-        return out
-
     def _mult_matrix(self, coords: Sequence[Fraction]) -> Matrix:
-        # column j = coords of x * theta^j
+        # column j = coords of x * theta^j; integers for integer coords
         d = self.degree
         cols = []
         cur = list(coords)
         cols.append(cur[:])
         for _ in range(d - 1):
-            cur = [Fraction(0)] + cur
+            cur = [0] + cur
             top = cur.pop()
             if top:
                 cur = [c + top * rr for c, rr in zip(cur, self._reduction[0])]
             cols.append(cur[:])
         return [[cols[j][i] for j in range(d)] for i in range(d)]
 
-    def _validate_ring(self):
+    def _actions(self, num: IntMatrix) -> list[IntMatrix] | None:
+        """Per integral-basis element b, A_b with b * (row j of N) = sum_l A_b[j][l] (row l of N).
+
+        A_b solves N^t A_b^t = M_b N^t, M_b the multiplication matrix;
+        one solve gives all d.  None unless all are integral (O-stable).
+        """
         d = self.degree
-        one = [Fraction(1)] + [Fraction(0)] * (d - 1)
-        bt = [[self.basis_matrix[j][i] for j in range(d)] for i in range(d)]
-        sol = mat_solve(bt, [[c] for c in one])
-        if not all(x[0].denominator == 1 for x in sol):
-            raise ValueError("integral basis does not contain 1")
-        products = []
-        for i in range(d):
-            for j in range(i, d):
-                products.append(self._mul_coords(self.basis_matrix[i], self.basis_matrix[j]))
-        coords = mat_solve(bt, [[p[k] for p in products] for k in range(d)])
-        if not is_integral_mat(coords):
-            raise ValueError("integral basis is not closed under multiplication")
+        nt = transpose(num)
+        basis, t = integer_matrix(self.basis_matrix)  # b = row / t
+        products = [mat_mul(self._mult_matrix(b), nt) for b in basis]
+        y, q = solve_scaled(nt, [[x for m in products for x in m[r]] for r in range(d)])
+        if any(v % (q * t) for row in y for v in row):
+            return None
+        return [transpose([[v // (q * t) for v in row[k * d:(k + 1) * d]] for row in y])
+                for k in range(d)]
 
     def same_presentation(self, other: "NumberField") -> bool:
         """Same defining polynomial and same integral basis.
@@ -464,15 +446,10 @@ class NumberField:
         return [n] * r + [2 * n] * s
 
     def place_slices(self, n: int) -> list[tuple[str, int, int]]:
-        out = []
-        start = 0
-        r, s = self.signature
-        for _ in range(r):
-            out.append(("real", start, start + n))
-            start += n
-        for _ in range(s):
-            out.append(("complex", start, start + 2 * n))
-            start += 2 * n
+        out, start = [], 0
+        for (kind, _), dim in zip(self.places, self.place_dims(n)):
+            out.append((kind, start, start + dim))
+            start += dim
         return out
 
     def _eval_at_root(self, x: FieldElement, root: complex) -> complex:
@@ -500,21 +477,10 @@ class NumberField:
         All coordinates at the first place come first, then the second
         place, and so on; complex places contribute (Re, Im) per entry.
         """
-        n = len(xs)
         r, s = self.signature
-        embs = [self.embed(x, conjugated) for x in xs]
-        out = np.empty(n * self.degree)
-        pos = 0
-        for i in range(r):
-            for e in embs:
-                out[pos] = e[i]
-                pos += 1
-        for j in range(s):
-            for e in embs:
-                out[pos] = e[r + 2 * j]
-                out[pos + 1] = e[r + 2 * j + 1]
-                pos += 2
-        return out
+        e = np.array([self.embed(x, conjugated) for x in xs])
+        pairs = e[:, r:].reshape(len(xs), s, 2).transpose(1, 0, 2)
+        return np.concatenate([e[:, :r].T.ravel(), pairs.ravel()])
 
     def twisted_form_diag(self, n: int) -> np.ndarray:
         """Diagonal of the scalar product twisted by 2 at complex places."""

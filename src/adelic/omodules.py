@@ -1,51 +1,44 @@
 """Fractional ideals and finitely generated O-modules in K^n.
 
 Modules are carried as pseudo-bases (ideal, vector), after Cohen, GTM
-193, ch. 1.  The pseudo-vector matrix W over K is read through its
-regular representation R(W) over Q: the module's Z-basis is the integer
-product blockdiag(C_i) R(W) with the ideals' coordinate matrices C_i,
-K-independence is det R(W) != 0, and the dual's vectors (W^-1)^t come
-from one rational solve with R(W)^t.  Comparisons and traces are
-products of coordinate matrices with the field's trace form
-P[i][j] = Tr(theta^(i+j)).  The trace dual is built through the
-pseudo-basis, one dual per distinct ideal, and checked by its pairing
-matrix with the module, which must be integral with determinant +-1.
-An ideal's integer action matrices are computed when first read and
-checked there; `KRankTracker` composes them into integer maps on
+193, ch. 1.  Every rational matrix here is held as integer numerators N
+with one scale s (the matrix is N / s): an ideal's coordinates
+`int_coords`, the regular representation R(W) over Q of the
+pseudo-vector matrix W, and the module's Z-basis `int_flat`, the
+product blockdiag(C_i) R(W).  K-independence is det R(W) != 0, the
+dual's vectors (W^-1)^t come from one solve with R(W)^t, and equality
+is one unimodular-ratio test; no matrix is inverted and no `Fraction` is
+multiplied.  The trace dual is built through the pseudo-basis, one dual
+per distinct ideal, and checked by its pairing matrix with the module
+under the trace form P[i][j] = Tr(theta^(i+j)), which must be unimodular.
+`KRankTracker` composes the ideals' integer actions into integer maps on
 lattice coordinates, so K-rank is decided on Python ints.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 from .errors import ConditioningError
 from .exactla import (
+    IntMatrix,
     Matrix,
     RankTracker,
     integer_matrix,
-    is_integral_mat,
     is_unimodular,
+    is_unimodular_ratio,
     mat_det,
-    mat_inv,
     mat_mul,
-    mat_solve,
     mat_vec,
+    solve_scaled,
     transpose,
 )
 from .numberfield import FieldElement, NumberField
 
 KVector = tuple[FieldElement, ...]
-
-
-def flatten_kvector(xs: Sequence[FieldElement]) -> list[Fraction]:
-    """Rational coordinates of a K-vector, component-major over the power basis."""
-    out: list[Fraction] = []
-    for x in xs:
-        out.extend(x.coords)
-    return out
 
 
 class KRankTracker:
@@ -95,46 +88,49 @@ class KRankTracker:
 
 
 class FractionalIdeal:
-    """Nonzero fractional ideal of O, held as an exact Z-basis."""
+    """Nonzero fractional ideal of O, held as the exact Z-basis `int_coords`.
+
+    That is (N, s): the basis coordinates over the power basis are N / s.
+    """
 
     def __init__(self, field: NumberField, zbasis: Sequence[FieldElement]):
         if len(zbasis) != field.degree:
             raise ValueError("ideal basis must have one generator per degree")
-        self._set_basis(field, zbasis)
-        if mat_det(self.coord_matrix) == 0:
+        self.field = field
+        self.zbasis = tuple(zbasis)
+        self.int_coords = integer_matrix([b.coords for b in self.zbasis])
+        if mat_det(self.int_coords[0]) == 0:
             raise ValueError("ideal basis is linearly dependent")
         self.actions  # raises unless the basis is stable under the ring
 
-    def _set_basis(self, field: NumberField, zbasis: Sequence[FieldElement]):
-        self.field = field
-        self.zbasis = tuple(zbasis)
-        self.coord_matrix: Matrix = [list(b.coords) for b in self.zbasis]
-
     @classmethod
-    def _known(cls, field: NumberField, zbasis: Sequence[FieldElement]) -> "FractionalIdeal":
+    def _known(cls, field: NumberField, int_coords: tuple[IntMatrix, int]) -> "FractionalIdeal":
         """An ideal whose basis is independent and stable under O by construction."""
         ideal = cls.__new__(cls)
-        ideal._set_basis(field, zbasis)
+        ideal.field, ideal.int_coords = field, int_coords
         return ideal
 
     @cached_property
-    def actions(self) -> list[list[list[int]]]:
+    def zbasis(self) -> tuple[FieldElement, ...]:
+        n, s = self.int_coords
+        return tuple(self.field.element([Fraction(x, s) for x in row]) for row in n)
+
+    @cached_property
+    def actions(self) -> list[IntMatrix]:
         """Per integral-basis element b, row j = the integer coordinates of b * zbasis[j].
 
         Raises `ValueError` unless every entry is an integer, that is
         unless the ideal is stable under O.
         """
-        inv = mat_inv(self.coord_matrix)
-        actions = [mat_mul([list((b * a).coords) for a in self.zbasis], inv)
-                   for b in self.field.basis_elements()]
-        if not all(is_integral_mat(m) for m in actions):
+        actions = self.field._actions(self.int_coords[0])
+        if actions is None:
             raise ValueError("ideal basis is not stable under the ring")
-        return [[[x.numerator for x in row] for row in m] for m in actions]
+        return actions
 
     def equals(self, other: "FractionalIdeal") -> bool:
         if not self.field.same_presentation(other.field):
             return False
-        return is_unimodular(mat_mul(self.coord_matrix, mat_inv(other.coord_matrix)))
+        return is_unimodular_ratio(self.int_coords, other.int_coords)
 
     def scaled(self, x: FieldElement) -> "FractionalIdeal":
         if x.is_zero():
@@ -150,21 +146,23 @@ class FractionalIdeal:
 
     @cached_property
     def _dual(self) -> "FractionalIdeal":
-        c = self.coord_matrix
-        cp = mat_mul(c, self.field.trace_form)
-        dual_coords = mat_mul(mat_inv(mat_mul(cp, transpose(c))), c)
-        # the pairings Tr(u * a) of the two Z-bases form the identity
-        if not is_unimodular(mat_mul(dual_coords, transpose(cp))):
+        # for the coordinate matrix C = N / s the dual basis is
+        # (C P C^t)^-1 C = Y / q, from (N P N^t) Y = q s N
+        n, s = self.int_coords
+        n_p = mat_mul(n, self.field.trace_form)
+        y, q = solve_scaled(mat_mul(n_p, transpose(n)), [[s * x for x in row] for row in n])
+        # the pairings Tr(u * a) of the two Z-bases, Y P N^t / (q s), form the identity
+        if not is_unimodular(mat_mul(y, transpose(n_p)), q * s):
             raise ConditioningError("ideal trace dual failed verification")
         # the complementary ideal of an O-ideal is an O-ideal
-        return FractionalIdeal._known(self.field, [self.field.element(row) for row in dual_coords])
+        return FractionalIdeal._known(self.field, (y, q))
 
     @classmethod
     def whole_ring(cls, field: NumberField) -> "FractionalIdeal":
         """O as an ideal: one object per field, so that its dual is computed once."""
         ring = vars(field).get("_whole_ring")
         if ring is None:
-            ring = field._whole_ring = cls._known(field, field.basis_elements())
+            ring = field._whole_ring = cls._known(field, integer_matrix(field.basis_matrix))
         return ring
 
     def __repr__(self):
@@ -178,44 +176,51 @@ class KModule:
         self.field = field
         self.rank = len(pseudo)
         self.pseudo = [(a, tuple(w)) for a, w in pseudo]
-        n = self.rank
         for a, w in self.pseudo:
             if a.field is not field:
                 raise ValueError("ideal belongs to a different field")
-            if len(w) != n:
+            if len(w) != self.rank:
                 raise ValueError("pseudo-basis vectors must have length equal to the rank")
         # det R(W) is the norm of det W up to sign: nonzero iff the vectors are K-independent
-        if mat_det(self.regular) == 0:
+        if mat_det(self.regular[0]) == 0:
             raise ValueError("singular matrix")
 
     @cached_property
-    def regular(self) -> Matrix:
-        """R(W), nd x nd over Q with flatten(x W) = flatten(x) R(W), W the pseudo-vector rows.
+    def regular(self) -> tuple[IntMatrix, int]:
+        """R(W) = N / t as (N, t): the nd x nd matrix with flatten(x W) = flatten(x) R(W).
 
-        Block (i, j) is the transposed multiplication matrix of W_ij.
+        W has the pseudo-vectors as rows; block (i, j) is the transposed
+        multiplication matrix of W_ij, on W's numerators.
         """
         d = self.field.degree
-        rows: Matrix = [[] for _ in range(self.rank * d)]
-        for i, (_, w) in enumerate(self.pseudo):
-            for x in w:
-                for r, col in enumerate(transpose(self.field._mult_matrix(x.coords))):
+        num, t = integer_matrix([[c for x in w for c in x.coords] for _, w in self.pseudo])
+        rows: IntMatrix = [[] for _ in range(self.rank * d)]
+        for i, w in enumerate(num):
+            for j in range(0, len(w), d):
+                for r, col in enumerate(transpose(self.field._mult_matrix(w[j:j + d]))):
                     rows[i * d + r].extend(col)
-        return rows
+        return rows, t
+
+    @cached_property
+    def int_flat(self) -> tuple[IntMatrix, int]:
+        """The Z-basis as (N, s): row (i, k) of N / s is alpha_k w_i flattened component-major.
+
+        N / s = blockdiag(C_i) R(W), with C_i the i-th ideal's coordinate matrix.
+        """
+        d = self.field.degree
+        r, t = self.regular
+        s = math.lcm(*(a.int_coords[1] for a, _ in self.pseudo))
+        rows: IntMatrix = []
+        for i, (a, _) in enumerate(self.pseudo):
+            c, si = a.int_coords
+            rows.extend([x * (s // si) for x in row] for row in mat_mul(c, r[i * d:(i + 1) * d]))
+        return rows, s * t
 
     @cached_property
     def flat(self) -> Matrix:
-        """The Z-basis as rational coordinate rows (`flatten_kvector`), row (i, k) alpha_k w_i.
-
-        It is the integer product blockdiag(C_i) R(W), C_i the i-th ideal's `coord_matrix`.
-        """
-        d = self.field.degree
-        r, t = integer_matrix(self.regular)
-        out: Matrix = []
-        for i, (a, _) in enumerate(self.pseudo):
-            c, s = integer_matrix(a.coord_matrix)
-            block = mat_mul(c, r[i * d:(i + 1) * d])
-            out.extend([Fraction(x, s * t) for x in row] for row in block)
-        return out
+        """`int_flat` as rational coordinate rows, for readers of the coordinates."""
+        rows, s = self.int_flat
+        return [[Fraction(x, s) for x in row] for row in rows]
 
     @cached_property
     def zbasis(self) -> list[KVector]:
@@ -224,40 +229,38 @@ class KModule:
         return [tuple(self.field.element(row[k:k + d]) for k in range(0, len(row), d))
                 for row in self.flat]
 
-    def pairing(self, other: "KModule") -> Matrix:
-        """sum_k Tr(x_k y_k) over the Z-bases: self.flat (I_n (x) P) other.flat^t.
-
-        The product runs on the integer numerators of its three factors.
-        """
+    def pairing(self, other: "KModule") -> tuple[IntMatrix, int]:
+        """sum_k Tr(x_k y_k) over the Z-bases, N / s = flat (I_n (x) P) other.flat^t, as (N, s)."""
         d = self.field.degree
-        p, r = integer_matrix(self.field.trace_form)
-        a, s = integer_matrix(self.flat)
-        b, t = integer_matrix(other.flat)
+        p = self.field.trace_form
+        a, s = self.int_flat
+        b, t = other.int_flat
         other_p = [[x for k in range(0, len(y), d) for x in mat_vec(p, y[k:k + d])] for y in b]
-        return [[Fraction(x, r * s * t) for x in row] for row in mat_mul(a, transpose(other_p))]
+        return mat_mul(a, transpose(other_p)), s * t
 
     def equals(self, other: "KModule") -> bool:
         if self.rank != other.rank or not self.field.same_presentation(other.field):
             return False
-        return is_unimodular(mat_mul(self.flat, mat_inv(other.flat)))
+        return is_unimodular_ratio(self.int_flat, other.int_flat)
 
     def trace_dual(self) -> "KModule":
         """Dual module under the pairing sum Tr(x_k y_k), two routes cross-checked."""
         field, n, d = self.field, self.rank, self.field.degree
         # row i of W^-1 is the v with v W = e_i, that is flatten(v) R(W) = e_(id):
-        # column i of y below is flatten(v)
-        y = mat_solve(transpose(self.regular), [[int(r == i * d) for i in range(n)]
-                                                 for r in range(n * d)])
+        # column i of y / q below is flatten(v), from N^t y = q t E for R(W) = N / t
+        r, t = self.regular
+        y, q = solve_scaled(transpose(r), [[t * (row == i * d) for i in range(n)]
+                                           for row in range(n * d)])
         # the rows of (W^-1)^t pair to delta_ij with the rows of W; the j-th
         # row is the j-th component of every row of W^-1, the j-th block of y
-        wstar = [tuple(field.element(col) for col in transpose(y[j * d:(j + 1) * d]))
-                 for j in range(n)]
+        wstar = [tuple(field.element([Fraction(v, q) for v in col])
+                       for col in transpose(y[j * d:(j + 1) * d])) for j in range(n)]
         # module_from_matrix and standard_module share one ideal across the pairs
         duals = {a: a.trace_dual() for a in dict.fromkeys(a for a, _ in self.pseudo)}
         dual = KModule(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)])
         # second route: dual's Z-basis spans the lattice dual to ours (the
         # span of G^-1 z, G the Gram matrix) iff their pairings are unimodular
-        if not is_unimodular(dual.pairing(self)):
+        if not is_unimodular(*dual.pairing(self)):
             raise ConditioningError("trace dual routes disagree")
         return dual
 

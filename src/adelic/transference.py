@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .bodies import ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
-from .errors import ConditioningError
+from .errors import ConditioningError, EnumerationCapError
 from .exactla import RankTracker
 from .lattices import (
     EmbeddedLattice,
@@ -176,6 +176,14 @@ class TransferenceReport:
         return all(row.verdict == "pass" for row in self.rows)
 
 
+def _side_minima(side: str, body: AdelicBody, options: ComputeOptions) -> MinimaReport:
+    """`adelic_minima`, with a cap error prefixed by the side it came from."""
+    try:
+        return adelic_minima(body, options)
+    except EnumerationCapError as exc:
+        raise EnumerationCapError(f"{side}: {exc}") from exc
+
+
 def transference_check(
     body: AdelicBody,
     options: ComputeOptions = DEFAULT_OPTIONS,
@@ -194,8 +202,8 @@ def transference_check(
         cm=field.is_cm,
         cm_was_asserted=field.cm_asserted,
     )
-    rep_s = adelic_minima(body, options)
-    rep_star = adelic_minima(adelic_polar(body), options)
+    rep_s = _side_minima("body S", body, options)
+    rep_star = _side_minima("polar S*", adelic_polar(body), options)
     upper = (n * d) ** 1.5
     lower = abs(field.discriminant) ** (-1.0 / d) if flags.lower_bound_applies else None
     tol = options.bound_tol

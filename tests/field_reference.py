@@ -10,10 +10,14 @@ from adelic import (
     ConditioningError,
     EnumerationCapError,
     FieldElement,
-    flatten_kvector,
 )
-from adelic.exactla import RankTracker, is_integral_vec, mat_inv, mat_mul, solve_vec, transpose
+from adelic.exactla import RankTracker, mat_inv, mat_mul, mat_solve, transpose
 from adelic.lattices import points_by_gauge
+
+
+def flatten_kvector(xs) -> list[Fraction]:
+    """Rational coordinates of a K-vector, component-major over the power basis."""
+    return [c for x in xs for c in x.coords]
 
 
 def fraction_det(a) -> Fraction:
@@ -121,10 +125,11 @@ def contains(lattice, x) -> bool:
     x lies in it when its coordinates over the exact Z-basis are integers.
     """
     if isinstance(x, FieldElement):
-        rows, v = lattice.coord_matrix, list(x.coords)
+        (num, s), v = lattice.int_coords, list(x.coords)
     else:
-        rows, v = lattice.flat, flatten_kvector(x)
-    return is_integral_vec(solve_vec(transpose(rows), v))
+        (num, s), v = lattice.int_flat, flatten_kvector(x)
+    rows = [[Fraction(c, s) for c in row] for row in num]
+    return all(x.denominator == 1 for x, in mat_solve(transpose(rows), [[c] for c in v]))
 
 
 def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):

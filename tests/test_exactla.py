@@ -1,5 +1,6 @@
 """Exact rational linear algebra kernel."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,15 @@ from hypothesis import strategies as st
 from adelic.exactla import (
     RankTracker,
     identity_matrix,
-    is_integral_mat,
-    is_integral_vec,
+    integer_matrix,
     is_unimodular,
+    is_unimodular_ratio,
     mat_det,
     mat_inv,
     mat_mul,
     mat_solve,
     mat_vec,
-    solve_vec,
+    solve_scaled,
     transpose,
 )
 from field_reference import FractionRankTracker, fraction_det, gauss_jordan_solve
@@ -55,7 +56,7 @@ def test_det_known_values():
 
 def test_solve_and_inverse():
     a = to_fractions([[2, 1], [1, 3]])
-    x = solve_vec(a, [F(1), F(0)])
+    x = [row[0] for row in mat_solve(a, [[F(1)], [F(0)]])]
     assert mat_vec(a, x) == [F(1), F(0)]
     inv = mat_inv(a)
     assert mat_mul(a, inv) == identity_matrix(2)
@@ -66,13 +67,6 @@ def test_solve_singular_raises():
     a = to_fractions([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="singular"):
         mat_solve(a, identity_matrix(2))
-
-
-def test_integrality_predicates():
-    assert is_integral_vec([F(2), F(-3), F(0)])
-    assert not is_integral_vec([F(1, 2)])
-    assert is_integral_mat([[F(1), F(0)], [F(7), F(-2)]])
-    assert not is_integral_mat([[F(1), F(1, 3)], [F(0), F(1)]])
 
 
 def test_rank_tracker_milestones():
@@ -149,10 +143,10 @@ def rational_matrices(draw, min_size=1, max_size=8):
 
 
 @st.composite
-def near_unimodular(draw):
+def near_unimodular(draw, size=None):
     """Products of elementary integer row operations, sometimes spoiled by
     a doubled row or a halved entry."""
-    n = draw(st.integers(1, 8))
+    n = size if size is not None else draw(st.integers(1, 8))
     m = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for _ in range(draw(st.integers(0, 12))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -197,13 +191,48 @@ def test_solve_and_inverse_match_the_fraction_reference(a, data):
     assert x == gauss_jordan_solve(a, b)
     assert all(type(v) is Fraction for row in x for v in row)
     assert mat_inv(a) == gauss_jordan_solve(a, identity_matrix(n))
-    assert solve_vec(a, [row[0] for row in b]) == [row[0] for row in x]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(), st.data())
+def test_scaled_solve_matches_the_fraction_reference(a, data):
+    # A X = B for the integer numerators of A: X = Y / d in lowest terms
+    n = len(a)
+    num, _ = integer_matrix(a)
+    k = data.draw(st.integers(1, 3))
+    b = data.draw(st.lists(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=k, max_size=k),
+                           min_size=n, max_size=n))
+    if fraction_det(a) == 0:
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            solve_scaled(num, b)
+        return
+    y, d = solve_scaled(num, b)
+    assert all(type(v) is int for row in y for v in row)
+    assert d > 0 and math.gcd(d, *(v for row in y for v in row)) == 1
+    assert [[F(v, d) for v in row] for row in y] == gauss_jordan_solve(num, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices(max_size=5), st.data())
+def test_unimodular_ratio_matches_the_inverse_product(b, data):
+    # A = U B with U nearly unimodular, or an unrelated A
+    n = len(b)
+    if data.draw(st.booleans()):
+        a = mat_mul(data.draw(near_unimodular(size=n)), b)
+    else:
+        a = data.draw(rational_matrices(min_size=n, max_size=n))
+    if fraction_det(b) == 0:
+        with pytest.raises(ValueError, match="^singular matrix$"):
+            is_unimodular_ratio(integer_matrix(a), integer_matrix(b))
+        return
+    expected = is_unimodular(mat_mul(a, mat_inv(b)))
+    assert is_unimodular_ratio(integer_matrix(a), integer_matrix(b)) == expected
 
 
 @settings(max_examples=80, deadline=None)
 @given(near_unimodular() | rational_matrices(max_size=4))
 def test_is_unimodular_matches_the_fraction_reference(a):
-    expected = is_integral_mat(a) and abs(fraction_det(a)) == 1
+    expected = all(F(x).denominator == 1 for row in a for x in row) and abs(fraction_det(a)) == 1
     assert is_unimodular(a) == expected
 
 

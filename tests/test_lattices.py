@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from adelic import lattices
 from adelic import (
+    AdelicBody,
     Ball,
     Box,
     CrossPolytope,
@@ -22,6 +23,7 @@ from adelic import (
     NumberField,
     PlaceBody,
     ProductBody,
+    adelic_minima,
     covering_radius_bounds,
     enumerate_below,
     lattice_equal,
@@ -145,6 +147,22 @@ def test_preimages_are_coordinate_products_without_field_multiplication(monkeypa
     monkeypatch.setattr(FieldElement, "__rmul__", spy)
     assert [red.preimage_of(c) for c in points] == expected
     assert muls == []
+
+
+@pytest.mark.parametrize("name", ["Q_sqrt2", "x3-x-1"])
+def test_minima_preimages_read_the_module_numerators(monkeypatch, name):
+    # a module lattice's back map is the module's integer Z-basis (N, s):
+    # no K-vector of it is flattened again to map the witnesses back
+    module = skewed_module(name)
+    body = AdelicBody(module, uniform_ball_body(module.field, 2, F(1)))
+    flattened = []
+    integer_matrix = lattices.integer_matrix
+    monkeypatch.setattr(lattices, "integer_matrix",
+                        lambda a: flattened.append(a) or integer_matrix(a))
+    rep = adelic_minima(body)
+    red = body.lattice().reduced()
+    assert flattened == [] and red.back_flat is module.int_flat
+    assert rep.witnesses == [preimage_by_field_arithmetic(red, p.coords) for p in rep.points]
 
 
 def test_reduction_reuses_the_back_map_embedding(monkeypatch):

@@ -12,7 +12,6 @@ from adelic import (
     KModule,
     KRankTracker,
     NumberField,
-    flatten_kvector,
     module_from_matrix,
     preset_field,
     quadratic_field,
@@ -23,7 +22,13 @@ from adelic import (
 from adelic import omodules
 from adelic.cli import main
 from adelic.exactla import RankTracker, identity_matrix, transpose
-from field_reference import complementary_basis, contains, gauss_jordan_solve, t_n
+from field_reference import (
+    complementary_basis,
+    contains,
+    flatten_kvector,
+    gauss_jordan_solve,
+    t_n,
+)
 
 F = Fraction
 
@@ -189,20 +194,28 @@ def test_pairing_matrix_is_the_elementwise_trace_sum(field):
     m = module_from_matrix(field, [[field.one(), field.theta()],
                                    [field.zero(), field.from_rational(2)]])
     dual = standard_module(field, 2)
-    assert m.pairing(dual) == [[t_n(x, y) for y in dual.zbasis] for x in m.zbasis]
+    num, s = m.pairing(dual)
+    assert [[F(x, s) for x in row] for row in num] == [[t_n(x, y) for y in dual.zbasis]
+                                                       for x in m.zbasis]
 
 
 def test_trace_dual_inverts_no_matrix_over_k(monkeypatch):
-    # (W^-1)^t is read through the regular representation R(W) over Q
+    # (W^-1)^t is read through the regular representation R(W) over Q:
+    # no determinant, solve or unimodularity test sees a field element
     k_entries = []
 
+    def has_field_element(x):
+        if isinstance(x, FieldElement):
+            return True
+        return isinstance(x, (list, tuple)) and any(map(has_field_element, x))
+
     def spy(original):
-        def checked(a, *rest):
-            k_entries.append(any(isinstance(x, FieldElement) for row in a for x in row))
-            return original(a, *rest)
+        def checked(*args):
+            k_entries.append(has_field_element(args))
+            return original(*args)
         return checked
 
-    for name in ("mat_det", "mat_inv", "mat_solve"):
+    for name in ("mat_det", "solve_scaled", "is_unimodular", "is_unimodular_ratio"):
         monkeypatch.setattr(omodules, name, spy(getattr(omodules, name)))
     cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for k in (preset_field("Q_sqrt2"), cubic):
@@ -211,8 +224,8 @@ def test_trace_dual_inverts_no_matrix_over_k(monkeypatch):
         k_entries.clear()
         dual = m.trace_dual()
         bidual = dual.trace_dual()
-        assert k_entries and not any(k_entries)
         assert bidual.equals(m)
+        assert len(k_entries) >= 5 and not any(k_entries)
 
 
 def test_pseudo_basis_with_scaled_ideals():
@@ -409,11 +422,13 @@ def test_modules_over_one_field_share_the_ring_and_its_dual(monkeypatch):
     assert all(a is ring for m in (first, second) for a, _ in m.pseudo)
     assert standard_module(k, 3).pseudo[0][0] is ring
     first_dual = first.trace_dual()
-    inversions = []
-    inv = omodules.mat_inv
-    monkeypatch.setattr(omodules, "mat_inv", lambda a: inversions.append(a) or inv(a))
+    # an ideal dual is a d x d solve; the second module makes only its
+    # nd x nd pseudo-vector solve
+    sizes = []
+    solve = omodules.solve_scaled
+    monkeypatch.setattr(omodules, "solve_scaled", lambda a, b: sizes.append(len(a)) or solve(a, b))
     second_dual = second.trace_dual()
-    assert inversions == []
+    assert sizes == [4]
     assert second_dual.pseudo[0][0] is first_dual.pseudo[0][0] is ring.trace_dual()
 
 

@@ -1,8 +1,10 @@
 """Adelic bodies: polarity, successive minima, and transference verdicts."""
 
 import math
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,29 +162,54 @@ def test_preimages_are_built_only_for_k_rank_candidates(monkeypatch):
     assert calls["preimage_of"] == 2 < calls["try_add"] <= calls["points"]
 
 
-def test_transference_inverts_no_nd_by_nd_matrix(monkeypatch):
-    # the inverses are d x d (ideals); the pseudo-vector inverse is one
-    # nd x nd rational solve with n right-hand sides, not an inverse;
-    # degree >= 2 keeps n x n and d x d apart from nd x nd
-    sizes = []
-    mat_inv = exactla.mat_inv
-
-    def spy(a):
-        sizes.append(len(a))
-        return mat_inv(a)
+def spy_on(monkeypatch, original, record):
+    """Route every binding of `original` in the adelic modules through `record` first."""
+    def spy(*args):
+        record(*args)
+        return original(*args)
 
     for name, mod in list(sys.modules.items()):
         if name == "adelic" or name.startswith("adelic."):
             for attr, value in list(vars(mod).items()):
-                if value is mat_inv:
+                if value is original:
                     monkeypatch.setattr(mod, attr, spy)
+
+
+def test_transference_inverts_no_nd_by_nd_matrix(monkeypatch):
+    # every exact solve runs through solve_scaled: the ideal duals and
+    # actions are d x d, and the pseudo-vector inverse is one nd x nd
+    # solve with n right-hand sides, not an inverse; degree >= 2 keeps
+    # n x n and d x d apart from nd x nd
+    inversions, shapes = [], []
+    spy_on(monkeypatch, exactla.mat_inv, lambda a: inversions.append(len(a)))
+    spy_on(monkeypatch, exactla.solve_scaled, lambda a, b: shapes.append((len(a), len(b[0]))))
     cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for k in (preset_field("Q_sqrt2"), cubic):
         one, zero, theta = k.one(), k.zero(), k.theta()
         mod = module_from_matrix(k, [[one + theta, theta], [one, k.from_rational(3)]])
-        sizes.clear()
+        inversions.clear()
+        shapes.clear()
         assert transference_check(AdelicBody(mod, uniform_ball_body(k, 2, F(1)))).passed
-        assert sizes and 2 * k.degree not in sizes
+        nd = 2 * k.degree
+        assert inversions == []
+        assert (nd, 2) in shapes and (nd, nd) not in shapes
+
+
+def test_polar_and_biduality_invert_no_matrix(monkeypatch, capsys):
+    # trace duals, ideal duals and module equality are solves and
+    # unimodular-ratio tests on integer numerators
+    inversions = []
+    spy_on(monkeypatch, exactla.mat_inv, inversions.append)
+    k = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    one, theta = k.one(), k.theta()
+    body = AdelicBody(module_from_matrix(k, [[one + theta, theta], [one, k.from_rational(3)]]),
+                      uniform_ball_body(k, 2, F(1)))
+    assert adelic_equal(adelic_polar(adelic_polar(body)), body)
+    from adelic.cli import main
+    scenario = Path(__file__).with_name("scenarios") / "x3-x-1_rank2_box.ini"
+    assert main(["polar", str(scenario), "--machine"]) == 0
+    assert "polar biduality=pass" in capsys.readouterr().out
+    assert inversions == []
 
 
 def test_minima_cap_error_names_the_stage_round_and_level(capsys):
@@ -194,6 +221,15 @@ def test_minima_cap_error_names_the_stage_round_and_level(capsys):
     from adelic.cli import main
     assert main(["minima", "Q_sqrt2", "--cap", "2"]) == 3
     assert "minima search, round 1 at level t=1:" in capsys.readouterr().err
+    # transference_check names the side: the (1, 3) box needs more nodes
+    # than its polar, so at this cap S fails, and S* fails for the polar body
+    k = preset_field("Q_sqrt2")
+    boxed = AdelicBody(standard_module(k, 2),
+                       ProductBody(k, 2, [PlaceBody("real", 2, Box((F(1), F(3))))] * 2))
+    for body, side in ((boxed, "body S"), (adelic_polar(boxed), "polar S*")):
+        with pytest.raises(EnumerationCapError,
+                           match=rf"^{re.escape(side)}: minima search, round \d+ at level t="):
+            transference_check(body, ComputeOptions(enumeration_cap=100))
 
 
 def test_thunder_slacks_are_nonnegative():
