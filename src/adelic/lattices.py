@@ -1,19 +1,19 @@
 """Embedded lattices in R^(n*d): reduction, enumeration, minima, covering radii.
 
 A lattice carries the diagonal twisted form F, a float basis (rows), and
-optionally a back map to K-vectors (a module's Z-basis) with the integer
-transform U from it to the basis; reduction composes U.  All rank
-decisions, over Q and over K, are integer eliminations on integer
-coordinates; a point is mapped back to a K-vector only when a caller
-keeps it (`preimage_of`: its coordinates times U times the back map's
-integer coordinates N / s, the module's own).  Floats only measure
-gauges, and enumeration is seeded by each body's own diagonal bounding
-form (`ProductBody.bounding_ellipsoid`).
+optionally a back map to K-vectors (a module's Z-basis, as its integer
+coordinates N / s) with the integer transform U from it to the basis;
+reduction composes U.  All rank decisions, over Q and over K, are
+integer eliminations on integer coordinates; a point is mapped back to
+a K-vector only when a caller keeps it (`preimage_of`: its coordinates
+times U times N / s).  Floats only measure gauges, and enumeration is
+seeded by each body's own diagonal bounding form.
 
-LLL recomputes one Gram-Schmidt row per step, and enumeration expands
-a numpy frontier, one array per live coordinate, level by level; both
-give the floats of the plain loops (full Gram-Schmidt after every step,
-a depth-first recursion over both signs) bit for bit.
+LLL recomputes one Gram-Schmidt row per step.  One enumeration engine
+expands a numpy frontier level by level, around the origin for minima
+and around many grid points at once for covering radii; both give the
+floats of the plain loops (full Gram-Schmidt after every step, a
+depth-first recursion) bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from .bodies import ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
-from .exactla import integer_matrix, mat_det, mat_mul, mat_vec, transpose
+from .exactla import mat_det, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
 from .omodules import KModule, KVector
 
@@ -37,10 +37,10 @@ from .omodules import KModule, KVector
 class EmbeddedLattice:
     """Full-rank lattice in R^m with a diagonal form and optional exact preimages.
 
-    Basis row i is the embedding of sum_k transform[i][k] * back_map[k];
-    the transform defaults to the identity.  The back map's embedding and
-    its flattened coordinates (N, s) are computed once, or passed in as
-    `back_embedding` and `back_flat`, and shared by every reduced copy.
+    Basis row i embeds sum_k transform[i][k] * row k of the back map
+    `back_flat`, flattened K-coordinates N / s; the transform defaults to
+    the identity.  The back map's embedding is computed once (or passed
+    as `back_embedding`) and shared by every reduced copy.
     """
 
     def __init__(
@@ -49,12 +49,11 @@ class EmbeddedLattice:
         n: int,
         basis: np.ndarray,
         form: np.ndarray,
-        back_map: list[KVector] | None = None,
+        back_flat: tuple[list[list[int]], int] | None = None,
         conjugated: bool = False,
         transform: list[list[int]] | None = None,
         *,
         back_embedding: np.ndarray | None = None,
-        back_flat: tuple[list[list[int]], int] | None = None,
     ):
         basis = np.asarray(basis, dtype=float)
         m = basis.shape[0]
@@ -64,28 +63,23 @@ class EmbeddedLattice:
         self.n = n
         self.basis = basis
         self.form = np.asarray(form, dtype=float)
-        self.back_map = back_map
+        self.back_flat = back_flat
         self.conjugated = conjugated
         if transform is None:
             transform = [[int(i == j) for j in range(m)] for i in range(m)]
         self.transform = transform
         self.back_embedding = None
-        if back_map is not None:
-            if len(back_map) != m:
+        if back_flat is not None:
+            if len(back_flat[0]) != m:
                 raise ValueError("back map must have one K-vector per basis row")
-            if back_flat is None:
-                back_flat = integer_matrix([[c for x in vec for c in x.coords]
-                                            for vec in back_map])
             if back_embedding is None:
-                back_embedding = np.array([field.embed_vector(vec, conjugated)
-                                           for vec in back_map])
+                back_embedding = _embed_rows(field, back_flat, conjugated)
             self.back_embedding = back_embedding
             u = np.array(transform, dtype=float)
             # an entry of u @ emb may be off by the rounding error of its terms
             scale = max(1.0, float(np.max(np.abs(u) @ np.abs(back_embedding))))
             if float(np.max(np.abs(u @ back_embedding - basis))) > 1e-9 * scale:
                 raise ValueError("back map does not embed onto the basis rows")
-        self.back_flat = back_flat
 
     @property
     def dim(self) -> int:
@@ -103,9 +97,9 @@ class EmbeddedLattice:
         new_basis = np.zeros_like(self.basis)
         for k, column in enumerate(np.array(u, dtype=float).T):
             new_basis = new_basis + column[:, None] * self.basis[k]
-        return EmbeddedLattice(self.field, self.n, new_basis, self.form, self.back_map,
+        return EmbeddedLattice(self.field, self.n, new_basis, self.form, self.back_flat,
                                self.conjugated, mat_mul(u, self.transform),
-                               back_embedding=self.back_embedding, back_flat=self.back_flat)
+                               back_embedding=self.back_embedding)
 
     @cached_property
     def _preimage_map(self) -> tuple[list[list[int]], int]:
@@ -115,7 +109,7 @@ class EmbeddedLattice:
 
     def preimage_of(self, coords: Sequence[int]) -> KVector | None:
         """The K-vector of the point: coords U times the flattened back map, in d-blocks."""
-        if self.back_map is None:
+        if self.back_flat is None:
             return None
         rows, s = self._preimage_map
         flat = [Fraction(x, s) for x in mat_vec(rows, coords)]
@@ -123,14 +117,17 @@ class EmbeddedLattice:
         return tuple(self.field.element(flat[k:k + d]) for k in range(0, len(flat), d))
 
 
+def _embed_rows(field: NumberField, flat: tuple[list[list[int]], int], conjugated: bool):
+    """The embeddings of the rows of N / s, from the coordinate floats N / s."""
+    return np.array([field.embed_flat([x / flat[1] for x in row], conjugated) for row in flat[0]])
+
+
 def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:
-    """Embed a rank-n module place-major; the twisted form comes with it."""
+    """Embed a rank-n module's Z-basis `int_flat` place-major; the twisted form comes with it."""
     field = module.field
-    n = module.rank
-    zb = module.zbasis
-    basis = np.array([field.embed_vector(z, conjugated) for z in zb])
-    return EmbeddedLattice(field, n, basis, field.twisted_form_diag(n), list(zb), conjugated,
-                           back_embedding=basis, back_flat=module.int_flat)
+    basis = _embed_rows(field, module.int_flat, conjugated)
+    return EmbeddedLattice(field, module.rank, basis, field.twisted_form_diag(module.rank),
+                           module.int_flat, conjugated, back_embedding=basis)
 
 
 def polar_lattice(
@@ -237,33 +234,41 @@ class LatticePoint:
         return (self.gauge, self.coords)
 
 
-def _enumerate_quadratic(r: np.ndarray, bound: float, cap: int) -> np.ndarray:
-    """All nonzero integer c with |R c|^2 <= bound, R upper triangular, one per +- pair.
+def _enumerate_quadratic(r: np.ndarray, bound, cap: int, targets: np.ndarray | None = None):
+    """Integer c with |R (c - f)|^2 <= bound, R upper triangular: the Fincke-Pohst search.
 
-    The Fincke-Pohst search, breadth first from the last coordinate
-    down: at level i each frontier row takes every c_i in its range whose
-    term fits in its remaining bound.  The center, the row's sum of
-    R[i, j] c_j over j > i, is accumulated in increasing j, so every
-    range, term and remainder is the float of the depth-first recursion
-    node by node.  While every higher coordinate is zero c_i >= 0, so
-    each pair comes once; the rows (an int array) are returned with their
-    first nonzero coordinate positive.  Nodes are counted per level, and
+    Breadth first from the last coordinate down: at level i each frontier
+    row takes every c_i in its range whose term fits in its remaining
+    bound.  The center is -(R f)_i plus the row's R[i, j] c_j over j > i
+    in increasing j; at f = 0 every range, term and remainder is the
+    float of the depth-first recursion.  Nodes are counted per level, and
     a level that would take the count past `cap` is never built.
+
+    Without targets the one root is f = 0 and the nonzero c come one per
+    +- pair (c_i >= 0 while every higher coordinate is zero), as an int
+    array, each row's first nonzero coordinate positive.  With targets
+    (k x m, lattice coordinates) and one bound each, the k roots share
+    the frontier, each row carrying its target's index, and (coords,
+    target index) is returned, zero included.
     """
     m = r.shape[0]
+    centred = targets is not None
+    shift = targets @ r.T if centred else None
+    remaining = np.array(bound if centred else [bound], dtype=float)
+    root = np.arange(len(remaining))
     # the frontier is one array per coordinate i+1..m-1, the lower ones being zero
     cols: list[np.ndarray] = []
-    remaining = np.array([float(bound)])
     nodes = 0
     for i in range(m - 1, -1, -1):
-        s = np.zeros(len(remaining))
+        s = -shift[root, i] if centred else np.zeros(len(remaining))
         for j in range(i + 1, m):
             s = s + r[i, j] * cols[j - i - 1]
         rad = np.sqrt(np.maximum(remaining, 0.0))
         lo = np.ceil((-s - rad) / r[i, i] - 1e-12)
         hi = np.floor((-s + rad) / r[i, i] + 1e-12)
-        # row 0 is the all-zero prefix: its range is symmetric, keep c_i >= 0
-        lo[0] = 0.0
+        if not centred:
+            # row 0 is the all-zero prefix: its range is symmetric, keep c_i >= 0
+            lo[0] = 0.0
         counts = np.maximum(hi - lo + 1, 0)
         nodes += float(np.sum(counts))
         if not nodes <= cap:
@@ -285,9 +290,13 @@ def _enumerate_quadratic(r: np.ndarray, bound: float, cap: int) -> np.ndarray:
         for k, col in enumerate(cols):
             cols[k] = col[rows]
         cols.insert(0, ci[keep])
-    # the zero vector stays first; flip each pair to its first-nonzero-positive member
-    coords = np.stack(cols, axis=1)[1:]
+        root = root[rows]
+    coords = np.stack(cols, axis=1)
     del cols
+    if centred:
+        return coords, root
+    # the zero vector stays first; flip each pair to its first-nonzero-positive member
+    coords = coords[1:]
     first = coords[np.arange(len(coords)), np.argmax(coords != 0, axis=1)]
     coords *= np.where(first < 0, -1, 1)[:, None]
     return coords
@@ -343,11 +352,10 @@ def points_by_gauge(
     found at a level below twice its value, even when every basis
     vector lies far outside a skewed body.  Each round yields only the
     points above the previous level (with the same 1e-12 slack
-    `enumerate_below` keeps), so no pair comes twice.
-    The stream simply ends after the last round; callers say what they
-    did not find.  A consumer that stops early saves the later rounds.
-    A round that hits the enumeration cap raises, naming the minima
-    search, the round and its level.
+    `enumerate_below` keeps), so no pair comes twice.  The stream ends
+    after the last round; callers say what they did not find, and a
+    consumer that stops early saves the later rounds.  A round that hits
+    the enumeration cap raises, naming the round and its level.
     """
     # a nonzero point has |R c| >= min_i R_ii (its last nonzero coordinate is
     # at least 1 in size), and its bounding form is at most the bound at its gauge
@@ -385,13 +393,14 @@ def covering_radius_bounds(
     coordinates) so that doubling the resolution refines the same grid.
     The lower end is the largest distance (in gauge) from a grid point to
     its nearest lattice point, the upper end adds the Lipschitz slack of
-    the grid spacing.  Nearest points are searched only among offsets
-    whose cell meets the bounding form at the largest corner gauge, and
-    only for grid points whose corner gauge still exceeds the running
-    maximum, visited in decreasing order of it; so the cost is the grid
-    (resolution**dim corner gauges) plus a few exact minima, not
-    resolution**dim times the offset window.  Dimensions above 4 are
-    rejected.
+    the grid spacing.  Grid points are visited in decreasing order of the
+    gauge to their rounded corner, in doubling batches, until that gauge
+    is at most the running maximum.  A batch's nearest points come from
+    one centred enumeration, each grid point within the bounding form at
+    its own corner gauge (which holds the corner), so the cost is the
+    resolution**dim corner gauges plus the lattice points near the few
+    grid points measured.  A batch that hits the enumeration cap raises,
+    naming it.  Dimensions above 4 are rejected.
     """
     if lat.dim > 4:
         raise DimensionLimitError(
@@ -410,43 +419,33 @@ def covering_radius_bounds(
     mesh = np.meshgrid(*axes, indexing="ij")
     fracs = np.stack([a.ravel() for a in mesh], axis=1)
     grid = fracs @ b
-
-    # window size: any better lattice representative of a cell point stays
-    # within gauge <= g0 of it, hence within a ball of radius g0 * circ
-    circ = math.sqrt(sum(r * r for r in body.circumradii()))
     corner_best = body.gauge_many(grid - np.rint(fracs) @ b)
-    g0 = float(np.max(corner_best))
-    binv_norm = float(np.linalg.norm(np.linalg.inv(b), 2))
-    w = int(math.ceil(g0 * circ * binv_norm)) + 1
-
-    if (2 * w + 2) ** m > options.enumeration_cap:
-        raise EnumerationCapError(
-            "covering search window is too large; the body is likely far "
-            "from round relative to the lattice")
-    offsets = np.stack(np.meshgrid(*[np.arange(-w, w + 2) for _ in range(m)],
-                                   indexing="ij"), axis=-1).reshape(-1, m)
-    # a nearest point c of a grid point f (in [0, 1)^m) has gauge <= g0 at
-    # f - c, so |R (c - f)| is within the bounding form at g0, and
-    # |R (f - 1/2)| <= sum_j |R e_j| / 2: keep only the offsets c that can
-    # be one.  The rows kept are those of the full product, bit for bit.
     r = _bounding_factor(red, body)
-    reach = (math.sqrt(body.enumeration_quadratic_bound(g0)) * (1 + 1e-9)
-             + 0.5 * float(np.sum(np.linalg.norm(r, axis=0))))
-    near = np.linalg.norm((offsets - 0.5) @ r.T, axis=1) <= reach
-    shift = (offsets @ b)[near]
 
     # best <= corner_best per grid point, so once the next corner gauge is
     # at most the running maximum no later grid point can raise it
     order = np.argsort(-corner_best, kind="stable")
     lower = -math.inf
-    most = max(1, 2_000_000 // len(shift))
-    start, size = 0, min(16, most)
+    start, size, batch = 0, 16, 0
     while start < len(order) and corner_best[order[start]] > lower:
-        pts = grid[order[start:start + size]]
-        diffs = pts[:, None, :] - shift[None, :, :]
-        g = body.gauge_many(diffs.reshape(-1, m)).reshape(len(pts), len(shift))
-        lower = max(lower, float(np.max(g.min(axis=1))))
-        start, size = start + size, min(2 * size, most)
+        idx = order[start:start + size]
+        batch += 1
+        bounds = body.enumeration_quadratic_bound(corner_best[idx]) * (1 + 1e-9)
+        try:
+            coords, near = _enumerate_quadratic(r, bounds, options.enumeration_cap, fracs[idx])
+        except EnumerationCapError as exc:
+            raise EnumerationCapError(
+                f"covering search, grid batch {batch} ({len(idx)} points, corner gauge "
+                f"<= {corner_best[idx[0]]:.6g}): {exc}") from exc
+        vecs = (coords.astype(float)[:, None, :] @ b)[:, 0, :]
+        best = np.full(len(idx), np.inf)
+        np.minimum.at(best, near, body.gauge_many(grid[idx][near] - vecs))
+        lower = max(lower, float(np.max(best)))
+        # later points have smaller bounds and a search visits a few nodes per
+        # point found: at this batch's rate the next one finds an eighth of the cap
+        per_point = -(-len(coords) // len(idx))
+        start += len(idx)
+        size = min(2 * size, max(16, options.enumeration_cap // (8 * per_point)))
 
     slack = body.lipschitz() * (0.5 / k) * float(np.sum(np.linalg.norm(b, axis=1)))
     return lower, lower + slack

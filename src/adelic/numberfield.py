@@ -452,21 +452,25 @@ class NumberField:
             start += dim
         return out
 
-    def _eval_at_root(self, x: FieldElement, root: complex) -> complex:
-        acc = 0j
-        for c in reversed(x.coords):
-            acc = acc * root + float(c)
-        return acc
-
     def embed(self, x: FieldElement, conjugated: bool = False) -> np.ndarray:
         """Coordinates of x across all places: reals, then (Re, Im) pairs."""
+        return self._embed_coords([float(c) for c in x.coords], conjugated)
+
+    def _embed_coords(self, coords: Sequence[float], conjugated: bool) -> np.ndarray:
+        """`embed` of the element with these float coordinates, by Horner at each root."""
+        def at(root: complex) -> complex:
+            acc = 0j
+            for c in reversed(coords):
+                acc = acc * root + c
+            return acc
+
         out = np.empty(self.degree)
         for i, root in enumerate(self.real_roots):
-            out[i] = self._eval_at_root(x, complex(root, 0)).real
+            out[i] = at(complex(root, 0)).real
         r = len(self.real_roots)
         sign = -1.0 if conjugated else 1.0
         for j, root in enumerate(self.complex_roots):
-            v = self._eval_at_root(x, root)
+            v = at(root)
             out[r + 2 * j] = v.real
             out[r + 2 * j + 1] = sign * v.imag
         return out
@@ -477,9 +481,15 @@ class NumberField:
         All coordinates at the first place come first, then the second
         place, and so on; complex places contribute (Re, Im) per entry.
         """
+        return self.embed_flat([float(c) for x in xs for c in x.coords], conjugated)
+
+    def embed_flat(self, flat: Sequence[float], conjugated: bool = False) -> np.ndarray:
+        """`embed_vector` of the K-vector whose flattened coordinates are these floats."""
         r, s = self.signature
-        e = np.array([self.embed(x, conjugated) for x in xs])
-        pairs = e[:, r:].reshape(len(xs), s, 2).transpose(1, 0, 2)
+        d = self.degree
+        e = np.array([self._embed_coords(flat[k:k + d], conjugated)
+                      for k in range(0, len(flat), d)])
+        pairs = e[:, r:].reshape(len(e), s, 2).transpose(1, 0, 2)
         return np.concatenate([e[:, :r].T.ravel(), pairs.ravel()])
 
     def twisted_form_diag(self, n: int) -> np.ndarray:

@@ -185,6 +185,13 @@ class KModule:
         if mat_det(self.regular[0]) == 0:
             raise ValueError("singular matrix")
 
+    @classmethod
+    def _known(cls, field: NumberField, pseudo: list[tuple[FractionalIdeal, KVector]]) -> "KModule":
+        """A module whose pseudo-vectors are K-independent by construction."""
+        module = cls.__new__(cls)
+        module.field, module.rank, module.pseudo = field, len(pseudo), pseudo
+        return module
+
     @cached_property
     def regular(self) -> tuple[IntMatrix, int]:
         """R(W) = N / t as (N, t): the nd x nd matrix with flatten(x W) = flatten(x) R(W).
@@ -222,13 +229,6 @@ class KModule:
         rows, s = self.int_flat
         return [[Fraction(x, s) for x in row] for row in rows]
 
-    @cached_property
-    def zbasis(self) -> list[KVector]:
-        """Z-basis of the module: ideal generators times pseudo-vectors, read off `flat`."""
-        d = self.field.degree
-        return [tuple(self.field.element(row[k:k + d]) for k in range(0, len(row), d))
-                for row in self.flat]
-
     def pairing(self, other: "KModule") -> tuple[IntMatrix, int]:
         """sum_k Tr(x_k y_k) over the Z-bases, N / s = flat (I_n (x) P) other.flat^t, as (N, s)."""
         d = self.field.degree
@@ -257,7 +257,8 @@ class KModule:
                        for col in transpose(y[j * d:(j + 1) * d])) for j in range(n)]
         # module_from_matrix and standard_module share one ideal across the pairs
         duals = {a: a.trace_dual() for a in dict.fromkeys(a for a, _ in self.pseudo)}
-        dual = KModule(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)])
+        # (W^-1)^t is invertible, so the dual's vectors need no independence test
+        dual = KModule._known(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)])
         # second route: dual's Z-basis spans the lattice dual to ours (the
         # span of G^-1 z, G the Gram matrix) iff their pairings are unimodular
         if not is_unimodular(*dual.pairing(self)):

@@ -96,10 +96,18 @@ def kcombination(field, n, coeffs, kvectors):
     return tuple(acc)
 
 
+def kvectors(field, flat):
+    """The K-vectors whose flattened coordinates are the rows of N / s, flat = (N, s)."""
+    rows, s = flat
+    d = field.degree
+    return [tuple(field.element([Fraction(x, s) for x in row[k:k + d]])
+                  for k in range(0, len(row), d)) for row in rows]
+
+
 def preimage_by_field_arithmetic(lat, coords):
     """The K-vector of a lattice point: module coordinates coords U over the back map."""
     module_coords = [sum(c * u for c, u in zip(coords, col)) for col in zip(*lat.transform)]
-    return kcombination(lat.field, lat.n, module_coords, lat.back_map)
+    return kcombination(lat.field, lat.n, module_coords, kvectors(lat.field, lat.back_flat))
 
 
 def complementary_basis(field):

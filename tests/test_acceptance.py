@@ -66,7 +66,7 @@ def test_criterion_1_worked_example():
 
     ok = k.discriminant == 8
     dual = body.finite_part.trace_dual()
-    flat = sorted(tuple(c for e in v for c in e.coords) for v in dual.zbasis)
+    flat = sorted(tuple(row) for row in dual.flat)
     ok &= flat == [(F(0), F(1, 4)), (F(1, 2), F(0))]
 
     lam1 = adelic_minima(body).minima[0]

@@ -39,6 +39,7 @@ from field_reference import (
     classical_minima,
     covering_radius_full_window,
     enumerate_quadratic_recursive,
+    kvectors,
     lll_transform_full_gram_schmidt,
     preimage_by_field_arithmetic,
 )
@@ -111,7 +112,7 @@ def test_reduction_keeps_back_map_exact():
     red = lat.reduced()
     m = red.dim
     assert red.transform != [[int(i == j) for j in range(m)] for i in range(m)]
-    assert red.back_map is lat.back_map
+    assert red.back_flat is lat.back_flat
     for i, row in enumerate(red.basis):
         vec = red.preimage_of([int(i == j) for j in range(m)])
         assert np.allclose(k.embed_vector(vec), row, atol=1e-9)
@@ -151,25 +152,20 @@ def test_preimages_are_coordinate_products_without_field_multiplication(monkeypa
 
 @pytest.mark.parametrize("name", ["Q_sqrt2", "x3-x-1"])
 def test_minima_preimages_read_the_module_numerators(monkeypatch, name):
-    # a module lattice's back map is the module's integer Z-basis (N, s):
-    # no K-vector of it is flattened again to map the witnesses back
+    # a module lattice's back map is the module's integer Z-basis (N, s)
     module = skewed_module(name)
     body = AdelicBody(module, uniform_ball_body(module.field, 2, F(1)))
-    flattened = []
-    integer_matrix = lattices.integer_matrix
-    monkeypatch.setattr(lattices, "integer_matrix",
-                        lambda a: flattened.append(a) or integer_matrix(a))
     rep = adelic_minima(body)
     red = body.lattice().reduced()
-    assert flattened == [] and red.back_flat is module.int_flat
+    assert red.back_flat is module.int_flat
     assert rep.witnesses == [preimage_by_field_arithmetic(red, p.coords) for p in rep.points]
 
 
 def test_reduction_reuses_the_back_map_embedding(monkeypatch):
     lat = lattice_from_module(skewed_module("x3-x-1"))
     calls = []
-    embed = NumberField.embed_vector
-    monkeypatch.setattr(NumberField, "embed_vector",
+    embed = NumberField.embed_flat
+    monkeypatch.setattr(NumberField, "embed_flat",
                         lambda self, *args: calls.append(args) or embed(self, *args))
     red = lat.reduced()
     assert calls == []
@@ -210,7 +206,7 @@ def test_lll_transform_matches_full_gram_schmidt_reference(rows):
 def test_back_map_validation():
     with pytest.raises(ValueError, match="back map"):
         EmbeddedLattice(Q, 2, np.eye(2), np.ones(2),
-                        back_map=[(Q.one(), Q.zero()), (Q.one(), Q.one())])
+                        back_flat=([[1, 0], [1, 1]], 1))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -306,6 +302,54 @@ def test_enumeration_cap_never_returns_a_partial_list():
             continue
         outcomes.add("complete")
         assert got.tolist() == full.tolist()
+    assert outcomes == {"raised", "complete"}
+
+
+def box_search_around(r, target, bound):
+    """Every integer c with |R (c - target)|^2 <= bound, from a box around the target."""
+    m = r.shape[0]
+    # c - target = R^-1 y with |y| <= sqrt(bound) bounds each coordinate
+    reach = np.ceil(math.sqrt(bound) * np.linalg.norm(np.linalg.inv(r), axis=1)).astype(int) + 1
+    axes = [np.arange(math.floor(f) - h, math.ceil(f) + h + 1) for f, h in zip(target, reach)]
+    box = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, m)
+    return box, np.sum(((box - target) @ r.T) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_centred_enumeration_matches_a_box_search(seed):
+    # random triangular R, targets and per-target bounds; a point within
+    # 1e-9 of its bound may fall either way
+    rng = np.random.default_rng(seed)
+    m = 1 + seed % 4
+    r = np.triu(rng.uniform(-2, 2, size=(m, m)))
+    r[np.diag_indices(m)] = rng.uniform(0.3, 2.5, size=m)
+    targets = rng.uniform(-3, 3, size=(5, m))
+    bounds = rng.uniform(0.05, 6, size=5)
+    coords, near = lattices._enumerate_quadratic(r, bounds, 10 ** 6, targets)
+    assert coords.dtype.kind == "i" and near.dtype.kind == "i"
+    for t, (target, bound) in enumerate(zip(targets, bounds)):
+        got = [tuple(c) for c in coords[near == t].tolist()]
+        assert len(got) == len(set(got))
+        box, q = box_search_around(r, target, bound)
+        inner = {tuple(c) for c in box[q <= bound - 1e-9].tolist()}
+        outer = {tuple(c) for c in box[q <= bound + 1e-9].tolist()}
+        assert inner <= set(got) <= outer
+
+
+def test_centred_enumeration_cap_never_returns_a_partial_list():
+    r = np.linalg.cholesky(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])).T
+    targets = np.array([[0.5, 0.5, 0.5], [0.25, -0.75, 2.0]])
+    bounds = np.array([9.0, 4.0])
+    full = lattices._enumerate_quadratic(r, bounds, 10 ** 6, targets)
+    outcomes = set()
+    for cap in range(1, 400, 3):
+        try:
+            got = lattices._enumerate_quadratic(r, bounds, cap, targets)
+        except EnumerationCapError:
+            outcomes.add("raised")
+            continue
+        outcomes.add("complete")
+        assert [x.tolist() for x in got] == [x.tolist() for x in full]
     assert outcomes == {"raised", "complete"}
 
 
@@ -474,7 +518,7 @@ def test_polar_lattice_matches_mirror_embedded_dual_module():
         lat = lattice_from_module(mod)
         dual = polar_lattice(lat, dual_module=mod.trace_dual())
         assert dual.conjugated != lat.conjugated
-        assert dual.back_map is not None
+        assert dual.back_flat is not None
     # a wrong module is rejected by the cross-check
     k = preset_field("Q_sqrt2")
     mod = standard_module(k, 1)
@@ -577,10 +621,42 @@ def test_pruned_covering_search_measures_a_tenth_of_the_window(monkeypatch):
     assert 0 < pruned_rows < window_rows / 10
 
 
+def test_centred_covering_search_measures_few_rows_beyond_the_corners(monkeypatch):
+    # Q(sqrt 2), rank 2, resolution 8: the 8^4 corner gauges, then a few
+    # lattice points around each of the few grid points measured
+    lat, body = sqrt2_rank2_case()
+    rows = []
+    gauge_many = ProductBody.gauge_many
+    monkeypatch.setattr(ProductBody, "gauge_many",
+                        lambda self, pts: rows.append(len(pts)) or gauge_many(self, pts))
+    bracket = covering_radius_bounds(lat, body, resolution=8)
+    assert rows[0] == 8 ** 4 and 0 < sum(rows[1:]) < 2000
+    assert bracket == covering_radius_full_window(lat, body, 8)
+
+
 def test_covering_search_window_cap():
-    # a 1 x 50 box over Z^2 needs a window of (2w+2)^2 = 3136 offsets
+    # a 1 x 50 box over Z^2: the first batch of 16 grid points visits
+    # about 170 nodes for each point at corner gauge 0.5
     body = q_body(2, Box((F(1), F(50))))
-    with pytest.raises(EnumerationCapError, match="covering search window is too large"):
+    with pytest.raises(EnumerationCapError,
+                       match=r"covering search, grid batch 1 \(16 points, corner gauge <= 0.5\)"):
         covering_radius_bounds(z_lattice(2), body, resolution=8,
                                options=ComputeOptions(enumeration_cap=1000))
     assert covering_radius_bounds(z_lattice(2), body, resolution=8) == (0.5, 0.625)
+
+
+@pytest.mark.parametrize("name,conjugated", [("Q_sqrt2", False), ("Q_i", True),
+                                             ("Q_sqrt-3", False), ("x3-x-1", True)])
+def test_module_lattice_embeds_the_integer_basis_as_the_k_vectors(name, conjugated):
+    # the basis from the coordinate floats N / s is the embedding of the
+    # Z-basis K-vectors bit for bit
+    if name == "x3-x-1":
+        module = skewed_module(name)
+    else:
+        k = preset_field(name)
+        module = module_from_matrix(k, [[k.one(), k.theta()],
+                                        [k.from_rational(F(1, 3)), k.from_rational(5)]])
+    lat = lattice_from_module(module, conjugated)
+    want = np.array([module.field.embed_vector(z, conjugated)
+                     for z in kvectors(module.field, module.int_flat)])
+    assert lat.basis.tobytes() == want.tobytes()
