@@ -287,9 +287,6 @@ class ProductBody:
     def scaled(self, f: Fraction) -> "ProductBody":
         return ProductBody(self.field, self.n, [pb.scaled(f) for pb in self.place_bodies])
 
-    def circumradii(self) -> list[float]:
-        return [pb.shape.circumradius() for pb in self.place_bodies]
-
     def bounding_ellipsoid(self) -> np.ndarray:
         """Diagonal q with {gauge <= 1} contained in {x^T diag(q) x <= #places}.
 

@@ -209,7 +209,8 @@ def cmd_paper_example(args, rep: _Report) -> int:
 
     dual = body.finite_part.trace_dual()
     expected = sorted([(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4))])
-    got = sorted(tuple(v) for v in dual.flat)
+    rows, s = dual.int_flat
+    got = sorted(tuple(Fraction(x, s) for x in row) for row in rows)
     got_txt = ";".join(",".join(str(c) for c in v) for v in got)
     want_txt = ";".join(",".join(str(c) for c in v) for v in expected)
     checks.append(("dual_basis", got_txt, want_txt, got == expected))

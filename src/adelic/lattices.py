@@ -343,28 +343,38 @@ def points_by_gauge(
     lat: EmbeddedLattice,
     body: ProductBody,
     options: ComputeOptions = DEFAULT_OPTIONS,
+    k: int | None = None,
 ) -> Iterator[LatticePoint]:
     """Nonzero points of a reduced lattice in nondecreasing (gauge, coords) order.
 
-    One point per +- pair, as in `enumerate_below`.  The search level
-    starts at a lower bound for the first minimum, read off the body's
-    bounding form, and doubles, for at most 60 rounds; so a minimum is
-    found at a level below twice its value, even when every basis
-    vector lies far outside a skewed body.  Each round yields only the
-    points above the previous level (with the same 1e-12 slack
-    `enumerate_below` keeps), so no pair comes twice.  The stream ends
-    after the last round; callers say what they did not find, and a
-    consumer that stops early saves the later rounds.  A round that hits
-    the enumeration cap raises, naming the round and its level.
+    One point per +- pair, as in `enumerate_below`, through the k-th
+    minimum (k defaults to the rank m), whose level is bracketed:
+    k independent points cannot all lie in the span of the first k-1
+    basis rows, so one has |R c|^2 >= R_jj^2 for some j >= k-1, and that
+    is at most the body's bound at its gauge; the k basis rows of least
+    gauge are independent, so lambda_k is at most the k-th of them, top.
+    The levels are top / g**J, ..., top / g, top with g = min(2, 2^(4/m))
+    (a round covers at most 16 times the volume of the one before) and
+    the first level the lowest at or above the lower end, within the
+    range of 60 doublings.  A minimum in the bracket is found at the
+    first level at or above it, below g times its value, and the last
+    level is top, where all k are found, so the stream ends there.
+    Each round yields only the points above the previous level (with
+    the 1e-12 slack `enumerate_below` keeps), so no pair comes twice.  A
+    round that hits the enumeration cap raises, naming round and level.
     """
-    # a nonzero point has |R c| >= min_i R_ii (its last nonzero coordinate is
-    # at least 1 in size), and its bounding form is at most the bound at its gauge
+    k = k or lat.dim
     r = _bounding_factor(lat, body)
-    t = float(np.min(np.abs(np.diag(r)))) / math.sqrt(body.enumeration_quadratic_bound(1.0))
-    if t <= 0:
-        raise ConditioningError("bounding form is numerically singular")
+    lower = float(np.min(np.abs(np.diag(r))[k - 1:])) / math.sqrt(
+        body.enumeration_quadratic_bound(1.0))
+    top = float(np.sort(body.gauge_many(lat.basis))[k - 1])
+    g = min(2.0, 2.0 ** (4.0 / lat.dim))
+    steps = 0
+    while steps + 1 < math.ceil(60 / math.log2(g)) and top / g ** (steps + 1) >= lower:
+        steps += 1
     floor = -math.inf
-    for round_ in range(1, 61):
+    for round_, j in enumerate(range(steps, -1, -1), 1):
+        t = top / g ** j
         try:
             points = enumerate_below(lat, body, t, options)
         except EnumerationCapError as exc:
@@ -374,7 +384,6 @@ def points_by_gauge(
             if p.gauge > floor:
                 yield p
         floor = t * (1 + 1e-12)
-        t *= 2
 
 
 # ---------------------------------------------------------------------------

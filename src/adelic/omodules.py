@@ -25,7 +25,6 @@ from typing import Sequence
 from .errors import ConditioningError
 from .exactla import (
     IntMatrix,
-    Matrix,
     RankTracker,
     integer_matrix,
     is_unimodular,
@@ -223,14 +222,8 @@ class KModule:
             rows.extend([x * (s // si) for x in row] for row in mat_mul(c, r[i * d:(i + 1) * d]))
         return rows, s * t
 
-    @cached_property
-    def flat(self) -> Matrix:
-        """`int_flat` as rational coordinate rows, for readers of the coordinates."""
-        rows, s = self.int_flat
-        return [[Fraction(x, s) for x in row] for row in rows]
-
     def pairing(self, other: "KModule") -> tuple[IntMatrix, int]:
-        """sum_k Tr(x_k y_k) over the Z-bases, N / s = flat (I_n (x) P) other.flat^t, as (N, s)."""
+        """sum_k Tr(x_k y_k) on the Z-bases: (A (I_n (x) P) B^t, s t), int_flat (A, s), (B, t)."""
         d = self.field.degree
         p = self.field.trace_form
         a, s = self.int_flat

@@ -93,10 +93,10 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     the points' integer coordinates: the K-rank (the adelic minima; see
     `KRankTracker`) and the rank over Q (the classical minima up to
     index (n-1)d+1).  A point that raises the K-rank is a witness, and
-    only witnesses get an exact preimage.  The pass stops once both
-    lists are complete.  Each lambda_l <= classical[(l-1)d+1] is
-    checked, which holds because a K-span of dimension l-1 has real
-    dimension (l-1)d.
+    only witnesses get an exact preimage.  The search is asked for the
+    (n-1)d+1 minima over R, and the pass stops once both lists are
+    complete.  Each lambda_l <= classical[(l-1)d+1] is checked, which
+    holds because a K-span of dimension l-1 has real dimension (l-1)d.
     """
     field = body.field
     n, d = body.n, field.degree
@@ -108,7 +108,7 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     witnesses: list[KVector] = []
     kept: list[LatticePoint] = []
     classical: list[float] = []
-    for p in points_by_gauge(red, body.infinite_part, options):
+    for p in points_by_gauge(red, body.infinite_part, options, target_classical):
         if len(classical) < target_classical and rtracker.try_add(p.coords):
             classical.append(p.gauge)
         if len(minima) < n and ktracker.try_add(p.coords):

@@ -1,6 +1,7 @@
 """Reference computations that the package's own results are checked against."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from adelic import (
     ConditioningError,
     EnumerationCapError,
     FieldElement,
+    module_from_matrix,
 )
 from adelic.exactla import RankTracker, mat_inv, mat_mul, mat_solve, transpose
 from adelic.lattices import points_by_gauge
@@ -96,6 +98,33 @@ def kcombination(field, n, coeffs, kvectors):
     return tuple(acc)
 
 
+def circumradii(body):
+    """The circumradius of each place body of a `ProductBody`."""
+    return [pb.shape.circumradius() for pb in body.place_bodies]
+
+
+def random_module(field, n, seed=0):
+    """A @ O^n for an n x n matrix A with coordinates random.Random(seed).randint(-3, 3).
+
+    Entries are drawn row by row, each as its d coordinates, and the
+    whole matrix is redrawn while it is singular.
+    """
+    rng = random.Random(seed)
+    while True:
+        a = [[field.element([rng.randint(-3, 3) for _ in range(field.degree)])
+              for _ in range(n)] for _ in range(n)]
+        try:
+            return module_from_matrix(field, a)
+        except ValueError:
+            continue
+
+
+def rational_flat(module):
+    """A module's Z-basis as rational coordinate rows, from its `int_flat` numerators."""
+    rows, s = module.int_flat
+    return [[Fraction(x, s) for x in row] for row in rows]
+
+
 def kvectors(field, flat):
     """The K-vectors whose flattened coordinates are the rows of N / s, flat = (N, s)."""
     rows, s = flat
@@ -156,7 +185,7 @@ def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):
     fracs = np.stack([a.ravel() for a in mesh], axis=1)
     grid = fracs @ b
 
-    circ = math.sqrt(sum(r * r for r in body.circumradii()))
+    circ = math.sqrt(sum(r * r for r in circumradii(body)))
     g0 = float(np.max(body.gauge_many(grid - np.rint(fracs) @ b)))
     binv_norm = float(np.linalg.norm(np.linalg.inv(b), 2))
     w = int(math.ceil(g0 * circ * binv_norm)) + 1
@@ -277,7 +306,7 @@ def classical_minima(lat, body, count=None, options=DEFAULT_OPTIONS):
         raise ValueError("cannot ask for more minima than the lattice rank")
     tracker = RankTracker(m)
     milestones = []
-    for p in points_by_gauge(lat.reduced(options.lll_delta), body, options):
+    for p in points_by_gauge(lat.reduced(options.lll_delta), body, options, count):
         if tracker.try_add(p.coords):
             milestones.append(p)
             if len(milestones) == count:

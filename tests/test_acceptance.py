@@ -39,7 +39,7 @@ from adelic import (
     uniform_ball_body,
 )
 from adelic.cli import load_scenario_text
-from field_reference import classical_minima
+from field_reference import circumradii, classical_minima, rational_flat
 
 F = Fraction
 
@@ -66,7 +66,7 @@ def test_criterion_1_worked_example():
 
     ok = k.discriminant == 8
     dual = body.finite_part.trace_dual()
-    flat = sorted(tuple(row) for row in dual.flat)
+    flat = sorted(tuple(row) for row in rational_flat(dual))
     ok &= flat == [(F(0), F(1, 4)), (F(1, 2), F(0))]
 
     lam1 = adelic_minima(body).minima[0]
@@ -249,7 +249,7 @@ def oracle_points_below(lat, body, t):
     filtering the full box is a complete (if slow) enumeration.
     """
     m = lat.dim
-    circ = math.sqrt(sum(r * r for r in body.circumradii()))
+    circ = math.sqrt(sum(r * r for r in circumradii(body)))
     radius = int(math.ceil(
         t * circ * np.linalg.norm(np.linalg.inv(lat.basis), 2))) + 1
     grids = np.meshgrid(*[np.arange(-radius, radius + 1)] * m, indexing="ij")

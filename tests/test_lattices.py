@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic import lattices
+from adelic.exactla import RankTracker
 from adelic import (
     AdelicBody,
     Ball,
@@ -36,12 +37,14 @@ from adelic import (
     uniform_ball_body,
 )
 from field_reference import (
+    circumradii,
     classical_minima,
     covering_radius_full_window,
     enumerate_quadratic_recursive,
     kvectors,
     lll_transform_full_gram_schmidt,
     preimage_by_field_arithmetic,
+    random_module,
 )
 
 F = Fraction
@@ -65,7 +68,7 @@ def integer_lattice(rows) -> EmbeddedLattice:
 def brute_force_below(lat, body, t):
     """Independent oracle: exhaustive integer-coordinate box enumeration."""
     m = lat.dim
-    circ = math.sqrt(sum(r * r for r in body.circumradii()))
+    circ = math.sqrt(sum(r * r for r in circumradii(body)))
     radius = int(math.ceil(
         t * circ * np.linalg.norm(np.linalg.inv(lat.basis), 2))) + 1
     found = []
@@ -407,8 +410,10 @@ def test_points_by_gauge_starts_below_the_first_minimum(monkeypatch):
 
 
 def test_points_by_gauge_yields_each_pair_once_in_order(monkeypatch):
+    # in the thin box the basis gauges are 10 and 20, and the schedule
+    # halves from the larger twice before it passes below lambda_2's lower bound
     lat = integer_lattice([[3, 1], [1, 2]]).reduced()
-    body = q_body(2, Box((F(1), F(1, 3))))
+    body = q_body(2, Box((F(1, 10), F(1))))
     levels = []
     real = lattices.enumerate_below
 
@@ -417,20 +422,57 @@ def test_points_by_gauge_yields_each_pair_once_in_order(monkeypatch):
         return real(lat, body, t, options)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
-    got = []
-    for p in lattices.points_by_gauge(lat, body):
-        if len(levels) > 3:
-            break  # the first point of round 4; rounds 1 to 3 are complete
-        got.append(p)
-    assert levels[1] == 2 * levels[0] and levels[2] == 2 * levels[1]
-    whole = real(lat, body, levels[2], ComputeOptions())
+    got = list(lattices.points_by_gauge(lat, body))
+    assert levels == [5.0, 10.0, 20.0]
+    assert levels[-1] == max(body.gauge(row) for row in lat.basis)
+    whole = real(lat, body, levels[-1], ComputeOptions())
     assert [(p.coords, p.gauge) for p in got] == [(p.coords, p.gauge) for p in whole]
     assert [p.sort_key() for p in got] == sorted(p.sort_key() for p in got)
     pairs = {min(p.coords, tuple(-c for c in p.coords)) for p in got}
     assert len(pairs) == len(got)
-    # every round after the first contributed points of its own
-    for lo, hi in zip(levels, levels[1:3]):
+    # every round contributed points of its own
+    for lo, hi in zip([0.0] + levels, levels):
         assert any(lo * (1 + 1e-12) < p.gauge <= hi * (1 + 1e-12) for p in got)
+
+
+@pytest.mark.parametrize("m", [3, 6])
+@pytest.mark.parametrize("shape", ["ball", "box"])
+def test_points_by_gauge_levels_run_between_the_bounds_on_lambda_k(monkeypatch, m, shape):
+    # the levels step by g from just above the lower bound on lambda_k
+    # to the k-th basis gauge, and lambda_k is found below g times its value
+    lat = lattice_from_module(random_module(Q, m, seed=m)).reduced()
+    halfwidths = tuple(F(i + 1, 2) for i in range(m))
+    body = q_body(m, Ball(F(1)) if shape == "ball" else Box(halfwidths))
+    g = min(2.0, 2.0 ** (4.0 / m))
+    r = lattices._bounding_factor(lat, body)
+    levels = []
+    real = lattices.enumerate_below
+
+    def spy(lat, body, t, options):
+        levels.append(t)
+        return real(lat, body, t, options)
+
+    monkeypatch.setattr(lattices, "enumerate_below", spy)
+    for k in (2, m):
+        levels.clear()
+        points = list(lattices.points_by_gauge(lat, body, ComputeOptions(), k))
+        lower = float(np.min(np.diag(r)[k - 1:])) / math.sqrt(body.enumeration_quadratic_bound(1.0))
+        top = sorted(body.gauge(row) for row in lat.basis)[k - 1]
+        assert levels == [top / g ** j for j in range(len(levels) - 1, -1, -1)]
+        assert levels[-1] == top
+        assert lower <= levels[0] < g * lower
+        tracker = RankTracker(m)
+        lam = [p.gauge for p in points if tracker.try_add(p.coords)][k - 1]
+        assert lower <= lam <= top
+        found = next(t for t in levels if lam <= t * (1 + 1e-12))
+        assert found < g * lam
+
+
+@pytest.mark.parametrize("n", [24, 32])
+def test_minima_of_random_z_lattices_complete_at_the_default_cap(n):
+    body = AdelicBody(random_module(Q, n), uniform_ball_body(Q, n, F(1)))
+    rep = adelic_minima(body)
+    assert len(rep.minima) == n and rep.minima == sorted(rep.minima)
 
 
 # -- classical minima --------------------------------------------------------

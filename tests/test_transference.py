@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adelic import exactla, transference
+from adelic import exactla, lattices, transference
 from adelic import (
     AdelicBody,
     Ball,
@@ -35,6 +35,7 @@ from adelic import (
     transference_check,
     uniform_ball_body,
 )
+from field_reference import random_module
 
 F = Fraction
 
@@ -213,23 +214,49 @@ def test_polar_and_biduality_invert_no_matrix(monkeypatch, capsys):
 
 
 def test_minima_cap_error_names_the_stage_round_and_level(capsys):
+    # the unit ball's schedule is the one level sqrt 2, the larger basis gauge
     body = unit_ball_body("Q_sqrt2", 2)
     with pytest.raises(EnumerationCapError,
-                       match=r"^minima search, round 2 at level t=2: enumeration would "
+                       match=r"^minima search, round 1 at level t=1.41421: enumeration would "
                              r"visit more than 10 nodes"):
         adelic_minima(body, ComputeOptions(enumeration_cap=10))
     from adelic.cli import main
     assert main(["minima", "Q_sqrt2", "--cap", "2"]) == 3
     assert "minima search, round 1 at level t=1:" in capsys.readouterr().err
-    # transference_check names the side: the (1, 3) box needs more nodes
-    # than its polar, so at this cap S fails, and S* fails for the polar body
+    # the (1, 3) box searches at levels 0.5 and 1, and the second needs more than 20 nodes
     k = preset_field("Q_sqrt2")
     boxed = AdelicBody(standard_module(k, 2),
                        ProductBody(k, 2, [PlaceBody("real", 2, Box((F(1), F(3))))] * 2))
+    with pytest.raises(EnumerationCapError,
+                       match=r"^minima search, round 2 at level t=1: enumeration would "
+                             r"visit more than 20 nodes"):
+        adelic_minima(boxed, ComputeOptions(enumeration_cap=20))
+    # transference_check names the side: the box needs more nodes than its
+    # polar, so at this cap S fails, and S* fails for the polar body
     for body, side in ((boxed, "body S"), (adelic_polar(boxed), "polar S*")):
         with pytest.raises(EnumerationCapError,
                            match=rf"^{re.escape(side)}: minima search, round \d+ at level t="):
-            transference_check(body, ComputeOptions(enumeration_cap=100))
+            transference_check(body, ComputeOptions(enumeration_cap=50))
+
+
+def test_nd15_probe_completes_with_a_pinned_point_count(monkeypatch):
+    # x^3-x-1 at rank 5 (nd 15): the doubling schedule hit the node cap in
+    # round 3 on this body; the bracketed one finishes in a few rounds
+    k = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    body = AdelicBody(random_module(k, 5), uniform_ball_body(k, 5, F(1)))
+    rounds, points = [], []
+    real = lattices.enumerate_below
+
+    def spy(lat, body, t, options):
+        out = real(lat, body, t, options)
+        rounds.append(t)
+        points.append(len(out))
+        return out
+
+    monkeypatch.setattr(lattices, "enumerate_below", spy)
+    rep = transference_check(body)
+    assert rep.passed and len(rep.rows) == 5
+    assert (len(rounds), sum(points)) == (9, 227)
 
 
 def test_thunder_slacks_are_nonnegative():
