@@ -10,10 +10,11 @@ process, so its peak RSS is its own:
   12 to 36 in steps of 4).
 
 Modules are A O^n for an n x n matrix A whose entries have coordinates
-random.Random(seed).randint(-3, 3), drawn row by row and redrawn while
-A is singular; every place carries the unit ball.  Each row prints nd,
-wall seconds (module, body and search, by time.perf_counter), peak RSS
-in MB, and "ok" or the enumeration cap message.
+random.Random(0).randint(-3, 3), drawn row by row and redrawn while
+A is singular (`random_module`, which the tests share); every place
+carries the unit ball.  Each row prints nd, wall seconds (module, body
+and search, by time.perf_counter), peak RSS in MB, and "ok" or the
+enumeration cap message.
 
     python3 scripts/minima_scaling.py
     python3 scripts/minima_scaling.py --cubic 2 --z 4 8
@@ -42,7 +43,12 @@ from adelic import (
 CUBIC = ([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
-def random_module(field, n, seed):
+def random_module(field, n, seed=0):
+    """A O^n for an n x n matrix A with coordinates random.Random(seed).randint(-3, 3).
+
+    Entries are drawn row by row, each as its d coordinates, and the
+    whole matrix is redrawn while it is singular.
+    """
     rng = random.Random(seed)
     while True:
         a = [[field.element([rng.randint(-3, 3) for _ in range(field.degree)])
@@ -53,11 +59,11 @@ def random_module(field, n, seed):
             continue
 
 
-def run_row(kind: str, n: int, seed: int) -> dict:
+def run_row(kind: str, n: int) -> dict:
     """One row in this process: nd, seconds, peak RSS and the outcome."""
     field = NumberField(*CUBIC) if kind == "cubic" else rational_field()
     start = time.perf_counter()
-    body = AdelicBody(random_module(field, n, seed), uniform_ball_body(field, n, Fraction(1)))
+    body = AdelicBody(random_module(field, n), uniform_ball_body(field, n, Fraction(1)))
     try:
         if kind == "cubic":
             transference_check(body)
@@ -77,19 +83,18 @@ def main():
                     help="ranks of the x^3-x-1 transference rows")
     ap.add_argument("--z", nargs="*", type=int, default=list(range(12, 37, 4)),
                     help="ranks of the Z-lattice minima rows")
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--row", nargs=2, metavar=("KIND", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args()
 
     if args.row:
-        print(json.dumps(run_row(args.row[0], int(args.row[1]), args.seed)))
+        print(json.dumps(run_row(args.row[0], int(args.row[1]))))
         return
 
     print(f"{'case':<28} {'nd':>3} {'seconds':>8} {'rss_mb':>7}  result")
     rows = [("cubic", n) for n in args.cubic] + [("z", n) for n in args.z]
     for kind, n in rows:
         proc = subprocess.run(
-            [sys.executable, __file__, "--row", kind, str(n), "--seed", str(args.seed)],
+            [sys.executable, __file__, "--row", kind, str(n)],
             capture_output=True, text=True, check=True)
         row = json.loads(proc.stdout.splitlines()[-1])
         name = (f"transference x^3-x-1 n={n}" if kind == "cubic"

@@ -342,15 +342,15 @@ def _bounding_factor(lat: EmbeddedLattice, body: ProductBody) -> np.ndarray:
 def points_by_gauge(
     lat: EmbeddedLattice,
     body: ProductBody,
+    k: int,
     options: ComputeOptions = DEFAULT_OPTIONS,
-    k: int | None = None,
 ) -> Iterator[LatticePoint]:
     """Nonzero points of a reduced lattice in nondecreasing (gauge, coords) order.
 
     One point per +- pair, as in `enumerate_below`, through the k-th
-    minimum (k defaults to the rank m), whose level is bracketed:
-    k independent points cannot all lie in the span of the first k-1
-    basis rows, so one has |R c|^2 >= R_jj^2 for some j >= k-1, and that
+    minimum, whose level is bracketed: k independent points cannot all
+    lie in the span of the first k-1 basis rows, so one has
+    |R c|^2 >= R_jj^2 for some j >= k-1, and that
     is at most the body's bound at its gauge; the k basis rows of least
     gauge are independent, so lambda_k is at most the k-th of them, top.
     The levels are top / g**J, ..., top / g, top with g = min(2, 2^(4/m))
@@ -363,7 +363,6 @@ def points_by_gauge(
     the 1e-12 slack `enumerate_below` keeps), so no pair comes twice.  A
     round that hits the enumeration cap raises, naming round and level.
     """
-    k = k or lat.dim
     r = _bounding_factor(lat, body)
     lower = float(np.min(np.abs(np.diag(r))[k - 1:])) / math.sqrt(
         body.enumeration_quadratic_bound(1.0))

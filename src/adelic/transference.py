@@ -108,7 +108,7 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     witnesses: list[KVector] = []
     kept: list[LatticePoint] = []
     classical: list[float] = []
-    for p in points_by_gauge(red, body.infinite_part, options, target_classical):
+    for p in points_by_gauge(red, body.infinite_part, target_classical, options):
         if len(classical) < target_classical and rtracker.try_add(p.coords):
             classical.append(p.gauge)
         if len(minima) < n and ktracker.try_add(p.coords):

@@ -1,8 +1,9 @@
 """Reference computations that the package's own results are checked against."""
 
 import math
-import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -11,10 +12,13 @@ from adelic import (
     ConditioningError,
     EnumerationCapError,
     FieldElement,
-    module_from_matrix,
 )
 from adelic.exactla import RankTracker, mat_inv, mat_mul, mat_solve, transpose
 from adelic.lattices import points_by_gauge
+
+# the scale rows' matrix recipe, shared with the script that reproduces them
+random_module = runpy.run_path(
+    str(Path(__file__).resolve().parent.parent / "scripts" / "minima_scaling.py"))["random_module"]
 
 
 def flatten_kvector(xs) -> list[Fraction]:
@@ -101,22 +105,6 @@ def kcombination(field, n, coeffs, kvectors):
 def circumradii(body):
     """The circumradius of each place body of a `ProductBody`."""
     return [pb.shape.circumradius() for pb in body.place_bodies]
-
-
-def random_module(field, n, seed=0):
-    """A @ O^n for an n x n matrix A with coordinates random.Random(seed).randint(-3, 3).
-
-    Entries are drawn row by row, each as its d coordinates, and the
-    whole matrix is redrawn while it is singular.
-    """
-    rng = random.Random(seed)
-    while True:
-        a = [[field.element([rng.randint(-3, 3) for _ in range(field.degree)])
-              for _ in range(n)] for _ in range(n)]
-        try:
-            return module_from_matrix(field, a)
-        except ValueError:
-            continue
 
 
 def rational_flat(module):
@@ -306,7 +294,7 @@ def classical_minima(lat, body, count=None, options=DEFAULT_OPTIONS):
         raise ValueError("cannot ask for more minima than the lattice rank")
     tracker = RankTracker(m)
     milestones = []
-    for p in points_by_gauge(lat.reduced(options.lll_delta), body, options, count):
+    for p in points_by_gauge(lat.reduced(options.lll_delta), body, count, options):
         if tracker.try_add(p.coords):
             milestones.append(p)
             if len(milestones) == count:

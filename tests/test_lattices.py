@@ -403,7 +403,7 @@ def test_points_by_gauge_starts_below_the_first_minimum(monkeypatch):
         return real(lat, body, t, options)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
-    first = next(lattices.points_by_gauge(lat, body))
+    first = next(lattices.points_by_gauge(lat, body, lat.dim))
     assert np.allclose(np.abs(first.point), [0, 4])
     assert first.gauge == pytest.approx(0.04)
     assert levels[0] <= first.gauge <= levels[-1] < 2 * first.gauge
@@ -422,7 +422,7 @@ def test_points_by_gauge_yields_each_pair_once_in_order(monkeypatch):
         return real(lat, body, t, options)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
-    got = list(lattices.points_by_gauge(lat, body))
+    got = list(lattices.points_by_gauge(lat, body, lat.dim))
     assert levels == [5.0, 10.0, 20.0]
     assert levels[-1] == max(body.gauge(row) for row in lat.basis)
     whole = real(lat, body, levels[-1], ComputeOptions())
@@ -455,7 +455,7 @@ def test_points_by_gauge_levels_run_between_the_bounds_on_lambda_k(monkeypatch, 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     for k in (2, m):
         levels.clear()
-        points = list(lattices.points_by_gauge(lat, body, ComputeOptions(), k))
+        points = list(lattices.points_by_gauge(lat, body, k))
         lower = float(np.min(np.diag(r)[k - 1:])) / math.sqrt(body.enumeration_quadratic_bound(1.0))
         top = sorted(body.gauge(row) for row in lat.basis)[k - 1]
         assert levels == [top / g ** j for j in range(len(levels) - 1, -1, -1)]
