@@ -210,6 +210,9 @@ class Ellipsoid:
 
 Shape = Ball | Box | CrossPolytope | Ellipsoid
 
+# scenario name of each shape; a shape's one dataclass field is its scenario key
+SHAPES = {"ball": Ball, "box": Box, "cross": CrossPolytope, "ellipsoid": Ellipsoid}
+
 
 @dataclass(frozen=True)
 class PlaceBody:

@@ -8,12 +8,14 @@ failure (enumeration cap, conditioning, dimension limit).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .bodies import Ball, Box, CrossPolytope, Ellipsoid
+from .bodies import SHAPES
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import (
     ConditioningError,
@@ -47,21 +49,17 @@ def _fmt_kvector(vec) -> str:
 
 
 def _shape_text(shape) -> str:
-    if isinstance(shape, Ball):
-        return f"radius={shape.radius}"
-    if isinstance(shape, Box):
-        return "halfwidths=" + ",".join(str(h) for h in shape.halfwidths)
-    if isinstance(shape, CrossPolytope):
-        return "scales=" + ",".join(str(s) for s in shape.scales)
-    if isinstance(shape, Ellipsoid):
-        rows = "],[".join(";".join(str(x) for x in row) for row in shape.q)
-        return f"q=[[{rows}]]"
-    raise TypeError(f"unknown shape {shape!r}")
-
-
-def _shape_name(shape) -> str:
-    return {Ball: "ball", Box: "box", CrossPolytope: "cross", Ellipsoid: "ellipsoid"}[
-        type(shape)]
+    """`shape=<name> <key>=<value>` in scenario syntax, as a body section would give it."""
+    name = next(name for name, cls in SHAPES.items() if type(shape) is cls)
+    key = fields(shape)[0].name
+    value = getattr(shape, key)
+    if not isinstance(value, tuple):
+        text = str(value)
+    elif isinstance(value[0], tuple):
+        text = "[[" + "],[".join(";".join(str(x) for x in row) for row in value) + "]]"
+    else:
+        text = ",".join(str(x) for x in value)
+    return f"shape={name} {key}={text}"
 
 
 class _Report:
@@ -141,7 +139,7 @@ def cmd_polar(body: AdelicBody, options, rep: _Report) -> int:
         ideal_txt = ";".join(",".join(str(c) for c in b.coords) for b in ideal.zbasis)
         rep.line(f"polar dual_pseudo i={i} ideal=[{ideal_txt}] vector={_fmt_kvector(vec)}")
     for i, pb in enumerate(star.infinite_part.place_bodies, start=1):
-        rep.line(f"polar place={i} shape={_shape_name(pb.shape)} {_shape_text(pb.shape)}")
+        rep.line(f"polar place={i} {_shape_text(pb.shape)}")
     ok = adelic_equal(adelic_polar(star), body)
     rep.line(f"polar biduality={'pass' if ok else 'fail'}")
     return 0 if ok else 1
@@ -215,17 +213,14 @@ def cmd_paper_example(args, rep: _Report) -> int:
     want_txt = ";".join(",".join(str(c) for c in v) for v in expected)
     checks.append(("dual_basis", got_txt, want_txt, got == expected))
 
-    rep_s = adelic_minima(body, opts)
-    star = adelic_polar(body)
-    rep_star = adelic_minima(star, opts)
-    lam1, lam1s = rep_s.minima[0], rep_star.minima[0]
+    tr = transference_check(body, opts)
+    row = tr.rows[0]
     target = 2 ** 0.5 / 4
-    checks.append(("lambda1_S", _fmt(lam1), "1", abs(lam1 - 1.0) < 1e-9))
-    checks.append(("lambda1_Sstar", _fmt(lam1s), _fmt(target), abs(lam1s - target) < 1e-9))
-    product = lam1 * lam1s
-    lower = abs(field.discriminant) ** -0.5
-    checks.append(("product_equals_lower_bound", _fmt(product), _fmt(lower),
-                   abs(product - lower) < 1e-9))
+    checks.append(("lambda1_S", _fmt(row.lambda_s), "1", abs(row.lambda_s - 1.0) < 1e-9))
+    checks.append(("lambda1_Sstar", _fmt(row.lambda_sstar), _fmt(target),
+                   abs(row.lambda_sstar - target) < 1e-9))
+    checks.append(("product_equals_lower_bound", _fmt(row.product), _fmt(tr.lower),
+                   abs(row.product - tr.lower) < 1e-9))
 
     rep.human("reproduction of the worked example over Q(sqrt 2):")
     all_ok = True
@@ -251,6 +246,7 @@ def _run_command(args, text: str, rep: _Report) -> int:
     return _SCENARIO_COMMANDS[args.command](body, opts, rep)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="adelic",
@@ -280,6 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--machine", action="store_true",
                        help="emit machine-readable lines only")
     return ap
+
+
+# errors of a computation that gives up (exit code 3)
+_COMPUTATIONAL = (EnumerationCapError, ConditioningError, DimensionLimitError)
 
 
 def main(argv=None) -> int:
@@ -317,7 +317,7 @@ def main(argv=None) -> int:
                 except ScenarioError as exc:
                     rep.line(f"error kind=input detail={exc}")
                     code = 2
-                except (EnumerationCapError, ConditioningError, DimensionLimitError) as exc:
+                except _COMPUTATIONAL as exc:
                     rep.line(f"error kind=computational detail={exc}")
                     code = 3
                 rep.emit()
@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (EnumerationCapError, ConditioningError, DimensionLimitError) as exc:
+    except _COMPUTATIONAL as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

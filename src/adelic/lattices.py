@@ -33,6 +33,9 @@ from .exactla import mat_det, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
 from .omodules import KModule, KVector
 
+LLL_DELTA = 0.99  # the Lovasz condition of every reduction
+EQUAL_TOL = 1e-8  # entrywise slack of `lattice_equal` on the change of basis
+
 
 class EmbeddedLattice:
     """Full-rank lattice in R^m with a diagonal form and optional exact preimages.
@@ -46,7 +49,6 @@ class EmbeddedLattice:
     def __init__(
         self,
         field: NumberField,
-        n: int,
         basis: np.ndarray,
         form: np.ndarray,
         back_flat: tuple[list[list[int]], int] | None = None,
@@ -60,7 +62,6 @@ class EmbeddedLattice:
         if basis.shape != (m, m):
             raise ValueError("lattice basis must be square and full rank")
         self.field = field
-        self.n = n
         self.basis = basis
         self.form = np.asarray(form, dtype=float)
         self.back_flat = back_flat
@@ -88,16 +89,16 @@ class EmbeddedLattice:
     def gram(self) -> np.ndarray:
         return (self.basis * self.form) @ self.basis.T
 
-    def reduced(self, delta: float = 0.99) -> "EmbeddedLattice":
+    def reduced(self) -> "EmbeddedLattice":
         """LLL reduction under the form, with the transform applied exactly."""
         scaled = self.basis * np.sqrt(self.form)
-        u = _lll_transform(scaled, delta)
+        u = _lll_transform(scaled, LLL_DELTA)
         # entry (i, j) sums u[i][k] * basis[k][j] over increasing k from +0.0,
         # the floats of the per-entry sum
         new_basis = np.zeros_like(self.basis)
         for k, column in enumerate(np.array(u, dtype=float).T):
             new_basis = new_basis + column[:, None] * self.basis[k]
-        return EmbeddedLattice(self.field, self.n, new_basis, self.form, self.back_flat,
+        return EmbeddedLattice(self.field, new_basis, self.form, self.back_flat,
                                self.conjugated, mat_mul(u, self.transform),
                                back_embedding=self.back_embedding)
 
@@ -126,44 +127,28 @@ def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLa
     """Embed a rank-n module's Z-basis `int_flat` place-major; the twisted form comes with it."""
     field = module.field
     basis = _embed_rows(field, module.int_flat, conjugated)
-    return EmbeddedLattice(field, module.rank, basis, field.twisted_form_diag(module.rank),
+    return EmbeddedLattice(field, basis, field.twisted_form_diag(module.rank),
                            module.int_flat, conjugated, back_embedding=basis)
 
 
-def polar_lattice(
-    lat: EmbeddedLattice,
-    dual_module: KModule | None = None,
-    tol: float = 1e-8,
-) -> EmbeddedLattice:
-    """Dual basis rows B* with B* diag(F) B^T = I.
-
-    Numeric by default (no preimages).  When the exact dual module is
-    supplied, its mirror-embedded lattice is returned instead, after a
-    check that the two routes produce the same lattice.
-    """
-    g = lat.gram()
-    dual = np.linalg.solve(g, lat.basis)
-    numeric = EmbeddedLattice(lat.field, lat.n, dual, lat.form, None, not lat.conjugated)
-    if dual_module is None:
-        return numeric
-    embedded = lattice_from_module(dual_module, not lat.conjugated)
-    if not lattice_equal(embedded, numeric, tol):
-        raise ConditioningError("embedded dual module disagrees with the numeric dual lattice")
-    return embedded
+def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
+    """Dual basis rows B* with B* diag(F) B^T = I, numeric (no preimages)."""
+    dual = np.linalg.solve(lat.gram(), lat.basis)
+    return EmbeddedLattice(lat.field, dual, lat.form, None, not lat.conjugated)
 
 
-def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice, tol: float = 1e-8) -> bool:
+def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:
     """Same lattice up to an integer unimodular change of basis."""
     if a.dim != b.dim:
         return False
     c = a.basis @ np.linalg.inv(b.basis)
     cr = np.rint(c)
-    if np.max(np.abs(c - cr)) > tol:
+    if np.max(np.abs(c - cr)) > EQUAL_TOL:
         return False
     if abs(mat_det([[int(x) for x in row] for row in cr])) != 1:
         return False
     scale = max(1.0, float(np.max(np.abs(a.basis))))
-    return float(np.max(np.abs(cr @ b.basis - a.basis))) <= tol * scale
+    return float(np.max(np.abs(cr @ b.basis - a.basis))) <= EQUAL_TOL * scale
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +401,7 @@ def covering_radius_bounds(
     k = resolution if resolution is not None else options.resolution
     if k < 2:
         raise ValueError("resolution must be at least 2")
-    red = lat.reduced(options.lll_delta)
+    red = lat.reduced()
     b = red.basis
     m = red.dim
     if k ** m > 2_000_000:

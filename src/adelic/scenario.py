@@ -12,10 +12,10 @@ key, and line that caused them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .bodies import Ball, Box, CrossPolytope, Ellipsoid, PlaceBody, ProductBody
+from .bodies import SHAPES, PlaceBody, ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ScenarioError
 from .numberfield import NumberField, PRESET_FIELDS, preset_field
@@ -47,11 +47,8 @@ class ModuleSpec:
 
 @dataclass
 class BodySpec:
-    shape: str = ""
-    radius: Fraction | None = None
-    halfwidths: list[Fraction] | None = None
-    scales: list[Fraction] | None = None
-    q: list[list[Fraction]] | None = None
+    shape: str  # a name in bodies.SHAPES
+    value: Fraction | list[Fraction] | list[list[Fraction]]  # of the shape's one key
 
 
 @dataclass
@@ -261,6 +258,12 @@ def _parse_module_section(sec) -> ModuleSpec:
     return ms
 
 
+# the parser of a shape's one field, by its annotation; the field's name is the key
+_VALUE_PARSERS = {"Fraction": _rational, "tuple[Fraction, ...]": _rational_list,
+                  "tuple[tuple[Fraction, ...], ...]": _rational_matrix}
+_BODY_KEYS = {f.name: _VALUE_PARSERS[f.type] for f in (fields(c)[0] for c in SHAPES.values())}
+
+
 def _parse_body_sections(sections) -> list[BodySpec]:
     indices = []
     for name in sections:
@@ -275,41 +278,26 @@ def _parse_body_sections(sections) -> list[BodySpec]:
         raise ScenarioError("body sections must be numbered consecutively from v1")
     out = []
     for i in range(1, len(indices) + 1):
-        sec = sections[f"body.v{i}"]
-        bs = BodySpec()
-        for key, (value, lineno) in sec.items():
+        shape, given = "", {}
+        for key, (value, lineno) in sections[f"body.v{i}"].items():
             where = f"[body.v{i}] {key} (line {lineno})"
             if key == "shape":
-                if value not in ("ball", "box", "cross", "ellipsoid"):
+                if value not in SHAPES:
                     raise ScenarioError(
-                        f"{where}: unknown shape {value!r} "
-                        "(known: ball, box, cross, ellipsoid)")
-                bs.shape = value
-            elif key == "radius":
-                bs.radius = _rational(value, where)
-            elif key == "halfwidths":
-                bs.halfwidths = _rational_list(value, where)
-            elif key == "scales":
-                bs.scales = _rational_list(value, where)
-            elif key == "q":
-                bs.q = _rational_matrix(value, where)
+                        f"{where}: unknown shape {value!r} (known: {', '.join(SHAPES)})")
+                shape = value
+            elif key in _BODY_KEYS:
+                given[key] = _BODY_KEYS[key](value, where)
             else:
                 raise ScenarioError(f"line {lineno}: unknown key {key!r} in [body.v{i}]")
-        if not bs.shape:
+        if not shape:
             raise ScenarioError(f"[body.v{i}]: missing shape")
-        _check_body_params(bs, i)
-        out.append(bs)
+        want = fields(SHAPES[shape])[0].name
+        if set(given) != {want}:
+            raise ScenarioError(
+                f"[body.v{i}]: shape {shape!r} takes exactly the key {want!r}")
+        out.append(BodySpec(shape, given[want]))
     return out
-
-
-def _check_body_params(bs: BodySpec, i: int):
-    needed = {"ball": "radius", "box": "halfwidths", "cross": "scales", "ellipsoid": "q"}
-    want = needed[bs.shape]
-    given = {name for name in ("radius", "halfwidths", "scales", "q")
-             if getattr(bs, name) is not None}
-    if given != {want}:
-        raise ScenarioError(
-            f"[body.v{i}]: shape {bs.shape!r} takes exactly the key {want!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +372,10 @@ def _build_infinite_part(field: NumberField, n: int, specs: list[BodySpec]) -> P
     dims = field.place_dims(n)
     place_bodies = []
     for i, (bs, (kind, _), dim) in enumerate(zip(specs, places, dims), start=1):
-        where = f"[body.v{i}]"
         try:
-            if bs.shape == "ball":
-                shape = Ball(bs.radius)
-            elif bs.shape == "box":
-                shape = Box(tuple(bs.halfwidths))
-            elif bs.shape == "cross":
-                shape = CrossPolytope(tuple(bs.scales))
-            else:
-                shape = Ellipsoid(tuple(tuple(row) for row in bs.q))
-            place_bodies.append(PlaceBody(kind, dim, shape))
+            place_bodies.append(PlaceBody(kind, dim, SHAPES[bs.shape](bs.value)))
         except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+            raise ScenarioError(f"[body.v{i}]: {exc}") from exc
     try:
         return ProductBody(field, n, place_bodies)
     except ValueError as exc:

@@ -30,6 +30,8 @@ from .lattices import (
 )
 from .omodules import KModule, KRankTracker, KVector
 
+BOUND_TOL = 1e-6  # slack of the transference verdicts against their bounds
+
 
 class AdelicBody:
     """A module together with a convex body at every archimedean place.
@@ -101,7 +103,7 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     field = body.field
     n, d = body.n, field.degree
     target_classical = (n - 1) * d + 1
-    red = body.lattice().reduced(options.lll_delta)
+    red = body.lattice().reduced()
     ktracker = KRankTracker(body.finite_part, red.transform)
     rtracker = RankTracker(red.dim)
     minima: list[float] = []
@@ -206,17 +208,16 @@ def transference_check(
     rep_star = _side_minima("polar S*", adelic_polar(body), options)
     upper = (n * d) ** 1.5
     lower = abs(field.discriminant) ** (-1.0 / d) if flags.lower_bound_applies else None
-    tol = options.bound_tol
     rows = []
     for ell in range(1, n + 1):
         lam = rep_s.minima[ell - 1]
         lam_star = rep_star.minima[n - ell]
         product = lam * lam_star
-        upper_verdict = "pass" if product <= upper + tol else "fail"
+        upper_verdict = "pass" if product <= upper + BOUND_TOL else "fail"
         if lower is None:
             lower_verdict = "n/a"
         else:
-            lower_verdict = "pass" if product >= lower - tol else "fail"
+            lower_verdict = "pass" if product >= lower - BOUND_TOL else "fail"
         rows.append(TransferenceRow(ell, lam, lam_star, product, lower_verdict, upper_verdict))
     return TransferenceReport(n, d, flags, lower, upper, rows, rep_s, rep_star)
 

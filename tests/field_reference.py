@@ -124,7 +124,8 @@ def kvectors(field, flat):
 def preimage_by_field_arithmetic(lat, coords):
     """The K-vector of a lattice point: module coordinates coords U over the back map."""
     module_coords = [sum(c * u for c, u in zip(coords, col)) for col in zip(*lat.transform)]
-    return kcombination(lat.field, lat.n, module_coords, kvectors(lat.field, lat.back_flat))
+    n = lat.dim // lat.field.degree
+    return kcombination(lat.field, n, module_coords, kvectors(lat.field, lat.back_flat))
 
 
 def complementary_basis(field):
@@ -165,7 +166,7 @@ def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):
     lattice point taken over all offsets in [-w, w + 1]^m.
     """
     k = resolution
-    red = lat.reduced(options.lll_delta)
+    red = lat.reduced()
     b = red.basis
     m = red.dim
     axes = [np.arange(k) / k for _ in range(m)]
@@ -294,7 +295,7 @@ def classical_minima(lat, body, count=None, options=DEFAULT_OPTIONS):
         raise ValueError("cannot ask for more minima than the lattice rank")
     tracker = RankTracker(m)
     milestones = []
-    for p in points_by_gauge(lat.reduced(options.lll_delta), body, count, options):
+    for p in points_by_gauge(lat.reduced(), body, count, options):
         if tracker.try_add(p.coords):
             milestones.append(p)
             if len(milestones) == count:

@@ -208,7 +208,7 @@ def test_lll_transform_matches_full_gram_schmidt_reference(rows):
 
 def test_back_map_validation():
     with pytest.raises(ValueError, match="back map"):
-        EmbeddedLattice(Q, 2, np.eye(2), np.ones(2),
+        EmbeddedLattice(Q, np.eye(2), np.ones(2),
                         back_flat=([[1, 0], [1, 1]], 1))
 
 
@@ -531,7 +531,7 @@ def test_z_lattice_is_self_dual():
 def test_polar_of_diagonal_lattice():
     lat = integer_lattice([[2, 0], [0, 1]])
     dual = polar_lattice(lat)
-    expected = EmbeddedLattice(Q, 2, np.diag([0.5, 1.0]), np.ones(2))
+    expected = EmbeddedLattice(Q, np.diag([0.5, 1.0]), np.ones(2))
     assert lattice_equal(dual, expected)
 
 
@@ -558,15 +558,14 @@ def test_polar_lattice_matches_mirror_embedded_dual_module():
         k = preset_field(name)
         mod = standard_module(k, 1)
         lat = lattice_from_module(mod)
-        dual = polar_lattice(lat, dual_module=mod.trace_dual())
+        dual = polar_lattice(lat)
         assert dual.conjugated != lat.conjugated
-        assert dual.back_flat is not None
-    # a wrong module is rejected by the cross-check
+        assert lattice_equal(dual, lattice_from_module(mod.trace_dual(), dual.conjugated))
+    # a wrong module is told apart
     k = preset_field("Q_sqrt2")
     mod = standard_module(k, 1)
-    from adelic import ConditioningError
-    with pytest.raises(ConditioningError):
-        polar_lattice(lattice_from_module(mod), dual_module=mod)
+    lat = lattice_from_module(mod)
+    assert not lattice_equal(polar_lattice(lat), lattice_from_module(mod, True))
 
 
 def test_lattice_equal_discriminates():

@@ -2,18 +2,24 @@
 
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from adelic import (
     Ball,
+    ComputeOptions,
+    DEFAULT_OPTIONS,
     Ellipsoid,
     PRESET_SCENARIOS,
     ScenarioError,
+    adelic_polar,
     parse_scenario,
 )
-from adelic.cli import load_scenario_text, main
+from adelic.bodies import SHAPES
+from adelic.cli import _build, build_parser, load_scenario_text, main
+from adelic.scenario import OPTION_MINIMA
 from field_reference import contains
 
 F = Fraction
@@ -90,8 +96,8 @@ def test_pseudo_module_scenario():
 
 def test_decimals_are_read_exactly():
     text = PSEUDO.replace("radius = 1", "radius = 0.5")
-    scn = parse_scenario(text)
-    assert scn.bodies[0].radius == F(1, 2)
+    spec = parse_scenario(text).bodies[0]
+    assert SHAPES[spec.shape](spec.value) == Ball(F(1, 2))
 
 
 def test_single_rational_promotes_to_an_element():
@@ -198,6 +204,24 @@ def test_options_override_and_cli_precedence():
     assert opts.precision_bits == 53  # default survives
 
 
+def test_every_compute_option_is_set_by_an_options_key_and_a_flag():
+    # a ComputeOptions field that no [options] key or CLI flag reaches is a dead knob
+    def changed(opts):
+        return {f.name for f in fields(ComputeOptions)
+                if getattr(opts, f.name) != getattr(DEFAULT_OPTIONS, f.name)}
+
+    by_key, by_flag = set(), set()
+    for key, least in OPTION_MINIMA.items():
+        value = least + 100
+        from_key = changed(parse_scenario(PSEUDO + f"[options]\n{key} = {value}\n").options())
+        args = build_parser().parse_args(["minima", f"--{key}", str(value)])
+        from_flag = changed(_build(args, PSEUDO)[1])
+        assert len(from_key) == 1 and from_flag == from_key
+        by_key |= from_key
+        by_flag |= from_flag
+    assert by_key == by_flag == {f.name for f in fields(ComputeOptions)}
+
+
 # -- command line ------------------------------------------------------------
 
 
@@ -286,6 +310,30 @@ def test_cli_polar_and_verify_duality(capsys):
     code, out, _ = run_cli(["verify-duality", "Q_sqrt-3", "--machine"], capsys)
     assert code == 0
     assert "duality rank=1 equal=true" in out
+
+
+# one body section per shape over Q at rank 2, whose polar place line is read back
+ROUND_TRIP = {
+    "ball": "radius = 2",
+    "box": "halfwidths = 1/2, 3",
+    "cross": "scales = 1, 2/3",
+    "ellipsoid": "q = [[2; 1], [1; 3]]",
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_polar_place_line_reads_back_as_a_body_section(shape, capsys, tmp_path):
+    head = "[field]\npreset = Q\n[module]\nrank = 2\nidentity = true\n[body.v1]\n"
+    path = tmp_path / "body.ini"
+    path.write_text(head + f"shape = {shape}\n{ROUND_TRIP[shape]}\n")
+    code, out, _ = run_cli(["polar", str(path), "--machine"], capsys)
+    assert code == 0
+    [line] = [ln for ln in out.splitlines() if ln.startswith("polar place=1 ")]
+    section = "\n".join(" = ".join(kv.split("=", 1)) for kv in line.split()[2:])
+    read_back = parse_scenario(head + section + "\n").build()
+    star = adelic_polar(parse_scenario(path.read_text()).build())
+    assert read_back.infinite_part.place_bodies[0].shape == \
+        star.infinite_part.place_bodies[0].shape
 
 
 def test_cli_mu_line(capsys):
