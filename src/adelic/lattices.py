@@ -86,9 +86,6 @@ class EmbeddedLattice:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def gram(self) -> np.ndarray:
-        return (self.basis * self.form) @ self.basis.T
-
     def reduced(self) -> "EmbeddedLattice":
         """LLL reduction under the form, with the transform applied exactly."""
         scaled = self.basis * np.sqrt(self.form)
@@ -133,7 +130,7 @@ def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLa
 
 def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
     """Dual basis rows B* with B* diag(F) B^T = I, numeric (no preimages)."""
-    dual = np.linalg.solve(lat.gram(), lat.basis)
+    dual = np.linalg.solve((lat.basis * lat.form) @ lat.basis.T, lat.basis)
     return EmbeddedLattice(lat.field, dual, lat.form, None, not lat.conjugated)
 
 
@@ -386,12 +383,13 @@ def covering_radius_bounds(
     coordinates) so that doubling the resolution refines the same grid.
     The lower end is the largest distance (in gauge) from a grid point to
     its nearest lattice point, the upper end adds the Lipschitz slack of
-    the grid spacing.  Grid points are visited in decreasing order of the
-    gauge to their rounded corner, in doubling batches, until that gauge
-    is at most the running maximum.  A batch's nearest points come from
-    one centred enumeration, each grid point within the bounding form at
-    its own corner gauge (which holds the corner), so the cost is the
-    resolution**dim corner gauges plus the lattice points near the few
+    the grid spacing.  A grid point's bound is the gauge to its Babai
+    nearest-plane lattice point.  The 16 largest bounds go first, then
+    the points above the maximum they leave, sorted once, in doubling
+    batches until the next bound is at most the running maximum.  A
+    batch's nearest points come from one centred enumeration, each point
+    within the bounding form at its own bound, so the cost is the
+    resolution**dim bound gauges plus the lattice points near the few
     grid points measured.  A batch that hits the enumeration cap raises,
     naming it.  Dimensions above 4 are rejected.
     """
@@ -408,28 +406,42 @@ def covering_radius_bounds(
         raise EnumerationCapError(
             f"covering grid would hold {k ** m} points; lower the resolution")
 
-    axes = [np.arange(k) / k for _ in range(m)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    fracs = np.stack([a.ravel() for a in mesh], axis=1)
-    grid = fracs @ b
-    corner_best = body.gauge_many(grid - np.rint(fracs) @ b)
+    # grid point a / k (digits a_0 .. a_m-1, the last fastest) and its Babai
+    # nearest-plane point c in r: c_i = rint(f_i + sum_j>i r_ij / r_ii (f_j - c_j))
+    # depends on the digits a_i .. a_m-1 alone
     r = _bounding_factor(red, body)
+    fracs, cs, resid = np.empty((k,) * m + (m,)), [None] * m, {}
+    for i in range(m - 1, -1, -1):
+        f = (np.arange(k) / k).reshape((k,) + (1,) * (m - 1 - i))
+        cs[i] = np.rint(f + sum(r[i, j] / r[i, i] * resid[j] for j in range(i + 1, m)))
+        resid[i], fracs[..., i] = f - cs[i], f
+    # the points c fill a small box: each box point's vector is the per-row
+    # product a batch's search uses, so each upper bound is the gauge that
+    # search measures at the nearest-plane point: best <= upper
+    lo, span = [c.min() for c in cs], [int(c.max() - c.min()) + 1 for c in cs]
+    box = np.indices(span).reshape(m, -1).T + lo
+    key = sum((c - l) * math.prod(span[i + 1:]) for i, (c, l) in enumerate(zip(cs, lo)))
+    diff = (box[:, None, :] @ b)[:, 0, :][key.astype(np.intp).ravel()]
+    del cs, resid, key
+    fracs = fracs.reshape(-1, m)
+    grid = fracs @ b
+    upper = body.gauge_many(np.subtract(grid, diff, out=diff))
 
-    # best <= corner_best per grid point, so once the next corner gauge is
-    # at most the running maximum no later grid point can raise it
-    order = np.argsort(-corner_best, kind="stable")
+    # once the next bound is at most the running maximum no later grid point
+    # can raise it: the 16 largest go first, then the points above the maximum
+    order = np.argpartition(-upper, min(16, len(upper)) - 1)[:16]
     lower = -math.inf
     start, size, batch = 0, 16, 0
-    while start < len(order) and corner_best[order[start]] > lower:
+    while start < len(order) and upper[order[start]] > lower:
         idx = order[start:start + size]
         batch += 1
-        bounds = body.enumeration_quadratic_bound(corner_best[idx]) * (1 + 1e-9)
+        bounds = body.enumeration_quadratic_bound(upper[idx]) * (1 + 1e-9)
         try:
             coords, near = _enumerate_quadratic(r, bounds, options.enumeration_cap, fracs[idx])
         except EnumerationCapError as exc:
             raise EnumerationCapError(
                 f"covering search, grid batch {batch} ({len(idx)} points, corner gauge "
-                f"<= {corner_best[idx[0]]:.6g}): {exc}") from exc
+                f"<= {upper[idx].max():.6g}): {exc}") from exc
         vecs = (coords.astype(float)[:, None, :] @ b)[:, 0, :]
         best = np.full(len(idx), np.inf)
         np.minimum.at(best, near, body.gauge_many(grid[idx][near] - vecs))
@@ -439,6 +451,11 @@ def covering_radius_bounds(
         per_point = -(-len(coords) // len(idx))
         start += len(idx)
         size = min(2 * size, max(16, options.enumeration_cap // (8 * per_point)))
+        if batch == 1:
+            above = upper > lower
+            above[order] = False
+            rest = np.flatnonzero(above)
+            order = np.concatenate([order, rest[np.argsort(-upper[rest], kind="stable")]])
 
     slack = body.lipschitz() * (0.5 / k) * float(np.sum(np.linalg.norm(b, axis=1)))
     return lower, lower + slack

@@ -39,10 +39,6 @@ def _trim(p: list[Fraction]) -> list[Fraction]:
     return p
 
 
-def _deg(p: list[Fraction]) -> int:
-    return len(p) - 1
-
-
 def _deriv(p: list[Fraction]) -> list[Fraction]:
     return [k * c for k, c in enumerate(p)][1:]
 
@@ -64,17 +60,6 @@ def _divmod(a: list[Fraction], b: list[Fraction]):
     return _trim(q), _trim(a)
 
 
-def _gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _trim(a[:]), _trim(b[:])
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-        if a:
-            lead = a[-1]
-            a = [c / lead for c in a]
-    return a
-
-
 def _eval_complex(p: Sequence[float], z: complex) -> complex:
     acc = 0j
     for c in reversed(p):
@@ -90,20 +75,17 @@ def _sign_changes(signs: list[int]) -> int:
 def count_real_roots(poly: Sequence[Fraction]) -> int:
     """Number of distinct real roots, by a Sturm chain evaluated at +-inf."""
     p = _trim([Fraction(c) for c in poly])
-    if _deg(p) < 1:
+    if len(p) < 2:
         return 0
     chain = [p, _trim(_deriv(p))]
-    while _deg(chain[-1]) > 0:
+    while len(chain[-1]) > 1:
         _, r = _divmod(chain[-2], chain[-1])
         if not r:
             break
         chain.append([-c for c in r])
     at_pos = [1 if q[-1] > 0 else -1 for q in chain if q]
-    at_neg = [
-        (1 if q[-1] > 0 else -1) * (1 if _deg(q) % 2 == 0 else -1)
-        for q in chain
-        if q
-    ]
+    # a term of degree e has the sign (-1)^e of its leading coefficient at -inf
+    at_neg = [(1 if q[-1] > 0 else -1) * (-1) ** (len(q) - 1) for q in chain if q]
     return _sign_changes(at_neg) - _sign_changes(at_pos)
 
 
@@ -266,9 +248,6 @@ class NumberField:
             raise ValueError("polynomial must be monic")
         if any(c.denominator != 1 for c in coeffs):
             raise ValueError("polynomial must have integer coefficients")
-        g = _gcd(coeffs, _deriv(coeffs))
-        if _deg(g) > 0:
-            raise ValueError("polynomial must be squarefree")
         self.poly = tuple(coeffs)
         self.degree = len(coeffs) - 1
         self.name = name
@@ -284,6 +263,16 @@ class NumberField:
             cur = [c + top * r for c, r in zip(cur, self._reduction[0])]
             self._reduction.append(tuple(cur))
 
+        # Tr(theta^k) for k < d from the multiplication matrices, then for
+        # d <= k <= 2d-2 through the reduction table theta^k = sum r_j theta^j;
+        # det P is the discriminant of f, zero exactly at a repeated root
+        units = [[int(i == j) for i in range(d)] for j in range(d)]
+        low = [sum(m[i][i] for i in range(d)) for m in map(self._mult_matrix, units)]
+        powers = low + [sum(r * p for r, p in zip(red, low)) for red in self._reduction[:d - 1]]
+        self.trace_form: IntMatrix = [[powers[i + j] for j in range(d)] for i in range(d)]
+        if mat_det(self.trace_form) == 0:
+            raise ValueError("polynomial must be squarefree")
+
         basis = [[Fraction(c) for c in row] for row in integral_basis]
         if len(basis) != d or any(len(row) != d for row in basis):
             raise ValueError("integral basis must consist of degree many vectors")
@@ -297,12 +286,6 @@ class NumberField:
         if self._actions(num) is None:
             raise ValueError("integral basis is not closed under multiplication")
 
-        # Tr(theta^k) for k < d from the multiplication matrices, then for
-        # d <= k <= 2d-2 through the reduction table theta^k = sum r_j theta^j
-        units = [[int(i == j) for i in range(d)] for j in range(d)]
-        low = [sum(m[i][i] for i in range(d)) for m in map(self._mult_matrix, units)]
-        powers = low + [sum(r * p for r, p in zip(red, low)) for red in self._reduction[:d - 1]]
-        self.trace_form: IntMatrix = [[powers[i + j] for j in range(d)] for i in range(d)]
         # B P B^t on B's numerators
         gram = mat_mul(mat_mul(num, self.trace_form), transpose(num))
         if any(x % (t * t) for row in gram for x in row):

@@ -235,8 +235,8 @@ def mu_product_report(
     resolution: int | None = None,
     options: ComputeOptions = DEFAULT_OPTIONS,
 ) -> MuProductReport:
-    """Bracket for lambda_1(S) * mu(S*) next to its reference value."""
-    lam1 = adelic_minima(body, options).minima[0]
+    """Bracket for lambda_1(S) * mu(S*); the k = 1 stream yields lambda_1 by its last level."""
+    lam1 = next(points_by_gauge(body.lattice().reduced(), body.infinite_part, 1, options)).gauge
     star = adelic_polar(body)
     lo, hi = inhomogeneous_minimum(star, resolution, options)
     nd = body.n * body.field.degree

@@ -25,6 +25,7 @@ from adelic import (
     PlaceBody,
     ProductBody,
     adelic_minima,
+    adelic_polar,
     covering_radius_bounds,
     enumerate_below,
     lattice_equal,
@@ -684,6 +685,77 @@ def test_covering_search_window_cap():
         covering_radius_bounds(z_lattice(2), body, resolution=8,
                                options=ComputeOptions(enumeration_cap=1000))
     assert covering_radius_bounds(z_lattice(2), body, resolution=8) == (0.5, 0.625)
+
+
+def count_covering_targets(monkeypatch) -> list[int]:
+    """Per centred search, the number of grid points it measures."""
+    counts = []
+    real = lattices._enumerate_quadratic
+
+    def spy(r, bound, cap, targets=None):
+        if targets is not None:
+            counts.append(len(targets))
+        return real(r, bound, cap, targets)
+
+    monkeypatch.setattr(lattices, "_enumerate_quadratic", spy)
+    return counts
+
+
+def test_nearest_plane_bounds_measure_few_grid_points(monkeypatch):
+    # the polar of the box (1, 10) over the Z-lattice of [[-3, 2], [3, -1]] at
+    # resolution 64: with the gauge to the rounded cell corner as each grid
+    # point's bound the search measured 2032 of the 4096 grid points; the
+    # nearest-plane point leaves 101, and only those are sorted
+    mat = [[Q.from_rational(x) for x in row] for row in [[-3, 2], [3, -1]]]
+    star = adelic_polar(AdelicBody(module_from_matrix(Q, mat), q_body(2, Box((F(1), F(10))))))
+    lat, body = star.lattice(), star.infinite_part
+    counts = count_covering_targets(monkeypatch)
+    argsorted = []
+    real_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, **kw: argsorted.append(len(a))
+                        or real_argsort(a, **kw))
+    bracket = covering_radius_bounds(lat, body, resolution=64)
+    assert counts == [16, 32, 53]
+    assert max(argsorted) < 101
+    assert bracket == covering_radius_full_window(lat, body, 64)
+
+
+SWEEP_FIELDS = {"Q": ([0, 1], 4), "Q_sqrt2": ([-2, 0, 1], 2), "Q_i": ([1, 0, 1], 2),
+                "x3-x-1": ([-1, -1, 0, 1], 1), "x4+1": ([1, 0, 0, 0, 1], 1)}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_covering_bracket_equals_the_full_window_on_random_bodies(seed):
+    # nd 1 to 4, balls and boxes (balls at complex places), and the polar of
+    # each; module entries have coordinates in [-2, 2] and the grid is coarser
+    # as nd grows, so the reference's offset window stays cheap
+    rng = np.random.default_rng(seed)
+    name = list(SWEEP_FIELDS)[seed % len(SWEEP_FIELDS)]
+    poly, max_rank = SWEEP_FIELDS[name]
+    d = len(poly) - 1
+    k = NumberField(poly, [[int(i == j) for j in range(d)] for i in range(d)])
+    n = int(rng.integers(1, max_rank + 1))
+    while True:
+        a = [[k.element([int(x) for x in rng.integers(-2, 3, size=d)]) for _ in range(n)]
+             for _ in range(n)]
+        try:
+            module = module_from_matrix(k, a)
+            break
+        except ValueError:
+            continue
+    places = []
+    for (kind, _), dim in zip(k.places, k.place_dims(n)):
+        if kind == "real" and seed % 2:
+            shape = Box(tuple(F(int(h), 2) for h in rng.integers(2, 9, size=dim)))
+        else:
+            shape = Ball(F(int(rng.integers(1, 7)), 2))
+        places.append(PlaceBody(kind, dim, shape))
+    body = AdelicBody(module, ProductBody(k, n, places))
+    resolution = {1: 32, 2: 16, 3: 5, 4: 3}[n * d]
+    for side in (body, adelic_polar(body)):
+        lat, pb = side.lattice(), side.infinite_part
+        assert covering_radius_bounds(lat, pb, resolution) == \
+            covering_radius_full_window(lat, pb, resolution)
 
 
 @pytest.mark.parametrize("name,conjugated", [("Q_sqrt2", False), ("Q_i", True),

@@ -178,6 +178,9 @@ def test_validation_rejects_bad_polynomials():
         NumberField([2, 0, 2], [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="squarefree"):
         NumberField([0, 0, 1], [[1, 0], [0, 1]])
+    # (x^2 - 2)^2: a repeated root that is not rational
+    with pytest.raises(ValueError, match="squarefree"):
+        NumberField([4, 0, -4, 0, 1], [[int(i == j) for j in range(4)] for i in range(4)])
     with pytest.raises(ValueError, match="integer"):
         NumberField([F(1, 2), 0, 1], [[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="degree at least 1"):

@@ -48,3 +48,37 @@ def test_covering_convergence_exits_1_when_brackets_do_not_nest(monkeypatch):
     assert isinstance(message, str)
     assert message.startswith("error:") and "does not nest" in message
     assert "1.75" in message and "1.5" in message
+
+
+def test_covering_convergence_prints_seconds_and_peak_mb():
+    # the --mu-rank rows time mu_product_report, as the ROADMAP scale row does
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "covering_convergence.py"),
+                           "Q_sqrt2", "--mu-rank", "2", "--min-resolution", "4",
+                           "--max-resolution", "8"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].split() == ["resolution", "lower", "upper", "width", "ratio",
+                                "seconds", "peak_mb"]
+    rows = [line.split() for line in lines[2:4]]
+    assert [row[0] for row in rows] == ["4", "8"]
+    for row in rows:
+        lo, hi, seconds, peak_mb = float(row[1]), float(row[2]), float(row[5]), float(row[6])
+        assert 0 < lo <= hi and seconds >= 0 and peak_mb > 0
+
+
+def test_covering_convergence_ends_the_table_at_a_refused_resolution(monkeypatch, capsys):
+    def bracket(body, resolution):
+        if resolution > 4:
+            raise adelic.EnumerationCapError("covering grid would hold 64 points")
+        return 1.0, 1.5
+
+    monkeypatch.setattr(adelic, "inhomogeneous_minimum", bracket)
+    monkeypatch.setattr(sys, "argv", ["covering_convergence.py", "Q_sqrt2",
+                                      "--min-resolution", "4", "--max-resolution", "16"])
+    runpy.run_path(str(ROOT / "scripts" / "covering_convergence.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "         8 refused: covering grid would hold 64 points" in out
+    assert not any(line.split()[:1] == ["16"] for line in out.splitlines())
+    assert "final bracket [1.00000000, 1.50000000]" in out

@@ -403,3 +403,36 @@ def test_mu_product_report_brackets():
     assert rep.reference == pytest.approx(nd * (1 + math.log(nd)))
     # the bracketed product should sit below the reference for this example
     assert hi < rep.reference
+
+
+def mu_cases():
+    from adelic import parse_scenario
+    from adelic.cli import load_scenario_text
+    cases = {name: parse_scenario(load_scenario_text(name)).build() for name in PRESETS}
+    sqrt2 = preset_field("Q_sqrt2")
+    cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    cases["Q_sqrt2 n=2"] = AdelicBody(random_module(sqrt2, 2), uniform_ball_body(sqrt2, 2, F(1)))
+    cases["Q_sqrt2 n=3 box"] = AdelicBody(
+        random_module(sqrt2, 3), ProductBody(sqrt2, 3, [PlaceBody("real", 3, Box(
+            (F(1), F(2), F(10))))] * 2))
+    cases["x3-x-1 n=2"] = AdelicBody(random_module(cubic, 2), uniform_ball_body(cubic, 2, F(1)))
+    cases["x3-x-1 n=3 box"] = AdelicBody(random_module(cubic, 3), ProductBody(cubic, 3, [
+        PlaceBody("real", 3, Box((F(1), F(1), F(30)))), PlaceBody("complex", 6, Ball(F(1)))]))
+    return cases
+
+
+@pytest.mark.parametrize("name", list(mu_cases()))
+def test_mu_product_report_runs_no_minima_search(monkeypatch, name):
+    # lambda_1 is the first point of the k = 1 stream; the K-rank bookkeeping,
+    # the other minima and the classical minima of adelic_minima are never built
+    body = mu_cases()[name]
+    expected = adelic_minima(body).minima[0]
+    trackers = []
+    spy_on(monkeypatch, KRankTracker, lambda *args: trackers.append(args))
+    if body.n * body.field.degree > 4:
+        # the covering grid refuses nd > 4; lambda_1 is read before it
+        monkeypatch.setattr(transference, "inhomogeneous_minimum",
+                            lambda star, resolution, options: (1.0, 1.0))
+    rep = mu_product_report(body, resolution=4)
+    assert rep.lambda1 == expected
+    assert trackers == []
