@@ -7,17 +7,19 @@ process, so its peak RSS is its own:
 - `transference_check` over Q(theta), theta^3 = theta + 1, at the ranks
   given by --cubic (default 5, 6, 7: nd 15, 18, 21);
 - `adelic_minima` of a Z-lattice at the ranks given by --z (default
-  12 to 36 in steps of 4).
+  12 to 36 in steps of 4);
+- `EmbeddedLattice.reduced()` of a Z-lattice at the ranks given by
+  --reduce (default 16, 28, 40), timing the LLL reduction alone.
 
 Modules are A O^n for an n x n matrix A whose entries have coordinates
 random.Random(0).randint(-3, 3), drawn row by row and redrawn while
 A is singular (`random_module`, which the tests share); every place
 carries the unit ball.  Each row prints nd, wall seconds (module, body
-and search, by time.perf_counter), peak RSS in MB, and "ok" or the
-enumeration cap message.
+and search, or the reduction alone, by time.perf_counter), peak RSS in
+MB, and "ok" or the enumeration cap message.
 
     python3 scripts/minima_scaling.py
-    python3 scripts/minima_scaling.py --cubic 2 --z 4 8
+    python3 scripts/minima_scaling.py --cubic 2 --z 4 8 --reduce 16
 """
 
 import argparse
@@ -34,6 +36,7 @@ from adelic import (
     EnumerationCapError,
     NumberField,
     adelic_minima,
+    lattice_from_module,
     module_from_matrix,
     rational_field,
     transference_check,
@@ -62,13 +65,15 @@ def random_module(field, n, seed=0):
 def run_row(kind: str, n: int) -> dict:
     """One row in this process: nd, seconds, peak RSS and the outcome."""
     field = NumberField(*CUBIC) if kind == "cubic" else rational_field()
+    # a reduction row times the reduction alone
+    lat = lattice_from_module(random_module(field, n)) if kind == "reduce" else None
     start = time.perf_counter()
-    body = AdelicBody(random_module(field, n), uniform_ball_body(field, n, Fraction(1)))
     try:
-        if kind == "cubic":
-            transference_check(body)
+        if lat is not None:
+            lat.reduced()
         else:
-            adelic_minima(body)
+            body = AdelicBody(random_module(field, n), uniform_ball_body(field, n, Fraction(1)))
+            (transference_check if kind == "cubic" else adelic_minima)(body)
         outcome = "ok"
     except EnumerationCapError as exc:
         outcome = str(exc)
@@ -83,6 +88,8 @@ def main():
                     help="ranks of the x^3-x-1 transference rows")
     ap.add_argument("--z", nargs="*", type=int, default=list(range(12, 37, 4)),
                     help="ranks of the Z-lattice minima rows")
+    ap.add_argument("--reduce", nargs="*", type=int, default=[16, 28, 40],
+                    help="ranks of the Z-lattice reduction rows")
     ap.add_argument("--row", nargs=2, metavar=("KIND", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args()
 
@@ -91,14 +98,15 @@ def main():
         return
 
     print(f"{'case':<28} {'nd':>3} {'seconds':>8} {'rss_mb':>7}  result")
-    rows = [("cubic", n) for n in args.cubic] + [("z", n) for n in args.z]
+    rows = ([("cubic", n) for n in args.cubic] + [("z", n) for n in args.z]
+            + [("reduce", n) for n in args.reduce])
     for kind, n in rows:
         proc = subprocess.run(
             [sys.executable, __file__, "--row", kind, str(n)],
             capture_output=True, text=True, check=True)
         row = json.loads(proc.stdout.splitlines()[-1])
-        name = (f"transference x^3-x-1 n={n}" if kind == "cubic"
-                else f"minima Z-lattice n={n}")
+        name = {"cubic": f"transference x^3-x-1 n={n}", "z": f"minima Z-lattice n={n}",
+                "reduce": f"reduced() Z-lattice n={n}"}[kind]
         print(f"{name:<28} {row['nd']:>3} {row['seconds']:>8.3f} {row['rss_mb']:>7.1f}  "
               f"{row['outcome']}")
 

@@ -114,23 +114,20 @@ def mat_inv(a: Matrix) -> Matrix:
 
 
 def is_unimodular(a: Matrix, scale: int = 1) -> bool:
-    """a / scale is integral with determinant +-1: a change of basis of one Z-lattice."""
-    return (all(x % scale == 0 for row in a for x in row)
-            and abs(mat_det(a)) == scale ** len(a))
+    """a / scale is integral and the quotient has determinant +-1: a Z-lattice's change of basis."""
+    return (not any(x % scale for row in a for x in row)
+            and abs(_bareiss([[x // scale for x in row] for row in a], len(a))) == 1)
 
 
 def is_unimodular_ratio(a: tuple[IntMatrix, int], b: tuple[IntMatrix, int]) -> bool:
     """The rows of A = N / s and B = M / t, given as (N, s) and (M, t), span one Z-lattice.
 
-    One solve of M^t Y^t = N^t gives A B^-1 = t Y / (s d); it is
-    unimodular when s d divides every t Y and |det A| = |det B|.
+    One solve of M^t Y^t = N^t gives A B^-1 = t Y^t / (s d), which must
+    be integral with determinant +-1.
     """
     (na, s), (nb, t) = a, b
     y, d = solve_scaled(transpose(nb), transpose(na))
-    if any(v * t % (s * d) for row in y for v in row):
-        return False
-    n = len(na)
-    return abs(mat_det(na)) * t ** n == abs(mat_det(nb)) * s ** n
+    return is_unimodular([[v * t for v in row] for row in y], s * d)
 
 
 class RankTracker:

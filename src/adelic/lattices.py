@@ -9,16 +9,17 @@ a K-vector only when a caller keeps it (`preimage_of`: its coordinates
 times U times N / s).  Floats only measure gauges, and enumeration is
 seeded by each body's own diagonal bounding form.
 
-LLL recomputes one Gram-Schmidt row per step.  One enumeration engine
-expands a numpy frontier level by level, around the origin for minima
-and around many grid points at once for covering radii; both give the
-floats of the plain loops (full Gram-Schmidt after every step, a
-depth-first recursion) bit for bit.
+LLL is the Schnorr-Euchner reduction on Python floats: one Gram-Schmidt
+row per arrival at a row, and mu updated in place by size reduction.
+One enumeration engine expands a numpy frontier level by level, around
+the origin for minima and around many grid points at once for covering
+radii; it gives the floats of a depth-first recursion bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -155,47 +156,49 @@ def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:
 def _lll_transform(b: np.ndarray, delta: float) -> list[list[int]]:
     """The integer transform U of an LLL reduction of the rows of b.
 
-    Gram-Schmidt row i is a function of basis rows 0..i alone, so only
-    row k is recomputed: when the loop arrives at k and after each size
-    reduction of row k (after a swap that leaves k at 1, row 0 as well).
-    Each row is computed from scratch by the classical formulas, so every
-    mu and |b*|^2 read is the float a full recomputation would give.
+    Schnorr-Euchner (1994) floating-point LLL on Python floats.  Row k of
+    Gram-Schmidt is computed once, when the loop arrives at k (row 0 too,
+    after a swap that leaves k at 1).  Size reduction by row j leaves b*_k
+    and |b*_k|^2 as they are and updates mu in place; row k is recomputed,
+    and the pass repeated, only after a pass that used a coefficient
+    |r| > 2^26, half the float mantissa.
     """
-    m = b.shape[0]
-    b = b.copy()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    bstar = np.zeros_like(b)
-    mu = np.zeros((m, m))
-    norms = np.zeros(m)
+    m = len(b)
+    b = b.tolist()
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    bstar, norms, mu = [[]] * m, [0.0] * m, [[0.0] * m for _ in range(m)]
 
     def gram_schmidt_row(i: int):
-        bstar[i] = b[i]
+        v = b[i]
         for j in range(i):
-            mu[i, j] = (b[i] @ bstar[j]) / norms[j]
-            bstar[i] = bstar[i] - mu[i, j] * bstar[j]
-        norms[i] = bstar[i] @ bstar[i]
-        if norms[i] <= 0:
+            c = mu[i][j] = sum(map(operator.mul, b[i], bstar[j])) / norms[j]
+            v = [x - c * y for x, y in zip(v, bstar[j])]
+        bstar[i], norms[i] = v, sum(x * x for x in v)
+        if not norms[i] > 0:
             raise ConditioningError("lattice basis lost rank during reduction")
 
     gram_schmidt_row(0)
-    k = 1
-    guard = 0
+    k, guard = 1, 0
     while k < m:
-        guard += 1
-        if guard > 100000:
-            raise ConditioningError("reduction failed to terminate")
-        gram_schmidt_row(k)
-        for j in range(k - 1, -1, -1):
-            if abs(mu[k, j]) > 0.5:
-                r = round(mu[k, j])
-                b[k] -= r * b[j]
-                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
-                gram_schmidt_row(k)
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+        mu_k, large = mu[k], True
+        while large:
+            guard += 1
+            if guard > 100000:
+                raise ConditioningError("reduction failed to terminate")
+            gram_schmidt_row(k)
+            large = False
+            for j in range(k - 1, -1, -1):
+                if abs(mu_k[j]) > 0.5:
+                    r = round(mu_k[j])
+                    large = large or abs(r) > 1 << 26
+                    b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+                    u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                    mu_k[:j] = [x - r * y for x, y in zip(mu_k[:j], mu[j])]
+                    mu_k[j] -= r
+        if norms[k] >= (delta - mu_k[k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
-            b[[k - 1, k]] = b[[k, k - 1]]
-            u[k - 1], u[k] = u[k], u[k - 1]
+            b[k - 1], b[k], u[k - 1], u[k] = b[k], b[k - 1], u[k], u[k - 1]
             if k == 1:
                 gram_schmidt_row(0)
             k = max(k - 1, 1)
@@ -440,8 +443,8 @@ def covering_radius_bounds(
             coords, near = _enumerate_quadratic(r, bounds, options.enumeration_cap, fracs[idx])
         except EnumerationCapError as exc:
             raise EnumerationCapError(
-                f"covering search, grid batch {batch} ({len(idx)} points, corner gauge "
-                f"<= {upper[idx].max():.6g}): {exc}") from exc
+                f"covering search, grid batch {batch} ({len(idx)} points, nearest-plane "
+                f"bound <= {upper[idx].max():.6g}): {exc}") from exc
         vecs = (coords.astype(float)[:, None, :] @ b)[:, 0, :]
         best = np.full(len(idx), np.inf)
         np.minimum.at(best, near, body.gauge_many(grid[idx][near] - vecs))

@@ -195,51 +195,17 @@ def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):
     return lower, lower + slack
 
 
-def lll_transform_full_gram_schmidt(b, delta):
-    """LLL transform that recomputes every Gram-Schmidt row after each step.
-
-    The plain form of `adelic.lattices._lll_transform`, which recomputes
-    only the row the next decision reads; the two must agree exactly.
-    """
-    m = b.shape[0]
-    b = b.copy()
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def gram_schmidt():
-        bstar = np.zeros_like(b)
-        mu = np.zeros((m, m))
-        norms = np.zeros(m)
-        for i in range(m):
-            bstar[i] = b[i]
-            for j in range(i):
-                mu[i, j] = (b[i] @ bstar[j]) / norms[j]
-                bstar[i] = bstar[i] - mu[i, j] * bstar[j]
-            norms[i] = bstar[i] @ bstar[i]
-            if norms[i] <= 0:
-                raise ConditioningError("lattice basis lost rank during reduction")
-        return mu, norms
-
-    mu, norms = gram_schmidt()
-    k = 1
-    guard = 0
-    while k < m:
-        guard += 1
-        if guard > 100000:
-            raise ConditioningError("reduction failed to terminate")
-        for j in range(k - 1, -1, -1):
-            if abs(mu[k, j]) > 0.5:
-                r = round(mu[k, j])
-                b[k] -= r * b[j]
-                u[k] = [x - r * y for x, y in zip(u[k], u[j])]
-                mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
-            k += 1
-        else:
-            b[[k - 1, k]] = b[[k, k - 1]]
-            u[k - 1], u[k] = u[k], u[k - 1]
-            mu, norms = gram_schmidt()
-            k = max(k - 1, 1)
-    return u
+def fraction_gram_schmidt(rows):
+    """mu and |b*|^2 of integer rows, by the classical formulas on `Fraction`s."""
+    bstar, mu, norms = [], [], []
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        mu.append([sum(x * y for x, y in zip(row, bstar[j])) / norms[j] for j in range(i)])
+        for j in range(i):
+            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
+        bstar.append(v)
+        norms.append(sum(x * x for x in v))
+    return mu, norms
 
 
 def enumerate_quadratic_recursive(r, bound, cap):

@@ -26,6 +26,11 @@ from field_reference import FractionRankTracker, fraction_det, gauss_jordan_solv
 F = Fraction
 
 
+def fraction_unimodular(a) -> bool:
+    """The reference verdict: a is integral with determinant +-1, in `Fraction`s."""
+    return all(F(x).denominator == 1 for row in a for x in row) and abs(fraction_det(a)) == 1
+
+
 def to_fractions(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
@@ -225,15 +230,29 @@ def test_unimodular_ratio_matches_the_inverse_product(b, data):
         with pytest.raises(ValueError, match="^singular matrix$"):
             is_unimodular_ratio(integer_matrix(a), integer_matrix(b))
         return
-    expected = is_unimodular(mat_mul(a, mat_inv(b)))
+    expected = fraction_unimodular(mat_mul(a, gauss_jordan_solve(b, identity_matrix(n))))
     assert is_unimodular_ratio(integer_matrix(a), integer_matrix(b)) == expected
 
 
 @settings(max_examples=80, deadline=None)
-@given(near_unimodular() | rational_matrices(max_size=4))
-def test_is_unimodular_matches_the_fraction_reference(a):
-    expected = all(F(x).denominator == 1 for row in a for x in row) and abs(fraction_det(a)) == 1
+@given(near_unimodular() | rational_matrices(max_size=4), st.integers(1, 10 ** 6))
+def test_is_unimodular_matches_the_fraction_reference(a, c):
+    # a itself, and its integer numerators over the scale c * q
+    expected = fraction_unimodular(a)
     assert is_unimodular(a) == expected
+    num, q = integer_matrix(a)
+    assert is_unimodular([[c * x for x in row] for row in num], c * q) == expected
+
+
+def test_unimodularity_tests_decide_on_the_integral_quotient():
+    # [[3, 2], [1, 1]] has det 1; [[1, 1/2], [0, 1]] has det 1 but is not integral
+    assert is_unimodular([[6, 4], [2, 2]], 2)
+    assert not is_unimodular([[2, 1], [0, 2]], 2)
+    assert not is_unimodular([[4, 0], [0, 2]], 2)
+    assert is_unimodular_ratio(([[9, 6], [3, 3]], 3), ([[1, 0], [0, 1]], 1))
+    assert not is_unimodular_ratio(([[2, 1], [0, 2]], 2), ([[1, 0], [0, 1]], 1))
+    assert not is_unimodular_ratio(([[2, 0], [0, 1]], 1), ([[1, 0], [0, 1]], 1))
+    assert not is_unimodular_ratio(([[1, 0], [0, 1]], 1), ([[2, 0], [0, 1]], 1))
 
 
 @settings(max_examples=80, deadline=None)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic import lattices
-from adelic.exactla import RankTracker
+from adelic.exactla import RankTracker, mat_det, mat_mul
 from adelic import (
     AdelicBody,
     Ball,
@@ -42,8 +42,8 @@ from field_reference import (
     classical_minima,
     covering_radius_full_window,
     enumerate_quadratic_recursive,
+    fraction_gram_schmidt,
     kvectors,
-    lll_transform_full_gram_schmidt,
     preimage_by_field_arithmetic,
     random_module,
 )
@@ -202,9 +202,16 @@ def lll_bases(draw):
 @settings(max_examples=30, deadline=None)
 @given(lll_bases())
 @example([[1, 0], [1000, 1]])
-def test_lll_transform_matches_full_gram_schmidt_reference(rows):
-    b = np.array(rows, dtype=float)
-    assert lattices._lll_transform(b, 0.99) == lll_transform_full_gram_schmidt(b, 0.99)
+# first coefficient about -2^33: without a fresh row after it, mu_20 is off by more than 1/2
+@example([[1, 2, -2], [-8589934589, -17179869174, 17179869179], [4294967299, 42949672974, 0]])
+def test_lll_transform_is_lll_reduced_in_exact_arithmetic(rows):
+    # U is unimodular and U B is size-reduced and Lovasz at delta = 0.99, in Fractions
+    u = lattices._lll_transform(np.array(rows, dtype=float), 0.99)
+    assert abs(mat_det(u)) == 1
+    mu, norms = fraction_gram_schmidt(mat_mul(u, rows))
+    assert all(abs(x) <= F(1, 2) for row in mu for x in row)
+    assert all(norms[k] >= (F(99, 100) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, len(rows)))
 
 
 def test_back_map_validation():
@@ -678,10 +685,10 @@ def test_centred_covering_search_measures_few_rows_beyond_the_corners(monkeypatc
 
 def test_covering_search_window_cap():
     # a 1 x 50 box over Z^2: the first batch of 16 grid points visits
-    # about 170 nodes for each point at corner gauge 0.5
+    # about 170 nodes for each point at nearest-plane bound 0.5
     body = q_body(2, Box((F(1), F(50))))
-    with pytest.raises(EnumerationCapError,
-                       match=r"covering search, grid batch 1 \(16 points, corner gauge <= 0.5\)"):
+    with pytest.raises(EnumerationCapError, match=r"covering search, grid batch 1 "
+                       r"\(16 points, nearest-plane bound <= 0.5\)"):
         covering_radius_bounds(z_lattice(2), body, resolution=8,
                                options=ComputeOptions(enumeration_cap=1000))
     assert covering_radius_bounds(z_lattice(2), body, resolution=8) == (0.5, 0.625)
