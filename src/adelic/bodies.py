@@ -145,15 +145,11 @@ class Ellipsoid:
         m = len(q)
         if any(len(row) != m for row in q):
             raise ValueError("quadratic form must be square")
-        for i in range(m):
-            for j in range(i):
-                if q[i][j] != q[j][i]:
-                    raise ValueError("quadratic form must be symmetric")
+        if any(q[i][j] != q[j][i] for i in range(m) for j in range(i)):
+            raise ValueError("quadratic form must be symmetric")
         # Sylvester criterion, exact
-        for k in range(1, m + 1):
-            minor = [list(row[:k]) for row in q[:k]]
-            if mat_det(minor) <= 0:
-                raise ValueError("quadratic form must be positive definite")
+        if any(mat_det([list(row[:k]) for row in q[:k]]) <= 0 for k in range(1, m + 1)):
+            raise ValueError("quadratic form must be positive definite")
 
     def intrinsic_dim(self) -> int:
         return len(self.q)
@@ -193,17 +189,11 @@ class Ellipsoid:
         if m % 2 != 0:
             return False
 
-        def jq(i, j):
-            # (J Q)_{ij}: J swaps each (2k, 2k+1) row pair with signs
-            if i % 2 == 0:
-                return -self.q[i + 1][j]
-            return self.q[i - 1][j]
+        def jq(i, j):  # (J Q)_{ij}: J swaps each (2k, 2k+1) row pair with signs
+            return -self.q[i + 1][j] if i % 2 == 0 else self.q[i - 1][j]
 
-        def qj(i, j):
-            # (Q J)_{ij}
-            if j % 2 == 0:
-                return self.q[i][j + 1]
-            return -self.q[i][j - 1]
+        def qj(i, j):  # (Q J)_{ij}
+            return self.q[i][j + 1] if j % 2 == 0 else -self.q[i][j - 1]
 
         return all(jq(i, j) == qj(i, j) for i in range(m) for j in range(m))
 

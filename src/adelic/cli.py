@@ -190,9 +190,11 @@ def cmd_verify_duality(body: AdelicBody, options, rep: _Report) -> int:
     _field_header(rep, body)
     primal = lattice_from_module(body.finite_part, body.conjugated)
     dual_module = body.finite_part.trace_dual()
-    numeric = polar_lattice(primal)
     mirrored = lattice_from_module(dual_module, not body.conjugated)
-    ok = lattice_equal(numeric, mirrored)
+    try:
+        ok = lattice_equal(polar_lattice(primal), mirrored)
+    except ConditioningError as exc:
+        raise ConditioningError(f"duality check: {exc}") from exc
     rep.human("polar lattice of the embedded module vs mirror-embedded dual module:")
     rep.line(f"duality rank={body.n} equal={'true' if ok else 'false'}")
     return 0 if ok else 1

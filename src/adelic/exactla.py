@@ -8,7 +8,8 @@ run on N.  `solve_scaled` is the one elimination: fraction-free (Bareiss
 1968; Cohen, GTM 138, 2.2), every division by the previous pivot exact,
 with the solution returned over one denominator.  `mat_det`, `mat_solve`
 and `mat_inv` take ints and `Fraction`s and build a `Fraction` only for
-what they return.  `RankTracker` keeps primitive integer rows.  A system
+what they return.  `RankTracker` takes integer vectors.  Dot products
+are `sum(map(operator.mul, ...))`, exact and looped in C.  A system
 over a number field K is brought here through its regular
 representation over Q (see `omodules.KModule.regular`).
 """
@@ -16,6 +17,7 @@ representation over Q (see `omodules.KModule.regular`).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,11 +36,11 @@ def transpose(a: Matrix) -> Matrix:
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """Product of integer matrices; a rational factor enters as its numerators."""
     bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return [[sum(map(operator.mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> list[Fraction]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def integer_matrix(a: Matrix) -> tuple[IntMatrix, int]:
@@ -95,8 +97,9 @@ def solve_scaled(a: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
     x: IntMatrix = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         row = m[i]
-        x[i] = [(det * row[n + j] - sum(row[c] * x[c][j] for c in range(i + 1, n))) // row[i]
-                for j in range(len(row) - n)]
+        below = list(zip(*x[i + 1:])) or [()] * (len(row) - n)  # the columns of x under row i
+        x[i] = [(det * r - sum(map(operator.mul, row[i + 1:n], col))) // row[i]
+                for r, col in zip(row[n:], below)]
     g = math.gcd(det, *(v for row in x for v in row)) * (-1 if det < 0 else 1)
     return [[v // g for v in row] for row in x], det // g
 
@@ -131,11 +134,11 @@ def is_unimodular_ratio(a: tuple[IntMatrix, int], b: tuple[IntMatrix, int]) -> b
 
 
 class RankTracker:
-    """Incremental exact rank of a growing set of rational vectors of length dim.
+    """Incremental exact rank of a growing set of integer vectors of length dim.
 
-    The echelon rows are primitive integer vectors.  A vector is scaled
-    to integers once and reduced against them by gcd-reduced integer
-    combinations, so the span is decided without building a `Fraction`.
+    The echelon rows are primitive integer vectors.  A vector (a rational
+    one scaled to integers by its caller) is reduced against them by
+    gcd-reduced integer combinations, without building a `Fraction`.
     """
 
     def __init__(self, dim: int):
@@ -143,11 +146,11 @@ class RankTracker:
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
 
-    def try_add(self, vec: Sequence[Fraction]) -> bool:
+    def try_add(self, vec: Sequence[int]) -> bool:
         """Reduce vec against the stored echelon; keep it if independent."""
         if len(vec) != self.dim:
             raise ValueError(f"vector of length {len(vec)} in a rank tracker of dimension {self.dim}")
-        (v,), _ = integer_matrix([vec])
+        v = vec
         for row, p in zip(self.rows, self.pivots):
             f = v[p]
             if f:

@@ -131,7 +131,10 @@ def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLa
 
 def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
     """Dual basis rows B* with B* diag(F) B^T = I, numeric (no preimages)."""
-    dual = np.linalg.solve((lat.basis * lat.form) @ lat.basis.T, lat.basis)
+    gram = (lat.basis * lat.form) @ lat.basis.T
+    if not np.linalg.cond(gram) < 1 / np.finfo(float).eps:  # a solve would keep no digit
+        raise ConditioningError("Gram matrix of the polar lattice is numerically singular")
+    dual = np.linalg.solve(gram, lat.basis)
     return EmbeddedLattice(lat.field, dual, lat.form, None, not lat.conjugated)
 
 
@@ -139,6 +142,8 @@ def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:
     """Same lattice up to an integer unimodular change of basis."""
     if a.dim != b.dim:
         return False
+    if not np.linalg.cond(b.basis) < 1 / np.finfo(float).eps:
+        raise ConditioningError("basis of the compared lattice is numerically singular")
     c = a.basis @ np.linalg.inv(b.basis)
     cr = np.rint(c)
     if np.max(np.abs(c - cr)) > EQUAL_TOL:
@@ -175,7 +180,7 @@ def _lll_transform(b: np.ndarray, delta: float) -> list[list[int]]:
             v = [x - c * y for x, y in zip(v, bstar[j])]
         bstar[i], norms[i] = v, sum(x * x for x in v)
         if not norms[i] > 0:
-            raise ConditioningError("lattice basis lost rank during reduction")
+            raise ConditioningError("float precision ran out in lattice reduction")
 
     gram_schmidt_row(0)
     k, guard = 1, 0

@@ -11,8 +11,9 @@ is one unimodular-ratio test; no matrix is inverted and no `Fraction` is
 multiplied.  The trace dual is built through the pseudo-basis, one dual
 per distinct ideal, and checked by its pairing matrix with the module
 under the trace form P[i][j] = Tr(theta^(i+j)), which must be unimodular.
-`KRankTracker` composes the ideals' integer actions into integer maps on
-lattice coordinates, so K-rank is decided on Python ints.
+`KRankTracker` maps lattice coordinates to the module's Z-basis once and
+applies the ideals' own d x d integer actions block by block, so K-rank
+is decided on Python ints without an nd x nd matrix.
 """
 
 from __future__ import annotations
@@ -43,39 +44,36 @@ KVector = tuple[FieldElement, ...]
 class KRankTracker:
     """Incremental rank over K of lattice points, read on their integer coordinates.
 
-    Coordinates c over the basis U z (U = `transform`, z the module's
-    Z-basis) are c U over z.  On z an integral-basis element b acts
-    block-diagonally, block i being its integer action on the i-th ideal
-    of the pseudo-basis, so the K-span of the point is spanned over Q by
-    its d images c U M_b.  U and the M_b are integer matrices, so every
-    image is an integer vector.  One exact `RankTracker` holds the
+    Coordinates c over the basis U Z (U = `transform`, Z the module's
+    Z-basis) are z = c U over Z, one product with `coords_map` = U^t.
+    On Z an integral-basis element b acts block-diagonally, block i
+    being its integer action A_b on the i-th ideal of the pseudo-basis
+    (`actions[b][i]`, transposed), so the K-span of the point is spanned
+    over Q by its d images z blockdiag(A_b), each computed block by block
+    (n d^2 products, no nd x nd matrix).  One exact `RankTracker` holds the
     Q-span of the K-spans accepted so far: a point raises the K-rank
-    exactly when it leaves that span, and then its images join it.
+    exactly when z leaves that span, and then its images join it.
     """
 
     def __init__(self, module: "KModule", transform: Sequence[Sequence[int]]):
-        d = module.field.degree
-        nd = module.rank * d
-        self.degree = d
-        # U and each U M_b transposed, so that an image is one mat_vec
+        self.degree = d = module.field.degree
         self.coords_map = transpose(transform)
-        self.actions = []
-        for k in range(d):
-            m_b = [[0] * nd for _ in range(nd)]
-            for i, (ideal, _) in enumerate(module.pseudo):
-                for r, row in enumerate(ideal.actions[k]):
-                    m_b[i * d + r][i * d:(i + 1) * d] = row
-            self.actions.append(transpose(mat_mul(transform, m_b)))
-        self.span = RankTracker(nd)
+        # per b, the ideals' blocks transposed, so that a block's image is one mat_vec
+        self.actions = [[transpose(ideal.actions[k]) for ideal, _ in module.pseudo]
+                        for k in range(d)]
+        self.span = RankTracker(module.rank * d)
 
     def try_add(self, coords: Sequence[int]) -> bool:
         if len(coords) != self.span.dim:
             raise ValueError(f"coordinates of length {len(coords)} in a K-rank tracker "
                              f"of dimension {self.span.dim}")
-        if not self.span.try_add(mat_vec(self.coords_map, coords)):
+        z = mat_vec(self.coords_map, coords)
+        if not self.span.try_add(z):
             return False
-        for action in self.actions:
-            self.span.try_add(mat_vec(action, coords))
+        parts = [z[i:i + self.degree] for i in range(0, len(z), self.degree)]
+        for blocks in self.actions:
+            self.span.try_add([x for block, part in zip(blocks, parts)
+                               for x in mat_vec(block, part)])
         return True
 
     @property

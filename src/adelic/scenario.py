@@ -111,9 +111,7 @@ def _matrix_rows(text: str, where: str) -> list[list[str]]:
     s = text.replace(" ", "")
     if not (s.startswith("[[") and s.endswith("]]")):
         raise ScenarioError(f"{where}: matrix must be written [[...], [...]]")
-    inner = s[2:-2]
-    rows = inner.split("],[")
-    return [row.split(";") for row in rows]
+    return [row.split(";") for row in s[2:-2].split("],[")]
 
 
 def _rational_matrix(text: str, where: str) -> list[list[Fraction]]:
@@ -130,10 +128,8 @@ def _rational_matrix(text: str, where: str) -> list[list[Fraction]]:
 
 
 def _element_matrix(text: str, where: str) -> list[list[list[Fraction]]]:
-    out = []
-    for row in _matrix_rows(text, where):
-        out.append([[_rational(c, where) for c in entry.split(",")] for entry in row])
-    return out
+    return [[[_rational(c, where) for c in entry.split(",")] for entry in row]
+            for row in _matrix_rows(text, where)]
 
 
 def _element_list(text: str, where: str) -> list[list[Fraction]]:
@@ -310,13 +306,10 @@ def _build_field(fs: FieldSpec, precision_bits: int) -> NumberField:
         if fs.cm and not f.is_cm:
             raise ScenarioError("[field]: cm = true needs a field with no real embeddings")
         return f
-    poly = []
-    for c in fs.poly:
-        if c.denominator != 1:
-            raise ScenarioError("[field] poly: coefficients must be integers")
-        poly.append(int(c))
+    if any(c.denominator != 1 for c in fs.poly):
+        raise ScenarioError("[field] poly: coefficients must be integers")
     try:
-        return NumberField(poly, fs.basis, fs.discriminant,
+        return NumberField([int(c) for c in fs.poly], fs.basis, fs.discriminant,
                            cm_asserted=fs.cm, precision_bits=precision_bits)
     except ValueError as exc:
         raise ScenarioError(f"[field]: {exc}") from exc

@@ -6,9 +6,10 @@ embedded lattice's points in gauge order (`points_by_gauge`) and keeping
 those that increase the rank over K.  That rank is decided exactly on
 the points' integer coordinates: the LLL transform carries them to the
 module's Z-basis, where the integral basis acts by integer blocks read
-from the ideals of the pseudo-basis.  Only the kept points, the
-witnesses, are mapped back to exact K-vectors.  Dilation acts on the infinite places
-only, so a point's minimum level is just its gauge.
+from the ideals of the pseudo-basis, and a point already in the Q-span
+of the points before it is not K-tested at all.  Only the kept points,
+the witnesses, are mapped back to exact K-vectors.  Dilation acts on the
+infinite places only, so a point's minimum level is just its gauge.
 """
 
 from __future__ import annotations
@@ -92,13 +93,19 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     """Successive minima with exact K-independence bookkeeping.
 
     One pass over `points_by_gauge` feeds two exact trackers, both on
-    the points' integer coordinates: the K-rank (the adelic minima; see
-    `KRankTracker`) and the rank over Q (the classical minima up to
-    index (n-1)d+1).  A point that raises the K-rank is a witness, and
+    the points' integer coordinates: the rank over Q (the classical
+    minima up to index (n-1)d+1) and the K-rank (the adelic minima; see
+    `KRankTracker`).  A point that raises the K-rank is a witness, and
     only witnesses get an exact preimage.  The search is asked for the
     (n-1)d+1 minima over R, and the pass stops once both lists are
     complete.  Each lambda_l <= classical[(l-1)d+1] is checked, which
     holds because a K-span of dimension l-1 has real dimension (l-1)d.
+
+    While the classical list is incomplete, a point the Q tracker rejects
+    is not K-tested: every point read so far lies in the K-span W of the
+    witnesses so far (it is one, was K-rejected, came after full K-rank,
+    or was Q-rejected: by induction), and a Q-rejected point is in the
+    Q-span of earlier points, so in W, where a K test would reject it.
     """
     field = body.field
     n, d = body.n, field.degree
@@ -111,7 +118,9 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     kept: list[LatticePoint] = []
     classical: list[float] = []
     for p in points_by_gauge(red, body.infinite_part, target_classical, options):
-        if len(classical) < target_classical and rtracker.try_add(p.coords):
+        if len(classical) < target_classical:
+            if not rtracker.try_add(p.coords):
+                continue  # in the Q-span of earlier points, so in the K-span of the witnesses
             classical.append(p.gauge)
         if len(minima) < n and ktracker.try_add(p.coords):
             minima.append(p.gauge)
@@ -214,10 +223,8 @@ def transference_check(
         lam_star = rep_star.minima[n - ell]
         product = lam * lam_star
         upper_verdict = "pass" if product <= upper + BOUND_TOL else "fail"
-        if lower is None:
-            lower_verdict = "n/a"
-        else:
-            lower_verdict = "pass" if product >= lower - BOUND_TOL else "fail"
+        lower_verdict = ("n/a" if lower is None
+                         else "pass" if product >= lower - BOUND_TOL else "fail")
         rows.append(TransferenceRow(ell, lam, lam_star, product, lower_verdict, upper_verdict))
     return TransferenceReport(n, d, flags, lower, upper, rows, rep_s, rep_star)
 

@@ -159,11 +159,17 @@ def contains(lattice, x) -> bool:
 
 
 def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):
-    """Covering bracket with every grid point measured against the whole offset window.
+    """Covering bracket with every grid point measured against its whole offset window.
 
     The plain search that `adelic.lattices.covering_radius_bounds` prunes:
-    the same grid, window and slack, with each grid point's nearest
-    lattice point taken over all offsets in [-w, w + 1]^m.
+    the same grid and slack, and each grid point's nearest lattice point
+    taken over all offsets of its own window.  For the grid point f B,
+    g is the gauge to its nearest-plane (Babai) point under the
+    Euclidean Gram-Schmidt basis of B, found here by a QR factorisation.
+    A lattice point c B at gauge <= g lies within g * circ of f B, so
+    |c - f| <= g * circ * |B^-1| and c lies in [-w, w + 1]^m for
+    w = ceil(g * circ * |B^-1|) + 1.  Grid points with the same w are
+    measured together.
     """
     k = resolution
     red = lat.reduced()
@@ -174,21 +180,32 @@ def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):
     fracs = np.stack([a.ravel() for a in mesh], axis=1)
     grid = fracs @ b
 
-    circ = math.sqrt(sum(r * r for r in circumradii(body)))
-    g0 = float(np.max(body.gauge_many(grid - np.rint(fracs) @ b)))
-    binv_norm = float(np.linalg.norm(np.linalg.inv(b), 2))
-    w = int(math.ceil(g0 * circ * binv_norm)) + 1
-    offsets = np.stack(np.meshgrid(*[np.arange(-w, w + 2) for _ in range(m)],
-                                   indexing="ij"), axis=-1).reshape(-1, m)
-    shift = offsets @ b
+    # nearest plane on B = L Q^t, L lower triangular: the residual (f - c) L
+    # has entry i = sum_{j >= i} (f_j - c_j) L_ji, so c_i is rounded from m - 1 down
+    low = np.linalg.qr(b.T)[1].T
+    near = np.zeros_like(fracs)
+    for i in range(m - 1, -1, -1):
+        carry = (fracs[:, i + 1:] - near[:, i + 1:]) @ low[i + 1:, i] / low[i, i]
+        near[:, i] = np.rint(fracs[:, i] + carry)
+    g = body.gauge_many(grid - near @ b)
 
+    circ = math.sqrt(sum(r * r for r in circumradii(body)))
+    binv_norm = float(np.linalg.norm(np.linalg.inv(b), 2))
+    windows = np.ceil(g * circ * binv_norm).astype(int) + 1
     best = np.full(len(grid), np.inf)
-    chunk = max(1, int(2_000_000 // max(len(grid), 1)))
-    for start in range(0, len(shift), chunk):
-        block = shift[start:start + chunk]
-        diffs = grid[:, None, :] - block[None, :, :]
-        g = body.gauge_many(diffs.reshape(-1, m)).reshape(len(grid), len(block))
-        np.minimum(best, g.min(axis=1), out=best)
+    for w in np.unique(windows):
+        points = grid[windows == w]
+        offsets = np.stack(np.meshgrid(*[np.arange(-w, w + 2) for _ in range(m)],
+                                       indexing="ij"), axis=-1).reshape(-1, m)
+        shift = offsets @ b
+        near_w = np.full(len(points), np.inf)
+        chunk = max(1, int(2_000_000 // len(points)))
+        for start in range(0, len(shift), chunk):
+            block = shift[start:start + chunk]
+            diffs = points[:, None, :] - block[None, :, :]
+            gw = body.gauge_many(diffs.reshape(-1, m)).reshape(len(points), len(block))
+            np.minimum(near_w, gw.min(axis=1), out=near_w)
+        best[windows == w] = near_w
 
     lower = float(np.max(best))
     slack = body.lipschitz() * (0.5 / k) * float(np.sum(np.linalg.norm(b, axis=1)))

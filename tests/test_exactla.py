@@ -35,10 +35,16 @@ def to_fractions(rows):
     return [[Fraction(x) for x in row] for row in rows]
 
 
+def scaled_row(vec):
+    """A rational vector times the lcm of its denominators: integers with the same span."""
+    (row,), _ = integer_matrix([vec])
+    return row
+
+
 def rank(rows):
     tracker = RankTracker(len(rows[0]))
     for row in rows:
-        tracker.try_add(row)
+        tracker.try_add(scaled_row(row))
     return tracker.rank
 
 
@@ -76,19 +82,19 @@ def test_solve_singular_raises():
 
 def test_rank_tracker_milestones():
     tr = RankTracker(3)
-    assert tr.try_add([F(1), F(0), F(0)])
-    assert not tr.try_add([F(2), F(0), F(0)])
-    assert tr.try_add([F(1), F(1), F(0)])
-    assert not tr.try_add([F(3), F(5), F(0)])
-    assert tr.try_add([F(0), F(0), F(1)])
+    assert tr.try_add([1, 0, 0])
+    assert not tr.try_add([2, 0, 0])
+    assert tr.try_add([1, 1, 0])
+    assert not tr.try_add([3, 5, 0])
+    assert tr.try_add([0, 0, 1])
     assert tr.rank == 3
-    assert not tr.try_add([F(1), F(2), F(3)])
+    assert not tr.try_add([1, 2, 3])
 
 
 def test_rank_tracker_rank_of_rows():
-    assert rank(to_fractions([[1, 2], [2, 4]])) == 1
-    assert rank(identity_matrix(3)) == 3
-    assert rank([[F(0), F(0)], [F(0), F(0)]]) == 0
+    assert rank([[1, 2], [2, 4]]) == 1
+    assert rank([[int(i == j) for j in range(3)] for i in range(3)]) == 3
+    assert rank([[0, 0], [0, 0]]) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,7 +269,7 @@ def test_rank_decisions_match_the_fraction_reference(a, data):
     zero = [[0] * len(a)] if data.draw(st.booleans()) else []
     vectors = a + extra + zero
     tracker, reference = RankTracker(len(a)), FractionRankTracker(len(a))
-    assert ([tracker.try_add(v) for v in vectors]
+    assert ([tracker.try_add(scaled_row(v)) for v in vectors]
             == [reference.try_add(v) for v in vectors])
     assert tracker.rank == len(reference.rows)
     assert tracker.pivots == reference.pivots
@@ -272,9 +278,9 @@ def test_rank_decisions_match_the_fraction_reference(a, data):
 
 def test_rank_tracker_rows_are_primitive_integers():
     tr = RankTracker(3)
-    assert tr.try_add([F(1, 2), F(1, 3), F(0)])
+    assert tr.try_add([6, 4, 0])  # (1/2, 1/3, 0) scaled by 12
     assert tr.try_add([4, 0, 6])
-    assert not tr.try_add([F(5, 2), F(1, 3), F(3)])
+    assert not tr.try_add([15, 2, 18])  # (5/2, 1/3, 3) scaled by 6
     assert tr.rows == [[3, 2, 0], [0, -4, 9]]
     assert all(type(x) is int for row in tr.rows for x in row)
 

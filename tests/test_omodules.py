@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from adelic import (
     ConditioningError,
@@ -21,12 +23,14 @@ from adelic import (
 
 from adelic import omodules
 from adelic.cli import main
-from adelic.exactla import RankTracker, identity_matrix, transpose
+from adelic.exactla import RankTracker, identity_matrix, integer_matrix, mat_mul, transpose
 from field_reference import (
+    FractionRankTracker,
     complementary_basis,
     contains,
     flatten_kvector,
     gauss_jordan_solve,
+    kcombination,
     kvectors,
     rational_flat,
     t_n,
@@ -268,8 +272,9 @@ def k_dependent_rows(k):
 
 
 def rank_over_q(rows):
+    """Rank of rational rows, each passed scaled to integers."""
     tracker = RankTracker(len(rows[0]))
-    return sum(tracker.try_add(row) for row in rows)
+    return sum(tracker.try_add(integer_matrix([row])[0][0]) for row in rows)
 
 
 @pytest.mark.parametrize("k", [quadratic_field(2), CUBIC], ids=["Q_sqrt2", "cubic"])
@@ -400,9 +405,93 @@ def test_krank_tracker_actions_are_integer_matrices():
                         (FractionalIdeal.whole_ring(k).trace_dual(), (k.theta(), k.one()))])
         u = [[1, 0, 0, 0], [2, 1, 0, 0], [0, -3, 1, 0], [0, 0, 5, 1]]
         tr = KRankTracker(m, u)
-        assert all(type(x) is int for action in tr.actions for row in action for x in row)
+        assert all(type(x) is int for blocks in tr.actions for block in blocks
+                   for row in block for x in row)
         assert tr.try_add((1, 0, 0, 0)) and tr.try_add((0, 0, 1, 0))
         assert all(type(x) is int for row in tr.span.rows for x in row)
+
+
+KRANK_FIELDS = {name: preset_field(name) for name in ("Q_sqrt2", "Q_sqrt5", "Q_sqrt-3")}
+KRANK_FIELDS["x3-x-1"] = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def fraction_krank_decisions(module, u, points):
+    """Per point, whether it raises the K-rank: its preimage w, by field
+    arithmetic, joins a `Fraction` echelon with theta^j w for j < d."""
+    k, n = module.field, module.rank
+    zbasis = kvectors(k, module.int_flat)
+    span, decisions = FractionRankTracker(n * k.degree), []
+    for c in points:
+        w = kcombination(k, n, [sum(x * y for x, y in zip(c, col)) for col in zip(*u)], zbasis)
+        decisions.append(span.try_add(flatten_kvector(w)))
+        if decisions[-1]:
+            for _ in range(k.degree - 1):
+                w = tuple(k.theta() * x for x in w)
+                span.try_add(flatten_kvector(w))
+    return decisions
+
+
+@st.composite
+def krank_cases(draw):
+    """A module over ideals O, xO and the dual of O, a unimodular U, and points
+    on the basis U z: random ones, sums of two earlier ones, and theta times
+    an earlier one (K-dependent, and Q-independent unless zero)."""
+    k = KRANK_FIELDS[draw(st.sampled_from(sorted(KRANK_FIELDS)))]
+    d = k.degree
+    n = draw(st.integers(1, 3 if d == 2 else 2))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+    def element():
+        return k.element([draw(small) for _ in range(d)])
+
+    ring, pseudo = FractionalIdeal.whole_ring(k), []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["ring", "scaled", "dual"]))
+        x = element()
+        ideal = {"ring": ring, "dual": ring.trace_dual()}.get(kind)
+        if ideal is None:
+            assume(not x.is_zero())
+            ideal = ring.scaled(x)
+        pseudo.append((ideal, tuple(element() for _ in range(n))))
+    try:
+        module = KModule(k, pseudo)
+    except ValueError:
+        assume(False)
+    nd = n * d
+    u = [[int(i == j) for j in range(nd)] for i in range(nd)]
+    for _ in range(draw(st.integers(0, 2 * nd))):
+        i, j = draw(st.integers(0, nd - 1)), draw(st.integers(0, nd - 1))
+        c = draw(st.integers(-2, 2))
+        u[i] = [-x for x in u[i]] if i == j else [x + c * y for x, y in zip(u[i], u[j])]
+    basis = mat_mul(u, rational_flat(module))  # the rows U z, flattened
+    points = []
+    for _ in range(draw(st.integers(1, 2 * n + 2))):
+        kind = draw(st.sampled_from(["random", "sum", "theta"]) if points else st.just("random"))
+        if kind == "random":
+            points.append(tuple(draw(st.integers(-2, 2)) for _ in range(nd)))
+        elif kind == "sum":
+            p, q = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+            points.append(tuple(x + y for x, y in zip(p, q)))
+        else:
+            c = draw(st.sampled_from(points))
+            w = [sum(x * y for x, y in zip(c, col)) for col in zip(*basis)]
+            theta_w = flatten_kvector(k.theta() * k.element(w[i:i + d])
+                                      for i in range(0, nd, d))
+            coords = [row[0] for row in gauss_jordan_solve(transpose(basis),
+                                                           [[x] for x in theta_w])]
+            assert all(x.denominator == 1 for x in coords)  # theta O-stable
+            points.append(tuple(int(x) for x in coords))
+    return module, u, points
+
+
+@settings(max_examples=40, deadline=None)
+@given(krank_cases())
+def test_krank_decisions_match_a_fraction_reference(case):
+    module, u, points = case
+    tr = KRankTracker(module, u)
+    decisions = [tr.try_add(c) for c in points]
+    assert decisions == fraction_krank_decisions(module, u, points)
+    assert tr.rank == sum(decisions)
 
 
 def test_ideal_actions_are_checked_for_integrality():

@@ -389,6 +389,39 @@ def test_cli_exit_code_3_on_cap(capsys):
     assert "error" in err
 
 
+# generators with entries near 2^50 of a rank-4 Z-lattice of determinant 8: a
+# nonsingular basis on which float Gram-Schmidt and the float duality check
+# both run out of precision
+LARGE_GENERATORS = [[4, 5, 5, -5], [4, 6, 1, 0],
+                    [1125899906842612, 1688849860263922, 281474976710639, 22],
+                    [-1125899906842632, -1970324836974605, 281474976710664, -1970324836974590]]
+
+
+LLL_PRECISION = "float precision ran out in lattice reduction"
+
+
+@pytest.mark.parametrize("command,code,message", [
+    ("polar", 0, None),
+    ("minima", 3, LLL_PRECISION),
+    ("transference", 3, LLL_PRECISION),
+    ("mu", 3, LLL_PRECISION),
+    ("verify-duality", 3, "duality check: Gram matrix of the polar lattice is numerically singular"),
+])
+def test_cli_large_coefficients_end_in_an_exit_code(capsys, tmp_path, command, code, message):
+    # the generators are the matrix columns; each command ends with exit 0-3, no traceback
+    matrix = ", ".join("[" + "; ".join(str(g[i]) for g in LARGE_GENERATORS) + "]"
+                       for i in range(4))
+    path = tmp_path / "large.ini"
+    path.write_text(f"[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [{matrix}]\n\n"
+                    "[body.v1]\nshape = ball\nradius = 1\n")
+    got, out, err = run_cli([command, str(path), "--machine"], capsys)
+    assert got == code
+    if message is None:
+        assert err == "" and "polar biduality=pass" in out
+    else:
+        assert err == f"error: {message}\n"
+
+
 def test_cli_all_directory(capsys, tmp_path):
     (tmp_path / "a_good.ini").write_text(load_scenario_text("Q"))
     (tmp_path / "b_bad.ini").write_text("[field]\npreset = Q\n")

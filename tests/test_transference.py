@@ -163,6 +163,41 @@ def test_preimages_are_built_only_for_k_rank_candidates(monkeypatch):
     assert calls["preimage_of"] == 2 < calls["try_add"] <= calls["points"]
 
 
+@pytest.mark.parametrize("field", ["Q_sqrt2", "x3-x-1"])
+def test_q_rejected_points_are_not_k_tested(monkeypatch, field):
+    # a point in the Q-span of the points before it is in the K-span of the
+    # witnesses, so adelic_minima offers it to the Q tracker only; the skewed
+    # box makes such points come before the classical list is complete
+    k = preset_field(field) if field != "x3-x-1" else NumberField(
+        [-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    places = [PlaceBody(kind, dim, Box(tuple(F(10 ** (i % 2)) for i in range(dim)))
+                        if kind == "real" else Ball(F(1)))
+              for (kind, _), dim in zip(k.places, k.place_dims(2))]
+    body = AdelicBody(random_module(k, 2), ProductBody(k, 2, places))
+    # the witnesses of a pass that K-tests every point of the same stream
+    red = body.lattice().reduced()
+    tracker = KRankTracker(body.finite_part, red.transform)
+    expected = [p.coords for p in transference.points_by_gauge(  # (n - 1) d + 1 minima over R
+        red, body.infinite_part, k.degree + 1) if tracker.try_add(p.coords)]
+
+    rejected, k_tested = set(), set()
+
+    class RecordingTracker(exactla.RankTracker):
+        def try_add(self, vec):
+            added = super().try_add(vec)
+            if not added:
+                rejected.add(tuple(vec))
+            return added
+
+    try_add = KRankTracker.try_add
+    monkeypatch.setattr(transference, "RankTracker", RecordingTracker)
+    monkeypatch.setattr(KRankTracker, "try_add",
+                        lambda self, coords: k_tested.add(tuple(coords)) or try_add(self, coords))
+    rep = adelic_minima(body)
+    assert rejected and k_tested and not rejected & k_tested
+    assert [p.coords for p in rep.points] == expected
+
+
 def spy_on(monkeypatch, original, record):
     """Route every binding of `original` in the adelic modules through `record` first."""
     def spy(*args):
