@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .bodies import SHAPES
-from .config import ComputeOptions, DEFAULT_OPTIONS
+from .config import ComputeOptions
 from .errors import (
     ConditioningError,
     DimensionLimitError,
@@ -103,12 +103,8 @@ def load_scenario_text(name: str) -> str:
 
 def _build(args, text: str) -> tuple[AdelicBody, ComputeOptions]:
     scn = parse_scenario(text)
-    opts = scn.options(DEFAULT_OPTIONS).with_overrides(
-        precision_bits=args.precision,
-        resolution=args.resolution,
-        enumeration_cap=args.cap,
-    )
-    return scn.build(opts), opts
+    opts = scn.options().with_overrides(resolution=args.resolution, enumeration_cap=args.cap)
+    return scn.build(), opts
 
 
 def _field_header(rep: _Report, body: AdelicBody):
@@ -269,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"({', '.join(PRESET_SCENARIOS)})")
             p.add_argument("--all", metavar="DIR", default=None,
                            help="run on every .ini file in DIR")
-        p.add_argument("--precision", type=int, default=None, metavar="BITS",
-                       help="root isolation convergence target 2^-BITS")
         p.add_argument("--resolution", type=int, default=None, metavar="K",
                        help="covering radius grid resolution per axis")
         p.add_argument("--cap", type=int, default=None, metavar="N",

@@ -7,13 +7,12 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class ComputeOptions:
-    """Precision / search budget configuration.
+    """Search budget configuration.
 
-    precision_bits drives the root-finder convergence target (the working
-    arithmetic is double precision).
+    resolution is the covering grid's points per axis; enumeration_cap
+    bounds the nodes of one enumeration round or covering grid batch.
     """
 
-    precision_bits: int = 53
     resolution: int = 64
     enumeration_cap: int = 1_000_000
 

@@ -6,9 +6,9 @@ held as integer numerators N with one positive scale s, the matrix being
 N / s (`integer_matrix`), and products, solves and unimodularity tests
 run on N.  `solve_scaled` is the one elimination: fraction-free (Bareiss
 1968; Cohen, GTM 138, 2.2), every division by the previous pivot exact,
-with the solution returned over one denominator.  `mat_det`, `mat_solve`
-and `mat_inv` take ints and `Fraction`s and build a `Fraction` only for
-what they return.  `RankTracker` takes integer vectors.  Dot products
+with the solution returned over one denominator.  `mat_det` and `mat_inv`
+take ints and `Fraction`s and build a `Fraction` only for what they
+return.  `RankTracker` takes integer vectors.  Dot products
 are `sum(map(operator.mul, ...))`, exact and looped in C.  A system
 over a number field K is brought here through its regular
 representation over Q (see `omodules.KModule.regular`).
@@ -23,10 +23,6 @@ from typing import Sequence
 
 Matrix = list[list[Fraction]]
 IntMatrix = list[list[int]]
-
-
-def identity_matrix(m: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -104,16 +100,11 @@ def solve_scaled(a: IntMatrix, b: IntMatrix) -> tuple[IntMatrix, int]:
     return [[v // g for v in row] for row in x], det // g
 
 
-def mat_solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve A X = B for square nonsingular A; B is n x k."""
-    n = len(a)
-    num, _ = integer_matrix([list(ra) + list(rb) for ra, rb in zip(a, b)])
-    y, d = solve_scaled([r[:n] for r in num], [r[n:] for r in num])
-    return [[Fraction(v, d) for v in row] for row in y]
-
-
 def mat_inv(a: Matrix) -> Matrix:
-    return mat_solve(a, identity_matrix(len(a)))
+    """Inverse of a square nonsingular rational matrix A = N / s, from N X = s I."""
+    num, s = integer_matrix(a)
+    y, d = solve_scaled(num, [[s * (i == j) for j in range(len(a))] for i in range(len(a))])
+    return [[Fraction(v, d) for v in row] for row in y]
 
 
 def is_unimodular(a: Matrix, scale: int = 1) -> bool:

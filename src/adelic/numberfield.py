@@ -23,11 +23,12 @@ from .exactla import (
     integer_matrix,
     mat_det,
     mat_mul,
-    mat_solve,
     mat_vec,
     solve_scaled,
     transpose,
 )
+
+ROOT_TOL = 1e-15  # the Aberth stopping step; float64 roots saturate here
 
 # ---------------------------------------------------------------------------
 # polynomial helpers (coefficient lists, ascending degree, Fraction entries)
@@ -214,9 +215,10 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        m = self.field._mult_matrix(self.coords)
-        e1 = [[int(i == 0)] for i in range(self.field.degree)]
-        return FieldElement(self.field, [row[0] for row in mat_solve(m, e1)])
+        num, s = integer_matrix(self.field._mult_matrix(self.coords))
+        # x = M^-1 e_0 is N x = s e_0 for M = N / s
+        y, q = solve_scaled(num, [[s * (i == 0)] for i in range(self.field.degree)])
+        return FieldElement(self.field, [Fraction(row[0], q) for row in y])
 
     def trace(self) -> Fraction:
         m = self.field._mult_matrix(self.coords)
@@ -239,7 +241,6 @@ class NumberField:
         claimed_discriminant: int | None = None,
         name: str | None = None,
         cm_asserted: bool = False,
-        precision_bits: int = 53,
     ):
         coeffs = [Fraction(c) for c in poly]
         if len(coeffs) < 2:
@@ -306,7 +307,6 @@ class NumberField:
             raise ValueError("a CM field has no real embeddings")
         self.cm_asserted = cm_asserted
 
-        self.precision_bits = precision_bits
         self.real_roots: list[float]
         self.complex_roots: list[complex]
         self._compute_roots()
@@ -392,8 +392,7 @@ class NumberField:
             self.real_roots = [-fpoly[0]]
             self.complex_roots = []
             return
-        target = max(2.0 ** (-self.precision_bits), 1e-15)
-        roots = _aberth_roots(fpoly, target)
+        roots = _aberth_roots(fpoly, ROOT_TOL)
         dpoly = [k * c for k, c in enumerate(fpoly)][1:]
         roots = [_newton_polish(fpoly, dpoly, z) for z in roots]
         roots.sort(key=lambda z: abs(z.imag))
@@ -489,12 +488,11 @@ class NumberField:
 # presets
 
 
-def rational_field(precision_bits: int = 53) -> NumberField:
-    return NumberField([-1, 1], [[1]], claimed_discriminant=1, name="Q",
-                       precision_bits=precision_bits)
+def rational_field() -> NumberField:
+    return NumberField([-1, 1], [[1]], claimed_discriminant=1, name="Q")
 
 
-def quadratic_field(m: int, precision_bits: int = 53) -> NumberField:
+def quadratic_field(m: int) -> NumberField:
     """Q(sqrt(m)) for squarefree m != 0, 1, with its maximal order."""
     if m in (0, 1):
         raise ValueError("m must be a squarefree integer other than 0 and 1")
@@ -510,25 +508,24 @@ def quadratic_field(m: int, precision_bits: int = 53) -> NumberField:
     else:
         basis = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
         disc = 4 * m
-    return NumberField([-m, 0, 1], basis, claimed_discriminant=disc, name=name,
-                       precision_bits=precision_bits)
+    return NumberField([-m, 0, 1], basis, claimed_discriminant=disc, name=name)
 
 
-def preset_field(name: str, precision_bits: int = 53) -> NumberField:
+def preset_field(name: str) -> NumberField:
     try:
         maker = PRESET_FIELDS[name]
     except KeyError:
         known = ", ".join(sorted(PRESET_FIELDS))
         raise ValueError(f"unknown preset field {name!r} (known: {known})") from None
-    field = maker(precision_bits)
+    field = maker()
     field.name = name
     return field
 
 
 PRESET_FIELDS = {
     "Q": rational_field,
-    "Q_sqrt2": lambda p=53: quadratic_field(2, p),
-    "Q_sqrt5": lambda p=53: quadratic_field(5, p),
-    "Q_i": lambda p=53: quadratic_field(-1, p),
-    "Q_sqrt-3": lambda p=53: quadratic_field(-3, p),
+    "Q_sqrt2": lambda: quadratic_field(2),
+    "Q_sqrt5": lambda: quadratic_field(5),
+    "Q_i": lambda: quadratic_field(-1),
+    "Q_sqrt-3": lambda: quadratic_field(-3),
 }

@@ -48,19 +48,22 @@ class KRankTracker:
     Z-basis) are z = c U over Z, one product with `coords_map` = U^t.
     On Z an integral-basis element b acts block-diagonally, block i
     being its integer action A_b on the i-th ideal of the pseudo-basis
-    (`actions[b][i]`, transposed), so the K-span of the point is spanned
-    over Q by its d images z blockdiag(A_b), each computed block by block
-    (n d^2 products, no nd x nd matrix).  One exact `RankTracker` holds the
-    Q-span of the K-spans accepted so far: a point raises the K-rank
-    exactly when z leaves that span, and then its images join it.
+    (`actions`: per b, the blocks transposed), so the K-span of the point
+    is spanned over Q by its d images z blockdiag(A_b), each computed
+    block by block (n d^2 products, no nd x nd matrix).  One exact
+    `RankTracker` holds the Q-span of the K-spans accepted so far: a point
+    raises the K-rank exactly when z leaves that span, and then its images
+    join it.  A b whose blocks are all the identity (b = 1) would offer z
+    itself, so `actions` leaves it out.
     """
 
     def __init__(self, module: "KModule", transform: Sequence[Sequence[int]]):
         self.degree = d = module.field.degree
         self.coords_map = transpose(transform)
+        identity = [[int(i == j) for j in range(d)] for i in range(d)]
         # per b, the ideals' blocks transposed, so that a block's image is one mat_vec
-        self.actions = [[transpose(ideal.actions[k]) for ideal, _ in module.pseudo]
-                        for k in range(d)]
+        per_b = ([transpose(ideal.actions[k]) for ideal, _ in module.pseudo] for k in range(d))
+        self.actions = [blocks for blocks in per_b if any(b != identity for b in blocks)]
         self.span = RankTracker(module.rank * d)
 
     def try_add(self, coords: Sequence[int]) -> bool:

@@ -25,7 +25,7 @@ from .transference import AdelicBody
 PRESET_SCENARIOS = ("Q", "Q_sqrt2", "Q_sqrt5", "Q_i", "Q_sqrt-3")
 
 # least accepted value of each [options] key; the CLI flags share it
-OPTION_MINIMA = {"precision": 1, "resolution": 2, "cap": 1}
+OPTION_MINIMA = {"resolution": 2, "cap": 1}
 
 
 @dataclass
@@ -56,20 +56,14 @@ class Scenario:
     field: FieldSpec
     module: ModuleSpec
     bodies: list[BodySpec]
-    precision: int | None = None
     resolution: int | None = None
     cap: int | None = None
 
-    def options(self, base: ComputeOptions = DEFAULT_OPTIONS) -> ComputeOptions:
-        return base.with_overrides(
-            precision_bits=self.precision,
-            resolution=self.resolution,
-            enumeration_cap=self.cap,
-        )
+    def options(self) -> ComputeOptions:
+        return DEFAULT_OPTIONS.with_overrides(resolution=self.resolution, enumeration_cap=self.cap)
 
-    def build(self, options: ComputeOptions | None = None) -> AdelicBody:
-        opts = options if options is not None else self.options()
-        field = _build_field(self.field, opts.precision_bits)
+    def build(self) -> AdelicBody:
+        field = _build_field(self.field)
         module = _build_module(field, self.module)
         body = _build_infinite_part(field, self.module.rank, self.bodies)
         return AdelicBody(module, body)
@@ -186,8 +180,7 @@ def parse_scenario(text: str) -> Scenario:
         options[key] = _int(value, where)
         if options[key] < OPTION_MINIMA[key]:
             raise ScenarioError(f"{where}: {key} must be at least {OPTION_MINIMA[key]}")
-    return Scenario(fs, ms, bodies, options.get("precision"), options.get("resolution"),
-                    options.get("cap"))
+    return Scenario(fs, ms, bodies, options.get("resolution"), options.get("cap"))
 
 
 def _parse_field_section(sec) -> FieldSpec:
@@ -300,9 +293,9 @@ def _parse_body_sections(sections) -> list[BodySpec]:
 # building
 
 
-def _build_field(fs: FieldSpec, precision_bits: int) -> NumberField:
+def _build_field(fs: FieldSpec) -> NumberField:
     if fs.preset is not None:
-        f = preset_field(fs.preset, precision_bits)
+        f = preset_field(fs.preset)
         if fs.cm and not f.is_cm:
             raise ScenarioError("[field]: cm = true needs a field with no real embeddings")
         return f
@@ -310,7 +303,7 @@ def _build_field(fs: FieldSpec, precision_bits: int) -> NumberField:
         raise ScenarioError("[field] poly: coefficients must be integers")
     try:
         return NumberField([int(c) for c in fs.poly], fs.basis, fs.discriminant,
-                           cm_asserted=fs.cm, precision_bits=precision_bits)
+                           cm_asserted=fs.cm)
     except ValueError as exc:
         raise ScenarioError(f"[field]: {exc}") from exc
 

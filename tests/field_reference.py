@@ -13,7 +13,7 @@ from adelic import (
     EnumerationCapError,
     FieldElement,
 )
-from adelic.exactla import RankTracker, mat_inv, mat_mul, mat_solve, transpose
+from adelic.exactla import RankTracker, mat_inv, mat_mul, transpose
 from adelic.lattices import points_by_gauge
 
 # the scale rows' matrix recipe, shared with the script that reproduces them
@@ -51,8 +51,9 @@ def gauss_jordan_solve(a, b):
     """Solve A X = B by Gauss-Jordan elimination, over Q or over a number field K.
 
     Entries are ints, `Fraction`s or `FieldElement`s of one field; the
-    reference for `exactla.mat_solve` and for the pseudo-vector inverse
-    that `KModule.trace_dual` reads through the regular representation.
+    reference for `exactla.solve_scaled` and `exactla.mat_inv`, and for
+    the pseudo-vector inverse that `KModule.trace_dual` reads through the
+    regular representation.
     """
     n = len(a)
     aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
@@ -155,7 +156,7 @@ def contains(lattice, x) -> bool:
     else:
         (num, s), v = lattice.int_flat, flatten_kvector(x)
     rows = [[Fraction(c, s) for c in row] for row in num]
-    return all(x.denominator == 1 for x, in mat_solve(transpose(rows), [[c] for c in v]))
+    return all(x.denominator == 1 for x, in gauss_jordan_solve(transpose(rows), [[c] for c in v]))
 
 
 def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):

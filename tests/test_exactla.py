@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from adelic.exactla import (
     RankTracker,
-    identity_matrix,
     integer_matrix,
     is_unimodular,
     is_unimodular_ratio,
     mat_det,
     mat_inv,
     mat_mul,
-    mat_solve,
     mat_vec,
     solve_scaled,
     transpose,
@@ -62,22 +60,23 @@ def test_det_known_values():
     assert mat_det(to_fractions([[2, 1], [1, 3]])) == 5
     assert mat_det(to_fractions([[1, 2], [2, 4]])) == 0
     assert mat_det(to_fractions([[F(1, 2), 0], [0, F(1, 4)]])) == F(1, 8)
-    assert mat_det(identity_matrix(4)) == 1
+    assert mat_det([[int(i == j) for j in range(4)] for i in range(4)]) == 1
 
 
 def test_solve_and_inverse():
     a = to_fractions([[2, 1], [1, 3]])
-    x = [row[0] for row in mat_solve(a, [[F(1)], [F(0)]])]
-    assert mat_vec(a, x) == [F(1), F(0)]
+    y, d = solve_scaled([[2, 1], [1, 3]], [[1], [0]])
+    assert mat_vec(a, [F(v, d) for v, in y]) == [F(1), F(0)]
     inv = mat_inv(a)
-    assert mat_mul(a, inv) == identity_matrix(2)
-    assert mat_mul(inv, a) == identity_matrix(2)
+    assert mat_mul(a, inv) == [[1, 0], [0, 1]]
+    assert mat_mul(inv, a) == [[1, 0], [0, 1]]
 
 
 def test_solve_singular_raises():
-    a = to_fractions([[1, 2], [2, 4]])
     with pytest.raises(ValueError, match="singular"):
-        mat_solve(a, identity_matrix(2))
+        solve_scaled([[1, 2], [2, 4]], [[1, 0], [0, 1]])
+    with pytest.raises(ValueError, match="singular"):
+        mat_inv(to_fractions([[1, 2], [2, 4]]))
 
 
 def test_rank_tracker_milestones():
@@ -104,7 +103,7 @@ def test_det_matches_rank_deficiency(rows):
     d = mat_det(a)
     if rank(a) == 3:
         assert d != 0
-        assert mat_mul(a, mat_inv(a)) == identity_matrix(3)
+        assert mat_mul(a, mat_inv(a)) == [[int(i == j) for j in range(3)] for i in range(3)]
     else:
         assert d == 0
 
@@ -191,17 +190,16 @@ def test_solve_and_inverse_match_the_fraction_reference(a, data):
     b = data.draw(st.lists(st.lists(big_fractions, min_size=k, max_size=k),
                            min_size=n, max_size=n))
     if fraction_det(a) == 0:
-        for solve in (lambda: mat_solve(a, b), lambda: mat_inv(a)):
-            with pytest.raises(ValueError) as info:
-                solve()
-            assert str(info.value) == "singular matrix"
+        with pytest.raises(ValueError) as info:
+            mat_inv(a)
+        assert str(info.value) == "singular matrix"
         with pytest.raises(ValueError, match="^singular matrix$"):
             gauss_jordan_solve(a, b)
         return
-    x = mat_solve(a, b)
-    assert x == gauss_jordan_solve(a, b)
-    assert all(type(v) is Fraction for row in x for v in row)
-    assert mat_inv(a) == gauss_jordan_solve(a, identity_matrix(n))
+    inv = mat_inv(a)
+    assert all(type(v) is Fraction for row in inv for v in row)
+    assert inv == gauss_jordan_solve(a, [[int(i == j) for j in range(n)] for i in range(n)])
+    assert mat_mul(inv, b) == gauss_jordan_solve(a, b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -236,7 +234,8 @@ def test_unimodular_ratio_matches_the_inverse_product(b, data):
         with pytest.raises(ValueError, match="^singular matrix$"):
             is_unimodular_ratio(integer_matrix(a), integer_matrix(b))
         return
-    expected = fraction_unimodular(mat_mul(a, gauss_jordan_solve(b, identity_matrix(n))))
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    expected = fraction_unimodular(mat_mul(a, gauss_jordan_solve(b, identity)))
     assert is_unimodular_ratio(integer_matrix(a), integer_matrix(b)) == expected
 
 

@@ -23,7 +23,7 @@ from adelic import (
 
 from adelic import omodules
 from adelic.cli import main
-from adelic.exactla import RankTracker, identity_matrix, integer_matrix, mat_mul, transpose
+from adelic.exactla import RankTracker, integer_matrix, mat_mul, transpose
 from field_reference import (
     FractionRankTracker,
     complementary_basis,
@@ -164,7 +164,7 @@ def test_matrix_module_dual_follows_inverse_transpose(field):
     m = module_from_matrix(field, a)
     dual = m.trace_dual()
     ring_dual = FractionalIdeal.whole_ring(field).trace_dual()
-    ainv = gauss_jordan_solve(a, identity_matrix(2))  # rows of A^-1 are columns of A^-t
+    ainv = gauss_jordan_solve(a, [[1, 0], [0, 1]])  # rows of A^-1 are columns of A^-t
     expected = KModule(field, [(ring_dual, tuple(row)) for row in ainv])
     assert dual.equals(expected)
 
@@ -309,7 +309,8 @@ def random_invertible_rows(k, n, rng):
         rows = [tuple(k.element([rng.randint(-3, 3) for _ in range(k.degree)])
                       for _ in range(n)) for _ in range(n)]
         try:
-            return rows, gauss_jordan_solve(rows, identity_matrix(n))
+            return rows, gauss_jordan_solve(rows, [[int(i == j) for j in range(n)]
+                                                   for i in range(n)])
         except ValueError:
             continue
 
@@ -432,11 +433,11 @@ def fraction_krank_decisions(module, u, points):
 
 
 @st.composite
-def krank_cases(draw):
+def krank_cases(draw, fields=KRANK_FIELDS):
     """A module over ideals O, xO and the dual of O, a unimodular U, and points
     on the basis U z: random ones, sums of two earlier ones, and theta times
     an earlier one (K-dependent, and Q-independent unless zero)."""
-    k = KRANK_FIELDS[draw(st.sampled_from(sorted(KRANK_FIELDS)))]
+    k = fields[draw(st.sampled_from(sorted(fields)))]
     d = k.degree
     n = draw(st.integers(1, 3 if d == 2 else 2))
     small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -492,6 +493,28 @@ def test_krank_decisions_match_a_fraction_reference(case):
     decisions = [tr.try_add(c) for c in points]
     assert decisions == fraction_krank_decisions(module, u, points)
     assert tr.rank == sum(decisions)
+
+
+# Q(sqrt 5) with 1 listed second in its integral basis ((1 + sqrt 5)/2, 1)
+ONE_SECOND = {"Q_sqrt5": NumberField([-5, 0, 1], [[F(1, 2), F(1, 2)], [1, 0]])}
+
+
+@settings(max_examples=20, deadline=None)
+@given(krank_cases(ONE_SECOND))
+def test_krank_tracker_leaves_out_the_identity_action_wherever_1_is_listed(case):
+    module, u, points = case
+    d = module.field.degree
+    tr = KRankTracker(module, u)
+    offered = []
+    span_add = tr.span.try_add
+    tr.span.try_add = lambda v: offered.append(v) or span_add(v)
+    decisions = []
+    for c in points:
+        offered.clear()
+        decisions.append(tr.try_add(c))
+        # z itself, then on acceptance one image per b other than 1
+        assert len(offered) == (d if decisions[-1] else 1)
+    assert decisions == fraction_krank_decisions(module, u, points)
 
 
 def test_ideal_actions_are_checked_for_integrality():

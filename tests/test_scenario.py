@@ -15,7 +15,9 @@ from adelic import (
     PRESET_SCENARIOS,
     ScenarioError,
     adelic_polar,
+    mu_product_report,
     parse_scenario,
+    transference_check,
 )
 from adelic.bodies import SHAPES
 from adelic.cli import _build, build_parser, load_scenario_text, main
@@ -201,7 +203,6 @@ def test_options_override_and_cli_precedence():
     scn = parse_scenario(CUSTOM)
     opts = scn.options()
     assert opts.resolution == 32 and opts.enumeration_cap == 500000
-    assert opts.precision_bits == 53  # default survives
 
 
 def test_every_compute_option_is_set_by_an_options_key_and_a_flag():
@@ -220,6 +221,24 @@ def test_every_compute_option_is_set_by_an_options_key_and_a_flag():
         by_key |= from_key
         by_flag |= from_flag
     assert by_key == by_flag == {f.name for f in fields(ComputeOptions)}
+
+
+def test_every_compute_option_is_read_by_a_computation():
+    # a ComputeOptions field that no computation reads is a dead knob
+    names = {f.name for f in fields(ComputeOptions)}
+    read = set()
+
+    class Recording(ComputeOptions):
+        def __getattribute__(self, name):
+            if name in names:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    body = parse_scenario(load_scenario_text("Q_sqrt2")).build()
+    options = Recording(resolution=8)
+    transference_check(body, options)
+    mu_product_report(body, None, options)
+    assert read == names
 
 
 # -- command line ------------------------------------------------------------
@@ -359,9 +378,8 @@ def test_cli_exit_code_2_on_bad_input(capsys, tmp_path):
 
 
 def test_cli_resolution_below_two_is_an_argument_error(capsys):
-    # resolution below 2, cap and precision below 1: bad input, not a failed run
-    for flag, value, least in (("--resolution", "1", 2), ("--cap", "0", 1), ("--cap", "-1", 1),
-                               ("--precision", "0", 1), ("--precision", "-3", 1)):
+    # resolution below 2, cap below 1: bad input, not a failed run
+    for flag, value, least in (("--resolution", "1", 2), ("--cap", "0", 1), ("--cap", "-1", 1)):
         with pytest.raises(SystemExit) as exc:
             main(["mu", "Q", flag, value])
         assert exc.value.code == 2
@@ -369,8 +387,7 @@ def test_cli_resolution_below_two_is_an_argument_error(capsys):
 
 
 def test_scenario_resolution_below_two_is_an_input_error(capsys, tmp_path):
-    for key, value, least in (("resolution", "1", 2), ("cap", "0", 1), ("cap", "-1", 1),
-                              ("precision", "-3", 1)):
+    for key, value, least in (("resolution", "1", 2), ("cap", "0", 1), ("cap", "-1", 1)):
         text = load_scenario_text("Q") + f"\n[options]\n{key} = {value}\n"
         assert f"at least {least}" in scenario_error(text)
         path = tmp_path / "low.ini"
@@ -381,6 +398,22 @@ def test_scenario_resolution_below_two_is_an_input_error(capsys, tmp_path):
         code, out, _ = run_cli(["mu", "--all", str(tmp_path), "--machine"], capsys)
         assert code == 2
         assert "error kind=input" in out
+
+
+def test_precision_is_neither_a_flag_nor_an_options_key(capsys, tmp_path):
+    # root isolation runs to one fixed tolerance, numberfield.ROOT_TOL
+    with pytest.raises(SystemExit) as exc:
+        main(["polar", "Q", "--precision", "60"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --precision 60" in capsys.readouterr().err
+    path = tmp_path / "precision.ini"
+    path.write_text(load_scenario_text("Q") + "\n[options]\nprecision = 60\n")
+    code, out, err = run_cli(["polar", str(path), "--machine"], capsys)
+    assert code == 2 and out == ""
+    assert "unknown key 'precision' in [options]" in err
+    code, out, _ = run_cli(["polar", "--all", str(tmp_path), "--machine"], capsys)
+    assert code == 2
+    assert "error kind=input" in out
 
 
 def test_cli_exit_code_3_on_cap(capsys):
