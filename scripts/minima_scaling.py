@@ -9,17 +9,20 @@ process, so its peak RSS is its own:
 - `adelic_minima` of a Z-lattice at the ranks given by --z (default
   12 to 36 in steps of 4);
 - `EmbeddedLattice.reduced()` of a Z-lattice at the ranks given by
-  --reduce (default 16, 28, 40), timing the LLL reduction alone.
+  --reduce (default 16, 28, 40), timing the LLL reduction alone;
+- `adelic_polar` and the biduality check `adelic_equal(adelic_polar(
+  star), body)` that `adelic polar` prints, over Q(zeta_8), zeta_8^4 = -1,
+  at the ranks given by --duality (default 4, 6, 8: nd 16, 24, 32).
 
 Modules are A O^n for an n x n matrix A whose entries have coordinates
 random.Random(0).randint(-3, 3), drawn row by row and redrawn while
 A is singular (`random_module`, which the tests share); every place
 carries the unit ball.  Each row prints nd, wall seconds (module, body
 and search, or the reduction alone, by time.perf_counter), peak RSS in
-MB, and "ok" or the enumeration cap message.
+MB, and "ok", the enumeration cap message or "biduality failed".
 
     python3 scripts/minima_scaling.py
-    python3 scripts/minima_scaling.py --cubic 2 --z 4 8 --reduce 16
+    python3 scripts/minima_scaling.py --cubic 2 --z 4 8 --reduce 16 --duality 4
 """
 
 import argparse
@@ -35,7 +38,9 @@ from adelic import (
     AdelicBody,
     EnumerationCapError,
     NumberField,
+    adelic_equal,
     adelic_minima,
+    adelic_polar,
     lattice_from_module,
     module_from_matrix,
     rational_field,
@@ -44,6 +49,7 @@ from adelic import (
 )
 
 CUBIC = ([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+CYCLOTOMIC_8 = ([1, 0, 0, 0, 1], [[int(i == j) for j in range(4)] for i in range(4)])
 
 
 def random_module(field, n, seed=0):
@@ -64,17 +70,23 @@ def random_module(field, n, seed=0):
 
 def run_row(kind: str, n: int) -> dict:
     """One row in this process: nd, seconds, peak RSS and the outcome."""
-    field = NumberField(*CUBIC) if kind == "cubic" else rational_field()
+    field = {"cubic": lambda: NumberField(*CUBIC),
+             "duality": lambda: NumberField(*CYCLOTOMIC_8)}.get(kind, rational_field)()
     # a reduction row times the reduction alone
     lat = lattice_from_module(random_module(field, n)) if kind == "reduce" else None
     start = time.perf_counter()
     try:
         if lat is not None:
             lat.reduced()
+            outcome = "ok"
         else:
             body = AdelicBody(random_module(field, n), uniform_ball_body(field, n, Fraction(1)))
-            (transference_check if kind == "cubic" else adelic_minima)(body)
-        outcome = "ok"
+            if kind == "duality":
+                ok = adelic_equal(adelic_polar(adelic_polar(body)), body)
+                outcome = "ok" if ok else "biduality failed"
+            else:
+                (transference_check if kind == "cubic" else adelic_minima)(body)
+                outcome = "ok"
     except EnumerationCapError as exc:
         outcome = str(exc)
     seconds = time.perf_counter() - start
@@ -90,6 +102,8 @@ def main():
                     help="ranks of the Z-lattice minima rows")
     ap.add_argument("--reduce", nargs="*", type=int, default=[16, 28, 40],
                     help="ranks of the Z-lattice reduction rows")
+    ap.add_argument("--duality", nargs="*", type=int, default=[4, 6, 8],
+                    help="ranks of the x^4+1 polar and biduality rows")
     ap.add_argument("--row", nargs=2, metavar=("KIND", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args()
 
@@ -99,14 +113,15 @@ def main():
 
     print(f"{'case':<28} {'nd':>3} {'seconds':>8} {'rss_mb':>7}  result")
     rows = ([("cubic", n) for n in args.cubic] + [("z", n) for n in args.z]
-            + [("reduce", n) for n in args.reduce])
+            + [("reduce", n) for n in args.reduce] + [("duality", n) for n in args.duality])
     for kind, n in rows:
         proc = subprocess.run(
             [sys.executable, __file__, "--row", kind, str(n)],
             capture_output=True, text=True, check=True)
         row = json.loads(proc.stdout.splitlines()[-1])
         name = {"cubic": f"transference x^3-x-1 n={n}", "z": f"minima Z-lattice n={n}",
-                "reduce": f"reduced() Z-lattice n={n}"}[kind]
+                "reduce": f"reduced() Z-lattice n={n}",
+                "duality": f"polar x^4+1 n={n}"}[kind]
         print(f"{name:<28} {row['nd']:>3} {row['seconds']:>8.3f} {row['rss_mb']:>7.1f}  "
               f"{row['outcome']}")
 

@@ -30,7 +30,7 @@ import numpy as np
 from .bodies import ProductBody
 from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
-from .exactla import mat_det, mat_mul, mat_vec, transpose
+from .exactla import is_unimodular, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
 from .omodules import KModule, KVector
 
@@ -148,7 +148,7 @@ def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:
     cr = np.rint(c)
     if np.max(np.abs(c - cr)) > EQUAL_TOL:
         return False
-    if abs(mat_det([[int(x) for x in row] for row in cr])) != 1:
+    if not is_unimodular([[int(x) for x in row] for row in cr]):
         return False
     scale = max(1.0, float(np.max(np.abs(a.basis))))
     return float(np.max(np.abs(cr @ b.basis - a.basis))) <= EQUAL_TOL * scale
@@ -297,19 +297,24 @@ def enumerate_below(
     body: ProductBody,
     t: float,
     options: ComputeOptions = DEFAULT_OPTIONS,
+    factor: np.ndarray | None = None,
 ) -> list[LatticePoint]:
     """All nonzero lattice points of gauge <= t, one per +- pair, sorted.
 
     The lattice must already be reduced; completeness comes from the
-    bounding ellipsoid of the body.  The representative of a pair is the
-    one whose first nonzero coordinate is positive, and the list is
+    bounding ellipsoid of the body, whose Cholesky factor on the lattice
+    (`_bounding_factor`) a caller searching at several levels passes as
+    `factor`, so that it is computed once.  The representative of a pair
+    is the one whose first nonzero coordinate is positive, and the list is
     ordered by (gauge, coordinates).  The point vectors are one stacked
     product, row by row the floats of c @ basis whatever the batch.
     """
     if t <= 0:
         return []
+    if factor is None:
+        factor = _bounding_factor(lat, body)
     bound = body.enumeration_quadratic_bound(t) * (1 + 1e-9)
-    coords = _enumerate_quadratic(_bounding_factor(lat, body), bound, options.enumeration_cap)
+    coords = _enumerate_quadratic(factor, bound, options.enumeration_cap)
     if not len(coords):
         return []
     vecs = (coords.astype(float)[:, None, :] @ lat.basis)[:, 0, :]
@@ -350,7 +355,8 @@ def points_by_gauge(
     first level at or above it, below g times its value, and the last
     level is top, where all k are found, so the stream ends there.
     Each round yields only the points above the previous level (with
-    the 1e-12 slack `enumerate_below` keeps), so no pair comes twice.  A
+    the 1e-12 slack `enumerate_below` keeps), so no pair comes twice;
+    every round searches with the bounding factor the bracket used.  A
     round that hits the enumeration cap raises, naming round and level.
     """
     r = _bounding_factor(lat, body)
@@ -365,7 +371,7 @@ def points_by_gauge(
     for round_, j in enumerate(range(steps, -1, -1), 1):
         t = top / g ** j
         try:
-            points = enumerate_below(lat, body, t, options)
+            points = enumerate_below(lat, body, t, options, r)
         except EnumerationCapError as exc:
             raise EnumerationCapError(
                 f"minima search, round {round_} at level t={t:.6g}: {exc}") from exc

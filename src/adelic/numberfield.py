@@ -3,8 +3,12 @@
 A field is Q[x]/(f) for a monic squarefree integer polynomial f.  Elements
 carry exact rational coordinates over the power basis; traces, Gram
 matrices and discriminants are computed without floating point, the
-reduction table and trace form as integers.  Floats only enter through
-the root isolation that backs the embeddings.
+reduction table and trace form as integers.  The integral basis is
+validated by one solve with its transposed numerators: the elimination
+decides independence, and the right-hand sides 1 and the products of
+basis elements decide that 1 is in the span and that the span is a
+ring.  Floats only enter through the root isolation that backs the
+embeddings.
 """
 
 from __future__ import annotations
@@ -278,13 +282,15 @@ class NumberField:
         if len(basis) != d or any(len(row) != d for row in basis):
             raise ValueError("integral basis must consist of degree many vectors")
         self.basis_matrix: Matrix = basis
-        if mat_det(basis) == 0:
-            raise ValueError("integral basis is linearly dependent")
         num, t = integer_matrix(basis)
-        # 1 = x B for B = N / t is N^t x = t e_0
-        if solve_scaled(transpose(num), [[t * (r == 0)] for r in range(d)])[1] != 1:
+        # one solve with N^t decides all three: 1 = x B for B = N / t is N^t x = t e_0
+        try:
+            has_one, actions = self._actions(num, [t * (r == 0) for r in range(d)])
+        except ValueError:
+            raise ValueError("integral basis is linearly dependent") from None
+        if not has_one:
             raise ValueError("integral basis does not contain 1")
-        if self._actions(num) is None:
+        if actions is None:
             raise ValueError("integral basis is not closed under multiplication")
 
         # B P B^t on B's numerators
@@ -346,21 +352,29 @@ class NumberField:
             cols.append(cur[:])
         return [[cols[j][i] for j in range(d)] for i in range(d)]
 
-    def _actions(self, num: IntMatrix) -> list[IntMatrix] | None:
+    def _actions(self, num: IntMatrix, lead: Sequence[int] = ()
+                 ) -> tuple[bool, list[IntMatrix] | None]:
         """Per integral-basis element b, A_b with b * (row j of N) = sum_l A_b[j][l] (row l of N).
 
-        A_b solves N^t A_b^t = M_b N^t, M_b the multiplication matrix;
-        one solve gives all d.  None unless all are integral (O-stable).
+        A_b solves N^t A_b^t = M_b N^t, M_b the multiplication matrix.  One
+        solve gives all d, and its elimination is the test that N is
+        nonsingular: it raises `ValueError` otherwise.  A `lead` column c
+        joins the right-hand side.  Returns whether N^t x = c has an
+        integral solution (True without c), and the A_b, or None unless
+        all are integral (O-stable).
         """
-        d = self.degree
+        d, k = self.degree, 1 if lead else 0
         nt = transpose(num)
         basis, t = integer_matrix(self.basis_matrix)  # b = row / t
         products = [mat_mul(self._mult_matrix(b), nt) for b in basis]
-        y, q = solve_scaled(nt, [[x for m in products for x in m[r]] for r in range(d)])
+        y, q = solve_scaled(nt, [[*lead[r:r + 1], *(x for m in products for x in m[r])]
+                                 for r in range(d)])
+        has_lead = not any(v % q for row in y for v in row[:k])
+        y = [row[k:] for row in y]
         if any(v % (q * t) for row in y for v in row):
-            return None
-        return [transpose([[v // (q * t) for v in row[k * d:(k + 1) * d]] for row in y])
-                for k in range(d)]
+            return has_lead, None
+        return has_lead, [transpose([[v // (q * t) for v in row[b * d:(b + 1) * d]] for row in y])
+                          for b in range(d)]
 
     def same_presentation(self, other: "NumberField") -> bool:
         """Same defining polynomial and same integral basis.

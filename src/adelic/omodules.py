@@ -3,14 +3,19 @@
 Modules are carried as pseudo-bases (ideal, vector), after Cohen, GTM
 193, ch. 1.  Every rational matrix here is held as integer numerators N
 with one scale s (the matrix is N / s): an ideal's coordinates
-`int_coords`, the regular representation R(W) over Q of the
-pseudo-vector matrix W, and the module's Z-basis `int_flat`, the
-product blockdiag(C_i) R(W).  K-independence is det R(W) != 0, the
-dual's vectors (W^-1)^t come from one solve with R(W)^t, and equality
-is one unimodular-ratio test; no matrix is inverted and no `Fraction` is
-multiplied.  The trace dual is built through the pseudo-basis, one dual
-per distinct ideal, and checked by its pairing matrix with the module
-under the trace form P[i][j] = Tr(theta^(i+j)), which must be unimodular.
+`int_coords`, the pseudo-vectors `int_vectors`, the regular
+representation R(W) over Q of the pseudo-vector matrix W, and the
+module's Z-basis `int_flat`, the product blockdiag(C_i) R(W).  Each is
+eliminated once: the dual's vectors (W^-1)^t come from one solve with
+R(W)^t, made when the module is built, and that solve is the test of
+K-independence (an ideal's independence is likewise the solve behind
+its actions).  Equality holds for identical pseudo-bases and is
+otherwise one unimodular-ratio test; no matrix is inverted and no
+`Fraction` is multiplied.  The trace dual is built through the
+pseudo-basis, one dual per distinct ideal, its numerators taken from
+the solve, and checked by its pairing matrix with the module under the
+trace form P[i][j] = Tr(theta^(i+j)), which must be unimodular; that
+matrix is block diagonal, and unimodularity is tested block by block.
 `KRankTracker` maps lattice coordinates to the module's Z-basis once and
 applies the ideals' own d x d integer actions block by block, so K-rank
 is decided on Python ints without an nd x nd matrix.
@@ -30,7 +35,6 @@ from .exactla import (
     integer_matrix,
     is_unimodular,
     is_unimodular_ratio,
-    mat_det,
     mat_mul,
     mat_vec,
     solve_scaled,
@@ -99,9 +103,7 @@ class FractionalIdeal:
         self.field = field
         self.zbasis = tuple(zbasis)
         self.int_coords = integer_matrix([b.coords for b in self.zbasis])
-        if mat_det(self.int_coords[0]) == 0:
-            raise ValueError("ideal basis is linearly dependent")
-        self.actions  # raises unless the basis is stable under the ring
+        self.actions  # raises unless the basis is independent and stable under the ring
 
     @classmethod
     def _known(cls, field: NumberField, int_coords: tuple[IntMatrix, int]) -> "FractionalIdeal":
@@ -119,10 +121,14 @@ class FractionalIdeal:
     def actions(self) -> list[IntMatrix]:
         """Per integral-basis element b, row j = the integer coordinates of b * zbasis[j].
 
-        Raises `ValueError` unless every entry is an integer, that is
-        unless the ideal is stable under O.
+        Raises `ValueError` unless the basis is independent (the solve
+        behind the actions is the test) and every entry is an integer,
+        that is unless the ideal is stable under O.
         """
-        actions = self.field._actions(self.int_coords[0])
+        try:
+            _, actions = self.field._actions(self.int_coords[0])
+        except ValueError:
+            raise ValueError("ideal basis is linearly dependent") from None
         if actions is None:
             raise ValueError("ideal basis is not stable under the ring")
         return actions
@@ -181,16 +187,23 @@ class KModule:
                 raise ValueError("ideal belongs to a different field")
             if len(w) != self.rank:
                 raise ValueError("pseudo-basis vectors must have length equal to the rank")
-        # det R(W) is the norm of det W up to sign: nonzero iff the vectors are K-independent
-        if mat_det(self.regular[0]) == 0:
-            raise ValueError("singular matrix")
+        # R(W) is singular iff the vectors are K-dependent (det R(W) = +-N(det W)),
+        # and then the solve that trace_dual needs raises "singular matrix"
+        self._inverse
 
     @classmethod
-    def _known(cls, field: NumberField, pseudo: list[tuple[FractionalIdeal, KVector]]) -> "KModule":
-        """A module whose pseudo-vectors are K-independent by construction."""
+    def _known(cls, field: NumberField, pseudo: list[tuple[FractionalIdeal, KVector]],
+               int_vectors: tuple[IntMatrix, int]) -> "KModule":
+        """A module whose pseudo-vectors, with numerators `int_vectors`, are K-independent."""
         module = cls.__new__(cls)
         module.field, module.rank, module.pseudo = field, len(pseudo), pseudo
+        module.int_vectors = int_vectors
         return module
+
+    @cached_property
+    def int_vectors(self) -> tuple[IntMatrix, int]:
+        """W = N / t as (N, t), in lowest terms: row i is the i-th pseudo-vector flattened."""
+        return integer_matrix([[c for x in w for c in x.coords] for _, w in self.pseudo])
 
     @cached_property
     def regular(self) -> tuple[IntMatrix, int]:
@@ -200,7 +213,7 @@ class KModule:
         multiplication matrix of W_ij, on W's numerators.
         """
         d = self.field.degree
-        num, t = integer_matrix([[c for x in w for c in x.coords] for _, w in self.pseudo])
+        num, t = self.int_vectors
         rows: IntMatrix = [[] for _ in range(self.rank * d)]
         for i, w in enumerate(num):
             for j in range(0, len(w), d):
@@ -235,24 +248,40 @@ class KModule:
     def equals(self, other: "KModule") -> bool:
         if self.rank != other.rank or not self.field.same_presentation(other.field):
             return False
+        # identical pseudo-bases span one module; coordinates, not elements, are
+        # compared, since the two fields may be distinct objects
+        if all(a.int_coords == b.int_coords and [x.coords for x in v] == [x.coords for x in w]
+               for (a, v), (b, w) in zip(self.pseudo, other.pseudo)):
+            return True
         return is_unimodular_ratio(self.int_flat, other.int_flat)
+
+    @cached_property
+    def _inverse(self) -> tuple[IntMatrix, int]:
+        """W^-1 as (Y, q): column i of Y / q is row i of W^-1 flattened, in lowest terms.
+
+        Row i of W^-1 is the v with v W = e_i, that is flatten(v) R(W) =
+        e_(id), so Y comes from one solve N^t Y = q t E for R(W) = N / t.
+        """
+        n, d = self.rank, self.field.degree
+        r, t = self.regular
+        return solve_scaled(transpose(r), [[t * (row == i * d) for i in range(n)]
+                                           for row in range(n * d)])
 
     def trace_dual(self) -> "KModule":
         """Dual module under the pairing sum Tr(x_k y_k), two routes cross-checked."""
         field, n, d = self.field, self.rank, self.field.degree
-        # row i of W^-1 is the v with v W = e_i, that is flatten(v) R(W) = e_(id):
-        # column i of y / q below is flatten(v), from N^t y = q t E for R(W) = N / t
-        r, t = self.regular
-        y, q = solve_scaled(transpose(r), [[t * (row == i * d) for i in range(n)]
-                                           for row in range(n * d)])
+        y, q = self._inverse
         # the rows of (W^-1)^t pair to delta_ij with the rows of W; the j-th
         # row is the j-th component of every row of W^-1, the j-th block of y
-        wstar = [tuple(field.element([Fraction(v, q) for v in col])
-                       for col in transpose(y[j * d:(j + 1) * d])) for j in range(n)]
+        rows = [[v for col in transpose(y[j * d:(j + 1) * d]) for v in col] for j in range(n)]
+        wstar = [tuple(field.element([Fraction(v, q) for v in row[k:k + d]])
+                       for k in range(0, n * d, d)) for row in rows]
         # module_from_matrix and standard_module share one ideal across the pairs
         duals = {a: a.trace_dual() for a in dict.fromkeys(a for a, _ in self.pseudo)}
-        # (W^-1)^t is invertible, so the dual's vectors need no independence test
-        dual = KModule._known(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)])
+        # (W^-1)^t is invertible, so the dual's vectors need no independence test;
+        # y / q is in lowest terms, so (rows, q) is their `integer_matrix`
+        dual = KModule._known(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)],
+                              (rows, q))
         # second route: dual's Z-basis spans the lattice dual to ours (the
         # span of G^-1 z, G the Gram matrix) iff their pairings are unimodular
         if not is_unimodular(*dual.pairing(self)):

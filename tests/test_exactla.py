@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic import exactla
 from adelic.exactla import (
     RankTracker,
     integer_matrix,
@@ -247,6 +248,72 @@ def test_is_unimodular_matches_the_fraction_reference(a, c):
     assert is_unimodular(a) == expected
     num, q = integer_matrix(a)
     assert is_unimodular([[c * x for x in row] for row in num], c * q) == expected
+
+
+@st.composite
+def permuted_blocks(draw):
+    """A square integer matrix, block diagonal up to a row and a column permutation.
+
+    A block is near-unimodular, random (often singular), a square with a
+    zero row, or a pair of r x (r+1) and (r+1) x r blocks, whose row and
+    column counts differ.
+    """
+    small = st.integers(-2, 2)
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["unimodular"] * 3 + ["random", "zero row", "unequal"]))
+        k = draw(st.integers(1, 3))
+        if kind == "unimodular":
+            blocks.append([[math.floor(x) for x in row] for row in draw(near_unimodular(size=k))])
+        elif kind == "unequal":
+            blocks.append(draw(st.lists(st.lists(small, min_size=k + 1, max_size=k + 1),
+                                        min_size=k, max_size=k)))
+            blocks.append(draw(st.lists(st.lists(small, min_size=k, max_size=k),
+                                        min_size=k + 1, max_size=k + 1)))
+        else:
+            block = draw(st.lists(st.lists(small, min_size=k, max_size=k), min_size=k, max_size=k))
+            if kind == "zero row":
+                block[draw(st.integers(0, k - 1))] = [0] * k
+            blocks.append(block)
+    n = sum(len(b) for b in blocks)
+    a = [[0] * n for _ in range(n)]
+    top = left = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            a[top + i][left:left + len(row)] = row
+        top, left = top + len(b), left + len(b[0])
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(permuted_blocks(), st.integers(1, 1000), st.data())
+def test_blockwise_unimodularity_matches_the_fraction_reference(a, scale, data):
+    # a * scale over the scale, sometimes with one entry moved off the multiples of it
+    a = [[scale * x for x in row] for row in a]
+    if scale > 1 and data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, len(a) - 1)), data.draw(st.integers(0, len(a) - 1))
+        a[i][j] += data.draw(st.integers(1, scale - 1))
+    expected = fraction_unimodular([[F(x, scale) for x in row] for row in a])
+    assert is_unimodular(a, scale) == expected
+
+
+def test_unimodularity_eliminates_only_blocks_above_one_by_one(monkeypatch):
+    calls = []
+    bareiss = exactla._bareiss
+    monkeypatch.setattr(exactla, "_bareiss", lambda m, n: calls.append(n) or bareiss(m, n))
+    # a permuted diagonal of units, and a dense 2 x 2 block beside a unit
+    assert is_unimodular([[0, 0, -3], [3, 0, 0], [0, 3, 0]], 3)
+    assert calls == []
+    assert is_unimodular([[2, 0, 1], [0, 1, 0], [1, 0, 1]])
+    assert calls == [2]
+    calls.clear()
+    # a zero row (and so a zero column) is decided without an elimination
+    assert not is_unimodular([[1, 2, 0], [0, 0, 0], [3, 4, 0]])
+    assert calls == []
+    # a dense matrix is one block
+    assert is_unimodular([[2, 1, 1], [1, 1, 1], [1, 1, 2]])
+    assert calls == [3]
 
 
 def test_unimodularity_tests_decide_on_the_integral_quotient():

@@ -406,9 +406,9 @@ def test_points_by_gauge_starts_below_the_first_minimum(monkeypatch):
     levels = []
     real = lattices.enumerate_below
 
-    def spy(lat, body, t, options):
+    def spy(lat, body, t, options, factor):
         levels.append(t)
-        return real(lat, body, t, options)
+        return real(lat, body, t, options, factor)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     first = next(lattices.points_by_gauge(lat, body, lat.dim))
@@ -425,9 +425,9 @@ def test_points_by_gauge_yields_each_pair_once_in_order(monkeypatch):
     levels = []
     real = lattices.enumerate_below
 
-    def spy(lat, body, t, options):
+    def spy(lat, body, t, options, factor):
         levels.append(t)
-        return real(lat, body, t, options)
+        return real(lat, body, t, options, factor)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     got = list(lattices.points_by_gauge(lat, body, lat.dim))
@@ -456,9 +456,9 @@ def test_points_by_gauge_levels_run_between_the_bounds_on_lambda_k(monkeypatch, 
     levels = []
     real = lattices.enumerate_below
 
-    def spy(lat, body, t, options):
+    def spy(lat, body, t, options, factor):
         levels.append(t)
-        return real(lat, body, t, options)
+        return real(lat, body, t, options, factor)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     for k in (2, m):

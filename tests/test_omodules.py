@@ -21,7 +21,7 @@ from adelic import (
     standard_module,
 )
 
-from adelic import omodules
+from adelic import exactla, omodules
 from adelic.cli import main
 from adelic.exactla import RankTracker, integer_matrix, mat_mul, transpose
 from field_reference import (
@@ -176,6 +176,23 @@ def test_module_biduality(field):
     assert m.trace_dual().trace_dual().equals(m)
 
 
+def test_module_equality_reads_ideals_and_vectors_of_a_pseudo_basis():
+    # identical pseudo-bases are equal at once, across field objects of one
+    # presentation; the same vectors over another ideal are another module,
+    # and another pseudo-basis of the same module is found by the Z-bases
+    k, other = quadratic_field(2), quadratic_field(2)
+    one, zero = k.one(), k.zero()
+    ring = FractionalIdeal.whole_ring(k)
+    two = ring.scaled(k.from_rational(2))
+    m = KModule(k, [(ring, (one, zero)), (ring, (zero, k.theta()))])
+    same = KModule(other, [(FractionalIdeal.whole_ring(other), (other.one(), other.zero())),
+                           (FractionalIdeal.whole_ring(other), (other.zero(), other.theta()))])
+    assert m.equals(same) and same.equals(m)
+    assert not m.equals(KModule(k, [(two, (one, zero)), (ring, (zero, k.theta()))]))
+    assert not m.equals(KModule(k, [(ring, (one, zero)), (ring, (zero, one))]))
+    assert m.equals(KModule(k, [(two, (one / 2, zero)), (ring, (zero, k.theta()))]))
+
+
 def test_module_dual_pairing_integral(field):
     m = standard_module(field, 2)
     dual = m.trace_dual()
@@ -207,7 +224,7 @@ def test_pairing_matrix_is_the_elementwise_trace_sum(field):
 
 def test_trace_dual_inverts_no_matrix_over_k(monkeypatch):
     # (W^-1)^t is read through the regular representation R(W) over Q:
-    # no determinant, solve or unimodularity test sees a field element
+    # no solve or unimodularity test sees a field element
     k_entries = []
 
     def has_field_element(x):
@@ -221,7 +238,7 @@ def test_trace_dual_inverts_no_matrix_over_k(monkeypatch):
             return original(*args)
         return checked
 
-    for name in ("mat_det", "solve_scaled", "is_unimodular", "is_unimodular_ratio"):
+    for name in ("solve_scaled", "is_unimodular", "is_unimodular_ratio"):
         monkeypatch.setattr(omodules, name, spy(getattr(omodules, name)))
     cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for k in (preset_field("Q_sqrt2"), cubic):
@@ -527,15 +544,16 @@ def test_ideal_actions_are_checked_for_integrality():
 
 
 def test_trace_dual_takes_no_independence_determinant(monkeypatch):
-    # (W^-1)^t is invertible, so the dual module is built without det R(W*)
+    # (W^-1)^t is invertible, so the dual module is built without eliminating
+    # R(W*), and the solve with R(W) ran when the module was built
     cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     one, theta = cubic.one(), cubic.theta()
     m = module_from_matrix(cubic, [[one + theta, theta * theta], [one, 3 * one]])
-    dets = []
-    mat_det = omodules.mat_det
-    monkeypatch.setattr(omodules, "mat_det", lambda a: dets.append(len(a)) or mat_det(a))
+    sizes = []
+    bareiss = exactla._bareiss
+    monkeypatch.setattr(exactla, "_bareiss", lambda a, n: sizes.append(n) or bareiss(a, n))
     dual = m.trace_dual()
-    assert dets == []
+    assert 6 not in sizes
     assert dual.equals(KModule(cubic, dual.pseudo))
     assert dual.trace_dual().equals(m)
 
@@ -544,18 +562,20 @@ def test_modules_over_one_field_share_the_ring_and_its_dual(monkeypatch):
     k = preset_field("Q_sqrt2")
     one, zero, theta = k.one(), k.zero(), k.theta()
     first = module_from_matrix(k, [[one, theta], [zero, one]])
+    first_dual = first.trace_dual()
+    # an ideal dual is a d x d solve; the second module makes only its
+    # nd x nd pseudo-vector solve, with n right-hand sides, when it is built
+    sizes = []
+    solve = omodules.solve_scaled
+    monkeypatch.setattr(omodules, "solve_scaled",
+                        lambda a, b: sizes.append((len(a), len(b[0]))) or solve(a, b))
     second = module_from_matrix(k, [[one + theta, zero], [one, one]])
+    assert sizes == [(4, 2)]
+    second_dual = second.trace_dual()
+    assert sizes == [(4, 2)]
     ring = FractionalIdeal.whole_ring(k)
     assert all(a is ring for m in (first, second) for a, _ in m.pseudo)
     assert standard_module(k, 3).pseudo[0][0] is ring
-    first_dual = first.trace_dual()
-    # an ideal dual is a d x d solve; the second module makes only its
-    # nd x nd pseudo-vector solve
-    sizes = []
-    solve = omodules.solve_scaled
-    monkeypatch.setattr(omodules, "solve_scaled", lambda a, b: sizes.append(len(a)) or solve(a, b))
-    second_dual = second.trace_dual()
-    assert sizes == [4]
     assert second_dual.pseudo[0][0] is first_dual.pseudo[0][0] is ring.trace_dual()
 
 

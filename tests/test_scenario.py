@@ -377,6 +377,31 @@ def test_cli_exit_code_2_on_bad_input(capsys, tmp_path):
     assert code == 2
 
 
+SQRT2_BODIES = "[body.v1]\nshape = ball\nradius = 1\n[body.v2]\nshape = ball\nradius = 1\n"
+
+
+@pytest.mark.parametrize("field,module,message", [
+    ("poly = -2, 0, 1\nbasis = [[1; 0], [2; 0]]", "matrix = [[1]]",
+     "[field]: integral basis is linearly dependent"),
+    ("poly = -2, 0, 1\nbasis = [[2; 0], [0; 1]]", "matrix = [[1]]",
+     "[field]: integral basis does not contain 1"),
+    ("poly = -2, 0, 1\nbasis = [[1; 0], [0; 1/2]]", "matrix = [[1]]",
+     "[field]: integral basis is not closed under multiplication"),
+    ("poly = -2, 0, 1\nbasis = [[1; 0], [0; 1]]", "pseudo1 = 1,0; 2,0 | 1,0",
+     "[module] pseudo1: ideal basis is linearly dependent"),
+    ("poly = -2, 0, 1\nbasis = [[1; 0], [0; 1]]",
+     "pseudo1 = 1,0; 0,1 | 1,0; 0,0\npseudo2 = 1,0; 0,1 | 2,0; 0,0",
+     "[module]: singular matrix"),
+])
+def test_cli_names_each_dependent_or_invalid_basis(capsys, tmp_path, field, module, message):
+    # each is decided by the one solve its construction makes, in this order
+    rank = module.count("pseudo") or 1
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[field]\n{field}\n[module]\nrank = {rank}\n{module}\n{SQRT2_BODIES}")
+    code, out, err = run_cli(["polar", str(path), "--machine"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_cli_resolution_below_two_is_an_argument_error(capsys):
     # resolution below 2, cap below 1: bad input, not a failed run
     for flag, value, least in (("--resolution", "1", 2), ("--cap", "0", 1), ("--cap", "-1", 1)):

@@ -27,13 +27,25 @@ def test_script_runs(argv):
 def test_minima_scaling_prints_one_row_per_case():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
-                           "--cubic", "2", "--z", "4", "8", "--reduce", "6", "16"],
+                           "--cubic", "2", "--z", "4", "8", "--reduce", "6", "16", "--duality"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert [(row[-4], row[-1]) for row in rows] == [
         ("6", "ok"), ("4", "ok"), ("8", "ok"), ("6", "ok"), ("16", "ok")]
     assert [row[0] for row in rows[3:]] == ["reduced()", "reduced()"]
+    assert all(float(row[-3]) >= 0 and float(row[-2]) > 0 for row in rows)
+
+
+def test_minima_scaling_duality_rows_time_polar_and_biduality():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
+                           "--cubic", "--z", "--reduce", "--duality", "2", "4"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [(" ".join(row[:3]), row[-4], row[-1]) for row in rows] == [
+        ("polar x^4+1 n=2", "8", "ok"), ("polar x^4+1 n=4", "16", "ok")]
     assert all(float(row[-3]) >= 0 and float(row[-2]) > 0 for row in rows)
 
 

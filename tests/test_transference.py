@@ -214,21 +214,23 @@ def spy_on(monkeypatch, original, record):
 def test_transference_inverts_no_nd_by_nd_matrix(monkeypatch):
     # every exact solve runs through solve_scaled: the ideal duals and
     # actions are d x d, and the pseudo-vector inverse is one nd x nd
-    # solve with n right-hand sides, not an inverse; degree >= 2 keeps
-    # n x n and d x d apart from nd x nd
+    # solve with n right-hand sides, not an inverse, made when the module
+    # is built; degree >= 2 keeps n x n and d x d apart from nd x nd
     inversions, shapes = [], []
     spy_on(monkeypatch, exactla.mat_inv, lambda a: inversions.append(len(a)))
     spy_on(monkeypatch, exactla.solve_scaled, lambda a, b: shapes.append((len(a), len(b[0]))))
     cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for k in (preset_field("Q_sqrt2"), cubic):
         one, zero, theta = k.one(), k.zero(), k.theta()
+        nd = 2 * k.degree
+        shapes.clear()
         mod = module_from_matrix(k, [[one + theta, theta], [one, k.from_rational(3)]])
+        assert [s for s in shapes if s[0] == nd] == [(nd, 2)]
         inversions.clear()
         shapes.clear()
         assert transference_check(AdelicBody(mod, uniform_ball_body(k, 2, F(1)))).passed
-        nd = 2 * k.degree
         assert inversions == []
-        assert (nd, 2) in shapes and (nd, nd) not in shapes
+        assert shapes and all(s[0] < nd for s in shapes)
 
 
 def test_polar_and_biduality_invert_no_matrix(monkeypatch, capsys):
@@ -246,6 +248,23 @@ def test_polar_and_biduality_invert_no_matrix(monkeypatch, capsys):
     assert main(["polar", str(scenario), "--machine"]) == 0
     assert "polar biduality=pass" in capsys.readouterr().out
     assert inversions == []
+
+
+@pytest.mark.parametrize("command,line", [("polar", "polar biduality=pass"),
+                                          ("verify-duality", "duality rank=3 equal=true")])
+def test_duality_commands_eliminate_at_most_two_nd_by_nd_matrices(monkeypatch, capsys,
+                                                                  command, line):
+    # x^3-3x-1 at rank 3 (nd 9): the solve with R(W) made when the module is
+    # built, and for polar the dual's; the route-2 pairings are identities up
+    # to scale, so 1 x 1 blocks, and biduality finds the same pseudo-basis
+    sizes = []
+    bareiss = exactla._bareiss
+    monkeypatch.setattr(exactla, "_bareiss", lambda m, n: sizes.append(n) or bareiss(m, n))
+    from adelic.cli import main
+    scenario = Path(__file__).with_name("scenarios") / "x3-3x-1_rank3.ini"
+    assert main([command, str(scenario), "--machine"]) == 0
+    assert line in capsys.readouterr().out
+    assert max(sizes) == 9 and sizes.count(9) <= 2
 
 
 def test_minima_cap_error_names_the_stage_round_and_level(capsys):
@@ -282,8 +301,8 @@ def test_nd15_probe_completes_with_a_pinned_point_count(monkeypatch):
     rounds, points = [], []
     real = lattices.enumerate_below
 
-    def spy(lat, body, t, options):
-        out = real(lat, body, t, options)
+    def spy(lat, body, t, options, factor):
+        out = real(lat, body, t, options, factor)
         rounds.append(t)
         points.append(len(out))
         return out
