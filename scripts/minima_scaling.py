@@ -20,9 +20,12 @@ A is singular (`random_module`, which the tests share); every place
 carries the unit ball.  Each row prints nd, wall seconds (module, body
 and search, or the reduction alone, by time.perf_counter), peak RSS in
 MB, and "ok", the enumeration cap message or "biduality failed".
+--cap N sets the enumeration cap of every minima and transference row
+(default `adelic.lattices.ENUMERATION_CAP`).
 
     python3 scripts/minima_scaling.py
     python3 scripts/minima_scaling.py --cubic 2 --z 4 8 --reduce 16 --duality 4
+    python3 scripts/minima_scaling.py --cubic --z 36 40 --reduce --duality --cap 10000000
 """
 
 import argparse
@@ -47,6 +50,7 @@ from adelic import (
     transference_check,
     uniform_ball_body,
 )
+from adelic.lattices import ENUMERATION_CAP
 
 CUBIC = ([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 CYCLOTOMIC_8 = ([1, 0, 0, 0, 1], [[int(i == j) for j in range(4)] for i in range(4)])
@@ -68,7 +72,7 @@ def random_module(field, n, seed=0):
             continue
 
 
-def run_row(kind: str, n: int) -> dict:
+def run_row(kind: str, n: int, cap: int) -> dict:
     """One row in this process: nd, seconds, peak RSS and the outcome."""
     field = {"cubic": lambda: NumberField(*CUBIC),
              "duality": lambda: NumberField(*CYCLOTOMIC_8)}.get(kind, rational_field)()
@@ -85,7 +89,7 @@ def run_row(kind: str, n: int) -> dict:
                 ok = adelic_equal(adelic_polar(adelic_polar(body)), body)
                 outcome = "ok" if ok else "biduality failed"
             else:
-                (transference_check if kind == "cubic" else adelic_minima)(body)
+                (transference_check if kind == "cubic" else adelic_minima)(body, cap)
                 outcome = "ok"
     except EnumerationCapError as exc:
         outcome = str(exc)
@@ -104,11 +108,13 @@ def main():
                     help="ranks of the Z-lattice reduction rows")
     ap.add_argument("--duality", nargs="*", type=int, default=[4, 6, 8],
                     help="ranks of the x^4+1 polar and biduality rows")
+    ap.add_argument("--cap", type=int, default=ENUMERATION_CAP,
+                    help="enumeration cap of the minima and transference rows")
     ap.add_argument("--row", nargs=2, metavar=("KIND", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args()
 
     if args.row:
-        print(json.dumps(run_row(args.row[0], int(args.row[1]))))
+        print(json.dumps(run_row(args.row[0], int(args.row[1]), args.cap)))
         return
 
     print(f"{'case':<28} {'nd':>3} {'seconds':>8} {'rss_mb':>7}  result")
@@ -116,7 +122,7 @@ def main():
             + [("reduce", n) for n in args.reduce] + [("duality", n) for n in args.duality])
     for kind, n in rows:
         proc = subprocess.run(
-            [sys.executable, __file__, "--row", kind, str(n)],
+            [sys.executable, __file__, "--row", kind, str(n), "--cap", str(args.cap)],
             capture_output=True, text=True, check=True)
         row = json.loads(proc.stdout.splitlines()[-1])
         name = {"cubic": f"transference x^3-x-1 n={n}", "z": f"minima Z-lattice n={n}",

@@ -6,7 +6,6 @@ adelic successive minima by lattice enumeration, and verification of the
 transference bounds on minima products.
 """
 
-from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import (
     ConditioningError,
     DimensionLimitError,
@@ -71,10 +70,8 @@ __all__ = [
     "AdelicBody",
     "Ball",
     "Box",
-    "ComputeOptions",
     "ConditioningError",
     "CrossPolytope",
-    "DEFAULT_OPTIONS",
     "DimensionLimitError",
     "Ellipsoid",
     "EmbeddedLattice",

@@ -16,14 +16,13 @@ from importlib import resources
 from pathlib import Path
 
 from .bodies import SHAPES
-from .config import ComputeOptions
 from .errors import (
     ConditioningError,
     DimensionLimitError,
     EnumerationCapError,
     ScenarioError,
 )
-from .lattices import lattice_from_module, lattice_equal, polar_lattice
+from .lattices import ENUMERATION_CAP, RESOLUTION, lattice_from_module, lattice_equal, polar_lattice
 from .scenario import OPTION_MINIMA, PRESET_SCENARIOS, parse_scenario
 from .transference import (
     AdelicBody,
@@ -101,10 +100,13 @@ def load_scenario_text(name: str) -> str:
         f"(presets: {', '.join(PRESET_SCENARIOS)})")
 
 
-def _build(args, text: str) -> tuple[AdelicBody, ComputeOptions]:
+def _build(args, text: str) -> tuple[AdelicBody, dict[str, int]]:
+    """The scenario's body and its budgets: each flag beats its [options] key beats the default."""
     scn = parse_scenario(text)
-    opts = scn.options().with_overrides(resolution=args.resolution, enumeration_cap=args.cap)
-    return scn.build(), opts
+    defaults = {"resolution": RESOLUTION, "cap": ENUMERATION_CAP}
+    budgets = {key: next(v for v in (getattr(args, key), getattr(scn, key), defaults[key])
+                         if v is not None) for key in OPTION_MINIMA}
+    return scn.build(), budgets
 
 
 def _field_header(rep: _Report, body: AdelicBody):
@@ -126,7 +128,7 @@ def _minima_lines(rep: _Report, report: MinimaReport, d: int):
                  f"classical_bound={_fmt(bound)} slack={_fmt(slack)}")
 
 
-def cmd_polar(body: AdelicBody, options, rep: _Report) -> int:
+def cmd_polar(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
     star = adelic_polar(body)
     _field_header(rep, body)
     rep.human("polar body:")
@@ -141,16 +143,16 @@ def cmd_polar(body: AdelicBody, options, rep: _Report) -> int:
     return 0 if ok else 1
 
 
-def cmd_minima(body: AdelicBody, options, rep: _Report) -> int:
-    report = adelic_minima(body, options)
+def cmd_minima(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
+    report = adelic_minima(body, cap)
     _field_header(rep, body)
     rep.human("adelic successive minima with witnesses:")
     _minima_lines(rep, report, body.field.degree)
     return 0
 
 
-def cmd_transference(body: AdelicBody, options, rep: _Report) -> int:
-    tr = transference_check(body, options)
+def cmd_transference(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
+    tr = transference_check(body, cap)
     _field_header(rep, body)
     fl = tr.flags
     rep.human(f"hypotheses: totally_real={fl.totally_real} cm={fl.cm} "
@@ -168,8 +170,8 @@ def cmd_transference(body: AdelicBody, options, rep: _Report) -> int:
     return 0 if tr.passed else 1
 
 
-def cmd_mu(body: AdelicBody, options, rep: _Report) -> int:
-    mu = mu_product_report(body, options.resolution, options)
+def cmd_mu(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
+    mu = mu_product_report(body, resolution, cap)
     _field_header(rep, body)
     rep.human("product of the first minimum with the polar covering radius:")
     lo, hi = mu.mu_bracket
@@ -182,7 +184,7 @@ def cmd_mu(body: AdelicBody, options, rep: _Report) -> int:
     return 0
 
 
-def cmd_verify_duality(body: AdelicBody, options, rep: _Report) -> int:
+def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
     _field_header(rep, body)
     primal = lattice_from_module(body.finite_part, body.conjugated)
     dual_module = body.finite_part.trace_dual()
@@ -197,7 +199,7 @@ def cmd_verify_duality(body: AdelicBody, options, rep: _Report) -> int:
 
 
 def cmd_paper_example(args, rep: _Report) -> int:
-    body, opts = _build(args, load_scenario_text("Q_sqrt2"))
+    body, budgets = _build(args, load_scenario_text("Q_sqrt2"))
     field = body.field
     checks: list[tuple[str, str, str, bool]] = []
 
@@ -211,7 +213,7 @@ def cmd_paper_example(args, rep: _Report) -> int:
     want_txt = ";".join(",".join(str(c) for c in v) for v in expected)
     checks.append(("dual_basis", got_txt, want_txt, got == expected))
 
-    tr = transference_check(body, opts)
+    tr = transference_check(body, budgets["cap"])
     row = tr.rows[0]
     target = 2 ** 0.5 / 4
     checks.append(("lambda1_S", _fmt(row.lambda_s), "1", abs(row.lambda_s - 1.0) < 1e-9))
@@ -240,8 +242,8 @@ _SCENARIO_COMMANDS = {
 
 
 def _run_command(args, text: str, rep: _Report) -> int:
-    body, opts = _build(args, text)
-    return _SCENARIO_COMMANDS[args.command](body, opts, rep)
+    body, budgets = _build(args, text)
+    return _SCENARIO_COMMANDS[args.command](body, rep, **budgets)
 
 
 @functools.cache

@@ -8,13 +8,13 @@ run on N.  `solve_scaled` is the one elimination: fraction-free (Bareiss
 1968; Cohen, GTM 138, 2.2), every division by the previous pivot exact,
 with the solution returned over one denominator, and "singular matrix"
 raised instead; callers let the solve they need be their independence
-test.  `is_unimodular` eliminates only the connected blocks of a
-matrix's nonzero pattern that are larger than 1 x 1.  `mat_det` and
-`mat_inv` take ints and `Fraction`s and build a `Fraction` only for what
-they return.  `RankTracker` takes integer vectors.  Dot products
-are `sum(map(operator.mul, ...))`, exact and looped in C.  A system
-over a number field K is brought here through its regular
-representation over Q (see `omodules.KModule.regular`).
+test.  `is_unimodular` reads a diagonal matrix off and eliminates any
+other once, whole.  `mat_det` and `mat_inv` take ints and `Fraction`s
+and build a `Fraction` only for what they return.  `RankTracker` takes
+integer vectors.  Dot products are `sum(map(operator.mul, ...))`, exact
+and looped in C.  A system over a number field K is brought here
+through its regular representation over Q (see
+`omodules.KModule.regular`).
 """
 
 from __future__ import annotations
@@ -110,46 +110,16 @@ def mat_inv(a: Matrix) -> Matrix:
     return [[Fraction(v, d) for v in row] for row in y]
 
 
-def _blocks(a: IntMatrix) -> list[tuple[list[int], list[int]]]:
-    """The connected blocks of a's nonzero pattern, as (rows, columns), both ascending.
-
-    Row i and column j are nodes joined when a[i][j] != 0; a zero row or
-    column is a block of its own.  Permuting by block makes a block diagonal.
-    """
-    n = len(a)
-    root = list(range(2 * n))  # row i is node i, column j node n + j
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if x:
-                root[find(i)] = find(n + j)
-    blocks: dict[int, tuple[list[int], list[int]]] = {}
-    for v in range(2 * n):
-        blocks.setdefault(find(v), ([], []))[v >= n].append(v % n)
-    return list(blocks.values())
-
-
 def is_unimodular(a: Matrix, scale: int = 1) -> bool:
     """a / scale is integral and the quotient has determinant +-1: a Z-lattice's change of basis.
 
-    The determinant is +- the product of the determinants of the blocks
-    (`_blocks`), and zero if one is not square.  A dense matrix is one
-    block; a 1 x 1 block is read off, not eliminated.
+    A diagonal matrix is read off; any other is eliminated once, whole.
     """
     if any(x % scale for row in a for x in row):
         return False
-    blocks = _blocks(a)
-    if any(len(rows) != len(cols) for rows, cols in blocks):
-        return False
-    return all(abs(a[rows[0]][cols[0]]) == scale if len(rows) == 1
-               else abs(_bareiss([[a[i][j] // scale for j in cols] for i in rows], len(rows))) == 1
-               for rows, cols in blocks)
+    if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        return all(abs(row[i]) == scale for i, row in enumerate(a))
+    return abs(_bareiss([[x // scale for x in row] for row in a], len(a))) == 1
 
 
 def is_unimodular_ratio(a: tuple[IntMatrix, int], b: tuple[IntMatrix, int]) -> bool:

@@ -28,7 +28,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bodies import ProductBody
-from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
 from .exactla import is_unimodular, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
@@ -36,6 +35,8 @@ from .omodules import KModule, KVector
 
 LLL_DELTA = 0.99  # the Lovasz condition of every reduction
 EQUAL_TOL = 1e-8  # entrywise slack of `lattice_equal` on the change of basis
+ENUMERATION_CAP = 1_000_000  # default nodes of one enumeration round or covering grid batch
+RESOLUTION = 64  # default covering grid points per axis
 
 
 class EmbeddedLattice:
@@ -296,7 +297,7 @@ def enumerate_below(
     lat: EmbeddedLattice,
     body: ProductBody,
     t: float,
-    options: ComputeOptions = DEFAULT_OPTIONS,
+    cap: int = ENUMERATION_CAP,
     factor: np.ndarray | None = None,
 ) -> list[LatticePoint]:
     """All nonzero lattice points of gauge <= t, one per +- pair, sorted.
@@ -314,7 +315,7 @@ def enumerate_below(
     if factor is None:
         factor = _bounding_factor(lat, body)
     bound = body.enumeration_quadratic_bound(t) * (1 + 1e-9)
-    coords = _enumerate_quadratic(factor, bound, options.enumeration_cap)
+    coords = _enumerate_quadratic(factor, bound, cap)
     if not len(coords):
         return []
     vecs = (coords.astype(float)[:, None, :] @ lat.basis)[:, 0, :]
@@ -338,7 +339,7 @@ def points_by_gauge(
     lat: EmbeddedLattice,
     body: ProductBody,
     k: int,
-    options: ComputeOptions = DEFAULT_OPTIONS,
+    cap: int = ENUMERATION_CAP,
 ) -> Iterator[LatticePoint]:
     """Nonzero points of a reduced lattice in nondecreasing (gauge, coords) order.
 
@@ -371,7 +372,7 @@ def points_by_gauge(
     for round_, j in enumerate(range(steps, -1, -1), 1):
         t = top / g ** j
         try:
-            points = enumerate_below(lat, body, t, options, r)
+            points = enumerate_below(lat, body, t, cap, r)
         except EnumerationCapError as exc:
             raise EnumerationCapError(
                 f"minima search, round {round_} at level t={t:.6g}: {exc}") from exc
@@ -389,7 +390,7 @@ def covering_radius_bounds(
     lat: EmbeddedLattice,
     body: ProductBody,
     resolution: int | None = None,
-    options: ComputeOptions = DEFAULT_OPTIONS,
+    cap: int = ENUMERATION_CAP,
 ) -> tuple[float, float]:
     """Bracket the covering radius by a grid over the fundamental cell.
 
@@ -410,7 +411,7 @@ def covering_radius_bounds(
     if lat.dim > 4:
         raise DimensionLimitError(
             "covering radius grid search is limited to lattices of dimension at most 4")
-    k = resolution if resolution is not None else options.resolution
+    k = RESOLUTION if resolution is None else resolution
     if k < 2:
         raise ValueError("resolution must be at least 2")
     red = lat.reduced()
@@ -451,7 +452,7 @@ def covering_radius_bounds(
         batch += 1
         bounds = body.enumeration_quadratic_bound(upper[idx]) * (1 + 1e-9)
         try:
-            coords, near = _enumerate_quadratic(r, bounds, options.enumeration_cap, fracs[idx])
+            coords, near = _enumerate_quadratic(r, bounds, cap, fracs[idx])
         except EnumerationCapError as exc:
             raise EnumerationCapError(
                 f"covering search, grid batch {batch} ({len(idx)} points, nearest-plane "
@@ -464,7 +465,7 @@ def covering_radius_bounds(
         # point found: at this batch's rate the next one finds an eighth of the cap
         per_point = -(-len(coords) // len(idx))
         start += len(idx)
-        size = min(2 * size, max(16, options.enumeration_cap // (8 * per_point)))
+        size = min(2 * size, max(16, cap // (8 * per_point)))
         if batch == 1:
             above = upper > lower
             above[order] = False

@@ -14,8 +14,8 @@ otherwise one unimodular-ratio test; no matrix is inverted and no
 `Fraction` is multiplied.  The trace dual is built through the
 pseudo-basis, one dual per distinct ideal, its numerators taken from
 the solve, and checked by its pairing matrix with the module under the
-trace form P[i][j] = Tr(theta^(i+j)), which must be unimodular; that
-matrix is block diagonal, and unimodularity is tested block by block.
+trace form P[i][j] = Tr(theta^(i+j)), which must be unimodular; when
+the two routes agree it is the identity, read off with no elimination.
 `KRankTracker` maps lattice coordinates to the module's Z-basis once and
 applies the ideals' own d x d integer actions block by block, so K-rank
 is decided on Python ints without an nd x nd matrix.

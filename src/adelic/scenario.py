@@ -16,7 +16,6 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .bodies import SHAPES, PlaceBody, ProductBody
-from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ScenarioError
 from .numberfield import NumberField, PRESET_FIELDS, preset_field
 from .omodules import FractionalIdeal, KModule, module_from_matrix, standard_module
@@ -58,9 +57,6 @@ class Scenario:
     bodies: list[BodySpec]
     resolution: int | None = None
     cap: int | None = None
-
-    def options(self) -> ComputeOptions:
-        return DEFAULT_OPTIONS.with_overrides(resolution=self.resolution, enumeration_cap=self.cap)
 
     def build(self) -> AdelicBody:
         field = _build_field(self.field)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bodies import ProductBody
-from .config import ComputeOptions, DEFAULT_OPTIONS
 from .errors import ConditioningError, EnumerationCapError
 from .exactla import RankTracker
 from .lattices import (
+    ENUMERATION_CAP,
     EmbeddedLattice,
     LatticePoint,
     covering_radius_bounds,
@@ -89,7 +89,7 @@ class MinimaReport:
     thunder_slacks: list[float]    # classical[(l-1)*d] - minima[l-1], per l
 
 
-def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -> MinimaReport:
+def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP) -> MinimaReport:
     """Successive minima with exact K-independence bookkeeping.
 
     One pass over `points_by_gauge` feeds two exact trackers, both on
@@ -117,7 +117,7 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
     witnesses: list[KVector] = []
     kept: list[LatticePoint] = []
     classical: list[float] = []
-    for p in points_by_gauge(red, body.infinite_part, target_classical, options):
+    for p in points_by_gauge(red, body.infinite_part, target_classical, cap):
         if len(classical) < target_classical:
             if not rtracker.try_add(p.coords):
                 continue  # in the Q-span of earlier points, so in the K-span of the witnesses
@@ -138,10 +138,10 @@ def adelic_minima(body: AdelicBody, options: ComputeOptions = DEFAULT_OPTIONS) -
 def inhomogeneous_minimum(
     body: AdelicBody,
     resolution: int | None = None,
-    options: ComputeOptions = DEFAULT_OPTIONS,
+    cap: int = ENUMERATION_CAP,
 ) -> tuple[float, float]:
     """Bracket for the covering radius of the embedded lattice in the gauge."""
-    return covering_radius_bounds(body.lattice(), body.infinite_part, resolution, options)
+    return covering_radius_bounds(body.lattice(), body.infinite_part, resolution, cap)
 
 
 @dataclass
@@ -187,18 +187,15 @@ class TransferenceReport:
         return all(row.verdict == "pass" for row in self.rows)
 
 
-def _side_minima(side: str, body: AdelicBody, options: ComputeOptions) -> MinimaReport:
+def _side_minima(side: str, body: AdelicBody, cap: int) -> MinimaReport:
     """`adelic_minima`, with a cap error prefixed by the side it came from."""
     try:
-        return adelic_minima(body, options)
+        return adelic_minima(body, cap)
     except EnumerationCapError as exc:
         raise EnumerationCapError(f"{side}: {exc}") from exc
 
 
-def transference_check(
-    body: AdelicBody,
-    options: ComputeOptions = DEFAULT_OPTIONS,
-) -> TransferenceReport:
+def transference_check(body: AdelicBody, cap: int = ENUMERATION_CAP) -> TransferenceReport:
     """Products of dual pairs of minima against both transference bounds.
 
     The upper bound (nd)^(3/2) applies unconditionally; the lower bound
@@ -213,8 +210,8 @@ def transference_check(
         cm=field.is_cm,
         cm_was_asserted=field.cm_asserted,
     )
-    rep_s = _side_minima("body S", body, options)
-    rep_star = _side_minima("polar S*", adelic_polar(body), options)
+    rep_s = _side_minima("body S", body, cap)
+    rep_star = _side_minima("polar S*", adelic_polar(body), cap)
     upper = (n * d) ** 1.5
     lower = abs(field.discriminant) ** (-1.0 / d) if flags.lower_bound_applies else None
     rows = []
@@ -240,12 +237,12 @@ class MuProductReport:
 def mu_product_report(
     body: AdelicBody,
     resolution: int | None = None,
-    options: ComputeOptions = DEFAULT_OPTIONS,
+    cap: int = ENUMERATION_CAP,
 ) -> MuProductReport:
     """Bracket for lambda_1(S) * mu(S*); the k = 1 stream yields lambda_1 by its last level."""
-    lam1 = next(points_by_gauge(body.lattice().reduced(), body.infinite_part, 1, options)).gauge
+    lam1 = next(points_by_gauge(body.lattice().reduced(), body.infinite_part, 1, cap)).gauge
     star = adelic_polar(body)
-    lo, hi = inhomogeneous_minimum(star, resolution, options)
+    lo, hi = inhomogeneous_minimum(star, resolution, cap)
     nd = body.n * body.field.degree
     return MuProductReport(
         lambda1=lam1,

@@ -7,12 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from adelic import (
-    DEFAULT_OPTIONS,
-    ConditioningError,
-    EnumerationCapError,
-    FieldElement,
-)
+from adelic import ConditioningError, EnumerationCapError, FieldElement
 from adelic.exactla import RankTracker, mat_inv, mat_mul, transpose
 from adelic.lattices import points_by_gauge
 
@@ -159,7 +154,7 @@ def contains(lattice, x) -> bool:
     return all(x.denominator == 1 for x, in gauss_jordan_solve(transpose(rows), [[c] for c in v]))
 
 
-def covering_radius_full_window(lat, body, resolution, options=DEFAULT_OPTIONS):
+def covering_radius_full_window(lat, body, resolution):
     """Covering bracket with every grid point measured against its whole offset window.
 
     The plain search that `adelic.lattices.covering_radius_bounds` prunes:
@@ -263,7 +258,7 @@ def enumerate_quadratic_recursive(r, bound, cap):
     return out
 
 
-def classical_minima(lat, body, count=None, options=DEFAULT_OPTIONS):
+def classical_minima(lat, body, count=None):
     """First `count` successive minima over R, with witness points.
 
     The j-th entry realizes the j-th minimum: its gauge is minimal among
@@ -279,7 +274,7 @@ def classical_minima(lat, body, count=None, options=DEFAULT_OPTIONS):
         raise ValueError("cannot ask for more minima than the lattice rank")
     tracker = RankTracker(m)
     milestones = []
-    for p in points_by_gauge(lat.reduced(), body, count, options):
+    for p in points_by_gauge(lat.reduced(), body, count):
         if tracker.try_add(p.coords):
             milestones.append(p)
             if len(milestones) == count:

@@ -298,22 +298,22 @@ def test_blockwise_unimodularity_matches_the_fraction_reference(a, scale, data):
     assert is_unimodular(a, scale) == expected
 
 
-def test_unimodularity_eliminates_only_blocks_above_one_by_one(monkeypatch):
+def test_unimodularity_reads_a_diagonal_and_eliminates_anything_else_once(monkeypatch):
     calls = []
     bareiss = exactla._bareiss
     monkeypatch.setattr(exactla, "_bareiss", lambda m, n: calls.append(n) or bareiss(m, n))
-    # a permuted diagonal of units, and a dense 2 x 2 block beside a unit
+    # a diagonal matrix, units or not, is read off
+    assert is_unimodular([[3, 0, 0], [0, -3, 0], [0, 0, 3]], 3)
+    assert not is_unimodular([[1, 0], [0, 0]])
+    assert not is_unimodular([[2, 0], [0, 1]])
+    assert calls == []
+    # any other matrix is one n x n elimination, a permuted diagonal included
     assert is_unimodular([[0, 0, -3], [3, 0, 0], [0, 3, 0]], 3)
-    assert calls == []
-    assert is_unimodular([[2, 0, 1], [0, 1, 0], [1, 0, 1]])
-    assert calls == [2]
-    calls.clear()
-    # a zero row (and so a zero column) is decided without an elimination
-    assert not is_unimodular([[1, 2, 0], [0, 0, 0], [3, 4, 0]])
-    assert calls == []
-    # a dense matrix is one block
-    assert is_unimodular([[2, 1, 1], [1, 1, 1], [1, 1, 2]])
     assert calls == [3]
+    calls.clear()
+    assert not is_unimodular([[1, 2, 0], [0, 0, 0], [3, 4, 0]])
+    assert is_unimodular([[2, 1, 1], [1, 1, 1], [1, 1, 2]])
+    assert calls == [3, 3]
 
 
 def test_unimodularity_tests_decide_on_the_integral_quotient():

@@ -15,7 +15,6 @@ from adelic import (
     Ball,
     Box,
     CrossPolytope,
-    ComputeOptions,
     DimensionLimitError,
     Ellipsoid,
     EmbeddedLattice,
@@ -263,11 +262,10 @@ def test_enumerate_matches_brute_force_oracle():
             assert g1 == pytest.approx(g2, abs=1e-9)
 
 
-def test_enumeration_cap_is_enforced():
+def test_enumerate_below_enforces_its_cap():
     lat = z_lattice(3)
-    tiny = ComputeOptions(enumeration_cap=10)
     with pytest.raises(EnumerationCapError):
-        enumerate_below(lat, q_body(3, Ball(F(1))), 6.0, tiny)
+        enumerate_below(lat, q_body(3, Ball(F(1))), 6.0, cap=10)
 
 
 def first_positive(coords):
@@ -301,7 +299,7 @@ def test_breadth_first_enumeration_matches_the_recursion(case):
     assert set(got) == first_positive(enumerate_quadratic_recursive(r, bound, 10 ** 6))
 
 
-def test_enumeration_cap_never_returns_a_partial_list():
+def test_capped_enumeration_never_returns_a_partial_list():
     r = np.linalg.cholesky(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])).T
     full = lattices._enumerate_quadratic(r, 9.0, 10 ** 6)
     outcomes = set()
@@ -347,7 +345,7 @@ def test_centred_enumeration_matches_a_box_search(seed):
         assert inner <= set(got) <= outer
 
 
-def test_centred_enumeration_cap_never_returns_a_partial_list():
+def test_capped_centred_enumeration_never_returns_a_partial_list():
     r = np.linalg.cholesky(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])).T
     targets = np.array([[0.5, 0.5, 0.5], [0.25, -0.75, 2.0]])
     bounds = np.array([9.0, 4.0])
@@ -406,9 +404,9 @@ def test_points_by_gauge_starts_below_the_first_minimum(monkeypatch):
     levels = []
     real = lattices.enumerate_below
 
-    def spy(lat, body, t, options, factor):
+    def spy(lat, body, t, cap, factor):
         levels.append(t)
-        return real(lat, body, t, options, factor)
+        return real(lat, body, t, cap, factor)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     first = next(lattices.points_by_gauge(lat, body, lat.dim))
@@ -425,15 +423,15 @@ def test_points_by_gauge_yields_each_pair_once_in_order(monkeypatch):
     levels = []
     real = lattices.enumerate_below
 
-    def spy(lat, body, t, options, factor):
+    def spy(lat, body, t, cap, factor):
         levels.append(t)
-        return real(lat, body, t, options, factor)
+        return real(lat, body, t, cap, factor)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     got = list(lattices.points_by_gauge(lat, body, lat.dim))
     assert levels == [5.0, 10.0, 20.0]
     assert levels[-1] == max(body.gauge(row) for row in lat.basis)
-    whole = real(lat, body, levels[-1], ComputeOptions())
+    whole = real(lat, body, levels[-1])
     assert [(p.coords, p.gauge) for p in got] == [(p.coords, p.gauge) for p in whole]
     assert [p.sort_key() for p in got] == sorted(p.sort_key() for p in got)
     pairs = {min(p.coords, tuple(-c for c in p.coords)) for p in got}
@@ -456,9 +454,9 @@ def test_points_by_gauge_levels_run_between_the_bounds_on_lambda_k(monkeypatch, 
     levels = []
     real = lattices.enumerate_below
 
-    def spy(lat, body, t, options, factor):
+    def spy(lat, body, t, cap, factor):
         levels.append(t)
-        return real(lat, body, t, options, factor)
+        return real(lat, body, t, cap, factor)
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     for k in (2, m):
@@ -689,8 +687,7 @@ def test_covering_search_window_cap():
     body = q_body(2, Box((F(1), F(50))))
     with pytest.raises(EnumerationCapError, match=r"covering search, grid batch 1 "
                        r"\(16 points, nearest-plane bound <= 0.5\)"):
-        covering_radius_bounds(z_lattice(2), body, resolution=8,
-                               options=ComputeOptions(enumeration_cap=1000))
+        covering_radius_bounds(z_lattice(2), body, resolution=8, cap=1000)
     assert covering_radius_bounds(z_lattice(2), body, resolution=8) == (0.5, 0.625)
 
 

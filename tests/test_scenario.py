@@ -1,26 +1,31 @@
 """Scenario file grammar and the command line interface."""
 
+import contextlib
+import io
 import subprocess
 import sys
-from dataclasses import fields
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adelic import (
     Ball,
-    ComputeOptions,
-    DEFAULT_OPTIONS,
     Ellipsoid,
+    EnumerationCapError,
     PRESET_SCENARIOS,
     ScenarioError,
+    adelic_minima,
     adelic_polar,
-    mu_product_report,
+    inhomogeneous_minimum,
     parse_scenario,
-    transference_check,
 )
 from adelic.bodies import SHAPES
 from adelic.cli import _build, build_parser, load_scenario_text, main
+from adelic.lattices import ENUMERATION_CAP, RESOLUTION
 from adelic.scenario import OPTION_MINIMA
 from field_reference import contains
 
@@ -199,46 +204,40 @@ def test_module_section_diagnostics():
         base.format("rank = 2\npseudo1 = 1 | 1, 0"))
 
 
+def cli_budgets(text, *flags):
+    """The budgets `minima` runs with on the scenario text under the flags."""
+    return _build(build_parser().parse_args(["minima", *flags]), text)[1]
+
+
 def test_options_override_and_cli_precedence():
-    scn = parse_scenario(CUSTOM)
-    opts = scn.options()
-    assert opts.resolution == 32 and opts.enumeration_cap == 500000
+    # flag, then [options] key, then the default of the layer that reads it
+    assert cli_budgets(PSEUDO) == {"resolution": RESOLUTION, "cap": ENUMERATION_CAP}
+    assert cli_budgets(CUSTOM) == {"resolution": 32, "cap": 500000}
+    assert cli_budgets(CUSTOM, "--cap", "7") == {"resolution": 32, "cap": 7}
+    assert cli_budgets(PSEUDO, "--resolution", "5") == {"resolution": 5, "cap": ENUMERATION_CAP}
 
 
 def test_every_compute_option_is_set_by_an_options_key_and_a_flag():
-    # a ComputeOptions field that no [options] key or CLI flag reaches is a dead knob
-    def changed(opts):
-        return {f.name for f in fields(ComputeOptions)
-                if getattr(opts, f.name) != getattr(DEFAULT_OPTIONS, f.name)}
-
-    by_key, by_flag = set(), set()
+    # a budget that no [options] key or CLI flag reaches is a dead knob
+    default = cli_budgets(PSEUDO)
+    assert set(default) == set(OPTION_MINIMA)
     for key, least in OPTION_MINIMA.items():
-        value = least + 100
-        from_key = changed(parse_scenario(PSEUDO + f"[options]\n{key} = {value}\n").options())
-        args = build_parser().parse_args(["minima", f"--{key}", str(value)])
-        from_flag = changed(_build(args, PSEUDO)[1])
-        assert len(from_key) == 1 and from_flag == from_key
-        by_key |= from_key
-        by_flag |= from_flag
-    assert by_key == by_flag == {f.name for f in fields(ComputeOptions)}
+        keyed = PSEUDO + f"[options]\n{key} = {least + 100}\n"
+        flag = (f"--{key}", str(least + 200))
+        assert default[key] not in (least + 100, least + 200)
+        assert cli_budgets(keyed) == {**default, key: least + 100}
+        assert cli_budgets(PSEUDO, *flag) == cli_budgets(keyed, *flag) == {
+            **default, key: least + 200}
 
 
 def test_every_compute_option_is_read_by_a_computation():
-    # a ComputeOptions field that no computation reads is a dead knob
-    names = {f.name for f in fields(ComputeOptions)}
-    read = set()
-
-    class Recording(ComputeOptions):
-        def __getattribute__(self, name):
-            if name in names:
-                read.add(name)
-            return super().__getattribute__(name)
-
+    # a budget that no computation reads is a dead knob
     body = parse_scenario(load_scenario_text("Q_sqrt2")).build()
-    options = Recording(resolution=8)
-    transference_check(body, options)
-    mu_product_report(body, None, options)
-    assert read == names
+    with pytest.raises(EnumerationCapError):
+        adelic_minima(body, cap=1)
+    with pytest.raises(EnumerationCapError):
+        inhomogeneous_minimum(body, resolution=8, cap=1)
+    assert inhomogeneous_minimum(body, resolution=4) != inhomogeneous_minimum(body, resolution=8)
 
 
 # -- command line ------------------------------------------------------------
@@ -478,6 +477,53 @@ def test_cli_large_coefficients_end_in_an_exit_code(capsys, tmp_path, command, c
         assert err == "" and "polar biduality=pass" in out
     else:
         assert err == f"error: {message}\n"
+
+
+SCENARIO_TEXTS = [load_scenario_text(name) for name in PRESET_SCENARIOS] + [
+    path.read_text() for path in sorted((Path(__file__).parent / "scenarios").glob("*.ini"))]
+SCENARIO_LINES = sorted({line for text in SCENARIO_TEXTS for line in text.splitlines()})
+
+
+@st.composite
+def edited_scenarios(draw):
+    """A shipped or test scenario after one to four random line edits."""
+    lines = draw(st.sampled_from(SCENARIO_TEXTS)).splitlines()
+    noise = st.text(alphabet="[]=;,|/-+#.0123456789 abcdefimnoprstuvxyz", max_size=30)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(["delete", "duplicate", "insert", "splice"]))
+        if edit == "delete" and i < len(lines):
+            del lines[i]
+        elif edit == "duplicate" and i < len(lines):
+            lines.insert(i, lines[i])
+        elif edit == "insert":
+            lines.insert(i, draw(st.sampled_from(SCENARIO_LINES) | noise))
+        elif i < len(lines):
+            # replace a piece of the line with noise
+            line = lines[i]
+            start = draw(st.integers(0, len(line)))
+            stop = draw(st.integers(start, len(line)))
+            lines[i] = line[:start] + draw(noise) + line[stop:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_scenarios())
+def test_edited_scenarios_end_in_an_exit_code(text):
+    # bad scenario text is an input error, never an escaped exception
+    try:
+        parse_scenario(text)
+    except ScenarioError:
+        pass
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edited.ini"
+        path.write_text(text)
+        for command in ("polar", "verify-duality", "minima", "transference", "mu"):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main([command, str(path), "--machine", "--cap", "20000",
+                             "--resolution", "4"])
+            assert code in (0, 1, 2, 3)
 
 
 def test_cli_all_directory(capsys, tmp_path):

@@ -49,6 +49,19 @@ def test_minima_scaling_duality_rows_time_polar_and_biduality():
     assert all(float(row[-3]) >= 0 and float(row[-2]) > 0 for row in rows)
 
 
+def test_minima_scaling_cap_reaches_the_minima_and_transference_rows():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
+                           "--cubic", "2", "--z", "4", "--reduce", "--duality", "--cap", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 2
+    assert rows[0].startswith("transference x^3-x-1 n=2") and "body S: minima search" in rows[0]
+    assert rows[1].startswith("minima Z-lattice n=4") and "minima search" in rows[1]
+    assert all("enumeration would visit more than 1 nodes" in row for row in rows)
+
+
 def test_covering_convergence_exits_1_when_brackets_do_not_nest(monkeypatch):
     # widening brackets must fail the run, also under python -O
     widths = iter([0.5, 0.75])

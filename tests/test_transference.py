@@ -14,7 +14,6 @@ from adelic import (
     AdelicBody,
     Ball,
     Box,
-    ComputeOptions,
     EmbeddedLattice,
     EnumerationCapError,
     FractionalIdeal,
@@ -273,7 +272,7 @@ def test_minima_cap_error_names_the_stage_round_and_level(capsys):
     with pytest.raises(EnumerationCapError,
                        match=r"^minima search, round 1 at level t=1.41421: enumeration would "
                              r"visit more than 10 nodes"):
-        adelic_minima(body, ComputeOptions(enumeration_cap=10))
+        adelic_minima(body, cap=10)
     from adelic.cli import main
     assert main(["minima", "Q_sqrt2", "--cap", "2"]) == 3
     assert "minima search, round 1 at level t=1:" in capsys.readouterr().err
@@ -284,13 +283,13 @@ def test_minima_cap_error_names_the_stage_round_and_level(capsys):
     with pytest.raises(EnumerationCapError,
                        match=r"^minima search, round 2 at level t=1: enumeration would "
                              r"visit more than 20 nodes"):
-        adelic_minima(boxed, ComputeOptions(enumeration_cap=20))
+        adelic_minima(boxed, cap=20)
     # transference_check names the side: the box needs more nodes than its
     # polar, so at this cap S fails, and S* fails for the polar body
     for body, side in ((boxed, "body S"), (adelic_polar(boxed), "polar S*")):
         with pytest.raises(EnumerationCapError,
                            match=rf"^{re.escape(side)}: minima search, round \d+ at level t="):
-            transference_check(body, ComputeOptions(enumeration_cap=50))
+            transference_check(body, cap=50)
 
 
 def test_nd15_probe_completes_with_a_pinned_point_count(monkeypatch):
@@ -301,8 +300,8 @@ def test_nd15_probe_completes_with_a_pinned_point_count(monkeypatch):
     rounds, points = [], []
     real = lattices.enumerate_below
 
-    def spy(lat, body, t, options, factor):
-        out = real(lat, body, t, options, factor)
+    def spy(lat, body, t, cap, factor):
+        out = real(lat, body, t, cap, factor)
         rounds.append(t)
         points.append(len(out))
         return out
@@ -486,7 +485,7 @@ def test_mu_product_report_runs_no_minima_search(monkeypatch, name):
     if body.n * body.field.degree > 4:
         # the covering grid refuses nd > 4; lambda_1 is read before it
         monkeypatch.setattr(transference, "inhomogeneous_minimum",
-                            lambda star, resolution, options: (1.0, 1.0))
+                            lambda star, resolution, cap: (1.0, 1.0))
     rep = mu_product_report(body, resolution=4)
     assert rep.lambda1 == expected
     assert trackers == []
