@@ -12,7 +12,8 @@ process, so its peak RSS is its own:
   --reduce (default 16, 28, 40), timing the LLL reduction alone;
 - `adelic_polar` and the biduality check `adelic_equal(adelic_polar(
   star), body)` that `adelic polar` prints, over Q(zeta_8), zeta_8^4 = -1,
-  at the ranks given by --duality (default 4, 6, 8: nd 16, 24, 32).
+  at the ranks given by --duality (default 4 to 12 in steps of 2: nd 16
+  to 48).
 
 Modules are A O^n for an n x n matrix A whose entries have coordinates
 random.Random(0).randint(-3, 3), drawn row by row and redrawn while
@@ -106,7 +107,7 @@ def main():
                     help="ranks of the Z-lattice minima rows")
     ap.add_argument("--reduce", nargs="*", type=int, default=[16, 28, 40],
                     help="ranks of the Z-lattice reduction rows")
-    ap.add_argument("--duality", nargs="*", type=int, default=[4, 6, 8],
+    ap.add_argument("--duality", nargs="*", type=int, default=list(range(4, 13, 2)),
                     help="ranks of the x^4+1 polar and biduality rows")
     ap.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                     help="enumeration cap of the minima and transference rows")

@@ -251,14 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="adelic",
         description="Convex bodies over the adeles: polars, minima, transference bounds.")
+    # each command takes the budget flags it reads, and no other; a budget it
+    # has no flag for is None here, so _build falls to the [options] key
+    ap.set_defaults(**dict.fromkeys(OPTION_MINIMA))
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("polar", "dual module and polar bodies of a scenario"),
-        ("minima", "adelic successive minima with exact witnesses"),
-        ("transference", "minima products against both transference bounds"),
-        ("mu", "first minimum times polar covering radius bracket"),
-        ("verify-duality", "check the polar lattice against the embedded dual module"),
-        ("paper-example", "reproduce the worked example over Q(sqrt 2)"),
+    for name, help_text, budgets in (
+        ("polar", "dual module and polar bodies of a scenario", ()),
+        ("minima", "adelic successive minima with exact witnesses", ("cap",)),
+        ("transference", "minima products against both transference bounds", ("cap",)),
+        ("mu", "first minimum times polar covering radius bracket", ("resolution", "cap")),
+        ("verify-duality", "check the polar lattice against the embedded dual module", ()),
+        ("paper-example", "reproduce the worked example over Q(sqrt 2)", ("cap",)),
     ):
         p = sub.add_parser(name, help=help_text)
         if name != "paper-example":
@@ -267,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 f"({', '.join(PRESET_SCENARIOS)})")
             p.add_argument("--all", metavar="DIR", default=None,
                            help="run on every .ini file in DIR")
-        p.add_argument("--resolution", type=int, default=None, metavar="K",
-                       help="covering radius grid resolution per axis")
-        p.add_argument("--cap", type=int, default=None, metavar="N",
-                       help="enumeration node/point cap")
+        for key, metavar, text in (("resolution", "K", "covering radius grid resolution per axis"),
+                                   ("cap", "N", "enumeration node/point cap")):
+            if key in budgets:
+                p.add_argument(f"--{key}", type=int, default=None, metavar=metavar, help=text)
         p.add_argument("--machine", action="store_true",
                        help="emit machine-readable lines only")
     return ap

@@ -152,7 +152,7 @@ class FieldElement:
         if len(coords) != field.degree:
             raise ValueError("coordinate length does not match field degree")
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):

@@ -5,27 +5,24 @@ Modules are carried as pseudo-bases (ideal, vector), after Cohen, GTM
 with one scale s (the matrix is N / s): an ideal's coordinates
 `int_coords`, the pseudo-vectors `int_vectors`, the regular
 representation R(W) over Q of the pseudo-vector matrix W, and the
-module's Z-basis `int_flat`, the product blockdiag(C_i) R(W).  Each is
-eliminated once: the dual's vectors (W^-1)^t come from one solve with
-R(W)^t, made when the module is built, and that solve is the test of
-K-independence (an ideal's independence is likewise the solve behind
-its actions).  Equality holds for identical pseudo-bases and is
-otherwise one unimodular-ratio test; no matrix is inverted and no
-`Fraction` is multiplied.  The trace dual is built through the
-pseudo-basis, one dual per distinct ideal, its numerators taken from
-the solve, and checked by its pairing matrix with the module under the
-trace form P[i][j] = Tr(theta^(i+j)), which must be unimodular; when
-the two routes agree it is the identity, read off with no elimination.
-`KRankTracker` maps lattice coordinates to the module's Z-basis once and
-applies the ideals' own d x d integer actions block by block, so K-rank
-is decided on Python ints without an nd x nd matrix.
+module's Z-basis `int_flat`, the product blockdiag(C_i) R(W).  A module
+is eliminated once, by the solve with R(W)^t that gives the dual's
+vectors (W^-1)^t and tests K-independence; the dual's own inverse W^t is
+read off once W* W^t = I is checked over K.  The trace dual takes one
+dual per distinct ideal, and its second route is its pairing with the
+module under the trace form P[i][j] = Tr(theta^(i+j)), built block by
+block from W* W^t, which must be unimodular (the identity up to scale,
+read off).  Equality holds for identical pseudo-bases and is otherwise
+one unimodular-ratio test.  `KRankTracker` applies the ideals' own d x d
+integer actions block by block, so K-rank is decided on Python ints
+without an nd x nd matrix.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 from .errors import ConditioningError
@@ -43,6 +40,7 @@ from .exactla import (
 from .numberfield import FieldElement, NumberField
 
 KVector = tuple[FieldElement, ...]
+KProducts = tuple[list[list[list[int]]], int]  # (G, s): n x n over K, entries G[i][j] / s
 
 
 class KRankTracker:
@@ -212,14 +210,10 @@ class KModule:
         W has the pseudo-vectors as rows; block (i, j) is the transposed
         multiplication matrix of W_ij, on W's numerators.
         """
-        d = self.field.degree
+        d, mult = self.field.degree, self.field._mult_matrix
         num, t = self.int_vectors
-        rows: IntMatrix = [[] for _ in range(self.rank * d)]
-        for i, w in enumerate(num):
-            for j in range(0, len(w), d):
-                for r, col in enumerate(transpose(self.field._mult_matrix(w[j:j + d]))):
-                    rows[i * d + r].extend(col)
-        return rows, t
+        return [[x for part in parts for x in part] for w in num
+                for parts in zip(*(transpose(mult(w[j:j + d])) for j in range(0, len(w), d)))], t
 
     @cached_property
     def int_flat(self) -> tuple[IntMatrix, int]:
@@ -236,14 +230,40 @@ class KModule:
             rows.extend([x * (s // si) for x in row] for row in mat_mul(c, r[i * d:(i + 1) * d]))
         return rows, s * t
 
-    def pairing(self, other: "KModule") -> tuple[IntMatrix, int]:
-        """sum_k Tr(x_k y_k) on the Z-bases: (A (I_n (x) P) B^t, s t), int_flat (A, s), (B, t)."""
-        d = self.field.degree
-        p = self.field.trace_form
-        a, s = self.int_flat
-        b, t = other.int_flat
-        other_p = [[x for k in range(0, len(y), d) for x in mat_vec(p, y[k:k + d])] for y in b]
-        return mat_mul(a, transpose(other_p)), s * t
+    def _products(self, other: "KModule") -> KProducts:
+        """W V^t over K, V the other's pseudo-vectors: (G, s), g_ij's coordinates G[i][j] / s.
+
+        g_ij = [M(V_j1) ... M(V_jn)] W_i, read off R(V)'s block row j, each block transposed.
+        """
+        d, n = self.field.degree, self.rank
+        (w, s), (r, t) = self.int_vectors, other.regular
+        ms = [[[r[j * d + q][k * d + c] for k in range(n) for q in range(d)] for c in range(d)]
+              for j in range(n)]
+        return [[mat_vec(m, x) for m in ms] for x in w], s * t
+
+    def pairing(self, other: "KModule", products: KProducts | None = None) -> tuple[IntMatrix, int]:
+        """sum_k Tr(x_k y_k) on the Z-bases: (A (I_n (x) P) B^t, s t), int_flat (A, s), (B, t).
+
+        alpha w_i and beta v_j pair to Tr(alpha beta g_ij), g = W V^t over K (`products`, or
+        `_products(other)`), so block (i, j) is C_i P M(g_ij) D_j^t for the ideals' coordinate
+        matrices C_i, D_j: once per distinct (ideal, ideal, g_ij), and no nd x nd product.
+        """
+        p, mult = self.field.trace_form, self.field._mult_matrix
+        g, scale = products or self._products(other)
+        ls, lt = (math.lcm(*(a.int_coords[1] for a, _ in m.pseudo)) for m in (self, other))
+
+        @cache
+        def block(a: FractionalIdeal, b: FractionalIdeal, x: tuple[int, ...]) -> IntMatrix:
+            (na, sa), (nb, sb) = a.int_coords, b.int_coords
+            if not any(x):
+                return [[0] * len(nb) for _ in na]
+            f, m = ls // sa * (lt // sb), mult(x)
+            y = [mat_vec(m, row) for row in nb]  # y = N_b M(g)^t; block row r is (P N_a[r]) y^t
+            return [[f * v for v in mat_vec(y, mat_vec(p, row))] for row in na]
+
+        rows = [[v for part in parts for v in part] for (a, _), gi in zip(self.pseudo, g)
+                for parts in zip(*(block(a, b, tuple(x)) for (b, _), x in zip(other.pseudo, gi)))]
+        return rows, ls * lt * scale
 
     def equals(self, other: "KModule") -> bool:
         if self.rank != other.rank or not self.field.same_presentation(other.field):
@@ -268,24 +288,26 @@ class KModule:
                                            for row in range(n * d)])
 
     def trace_dual(self) -> "KModule":
-        """Dual module under the pairing sum Tr(x_k y_k), two routes cross-checked."""
+        """Dual module under sum Tr(x_k y_k): W* = (W^-1)^t, checked by W* W^t = I and a pairing."""
         field, n, d = self.field, self.rank, self.field.degree
-        y, q = self._inverse
-        # the rows of (W^-1)^t pair to delta_ij with the rows of W; the j-th
-        # row is the j-th component of every row of W^-1, the j-th block of y
+        (num, t), (y, q) = self.int_vectors, self._inverse
+        # row j of W* = (W^-1)^t is the j-th component of every row of W^-1, block j of y
         rows = [[v for col in transpose(y[j * d:(j + 1) * d]) for v in col] for j in range(n)]
         wstar = [tuple(field.element([Fraction(v, q) for v in row[k:k + d]])
                        for k in range(0, n * d, d)) for row in rows]
         # module_from_matrix and standard_module share one ideal across the pairs
         duals = {a: a.trace_dual() for a in dict.fromkeys(a for a, _ in self.pseudo)}
-        # (W^-1)^t is invertible, so the dual's vectors need no independence test;
-        # y / q is in lowest terms, so (rows, q) is their `integer_matrix`
+        # W* is invertible, so needs no independence test; (rows, q) is in lowest terms
         dual = KModule._known(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)],
                               (rows, q))
-        # second route: dual's Z-basis spans the lattice dual to ours (the
-        # span of G^-1 z, G the Gram matrix) iff their pairings are unimodular
-        if not is_unimodular(*dual.pairing(self)):
+        # W* W^t = I over K, checked exactly, proves (W*)^-1 = W^t; second route: the
+        # dual's Z-basis spans the lattice dual to ours iff their pairings are unimodular
+        g, scale = products = dual._products(self)
+        eye = [[[scale * (i == j and not c) for c in range(d)] for j in range(n)] for i in range(n)]
+        if g != eye or not is_unimodular(*dual.pairing(self, products)):
             raise ConditioningError("trace dual routes disagree")
+        # column i of (W*)^-1 = W^t is column i of W flattened, in lowest terms as solved
+        dual._inverse = ([w[c::d] for w in num for c in range(d)], t)
         return dual
 
     def __repr__(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from adelic import ConditioningError, EnumerationCapError, FieldElement
-from adelic.exactla import RankTracker, mat_inv, mat_mul, transpose
+from adelic.exactla import RankTracker, mat_inv, mat_mul, mat_vec, transpose
 from adelic.lattices import points_by_gauge
 
 # the scale rows' matrix recipe, shared with the script that reproduces them
@@ -107,6 +107,18 @@ def rational_flat(module):
     """A module's Z-basis as rational coordinate rows, from its `int_flat` numerators."""
     rows, s = module.int_flat
     return [[Fraction(x, s) for x in row] for row in rows]
+
+
+def flat_pairing(module, other):
+    """sum_k Tr(x_k y_k) on two modules' Z-bases as one flat product: (A (I_n (x) P) B^t, s t).
+
+    (A, s) and (B, t) are the modules' `int_flat`; the reference for the
+    block-wise `KModule.pairing`.
+    """
+    d, p = module.field.degree, module.field.trace_form
+    (a, s), (b, t) = module.int_flat, other.int_flat
+    other_p = [[x for k in range(0, len(y), d) for x in mat_vec(p, y[k:k + d])] for y in b]
+    return mat_mul(a, transpose(other_p)), s * t
 
 
 def kvectors(field, flat):

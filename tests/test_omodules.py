@@ -23,11 +23,12 @@ from adelic import (
 
 from adelic import exactla, omodules
 from adelic.cli import main
-from adelic.exactla import RankTracker, integer_matrix, mat_mul, transpose
+from adelic.exactla import RankTracker, integer_matrix, is_unimodular, mat_mul, transpose
 from field_reference import (
     FractionRankTracker,
     complementary_basis,
     contains,
+    flat_pairing,
     flatten_kvector,
     gauss_jordan_solve,
     kcombination,
@@ -594,3 +595,99 @@ def test_module_dual_builds_one_dual_per_ideal(monkeypatch, field):
     assert len(calls) == 1
     assert len({id(a) for a, _ in dual.pseudo}) == 1
     assert dual.trace_dual().equals(m)
+
+
+# Q(sqrt-5) and Q(sqrt 10) have class number 2; the ideals cO + bO listed as
+# (c, coordinates of b) have norm 2 or 3, which no element of either field has
+SQRT_M5, SQRT_10 = quadratic_field(-5), quadratic_field(10)
+NONPRINCIPAL = {SQRT_M5: [(2, (1, 1)), (3, (1, 1)), (3, (-1, 1))],
+                SQRT_10: [(2, (0, 1)), (3, (1, 1))]}
+
+
+@st.composite
+def pseudo_bases(draw, k, n):
+    """A pseudo-basis of rank n over K: ideals O, the dual of O, non-principal
+    ideals (c, b) where K has them, and their multiples by random elements."""
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+
+    def element():
+        return k.element([draw(small) for _ in range(k.degree)])
+
+    ring = FractionalIdeal.whole_ring(k)
+    ideals = [ring, ring.trace_dual()] + [
+        FractionalIdeal(k, [k.from_rational(c), k.element(b)]) for c, b in NONPRINCIPAL.get(k, [])]
+    pseudo = []
+    for _ in range(n):
+        ideal = draw(st.sampled_from(ideals))
+        if draw(st.booleans()):
+            x = element()
+            assume(not x.is_zero())
+            ideal = ideal.scaled(x)
+        pseudo.append((ideal, tuple(element() for _ in range(n))))
+    try:
+        return KModule(k, pseudo)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def module_pairs(draw):
+    """Two unrelated modules of one rank over one field."""
+    k = draw(st.sampled_from([SQRT_M5, SQRT_10, preset_field("Q_sqrt5"), CUBIC, QUARTIC]))
+    n = draw(st.integers(1, 3))
+    return draw(pseudo_bases(k, n)), draw(pseudo_bases(k, n))
+
+
+@settings(max_examples=50, deadline=None)
+@given(module_pairs())
+def test_blockwise_pairing_is_the_flat_product(pair):
+    m, other = pair
+    dual = m.trace_dual()
+    for x, y in ((m, other), (other, m), (m, dual), (dual, m), (dual, other), (m, m)):
+        assert x.pairing(y) == flat_pairing(x, y)
+
+
+def test_pairing_of_unrelated_modules_has_off_diagonal_blocks():
+    # g_ij != 0 off the diagonal, and distinct non-principal ideals on either side
+    k = SQRT_M5
+    p2 = FractionalIdeal(k, [k.from_rational(2), k.one() + k.theta()])
+    p3 = FractionalIdeal(k, [k.from_rational(3), k.one() + k.theta()])
+    one, theta = k.one(), k.theta()
+    m = KModule(k, [(p2, (one, theta)), (p3, (theta, 3 * one))])
+    other = KModule(k, [(p3.trace_dual(), (one + theta, one)), (p2, (one, one - theta))])
+    g, _ = m._products(other)
+    assert all(any(g[i][j]) for i in range(2) for j in range(2))
+    num, s = m.pairing(other)
+    assert (num, s) == flat_pairing(m, other)
+    assert [[F(x, s) for x in row] for row in num] == [
+        [t_n(x, y) for y in kvectors(k, other.int_flat)] for x in kvectors(k, m.int_flat)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(module_pairs())
+def test_read_off_dual_inverse_is_the_solve(pair):
+    # W* W^t = I, so (W*)^-1 = W^t is read off W's numerators, not solved
+    for m in pair:
+        dual = m.trace_dual()
+        assert vars(dual)["_inverse"] == KModule._inverse.func(dual)
+        assert dual.trace_dual().equals(m)
+
+
+@pytest.mark.parametrize("wrong", ["doubled", "rows swapped"])
+def test_a_wrong_dual_vector_matrix_fails_the_trace_dual(wrong):
+    # the dual's pseudo-vectors come from the module's solve; a wrong solve is
+    # caught before the dual's inverse is read off
+    k, d = CUBIC, CUBIC.degree
+    one, theta = k.one(), k.theta()
+    m = module_from_matrix(k, [[one + theta, theta * theta], [one, 3 * one]])
+    y, q = m._inverse
+    if wrong == "doubled":
+        y = [[2 * v for v in row] for row in y]
+    else:
+        # with one ideal on every row, swapped rows span the dual module
+        # again, so the pairing route alone passes them and W* W^t = I does not
+        assert is_unimodular(*KModule(k, m.trace_dual().pseudo[::-1]).pairing(m))
+        y = y[d:] + y[:d]
+    vars(m)["_inverse"] = (y, q)
+    with pytest.raises(ConditioningError, match="trace dual routes disagree"):
+        m.trace_dual()

@@ -24,7 +24,7 @@ from adelic import (
     parse_scenario,
 )
 from adelic.bodies import SHAPES
-from adelic.cli import _build, build_parser, load_scenario_text, main
+from adelic.cli import _SCENARIO_COMMANDS, _build, build_parser, load_scenario_text, main
 from adelic.lattices import ENUMERATION_CAP, RESOLUTION
 from adelic.scenario import OPTION_MINIMA
 from field_reference import contains
@@ -205,8 +205,8 @@ def test_module_section_diagnostics():
 
 
 def cli_budgets(text, *flags):
-    """The budgets `minima` runs with on the scenario text under the flags."""
-    return _build(build_parser().parse_args(["minima", *flags]), text)[1]
+    """The budgets `mu`, the one command that reads both, runs with on the text under the flags."""
+    return _build(build_parser().parse_args(["mu", *flags]), text)[1]
 
 
 def test_options_override_and_cli_precedence():
@@ -440,6 +440,48 @@ def test_precision_is_neither_a_flag_nor_an_options_key(capsys, tmp_path):
     assert "error kind=input" in out
 
 
+# the budget flags each command reads, with the values the fuzz test below passes
+BUDGET_FLAGS = {"polar": (), "verify-duality": (), "minima": ("--cap",),
+                "transference": ("--cap",), "mu": ("--resolution", "--cap"),
+                "paper-example": ("--cap",)}
+FUZZ_BUDGETS = {"--cap": "20000", "--resolution": "4"}
+
+
+def test_budget_flags_cover_every_command():
+    assert set(BUDGET_FLAGS) == set(_SCENARIO_COMMANDS) | {"paper-example"}
+
+
+@pytest.mark.parametrize("flag", ["--cap", "--resolution"])
+@pytest.mark.parametrize("command", sorted(BUDGET_FLAGS))
+def test_each_command_takes_exactly_the_budget_flags_it_reads(capsys, command, flag):
+    argv = [command] + ([] if command == "paper-example" else ["Q_sqrt2"]) + ["--machine"]
+    if flag not in BUDGET_FLAGS[command]:
+        # a flag that cannot act is refused, not ignored
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+    elif flag == "--cap":
+        # a cap of one node stops the command's first search
+        assert main([*argv, flag, "1"]) == 3
+        assert "enumeration would visit more than 1 nodes" in capsys.readouterr().err
+    else:
+        brackets = []
+        for value in ("4", "8"):
+            assert main([*argv, flag, value]) == 0
+            brackets.append(capsys.readouterr().out)
+        assert brackets[0] != brackets[1]
+
+
+@pytest.mark.parametrize("command", sorted(_SCENARIO_COMMANDS))
+def test_options_keys_are_valid_for_every_command(capsys, tmp_path, command):
+    # a scenario file serves every command, whichever budgets it reads
+    path = tmp_path / "budgets.ini"
+    path.write_text(load_scenario_text("Q_sqrt2") + "\n[options]\ncap = 20000\nresolution = 4\n")
+    code, out, err = run_cli([command, str(path), "--machine"], capsys)
+    assert (code, err) == (0, "") and out
+
+
 def test_cli_exit_code_3_on_cap(capsys):
     code, _, err = run_cli(["minima", "Q_sqrt2", "--cap", "2"], capsys)
     assert code == 3
@@ -521,8 +563,9 @@ def test_edited_scenarios_end_in_an_exit_code(text):
         for command in ("polar", "verify-duality", "minima", "transference", "mu"):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
-                code = main([command, str(path), "--machine", "--cap", "20000",
-                             "--resolution", "4"])
+                code = main([command, str(path), "--machine",
+                             *(x for flag in BUDGET_FLAGS[command]
+                               for x in (flag, FUZZ_BUDGETS[flag]))])
             assert code in (0, 1, 2, 3)
 
 
