@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Canonical dump of every benchmark corpus result, for byte-for-byte comparison.
+
+Runs each case of the seeded passes of `perfbench/corpus.py` once, as the
+benchmark does, and prints one header line per case followed by its result:
+
+- `transference`: per side (S, then its polar S*), the adelic minima and
+  the classical minima as float hex, the witnesses as power-basis
+  coordinates, then per row the product as float hex and both verdicts;
+- `covering`: lambda_1, the mu bracket and the product bracket as float hex;
+- `cli_duality`: the exit code, then stdout and stderr, each line indented.
+
+A case that raises prints the exception's type and message instead.
+Dumping two checkouts and comparing them with `diff` shows whether a
+change keeps every output bit for bit:
+
+    PYTHONPATH=src python3 scripts/dump_outputs.py > after.txt
+    PYTHONPATH=../parent/src python3 scripts/dump_outputs.py > before.txt
+    diff before.txt after.txt
+"""
+
+import argparse
+import contextlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import adelic
+import adelic.cli
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
+
+WORKLOADS = ("transference", "covering", "cli_duality")
+
+
+def hexes(values) -> str:
+    return ",".join(float(v).hex() for v in values)
+
+
+def kvector(xs) -> str:
+    return ";".join(",".join(str(c) for c in x.coords) for x in xs)
+
+
+def body(case, fields):
+    """The case's adelic body, built from its plain data as the benchmark builds it."""
+    slot = case.slot
+    if slot.field not in fields:
+        poly, basis, cm, _ = corpus.FIELDS[slot.field]
+        fields[slot.field] = adelic.NumberField(poly, basis, cm_asserted=cm)
+    k = fields[slot.field]
+    module = adelic.module_from_matrix(k, [[k.element(e) for e in row] for row in case.matrix])
+    places = []
+    for (kind, _), dim, (shape, params) in zip(
+            k.places, k.place_dims(slot.n), corpus.place_shapes(slot, case.scale)):
+        shape = adelic.Ball(params[0]) if shape == "ball" else adelic.Box(params)
+        places.append(adelic.PlaceBody(kind, dim, shape))
+    return adelic.AdelicBody(module, adelic.ProductBody(k, slot.n, places))
+
+
+def transference_lines(case, fields):
+    rep = adelic.transference_check(body(case, fields))
+    for side, minima in (("S", rep.report_s), ("S*", rep.report_sstar)):
+        yield f"{side} minima={hexes(minima.minima)} classical={hexes(minima.classical)}"
+        for w in minima.witnesses:
+            yield f"{side} witness={kvector(w)}"
+    for row in rep.rows:
+        yield (f"ell={row.ell} product={float(row.product).hex()} "
+               f"lower={row.lower_verdict} upper={row.upper_verdict}")
+
+
+def covering_lines(case, fields):
+    rep = adelic.mu_product_report(body(case, fields), resolution=case.slot.resolution)
+    yield (f"lambda1={float(rep.lambda1).hex()} mu={hexes(rep.mu_bracket)} "
+           f"product={hexes(rep.product_bracket)}")
+
+
+def cli_lines(case, workdir: Path):
+    path = workdir / "scenario.ini"
+    path.write_text(corpus.scenario_text(case))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = adelic.cli.main([case.slot.command, str(path), "--machine"])
+    yield f"exit={code}"
+    yield from ("  " + line for line in out.getvalue().splitlines())
+    yield from ("  stderr: " + line for line in err.getvalue().splitlines())
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    args = ap.parse_args()
+    fields = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for workload in args.workloads:
+            for seed in args.seeds:
+                for case in corpus.make_pass(workload, seed):
+                    print(f"{workload} seed={seed} case={case.index} slot={case.slot.name}")
+                    if workload == "cli_duality":
+                        lines = cli_lines(case, Path(workdir))
+                    elif workload == "transference":
+                        lines = transference_lines(case, fields)
+                    else:
+                        lines = covering_lines(case, fields)
+                    try:
+                        for line in list(lines):
+                            print("  " + line)
+                    except (adelic.EnumerationCapError, adelic.ConditioningError,
+                            adelic.DimensionLimitError) as exc:
+                        print(f"  raised {type(exc).__name__}: {exc}")
+
+
+if __name__ == "__main__":
+    main()

@@ -75,10 +75,9 @@ class _Report:
     def line(self, text: str):
         self.lines.append(text)
 
-    def emit(self, out=None):
-        out = out if out is not None else sys.stdout
+    def emit(self):
         for ln in self.lines:
-            print(ln, file=out)
+            print(ln)
 
 
 def _read_scenario_file(path: Path) -> str:

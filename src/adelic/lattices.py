@@ -40,7 +40,7 @@ RESOLUTION = 64  # default covering grid points per axis
 
 
 class EmbeddedLattice:
-    """Full-rank lattice in R^m with a diagonal form and optional exact preimages.
+    """Full-rank lattice in R^(n*degree) under the twisted form, with optional exact preimages.
 
     Basis row i embeds sum_k transform[i][k] * row k of the back map
     `back_flat`, flattened K-coordinates N / s; the transform defaults to
@@ -52,7 +52,6 @@ class EmbeddedLattice:
         self,
         field: NumberField,
         basis: np.ndarray,
-        form: np.ndarray,
         back_flat: tuple[list[list[int]], int] | None = None,
         conjugated: bool = False,
         transform: list[list[int]] | None = None,
@@ -63,9 +62,11 @@ class EmbeddedLattice:
         m = basis.shape[0]
         if basis.shape != (m, m):
             raise ValueError("lattice basis must be square and full rank")
+        if m % field.degree:
+            raise ValueError("lattice dimension must be a multiple of the field degree")
         self.field = field
         self.basis = basis
-        self.form = np.asarray(form, dtype=float)
+        self.form = field.twisted_form_diag(m // field.degree)
         self.back_flat = back_flat
         self.conjugated = conjugated
         if transform is None:
@@ -76,7 +77,7 @@ class EmbeddedLattice:
             if len(back_flat[0]) != m:
                 raise ValueError("back map must have one K-vector per basis row")
             if back_embedding is None:
-                back_embedding = _embed_rows(field, back_flat, conjugated)
+                back_embedding = field.embed_rows(back_flat, conjugated)
             self.back_embedding = back_embedding
             u = np.array(transform, dtype=float)
             # an entry of u @ emb may be off by the rounding error of its terms
@@ -97,7 +98,7 @@ class EmbeddedLattice:
         new_basis = np.zeros_like(self.basis)
         for k, column in enumerate(np.array(u, dtype=float).T):
             new_basis = new_basis + column[:, None] * self.basis[k]
-        return EmbeddedLattice(self.field, new_basis, self.form, self.back_flat,
+        return EmbeddedLattice(self.field, new_basis, self.back_flat,
                                self.conjugated, mat_mul(u, self.transform),
                                back_embedding=self.back_embedding)
 
@@ -117,17 +118,11 @@ class EmbeddedLattice:
         return tuple(self.field.element(flat[k:k + d]) for k in range(0, len(flat), d))
 
 
-def _embed_rows(field: NumberField, flat: tuple[list[list[int]], int], conjugated: bool):
-    """The embeddings of the rows of N / s, from the coordinate floats N / s."""
-    return np.array([field.embed_flat([x / flat[1] for x in row], conjugated) for row in flat[0]])
-
-
 def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:
-    """Embed a rank-n module's Z-basis `int_flat` place-major; the twisted form comes with it."""
-    field = module.field
-    basis = _embed_rows(field, module.int_flat, conjugated)
-    return EmbeddedLattice(field, basis, field.twisted_form_diag(module.rank),
-                           module.int_flat, conjugated, back_embedding=basis)
+    """Embed a rank-n module's Z-basis `int_flat` place-major."""
+    basis = module.field.embed_rows(module.int_flat, conjugated)
+    return EmbeddedLattice(module.field, basis, module.int_flat, conjugated,
+                           back_embedding=basis)
 
 
 def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
@@ -136,7 +131,7 @@ def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
     if not np.linalg.cond(gram) < 1 / np.finfo(float).eps:  # a solve would keep no digit
         raise ConditioningError("Gram matrix of the polar lattice is numerically singular")
     dual = np.linalg.solve(gram, lat.basis)
-    return EmbeddedLattice(lat.field, dual, lat.form, None, not lat.conjugated)
+    return EmbeddedLattice(lat.field, dual, None, not lat.conjugated)
 
 
 def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:
@@ -218,7 +213,6 @@ def _lll_transform(b: np.ndarray, delta: float) -> list[list[int]]:
 @dataclass
 class LatticePoint:
     coords: tuple[int, ...]  # over the reduced basis used for the search
-    point: np.ndarray
     gauge: float
 
     def sort_key(self):
@@ -307,7 +301,7 @@ def enumerate_below(
     (`_bounding_factor`) a caller searching at several levels passes as
     `factor`, so that it is computed once.  The representative of a pair
     is the one whose first nonzero coordinate is positive, and the list is
-    ordered by (gauge, coordinates).  The point vectors are one stacked
+    ordered by (gauge, coordinates).  Gauges are measured on one stacked
     product, row by row the floats of c @ basis whatever the batch.
     """
     if t <= 0:
@@ -320,8 +314,8 @@ def enumerate_below(
         return []
     vecs = (coords.astype(float)[:, None, :] @ lat.basis)[:, 0, :]
     gauges = body.gauge_many(vecs)
-    points = [LatticePoint(tuple(c), vec, float(g))
-              for c, vec, g in zip(coords.tolist(), vecs, gauges) if g <= t * (1 + 1e-12)]
+    points = [LatticePoint(tuple(c), float(g))
+              for c, g in zip(coords.tolist(), gauges) if g <= t * (1 + 1e-12)]
     points.sort(key=LatticePoint.sort_key)
     return points
 

@@ -448,45 +448,35 @@ class NumberField:
             start += dim
         return out
 
-    def embed(self, x: FieldElement, conjugated: bool = False) -> np.ndarray:
-        """Coordinates of x across all places: reals, then (Re, Im) pairs."""
-        return self._embed_coords([float(c) for c in x.coords], conjugated)
+    def embed_rows(self, flat: tuple[IntMatrix, int], conjugated: bool = False) -> np.ndarray:
+        """Place-major embeddings of the rows of N / s, each a K-vector's flattened coordinates.
 
-    def _embed_coords(self, coords: Sequence[float], conjugated: bool) -> np.ndarray:
-        """`embed` of the element with these float coordinates, by Horner at each root."""
-        def at(root: complex) -> complex:
-            acc = 0j
-            for c in reversed(coords):
-                acc = acc * root + c
-            return acc
-
-        out = np.empty(self.degree)
-        for i, root in enumerate(self.real_roots):
-            out[i] = at(complex(root, 0)).real
-        r = len(self.real_roots)
-        sign = -1.0 if conjugated else 1.0
-        for j, root in enumerate(self.complex_roots):
-            v = at(root)
-            out[r + 2 * j] = v.real
-            out[r + 2 * j + 1] = sign * v.imag
-        return out
+        A row's embedding holds every entry at the first place, then every
+        entry at the second, and so on; a complex place contributes
+        (Re, Im) per entry, the mirror (Re, -Im) when `conjugated`.
+        Horner's rule runs at all roots and over all rows at once.  At a
+        complex root its step is what Python's `acc * root + c` does on a
+        `complex`: the product's two sums, c added to the real part and
+        +0.0 to the imaginary part, so every float, signed zeros included,
+        is that of a per-element loop on `complex` numbers.
+        """
+        num, s = flat
+        coeffs = np.array([[x / s for x in row] for row in num]).reshape(len(num), -1, self.degree)
+        real, roots = np.array(self.real_roots), np.array(self.complex_roots)
+        zr, zi = roots.real, roots.imag
+        acc = np.zeros(coeffs.shape[:2] + real.shape)
+        re = im = np.zeros(coeffs.shape[:2] + roots.shape)
+        for k in range(self.degree - 1, -1, -1):
+            c = coeffs[:, :, k, None]
+            acc = acc * real + c
+            re, im = (re * zr - im * zi) + c, (re * zi + im * zr) + 0.0
+        pairs = np.stack([re, -im if conjugated else im], axis=3)
+        return np.concatenate([acc.transpose(0, 2, 1).reshape(len(num), -1),
+                               pairs.transpose(0, 2, 1, 3).reshape(len(num), -1)], axis=1)
 
     def embed_vector(self, xs: Sequence[FieldElement], conjugated: bool = False) -> np.ndarray:
-        """Place-major embedding of a K-vector into R^(n*degree).
-
-        All coordinates at the first place come first, then the second
-        place, and so on; complex places contribute (Re, Im) per entry.
-        """
-        return self.embed_flat([float(c) for x in xs for c in x.coords], conjugated)
-
-    def embed_flat(self, flat: Sequence[float], conjugated: bool = False) -> np.ndarray:
-        """`embed_vector` of the K-vector whose flattened coordinates are these floats."""
-        r, s = self.signature
-        d = self.degree
-        e = np.array([self._embed_coords(flat[k:k + d], conjugated)
-                      for k in range(0, len(flat), d)])
-        pairs = e[:, r:].reshape(len(e), s, 2).transpose(1, 0, 2)
-        return np.concatenate([e[:, :r].T.ravel(), pairs.ravel()])
+        """`embed_rows` of the one K-vector xs."""
+        return self.embed_rows(integer_matrix([[c for x in xs for c in x.coords]]), conjugated)[0]
 
     def twisted_form_diag(self, n: int) -> np.ndarray:
         """Diagonal of the scalar product twisted by 2 at complex places."""

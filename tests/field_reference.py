@@ -121,6 +121,37 @@ def flat_pairing(module, other):
     return mat_mul(a, transpose(other_p)), s * t
 
 
+def embed_flat(field, flat, conjugated=False) -> np.ndarray:
+    """Place-major embedding of the K-vector whose flattened coordinates are these floats.
+
+    Horner's rule on Python `complex` numbers, one element at a time at
+    each root: the reference for `NumberField.embed_rows`, float for
+    float.  Every entry at the first place comes first, then the second
+    place; a complex place gives (Re, Im) per entry, (Re, -Im) when
+    conjugated.
+    """
+    def at(coords, root):
+        acc = 0j
+        for c in reversed(coords):
+            acc = acc * root + c
+        return acc
+
+    r, s = field.signature
+    d = field.degree
+    sign = -1.0 if conjugated else 1.0
+    e = []
+    for k in range(0, len(flat), d):
+        coords = flat[k:k + d]
+        row = [at(coords, complex(root, 0)).real for root in field.real_roots]
+        for root in field.complex_roots:
+            v = at(coords, root)
+            row += [v.real, sign * v.imag]
+        e.append(row)
+    e = np.array(e)
+    pairs = e[:, r:].reshape(len(e), s, 2).transpose(1, 0, 2)
+    return np.concatenate([e[:, :r].T.ravel(), pairs.ravel()])
+
+
 def kvectors(field, flat):
     """The K-vectors whose flattened coordinates are the rows of N / s, flat = (N, s)."""
     rows, s = flat

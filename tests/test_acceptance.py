@@ -137,7 +137,7 @@ def test_criterion_3_bilinear_identity():
             yc = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(k.degree)]
             x, y = k.element(xc), k.element(yc)
             lhs = float((x * y).trace())
-            rhs = float(np.sum(diag * k.embed(x) * k.embed(y, conjugated=True)))
+            rhs = float(np.sum(diag * k.embed_vector([x]) * k.embed_vector([y], conjugated=True)))
             worst = max(worst, abs(lhs - rhs) / (1 + abs(lhs)))
     ok = worst < 1e-9
     report(3, "trace pairing equals twisted scalar product", ok,

@@ -167,8 +167,8 @@ def test_minima_preimages_read_the_module_numerators(monkeypatch, name):
 def test_reduction_reuses_the_back_map_embedding(monkeypatch):
     lat = lattice_from_module(skewed_module("x3-x-1"))
     calls = []
-    embed = NumberField.embed_flat
-    monkeypatch.setattr(NumberField, "embed_flat",
+    embed = NumberField.embed_rows
+    monkeypatch.setattr(NumberField, "embed_rows",
                         lambda self, *args: calls.append(args) or embed(self, *args))
     red = lat.reduced()
     assert calls == []
@@ -215,8 +215,13 @@ def test_lll_transform_is_lll_reduced_in_exact_arithmetic(rows):
 
 def test_back_map_validation():
     with pytest.raises(ValueError, match="back map"):
-        EmbeddedLattice(Q, np.eye(2), np.ones(2),
-                        back_flat=([[1, 0], [1, 1]], 1))
+        EmbeddedLattice(Q, np.eye(2), back_flat=([[1, 0], [1, 1]], 1))
+
+
+def test_lattice_takes_the_twisted_form_of_its_dimension():
+    assert EmbeddedLattice(preset_field("Q_i"), np.eye(4)).form.tolist() == [2.0] * 4
+    with pytest.raises(ValueError, match="multiple of the field degree"):
+        EmbeddedLattice(preset_field("Q_sqrt2"), np.eye(3))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -377,10 +382,12 @@ def test_point_vectors_are_per_row_products(m):
 
 def test_enumerated_points_are_their_coordinates_times_the_basis():
     lat = integer_lattice([[3, 1, 0, 2], [1, 4, 1, 0], [0, 1, 5, 1], [2, 0, 1, 6]]).reduced()
-    pts = enumerate_below(lat, q_body(4, Ball(F(1))), 9.0)
+    body = q_body(4, Ball(F(1)))
+    pts = enumerate_below(lat, body, 9.0)
     assert len(pts) > 50
     for p in pts:
-        assert p.point.tobytes() == (np.asarray(p.coords, dtype=float) @ lat.basis).tobytes()
+        # each gauge is measured on the floats of its coordinates times the basis
+        assert p.gauge == body.gauge(np.asarray(p.coords, dtype=float) @ lat.basis)
         assert all(type(x) is int for x in p.coords)
 
 
@@ -392,7 +399,7 @@ def test_enumerate_keeps_preimages():
     assert pts, "the unit of the ring should appear"
     for p in pts:
         emb = k.embed_vector(lat.preimage_of(p.coords))
-        assert np.allclose(emb, p.point, atol=1e-9)
+        assert np.allclose(emb, np.asarray(p.coords, dtype=float) @ lat.basis, atol=1e-9)
 
 
 def test_points_by_gauge_starts_below_the_first_minimum(monkeypatch):
@@ -410,7 +417,7 @@ def test_points_by_gauge_starts_below_the_first_minimum(monkeypatch):
 
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     first = next(lattices.points_by_gauge(lat, body, lat.dim))
-    assert np.allclose(np.abs(first.point), [0, 4])
+    assert np.allclose(np.abs(np.asarray(first.coords, dtype=float) @ lat.basis), [0, 4])
     assert first.gauge == pytest.approx(0.04)
     assert levels[0] <= first.gauge <= levels[-1] < 2 * first.gauge
 
@@ -537,7 +544,7 @@ def test_z_lattice_is_self_dual():
 def test_polar_of_diagonal_lattice():
     lat = integer_lattice([[2, 0], [0, 1]])
     dual = polar_lattice(lat)
-    expected = EmbeddedLattice(Q, np.diag([0.5, 1.0]), np.ones(2))
+    expected = EmbeddedLattice(Q, np.diag([0.5, 1.0]))
     assert lattice_equal(dual, expected)
 
 

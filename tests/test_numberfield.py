@@ -16,7 +16,7 @@ from adelic import (
     rational_field,
 )
 from adelic.numberfield import count_real_roots
-from field_reference import complementary_basis
+from field_reference import complementary_basis, embed_flat
 
 F = Fraction
 
@@ -123,15 +123,15 @@ def test_root_order_and_residuals(preset):
 
 def test_embed_sqrt2_orders_real_roots_ascending():
     k = quadratic_field(2)
-    e = k.embed(k.theta())
+    e = k.embed_vector([k.theta()])
     assert e == pytest.approx([-math.sqrt(2), math.sqrt(2)], abs=1e-12)
 
 
 def test_embed_gaussian_units():
     k = quadratic_field(-1)
-    e = k.embed(k.theta())
+    e = k.embed_vector([k.theta()])
     assert e == pytest.approx([0.0, 1.0], abs=1e-12)
-    ec = k.embed(k.theta(), conjugated=True)
+    ec = k.embed_vector([k.theta()], conjugated=True)
     assert ec == pytest.approx([0.0, -1.0], abs=1e-12)
 
 
@@ -142,6 +142,38 @@ def test_embed_vector_is_place_major():
     v = k.embed_vector([one, theta])
     # place 1 holds sigma_1 of both entries, then place 2
     assert v == pytest.approx([1.0, -s2, 1.0, s2], abs=1e-12)
+
+
+# the presets and six fields of degree 3 to 6 on their power bases, with
+# signatures (1,1), (3,0), (0,2), (2,1), (1,2) and (0,3)
+EMBED_FIELDS = [preset_field(name) for name in sorted(PRESET_FIELDS)] + [
+    NumberField(poly, [[int(i == j) for j in range(len(poly) - 1)] for i in range(len(poly) - 1)])
+    for poly in ([-1, -1, 0, 1], [-1, -3, 0, 1], [1, 0, 0, 0, 1], [-1, -1, 0, 0, 1],
+                 [-1, -1, 0, 0, 0, 1], [1, 0, 0, 1, 0, 0, 1])]
+
+
+@st.composite
+def embed_inputs(draw):
+    """A field, integer rows N of n K-vectors (zero rows among them) and a scale s."""
+    k = draw(st.sampled_from(EMBED_FIELDS))
+    width = draw(st.integers(1, 4)) * k.degree
+    row = st.one_of(st.just([0] * width),
+                    st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=width, max_size=width))
+    rows = draw(st.lists(row, min_size=1, max_size=5))
+    return k, rows, draw(st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(embed_inputs(), st.booleans())
+def test_embed_rows_is_the_per_element_complex_horner(inputs, conjugated):
+    k, num, s = inputs
+    got = k.embed_rows((num, s), conjugated)
+    want = np.array([embed_flat(k, [x / s for x in row], conjugated) for row in num])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # one K-vector, its coordinates in lowest terms, embeds as its row of N / s
+    xs = [k.element([F(x, s) for x in num[0][j:j + k.degree]])
+          for j in range(0, len(num[0]), k.degree)]
+    assert k.embed_vector(xs, conjugated).tobytes() == got[0].tobytes()
 
 
 def test_place_layout(preset):
@@ -169,7 +201,7 @@ def test_trace_equals_twisted_form(xc, yc):
         x, y = k.element(xc), k.element(yc)
         lhs = float((x * y).trace())
         diag = k.twisted_form_diag(1)
-        rhs = float(np.sum(diag * k.embed(x) * k.embed(y, conjugated=True)))
+        rhs = float(np.sum(diag * k.embed_vector([x]) * k.embed_vector([y], conjugated=True)))
         assert abs(lhs - rhs) < 1e-9 * (1 + abs(lhs))
 
 
@@ -238,7 +270,7 @@ def test_rational_field_basics():
     x = q.element([F(5, 3)])
     assert x.trace() == F(5, 3)
     assert x.norm() == F(5, 3)
-    assert q.embed(x) == pytest.approx([5 / 3])
+    assert q.embed_vector([x]) == pytest.approx([5 / 3])
 
 
 def test_quartic_field_with_known_discriminant():

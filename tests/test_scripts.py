@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts against the package in src/."""
 
+import json
 import os
 import runpy
 import subprocess
@@ -22,6 +23,23 @@ def test_script_runs(argv):
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_dump_outputs_prints_the_stored_cli_output_of_the_committed_seed():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "dump_outputs.py"),
+                           "--workloads", "cli_duality", "--seeds", "1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stored = json.loads((ROOT / "perfbench" / "reference.json").read_text())["cli_duality"]
+    assert stored["committed_seed"] == 1
+    blocks = proc.stdout.replace("\ncli_duality ", "\n\0cli_duality ").split("\0")
+    assert len(blocks) == len(stored["slots"]) == 42
+    for i, (block, ref) in enumerate(zip(blocks, stored["slots"])):
+        header, code, *stdout = block.splitlines()
+        assert header == f"cli_duality seed=1 case={i} slot={ref['slot']}"
+        assert code == f"  exit={ref['outputs']['code']}"
+        assert "".join(line[4:] + "\n" for line in stdout) == ref["outputs"]["stdout"]
 
 
 def test_minima_scaling_prints_one_row_per_case():
