@@ -88,12 +88,17 @@ def _read_scenario_file(path: Path) -> str:
         raise ScenarioError(f"cannot read scenario file {str(path)!r}: {exc}") from None
 
 
+def _preset_text(name: str) -> str:
+    return (resources.files("adelic") / "scenarios" / f"{name}.ini").read_text()
+
+
 def load_scenario_text(name: str) -> str:
+    """A scenario file's text, or else the packaged preset of that name."""
     p = Path(name)
     if p.exists():
         return _read_scenario_file(p)
     if name in PRESET_SCENARIOS:
-        return (resources.files("adelic") / "scenarios" / f"{name}.ini").read_text()
+        return _preset_text(name)
     raise ScenarioError(
         f"no scenario file {name!r} and no preset of that name "
         f"(presets: {', '.join(PRESET_SCENARIOS)})")
@@ -198,7 +203,7 @@ def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int
 
 
 def cmd_paper_example(args, rep: _Report) -> int:
-    body, budgets = _build(args, load_scenario_text("Q_sqrt2"))
+    body, budgets = _build(args, _preset_text("Q_sqrt2"))  # never a local file of that name
     field = body.field
     checks: list[tuple[str, str, str, bool]] = []
 

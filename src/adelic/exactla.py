@@ -11,10 +11,12 @@ raised instead; callers let the solve they need be their independence
 test.  `is_unimodular` reads a diagonal matrix off and eliminates any
 other once, whole.  `mat_det` and `mat_inv` take ints and `Fraction`s
 and build a `Fraction` only for what they return.  `RankTracker` takes
-integer vectors.  Dot products are `sum(map(operator.mul, ...))`, exact
-and looped in C.  A system over a number field K is brought here
-through its regular representation over Q (see
-`omodules.KModule.regular`).
+integer vectors: the integer coordinates of lattice points for the rank
+over Q, and for the rank over K their power-basis numerators and theta
+images (`omodules.KRankTracker`).  Dot products are
+`sum(map(operator.mul, ...))`, exact and looped in C.  A system over a
+number field K is brought here through its regular representation over
+Q (see `omodules.KModule.regular`).
 """
 
 from __future__ import annotations

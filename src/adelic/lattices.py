@@ -1,13 +1,15 @@
 """Embedded lattices in R^(n*d): reduction, enumeration, minima, covering radii.
 
 A lattice carries the diagonal twisted form F, a float basis (rows), and
-optionally a back map to K-vectors (a module's Z-basis, as its integer
-coordinates N / s) with the integer transform U from it to the basis;
-reduction composes U.  All rank decisions, over Q and over K, are
-integer eliminations on integer coordinates; a point is mapped back to
-a K-vector only when a caller keeps it (`preimage_of`: its coordinates
-times U times N / s).  Floats only measure gauges, and enumeration is
-seeded by each body's own diagonal bounding form.
+optionally its exact rows (M, s): row i of M / s is the K-vector that
+basis row i embeds, as flattened power-basis coordinates.  A module's
+lattice starts from its Z-basis, and reduction multiplies the floats
+and M by one integer u.  All rank decisions, over Q and over K, are
+integer eliminations on a point's integer coordinates, or on their
+product with M; a point is mapped back to a K-vector only when a caller
+keeps it (`preimage_of`: its coordinates times M / s).  Floats only
+measure gauges, and enumeration is seeded by each body's own diagonal
+bounding form.
 
 LLL is the Schnorr-Euchner reduction on Python floats: one Gram-Schmidt
 row per arrival at a row, and mu updated in place by size reduction.
@@ -42,21 +44,17 @@ RESOLUTION = 64  # default covering grid points per axis
 class EmbeddedLattice:
     """Full-rank lattice in R^(n*degree) under the twisted form, with optional exact preimages.
 
-    Basis row i embeds sum_k transform[i][k] * row k of the back map
-    `back_flat`, flattened K-coordinates N / s; the transform defaults to
-    the identity.  The back map's embedding is computed once (or passed
-    as `back_embedding`) and shared by every reduced copy.
+    `rows` = (M, s), when given, holds each basis row's K-vector exactly:
+    row i of M / s is its flattened power-basis coordinates, and basis
+    row i is its embedding, which the constructor checks.
     """
 
     def __init__(
         self,
         field: NumberField,
         basis: np.ndarray,
-        back_flat: tuple[list[list[int]], int] | None = None,
+        rows: tuple[list[list[int]], int] | None = None,
         conjugated: bool = False,
-        transform: list[list[int]] | None = None,
-        *,
-        back_embedding: np.ndarray | None = None,
     ):
         basis = np.asarray(basis, dtype=float)
         m = basis.shape[0]
@@ -64,33 +62,34 @@ class EmbeddedLattice:
             raise ValueError("lattice basis must be square and full rank")
         if m % field.degree:
             raise ValueError("lattice dimension must be a multiple of the field degree")
-        self.field = field
-        self.basis = basis
-        self.form = field.twisted_form_diag(m // field.degree)
-        self.back_flat = back_flat
-        self.conjugated = conjugated
-        if transform is None:
-            transform = [[int(i == j) for j in range(m)] for i in range(m)]
-        self.transform = transform
-        self.back_embedding = None
-        if back_flat is not None:
-            if len(back_flat[0]) != m:
-                raise ValueError("back map must have one K-vector per basis row")
-            if back_embedding is None:
-                back_embedding = field.embed_rows(back_flat, conjugated)
-            self.back_embedding = back_embedding
-            u = np.array(transform, dtype=float)
-            # an entry of u @ emb may be off by the rounding error of its terms
-            scale = max(1.0, float(np.max(np.abs(u) @ np.abs(back_embedding))))
-            if float(np.max(np.abs(u @ back_embedding - basis))) > 1e-9 * scale:
-                raise ValueError("back map does not embed onto the basis rows")
+        if rows is not None:
+            if len(rows[0]) != m:
+                raise ValueError("exact rows must hold one K-vector per basis row")
+            emb = field.embed_rows(rows, conjugated)
+            scale = max(1.0, float(np.max(np.abs(emb))))
+            if float(np.max(np.abs(emb - basis))) > 1e-9 * scale:
+                raise ValueError("exact rows do not embed onto the basis rows")
+        self.field, self.basis, self.rows, self.conjugated = field, basis, rows, conjugated
+
+    @classmethod
+    def _known(cls, field: NumberField, basis: np.ndarray,
+               rows: tuple[list[list[int]], int] | None, conjugated: bool
+               ) -> "EmbeddedLattice":
+        """A lattice whose basis rows are the embeddings of `rows` by construction."""
+        lat = cls.__new__(cls)
+        lat.field, lat.basis, lat.rows, lat.conjugated = field, basis, rows, conjugated
+        return lat
+
+    @cached_property
+    def form(self) -> np.ndarray:
+        return self.field.twisted_form_diag(self.dim // self.field.degree)
 
     @property
     def dim(self) -> int:
         return self.basis.shape[0]
 
     def reduced(self) -> "EmbeddedLattice":
-        """LLL reduction under the form, with the transform applied exactly."""
+        """LLL reduction under the form: the basis and the exact rows times one integer u."""
         scaled = self.basis * np.sqrt(self.form)
         u = _lll_transform(scaled, LLL_DELTA)
         # entry (i, j) sums u[i][k] * basis[k][j] over increasing k from +0.0,
@@ -98,31 +97,23 @@ class EmbeddedLattice:
         new_basis = np.zeros_like(self.basis)
         for k, column in enumerate(np.array(u, dtype=float).T):
             new_basis = new_basis + column[:, None] * self.basis[k]
-        return EmbeddedLattice(self.field, new_basis, self.back_flat,
-                               self.conjugated, mat_mul(u, self.transform),
-                               back_embedding=self.back_embedding)
-
-    @cached_property
-    def _preimage_map(self) -> tuple[list[list[int]], int]:
-        """(U N)^t and s, where N / s holds the back map's flattened coordinates."""
-        flat, s = self.back_flat
-        return transpose(mat_mul(self.transform, flat)), s
+        rows = None if self.rows is None else (mat_mul(u, self.rows[0]), self.rows[1])
+        return EmbeddedLattice._known(self.field, new_basis, rows, self.conjugated)
 
     def preimage_of(self, coords: Sequence[int]) -> KVector | None:
-        """The K-vector of the point: coords U times the flattened back map, in d-blocks."""
-        if self.back_flat is None:
+        """The K-vector of the point: coords times the exact rows, in d-blocks."""
+        if self.rows is None:
             return None
-        rows, s = self._preimage_map
-        flat = [Fraction(x, s) for x in mat_vec(rows, coords)]
+        num, s = self.rows
+        flat = [Fraction(x, s) for x in mat_vec(transpose(num), coords)]
         d = self.field.degree
         return tuple(self.field.element(flat[k:k + d]) for k in range(0, len(flat), d))
 
 
 def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:
-    """Embed a rank-n module's Z-basis `int_flat` place-major."""
+    """Embed a rank-n module's Z-basis `int_flat` place-major; its exact rows are that basis."""
     basis = module.field.embed_rows(module.int_flat, conjugated)
-    return EmbeddedLattice(module.field, basis, module.int_flat, conjugated,
-                           back_embedding=basis)
+    return EmbeddedLattice._known(module.field, basis, module.int_flat, conjugated)
 
 
 def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:

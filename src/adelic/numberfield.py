@@ -285,12 +285,12 @@ class NumberField:
         num, t = integer_matrix(basis)
         # one solve with N^t decides all three: 1 = x B for B = N / t is N^t x = t e_0
         try:
-            has_one, actions = self._actions(num, [t * (r == 0) for r in range(d)])
+            has_one, closed = self._ring_stable(num, [t * (r == 0) for r in range(d)])
         except ValueError:
             raise ValueError("integral basis is linearly dependent") from None
         if not has_one:
             raise ValueError("integral basis does not contain 1")
-        if actions is None:
+        if not closed:
             raise ValueError("integral basis is not closed under multiplication")
 
         # B P B^t on B's numerators
@@ -352,29 +352,25 @@ class NumberField:
             cols.append(cur[:])
         return [[cols[j][i] for j in range(d)] for i in range(d)]
 
-    def _actions(self, num: IntMatrix, lead: Sequence[int] = ()
-                 ) -> tuple[bool, list[IntMatrix] | None]:
-        """Per integral-basis element b, A_b with b * (row j of N) = sum_l A_b[j][l] (row l of N).
+    def _ring_stable(self, num: IntMatrix, lead: Sequence[int] = ()) -> tuple[bool, bool]:
+        """Whether the Z-span of the rows of N is stable under the integral basis.
 
-        A_b solves N^t A_b^t = M_b N^t, M_b the multiplication matrix.  One
-        solve gives all d, and its elimination is the test that N is
-        nonsingular: it raises `ValueError` otherwise.  A `lead` column c
-        joins the right-hand side.  Returns whether N^t x = c has an
-        integral solution (True without c), and the A_b, or None unless
-        all are integral (O-stable).
+        Each basis element b must map row j of N to an integer combination
+        A_b[j] of the rows: N^t A_b^t = M_b N^t, M_b the multiplication
+        matrix.  One solve covers all d, and its elimination is the test
+        that N is nonsingular: it raises `ValueError` otherwise.  A `lead`
+        column c joins the right-hand side.  Returns whether N^t x = c has
+        an integral solution (True without c), and whether every A_b is
+        integral.
         """
-        d, k = self.degree, 1 if lead else 0
+        k = 1 if lead else 0
         nt = transpose(num)
         basis, t = integer_matrix(self.basis_matrix)  # b = row / t
         products = [mat_mul(self._mult_matrix(b), nt) for b in basis]
         y, q = solve_scaled(nt, [[*lead[r:r + 1], *(x for m in products for x in m[r])]
-                                 for r in range(d)])
+                                 for r in range(self.degree)])
         has_lead = not any(v % q for row in y for v in row[:k])
-        y = [row[k:] for row in y]
-        if any(v % (q * t) for row in y for v in row):
-            return has_lead, None
-        return has_lead, [transpose([[v // (q * t) for v in row[b * d:(b + 1) * d]] for row in y])
-                          for b in range(d)]
+        return has_lead, not any(v % (q * t) for row in y for v in row[k:])
 
     def same_presentation(self, other: "NumberField") -> bool:
         """Same defining polynomial and same integral basis.

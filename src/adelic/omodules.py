@@ -13,9 +13,11 @@ dual per distinct ideal, and its second route is its pairing with the
 module under the trace form P[i][j] = Tr(theta^(i+j)), built block by
 block from W* W^t, which must be unimodular (the identity up to scale,
 read off).  Equality holds for identical pseudo-bases and is otherwise
-one unimodular-ratio test.  `KRankTracker` applies the ideals' own d x d
-integer actions block by block, so K-rank is decided on Python ints
-without an nd x nd matrix.
+one unimodular-ratio test.  `KRankTracker` reads a lattice point as its
+power-basis numerators, its coordinates times the lattice's exact rows,
+and takes their images under theta block by block with the integer
+companion matrix, so K-rank is decided on Python ints without an
+nd x nd matrix and without the pseudo-basis.
 """
 
 from __future__ import annotations
@@ -44,41 +46,37 @@ KProducts = tuple[list[list[list[int]]], int]  # (G, s): n x n over K, entries G
 
 
 class KRankTracker:
-    """Incremental rank over K of lattice points, read on their integer coordinates.
+    """Incremental rank over K of lattice points, read on their exact rows.
 
-    Coordinates c over the basis U Z (U = `transform`, Z the module's
-    Z-basis) are z = c U over Z, one product with `coords_map` = U^t.
-    On Z an integral-basis element b acts block-diagonally, block i
-    being its integer action A_b on the i-th ideal of the pseudo-basis
-    (`actions`: per b, the blocks transposed), so the K-span of the point
-    is spanned over Q by its d images z blockdiag(A_b), each computed
-    block by block (n d^2 products, no nd x nd matrix).  One exact
-    `RankTracker` holds the Q-span of the K-spans accepted so far: a point
-    raises the K-rank exactly when z leaves that span, and then its images
-    join it.  A b whose blocks are all the identity (b = 1) would offer z
-    itself, so `actions` leaves it out.
+    A lattice's exact rows (M, s) hold each basis row's K-vector, row i
+    of M / s being its flattened power-basis coordinates.  The point
+    with coordinates c is the K-vector z / s for z = c M, so z is read
+    with one product by the columns of M.  The K-span of z is spanned
+    over Q by z, theta z, ..., theta^(d-1) z, each image computed from
+    the one before block by block with the integer companion matrix
+    M(theta) (n d^2 products, no nd x nd matrix).  One exact
+    `RankTracker` holds the Q-span of the K-spans accepted so far: a
+    point raises the K-rank exactly when z leaves that span, and then
+    its images join it.
     """
 
-    def __init__(self, module: "KModule", transform: Sequence[Sequence[int]]):
-        self.degree = d = module.field.degree
-        self.coords_map = transpose(transform)
-        identity = [[int(i == j) for j in range(d)] for i in range(d)]
-        # per b, the ideals' blocks transposed, so that a block's image is one mat_vec
-        per_b = ([transpose(ideal.actions[k]) for ideal, _ in module.pseudo] for k in range(d))
-        self.actions = [blocks for blocks in per_b if any(b != identity for b in blocks)]
-        self.span = RankTracker(module.rank * d)
+    def __init__(self, field: NumberField, rows: tuple[IntMatrix, int]):
+        self.degree = d = field.degree
+        self.columns = transpose(rows[0])
+        self.theta = field._mult_matrix([int(k == 1) for k in range(d)])
+        self.span = RankTracker(len(self.columns))
 
     def try_add(self, coords: Sequence[int]) -> bool:
         if len(coords) != self.span.dim:
             raise ValueError(f"coordinates of length {len(coords)} in a K-rank tracker "
                              f"of dimension {self.span.dim}")
-        z = mat_vec(self.coords_map, coords)
+        z = mat_vec(self.columns, coords)
         if not self.span.try_add(z):
             return False
-        parts = [z[i:i + self.degree] for i in range(0, len(z), self.degree)]
-        for blocks in self.actions:
-            self.span.try_add([x for block, part in zip(blocks, parts)
-                               for x in mat_vec(block, part)])
+        for _ in range(self.degree - 1):
+            z = [x for k in range(0, len(z), self.degree)
+                 for x in mat_vec(self.theta, z[k:k + self.degree])]
+            self.span.try_add(z)
         return True
 
     @property
@@ -101,7 +99,12 @@ class FractionalIdeal:
         self.field = field
         self.zbasis = tuple(zbasis)
         self.int_coords = integer_matrix([b.coords for b in self.zbasis])
-        self.actions  # raises unless the basis is independent and stable under the ring
+        try:
+            _, stable = field._ring_stable(self.int_coords[0])
+        except ValueError:
+            raise ValueError("ideal basis is linearly dependent") from None
+        if not stable:
+            raise ValueError("ideal basis is not stable under the ring")
 
     @classmethod
     def _known(cls, field: NumberField, int_coords: tuple[IntMatrix, int]) -> "FractionalIdeal":
@@ -114,22 +117,6 @@ class FractionalIdeal:
     def zbasis(self) -> tuple[FieldElement, ...]:
         n, s = self.int_coords
         return tuple(self.field.element([Fraction(x, s) for x in row]) for row in n)
-
-    @cached_property
-    def actions(self) -> list[IntMatrix]:
-        """Per integral-basis element b, row j = the integer coordinates of b * zbasis[j].
-
-        Raises `ValueError` unless the basis is independent (the solve
-        behind the actions is the test) and every entry is an integer,
-        that is unless the ideal is stable under O.
-        """
-        try:
-            _, actions = self.field._actions(self.int_coords[0])
-        except ValueError:
-            raise ValueError("ideal basis is linearly dependent") from None
-        if actions is None:
-            raise ValueError("ideal basis is not stable under the ring")
-        return actions
 
     def equals(self, other: "FractionalIdeal") -> bool:
         if not self.field.same_presentation(other.field):

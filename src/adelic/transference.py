@@ -4,11 +4,11 @@ The body pairs a rank-n module (its behavior at all finite places) with
 one convex body per archimedean place.  Minima are found by reading the
 embedded lattice's points in gauge order (`points_by_gauge`) and keeping
 those that increase the rank over K.  That rank is decided exactly on
-the points' integer coordinates: the LLL transform carries them to the
-module's Z-basis, where the integral basis acts by integer blocks read
-from the ideals of the pseudo-basis, and a point already in the Q-span
-of the points before it is not K-tested at all.  Only the kept points,
-the witnesses, are mapped back to exact K-vectors.  Dilation acts on the
+the points' integer coordinates: the reduced lattice's exact rows carry
+them to power-basis numerators, whose images under theta span their
+K-span, and a point already in the Q-span of the points before it is
+not K-tested at all.  Only the kept points, the witnesses, are mapped
+back to exact K-vectors, through the same rows.  Dilation acts on the
 infinite places only, so a point's minimum level is just its gauge.
 """
 
@@ -111,7 +111,7 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP) -> MinimaReport:
     n, d = body.n, field.degree
     target_classical = (n - 1) * d + 1
     red = body.lattice().reduced()
-    ktracker = KRankTracker(body.finite_part, red.transform)
+    ktracker = KRankTracker(field, red.rows)
     rtracker = RankTracker(red.dim)
     minima: list[float] = []
     witnesses: list[KVector] = []

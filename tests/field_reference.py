@@ -89,6 +89,19 @@ class FractionRankTracker:
         return True
 
 
+def fraction_krank_decisions(field, preimages):
+    """Per K-vector w, whether it raises the K-rank: w joins a `Fraction`
+    echelon with theta^j w for j < d."""
+    span, decisions = FractionRankTracker(len(flatten_kvector(preimages[0]))), []
+    for w in preimages:
+        decisions.append(span.try_add(flatten_kvector(w)))
+        if decisions[-1]:
+            for _ in range(field.degree - 1):
+                w = tuple(field.theta() * x for x in w)
+                span.try_add(flatten_kvector(w))
+    return decisions
+
+
 def kcombination(field, n, coeffs, kvectors):
     """The K-vector sum of c * v over paired coefficients and vectors of length n."""
     acc = [field.zero() for _ in range(n)]
@@ -160,11 +173,26 @@ def kvectors(field, flat):
                   for k in range(0, len(row), d)) for row in rows]
 
 
-def preimage_by_field_arithmetic(lat, coords):
-    """The K-vector of a lattice point: module coordinates coords U over the back map."""
-    module_coords = [sum(c * u for c, u in zip(coords, col)) for col in zip(*lat.transform)]
-    n = lat.dim // lat.field.degree
-    return kcombination(lat.field, n, module_coords, kvectors(lat.field, lat.back_flat))
+def module_zbasis(module):
+    """A module's Z-basis alpha w_i, alpha over each ideal's Z-basis, in field arithmetic."""
+    return [tuple(alpha * x for x in w) for a, w in module.pseudo for alpha in a.zbasis]
+
+
+def preimage_by_field_arithmetic(module, lat, coords):
+    """The K-vector of a point of the module's lattice or of a reduced copy of it.
+
+    The change of basis u from the module's Z-basis to the lattice basis
+    is read off the floats, the Z-basis embedded one K-vector at a time;
+    the point's module coordinates coords u then combine the Z-basis in
+    field arithmetic.  Nothing here reads the lattice's exact rows.
+    """
+    zbasis = module_zbasis(module)
+    base = np.array([lat.field.embed_vector(w, lat.conjugated) for w in zbasis])
+    u = lat.basis @ np.linalg.inv(base)
+    assert np.allclose(u, np.rint(u), atol=1e-6)
+    u = np.rint(u).astype(int).tolist()
+    module_coords = [sum(c * x for c, x in zip(coords, col)) for col in zip(*u)]
+    return kcombination(lat.field, module.rank, module_coords, zbasis)
 
 
 def complementary_basis(field):

@@ -29,7 +29,8 @@ RUNS = [[cmd[0], preset, *cmd[1:], "--machine"]
         for preset in PRESET_SCENARIOS for cmd in COMMANDS]
 RUNS.append(["paper-example", "--machine"])
 RUNS += [[cmd, f"{SCENARIOS.name}/{path.name}", "--machine"]
-         for path in sorted(SCENARIOS.glob("*.ini")) for cmd in ("polar", "verify-duality")]
+         for path in sorted(SCENARIOS.glob("*.ini"))
+         for cmd in ("polar", "minima", "transference", "verify-duality")]
 
 
 def run(argv):

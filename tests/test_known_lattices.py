@@ -1,0 +1,92 @@
+"""Minima, tied minimal vectors and transference products of lattices with known answers.
+
+The expected values come from each lattice's known minimal norm, kissing
+number and duality (see `known_lattices.py`), not from a run.  Every
+minimal vector is tied at lambda_1 and the minimal vectors span, so all
+minima equal lambda_1, and each search reads many tied points in one
+level.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from adelic import (
+    AdelicBody,
+    KRankTracker,
+    adelic_minima,
+    enumerate_below,
+    lattice_from_module,
+    transference_check,
+    uniform_ball_body,
+)
+from adelic.exactla import mat_det
+from field_reference import fraction_krank_decisions, preimage_by_field_arithmetic
+from known_lattices import E8_KISSING, E8_ROWS, e8_over_eisenstein, e8_over_q
+
+# E8 over Q: the unit ball measures the Euclidean norm, lambda = sqrt 2.  The
+# Eisenstein form is sqrt(3/2) E8 in the Euclidean norm of (Re, Im): lambda =
+# sqrt 3.  Its polar lattice under the twisted form 2 <x, y> is E8 / sqrt 6,
+# and the polar of the unit ball under that form has radius 1/2, so lambda* =
+# 2 sqrt(2 / 6) = 2 / sqrt 3.  Over Q, E8 is self-dual and lambda* = sqrt 2.
+# Either way every product lambda_l lambda*_(n+1-l) is 2.
+CASES = {
+    "E8 over Q": (e8_over_q, math.sqrt(2)),
+    "E8 over Z[w]": (e8_over_eisenstein, math.sqrt(3)),
+}
+
+
+def body_of(name):
+    make, lam = CASES[name]
+    module = make()
+    return AdelicBody(module, uniform_ball_body(module.field, module.rank, Fraction(1))), lam
+
+
+def test_e8_rows_have_determinant_one():
+    assert abs(mat_det(E8_ROWS)) == 1
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_all_minima_equal_lambda_1(name):
+    body, lam = body_of(name)
+    rep = adelic_minima(body)
+    d = body.field.degree
+    assert len(rep.minima) == body.n and len(rep.classical) == (body.n - 1) * d + 1
+    assert rep.minima == pytest.approx([lam] * body.n, rel=1e-12)
+    assert rep.classical == pytest.approx([lam] * len(rep.classical), rel=1e-12)
+    assert rep.thunder_slacks == pytest.approx([0.0] * body.n, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_kissing_number_is_twice_the_pairs_at_lambda_1(name):
+    body, lam = body_of(name)
+    red = lattice_from_module(body.finite_part).reduced()
+    points = enumerate_below(red, body.infinite_part, lam * (1 + 1e-9))
+    assert 2 * len(points) == E8_KISSING
+    assert [p.gauge for p in points] == pytest.approx([lam] * len(points), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_krank_on_the_tied_minimal_vectors_matches_field_arithmetic(name):
+    # all pairs at lambda_1, in (gauge, coordinates) order: the tracker on the
+    # reduced rows, against theta images of the field-arithmetic preimages
+    body, lam = body_of(name)
+    red = lattice_from_module(body.finite_part).reduced()
+    points = [p.coords for p in enumerate_below(red, body.infinite_part, lam * (1 + 1e-9))]
+    tracker = KRankTracker(body.field, red.rows)
+    decisions = [tracker.try_add(c) for c in points]
+    preimages = [preimage_by_field_arithmetic(body.finite_part, red, c) for c in points]
+    assert decisions == fraction_krank_decisions(body.field, preimages)
+    assert tracker.rank == sum(decisions) == body.n
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_every_transference_product_is_2(name):
+    body, lam = body_of(name)
+    report = transference_check(body)
+    lam_star = 2 / lam
+    assert report.report_sstar.minima == pytest.approx([lam_star] * body.n, rel=1e-12)
+    assert [row.product for row in report.rows] == pytest.approx([2.0] * body.n, rel=1e-12)
+    assert report.passed
+    assert all(row.lower_verdict == "pass" for row in report.rows)

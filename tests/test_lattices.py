@@ -114,8 +114,7 @@ def test_reduction_keeps_back_map_exact():
     lat = lattice_from_module(module_from_matrix(k, [[one, skew], [zero, one]]))
     red = lat.reduced()
     m = red.dim
-    assert red.transform != [[int(i == j) for j in range(m)] for i in range(m)]
-    assert red.back_flat is lat.back_flat
+    assert red.rows[0] != lat.rows[0] and red.rows[1] == lat.rows[1]
     for i, row in enumerate(red.basis):
         vec = red.preimage_of([int(i == j) for j in range(m)])
         assert np.allclose(k.embed_vector(vec), row, atol=1e-9)
@@ -132,14 +131,16 @@ def skewed_module(name):
 
 @pytest.mark.parametrize("name", ["Q_sqrt2", "x3-x-1"])
 def test_preimages_are_coordinate_products_without_field_multiplication(monkeypatch, name):
-    # the old route, module coordinates times the back map in field
-    # arithmetic, is the reference
-    red = lattice_from_module(skewed_module(name)).reduced()
+    # module coordinates times the module's Z-basis in field arithmetic is
+    # the reference
+    module = skewed_module(name)
+    lat = lattice_from_module(module)
+    red = lat.reduced()
     m = red.dim
-    assert red.transform != [[int(i == j) for j in range(m)] for i in range(m)]
+    assert red.rows != lat.rows
     points = [[int(i == j) for j in range(m)] for i in range(m)]
     points += [[(3 * i * j) % 7 - 3 for j in range(m)] for i in range(1, 4)]
-    expected = [preimage_by_field_arithmetic(red, c) for c in points]
+    expected = [preimage_by_field_arithmetic(module, red, c) for c in points]
     muls = []
     mul = FieldElement.__mul__
 
@@ -155,26 +156,31 @@ def test_preimages_are_coordinate_products_without_field_multiplication(monkeypa
 
 @pytest.mark.parametrize("name", ["Q_sqrt2", "x3-x-1"])
 def test_minima_preimages_read_the_module_numerators(monkeypatch, name):
-    # a module lattice's back map is the module's integer Z-basis (N, s)
+    # a module lattice's exact rows are the module's integer Z-basis (N, s)
     module = skewed_module(name)
     body = AdelicBody(module, uniform_ball_body(module.field, 2, F(1)))
     rep = adelic_minima(body)
+    assert body.lattice().rows is module.int_flat
     red = body.lattice().reduced()
-    assert red.back_flat is module.int_flat
-    assert rep.witnesses == [preimage_by_field_arithmetic(red, p.coords) for p in rep.points]
+    assert rep.witnesses == [preimage_by_field_arithmetic(module, red, p.coords)
+                             for p in rep.points]
 
 
 def test_reduction_reuses_the_back_map_embedding(monkeypatch):
+    # the reduced copy's basis and exact rows are the parent's times one u,
+    # and nothing is embedded again
     lat = lattice_from_module(skewed_module("x3-x-1"))
-    calls = []
-    embed = NumberField.embed_rows
+    calls, transforms = [], []
+    embed, lll = NumberField.embed_rows, lattices._lll_transform
     monkeypatch.setattr(NumberField, "embed_rows",
                         lambda self, *args: calls.append(args) or embed(self, *args))
+    monkeypatch.setattr(lattices, "_lll_transform",
+                        lambda *args: transforms.append(lll(*args)) or transforms[-1])
     red = lat.reduced()
     assert calls == []
-    assert red.back_embedding is lat.back_embedding
+    [u] = transforms
+    assert red.rows == (mat_mul(u, lat.rows[0]), lat.rows[1])
     # each entry is the sum of u[i][k] * basis[k][j] over increasing k, bit for bit
-    u = red.transform
     m = lat.dim
     want = np.array([[sum(u[i][k] * lat.basis[k][j] for k in range(m)) for j in range(m)]
                      for i in range(m)])
@@ -214,8 +220,20 @@ def test_lll_transform_is_lll_reduced_in_exact_arithmetic(rows):
 
 
 def test_back_map_validation():
-    with pytest.raises(ValueError, match="back map"):
-        EmbeddedLattice(Q, np.eye(2), back_flat=([[1, 0], [1, 1]], 1))
+    # exact rows passed with a basis must embed onto it, on its side
+    k = preset_field("Q_i")
+    rows = ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 1]], 2)
+    basis = k.embed_rows(rows)
+    assert EmbeddedLattice(k, basis, rows).rows is rows
+    assert EmbeddedLattice(k, basis * (1 + 1e-12), rows).rows is rows
+    with pytest.raises(ValueError, match="do not embed"):
+        EmbeddedLattice(k, basis[[1, 0, 2, 3]], rows)
+    with pytest.raises(ValueError, match="do not embed"):
+        EmbeddedLattice(k, k.embed_rows(rows, conjugated=True), rows)
+    with pytest.raises(ValueError, match="do not embed"):
+        EmbeddedLattice(Q, np.eye(2), ([[1, 0], [1, 1]], 1))
+    with pytest.raises(ValueError, match="one K-vector per basis row"):
+        EmbeddedLattice(Q, np.eye(2), ([[1, 0]], 1))
 
 
 def test_lattice_takes_the_twisted_form_of_its_dimension():

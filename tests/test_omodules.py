@@ -14,6 +14,7 @@ from adelic import (
     KModule,
     KRankTracker,
     NumberField,
+    lattice_from_module,
     module_from_matrix,
     preset_field,
     quadratic_field,
@@ -25,14 +26,15 @@ from adelic import exactla, omodules
 from adelic.cli import main
 from adelic.exactla import RankTracker, integer_matrix, is_unimodular, mat_mul, transpose
 from field_reference import (
-    FractionRankTracker,
     complementary_basis,
     contains,
     flat_pairing,
     flatten_kvector,
+    fraction_krank_decisions,
     gauss_jordan_solve,
     kcombination,
     kvectors,
+    preimage_by_field_arithmetic,
     rational_flat,
     t_n,
 )
@@ -366,22 +368,27 @@ def test_flat_multiplies_no_field_elements(monkeypatch):
     assert flat == expected
 
 
+def tracker_on(module, u):
+    """A K-rank tracker on the exact rows of the basis U z, z the module's Z-basis."""
+    num, s = module.int_flat
+    return KRankTracker(module.field, (mat_mul(u, num), s))
+
+
 def test_krank_tracker_works_over_k_not_q():
     k = quadratic_field(2)
     m = standard_module(k, 2)  # Z-basis (1,0), (theta,0), (0,1), (0,theta)
     assert rational_flat(m) == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    identity = [[int(i == j) for j in range(4)] for i in range(4)]
-    tr = KRankTracker(m, identity)
+    tr = KRankTracker(k, m.int_flat)
     assert tr.try_add((1, 0, 0, 0))
     # theta*(1,0) is Q-independent of (1,0) but K-dependent
     assert not tr.try_add((0, 1, 0, 0))
     assert tr.try_add((0, 1, 1, 0))  # (theta, 1)
     assert tr.rank == 2
     assert not tr.try_add((1, 0, 0, 1))  # (1, theta)
-    # over the basis with rows U z a point with coordinates c is c U on the
-    # Z-basis: rows (1,1), (theta,0), (0,1), (2,theta) of a unimodular U
+    # over the basis with rows U z a point with coordinates c is c U z:
+    # rows (1,1), (theta,0), (0,1), (2,theta) of a unimodular U
     u = [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [2, 0, 0, 1]]
-    tr = KRankTracker(m, u)
+    tr = tracker_on(m, u)
     assert tr.try_add((0, 0, 1, 0))  # (0, 1)
     # -2 (1,1) + 2 (0,1) + (2,theta) = (0, theta), a K-multiple of (0, 1);
     # read without U these coordinates would give (-2, 2 + theta)
@@ -407,47 +414,22 @@ def test_flatten_kvector_layout():
 
 def test_krank_tracker_rejects_coordinates_of_the_wrong_length():
     m = standard_module(quadratic_field(2), 2)
-    tr = KRankTracker(m, [[int(i == j) for j in range(4)] for i in range(4)])
+    tr = KRankTracker(m.field, m.int_flat)
     for coords in ((1, 0, 0), (1, 0, 0, 0, 0)):
         with pytest.raises(ValueError, match="length"):
             tr.try_add(coords)
     assert tr.rank == 0
 
 
-def test_krank_tracker_actions_are_integer_matrices():
-    # half-integral ideal bases (Q_sqrt5, Q_sqrt-3) and a scaled ideal
-    # still act on their Z-bases by integer matrices
-    for name in ("Q_sqrt5", "Q_sqrt-3", "Q_sqrt2"):
-        k = preset_field(name)
-        half = FractionalIdeal.whole_ring(k).scaled(k.element([F(1, 2), F(3, 2)]))
-        m = KModule(k, [(half, (k.one(), k.zero())),
-                        (FractionalIdeal.whole_ring(k).trace_dual(), (k.theta(), k.one()))])
-        u = [[1, 0, 0, 0], [2, 1, 0, 0], [0, -3, 1, 0], [0, 0, 5, 1]]
-        tr = KRankTracker(m, u)
-        assert all(type(x) is int for blocks in tr.actions for block in blocks
-                   for row in block for x in row)
-        assert tr.try_add((1, 0, 0, 0)) and tr.try_add((0, 0, 1, 0))
-        assert all(type(x) is int for row in tr.span.rows for x in row)
-
-
 KRANK_FIELDS = {name: preset_field(name) for name in ("Q_sqrt2", "Q_sqrt5", "Q_sqrt-3")}
 KRANK_FIELDS["x3-x-1"] = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
-def fraction_krank_decisions(module, u, points):
-    """Per point, whether it raises the K-rank: its preimage w, by field
-    arithmetic, joins a `Fraction` echelon with theta^j w for j < d."""
-    k, n = module.field, module.rank
-    zbasis = kvectors(k, module.int_flat)
-    span, decisions = FractionRankTracker(n * k.degree), []
-    for c in points:
-        w = kcombination(k, n, [sum(x * y for x, y in zip(c, col)) for col in zip(*u)], zbasis)
-        decisions.append(span.try_add(flatten_kvector(w)))
-        if decisions[-1]:
-            for _ in range(k.degree - 1):
-                w = tuple(k.theta() * x for x in w)
-                span.try_add(flatten_kvector(w))
-    return decisions
+def preimages_on(module, u, points):
+    """Per point c on the basis U z, the K-vector c U z by field arithmetic."""
+    k, zbasis = module.field, kvectors(module.field, module.int_flat)
+    return [kcombination(k, module.rank, [sum(x * y for x, y in zip(c, col)) for col in zip(*u)],
+                         zbasis) for c in points]
 
 
 @st.composite
@@ -507,41 +489,80 @@ def krank_cases(draw, fields=KRANK_FIELDS):
 @given(krank_cases())
 def test_krank_decisions_match_a_fraction_reference(case):
     module, u, points = case
-    tr = KRankTracker(module, u)
+    tr = tracker_on(module, u)
     decisions = [tr.try_add(c) for c in points]
-    assert decisions == fraction_krank_decisions(module, u, points)
+    assert decisions == fraction_krank_decisions(module.field, preimages_on(module, u, points))
     assert tr.rank == sum(decisions)
 
 
 # Q(sqrt 5) with 1 listed second in its integral basis ((1 + sqrt 5)/2, 1)
-ONE_SECOND = {"Q_sqrt5": NumberField([-5, 0, 1], [[F(1, 2), F(1, 2)], [1, 0]])}
+ONE_SECOND = {"Q_sqrt5 1 second": NumberField([-5, 0, 1], [[F(1, 2), F(1, 2)], [1, 0]])}
 
 
 @settings(max_examples=20, deadline=None)
-@given(krank_cases(ONE_SECOND))
-def test_krank_tracker_leaves_out_the_identity_action_wherever_1_is_listed(case):
+@given(krank_cases({**KRANK_FIELDS, **ONE_SECOND}))
+def test_krank_tracker_offers_z_and_its_theta_images(case):
+    # z = c U N is the point's power-basis numerators, whatever the integral
+    # basis; on acceptance theta z, ..., theta^(d-1) z follow it
     module, u, points = case
-    d = module.field.degree
-    tr = KRankTracker(module, u)
+    k, d, s = module.field, module.field.degree, module.int_flat[1]
+    tr = tracker_on(module, u)
     offered = []
     span_add = tr.span.try_add
     tr.span.try_add = lambda v: offered.append(v) or span_add(v)
-    decisions = []
-    for c in points:
+    for c, w in zip(points, preimages_on(module, u, points)):
         offered.clear()
-        decisions.append(tr.try_add(c))
-        # z itself, then on acceptance one image per b other than 1
-        assert len(offered) == (d if decisions[-1] else 1)
-    assert decisions == fraction_krank_decisions(module, u, points)
+        added = tr.try_add(c)
+        images = [w]
+        for _ in range(d - 1):
+            images.append(tuple(k.theta() * x for x in images[-1]))
+        want = [[s * x for x in flatten_kvector(v)] for v in images[:d if added else 1]]
+        assert offered == want
+        assert all(type(x) is int for v in offered for x in v)
+
+
+@pytest.mark.parametrize("name", sorted(KRANK_FIELDS))
+def test_krank_tracker_reads_the_rows_of_a_reduced_lattice(name):
+    # half-integral ideal bases (Q_sqrt5, Q_sqrt-3), a scaled ideal, the dual
+    # of O and a skewed pseudo-vector, so that LLL moves the basis: on the
+    # reduced rows the tracker decides as field arithmetic on the points
+    k = KRANK_FIELDS[name]
+    pad = [F(0)] * (k.degree - 2)
+    ring = FractionalIdeal.whole_ring(k)
+    half = ring.scaled(k.element([F(1, 2), F(3, 2), *pad]))
+    m = KModule(k, [(half, (k.one(), k.element([F(7), F(5), *pad]))),
+                    (ring.trace_dual(), (k.theta(), k.one()))])
+    lat = lattice_from_module(m)
+    red = lat.reduced()
+    assert red.rows != lat.rows
+    nd = red.dim
+    points = [[int(i == j) for j in range(nd)] for i in range(nd)]
+    points += [[(3 * i * j) % 7 - 3 for j in range(nd)] for i in range(1, 4)]
+    # theta times the first point, in lattice coordinates, is K-dependent on it
+    num, s = red.rows
+    theta_w = flatten_kvector(k.theta() * x for x in red.preimage_of(points[0]))
+    coords = gauss_jordan_solve(transpose([[F(x, s) for x in row] for row in num]),
+                                [[x] for x in theta_w])
+    assert all(x.denominator == 1 for x, in coords)
+    points.insert(1, [int(x) for x, in coords])
+    tr = KRankTracker(k, red.rows)
+    decisions = [tr.try_add(c) for c in points]
+    preimages = [preimage_by_field_arithmetic(m, red, c) for c in points]
+    assert decisions == fraction_krank_decisions(k, preimages)
+    assert decisions[:2] == [True, False] and tr.rank == m.rank
+    assert all(type(x) is int for row in tr.span.rows for x in row)
 
 
 def test_ideal_actions_are_checked_for_integrality():
     k = quadratic_field(2)
-    ring = FractionalIdeal.whole_ring(k)
-    assert ring.actions[1] == [[0, 1], [2, 0]]  # theta on 1, theta
-    assert all(type(x) is int for action in ring.actions for row in action for x in row)
+    assert k._ring_stable([[1, 0], [0, 1]]) == (True, True)
+    assert k._ring_stable([[1, 0], [0, 2]]) == (True, False)  # theta * 1 is not in Z + 2 theta Z
+    half = FractionalIdeal(k, [k.element([F(1, 2), F(0)]), k.element([F(0), F(1, 2)])])
+    assert half.equals(FractionalIdeal.whole_ring(k).scaled(k.from_rational(F(1, 2))))
     with pytest.raises(ValueError, match="not stable under the ring"):
         FractionalIdeal(k, [k.element([F(1, 2), F(0)]), k.theta()])
+    with pytest.raises(ValueError, match="linearly dependent"):
+        FractionalIdeal(k, [k.theta(), 2 * k.theta()])
 
 
 def test_trace_dual_takes_no_independence_determinant(monkeypatch):

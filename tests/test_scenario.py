@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import subprocess
 import sys
 import tempfile
@@ -258,6 +259,21 @@ def test_cli_paper_example(capsys):
     names = [ln.split()[1].split("=")[0] for ln in lines]
     assert names == ["discriminant", "dual_basis", "lambda1_S",
                      "lambda1_Sstar", "product_equals_lower_bound"]
+
+
+@pytest.mark.parametrize("decoy", ["file", "directory"])
+def test_paper_example_reads_the_packaged_preset_past_a_local_decoy(
+        capsys, monkeypatch, tmp_path, decoy):
+    # a file or directory named Q_sqrt2 in the working directory is not the preset
+    if decoy == "file":
+        (tmp_path / "Q_sqrt2").write_text(load_scenario_text("Q"))
+    else:
+        (tmp_path / "Q_sqrt2").mkdir()
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads((Path(__file__).with_name("cli_golden.json")).read_text())
+    code, out, _ = run_cli(["paper-example", "--machine"], capsys)
+    assert {"code": code, "stdout": out} == golden["paper-example --machine"]
+    assert code == 0
 
 
 def test_cli_transference_machine_lines(capsys):

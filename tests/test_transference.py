@@ -177,7 +177,7 @@ def test_q_rejected_points_are_not_k_tested(monkeypatch, field):
     body = AdelicBody(random_module(k, 2), ProductBody(k, 2, places))
     # the witnesses of a pass that K-tests every point of the same stream
     red = body.lattice().reduced()
-    tracker = KRankTracker(body.finite_part, red.transform)
+    tracker = KRankTracker(k, red.rows)
     expected = [p.coords for p in transference.points_by_gauge(  # (n - 1) d + 1 minima over R
         red, body.infinite_part, k.degree + 1) if tracker.try_add(p.coords)]
 
