@@ -8,7 +8,10 @@ benchmark does, and prints one header line per case followed by its result:
   the classical minima as float hex, the witnesses as power-basis
   coordinates, then per row the product as float hex and both verdicts;
 - `covering`: lambda_1, the mu bracket and the product bracket as float hex;
-- `cli_duality`: the exit code, then stdout and stderr, each line indented.
+- `cli_duality`: the exit code, then stdout and stderr, each line indented;
+- `fields`: once, not per seed, for every field of the corpus and every
+  preset, the discriminant, the signature, the trace form, and the real
+  and complex roots as float hex.
 
 A case that raises prints the exception's type and message instead.
 Dumping two checkouts and comparing them with `diff` shows whether a
@@ -32,7 +35,7 @@ import adelic.cli
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 
-WORKLOADS = ("transference", "covering", "cli_duality")
+WORKLOADS = ("transference", "covering", "cli_duality", "fields")
 
 
 def hexes(values) -> str:
@@ -87,6 +90,21 @@ def cli_lines(case, workdir: Path):
     yield from ("  stderr: " + line for line in err.getvalue().splitlines())
 
 
+def field_lines(field):
+    yield f"disc={field.discriminant} signature={field.signature}"
+    yield f"trace_form={field.trace_form}"
+    yield f"real={hexes(field.real_roots)}"
+    yield "complex=" + ";".join(hexes((z.real, z.imag)) for z in field.complex_roots)
+
+
+def fields_blocks():
+    """(header, field) for every corpus field, then every preset."""
+    for name, (poly, basis, cm, _) in corpus.FIELDS.items():
+        yield f"fields corpus={name}", adelic.NumberField(poly, basis, cm_asserted=cm)
+    for name in adelic.PRESET_FIELDS:
+        yield f"fields preset={name}", adelic.preset_field(name)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
@@ -95,6 +113,12 @@ def main():
     fields = {}
     with tempfile.TemporaryDirectory() as workdir:
         for workload in args.workloads:
+            if workload == "fields":
+                for header, field in fields_blocks():
+                    print(header)
+                    for line in field_lines(field):
+                        print("  " + line)
+                continue
             for seed in args.seeds:
                 for case in corpus.make_pass(workload, seed):
                     print(f"{workload} seed={seed} case={case.index} slot={case.slot.name}")

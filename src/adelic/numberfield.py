@@ -1,20 +1,22 @@
 """Number fields with exact power-basis arithmetic and archimedean embeddings.
 
 A field is Q[x]/(f) for a monic squarefree integer polynomial f.  Elements
-carry exact rational coordinates over the power basis; traces, Gram
-matrices and discriminants are computed without floating point, the
-reduction table and trace form as integers.  The integral basis is
-validated by one solve with its transposed numerators: the elimination
-decides independence, and the right-hand sides 1 and the products of
-basis elements decide that 1 is in the span and that the span is a
-ring.  Floats only enter through the root isolation that backs the
-embeddings.
+carry exact rational coordinates over the power basis.  One integer table
+decides the field: the trace form P[i][j] = Tr(theta^(i+j)), the power
+sums of the roots (Newton's identities).  det P is nonzero exactly when f
+is squarefree, and the signature of P counts the real places (Hermite's
+theorem).  The integral basis is validated by one solve with its
+transposed numerators: the elimination decides independence, and the
+right-hand sides 1 and the products of basis elements decide that 1 is
+in the span and that the span is a ring.  Floats only enter through the
+root isolation that backs the embeddings.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,34 +37,7 @@ from .exactla import (
 ROOT_TOL = 1e-15  # the Aberth stopping step; float64 roots saturate here
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (coefficient lists, ascending degree, Fraction entries)
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _deriv(p: list[Fraction]) -> list[Fraction]:
-    return [k * c for k, c in enumerate(p)][1:]
-
-
-def _divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - len(b)
-        f = a[-1] * inv
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-    return _trim(q), _trim(a)
+# polynomial helpers
 
 
 def _eval_complex(p: Sequence[float], z: complex) -> complex:
@@ -72,26 +47,33 @@ def _eval_complex(p: Sequence[float], z: complex) -> complex:
     return acc
 
 
-def _sign_changes(signs: list[int]) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+def _power_sums(poly: Sequence[int], count: int) -> list[int]:
+    """Tr(theta^k) for k < count, the power sums of the roots of poly.
+
+    Newton's identities on f = x^d + a_(d-1) x^(d-1) + ... + a_0:
+    p_0 = d and p_k = -k a_(d-k) [k <= d] - sum_(i=1..min(k-1,d)) a_(d-i) p_(k-i).
+    """
+    d = len(poly) - 1
+    p = [d]
+    for k in range(1, count):
+        p.append((-k * poly[d - k] if k <= d else 0)
+                 - sum(poly[d - i] * p[k - i] for i in range(1, min(k - 1, d) + 1)))
+    return p
 
 
-def count_real_roots(poly: Sequence[Fraction]) -> int:
-    """Number of distinct real roots, by a Sturm chain evaluated at +-inf."""
-    p = _trim([Fraction(c) for c in poly])
-    if len(p) < 2:
-        return 0
-    chain = [p, _trim(_deriv(p))]
-    while len(chain[-1]) > 1:
-        _, r = _divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    at_pos = [1 if q[-1] > 0 else -1 for q in chain if q]
-    # a term of degree e has the sign (-1)^e of its leading coefficient at -inf
-    at_neg = [(1 if q[-1] > 0 else -1) * (-1) ** (len(q) - 1) for q in chain if q]
-    return _sign_changes(at_neg) - _sign_changes(at_pos)
+def _charpoly(a: IntMatrix) -> list[int]:
+    """det(xI - A) of an integer matrix, ascending, by Faddeev-LeVerrier.
+
+    With M_1 = I: c_(d-k) = -Tr(A M_k) / k, each division exact, and M_(k+1) = A M_k + c_(d-k) I.
+    """
+    d = len(a)
+    c = [0] * d + [1]
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for k in range(1, d + 1):
+        am = mat_mul(a, m)
+        c[d - k] = -sum(am[i][i] for i in range(d)) // k
+        m = [[x + c[d - k] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
+    return c
 
 
 def _aberth_roots(poly: list[float], target: float, max_iter: int = 400) -> list[complex]:
@@ -206,12 +188,15 @@ class FieldElement:
             k >>= 1
         return acc
 
-    @_coerced
-    def __eq__(self, o):
-        return self.coords == o.coords
+    def __eq__(self, other):
+        # never raises: elements over another polynomial are simply unequal
+        if isinstance(other, FieldElement):
+            return self.field.poly == other.field.poly and self.coords == other.coords
+        o = self._coerce(other)
+        return NotImplemented if o is None else self.coords == o.coords
 
     def __hash__(self):
-        return hash((id(self.field), self.coords))
+        return hash((self.field.poly, self.coords))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -225,8 +210,8 @@ class FieldElement:
         return FieldElement(self.field, [Fraction(row[0], q) for row in y])
 
     def trace(self) -> Fraction:
-        m = self.field._mult_matrix(self.coords)
-        return sum((m[i][i] for i in range(self.field.degree)), Fraction(0))
+        # Tr(sum_j c_j theta^j) = sum_j c_j P[0][j]
+        return sum(map(operator.mul, self.coords, self.field.trace_form[0]), Fraction(0))
 
     def norm(self) -> Fraction:
         return mat_det(self.field._mult_matrix(self.coords))
@@ -257,25 +242,15 @@ class NumberField:
         self.degree = len(coeffs) - 1
         self.name = name
 
-        # reduction table: integer coords of theta^k for k = d .. 2d-2
+        # P[i][j] = Tr(theta^(i+j)); det P is the discriminant of f, zero
+        # exactly at a repeated root, and (-1)^d det P is charpoly's constant term
         d = self.degree
-        self._reduction: list[tuple[int, ...]] = []
-        cur = [-c.numerator for c in coeffs[:-1]]
-        self._reduction.append(tuple(cur))
-        for _ in range(d - 2):
-            cur = [0] + cur
-            top = cur.pop()
-            cur = [c + top * r for c, r in zip(cur, self._reduction[0])]
-            self._reduction.append(tuple(cur))
-
-        # Tr(theta^k) for k < d from the multiplication matrices, then for
-        # d <= k <= 2d-2 through the reduction table theta^k = sum r_j theta^j;
-        # det P is the discriminant of f, zero exactly at a repeated root
-        units = [[int(i == j) for i in range(d)] for j in range(d)]
-        low = [sum(m[i][i] for i in range(d)) for m in map(self._mult_matrix, units)]
-        powers = low + [sum(r * p for r, p in zip(red, low)) for red in self._reduction[:d - 1]]
+        a = [c.numerator for c in coeffs]
+        self._theta_d = tuple(-c for c in a[:-1])  # theta^d = sum_j -a_j theta^j
+        powers = _power_sums(a, 2 * d - 1)
         self.trace_form: IntMatrix = [[powers[i + j] for j in range(d)] for i in range(d)]
-        if mat_det(self.trace_form) == 0:
+        charpoly = _charpoly(self.trace_form)
+        if charpoly[0] == 0:
             raise ValueError("polynomial must be squarefree")
 
         basis = [[Fraction(c) for c in row] for row in integral_basis]
@@ -305,17 +280,18 @@ class NumberField:
                 f"differs from computed {self.discriminant}"
             )
 
-        r = count_real_roots(list(self.poly))
-        if (d - r) % 2 != 0:
-            raise ConditioningError("real root count inconsistent with degree")
-        self.signature = (r, (d - r) // 2)
+        # Hermite: P has pos - neg = r, the number of real roots.  P is
+        # symmetric, so its eigenvalues are real and none is zero, and
+        # Descartes' rule counts the positive ones exactly
+        signs = [c > 0 for c in charpoly if c]
+        pos = sum(x != y for x, y in zip(signs, signs[1:]))
+        r = 2 * pos - d
+        self.signature = (r, d - pos)
         if cm_asserted and r != 0:
             raise ValueError("a CM field has no real embeddings")
         self.cm_asserted = cm_asserted
 
-        self.real_roots: list[float]
-        self.complex_roots: list[complex]
-        self._compute_roots()
+        self.real_roots, self.complex_roots = self._roots()
 
     # -- construction helpers ------------------------------------------------
 
@@ -348,7 +324,7 @@ class NumberField:
             cur = [0] + cur
             top = cur.pop()
             if top:
-                cur = [c + top * rr for c, rr in zip(cur, self._reduction[0])]
+                cur = [c + top * rr for c, rr in zip(cur, self._theta_d)]
             cols.append(cur[:])
         return [[cols[j][i] for j in range(d)] for i in range(d)]
 
@@ -394,22 +370,17 @@ class NumberField:
             return False
         return self.degree == 2 or self.cm_asserted
 
-    def _compute_roots(self):
-        d = self.degree
+    def _roots(self) -> tuple[list[float], list[complex]]:
+        """Real roots ascending and complex roots of positive imaginary part by (Re, Im)."""
         fpoly = [float(c) for c in self.poly]
         r, s = self.signature
-        if d == 1:
-            self.real_roots = [-fpoly[0]]
-            self.complex_roots = []
-            return
+        if self.degree == 1:
+            return [-fpoly[0]], []
         roots = _aberth_roots(fpoly, ROOT_TOL)
         dpoly = [k * c for k, c in enumerate(fpoly)][1:]
         roots = [_newton_polish(fpoly, dpoly, z) for z in roots]
         roots.sort(key=lambda z: abs(z.imag))
-        reals = []
-        for z in roots[:r]:
-            x = _newton_polish(fpoly, dpoly, complex(z.real, 0.0)).real
-            reals.append(x)
+        reals = [_newton_polish(fpoly, dpoly, complex(z.real, 0.0)).real for z in roots[:r]]
         complexes = [z for z in roots[r:] if z.imag > 0]
         if len(complexes) != s:
             raise ConditioningError("root classification disagrees with signature")
@@ -422,8 +393,7 @@ class NumberField:
                 raise ConditioningError("complex root residual too large")
         reals.sort()
         complexes.sort(key=lambda z: (z.real, z.imag))
-        self.real_roots = reals
-        self.complex_roots = complexes
+        return reals, complexes
 
     @property
     def places(self) -> list[tuple[str, complex]]:

@@ -95,17 +95,15 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP) -> MinimaReport:
     One pass over `points_by_gauge` feeds two exact trackers, both on
     the points' integer coordinates: the rank over Q (the classical
     minima up to index (n-1)d+1) and the K-rank (the adelic minima; see
-    `KRankTracker`).  A point that raises the K-rank is a witness, and
-    only witnesses get an exact preimage.  The search is asked for the
-    (n-1)d+1 minima over R, and the pass stops once both lists are
-    complete.  Each lambda_l <= classical[(l-1)d+1] is checked, which
-    holds because a K-span of dimension l-1 has real dimension (l-1)d.
-
-    While the classical list is incomplete, a point the Q tracker rejects
-    is not K-tested: every point read so far lies in the K-span W of the
-    witnesses so far (it is one, was K-rejected, came after full K-rank,
-    or was Q-rejected: by induction), and a Q-rejected point is in the
-    Q-span of earlier points, so in W, where a K test would reject it.
+    `KRankTracker`).  Only a point that raises the Q-rank is K-tested:
+    every point read so far lies in the K-span W of the witnesses so far
+    (it is one, was K-rejected or was Q-rejected: by induction), and a
+    Q-rejected point is in the Q-span of earlier points, so in W.  So
+    every witness is a classical point, and only witnesses get an exact
+    preimage.  The pass ends when the classical list is complete: its
+    (n-1)d+1 Q-independent points exceed the real dimension (n-1)d of a
+    proper K-subspace, so W is K^n and the minima are complete too.  By
+    the same count lambda_l <= classical[(l-1)d+1], which is checked.
     """
     field = body.field
     n, d = body.n, field.degree
@@ -118,15 +116,16 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP) -> MinimaReport:
     kept: list[LatticePoint] = []
     classical: list[float] = []
     for p in points_by_gauge(red, body.infinite_part, target_classical, cap):
-        if len(classical) < target_classical:
-            if not rtracker.try_add(p.coords):
-                continue  # in the Q-span of earlier points, so in the K-span of the witnesses
-            classical.append(p.gauge)
+        if not rtracker.try_add(p.coords):
+            continue  # in the Q-span of earlier points, so in the K-span of the witnesses
+        classical.append(p.gauge)
         if len(minima) < n and ktracker.try_add(p.coords):
             minima.append(p.gauge)
             witnesses.append(red.preimage_of(p.coords))
             kept.append(p)
-        if len(minima) == n and len(classical) == target_classical:
+        if len(classical) == target_classical:
+            if len(minima) < n:
+                raise ConditioningError("classical minima complete below full rank over K")
             slacks = [classical[(l - 1) * d] - minima[l - 1] for l in range(1, n + 1)]
             if any(s < -1e-9 * (1 + abs(minima[-1])) for s in slacks):
                 raise ConditioningError(

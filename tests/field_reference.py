@@ -42,6 +42,77 @@ def fraction_det(a) -> Fraction:
     return det
 
 
+def _trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _divmod(a, b):
+    a = a[:]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    inv = Fraction(1) / b[-1]
+    while len(a) >= len(b) and any(a):
+        if a[-1] == 0:
+            a.pop()
+            continue
+        shift = len(a) - len(b)
+        f = a[-1] * inv
+        q[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a.pop()
+    return _trim(q), _trim(a)
+
+
+def _sign_changes(signs):
+    signs = [s for s in signs if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+
+
+def sturm_real_root_count(poly) -> int:
+    """Number of distinct real roots, by a Sturm chain on `Fraction`s evaluated at +-inf.
+
+    The reference for the real-place count that `NumberField.signature`
+    reads off the trace form; coefficients ascend.
+    """
+    p = _trim([Fraction(c) for c in poly])
+    if len(p) < 2:
+        return 0
+    chain = [p, _trim([k * c for k, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1:
+        _, r = _divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    at_pos = [1 if q[-1] > 0 else -1 for q in chain if q]
+    # a term of degree e has the sign (-1)^e of its leading coefficient at -inf
+    at_neg = [(1 if q[-1] > 0 else -1) * (-1) ** (len(q) - 1) for q in chain if q]
+    return _sign_changes(at_neg) - _sign_changes(at_pos)
+
+
+def reduction_trace_form(poly):
+    """P[i][j] = Tr(theta^(i+j)) for theta a root of the monic integer poly.
+
+    The reference for `NumberField.trace_form`, by reduction rather than
+    power sums: theta^m is reduced to power-basis coordinates by
+    theta^d = -a_(d-1) theta^(d-1) - ... - a_0, Tr(theta^k) for k < d is
+    the trace of the matrix of multiplication by theta^k, and for
+    d <= k <= 2d-2 the combination of those traces that the reduction
+    of theta^k gives.
+    """
+    d = len(poly) - 1
+    low = [-c for c in poly[:-1]]
+    powers = [[int(i == m) for i in range(d)] for m in range(d)]  # theta^m, m < 2d - 1
+    for _ in range(d - 1):
+        cur = [0] + powers[-1]
+        top = cur.pop()
+        powers.append([c + top * r for c, r in zip(cur, low)])
+    traces = [sum(powers[k + j][j] for j in range(d)) for k in range(d)]
+    traces += [sum(r * t for r, t in zip(powers[k], traces)) for k in range(d, 2 * d - 1)]
+    return [[traces[i + j] for j in range(d)] for i in range(d)]
+
+
 def gauss_jordan_solve(a, b):
     """Solve A X = B by Gauss-Jordan elimination, over Q or over a number field K.
 

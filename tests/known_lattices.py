@@ -3,6 +3,18 @@
 Constructions from Conway and Sloane, *Sphere Packings, Lattices and
 Groups* (3rd ed., 1999), ch. 4 and 7, each given as a module:
 
+- D_n over Q, the x in Z^n of even coordinate sum: the Z-span of 2e1,
+  e2 - e1, ..., en - e(n-1), of determinant 2, with minimal norm 2 and
+  2n(n-1) minimal vectors +-e_i +- e_j.  Its dual D_n* is Z^n together
+  with Z^n + (1/2, ..., 1/2), of minimal norm min(1, n/4): the 2n
+  vectors +-e_i, and for n = 4 also the 16 vectors (+-1/2)^4.
+- Barnes-Wall BW16 over Q in its unscaled form, the x in Z^16 with
+  x mod 2 in the Reed-Muller code RM(1, 4) and sum x = 0 mod 4, of
+  determinant 2^12 (index 2^11 for the code, 2 for the sum) and minimal
+  norm 8: the 4 * 120 vectors +-2e_i +- 2e_j and, for each of the 30
+  weight-8 words, the 128 sign patterns of even parity, 4320 in all.
+  BW16 is similar to its dual: BW16* = BW16 / sqrt 8 up to rotation,
+  so its minimal norm is 1.
 - E8 over Q in the even coordinate system: the Z-span of 2e1,
   e2 - e1, ..., e7 - e6 and (1/2, ..., 1/2), of determinant 1, even and
   unimodular, so self-dual, with minimal norm 2 and 240 minimal vectors.
@@ -29,11 +41,41 @@ E8_ROWS = ([[2, 0, 0, 0, 0, 0, 0, 0]]
 E8_KISSING = 240
 
 
+def rational_module(rows):
+    """The module over Q whose Z-basis is the given rational rows."""
+    q = rational_field()
+    return module_from_matrix(q, transpose([[q.from_rational(x) for x in row] for row in rows]))
+
+
+def d_n_rows(n):
+    """A Z-basis of D_n: 2e1 and the differences e_(i+1) - e_i."""
+    return [[2] + [0] * (n - 1)] + [[-1 if j == i else 1 if j == i + 1 else 0
+                                      for j in range(n)] for i in range(n - 1)]
+
+
+def bw16_rows():
+    """A Z-basis of the unscaled BW16.
+
+    RM(1, 4) is the affine functions on F_2^4, coordinate i the point
+    with binary digits i.  Points 0, 1, 2, 4 and 8 are an information
+    set: the words 1 + x1 + x2 + x3 + x4 and x1, ..., x4 are 1 at one of
+    them and 0 at the others, so with 2e_j at the other 11 points they
+    give a basis of {x : x mod 2 in RM(1, 4)}.  The words have weight 8,
+    and 2e_j has coordinate sum 2, so the sum condition keeps the words,
+    4e_j0 for the first such point j0 and 2e_j - 2e_j0 for the others.
+    """
+    x = [[i >> k & 1 for i in range(16)] for k in range(4)]
+    words = [[(1 + sum(col)) % 2 for col in zip(*x)]] + x
+    rest = [j for j in range(16) if j not in (0, 1, 2, 4, 8)]
+    j0 = rest[0]
+    evens = [[4 * (i == j0) for i in range(16)]] + [
+        [2 * (i == j) - 2 * (i == j0) for i in range(16)] for j in rest[1:]]
+    return words + evens
+
+
 def e8_over_q():
     """E8 as a rank-8 module over Q, its Z-basis the rows of `E8_ROWS`."""
-    q = rational_field()
-    return module_from_matrix(q, transpose([[q.from_rational(x) for x in row]
-                                            for row in E8_ROWS]))
+    return rational_module(E8_ROWS)
 
 
 def e8_over_eisenstein():

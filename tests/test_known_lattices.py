@@ -16,6 +16,7 @@ from adelic import (
     AdelicBody,
     KRankTracker,
     adelic_minima,
+    adelic_polar,
     enumerate_below,
     lattice_from_module,
     transference_check,
@@ -23,28 +24,49 @@ from adelic import (
 )
 from adelic.exactla import mat_det
 from field_reference import fraction_krank_decisions, preimage_by_field_arithmetic
-from known_lattices import E8_KISSING, E8_ROWS, e8_over_eisenstein, e8_over_q
+from known_lattices import (
+    E8_KISSING,
+    E8_ROWS,
+    bw16_rows,
+    d_n_rows,
+    e8_over_eisenstein,
+    e8_over_q,
+    rational_module,
+)
 
-# E8 over Q: the unit ball measures the Euclidean norm, lambda = sqrt 2.  The
-# Eisenstein form is sqrt(3/2) E8 in the Euclidean norm of (Re, Im): lambda =
-# sqrt 3.  Its polar lattice under the twisted form 2 <x, y> is E8 / sqrt 6,
-# and the polar of the unit ball under that form has radius 1/2, so lambda* =
-# 2 sqrt(2 / 6) = 2 / sqrt 3.  Over Q, E8 is self-dual and lambda* = sqrt 2.
-# Either way every product lambda_l lambda*_(n+1-l) is 2.
+# Per lattice: lambda_1, lambda_1 of the polar, and the kissing numbers of
+# both, each twice the number of +- pairs at its lambda_1.  The unit ball is
+# its own polar over Q, so the polar lattice is the dual lattice there.
+# E8 over Q: the unit ball measures the Euclidean norm, lambda = sqrt 2, and
+# E8 is self-dual.  The Eisenstein form is sqrt(3/2) E8 in the Euclidean norm
+# of (Re, Im): lambda = sqrt 3.  Its polar lattice under the twisted form
+# 2 <x, y> is E8 / sqrt 6, and the polar of the unit ball under that form has
+# radius 1/2, so lambda* = 2 sqrt(2 / 6) = 2 / sqrt 3.  D_n has minimal norm
+# 2 and kissing number 2n(n-1); D_n* has minimal norm 1 with the 2n vectors
+# +-e_i, and for n = 4 also the 16 vectors (+-1/2)^4.  BW16 has minimal norm
+# 8 and kissing number 4320, and BW16* = BW16 / sqrt 8 up to rotation.
 CASES = {
-    "E8 over Q": (e8_over_q, math.sqrt(2)),
-    "E8 over Z[w]": (e8_over_eisenstein, math.sqrt(3)),
+    "E8 over Q": (e8_over_q, math.sqrt(2), math.sqrt(2), E8_KISSING, E8_KISSING),
+    "E8 over Z[w]": (e8_over_eisenstein, math.sqrt(3), 2 / math.sqrt(3), E8_KISSING, E8_KISSING),
+    **{f"D{n}": (lambda n=n: rational_module(d_n_rows(n)), math.sqrt(2), 1.0,
+                 2 * n * (n - 1), 24 if n == 4 else 2 * n) for n in (4, 5, 8, 12)},
+    "BW16": (lambda: rational_module(bw16_rows()), math.sqrt(8), 1.0, 4320, 4320),
 }
 
 
 def body_of(name):
-    make, lam = CASES[name]
+    make, lam = CASES[name][:2]
     module = make()
     return AdelicBody(module, uniform_ball_body(module.field, module.rank, Fraction(1))), lam
 
 
 def test_e8_rows_have_determinant_one():
     assert abs(mat_det(E8_ROWS)) == 1
+
+
+def test_d_n_and_bw16_rows_have_the_index_of_their_lattices_in_z_n():
+    assert all(abs(mat_det(d_n_rows(n))) == 2 for n in (4, 5, 8, 12))
+    assert abs(mat_det(bw16_rows())) == 2 ** 12
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -60,14 +82,17 @@ def test_all_minima_equal_lambda_1(name):
 
 @pytest.mark.parametrize("name", CASES)
 def test_kissing_number_is_twice_the_pairs_at_lambda_1(name):
+    # on the lattice and on its polar
     body, lam = body_of(name)
-    red = lattice_from_module(body.finite_part).reduced()
-    points = enumerate_below(red, body.infinite_part, lam * (1 + 1e-9))
-    assert 2 * len(points) == E8_KISSING
-    assert [p.gauge for p in points] == pytest.approx([lam] * len(points), rel=1e-12)
+    _, _, lam_star, kissing, polar_kissing = CASES[name]
+    for side, radius, want in ((body, lam, kissing), (adelic_polar(body), lam_star, polar_kissing)):
+        points = enumerate_below(side.lattice().reduced(), side.infinite_part, radius * (1 + 1e-9))
+        assert 2 * len(points) == want
+        assert [p.gauge for p in points] == pytest.approx([radius] * len(points), rel=1e-12)
 
 
-@pytest.mark.parametrize("name", CASES)
+# BW16's 2160 pairs take seconds in field arithmetic, so it is left out here
+@pytest.mark.parametrize("name", [name for name in CASES if name != "BW16"])
 def test_krank_on_the_tied_minimal_vectors_matches_field_arithmetic(name):
     # all pairs at lambda_1, in (gauge, coordinates) order: the tracker on the
     # reduced rows, against theta images of the field-arithmetic preimages
@@ -82,11 +107,12 @@ def test_krank_on_the_tied_minimal_vectors_matches_field_arithmetic(name):
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_every_transference_product_is_2(name):
+def test_every_transference_product_is_lambda_1_times_its_polar(name):
     body, lam = body_of(name)
+    lam_star = CASES[name][2]
     report = transference_check(body)
-    lam_star = 2 / lam
     assert report.report_sstar.minima == pytest.approx([lam_star] * body.n, rel=1e-12)
-    assert [row.product for row in report.rows] == pytest.approx([2.0] * body.n, rel=1e-12)
+    assert [row.product for row in report.rows] == pytest.approx(
+        [lam * lam_star] * body.n, rel=1e-12)
     assert report.passed
     assert all(row.lower_verdict == "pass" for row in report.rows)

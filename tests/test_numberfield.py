@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,8 +16,13 @@ from adelic import (
     quadratic_field,
     rational_field,
 )
-from adelic.numberfield import count_real_roots
-from field_reference import complementary_basis, embed_flat
+from field_reference import (
+    complementary_basis,
+    embed_flat,
+    fraction_det,
+    reduction_trace_form,
+    sturm_real_root_count,
+)
 
 F = Fraction
 
@@ -101,11 +107,56 @@ def test_rational_elements_compare_equal_to_rationals():
     assert k.from_rational(F(7, 3)).coords == (F(7, 3), F(0))
 
 
+def test_elements_of_separately_built_fields_compare_without_raising():
+    x, y = preset_field("Q_sqrt2").theta(), preset_field("Q_sqrt2").theta()
+    assert x == y and not x != y and x in [y] and hash(x) == hash(y)
+    assert len({x, y, 2 * y}) == 2
+    # another polynomial, same coordinates: unequal, and still no error
+    z = preset_field("Q_i").theta()
+    assert x != z and not x == z and z not in [x, y]
+    # arithmetic across field objects still refuses
+    with pytest.raises(ValueError, match="different fields"):
+        x + y
+
+
+def power_basis(d):
+    return [[int(i == j) for j in range(d)] for i in range(d)]
+
+
 def test_count_real_roots():
-    assert count_real_roots([F(-2), F(0), F(1)]) == 2       # x^2 - 2
-    assert count_real_roots([F(1), F(0), F(1)]) == 0        # x^2 + 1
-    assert count_real_roots([F(-1), F(-1), F(0), F(1)]) == 1  # x^3 - x - 1
-    assert count_real_roots([F(0), F(-2), F(0), F(1)]) == 3   # x^3 - 2x
+    assert NumberField([-2, 0, 1], power_basis(2)).signature == (2, 0)       # x^2 - 2
+    assert NumberField([1, 0, 1], power_basis(2)).signature == (0, 1)        # x^2 + 1
+    assert NumberField([-1, -1, 0, 1], power_basis(3)).signature == (1, 1)   # x^3 - x - 1
+    assert NumberField([0, -2, 0, 1], power_basis(3)).signature == (3, 0)    # x^3 - 2x
+
+
+@st.composite
+def monic_polynomials(draw):
+    """Monic integer polynomials of degree 1 to 10, coefficients small or up to 10^12."""
+    d = draw(st.integers(1, 10))
+    bound = draw(st.sampled_from([2, 30, 10 ** 12]))
+    return draw(st.lists(st.integers(-bound, bound), min_size=d, max_size=d)) + [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(monic_polynomials())
+def test_trace_form_signature_and_discriminant_match_the_references(poly):
+    # the exact data against the reduction-table trace form, its Fraction
+    # determinant and the Sturm count; the float roots are left out, as at
+    # large coefficients their residual check refuses most fields
+    d = len(poly) - 1
+    want = reduction_trace_form(poly)
+    disc = fraction_det(want)
+    with patch.object(NumberField, "_roots", lambda self: ([], [])):
+        if disc == 0:
+            with pytest.raises(ValueError, match="squarefree"):
+                NumberField(poly, power_basis(d))
+            return
+        k = NumberField(poly, power_basis(d))
+    r = sturm_real_root_count(poly)
+    assert k.trace_form == want
+    assert k.signature == (r, (d - r) // 2)
+    assert k.discriminant == disc
 
 
 def test_root_order_and_residuals(preset):

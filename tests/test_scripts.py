@@ -42,6 +42,30 @@ def test_dump_outputs_prints_the_stored_cli_output_of_the_committed_seed():
         assert "".join(line[4:] + "\n" for line in stdout) == ref["outputs"]["stdout"]
 
 
+def test_dump_outputs_prints_every_corpus_field_and_preset():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "dump_outputs.py"),
+                           "--workloads", "fields"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    blocks = [block.splitlines() for block in proc.stdout.replace("\nfields ", "\n\0fields ")
+              .split("\0")]
+    assert [block[0] for block in blocks] == (
+        [f"fields corpus={name}" for name in corpus.FIELDS]
+        + [f"fields preset={name}" for name in adelic.PRESET_FIELDS])
+    signatures = [spec[3] for spec in corpus.FIELDS.values()] + [
+        adelic.preset_field(name).signature for name in adelic.PRESET_FIELDS]
+    for block, (r, s) in zip(blocks, signatures):
+        assert len(block) == 5 and block[1].endswith(f" signature=({r}, {s})")
+        real, cplx = block[3].split("=")[1], block[4].split("=")[1]
+        assert (len(real.split(",")) if real else 0, len(cplx.split(";")) if cplx else 0) == (r, s)
+
+
 def test_minima_scaling_prints_one_row_per_case():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
