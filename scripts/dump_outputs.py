@@ -20,6 +20,11 @@ change keeps every output bit for bit:
     PYTHONPATH=src python3 scripts/dump_outputs.py > after.txt
     PYTHONPATH=../parent/src python3 scripts/dump_outputs.py > before.txt
     diff before.txt after.txt
+
+With `--values` every float is printed at `.12g` instead of as float hex,
+and witnesses are left out: a change that picks another reduced basis
+(other witnesses, other last bits of a gauge) but keeps every minimum,
+product, bracket and verdict then dumps identically.
 """
 
 import argparse
@@ -38,8 +43,13 @@ import corpus  # noqa: E402
 WORKLOADS = ("transference", "covering", "cli_duality", "fields")
 
 
-def hexes(values) -> str:
-    return ",".join(float(v).hex() for v in values)
+def number(v, values: bool) -> str:
+    """Float hex, or with `values` the float at .12g."""
+    return format(float(v), ".12g") if values else float(v).hex()
+
+
+def numbers(vs, values: bool) -> str:
+    return ",".join(number(v, values) for v in vs)
 
 
 def kvector(xs) -> str:
@@ -62,21 +72,22 @@ def body(case, fields):
     return adelic.AdelicBody(module, adelic.ProductBody(k, slot.n, places))
 
 
-def transference_lines(case, fields):
+def transference_lines(case, fields, values):
     rep = adelic.transference_check(body(case, fields))
     for side, minima in (("S", rep.report_s), ("S*", rep.report_sstar)):
-        yield f"{side} minima={hexes(minima.minima)} classical={hexes(minima.classical)}"
-        for w in minima.witnesses:
+        yield (f"{side} minima={numbers(minima.minima, values)} "
+               f"classical={numbers(minima.classical, values)}")
+        for w in [] if values else minima.witnesses:
             yield f"{side} witness={kvector(w)}"
     for row in rep.rows:
-        yield (f"ell={row.ell} product={float(row.product).hex()} "
+        yield (f"ell={row.ell} product={number(row.product, values)} "
                f"lower={row.lower_verdict} upper={row.upper_verdict}")
 
 
-def covering_lines(case, fields):
+def covering_lines(case, fields, values):
     rep = adelic.mu_product_report(body(case, fields), resolution=case.slot.resolution)
-    yield (f"lambda1={float(rep.lambda1).hex()} mu={hexes(rep.mu_bracket)} "
-           f"product={hexes(rep.product_bracket)}")
+    yield (f"lambda1={number(rep.lambda1, values)} mu={numbers(rep.mu_bracket, values)} "
+           f"product={numbers(rep.product_bracket, values)}")
 
 
 def cli_lines(case, workdir: Path):
@@ -90,11 +101,11 @@ def cli_lines(case, workdir: Path):
     yield from ("  stderr: " + line for line in err.getvalue().splitlines())
 
 
-def field_lines(field):
+def field_lines(field, values):
     yield f"disc={field.discriminant} signature={field.signature}"
     yield f"trace_form={field.trace_form}"
-    yield f"real={hexes(field.real_roots)}"
-    yield "complex=" + ";".join(hexes((z.real, z.imag)) for z in field.complex_roots)
+    yield f"real={numbers(field.real_roots, values)}"
+    yield "complex=" + ";".join(numbers((z.real, z.imag), values) for z in field.complex_roots)
 
 
 def fields_blocks():
@@ -109,6 +120,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    ap.add_argument("--values", action="store_true",
+                    help="floats at .12g instead of float hex, and no witnesses")
     args = ap.parse_args()
     fields = {}
     with tempfile.TemporaryDirectory() as workdir:
@@ -116,7 +129,7 @@ def main():
             if workload == "fields":
                 for header, field in fields_blocks():
                     print(header)
-                    for line in field_lines(field):
+                    for line in field_lines(field, args.values):
                         print("  " + line)
                 continue
             for seed in args.seeds:
@@ -125,9 +138,9 @@ def main():
                     if workload == "cli_duality":
                         lines = cli_lines(case, Path(workdir))
                     elif workload == "transference":
-                        lines = transference_lines(case, fields)
+                        lines = transference_lines(case, fields, args.values)
                     else:
-                        lines = covering_lines(case, fields)
+                        lines = covering_lines(case, fields, args.values)
                     try:
                         for line in list(lines):
                             print("  " + line)

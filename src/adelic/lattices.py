@@ -13,9 +13,18 @@ bounding form.
 
 LLL is the Schnorr-Euchner reduction on Python floats: one Gram-Schmidt
 row per arrival at a row, and mu updated in place by size reduction.
-One enumeration engine expands a numpy frontier level by level, around
-the origin for minima and around many grid points at once for covering
-radii; it gives the floats of a depth-first recursion bit for bit.
+It returns U^-T with U, so a lattice and its polar take one reduction
+from scratch (`reduced_pair`): the polar's starts from J U^-T.
+
+One enumeration engine expands a frontier level by level, around the
+origin for minima and around many grid points at once for covering
+radii; it gives the floats of a depth-first recursion bit for bit.  A
+level that starts with fewer than `NARROW_ROWS` = 16 rows runs on
+Python floats, the first wider level and all after it on numpy columns:
+a numpy level costs about 35-65 us whatever its width, a Python level
+about 2 us per row, and they cross near 25 rows at nd 4, 32 at nd 9 and
+40 at nd 16 (shared 2-vCPU Xeon, Python 3.11, numpy 2.4).  A covering
+batch starts with 16 targets, so it runs on numpy throughout.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ from .omodules import KModule, KVector
 LLL_DELTA = 0.99  # the Lovasz condition of every reduction
 EQUAL_TOL = 1e-8  # entrywise slack of `lattice_equal` on the change of basis
 ENUMERATION_CAP = 1_000_000  # default nodes of one enumeration round or covering grid batch
+NARROW_ROWS = 16  # enumeration levels with fewer frontier rows run on Python floats
 RESOLUTION = 64  # default covering grid points per axis
 
 
@@ -90,15 +100,12 @@ class EmbeddedLattice:
 
     def reduced(self) -> "EmbeddedLattice":
         """LLL reduction under the form: the basis and the exact rows times one integer u."""
-        scaled = self.basis * np.sqrt(self.form)
-        u = _lll_transform(scaled, LLL_DELTA)
-        # entry (i, j) sums u[i][k] * basis[k][j] over increasing k from +0.0,
-        # the floats of the per-entry sum
-        new_basis = np.zeros_like(self.basis)
-        for k, column in enumerate(np.array(u, dtype=float).T):
-            new_basis = new_basis + column[:, None] * self.basis[k]
+        return self.transformed(_lll_transform(self.basis * np.sqrt(self.form), LLL_DELTA)[0])
+
+    def transformed(self, u: list[list[int]]) -> "EmbeddedLattice":
+        """The basis u B of the same lattice, u integer unimodular: floats and exact rows."""
         rows = None if self.rows is None else (mat_mul(u, self.rows[0]), self.rows[1])
-        return EmbeddedLattice._known(self.field, new_basis, rows, self.conjugated)
+        return EmbeddedLattice._known(self.field, _combine(u, self.basis), rows, self.conjugated)
 
     def preimage_of(self, coords: Sequence[int]) -> KVector | None:
         """The K-vector of the point: coords times the exact rows, in d-blocks."""
@@ -108,6 +115,31 @@ class EmbeddedLattice:
         flat = [Fraction(x, s) for x in mat_vec(transpose(num), coords)]
         d = self.field.degree
         return tuple(self.field.element(flat[k:k + d]) for k in range(0, len(flat), d))
+
+
+def _combine(u: list[list[int]], basis: np.ndarray) -> np.ndarray:
+    """u @ basis with entry (i, j) summing u[i][k] * basis[k][j] over increasing k from +0.0."""
+    out = np.zeros_like(basis)
+    for k, column in enumerate(np.array(u, dtype=float).T):
+        out = out + column[:, None] * basis[k]
+    return out
+
+
+def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
+                 ) -> tuple[EmbeddedLattice, EmbeddedLattice]:
+    """LLL-reduced bases of a lattice and of its polar, one of them reduced from scratch.
+
+    `dual`'s basis is to be the dual basis of `lat`'s, B* F B^t = I, as the
+    trace dual module's Z-basis is of the module's.  When U reduces B, the
+    dual basis of U B is U^-T B*; reversed, J U^-T B* has the Gram-Schmidt
+    norms of U B inverted in reverse order, so it is nearly reduced, and
+    the dual's LLL starts there.  Whatever `dual` holds, the second lattice
+    is an LLL-reduced basis of it; the duality only makes the start good.
+    """
+    u, v = _lll_transform(lat.basis * np.sqrt(lat.form), LLL_DELTA)
+    start = v[::-1]
+    w, _ = _lll_transform(_combine(start, dual.basis) * np.sqrt(dual.form), LLL_DELTA)
+    return lat.transformed(u), dual.transformed(mat_mul(w, start))
 
 
 def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:
@@ -145,19 +177,22 @@ def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:
 # LLL on float rows (plain Euclidean form; callers pre-scale for the twist)
 
 
-def _lll_transform(b: np.ndarray, delta: float) -> list[list[int]]:
-    """The integer transform U of an LLL reduction of the rows of b.
+def _lll_transform(b: np.ndarray, delta: float) -> tuple[list[list[int]], list[list[int]]]:
+    """The integer transform U of an LLL reduction of the rows of b, and U^-T.
 
     Schnorr-Euchner (1994) floating-point LLL on Python floats.  Row k of
     Gram-Schmidt is computed once, when the loop arrives at k (row 0 too,
     after a swap that leaves k at 1).  Size reduction by row j leaves b*_k
     and |b*_k|^2 as they are and updates mu in place; row k is recomputed,
     and the pass repeated, only after a pass that used a coefficient
-    |r| > 2^26, half the float mantissa.
+    |r| > 2^26, half the float mantissa.  V = U^-T follows each step
+    inverted: row k minus r times row j of U adds r times row k of V to
+    row j, and a swap of two rows of U swaps the same rows of V.
     """
     m = len(b)
     b = b.tolist()
     u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [row[:] for row in u]
     bstar, norms, mu = [[]] * m, [0.0] * m, [[0.0] * m for _ in range(m)]
 
     def gram_schmidt_row(i: int):
@@ -185,16 +220,18 @@ def _lll_transform(b: np.ndarray, delta: float) -> list[list[int]]:
                     large = large or abs(r) > 1 << 26
                     b[k] = [x - r * y for x, y in zip(b[k], b[j])]
                     u[k] = [x - r * y for x, y in zip(u[k], u[j])]
+                    v[j] = [x + r * y for x, y in zip(v[j], v[k])]
                     mu_k[:j] = [x - r * y for x, y in zip(mu_k[:j], mu[j])]
                     mu_k[j] -= r
         if norms[k] >= (delta - mu_k[k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k - 1], b[k], u[k - 1], u[k] = b[k], b[k - 1], u[k], u[k - 1]
+            v[k - 1], v[k] = v[k], v[k - 1]
             if k == 1:
                 gram_schmidt_row(0)
             k = max(k - 1, 1)
-    return u
+    return u, v
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +255,11 @@ def _enumerate_quadratic(r: np.ndarray, bound, cap: int, targets: np.ndarray | N
     bound.  The center is -(R f)_i plus the row's R[i, j] c_j over j > i
     in increasing j; at f = 0 every range, term and remainder is the
     float of the depth-first recursion.  Nodes are counted per level, and
-    a level that would take the count past `cap` is never built.
+    a level that would take the count past `cap` is never built.  A level
+    that starts with fewer than `NARROW_ROWS` rows is expanded on Python
+    floats (`_narrow_level`), a wider one and every level after it on
+    numpy columns; both give the same floats, rows and order (children by
+    parent, then ascending c_i).
 
     Without targets the one root is f = 0 and the nonzero c come one per
     +- pair (c_i >= 0 while every higher coordinate is zero), as an int
@@ -230,27 +271,82 @@ def _enumerate_quadratic(r: np.ndarray, bound, cap: int, targets: np.ndarray | N
     m = r.shape[0]
     centred = targets is not None
     shift = targets @ r.T if centred else None
-    remaining = np.array(bound if centred else [bound], dtype=float)
-    root = np.arange(len(remaining))
-    # the frontier is one array per coordinate i+1..m-1, the lower ones being zero
-    cols: list[np.ndarray] = []
-    nodes = 0
-    for i in range(m - 1, -1, -1):
-        s = -shift[root, i] if centred else np.zeros(len(remaining))
+    bounds = np.array(bound if centred else [bound], dtype=float)
+    # the narrow frontier: one (c_i+1 .. c_m-1, remaining bound, root) per row
+    frontier = [((), b, k) for k, b in enumerate(bounds.tolist())]
+    nodes, i = 0, m - 1
+    while i >= 0 and len(frontier) < NARROW_ROWS:
+        try:
+            frontier, nodes = _narrow_level(r, i, shift, frontier, nodes, cap)
+        except (OverflowError, ValueError):  # a range that is not finite: numpy decides it
+            break
+        i -= 1
+    coords, root = _wide_levels(r, i, shift, frontier, nodes, cap)
+    if centred:
+        return coords, root
+    # the zero vector stays first; flip each pair to its first-nonzero-positive member
+    coords = coords[1:]
+    first = coords[np.arange(len(coords)), np.argmax(coords != 0, axis=1)]
+    coords *= np.where(first < 0, -1, 1)[:, None]
+    return coords
+
+
+def _cap_error(cap: int) -> EnumerationCapError:
+    return EnumerationCapError(f"enumeration would visit more than {cap} nodes; "
+                               "raise the cap or shrink the search radius")
+
+
+def _narrow_level(r, i, shift, frontier, nodes, cap):
+    """Level i of `_enumerate_quadratic` on Python floats, row by row as the numpy level."""
+    ri, rii = r[i, i + 1:].tolist(), float(r[i, i])
+    ranges = []
+    for row, (cs, rem, k) in enumerate(frontier):
+        s = -float(shift[k, i]) if shift is not None else 0.0
+        for rij, cj in zip(ri, cs):
+            s = s + rij * cj
+        rad = math.sqrt(max(rem, 0.0))
+        lo = math.ceil((-s - rad) / rii - 1e-12)
+        hi = math.floor((-s + rad) / rii + 1e-12)
+        if shift is None and row == 0:
+            lo = 0  # row 0 is the all-zero prefix: its range is symmetric, keep c_i >= 0
+        nodes += max(hi - lo + 1, 0)
+        ranges.append((s, lo, hi))
+    if not nodes <= cap:
+        raise _cap_error(cap)
+    children = []
+    for (cs, rem, k), (s, lo, hi) in zip(frontier, ranges):
+        for c in range(lo, hi + 1):
+            val = (rii * c + s) ** 2  # libm pow, as np.float_power
+            if val <= rem + 1e-12:
+                children.append(((c,) + cs, rem - val, k))
+    return children, nodes
+
+
+def _wide_levels(r, top, shift, frontier, nodes, cap):
+    """Levels top .. 0 of `_enumerate_quadratic` on numpy columns: (coords, root).
+
+    With top = -1 no level is left, and the frontier is returned as arrays.
+    """
+    m = r.shape[0]
+    remaining = np.array([rem for _, rem, _ in frontier], dtype=float)
+    root = np.array([k for _, _, k in frontier], dtype=np.intp)
+    # one array per coordinate top+1 .. m-1, the lower ones being zero
+    cols = list(np.array([cs for cs, _, _ in frontier], dtype=np.int64)
+                .reshape(len(frontier), m - 1 - top).T)
+    for i in range(top, -1, -1):
+        s = -shift[root, i] if shift is not None else np.zeros(len(remaining))
         for j in range(i + 1, m):
             s = s + r[i, j] * cols[j - i - 1]
         rad = np.sqrt(np.maximum(remaining, 0.0))
         lo = np.ceil((-s - rad) / r[i, i] - 1e-12)
         hi = np.floor((-s + rad) / r[i, i] + 1e-12)
-        if not centred:
+        if shift is None:
             # row 0 is the all-zero prefix: its range is symmetric, keep c_i >= 0
             lo[0] = 0.0
         counts = np.maximum(hi - lo + 1, 0)
         nodes += float(np.sum(counts))
         if not nodes <= cap:
-            raise EnumerationCapError(
-                f"enumeration would visit more than {cap} nodes; "
-                "raise the cap or shrink the search radius")
+            raise _cap_error(cap)
         counts = counts.astype(np.int64)
         parent = np.repeat(np.arange(len(remaining)), counts)
         starts = np.cumsum(counts) - counts
@@ -268,14 +364,7 @@ def _enumerate_quadratic(r: np.ndarray, bound, cap: int, targets: np.ndarray | N
         cols.insert(0, ci[keep])
         root = root[rows]
     coords = np.stack(cols, axis=1)
-    del cols
-    if centred:
-        return coords, root
-    # the zero vector stays first; flip each pair to its first-nonzero-positive member
-    coords = coords[1:]
-    first = coords[np.arange(len(coords)), np.argmax(coords != 0, axis=1)]
-    coords *= np.where(first < 0, -1, 1)[:, None]
-    return coords
+    return coords, root
 
 
 def enumerate_below(

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -45,6 +46,21 @@ def _eval_complex(p: Sequence[float], z: complex) -> complex:
     for c in reversed(p):
         acc = acc * z + c
     return acc
+
+
+def _is_float_root(p: Sequence[float], z: complex) -> bool:
+    """Whether Horner's residual at z is within 4 d eps of sum |p_k| |z|^k.
+
+    Horner's rule returns p(z) within gamma_2d, about d eps, of the sum
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 5.1), and
+    complex products (sqrt(2) gamma_2 each, 3.6) at most double that.
+    Rounding the root and the coefficients to floats adds (d + 1) u.  So
+    a root as accurate as float64 allows leaves under 3 d eps of the sum,
+    and c = 4 adds a margin; a wrong root leaves the sum's own order.
+    """
+    d = len(p) - 1
+    scale = sum(abs(c) * abs(z) ** k for k, c in enumerate(p))
+    return abs(_eval_complex(p, z)) <= 4 * d * sys.float_info.epsilon * scale
 
 
 def _power_sums(poly: Sequence[int], count: int) -> list[int]:
@@ -196,6 +212,9 @@ class FieldElement:
         return NotImplemented if o is None else self.coords == o.coords
 
     def __hash__(self):
+        # a rational element equals, so hashes as, the Fraction it holds
+        if not any(self.coords[1:]):
+            return hash(self.coords[0])
         return hash((self.field.poly, self.coords))
 
     def is_zero(self) -> bool:
@@ -384,13 +403,9 @@ class NumberField:
         complexes = [z for z in roots[r:] if z.imag > 0]
         if len(complexes) != s:
             raise ConditioningError("root classification disagrees with signature")
-        residual_tol = 1e-12 * (1 + max(abs(c) for c in fpoly))
-        for z in reals:
-            if abs(_eval_complex(fpoly, complex(z, 0.0))) > residual_tol:
-                raise ConditioningError("real root residual too large")
-        for z in complexes:
-            if abs(_eval_complex(fpoly, z)) > residual_tol:
-                raise ConditioningError("complex root residual too large")
+        for kind, zs in (("real", [complex(x, 0.0) for x in reals]), ("complex", complexes)):
+            if not all(_is_float_root(fpoly, z) for z in zs):
+                raise ConditioningError(f"{kind} root residual too large")
         reals.sort()
         complexes.sort(key=lambda z: (z.real, z.imag))
         return reals, complexes

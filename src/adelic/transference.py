@@ -10,6 +10,10 @@ K-span, and a point already in the Q-span of the points before it is
 not K-tested at all.  Only the kept points, the witnesses, are mapped
 back to exact K-vectors, through the same rows.  Dilation acts on the
 infinite places only, so a point's minimum level is just its gauge.
+A transference check searches S and S* through `adelic_minima` on
+lattices reduced by `reduced_pair`: the polar's Z-basis is the exact
+dual basis of the module's, so its LLL starts from the primal's
+transform read off and only finishes it.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .lattices import (
     covering_radius_bounds,
     lattice_from_module,
     points_by_gauge,
+    reduced_pair,
 )
 from .omodules import KModule, KRankTracker, KVector
 
@@ -89,8 +94,12 @@ class MinimaReport:
     thunder_slacks: list[float]    # classical[(l-1)*d] - minima[l-1], per l
 
 
-def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP) -> MinimaReport:
+def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP,
+                  reduced: EmbeddedLattice | None = None) -> MinimaReport:
     """Successive minima with exact K-independence bookkeeping.
+
+    The search runs on `reduced`, an LLL-reduced basis of `body.lattice()`
+    with its exact rows, or when it is None on that lattice reduced here.
 
     One pass over `points_by_gauge` feeds two exact trackers, both on
     the points' integer coordinates: the rank over Q (the classical
@@ -108,7 +117,7 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP) -> MinimaReport:
     field = body.field
     n, d = body.n, field.degree
     target_classical = (n - 1) * d + 1
-    red = body.lattice().reduced()
+    red = body.lattice().reduced() if reduced is None else reduced
     ktracker = KRankTracker(field, red.rows)
     rtracker = RankTracker(red.dim)
     minima: list[float] = []
@@ -186,10 +195,10 @@ class TransferenceReport:
         return all(row.verdict == "pass" for row in self.rows)
 
 
-def _side_minima(side: str, body: AdelicBody, cap: int) -> MinimaReport:
-    """`adelic_minima`, with a cap error prefixed by the side it came from."""
+def _side_minima(side: str, body: AdelicBody, cap: int, red: EmbeddedLattice) -> MinimaReport:
+    """`adelic_minima` on `red`, with a cap error prefixed by the side it came from."""
     try:
-        return adelic_minima(body, cap)
+        return adelic_minima(body, cap, red)
     except EnumerationCapError as exc:
         raise EnumerationCapError(f"{side}: {exc}") from exc
 
@@ -201,6 +210,8 @@ def transference_check(body: AdelicBody, cap: int = ENUMERATION_CAP) -> Transfer
     |disc|^(-1/d) only for totally real or CM fields with rotation
     invariant bodies at the complex places, which the body classes
     enforce.  Inapplicable bounds yield "n/a", never "fail".
+    One LLL runs from scratch: the polar's starts from the primal's
+    transform read off (`reduced_pair`).
     """
     field = body.field
     n, d = body.n, field.degree
@@ -209,8 +220,10 @@ def transference_check(body: AdelicBody, cap: int = ENUMERATION_CAP) -> Transfer
         cm=field.is_cm,
         cm_was_asserted=field.cm_asserted,
     )
-    rep_s = _side_minima("body S", body, cap)
-    rep_star = _side_minima("polar S*", adelic_polar(body), cap)
+    star = adelic_polar(body)
+    red, red_star = reduced_pair(body.lattice(), star.lattice())
+    rep_s = _side_minima("body S", body, cap, red)
+    rep_star = _side_minima("polar S*", star, cap, red_star)
     upper = (n * d) ** 1.5
     lower = abs(field.discriminant) ** (-1.0 / d) if flags.lower_bound_applies else None
     rows = []

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic import lattices
-from adelic.exactla import RankTracker, mat_det, mat_mul
+from adelic.exactla import RankTracker, mat_det, mat_mul, transpose
 from adelic import (
     AdelicBody,
     Ball,
@@ -178,7 +179,7 @@ def test_reduction_reuses_the_back_map_embedding(monkeypatch):
                         lambda *args: transforms.append(lll(*args)) or transforms[-1])
     red = lat.reduced()
     assert calls == []
-    [u] = transforms
+    [(u, _)] = transforms
     assert red.rows == (mat_mul(u, lat.rows[0]), lat.rows[1])
     # each entry is the sum of u[i][k] * basis[k][j] over increasing k, bit for bit
     m = lat.dim
@@ -210,9 +211,12 @@ def lll_bases(draw):
 # first coefficient about -2^33: without a fresh row after it, mu_20 is off by more than 1/2
 @example([[1, 2, -2], [-8589934589, -17179869174, 17179869179], [4294967299, 42949672974, 0]])
 def test_lll_transform_is_lll_reduced_in_exact_arithmetic(rows):
-    # U is unimodular and U B is size-reduced and Lovasz at delta = 0.99, in Fractions
-    u = lattices._lll_transform(np.array(rows, dtype=float), 0.99)
+    # U is unimodular, V is U^-T, and U B is size-reduced and Lovasz at delta = 0.99,
+    # in Fractions
+    u, v = lattices._lll_transform(np.array(rows, dtype=float), 0.99)
     assert abs(mat_det(u)) == 1
+    assert mat_mul(u, transpose(v)) == [[int(i == j) for j in range(len(u))]
+                                        for i in range(len(u))]
     mu, norms = fraction_gram_schmidt(mat_mul(u, rows))
     assert all(abs(x) <= F(1, 2) for row in mu for x in row)
     assert all(norms[k] >= (F(99, 100) - mu[k][k - 1] ** 2) * norms[k - 1]
@@ -383,6 +387,92 @@ def test_capped_centred_enumeration_never_returns_a_partial_list():
         outcomes.add("complete")
         assert [x.tolist() for x in got] == [x.tolist() for x in full]
     assert outcomes == {"raised", "complete"}
+
+
+def frontier_forms(search):
+    """search() with every level on numpy columns, then with every level on Python floats.
+
+    A cap error is returned as its message.
+    """
+    out = []
+    for rows in (0, 10 ** 9):
+        with patch.object(lattices, "NARROW_ROWS", rows):
+            try:
+                out.append(search())
+            except EnumerationCapError as exc:
+                out.append(str(exc))
+    return out
+
+
+def identical(a, b) -> bool:
+    """Equal messages, or arrays (or tuples of arrays) equal in dtype, shape and order."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(identical, a, b))
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+# the point (-4, -1, -1, 1) lies within 1e-12 of this bound when the centre
+# sums its three terms in increasing j, and outside it in decreasing j
+CENTRE_ORDER_FORM = np.eye(4)
+CENTRE_ORDER_FORM[0] = [float.fromhex(x) for x in (
+    "0x1.4fbbe59826703p+0", "-0x1.75e31148c0e11p+1", "0x1.032d1f0d0bdaap+1",
+    "-0x1.71a1da163fd57p+0")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangular_forms())
+@example((CENTRE_ORDER_FORM, float.fromhex("0x1.2485604c19cc6p+5")))
+def test_both_frontier_forms_return_identical_arrays(case):
+    r, bound = case
+    numpy_form, python_form = frontier_forms(
+        lambda: lattices._enumerate_quadratic(r, bound, 10 ** 6))
+    assert identical(numpy_form, python_form)
+    assert identical(lattices._enumerate_quadratic(r, bound, 10 ** 6), numpy_form)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_both_frontier_forms_return_identical_centred_arrays(seed):
+    # 5 targets start on Python floats by default and 20 on numpy columns
+    rng = np.random.default_rng(seed)
+    m = 1 + seed % 4
+    r = np.triu(rng.uniform(-2, 2, size=(m, m)))
+    r[np.diag_indices(m)] = rng.uniform(0.3, 2.5, size=m)
+    for k in (5, 20):
+        targets = rng.uniform(-3, 3, size=(k, m))
+        bounds = rng.uniform(0.05, 6, size=k)
+        numpy_form, python_form = frontier_forms(
+            lambda: lattices._enumerate_quadratic(r, bounds, 10 ** 6, targets))
+        assert identical(numpy_form, python_form)
+        assert identical(lattices._enumerate_quadratic(r, bounds, 10 ** 6, targets), numpy_form)
+
+
+def test_both_frontier_forms_stop_at_the_same_caps():
+    r = np.linalg.cholesky(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])).T
+    targets = np.array([[0.5, 0.5, 0.5], [0.25, -0.75, 2.0]])
+    bounds = np.array([9.0, 4.0])
+    outcomes = set()
+    for cap in range(1, 401):
+        for search in (lambda: lattices._enumerate_quadratic(r, 9.0, cap),
+                       lambda: lattices._enumerate_quadratic(r, bounds, cap, targets)):
+            numpy_form, python_form = frontier_forms(search)
+            assert identical(numpy_form, python_form)
+            outcomes.add(isinstance(numpy_form, str))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("bound", [math.inf, math.nan])
+def test_both_frontier_forms_refuse_a_bound_that_is_not_finite(bound):
+    # a range that is not finite counts past any cap on numpy columns; on
+    # Python floats it cannot be rounded, so that level is left to numpy
+    r = np.array([[1.0, 0.5], [0.0, 2.0]])
+    for search in (lambda: lattices._enumerate_quadratic(r, bound, 10 ** 6),
+                   lambda: lattices._enumerate_quadratic(
+                       r, np.array([1.0, bound]), 10 ** 6, np.zeros((2, 2)))):
+        numpy_form, python_form = frontier_forms(search)
+        assert numpy_form == python_form
+        assert numpy_form.startswith("enumeration would visit more than 1000000 nodes")
 
 
 @pytest.mark.parametrize("m", [2, 4, 9, 16])

@@ -1,6 +1,7 @@
 """Number field arithmetic, trace form, discriminant, and embeddings."""
 
 import math
+import random
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adelic import numberfield
 from adelic import (
+    ConditioningError,
     NumberField,
     PRESET_FIELDS,
     preset_field,
@@ -107,6 +110,15 @@ def test_rational_elements_compare_equal_to_rationals():
     assert k.from_rational(F(7, 3)).coords == (F(7, 3), F(0))
 
 
+def test_rational_elements_hash_as_the_rationals_they_equal():
+    k = quadratic_field(2)
+    x = k.from_rational(F(7, 3))
+    assert x == F(7, 3) and hash(x) == hash(F(7, 3))
+    assert len({x, F(7, 3)}) == 1 and {F(7, 3): "q"}[x] == "q"
+    assert len({k.from_rational(5), 5, F(5)}) == 1
+    assert len({k.theta(), k.from_rational(1)}) == 2
+
+
 def test_elements_of_separately_built_fields_compare_without_raising():
     x, y = preset_field("Q_sqrt2").theta(), preset_field("Q_sqrt2").theta()
     assert x == y and not x != y and x in [y] and hash(x) == hash(y)
@@ -142,8 +154,8 @@ def monic_polynomials(draw):
 @given(monic_polynomials())
 def test_trace_form_signature_and_discriminant_match_the_references(poly):
     # the exact data against the reduction-table trace form, its Fraction
-    # determinant and the Sturm count; the float roots are left out, as at
-    # large coefficients their residual check refuses most fields
+    # determinant and the Sturm count; the float roots are left out, as
+    # they have tests of their own
     d = len(poly) - 1
     want = reduction_trace_form(poly)
     disc = fraction_det(want)
@@ -170,6 +182,35 @@ def test_root_order_and_residuals(preset):
         val = sum(c * root ** k for k, c in enumerate(coeffs))
         assert abs(val) < 1e-12 * scale
     assert preset.real_roots == sorted(preset.real_roots)
+
+
+def test_root_residual_bound_scales_with_the_polynomial():
+    # a bound fixed to max |a_k| refused these; Horner's error grows with sum |a_k| |z|^k
+    k = NumberField([-1, -10 ** 6, 1], power_basis(2))
+    assert k.signature == (2, 0) and math.isclose(k.real_roots[1], 1e6 + 1e-6, rel_tol=1e-15)
+    rng = random.Random(0)
+    built = 0
+    for d in (4, 5, 6):
+        for _ in range(40):
+            poly = [rng.randint(-30, 30) for _ in range(d)] + [1]
+            try:
+                NumberField(poly, power_basis(d))
+            except ValueError as exc:
+                assert "squarefree" in str(exc)
+                continue
+            built += 1
+    assert built >= 110
+
+
+@pytest.mark.parametrize("poly,planted,kind", [
+    ([-2, 0, 1], [1e6, -1.4], "real"),
+    ([1, 0, 1], [1e6j, -1e6j], "complex"),
+])
+def test_a_wrong_float_root_fails_the_residual_check(poly, planted, kind):
+    # six Newton steps from 10^6 leave z near 10^6 / 64, far from every root
+    with patch.object(numberfield, "_aberth_roots", lambda p, target: list(planted)):
+        with pytest.raises(ConditioningError, match=f"{kind} root residual too large"):
+            NumberField(poly, power_basis(2))
 
 
 def test_embed_sqrt2_orders_real_roots_ascending():

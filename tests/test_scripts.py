@@ -66,6 +66,23 @@ def test_dump_outputs_prints_every_corpus_field_and_preset():
         assert (len(real.split(",")) if real else 0, len(cplx.split(";")) if cplx else 0) == (r, s)
 
 
+def test_dump_outputs_values_prints_no_witness_and_no_float_hex():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "dump_outputs.py"),
+                           "--workloads", "transference", "covering", "--seeds", "1", "--values"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert not any("witness" in line or "0x" in line for line in lines)
+    minima = [line for line in lines if line.startswith("  S minima=")]
+    assert minima and len(minima) == sum(line.startswith("  S* minima=") for line in lines)
+    for line in minima:
+        assert all(float(x) > 0 for x in line.split()[1][len("minima="):].split(","))
+    assert any(line.startswith("  ell=1 product=") and line.endswith("upper=pass")
+               for line in lines)
+    assert any(line.startswith("  lambda1=") for line in lines)
+
+
 def test_minima_scaling_prints_one_row_per_case():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),

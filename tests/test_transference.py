@@ -297,7 +297,9 @@ def test_minima_cap_error_names_the_stage_round_and_level(capsys):
 
 def test_nd15_probe_completes_with_a_pinned_point_count(monkeypatch):
     # x^3-x-1 at rank 5 (nd 15): the doubling schedule hit the node cap in
-    # round 3 on this body; the bracketed one finishes in a few rounds
+    # round 3 on this body; the bracketed one finishes in a few rounds.  The
+    # count depends on the polar's reduced basis, which starts from the
+    # primal's transform read off
     k = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     body = AdelicBody(random_module(k, 5), uniform_ball_body(k, 5, F(1)))
     rounds, points = [], []
@@ -312,7 +314,70 @@ def test_nd15_probe_completes_with_a_pinned_point_count(monkeypatch):
     monkeypatch.setattr(lattices, "enumerate_below", spy)
     rep = transference_check(body)
     assert rep.passed and len(rep.rows) == 5
-    assert (len(rounds), sum(points)) == (9, 227)
+    assert (len(rounds), sum(points)) == (10, 264)
+
+
+def read_off_fields():
+    """Every preset field, then every field of the benchmark corpus that is not one."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    fields = {name: preset_field(name) for name in PRESETS}
+    for name, (poly, basis, cm, _) in corpus.FIELDS.items():
+        fields.setdefault(name, NumberField(poly, basis, cm_asserted=cm))
+    return fields
+
+
+def searched_lattices(monkeypatch, body):
+    """transference_check(body) and the reduced lattices it searches, S then S*."""
+    searched = []
+    real = transference.adelic_minima
+
+    def spy(side_body, cap, reduced=None):
+        searched.append(reduced)
+        return real(side_body, cap, reduced)
+
+    monkeypatch.setattr(transference, "adelic_minima", spy)
+    return transference_check(body), searched
+
+
+@pytest.mark.parametrize("name,n", [(name, n) for name in read_off_fields() for n in (1, 2)])
+def test_polar_read_off_spans_the_polar_and_keeps_its_minima(monkeypatch, name, n):
+    # the polar's basis starts from the primal's transform read off; it spans
+    # the polar lattice, and its minima are those of a reduction from scratch
+    k = read_off_fields()[name]
+    body = AdelicBody(random_module(k, n, seed=n), uniform_ball_body(k, n, F(1)))
+    rep, (red, red_star) = searched_lattices(monkeypatch, body)
+    star = adelic_polar(body)
+    assert exactla.is_unimodular_ratio(red_star.rows, star.lattice().rows)
+    assert exactla.is_unimodular_ratio(red.rows, body.lattice().rows)
+    scratch = adelic_minima(star)
+    assert len(rep.report_sstar.minima) == n
+    for got, want in zip(rep.report_sstar.minima + rep.report_sstar.classical,
+                         scratch.minima + scratch.classical):
+        assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_transference_check_reduces_one_lattice_from_scratch(monkeypatch):
+    # two LLL runs, and the polar's is a finishing pass: it moves fewer basis
+    # rows (rows of U other than the identity's) than a reduction from scratch
+    k = preset_field("Q_sqrt2")
+    body = AdelicBody(random_module(k, 5), uniform_ball_body(k, 5, F(1)))
+    moved = []
+    real = lattices._lll_transform
+
+    def spy(b, delta):
+        u, v = real(b, delta)
+        moved.append(sum(row != [int(i == j) for j in range(len(u))] for i, row in enumerate(u)))
+        return u, v
+
+    monkeypatch.setattr(lattices, "_lll_transform", spy)
+    transference_check(body)
+    assert len(moved) == 2
+    adelic_minima(adelic_polar(body))
+    assert len(moved) == 3 and moved[1] < moved[2]
 
 
 def test_thunder_slacks_are_nonnegative():
