@@ -21,6 +21,13 @@ change keeps every output bit for bit:
     PYTHONPATH=../parent/src python3 scripts/dump_outputs.py > before.txt
     diff before.txt after.txt
 
+or in one run, which dumps the package imported here and, in a subprocess,
+the one under DIR, with the same workloads, seeds and `--values`; it
+prints a unified diff and exits 1 on any difference, and otherwise prints
+`identical (N lines)`:
+
+    PYTHONPATH=src python3 scripts/dump_outputs.py --against ../parent/src
+
 With `--values` every float is printed at `.12g` instead of as float hex,
 and witnesses are left out: a change that picks another reduced basis
 (other witnesses, other last bits of a gauge) but keeps every minimum,
@@ -29,7 +36,10 @@ product, bracket and verdict then dumps identically.
 
 import argparse
 import contextlib
+import difflib
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -116,13 +126,7 @@ def fields_blocks():
         yield f"fields preset={name}", adelic.preset_field(name)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
-    ap.add_argument("--values", action="store_true",
-                    help="floats at .12g instead of float hex, and no witnesses")
-    args = ap.parse_args()
+def dump(args):
     fields = {}
     with tempfile.TemporaryDirectory() as workdir:
         for workload in args.workloads:
@@ -147,6 +151,39 @@ def main():
                     except (adelic.EnumerationCapError, adelic.ConditioningError,
                             adelic.DimensionLimitError) as exc:
                         print(f"  raised {type(exc).__name__}: {exc}")
+
+
+def against(args) -> int:
+    """Dump here and with PYTHONPATH=args.against; print the diff, or that there is none."""
+    here = io.StringIO()
+    with contextlib.redirect_stdout(here):
+        dump(args)
+    argv = [sys.executable, __file__, "--workloads", *args.workloads,
+            "--seeds", *map(str, args.seeds), *(["--values"] if args.values else [])]
+    env = dict(os.environ, PYTHONPATH=str(Path(args.against).resolve()))
+    there = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+    lines = here.getvalue().splitlines(keepends=True)
+    diff = list(difflib.unified_diff(there.splitlines(keepends=True), lines,
+                                     fromfile=args.against, tofile=adelic.__path__[0]))
+    sys.stdout.writelines(diff)
+    if not diff:
+        print(f"identical ({len(lines)} lines)")
+    return 1 if diff else 0
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3])
+    ap.add_argument("--values", action="store_true",
+                    help="floats at .12g instead of float hex, and no witnesses")
+    ap.add_argument("--against", metavar="DIR",
+                    help="compare with the package under DIR: a unified diff and exit 1 on "
+                         "any difference, else 'identical (N lines)'")
+    args = ap.parse_args()
+    if args.against:
+        sys.exit(against(args))
+    dump(args)
 
 
 if __name__ == "__main__":

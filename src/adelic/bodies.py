@@ -16,7 +16,9 @@ from functools import cached_property
 import numpy as np
 
 from .exactla import mat_det, mat_inv
-from .numberfield import NumberField
+from .numberfield import NumberField, float_of
+
+SHAPE_BOUND = 2.0 ** 511  # a shape parameter x within it has x^2 and 1 / x^2 finite and nonzero
 
 
 def _as_fraction_tuple(xs) -> tuple[Fraction, ...]:
@@ -37,21 +39,25 @@ class Ball:
     def intrinsic_dim(self) -> int | None:
         return None
 
+    @cached_property
+    def _r(self) -> float:
+        return float_of(self.radius, "ball radius", SHAPE_BOUND)
+
     def gauge_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(pts, axis=1) / float(self.radius)
+        return np.linalg.norm(pts, axis=1) / self._r
 
     def polar(self, c: int) -> "Ball":
         return Ball(Fraction(1) / (c * self.radius))
 
     def circumradius(self) -> float:
-        return float(self.radius)
+        return self._r
 
     def bounding_diag(self, dim: int) -> np.ndarray:
         r = self.circumradius()
         return np.full(dim, 1.0 / (r * r))
 
     def lipschitz(self) -> float:
-        return 1.0 / float(self.radius)
+        return 1.0 / self._r
 
     def scaled(self, f: Fraction) -> "Ball":
         return Ball(self.radius * f)
@@ -73,7 +79,7 @@ class Box:
 
     @cached_property
     def _h(self) -> np.ndarray:
-        return np.array([float(h) for h in self.halfwidths])
+        return np.array([float_of(h, "box halfwidth", SHAPE_BOUND) for h in self.halfwidths])
 
     def gauge_many(self, pts: np.ndarray) -> np.ndarray:
         return np.max(np.abs(pts) / self._h, axis=1)
@@ -111,7 +117,7 @@ class CrossPolytope:
 
     @cached_property
     def _s(self) -> np.ndarray:
-        return np.array([float(s) for s in self.scales])
+        return np.array([float_of(s, "cross-polytope scale", SHAPE_BOUND) for s in self.scales])
 
     def gauge_many(self, pts: np.ndarray) -> np.ndarray:
         return np.sum(np.abs(pts) / self._s, axis=1)
@@ -156,7 +162,8 @@ class Ellipsoid:
 
     @cached_property
     def _qf(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.q])
+        return np.array([[float_of(x, "ellipsoid form entry", SHAPE_BOUND) for x in row]
+                         for row in self.q])
 
     def gauge_many(self, pts: np.ndarray) -> np.ndarray:
         # elementwise products and a per-row sum: unlike einsum or a matmul,

@@ -18,6 +18,7 @@ import cmath
 import math
 import operator
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
 
@@ -36,6 +37,15 @@ from .exactla import (
 )
 
 ROOT_TOL = 1e-15  # the Aberth stopping step; float64 roots saturate here
+
+
+def float_of(x: Fraction, what: str, bound: float = sys.float_info.max) -> float:
+    """x as a float; a `ConditioningError` naming x unless x = 0 or 1 / bound <= |x| <= bound."""
+    if x and not 1 / bound <= abs(x) <= bound:
+        raise ConditioningError(f"{what} {Decimal(x.numerator) / x.denominator:.3e} "
+                                "is outside the float range")
+    return float(x)
+
 
 # ---------------------------------------------------------------------------
 # polynomial helpers
@@ -287,10 +297,8 @@ class NumberField:
         if not closed:
             raise ValueError("integral basis is not closed under multiplication")
 
-        # B P B^t on B's numerators
+        # B P B^t on B's numerators, integral: the basis spans an order
         gram = mat_mul(mat_mul(num, self.trace_form), transpose(num))
-        if any(x % (t * t) for row in gram for x in row):
-            raise ValueError("trace pairings of the integral basis are not integers")
         self.trace_gram: IntMatrix = [[x // (t * t) for x in row] for row in gram]
         self.discriminant = int(mat_det(self.trace_gram))
         if claimed_discriminant is not None and claimed_discriminant != self.discriminant:
@@ -391,7 +399,7 @@ class NumberField:
 
     def _roots(self) -> tuple[list[float], list[complex]]:
         """Real roots ascending and complex roots of positive imaginary part by (Re, Im)."""
-        fpoly = [float(c) for c in self.poly]
+        fpoly = [float_of(c, "polynomial coefficient") for c in self.poly]
         r, s = self.signature
         if self.degree == 1:
             return [-fpoly[0]], []
@@ -442,7 +450,12 @@ class NumberField:
         is that of a per-element loop on `complex` numbers.
         """
         num, s = flat
-        coeffs = np.array([[x / s for x in row] for row in num]).reshape(len(num), -1, self.degree)
+        try:
+            coeffs = np.array([[x / s for x in r] for r in num]).reshape(len(num), -1, self.degree)
+        except OverflowError:
+            # float_of refuses the largest coordinate, which x / s could not carry
+            float_of(Fraction(max(abs(x) for row in num for x in row), s), "lattice coordinate")
+            raise
         real, roots = np.array(self.real_roots), np.array(self.complex_roots)
         zr, zi = roots.real, roots.imag
         acc = np.zeros(coeffs.shape[:2] + real.shape)

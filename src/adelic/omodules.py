@@ -7,24 +7,26 @@ with one scale s (the matrix is N / s): an ideal's coordinates
 representation R(W) over Q of the pseudo-vector matrix W, and the
 module's Z-basis `int_flat`, the product blockdiag(C_i) R(W).  A module
 is eliminated once, by the solve with R(W)^t that gives the dual's
-vectors (W^-1)^t and tests K-independence; the dual's own inverse W^t is
-read off once W* W^t = I is checked over K.  The trace dual takes one
-dual per distinct ideal, and its second route is its pairing with the
-module under the trace form P[i][j] = Tr(theta^(i+j)), built block by
-block from W* W^t, which must be unimodular (the identity up to scale,
-read off).  Equality holds for identical pseudo-bases and is otherwise
-one unimodular-ratio test.  `KRankTracker` reads a lattice point as its
-power-basis numerators, its coordinates times the lattice's exact rows,
-and takes their images under theta block by block with the integer
-companion matrix, so K-rank is decided on Python ints without an
-nd x nd matrix and without the pseudo-basis.
+vectors (W^-1)^t and tests K-independence.  The trace dual takes one
+dual per distinct ideal and is certified on its two parts: the vectors,
+W*^t W = I on R(W), which also lets the dual's own inverse W^t be read
+off; and the ideals, each dual ideal's Z-basis pairing unimodularly
+with its ideal's under the trace form P[i][j] = Tr(theta^(i+j)).  Given
+the first, the pairing of the two modules' Z-bases is block-diagonal
+with exactly these d x d blocks.  Equality holds for identical
+pseudo-bases and is otherwise one unimodular-ratio test.
+`KRankTracker` reads a lattice point as its power-basis numerators, its
+coordinates times the lattice's exact rows, and takes their images
+under theta block by block with the integer companion matrix, so K-rank
+is decided on Python ints without an nd x nd matrix and without the
+pseudo-basis.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ConditioningError
@@ -42,7 +44,6 @@ from .exactla import (
 from .numberfield import FieldElement, NumberField
 
 KVector = tuple[FieldElement, ...]
-KProducts = tuple[list[list[list[int]]], int]  # (G, s): n x n over K, entries G[i][j] / s
 
 
 class KRankTracker:
@@ -97,8 +98,7 @@ class FractionalIdeal:
         if len(zbasis) != field.degree:
             raise ValueError("ideal basis must have one generator per degree")
         self.field = field
-        self.zbasis = tuple(zbasis)
-        self.int_coords = integer_matrix([b.coords for b in self.zbasis])
+        self.int_coords = integer_matrix([b.coords for b in zbasis])
         try:
             _, stable = field._ring_stable(self.int_coords[0])
         except ValueError:
@@ -135,18 +135,23 @@ class FractionalIdeal:
         """
         return self._dual
 
+    def pairing(self, other: "FractionalIdeal") -> tuple[IntMatrix, int]:
+        """Tr(x y) over the two Z-bases: (N P M^t, s t) for `int_coords` (N, s) and (M, t)."""
+        (n, s), (m, t) = self.int_coords, other.int_coords
+        return mat_mul(mat_mul(n, self.field.trace_form), transpose(m)), s * t
+
     @cached_property
     def _dual(self) -> "FractionalIdeal":
         # for the coordinate matrix C = N / s the dual basis is
         # (C P C^t)^-1 C = Y / q, from (N P N^t) Y = q s N
         n, s = self.int_coords
-        n_p = mat_mul(n, self.field.trace_form)
-        y, q = solve_scaled(mat_mul(n_p, transpose(n)), [[s * x for x in row] for row in n])
-        # the pairings Tr(u * a) of the two Z-bases, Y P N^t / (q s), form the identity
-        if not is_unimodular(mat_mul(y, transpose(n_p)), q * s):
-            raise ConditioningError("ideal trace dual failed verification")
+        y, q = solve_scaled(self.pairing(self)[0], [[s * x for x in row] for row in n])
         # the complementary ideal of an O-ideal is an O-ideal
-        return FractionalIdeal._known(self.field, (y, q))
+        dual = FractionalIdeal._known(self.field, (y, q))
+        # the pairings Tr(u * a) of the two Z-bases form the identity
+        if not is_unimodular(*dual.pairing(self)):
+            raise ConditioningError("ideal trace dual failed verification")
+        return dual
 
     @classmethod
     def whole_ring(cls, field: NumberField) -> "FractionalIdeal":
@@ -217,41 +222,6 @@ class KModule:
             rows.extend([x * (s // si) for x in row] for row in mat_mul(c, r[i * d:(i + 1) * d]))
         return rows, s * t
 
-    def _products(self, other: "KModule") -> KProducts:
-        """W V^t over K, V the other's pseudo-vectors: (G, s), g_ij's coordinates G[i][j] / s.
-
-        g_ij = [M(V_j1) ... M(V_jn)] W_i, read off R(V)'s block row j, each block transposed.
-        """
-        d, n = self.field.degree, self.rank
-        (w, s), (r, t) = self.int_vectors, other.regular
-        ms = [[[r[j * d + q][k * d + c] for k in range(n) for q in range(d)] for c in range(d)]
-              for j in range(n)]
-        return [[mat_vec(m, x) for m in ms] for x in w], s * t
-
-    def pairing(self, other: "KModule", products: KProducts | None = None) -> tuple[IntMatrix, int]:
-        """sum_k Tr(x_k y_k) on the Z-bases: (A (I_n (x) P) B^t, s t), int_flat (A, s), (B, t).
-
-        alpha w_i and beta v_j pair to Tr(alpha beta g_ij), g = W V^t over K (`products`, or
-        `_products(other)`), so block (i, j) is C_i P M(g_ij) D_j^t for the ideals' coordinate
-        matrices C_i, D_j: once per distinct (ideal, ideal, g_ij), and no nd x nd product.
-        """
-        p, mult = self.field.trace_form, self.field._mult_matrix
-        g, scale = products or self._products(other)
-        ls, lt = (math.lcm(*(a.int_coords[1] for a, _ in m.pseudo)) for m in (self, other))
-
-        @cache
-        def block(a: FractionalIdeal, b: FractionalIdeal, x: tuple[int, ...]) -> IntMatrix:
-            (na, sa), (nb, sb) = a.int_coords, b.int_coords
-            if not any(x):
-                return [[0] * len(nb) for _ in na]
-            f, m = ls // sa * (lt // sb), mult(x)
-            y = [mat_vec(m, row) for row in nb]  # y = N_b M(g)^t; block row r is (P N_a[r]) y^t
-            return [[f * v for v in mat_vec(y, mat_vec(p, row))] for row in na]
-
-        rows = [[v for part in parts for v in part] for (a, _), gi in zip(self.pseudo, g)
-                for parts in zip(*(block(a, b, tuple(x)) for (b, _), x in zip(other.pseudo, gi)))]
-        return rows, ls * lt * scale
-
     def equals(self, other: "KModule") -> bool:
         if self.rank != other.rank or not self.field.same_presentation(other.field):
             return False
@@ -275,24 +245,26 @@ class KModule:
                                            for row in range(n * d)])
 
     def trace_dual(self) -> "KModule":
-        """Dual module under sum Tr(x_k y_k): W* = (W^-1)^t, checked by W* W^t = I and a pairing."""
+        """Dual module under sum Tr(x_k y_k): W* = (W^-1)^t, checked on its vectors and ideals."""
         field, n, d = self.field, self.rank, self.field.degree
         (num, t), (y, q) = self.int_vectors, self._inverse
         # row j of W* = (W^-1)^t is the j-th component of every row of W^-1, block j of y
         rows = [[v for col in transpose(y[j * d:(j + 1) * d]) for v in col] for j in range(n)]
-        wstar = [tuple(field.element([Fraction(v, q) for v in row[k:k + d]])
-                       for k in range(0, n * d, d)) for row in rows]
         # module_from_matrix and standard_module share one ideal across the pairs
         duals = {a: a.trace_dual() for a in dict.fromkeys(a for a, _ in self.pseudo)}
+        # the vectors: column i of W*, flattened, times R(W) is e_(id), so W*^t W = I over K
+        # and (W*)^-1 = W^t; the ideals: each dual pairs unimodularly with its ideal, and the
+        # two Z-bases' pairing is block-diagonal with these blocks
+        cols = [[v for row in rows for v in row[i * d:(i + 1) * d]] for i in range(n)]
+        eye = [[q * t * (c == i * d) for c in range(n * d)] for i in range(n)]
+        if (mat_mul(cols, self.regular[0]) != eye
+                or not all(is_unimodular(*b.pairing(a)) for a, b in duals.items())):
+            raise ConditioningError("trace dual routes disagree")
+        wstar = [tuple(field.element([Fraction(v, q) for v in row[k:k + d]])
+                       for k in range(0, n * d, d)) for row in rows]
         # W* is invertible, so needs no independence test; (rows, q) is in lowest terms
         dual = KModule._known(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)],
                               (rows, q))
-        # W* W^t = I over K, checked exactly, proves (W*)^-1 = W^t; second route: the
-        # dual's Z-basis spans the lattice dual to ours iff their pairings are unimodular
-        g, scale = products = dual._products(self)
-        eye = [[[scale * (i == j and not c) for c in range(d)] for j in range(n)] for i in range(n)]
-        if g != eye or not is_unimodular(*dual.pairing(self, products)):
-            raise ConditioningError("trace dual routes disagree")
         # column i of (W*)^-1 = W^t is column i of W flattened, in lowest terms as solved
         dual._inverse = ([w[c::d] for w in num for c in range(d)], t)
         return dual
@@ -302,13 +274,9 @@ class KModule:
 
 
 def standard_module(field: NumberField, n: int) -> KModule:
-    """O^n with the obvious pseudo-basis."""
-    ring = FractionalIdeal.whole_ring(field)
-    pseudo = []
-    for i in range(n):
-        e = tuple(field.one() if j == i else field.zero() for j in range(n))
-        pseudo.append((ring, e))
-    return KModule(field, pseudo)
+    """O^n with the obvious pseudo-basis: the module of the identity matrix."""
+    return module_from_matrix(field, [[field.from_rational(int(i == j)) for j in range(n)]
+                                      for i in range(n)])
 
 
 def module_from_matrix(field: NumberField, a: list[list[FieldElement]]) -> KModule:

@@ -196,8 +196,8 @@ def rational_flat(module):
 def flat_pairing(module, other):
     """sum_k Tr(x_k y_k) on two modules' Z-bases as one flat product: (A (I_n (x) P) B^t, s t).
 
-    (A, s) and (B, t) are the modules' `int_flat`; the reference for the
-    block-wise `KModule.pairing`.
+    (A, s) and (B, t) are the modules' `int_flat`; the reference for
+    `KModule.trace_dual`, which pairs only the ideals' d x d Z-bases.
     """
     d, p = module.field.degree, module.field.trace_form
     (a, s), (b, t) = module.int_flat, other.int_flat

@@ -216,13 +216,17 @@ def test_trace_dual_cross_check_catches_a_wrong_pseudo_route(monkeypatch, field)
         m.trace_dual()
 
 
+def assert_pairings_are_trace_sums(ideals):
+    for a in ideals:
+        for b in ideals:
+            num, s = a.pairing(b)
+            assert [[F(x, s) for x in row] for row in num] == [
+                [(x * y).trace() for y in b.zbasis] for x in a.zbasis]
+
+
 def test_pairing_matrix_is_the_elementwise_trace_sum(field):
-    m = module_from_matrix(field, [[field.one(), field.theta()],
-                                   [field.zero(), field.from_rational(2)]])
-    dual = standard_module(field, 2)
-    num, s = m.pairing(dual)
-    assert [[F(x, s) for x in row] for row in num] == [
-        [t_n(x, y) for y in kvectors(field, dual.int_flat)] for x in kvectors(field, m.int_flat)]
+    ring = FractionalIdeal.whole_ring(field)
+    assert_pairings_are_trace_sums([ring, ring.trace_dual(), ring.scaled(field.theta() + 3)])
 
 
 def test_trace_dual_inverts_no_matrix_over_k(monkeypatch):
@@ -659,29 +663,31 @@ def module_pairs(draw):
     return draw(pseudo_bases(k, n)), draw(pseudo_bases(k, n))
 
 
+def test_ideal_pairing_of_non_principal_ideals_is_the_trace_sum():
+    k = SQRT_M5
+    ideals = [FractionalIdeal(k, [k.from_rational(c), k.element(b)]) for c, b in NONPRINCIPAL[k]]
+    assert_pairings_are_trace_sums(ideals + [a.trace_dual() for a in ideals])
+
+
 @settings(max_examples=50, deadline=None)
 @given(module_pairs())
-def test_blockwise_pairing_is_the_flat_product(pair):
-    m, other = pair
-    dual = m.trace_dual()
-    for x, y in ((m, other), (other, m), (m, dual), (dual, m), (dual, other), (m, m)):
-        assert x.pairing(y) == flat_pairing(x, y)
-
-
-def test_pairing_of_unrelated_modules_has_off_diagonal_blocks():
-    # g_ij != 0 off the diagonal, and distinct non-principal ideals on either side
-    k = SQRT_M5
-    p2 = FractionalIdeal(k, [k.from_rational(2), k.one() + k.theta()])
-    p3 = FractionalIdeal(k, [k.from_rational(3), k.one() + k.theta()])
-    one, theta = k.one(), k.theta()
-    m = KModule(k, [(p2, (one, theta)), (p3, (theta, 3 * one))])
-    other = KModule(k, [(p3.trace_dual(), (one + theta, one)), (p2, (one, one - theta))])
-    g, _ = m._products(other)
-    assert all(any(g[i][j]) for i in range(2) for j in range(2))
-    num, s = m.pairing(other)
-    assert (num, s) == flat_pairing(m, other)
-    assert [[F(x, s) for x in row] for row in num] == [
-        [t_n(x, y) for y in kvectors(k, other.int_flat)] for x in kvectors(k, m.int_flat)]
+def test_trace_dual_passes_and_fails_with_the_flat_pairing(pair):
+    # the certificate on the vectors and the ideals agrees with the flat
+    # nd x nd pairing of the Z-bases, on the true dual and on one whose
+    # first ideal's dual is doubled
+    ideal_dual = FractionalIdeal.trace_dual
+    for m in pair:
+        dual = m.trace_dual()
+        assert is_unimodular(*flat_pairing(dual, m))
+        target, two = m.pseudo[0][0], m.field.from_rational(2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FractionalIdeal, "trace_dual", lambda self: (
+                ideal_dual(self).scaled(two) if self is target else ideal_dual(self)))
+            with pytest.raises(ConditioningError, match="trace dual routes disagree"):
+                m.trace_dual()
+            wrong = KModule(m.field, [(a.trace_dual(), w)
+                                      for (a, _), (_, w) in zip(m.pseudo, dual.pseudo)])
+        assert not is_unimodular(*flat_pairing(wrong, m))
 
 
 @settings(max_examples=25, deadline=None)
@@ -706,8 +712,8 @@ def test_a_wrong_dual_vector_matrix_fails_the_trace_dual(wrong):
         y = [[2 * v for v in row] for row in y]
     else:
         # with one ideal on every row, swapped rows span the dual module
-        # again, so the pairing route alone passes them and W* W^t = I does not
-        assert is_unimodular(*KModule(k, m.trace_dual().pseudo[::-1]).pairing(m))
+        # again, so the flat pairing alone passes them and W*^t W = I does not
+        assert is_unimodular(*flat_pairing(KModule(k, m.trace_dual().pseudo[::-1]), m))
         y = y[d:] + y[:d]
     vars(m)["_inverse"] = (y, q)
     with pytest.raises(ConditioningError, match="trace dual routes disagree"):

@@ -537,6 +537,40 @@ def test_cli_large_coefficients_end_in_an_exit_code(capsys, tmp_path, command, c
         assert err == f"error: {message}\n"
 
 
+BALL_Q = ("[field]\npreset = Q\n[module]\nrank = 1\nidentity = true\n"
+          "[body.v1]\nshape = ball\nradius = 1\n")
+OUT_OF_RANGE = {
+    "radius 1e-400": BALL_Q.replace("radius = 1", "radius = 1e-400"),
+    "radius 1e-310 at one place": BALL_Q.replace("preset = Q", "preset = Q_sqrt2").replace(
+        "radius = 1", "radius = 1e-310\n[body.v2]\nshape = ball\nradius = 1"),
+    "radius 1e400": BALL_Q.replace("radius = 1", "radius = 1e400"),
+    "ellipsoid 1e400": BALL_Q.replace("shape = ball\nradius = 1",
+                                      "shape = ellipsoid\nq = [[1e400]]"),
+    "matrix 1e400": BALL_Q.replace("identity = true", "matrix = [[1e400]]"),
+    "matrix 1e-400": BALL_Q.replace("identity = true", "matrix = [[1e-400]]"),
+    "poly -10^400": BALL_Q.replace("preset = Q",
+                                   f"poly = {-10 ** 400}, 0, 1\nbasis = [[1; 0], [0; 1]]")
+    + "[body.v2]\nshape = ball\nradius = 1\n",
+}
+ENUMERATING = ("minima", "transference", "mu")
+
+
+@pytest.mark.parametrize("name,command", [
+    *((name, c) for name in ("radius 1e-400", "radius 1e-310 at one place", "radius 1e400",
+                             "ellipsoid 1e400") for c in ENUMERATING),
+    *(("matrix 1e400", c) for c in ENUMERATING + ("verify-duality",)),
+    *(("matrix 1e-400", c) for c in ("transference", "verify-duality")),
+    *(("poly -10^400", c) for c in ENUMERATING + ("verify-duality", "polar")),
+])
+def test_cli_values_outside_the_float_range_end_in_an_exit_code(capsys, tmp_path, name, command):
+    # the float is refused where it is formed, with the value named
+    path = tmp_path / "range.ini"
+    path.write_text(OUT_OF_RANGE[name])
+    got, out, err = run_cli([command, str(path), "--machine"], capsys)
+    assert got in (2, 3) and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 SCENARIO_TEXTS = [load_scenario_text(name) for name in PRESET_SCENARIOS] + [
     path.read_text() for path in sorted((Path(__file__).parent / "scenarios").glob("*.ini"))]
 SCENARIO_LINES = sorted({line for text in SCENARIO_TEXTS for line in text.splitlines()})

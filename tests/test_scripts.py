@@ -2,7 +2,9 @@
 
 import json
 import os
+import re
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -169,3 +171,31 @@ def test_covering_convergence_ends_the_table_at_a_refused_resolution(monkeypatch
     assert "         8 refused: covering grid would hold 64 points" in out
     assert not any(line.split()[:1] == ["16"] for line in out.splitlines())
     assert "final bracket [1.00000000, 1.50000000]" in out
+
+
+def run_against(src, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / "dump_outputs.py"),
+                           "--against", str(src), "--workloads", "fields"],
+                          capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path)
+
+
+def test_dump_outputs_against_the_same_package_is_identical(tmp_path):
+    proc = run_against(ROOT / "src", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert re.fullmatch(r"identical \(\d+ lines\)\n", proc.stdout)
+
+
+def test_dump_outputs_against_a_changed_package_prints_the_diff(tmp_path):
+    # real roots sorted descending: every field with two real places dumps another line
+    planted = tmp_path / "planted"
+    shutil.copytree(ROOT / "src", planted)
+    numberfield = planted / "adelic" / "numberfield.py"
+    text = numberfield.read_text()
+    assert text.count("reals.sort()") == 1
+    numberfield.write_text(text.replace("reals.sort()", "reals.sort(reverse=True)"))
+    proc = run_against(planted, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.startswith(f"--- {planted}\n")
+    assert any(line.startswith("-  real=") for line in proc.stdout.splitlines())
+    assert any(line.startswith("+  real=") for line in proc.stdout.splitlines())

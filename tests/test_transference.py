@@ -256,9 +256,9 @@ def test_polar_and_biduality_invert_no_matrix(monkeypatch, capsys):
                          ids=["polar", "verify-duality"])
 def test_duality_commands_eliminate_one_nd_by_nd_matrix(monkeypatch, capsys, command, line):
     # x^3-3x-1 at rank 3 (nd 9): the solve with R(W) made when the module is
-    # built; the dual's inverse is read off W, the route-2 pairings are
-    # identities up to scale, so 1 x 1 blocks, and biduality finds the same
-    # pseudo-basis
+    # built; the dual's inverse is read off W, the ideal pairings that certify
+    # the dual are d x d identities up to scale, read off, and biduality finds
+    # the same pseudo-basis
     sizes = []
     bareiss = exactla._bareiss
     monkeypatch.setattr(exactla, "_bareiss", lambda m, n: sizes.append(n) or bareiss(m, n))
