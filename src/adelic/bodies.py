@@ -5,6 +5,12 @@ returns the original body on the nose.  Gauge evaluation is the only
 floating-point step.  At a complex place the pairing carries a factor 2,
 which shows up as the constant c in every polar formula, and bodies must
 be invariant under the simultaneous rotation of all (Re, Im) pairs.
+An `AdelicBody` pairs a module with the product of the place bodies; its
+polar is the trace dual with the polar at every place, all exact.
+
+Shapes, their validation and their polars are pure Python.  The float
+side (gauges, bounding forms, Lipschitz constants) names numpy through
+`numberfield.np`, which imports it on first use.
 """
 
 from __future__ import annotations
@@ -13,10 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .exactla import mat_det, mat_inv
-from .numberfield import NumberField, float_of
+from .numberfield import NumberField, float_of, np
+from .omodules import KModule
 
 SHAPE_BOUND = 2.0 ** 511  # a shape parameter x within it has x^2 and 1 / x^2 finite and nonzero
 
@@ -314,3 +319,51 @@ def uniform_ball_body(field: NumberField, n: int, radius: Fraction) -> ProductBo
     bodies = [PlaceBody(kind, dim, Ball(Fraction(radius)))
               for (kind, _), dim in zip(field.places, field.place_dims(n))]
     return ProductBody(field, n, bodies)
+
+
+class AdelicBody:
+    """A module together with a convex body at every archimedean place.
+
+    `conjugated` records which of the two mirror embeddings carries the
+    module to its lattice; taking the polar flips it, so that the dual
+    lattice is exactly the embedded dual module.
+    """
+
+    def __init__(self, module: KModule, infinite_part: ProductBody, conjugated: bool = False):
+        if infinite_part.field is not module.field:
+            raise ValueError("module and bodies live over different fields")
+        if infinite_part.n != module.rank:
+            raise ValueError("body rank does not match module rank")
+        self.field = module.field
+        self.n = module.rank
+        self.finite_part = module
+        self.infinite_part = infinite_part
+        self.conjugated = conjugated
+
+    def lattice(self):
+        """The embedded module, an `EmbeddedLattice`; the first call loads the float layer."""
+        from .lattices import lattice_from_module
+        return lattice_from_module(self.finite_part, self.conjugated)
+
+    def scaled(self, alpha: Fraction) -> "AdelicBody":
+        """Dilation: touches the infinite places only."""
+        return AdelicBody(self.finite_part, self.infinite_part.scaled(alpha), self.conjugated)
+
+
+def adelic_polar(body: AdelicBody) -> AdelicBody:
+    return AdelicBody(
+        body.finite_part.trace_dual(),
+        body.infinite_part.polar(),
+        not body.conjugated,
+    )
+
+
+def adelic_equal(a: AdelicBody, b: AdelicBody) -> bool:
+    """Same module, identical body parameters, same embedding side."""
+    if a.conjugated != b.conjugated or a.n != b.n:
+        return False
+    if not a.finite_part.equals(b.finite_part):
+        return False
+    return all(
+        pa.kind == pb.kind and pa.shape == pb.shape
+        for pa, pb in zip(a.infinite_part.place_bodies, b.infinite_part.place_bodies))

@@ -3,6 +3,10 @@
 Exit codes: 0 success/pass, 1 a checked bound or identity failed,
 2 input problem (arguments, files, scenario text), 3 computational
 failure (enumeration cap, conditioning, dimension limit).
+
+`polar`, `--help` and input errors stay in the exact layer and load no
+numpy; the commands that search or embed import the float layer
+(`lattices`, `transference`) when they run.
 """
 
 from __future__ import annotations
@@ -15,24 +19,16 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .bodies import SHAPES
+from .bodies import SHAPES, AdelicBody, adelic_equal, adelic_polar
 from .errors import (
+    ENUMERATION_CAP,
+    RESOLUTION,
     ConditioningError,
     DimensionLimitError,
     EnumerationCapError,
     ScenarioError,
 )
-from .lattices import ENUMERATION_CAP, RESOLUTION, lattice_from_module, lattice_equal, polar_lattice
 from .scenario import OPTION_MINIMA, PRESET_SCENARIOS, parse_scenario
-from .transference import (
-    AdelicBody,
-    MinimaReport,
-    adelic_equal,
-    adelic_minima,
-    adelic_polar,
-    mu_product_report,
-    transference_check,
-)
 
 
 def _fmt(x: float) -> str:
@@ -121,7 +117,7 @@ def _field_header(rep: _Report, body: AdelicBody):
     rep.human(f"module rank: {body.n}; lattice dimension: {body.n * f.degree}")
 
 
-def _minima_lines(rep: _Report, report: MinimaReport, d: int):
+def _minima_lines(rep: _Report, report, d: int):
     for i, (lam, p, w) in enumerate(
             zip(report.minima, report.points, report.witnesses), start=1):
         rep.line(f"lambda_{i}={_fmt(lam)} coords={_fmt_coords(p.coords)} "
@@ -148,6 +144,7 @@ def cmd_polar(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
 
 
 def cmd_minima(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
+    from .transference import adelic_minima
     report = adelic_minima(body, cap)
     _field_header(rep, body)
     rep.human("adelic successive minima with witnesses:")
@@ -156,6 +153,7 @@ def cmd_minima(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int
 
 
 def cmd_transference(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
+    from .transference import transference_check
     tr = transference_check(body, cap)
     _field_header(rep, body)
     fl = tr.flags
@@ -175,6 +173,7 @@ def cmd_transference(body: AdelicBody, rep: _Report, cap: int, resolution: int) 
 
 
 def cmd_mu(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
+    from .transference import mu_product_report
     mu = mu_product_report(body, resolution, cap)
     _field_header(rep, body)
     rep.human("product of the first minimum with the polar covering radius:")
@@ -189,6 +188,7 @@ def cmd_mu(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
 
 
 def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
+    from .lattices import lattice_equal, lattice_from_module, polar_lattice
     _field_header(rep, body)
     primal = lattice_from_module(body.finite_part, body.conjugated)
     dual_module = body.finite_part.trace_dual()
@@ -203,6 +203,7 @@ def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int
 
 
 def cmd_paper_example(args, rep: _Report) -> int:
+    from .transference import transference_check
     body, budgets = _build(args, _preset_text("Q_sqrt2"))  # never a local file of that name
     field = body.field
     checks: list[tuple[str, str, str, bool]] = []

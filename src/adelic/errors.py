@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the default search budgets."""
+
+ENUMERATION_CAP = 1_000_000  # default nodes of one enumeration round or covering grid batch
+RESOLUTION = 64  # default covering grid points per axis
 
 
 class ScenarioError(ValueError):

@@ -25,6 +25,13 @@ a numpy level costs about 35-65 us whatever its width, a Python level
 about 2 us per row, and they cross near 25 rows at nd 4, 32 at nd 9 and
 40 at nd 16 (shared 2-vCPU Xeon, Python 3.11, numpy 2.4).  A covering
 batch starts with 16 targets, so it runs on numpy throughout.
+
+This module is where the float layer starts: it imports numpy, and
+`adelic` imports it when a search or an embedding asks for it (through
+the package's `__getattr__`, or a CLI command that reaches floats), or
+at once in a process that has imported numpy already.  The default
+budgets `ENUMERATION_CAP` and `RESOLUTION` live in the numpy-free
+`errors` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -39,16 +46,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bodies import ProductBody
-from .errors import ConditioningError, DimensionLimitError, EnumerationCapError
+from .errors import (ENUMERATION_CAP, RESOLUTION, ConditioningError, DimensionLimitError,
+                     EnumerationCapError)
 from .exactla import is_unimodular, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
 from .omodules import KModule, KVector
 
 LLL_DELTA = 0.99  # the Lovasz condition of every reduction
 EQUAL_TOL = 1e-8  # entrywise slack of `lattice_equal` on the change of basis
-ENUMERATION_CAP = 1_000_000  # default nodes of one enumeration round or covering grid batch
 NARROW_ROWS = 16  # enumeration levels with fewer frontier rows run on Python floats
-RESOLUTION = 64  # default covering grid points per axis
 
 
 class EmbeddedLattice:

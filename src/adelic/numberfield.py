@@ -10,19 +10,22 @@ transposed numerators: the elimination decides independence, and the
 right-hand sides 1 and the products of basis elements decide that 1 is
 in the span and that the span is a ring.  Floats only enter through the
 root isolation that backs the embeddings.
+
+The field, its elements and its roots are pure Python.  numpy is named
+through `np`, a `LazyModule`: importing this module loads no numpy, and
+the first embedding or twisted form does.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib
 import math
 import operator
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .errors import ConditioningError
 from .exactla import (
@@ -37,6 +40,25 @@ from .exactla import (
 )
 
 ROOT_TOL = 1e-15  # the Aberth stopping step; float64 roots saturate here
+
+
+class LazyModule:
+    """A module imported on the first read of one of its attributes.
+
+    Each attribute read is kept on the instance, so from its second read
+    on it costs what a module attribute costs.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        value = getattr(importlib.import_module(self._name), attr)
+        setattr(self, attr, value)
+        return value
+
+
+np = LazyModule("numpy")  # the float side of fields and bodies
 
 
 def float_of(x: Fraction, what: str, bound: float = sys.float_info.max) -> float:

@@ -15,11 +15,10 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .bodies import SHAPES, PlaceBody, ProductBody
+from .bodies import SHAPES, AdelicBody, PlaceBody, ProductBody
 from .errors import ScenarioError
 from .numberfield import NumberField, PRESET_FIELDS, preset_field
 from .omodules import FractionalIdeal, KModule, module_from_matrix, standard_module
-from .transference import AdelicBody
 
 PRESET_SCENARIOS = ("Q", "Q_sqrt2", "Q_sqrt5", "Q_i", "Q_sqrt-3")
 
@@ -328,8 +327,9 @@ def _build_module(field: NumberField, ms: ModuleSpec) -> KModule:
         where = f"[module] pseudo{i}"
         if len(vec_elts) != n:
             raise ScenarioError(f"{where}: vector part needs {n} components")
+        gens = [_element(field, e, where) for e in ideal_elts]  # names its own location
         try:
-            ideal = FractionalIdeal(field, [_element(field, e, where) for e in ideal_elts])
+            ideal = FractionalIdeal(field, gens)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         vec = tuple(_element(field, e, where) for e in vec_elts)

@@ -1,88 +1,40 @@
-"""Adelic convex bodies: polars, successive minima, transference verdicts.
+"""Adelic convex bodies: successive minima and transference verdicts.
 
-The body pairs a rank-n module (its behavior at all finite places) with
-one convex body per archimedean place.  Minima are found by reading the
-embedded lattice's points in gauge order (`points_by_gauge`) and keeping
-those that increase the rank over K.  That rank is decided exactly on
-the points' integer coordinates: the reduced lattice's exact rows carry
-them to power-basis numerators, whose images under theta span their
-K-span, and a point already in the Q-span of the points before it is
-not K-tested at all.  Only the kept points, the witnesses, are mapped
-back to exact K-vectors, through the same rows.  Dilation acts on the
-infinite places only, so a point's minimum level is just its gauge.
-A transference check searches S and S* through `adelic_minima` on
-lattices reduced by `reduced_pair`: the polar's Z-basis is the exact
-dual basis of the module's, so its LLL starts from the primal's
-transform read off and only finishes it.
+The body (`bodies.AdelicBody`, re-exported here with the exact
+`adelic_polar` and `adelic_equal`) pairs a rank-n module (its behavior
+at all finite places) with one convex body per archimedean place.
+Minima are found by reading the embedded lattice's points in gauge
+order (`points_by_gauge`) and keeping those that increase the rank over
+K.  That rank is decided exactly on the points' integer coordinates:
+the reduced lattice's exact rows carry them to power-basis numerators,
+whose images under theta span their K-span, and a point already in the
+Q-span of the points before it is not K-tested at all.  Only the kept
+points, the witnesses, are mapped back to exact K-vectors, through the
+same rows.  Dilation acts on the infinite places only, so a point's
+minimum level is just its gauge.  A transference check searches S and
+S* through `adelic_minima` on lattices reduced by `reduced_pair`: the
+polar's Z-basis is the exact dual basis of the module's, so its LLL
+starts from the primal's transform read off and only finishes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .bodies import ProductBody
-from .errors import ConditioningError, EnumerationCapError
+from .bodies import AdelicBody, adelic_equal, adelic_polar  # noqa: F401 (adelic_equal re-exported)
+from .errors import ENUMERATION_CAP, ConditioningError, EnumerationCapError
 from .exactla import RankTracker
 from .lattices import (
-    ENUMERATION_CAP,
     EmbeddedLattice,
     LatticePoint,
     covering_radius_bounds,
-    lattice_from_module,
     points_by_gauge,
     reduced_pair,
 )
-from .omodules import KModule, KRankTracker, KVector
+from .omodules import KRankTracker, KVector
 
 BOUND_TOL = 1e-6  # slack of the transference verdicts against their bounds
-
-
-class AdelicBody:
-    """A module together with a convex body at every archimedean place.
-
-    `conjugated` records which of the two mirror embeddings carries the
-    module to its lattice; taking the polar flips it, so that the dual
-    lattice is exactly the embedded dual module.
-    """
-
-    def __init__(self, module: KModule, infinite_part: ProductBody, conjugated: bool = False):
-        if infinite_part.field is not module.field:
-            raise ValueError("module and bodies live over different fields")
-        if infinite_part.n != module.rank:
-            raise ValueError("body rank does not match module rank")
-        self.field = module.field
-        self.n = module.rank
-        self.finite_part = module
-        self.infinite_part = infinite_part
-        self.conjugated = conjugated
-
-    def lattice(self) -> EmbeddedLattice:
-        return lattice_from_module(self.finite_part, self.conjugated)
-
-    def scaled(self, alpha: Fraction) -> "AdelicBody":
-        """Dilation: touches the infinite places only."""
-        return AdelicBody(self.finite_part, self.infinite_part.scaled(alpha), self.conjugated)
-
-
-def adelic_polar(body: AdelicBody) -> AdelicBody:
-    return AdelicBody(
-        body.finite_part.trace_dual(),
-        body.infinite_part.polar(),
-        not body.conjugated,
-    )
-
-
-def adelic_equal(a: AdelicBody, b: AdelicBody) -> bool:
-    """Same module, identical body parameters, same embedding side."""
-    if a.conjugated != b.conjugated or a.n != b.n:
-        return False
-    if not a.finite_part.equals(b.finite_part):
-        return False
-    return all(
-        pa.kind == pb.kind and pa.shape == pb.shape
-        for pa, pb in zip(a.infinite_part.place_bodies, b.infinite_part.place_bodies))
 
 
 @dataclass

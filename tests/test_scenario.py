@@ -671,6 +671,40 @@ def test_cli_noncanonical_pseudo_key_is_an_input_error(capsys, tmp_path, extra):
     assert err.endswith("pseudo keys are pseudo1, pseudo2, ...\n")
 
 
+SQRT2_RANK1 = """\
+[field]
+preset = Q_sqrt2
+
+[module]
+rank = 1
+{module}
+
+[body.v1]
+shape = ball
+radius = 1
+
+[body.v2]
+shape = ball
+radius = 1
+"""
+
+
+@pytest.mark.parametrize("module, where", [
+    ("pseudo1 = 1,0,0; 0,1 | 1", "[module] pseudo1"),  # an ideal generator
+    ("pseudo1 = 1,0; 0,1 | 1,0,0", "[module] pseudo1"),  # the vector part
+    ("matrix = [[1,0,0]]", "[module] matrix"),
+])
+def test_cli_wrongly_sized_element_names_its_location_once(capsys, tmp_path, module, where):
+    path = tmp_path / "bad.ini"
+    path.write_text(SQRT2_RANK1.format(module=module))
+    message = f"{where}: field elements need 2 coordinates, got 3"
+    code, out, err = run_cli(["polar", str(path), "--machine"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli(["polar", "--all", str(tmp_path), "--machine"], capsys)
+    assert code == 2
+    assert out == f"scenario file={path}\nerror kind=input detail={message}\n"
+
+
 def test_cli_all_reports_unreadable_files_and_goes_on(capsys, tmp_path):
     (tmp_path / "a_dir.ini").mkdir()
     (tmp_path / "b_latin.ini").write_bytes(b"[field]\npreset = Q\n# caf\xe9\n")

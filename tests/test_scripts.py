@@ -199,3 +199,18 @@ def test_dump_outputs_against_a_changed_package_prints_the_diff(tmp_path):
     assert proc.stdout.startswith(f"--- {planted}\n")
     assert any(line.startswith("-  real=") for line in proc.stdout.splitlines())
     assert any(line.startswith("+  real=") for line in proc.stdout.splitlines())
+
+
+def test_cli_process_times_prints_one_row_per_command():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "cli_process_times.py"),
+                           "--reps", "1", "--against", str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["command", "median_s", "against_s", "ratio", "identical"]
+    assert [row.rsplit(None, 4)[0] for row in rows] == [
+        "import adelic",
+        *(f"{command} {preset}" for command in ("polar", "verify-duality", "transference")
+          for preset in adelic.PRESET_SCENARIOS),
+        "--help", "bad scenario"]
+    assert all(row.endswith(" yes") for row in rows)
