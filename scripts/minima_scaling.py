@@ -9,7 +9,8 @@ process, so its peak RSS is its own:
 - `adelic_minima` of a Z-lattice at the ranks given by --z (default
   12 to 36 in steps of 4);
 - `EmbeddedLattice.reduced()` of a Z-lattice at the ranks given by
-  --reduce (default 16, 28, 40), timing the LLL reduction alone;
+  --reduce (default 16, 28, 40), timing the LLL reduction and the
+  embedding of the reduced basis alone;
 - `adelic_polar` and the biduality check `adelic_equal(adelic_polar(
   star), body)` that `adelic polar` prints, over Q(zeta_8), zeta_8^4 = -1,
   at the ranks given by --duality (default 4 to 12 in steps of 2: nd 16
@@ -19,8 +20,9 @@ Modules are A O^n for an n x n matrix A whose entries have coordinates
 random.Random(0).randint(-3, 3), drawn row by row and redrawn while
 A is singular (`random_module`, which the tests share); every place
 carries the unit ball.  Each row prints nd, wall seconds (module, body
-and search, or the reduction alone, by time.perf_counter), peak RSS in
-MB, and "ok", the enumeration cap message or "biduality failed".
+and search, or the reduction with its embedding, by time.perf_counter),
+peak RSS in MB, and "ok", the enumeration cap message or "biduality
+failed".
 --cap N sets the enumeration cap of every minima and transference row
 (default `adelic.lattices.ENUMERATION_CAP`).
 
@@ -77,12 +79,14 @@ def run_row(kind: str, n: int, cap: int) -> dict:
     """One row in this process: nd, seconds, peak RSS and the outcome."""
     field = {"cubic": lambda: NumberField(*CUBIC),
              "duality": lambda: NumberField(*CYCLOTOMIC_8)}.get(kind, rational_field)()
-    # a reduction row times the reduction alone
+    # a reduction row times the reduction and the embedding of its result alone
     lat = lattice_from_module(random_module(field, n)) if kind == "reduce" else None
+    if lat is not None:
+        lat.basis
     start = time.perf_counter()
     try:
         if lat is not None:
-            lat.reduced()
+            lat.reduced().basis
             outcome = "ok"
         else:
             body = AdelicBody(random_module(field, n), uniform_ball_body(field, n, Fraction(1)))

@@ -341,7 +341,7 @@ class AdelicBody:
         self.conjugated = conjugated
 
     def lattice(self):
-        """The embedded module, an `EmbeddedLattice`; the first call loads the float layer."""
+        """The embedded module, an `ExactLattice`; the first call loads the float layer."""
         from .lattices import lattice_from_module
         return lattice_from_module(self.finite_part, self.conjugated)
 

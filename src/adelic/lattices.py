@@ -1,15 +1,15 @@
 """Embedded lattices in R^(n*d): reduction, enumeration, minima, covering radii.
 
-A lattice carries the diagonal twisted form F, a float basis (rows), and
-optionally its exact rows (M, s): row i of M / s is the K-vector that
-basis row i embeds, as flattened power-basis coordinates.  A module's
-lattice starts from its Z-basis, and reduction multiplies the floats
-and M by one integer u.  All rank decisions, over Q and over K, are
-integer eliminations on a point's integer coordinates, or on their
-product with M; a point is mapped back to a K-vector only when a caller
-keeps it (`preimage_of`: its coordinates times M / s).  Floats only
-measure gauges, and enumeration is seeded by each body's own diagonal
-bounding form.
+A lattice carries the diagonal twisted form F and a float basis (rows).
+A module's lattice holds exact rows (M, s) instead: row i of M / s is
+basis row i's K-vector, and the basis is their embedding, made on its
+first read.  It starts from the Z-basis, and reduction by an integer u
+gives the rows u M, embedded afresh.  All rank decisions, over Q and
+over K, are integer eliminations on a point's integer coordinates, or on
+their product with M; a point is mapped back to a K-vector only when a
+caller keeps it (`preimage_of`: its coordinates times M / s).  Floats
+only measure gauges, and enumeration is seeded by each body's own
+diagonal bounding form.
 
 LLL is the Schnorr-Euchner reduction on Python floats: one Gram-Schmidt
 row per arrival at a row, and mu updated in place by size reduction.
@@ -58,43 +58,21 @@ NARROW_ROWS = 16  # enumeration levels with fewer frontier rows run on Python fl
 
 
 class EmbeddedLattice:
-    """Full-rank lattice in R^(n*degree) under the twisted form, with optional exact preimages.
+    """Full-rank lattice in R^(n*degree) under the twisted form, given by its float rows.
 
-    `rows` = (M, s), when given, holds each basis row's K-vector exactly:
-    row i of M / s is its flattened power-basis coordinates, and basis
-    row i is its embedding, which the constructor checks.
+    It has no exact rows and no preimages; a module's lattice is an `ExactLattice`.
     """
 
-    def __init__(
-        self,
-        field: NumberField,
-        basis: np.ndarray,
-        rows: tuple[list[list[int]], int] | None = None,
-        conjugated: bool = False,
-    ):
+    rows: tuple[list[list[int]], int] | None = None
+
+    def __init__(self, field: NumberField, basis: np.ndarray, conjugated: bool = False):
         basis = np.asarray(basis, dtype=float)
         m = basis.shape[0]
         if basis.shape != (m, m):
             raise ValueError("lattice basis must be square and full rank")
         if m % field.degree:
             raise ValueError("lattice dimension must be a multiple of the field degree")
-        if rows is not None:
-            if len(rows[0]) != m:
-                raise ValueError("exact rows must hold one K-vector per basis row")
-            emb = field.embed_rows(rows, conjugated)
-            scale = max(1.0, float(np.max(np.abs(emb))))
-            if float(np.max(np.abs(emb - basis))) > 1e-9 * scale:
-                raise ValueError("exact rows do not embed onto the basis rows")
-        self.field, self.basis, self.rows, self.conjugated = field, basis, rows, conjugated
-
-    @classmethod
-    def _known(cls, field: NumberField, basis: np.ndarray,
-               rows: tuple[list[list[int]], int] | None, conjugated: bool
-               ) -> "EmbeddedLattice":
-        """A lattice whose basis rows are the embeddings of `rows` by construction."""
-        lat = cls.__new__(cls)
-        lat.field, lat.basis, lat.rows, lat.conjugated = field, basis, rows, conjugated
-        return lat
+        self.field, self.basis, self.conjugated = field, basis, conjugated
 
     @cached_property
     def form(self) -> np.ndarray:
@@ -105,13 +83,12 @@ class EmbeddedLattice:
         return self.basis.shape[0]
 
     def reduced(self) -> "EmbeddedLattice":
-        """LLL reduction under the form: the basis and the exact rows times one integer u."""
+        """LLL reduction under the form: the lattice transformed by one integer u."""
         return self.transformed(_lll_transform(self.basis * np.sqrt(self.form), LLL_DELTA)[0])
 
     def transformed(self, u: list[list[int]]) -> "EmbeddedLattice":
-        """The basis u B of the same lattice, u integer unimodular: floats and exact rows."""
-        rows = None if self.rows is None else (mat_mul(u, self.rows[0]), self.rows[1])
-        return EmbeddedLattice._known(self.field, _combine(u, self.basis), rows, self.conjugated)
+        """The basis u B of the same lattice, u integer unimodular."""
+        return EmbeddedLattice(self.field, np.array(u, dtype=float) @ self.basis, self.conjugated)
 
     def preimage_of(self, coords: Sequence[int]) -> KVector | None:
         """The K-vector of the point: coords times the exact rows, in d-blocks."""
@@ -123,12 +100,23 @@ class EmbeddedLattice:
         return tuple(self.field.element(flat[k:k + d]) for k in range(0, len(flat), d))
 
 
-def _combine(u: list[list[int]], basis: np.ndarray) -> np.ndarray:
-    """u @ basis with entry (i, j) summing u[i][k] * basis[k][j] over increasing k from +0.0."""
-    out = np.zeros_like(basis)
-    for k, column in enumerate(np.array(u, dtype=float).T):
-        out = out + column[:, None] * basis[k]
-    return out
+class ExactLattice(EmbeddedLattice):
+    """A lattice given by exact rows (M, s): row i of M / s is basis row i's K-vector.
+
+    The K-vectors are flattened power-basis coordinates.  The basis is
+    their embedding (`NumberField.embed_rows`), made on the first read; a
+    change of basis u carries u M alone, so no float sum builds a basis.
+    """
+
+    def __init__(self, field: NumberField, rows: tuple[list[list[int]], int], conjugated: bool):
+        self.field, self.rows, self.conjugated = field, rows, conjugated
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self.field.embed_rows(self.rows, self.conjugated)
+
+    def transformed(self, u: list[list[int]]) -> "ExactLattice":
+        return ExactLattice(self.field, (mat_mul(u, self.rows[0]), self.rows[1]), self.conjugated)
 
 
 def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
@@ -141,17 +129,17 @@ def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
     norms of U B inverted in reverse order, so it is nearly reduced, and
     the dual's LLL starts there.  Whatever `dual` holds, the second lattice
     is an LLL-reduced basis of it; the duality only makes the start good.
+    Of an exact `dual` only that start and the reduced basis are embedded.
     """
     u, v = _lll_transform(lat.basis * np.sqrt(lat.form), LLL_DELTA)
-    start = v[::-1]
-    w, _ = _lll_transform(_combine(start, dual.basis) * np.sqrt(dual.form), LLL_DELTA)
-    return lat.transformed(u), dual.transformed(mat_mul(w, start))
+    start = dual.transformed(v[::-1])
+    w, _ = _lll_transform(start.basis * np.sqrt(start.form), LLL_DELTA)
+    return lat.transformed(u), start.transformed(w)
 
 
-def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:
-    """Embed a rank-n module's Z-basis `int_flat` place-major; its exact rows are that basis."""
-    basis = module.field.embed_rows(module.int_flat, conjugated)
-    return EmbeddedLattice._known(module.field, basis, module.int_flat, conjugated)
+def lattice_from_module(module: KModule, conjugated: bool = False) -> ExactLattice:
+    """A rank-n module's lattice: exact rows its Z-basis `int_flat`, embedded place-major."""
+    return ExactLattice(module.field, module.int_flat, conjugated)
 
 
 def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
@@ -160,7 +148,7 @@ def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
     if not np.linalg.cond(gram) < 1 / np.finfo(float).eps:  # a solve would keep no digit
         raise ConditioningError("Gram matrix of the polar lattice is numerically singular")
     dual = np.linalg.solve(gram, lat.basis)
-    return EmbeddedLattice(lat.field, dual, None, not lat.conjugated)
+    return EmbeddedLattice(lat.field, dual, not lat.conjugated)
 
 
 def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:

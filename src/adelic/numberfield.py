@@ -465,11 +465,12 @@ class NumberField:
         A row's embedding holds every entry at the first place, then every
         entry at the second, and so on; a complex place contributes
         (Re, Im) per entry, the mirror (Re, -Im) when `conjugated`.
-        Horner's rule runs at all roots and over all rows at once.  At a
-        complex root its step is what Python's `acc * root + c` does on a
-        `complex`: the product's two sums, c added to the real part and
-        +0.0 to the imaginary part, so every float, signed zeros included,
-        is that of a per-element loop on `complex` numbers.
+        Horner's rule runs at all roots of a kind and over all rows at
+        once, and a kind the field lacks costs nothing.  At a complex root
+        its step is what Python's `acc * root + c` does on a `complex`: the
+        product's two sums, c added to the real part and +0.0 to the
+        imaginary part, so every float, signed zeros included, is that of
+        a per-element loop on `complex` numbers.
         """
         num, s = flat
         try:
@@ -478,17 +479,23 @@ class NumberField:
             # float_of refuses the largest coordinate, which x / s could not carry
             float_of(Fraction(max(abs(x) for row in num for x in row), s), "lattice coordinate")
             raise
-        real, roots = np.array(self.real_roots), np.array(self.complex_roots)
-        zr, zi = roots.real, roots.imag
-        acc = np.zeros(coeffs.shape[:2] + real.shape)
-        re = im = np.zeros(coeffs.shape[:2] + roots.shape)
-        for k in range(self.degree - 1, -1, -1):
-            c = coeffs[:, :, k, None]
-            acc = acc * real + c
-            re, im = (re * zr - im * zi) + c, (re * zi + im * zr) + 0.0
-        pairs = np.stack([re, -im if conjugated else im], axis=3)
-        return np.concatenate([acc.transpose(0, 2, 1).reshape(len(num), -1),
-                               pairs.transpose(0, 2, 1, 3).reshape(len(num), -1)], axis=1)
+        blocks, steps = [], range(self.degree - 1, -1, -1)
+        if self.real_roots:
+            real = np.array(self.real_roots)
+            acc = np.zeros(coeffs.shape[:2] + real.shape)
+            for k in steps:
+                acc = acc * real + coeffs[:, :, k, None]
+            blocks.append(acc.transpose(0, 2, 1))
+        if self.complex_roots:
+            roots = np.array(self.complex_roots)
+            zr, zi = roots.real, roots.imag
+            re = im = np.zeros(coeffs.shape[:2] + roots.shape)
+            for k in steps:
+                c = coeffs[:, :, k, None]
+                re, im = (re * zr - im * zi) + c, (re * zi + im * zr) + 0.0
+            blocks.append(np.stack([re, -im if conjugated else im], axis=3).transpose(0, 2, 1, 3))
+        blocks = [b.reshape(len(num), -1) for b in blocks]
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
 
     def embed_vector(self, xs: Sequence[FieldElement], conjugated: bool = False) -> np.ndarray:
         """`embed_rows` of the one K-vector xs."""

@@ -35,6 +35,7 @@ from adelic import (
     preset_field,
     rational_field,
     standard_module,
+    transference_check,
     uniform_ball_body,
 )
 from field_reference import (
@@ -167,25 +168,30 @@ def test_minima_preimages_read_the_module_numerators(monkeypatch, name):
                              for p in rep.points]
 
 
-def test_reduction_reuses_the_back_map_embedding(monkeypatch):
-    # the reduced copy's basis and exact rows are the parent's times one u,
-    # and nothing is embedded again
-    lat = lattice_from_module(skewed_module("x3-x-1"))
-    calls, transforms = [], []
-    embed, lll = NumberField.embed_rows, lattices._lll_transform
-    monkeypatch.setattr(NumberField, "embed_rows",
-                        lambda self, *args: calls.append(args) or embed(self, *args))
+def test_reduced_basis_is_the_embedding_of_its_exact_rows(monkeypatch):
+    # a reduction carries the exact rows u M alone, and the reduced basis is
+    # their embedding bit for bit, on either side; a transference check embeds
+    # each side's start and its reduced basis, and nothing else
+    module = skewed_module("x3-x-1")
+    k, lat = module.field, lattice_from_module(module)
+    transforms = []
+    lll = lattices._lll_transform
     monkeypatch.setattr(lattices, "_lll_transform",
                         lambda *args: transforms.append(lll(*args)) or transforms[-1])
     red = lat.reduced()
-    assert calls == []
     [(u, _)] = transforms
     assert red.rows == (mat_mul(u, lat.rows[0]), lat.rows[1])
-    # each entry is the sum of u[i][k] * basis[k][j] over increasing k, bit for bit
-    m = lat.dim
-    want = np.array([[sum(u[i][k] * lat.basis[k][j] for k in range(m)) for j in range(m)]
-                     for i in range(m)])
-    assert red.basis.tobytes() == want.tobytes()
+    body = AdelicBody(module, uniform_ball_body(k, 2, F(1)))
+    pair = lattices.reduced_pair(body.lattice(), adelic_polar(body).lattice())
+    assert [r.conjugated for r in pair] == [False, True]
+    for r in (red,) + pair:
+        assert r.basis.tobytes() == k.embed_rows(r.rows, r.conjugated).tobytes()
+    calls = []
+    embed = NumberField.embed_rows
+    monkeypatch.setattr(NumberField, "embed_rows",
+                        lambda self, *args: calls.append(args) or embed(self, *args))
+    transference_check(body)
+    assert len(calls) == 4
 
 
 @st.composite
@@ -224,20 +230,14 @@ def test_lll_transform_is_lll_reduced_in_exact_arithmetic(rows):
 
 
 def test_back_map_validation():
-    # exact rows passed with a basis must embed onto it, on its side
-    k = preset_field("Q_i")
-    rows = ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 1]], 2)
-    basis = k.embed_rows(rows)
-    assert EmbeddedLattice(k, basis, rows).rows is rows
-    assert EmbeddedLattice(k, basis * (1 + 1e-12), rows).rows is rows
-    with pytest.raises(ValueError, match="do not embed"):
-        EmbeddedLattice(k, basis[[1, 0, 2, 3]], rows)
-    with pytest.raises(ValueError, match="do not embed"):
-        EmbeddedLattice(k, k.embed_rows(rows, conjugated=True), rows)
-    with pytest.raises(ValueError, match="do not embed"):
-        EmbeddedLattice(Q, np.eye(2), ([[1, 0], [1, 1]], 1))
-    with pytest.raises(ValueError, match="one K-vector per basis row"):
-        EmbeddedLattice(Q, np.eye(2), ([[1, 0]], 1))
+    # a lattice given by its floats alone has no exact rows and no preimages,
+    # a change of basis is the float product, and the basis must be square
+    lat = EmbeddedLattice(Q, np.diag([1.0, 2.0]))
+    assert lat.rows is None and lat.preimage_of((1, 0)) is None
+    moved = lat.transformed([[1, 1], [0, 1]])
+    assert moved.rows is None and moved.basis.tolist() == [[1.0, 2.0], [0.0, 2.0]]
+    with pytest.raises(ValueError, match="square and full rank"):
+        EmbeddedLattice(preset_field("Q_i"), np.eye(4)[:2])
 
 
 def test_lattice_takes_the_twisted_form_of_its_dimension():
@@ -824,7 +824,8 @@ def test_nearest_plane_bounds_measure_few_grid_points(monkeypatch):
     # the polar of the box (1, 10) over the Z-lattice of [[-3, 2], [3, -1]] at
     # resolution 64: with the gauge to the rounded cell corner as each grid
     # point's bound the search measured 2032 of the 4096 grid points; the
-    # nearest-plane point leaves 101, and only those are sorted
+    # nearest-plane point leaves 101, and only those are sorted; the size of
+    # the last batch follows the last bits of the reduced basis
     mat = [[Q.from_rational(x) for x in row] for row in [[-3, 2], [3, -1]]]
     star = adelic_polar(AdelicBody(module_from_matrix(Q, mat), q_body(2, Box((F(1), F(10))))))
     lat, body = star.lattice(), star.infinite_part
@@ -834,7 +835,7 @@ def test_nearest_plane_bounds_measure_few_grid_points(monkeypatch):
     monkeypatch.setattr(np, "argsort", lambda a, **kw: argsorted.append(len(a))
                         or real_argsort(a, **kw))
     bracket = covering_radius_bounds(lat, body, resolution=64)
-    assert counts == [16, 32, 53]
+    assert counts == [16, 32, 58]
     assert max(argsorted) < 101
     assert bracket == covering_radius_full_window(lat, body, 64)
 

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -317,13 +318,19 @@ def test_nd15_probe_completes_with_a_pinned_point_count(monkeypatch):
     assert (len(rounds), sum(points)) == (10, 264)
 
 
-def read_off_fields():
-    """Every preset field, then every field of the benchmark corpus that is not one."""
+def benchmark_corpus():
+    """The benchmark's corpus module, `perfbench/corpus.py`."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import corpus
     finally:
         sys.path.pop(0)
+    return corpus
+
+
+def read_off_fields():
+    """Every preset field, then every field of the benchmark corpus that is not one."""
+    corpus = benchmark_corpus()
     fields = {name: preset_field(name) for name in PRESETS}
     for name, (poly, basis, cm, _) in corpus.FIELDS.items():
         fields.setdefault(name, NumberField(poly, basis, cm_asserted=cm))
@@ -358,6 +365,28 @@ def test_polar_read_off_spans_the_polar_and_keeps_its_minima(monkeypatch, name, 
     for got, want in zip(rep.report_sstar.minima + rep.report_sstar.classical,
                          scratch.minima + scratch.classical):
         assert math.isclose(got, want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("name,seed", [("Q/5/b/ball", 2), ("Q/4/c/ball", 1)])
+def test_minima_are_within_two_ulp_of_the_exact_gauge_of_their_witnesses(name, seed):
+    # over Q a ball's gauge is |w| / r: a Fraction sum of squares, its square
+    # root taken in Decimal.  A reduced basis summed in floats from the start
+    # basis put S*'s minima of these corpus slots 18.6 and 5 ulp off; embedded
+    # from its exact rows, every Q ball slot of seeds 1-3 is within 1.53 ulp
+    case = next(c for c in benchmark_corpus().make_pass("transference", seed)
+                if c.slot.name == name)
+    k = rational_field()
+    module = module_from_matrix(k, [[k.element(e) for e in row] for row in case.matrix])
+    body = AdelicBody(module, uniform_ball_body(k, case.slot.n, case.scale))
+    rep = transference_check(body)
+    for side, report in ((body, rep.report_s), (adelic_polar(body), rep.report_sstar)):
+        [place] = side.infinite_part.place_bodies
+        for m, w in zip(report.minima, report.witnesses):
+            sq = sum(x.coords[0] ** 2 for x in w) / place.shape.radius ** 2
+            with localcontext() as ctx:
+                ctx.prec = 50
+                exact = (Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt()
+            assert abs(Decimal(m) - exact) <= 2 * Decimal(math.ulp(float(exact)))
 
 
 def test_transference_check_reduces_one_lattice_from_scratch(monkeypatch):
