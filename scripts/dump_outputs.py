@@ -11,7 +11,11 @@ benchmark does, and prints one header line per case followed by its result:
 - `cli_duality`: the exit code, then stdout and stderr, each line indented;
 - `fields`: once, not per seed, for every field of the corpus and every
   preset, the discriminant, the signature, the trace form, and the real
-  and complex roots as float hex.
+  and complex roots as float hex;
+- `cli`: once, not per seed, every command with and without `--machine`
+  on the packaged presets, on `tests/scenarios/*.ini` and on scenarios
+  with a right or a wrong `[field]` claim, then `paper-example`: the
+  exit code, stdout and stderr, as for `cli_duality`.
 
 A case that raises prints the exception's type and message instead.
 Dumping two checkouts and comparing them with `diff` shows whether a
@@ -50,7 +54,13 @@ import adelic.cli
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 
-WORKLOADS = ("transference", "covering", "cli_duality", "fields")
+WORKLOADS = ("transference", "covering", "cli_duality", "fields", "cli")
+TEST_SCENARIOS = Path(__file__).resolve().parent.parent / "tests" / "scenarios"
+# (scenario, line added to its [field] section): a true and a false claim of each kind
+CLAIMS = (("Q_sqrt2", "discriminant = 8"), ("Q_sqrt2", "discriminant = 7"),
+          ("Q_sqrt2", "cm = true"), ("Q_i", "discriminant = -4"), ("Q_i", "cm = true"),
+          ("x3-x-1_rank2_box.ini", "discriminant = -23"),
+          ("x3-x-1_rank2_box.ini", "discriminant = 23"), ("x3-x-1_rank2_box.ini", "cm = true"))
 
 
 def number(v, values: bool) -> str:
@@ -100,15 +110,36 @@ def covering_lines(case, fields, values):
            f"product={numbers(rep.product_bracket, values)}")
 
 
-def cli_lines(case, workdir: Path):
-    path = workdir / "scenario.ini"
-    path.write_text(corpus.scenario_text(case))
+def cli_lines(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = adelic.cli.main([case.slot.command, str(path), "--machine"])
+        code = adelic.cli.main(argv)
     yield f"exit={code}"
     yield from ("  " + line for line in out.getvalue().splitlines())
     yield from ("  stderr: " + line for line in err.getvalue().splitlines())
+
+
+def cli_duality_lines(case, workdir: Path):
+    path = workdir / "scenario.ini"
+    path.write_text(corpus.scenario_text(case))
+    yield from cli_lines([case.slot.command, str(path), "--machine"])
+
+
+def cli_runs(workdir: Path):
+    """(header, argv) for every command and mode on every scenario, then `paper-example`."""
+    scenarios = {name: name for name in adelic.PRESET_SCENARIOS}
+    scenarios.update((path.name, str(path)) for path in sorted(TEST_SCENARIOS.glob("*.ini")))
+    for i, (base, claim) in enumerate(CLAIMS):
+        path = workdir / f"claim{i}.ini"
+        text = adelic.cli.load_scenario_text(scenarios[base])
+        path.write_text(text.replace("[field]\n", f"[field]\n{claim}\n", 1))
+        scenarios[f"{base}[{claim}]"] = str(path)
+    for name, arg in scenarios.items():
+        for command in adelic.cli._SCENARIO_COMMANDS:
+            for mode in (["--machine"], []):
+                yield " ".join(["cli", command, name, *mode]), [command, arg, *mode]
+    for mode in (["--machine"], []):
+        yield " ".join(["cli", "paper-example", *mode]), ["paper-example", *mode]
 
 
 def field_lines(field, values):
@@ -136,11 +167,17 @@ def dump(args):
                     for line in field_lines(field, args.values):
                         print("  " + line)
                 continue
+            if workload == "cli":
+                for header, argv in cli_runs(Path(workdir)):
+                    print(header)
+                    for line in cli_lines(argv):
+                        print("  " + line)
+                continue
             for seed in args.seeds:
                 for case in corpus.make_pass(workload, seed):
                     print(f"{workload} seed={seed} case={case.index} slot={case.slot.name}")
                     if workload == "cli_duality":
-                        lines = cli_lines(case, Path(workdir))
+                        lines = cli_duality_lines(case, Path(workdir))
                     elif workload == "transference":
                         lines = transference_lines(case, fields, args.values)
                     else:

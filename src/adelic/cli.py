@@ -188,13 +188,11 @@ def cmd_mu(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
 
 
 def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
-    from .lattices import lattice_equal, lattice_from_module, polar_lattice
+    from .lattices import lattice_equal, polar_lattice
     _field_header(rep, body)
-    primal = lattice_from_module(body.finite_part, body.conjugated)
-    dual_module = body.finite_part.trace_dual()
-    mirrored = lattice_from_module(dual_module, not body.conjugated)
+    star = adelic_polar(body)
     try:
-        ok = lattice_equal(polar_lattice(primal), mirrored)
+        ok = lattice_equal(polar_lattice(body.lattice()), star.lattice())
     except ConditioningError as exc:
         raise ConditioningError(f"duality check: {exc}") from exc
     rep.human("polar lattice of the embedded module vs mirror-embedded dual module:")
@@ -210,7 +208,7 @@ def cmd_paper_example(args, rep: _Report) -> int:
 
     checks.append(("discriminant", str(field.discriminant), "8", field.discriminant == 8))
 
-    dual = body.finite_part.trace_dual()
+    dual = adelic_polar(body).finite_part
     expected = sorted([(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4))])
     rows, s = dual.int_flat
     got = sorted(tuple(Fraction(x, s) for x in row) for row in rows)

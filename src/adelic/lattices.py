@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -232,13 +231,11 @@ def _lll_transform(b: np.ndarray, delta: float) -> tuple[list[list[int]], list[l
 # enumeration
 
 
-@dataclass
-class LatticePoint:
-    coords: tuple[int, ...]  # over the reduced basis used for the search
-    gauge: float
+class LatticePoint(NamedTuple):
+    """A point found by a search; as a tuple it orders by gauge, then coordinates."""
 
-    def sort_key(self):
-        return (self.gauge, self.coords)
+    gauge: float
+    coords: tuple[int, ...]  # over the reduced basis used for the search
 
 
 def _enumerate_quadratic(r: np.ndarray, bound, cap: int, targets: np.ndarray | None = None):
@@ -388,10 +385,8 @@ def enumerate_below(
         return []
     vecs = (coords.astype(float)[:, None, :] @ lat.basis)[:, 0, :]
     gauges = body.gauge_many(vecs)
-    points = [LatticePoint(tuple(c), float(g))
-              for c, g in zip(coords.tolist(), gauges) if g <= t * (1 + 1e-12)]
-    points.sort(key=LatticePoint.sort_key)
-    return points
+    return sorted(LatticePoint(float(g), tuple(c))
+                  for c, g in zip(coords.tolist(), gauges) if g <= t * (1 + 1e-12))
 
 
 def _bounding_factor(lat: EmbeddedLattice, body: ProductBody) -> np.ndarray:

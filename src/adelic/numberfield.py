@@ -323,11 +323,6 @@ class NumberField:
         gram = mat_mul(mat_mul(num, self.trace_form), transpose(num))
         self.trace_gram: IntMatrix = [[x // (t * t) for x in row] for row in gram]
         self.discriminant = int(mat_det(self.trace_gram))
-        if claimed_discriminant is not None and claimed_discriminant != self.discriminant:
-            raise ValueError(
-                f"claimed discriminant {claimed_discriminant} "
-                f"differs from computed {self.discriminant}"
-            )
 
         # Hermite: P has pos - neg = r, the number of real roots.  P is
         # symmetric, so its eigenvalues are real and none is zero, and
@@ -336,11 +331,19 @@ class NumberField:
         pos = sum(x != y for x, y in zip(signs, signs[1:]))
         r = 2 * pos - d
         self.signature = (r, d - pos)
-        if cm_asserted and r != 0:
-            raise ValueError("a CM field has no real embeddings")
+        self.check_claims(claimed_discriminant, cm_asserted)
         self.cm_asserted = cm_asserted
 
         self.real_roots, self.complex_roots = self._roots()
+
+    def check_claims(self, discriminant: int | None, cm: bool):
+        """Raise `ValueError` unless a claimed discriminant and a claimed CM hold here."""
+        if discriminant is not None and discriminant != self.discriminant:
+            raise ValueError(
+                f"claimed discriminant {discriminant} differs from computed {self.discriminant}")
+        if cm and self.signature[0] != 0:
+            raise ValueError("claimed cm = true, but a CM field has no real embeddings "
+                             f"and this one has {self.signature[0]}")
 
     # -- construction helpers ------------------------------------------------
 

@@ -20,7 +20,7 @@ from .errors import ScenarioError
 from .numberfield import NumberField, PRESET_FIELDS, preset_field
 from .omodules import FractionalIdeal, KModule, module_from_matrix, standard_module
 
-PRESET_SCENARIOS = ("Q", "Q_sqrt2", "Q_sqrt5", "Q_i", "Q_sqrt-3")
+PRESET_SCENARIOS = tuple(PRESET_FIELDS)  # each has a packaged scenarios/<name>.ini
 
 # least accepted value of each [options] key; the CLI flags share it
 OPTION_MINIMA = {"resolution": 2, "cap": 1}
@@ -289,13 +289,12 @@ def _parse_body_sections(sections) -> list[BodySpec]:
 
 
 def _build_field(fs: FieldSpec) -> NumberField:
-    if fs.preset is not None:
-        f = preset_field(fs.preset)
-        if fs.cm and not f.is_cm:
-            raise ScenarioError("[field]: cm = true needs a field with no real embeddings")
-        return f
     try:
-        return NumberField(fs.poly, fs.basis, fs.discriminant, cm_asserted=fs.cm)
+        if fs.preset is None:
+            return NumberField(fs.poly, fs.basis, fs.discriminant, cm_asserted=fs.cm)
+        field = preset_field(fs.preset)
+        field.check_claims(fs.discriminant, fs.cm)
+        return field
     except ValueError as exc:
         raise ScenarioError(f"[field]: {exc}") from exc
 

@@ -27,11 +27,28 @@ Groups* (3rd ed., 1999), ch. 4 and 7, each given as a module:
   (three units per residue +-1) and theta u e_i gives 6 * 4 more, 240 in
   all.  Read as R^8 with the Euclidean norm of (Re, Im), it is
   sqrt(3/2) E8.
+
+Over number fields of every degree, two theorems give known answers:
+
+- Kronecker: a nonzero algebraic integer with every conjugate of modulus
+  at most 1 is a root of unity, and one whose norm is at least 1 has a
+  conjugate of modulus at least 1.  So O_K^n with the unit ball at every
+  place has lambda_1 = ... = lambda_n = 1, and its points of gauge 1 are
+  the zeta e_i for zeta in mu_K, n |mu_K| / 2 +- pairs: a point with two
+  nonzero coordinates would need each of modulus below 1 at every place.
+  mu_K is +-1 for a field with a real place; Q(zeta_m) holds the m-th
+  roots of unity and -1, so |mu_K| = m for even m and 2m for odd m.
+- Power-of-two cyclotomics: K = Q(zeta_2d) with d a power of two has
+  O_K = Z[zeta_2d], discriminant d^d and trace dual O^v = (1/d) O
+  (Lyubashevsky-Peikert-Regev, EUROCRYPT 2010).  The polar of the unit
+  ball at a complex place has radius 1/2 under the twisted form, so by
+  Kronecker on d O^v = O, lambda_l(S*) = 2/d and every transference
+  product is 2/d.
 """
 
 from fractions import Fraction
 
-from adelic import module_from_matrix, preset_field, rational_field
+from adelic import NumberField, module_from_matrix, preset_field, rational_field
 from adelic.exactla import transpose
 
 E8_ROWS = ([[2, 0, 0, 0, 0, 0, 0, 0]]
@@ -85,3 +102,34 @@ def e8_over_eisenstein():
     rows = [[one, zero, one, -one], [zero, one, one, one],
             [zero, zero, theta, zero], [zero, zero, zero, theta]]
     return module_from_matrix(k, transpose(rows))
+
+
+# |mu_K| of each preset field and of each other field of the benchmark
+# corpus (`perfbench/corpus.py`): +-1 where there is a real place; x^4+1,
+# x^4-x^2+1 and x^6+x^3+1 are the cyclotomic polynomials of 8, 12 and 9
+PRESET_ROOTS_OF_UNITY = {"Q": 2, "Q_sqrt2": 2, "Q_sqrt5": 2, "Q_i": 4, "Q_sqrt-3": 6}
+CORPUS_ROOTS_OF_UNITY = {"x3-x-1": 2, "x3-3x-1": 2, "x4+1": 8, "x4-x-1": 2, "x4-x2+1": 12,
+                         "x5-x-1": 2, "x6+x3+1": 18}
+
+
+def cyclotomic_poly(m: int) -> list[int]:
+    """Phi_m, constant term first: x^m - 1 divided by Phi_k for every other divisor k of m."""
+    rest = [-1] + [0] * (m - 1) + [1]
+    for k in range(1, m):
+        if m % k == 0:
+            div = cyclotomic_poly(k)
+            quotient = [0] * (len(rest) - len(div) + 1)
+            for i in reversed(range(len(quotient))):  # div is monic
+                quotient[i] = c = rest[i + len(div) - 1]
+                for j, x in enumerate(div):
+                    rest[i + j] -= c * x
+            assert not any(rest)
+            rest = quotient
+    return rest
+
+
+def cyclotomic_field(m: int) -> NumberField:
+    """Q(zeta_m) with the power basis, which spans its ring of integers Z[zeta_m]."""
+    poly = cyclotomic_poly(m)
+    d = len(poly) - 1
+    return NumberField(poly, [[int(i == j) for j in range(d)] for i in range(d)])

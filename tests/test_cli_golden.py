@@ -51,6 +51,19 @@ def test_cli_output_matches_golden(golden, argv):
     assert run(argv) == golden[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", [argv for argv in RUNS
+                                  if not argv[1].startswith(f"{SCENARIOS.name}/")], ids=" ".join)
+def test_human_output_holds_the_machine_lines_in_order(golden, argv):
+    # without --machine: the same exit code, and prose around the same lines
+    machine = golden[" ".join(argv)]
+    human = run([a for a in argv if a != "--machine"])
+    assert human["code"] == machine["code"]
+    lines = human["stdout"].splitlines()
+    rest = iter(lines)
+    assert all(line in rest for line in machine["stdout"].splitlines())  # a subsequence
+    assert len(lines) > len(machine["stdout"].splitlines())
+
+
 def test_golden_file_covers_exactly_the_runs(golden):
     assert sorted(golden) == sorted(" ".join(argv) for argv in RUNS)
 

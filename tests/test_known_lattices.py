@@ -14,25 +14,34 @@ import pytest
 
 from adelic import (
     AdelicBody,
+    FractionalIdeal,
     KRankTracker,
+    NumberField,
+    PRESET_FIELDS,
     adelic_minima,
     adelic_polar,
     enumerate_below,
     lattice_from_module,
+    preset_field,
+    standard_module,
     transference_check,
     uniform_ball_body,
 )
 from adelic.exactla import mat_det
 from field_reference import fraction_krank_decisions, preimage_by_field_arithmetic
 from known_lattices import (
+    CORPUS_ROOTS_OF_UNITY,
     E8_KISSING,
     E8_ROWS,
+    PRESET_ROOTS_OF_UNITY,
     bw16_rows,
+    cyclotomic_field,
     d_n_rows,
     e8_over_eisenstein,
     e8_over_q,
     rational_module,
 )
+from test_transference import benchmark_corpus
 
 # Per lattice: lambda_1, lambda_1 of the polar, and the kissing numbers of
 # both, each twice the number of +- pairs at its lambda_1.  The unit ball is
@@ -116,3 +125,59 @@ def test_every_transference_product_is_lambda_1_times_its_polar(name):
         [lam * lam_star] * body.n, rel=1e-12)
     assert report.passed
     assert all(row.lower_verdict == "pass" for row in report.rows)
+
+
+def corpus_field(name):
+    poly, basis, cm, _ = benchmark_corpus().FIELDS[name]
+    return NumberField(poly, basis, cm_asserted=cm)
+
+
+# per field: a maker and |mu_K| (see `known_lattices.py`)
+KRONECKER_FIELDS = {
+    **{name: (lambda name=name: preset_field(name), mu)
+       for name, mu in PRESET_ROOTS_OF_UNITY.items()},
+    **{name: (lambda name=name: corpus_field(name), mu)
+       for name, mu in CORPUS_ROOTS_OF_UNITY.items()},
+    **{f"Q(zeta{m})": (lambda m=m: cyclotomic_field(m), m if m % 2 == 0 else 2 * m)
+       for m in (5, 7, 8, 9, 12, 16)},
+}
+
+
+def unit_ball_body(field, n):
+    return AdelicBody(standard_module(field, n), uniform_ball_body(field, n, Fraction(1)))
+
+
+def test_kronecker_fields_are_every_preset_and_corpus_field():
+    assert set(PRESET_ROOTS_OF_UNITY) == set(PRESET_FIELDS)
+    assert set(PRESET_ROOTS_OF_UNITY) | set(CORPUS_ROOTS_OF_UNITY) == set(
+        benchmark_corpus().FIELDS)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("name", KRONECKER_FIELDS)
+def test_unit_balls_on_o_k_n_have_minima_1_at_n_mu_k_over_2_pairs(name, n):
+    make, mu = KRONECKER_FIELDS[name]
+    body = unit_ball_body(make(), n)
+    assert adelic_minima(body).minima == pytest.approx([1.0] * n, rel=1e-12)
+    points = enumerate_below(body.lattice().reduced(), body.infinite_part, 1.0)
+    assert len(points) == n * mu // 2
+    assert [p.gauge for p in points] == pytest.approx([1.0] * len(points), rel=1e-12)
+
+
+# Q(zeta_2d) for d = 4, 8, 16: the worst product, at d = 16, is 5 ulp of 2/d below it
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_power_of_two_cyclotomic_transference_products_are_2_over_d(m):
+    field = cyclotomic_field(m)
+    want = 2 / field.degree
+    report = transference_check(unit_ball_body(field, 1))
+    assert report.rows and all(abs(row.product - want) <= 8 * math.ulp(want)
+                               for row in report.rows)
+
+
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_power_of_two_cyclotomic_trace_dual_is_o_over_d(m):
+    field = cyclotomic_field(m)
+    d = field.degree
+    assert field.discriminant == d ** d
+    ring = FractionalIdeal.whole_ring(field)
+    assert ring.trace_dual().equals(ring.scaled(field.from_rational(Fraction(1, d))))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from adelic import (
     Ball,
     Ellipsoid,
     EnumerationCapError,
+    PRESET_FIELDS,
     PRESET_SCENARIOS,
     ScenarioError,
     adelic_minima,
@@ -40,6 +42,14 @@ F = Fraction
 def test_preset_files_build(name):
     body = parse_scenario(load_scenario_text(name)).build()
     assert body.field.name == name
+
+
+def test_preset_fields_scenarios_and_packaged_files_name_the_same_presets():
+    # a preset field without its file would end `adelic polar <name>` in a traceback
+    files = sorted(path.name for path in (resources.files("adelic") / "scenarios").iterdir()
+                   if path.name.endswith(".ini"))
+    assert PRESET_SCENARIOS == tuple(PRESET_FIELDS)
+    assert files == sorted(f"{name}.ini" for name in PRESET_FIELDS)
 
 
 CUSTOM = """\
@@ -394,6 +404,23 @@ def test_cli_exit_code_2_on_bad_input(capsys, tmp_path):
 
 SQRT2_BODIES = "[body.v1]\nshape = ball\nradius = 1\n[body.v2]\nshape = ball\nradius = 1\n"
 
+SQRT2_RANK1 = """\
+[field]
+preset = Q_sqrt2
+
+[module]
+rank = 1
+{module}
+
+[body.v1]
+shape = ball
+radius = 1
+
+[body.v2]
+shape = ball
+radius = 1
+"""
+
 
 @pytest.mark.parametrize("field,module,message", [
     ("poly = -2, 0, 1\nbasis = [[1; 0], [2; 0]]", "matrix = [[1]]",
@@ -415,6 +442,114 @@ def test_cli_names_each_dependent_or_invalid_basis(capsys, tmp_path, field, modu
     path.write_text(f"[field]\n{field}\n[module]\nrank = {rank}\n{module}\n{SQRT2_BODIES}")
     code, out, err = run_cli(["polar", str(path), "--machine"], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field", ["preset = Q_sqrt2",
+                                   "poly = -2, 0, 1\nbasis = [[1; 0], [0; 1]]"])
+@pytest.mark.parametrize("claim,code,err", [
+    ("discriminant = 8", 0, ""),
+    ("discriminant = 7", 2, "error: [field]: claimed discriminant 7 differs from computed 8\n"),
+    ("cm = true", 2, "error: [field]: claimed cm = true, but a CM field has no real "
+                     "embeddings and this one has 2\n"),
+])
+def test_cli_field_claims_are_checked_alike_on_presets_and_custom_fields(
+        capsys, tmp_path, field, claim, code, err):
+    path = tmp_path / "claim.ini"
+    path.write_text(f"[field]\n{field}\n{claim}\n[module]\nrank = 1\nidentity = true\n"
+                    f"{SQRT2_BODIES}")
+    got, out, got_err = run_cli(["polar", str(path), "--machine"], capsys)
+    assert (got, got_err) == (code, err)
+    assert ("polar biduality=pass" in out) == (code == 0)
+
+
+@pytest.mark.parametrize("field", ["preset = Q_i", "poly = 1, 0, 1\nbasis = [[1; 0], [0; 1]]"])
+def test_cli_true_cm_and_discriminant_claims_build(capsys, tmp_path, field):
+    path = tmp_path / "claim.ini"
+    path.write_text(f"[field]\n{field}\ndiscriminant = -4\ncm = true\n[module]\nrank = 1\n"
+                    "identity = true\n[body.v1]\nshape = ball\nradius = 1\n")
+    code, out, err = run_cli(["polar", str(path), "--machine"], capsys)
+    assert (code, err) == (0, "") and "polar biduality=pass" in out
+
+
+Q_RANK1 = "[field]\n{field}\n[module]\nrank = 1\n{module}\n[body.v1]\n{body}\n"
+Q_BALL = "shape = ball\nradius = 1"
+
+
+@pytest.mark.parametrize("text,message", [
+    (Q_RANK1.format(field="poly =\nbasis = [[1]]", module="identity = true", body=Q_BALL),
+     "[field] poly (line 2): expected a comma-separated list of rationals"),
+    (Q_RANK1.format(field="preset = Q\ncm = yes", module="identity = true", body=Q_BALL),
+     "[field] cm (line 3): expected true or false, got 'yes'"),
+    (Q_RANK1.format(field="poly = -2, 0, 1\nbasis = [1; 0], [0; 1]", module="identity = true",
+                    body=Q_BALL),
+     "[field] basis (line 3): matrix must be written [[...], [...]]"),
+    (Q_RANK1.format(field="poly = -2, 0, 1\nbasis = [[1,0; 0], [0; 1]]",
+                    module="identity = true", body=Q_BALL),
+     "[field] basis (line 3): entries must be single rationals separated by ';'"),
+    (Q_RANK1.format(field="poly = -2, 0, 1\nbasis = [[1; 0]]", module="identity = true",
+                    body=Q_BALL),
+     "[field]: integral basis must consist of degree many vectors"),
+    (Q_RANK1.format(field="preset = Q", module="identity = true", body=Q_BALL).replace(
+        "rank = 1", "rank = one"),
+     "[module] rank (line 4): 'one' is not an integer"),
+    (SQRT2_RANK1.format(module="pseudo1 = 1,0; 0,1"),
+     "[module] pseudo1 (line 6): expected '<ideal basis> | <vector>'"),
+    (SQRT2_RANK1.format(module="pseudo1 = | 1"),
+     "[module] pseudo1 (line 6): expected ';'-separated field elements"),
+    (SQRT2_RANK1.format(module="pseudo1 = 1,0; 0,1 |"),
+     "[module] pseudo1 (line 6): expected ';'-separated field elements"),
+    (SQRT2_RANK1.format(module="pseudo1 = 1,0; 0,1 | 1; 0"),
+     "[module] pseudo1: vector part needs 1 components"),
+    (SQRT2_RANK1.format(module="pseudo1 = 1,0 | 1"),
+     "[module] pseudo1: ideal basis must have one generator per degree"),
+    (Q_RANK1.format(field="preset = Q", module="identity = true",
+                    body="shape = ellipsoid\nq = [[1; 0], [0]]"),
+     "[body.v1]: quadratic form must be square"),
+    ("[field]\npreset = Q\n[module]\nrank = 1\nidentity = true\n",
+     "missing body sections [body.v1], ..."),
+], ids=["empty poly", "cm not boolean", "matrix not bracketed", "comma in basis entry",
+        "basis rows", "rank not integer", "pseudo without bar", "pseudo empty left",
+        "pseudo empty right", "pseudo vector length", "ideal generators", "ragged ellipsoid",
+        "no body section"])
+def test_cli_input_errors_name_their_location(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code, out, err = run_cli(["polar", str(path), "--machine"], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_cli_all_on_a_directory_without_ini_files_is_an_input_error(capsys, tmp_path):
+    (tmp_path / "notes.txt").write_text(load_scenario_text("Q"))
+    code, out, err = run_cli(["polar", "--all", str(tmp_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: no .ini files in {str(tmp_path)!r}\n"
+
+
+# a box of halfwidths 1 and 10^9 at one real place: the bounding form's
+# Cholesky factor fails, which is a refusal (exit 3), not a traceback
+SKEWED_BOX = ("[field]\npreset = Q_sqrt2\n[module]\nrank = 2\nidentity = true\n"
+              "[body.v1]\nshape = box\nhalfwidths = 1, 1000000000\n"
+              "[body.v2]\nshape = ball\nradius = 1\n")
+
+
+@pytest.mark.parametrize("command", ["minima", "transference"])
+def test_cli_numerically_singular_bounding_form_exits_3(capsys, tmp_path, command):
+    path = tmp_path / "skewed.ini"
+    path.write_text(SKEWED_BOX)
+    code, out, err = run_cli([command, str(path), "--machine"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith("bounding form is numerically singular\n")
+
+
+def test_cli_all_reports_a_computational_error_and_goes_on(capsys, tmp_path):
+    (tmp_path / "a_skewed.ini").write_text(SKEWED_BOX)
+    (tmp_path / "b_good.ini").write_text(load_scenario_text("Q"))
+    code, out, _ = run_cli(["minima", "--all", str(tmp_path), "--machine"], capsys)
+    assert code == 3  # worst of 3 and 0
+    blocks = out.split("scenario file=")[1:]
+    assert blocks[0] == (f"{tmp_path / 'a_skewed.ini'}\n"
+                         "error kind=computational detail=bounding form is numerically singular\n")
+    assert "lambda_1=" in blocks[1]
 
 
 def test_cli_resolution_below_two_is_an_argument_error(capsys):
@@ -669,24 +804,6 @@ def test_cli_noncanonical_pseudo_key_is_an_input_error(capsys, tmp_path, extra):
     assert code == 2 and out == ""
     assert err.startswith("error: [module] " + extra.split(" ")[0])
     assert err.endswith("pseudo keys are pseudo1, pseudo2, ...\n")
-
-
-SQRT2_RANK1 = """\
-[field]
-preset = Q_sqrt2
-
-[module]
-rank = 1
-{module}
-
-[body.v1]
-shape = ball
-radius = 1
-
-[body.v2]
-shape = ball
-radius = 1
-"""
 
 
 @pytest.mark.parametrize("module, where", [

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import adelic
+import adelic.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,6 +43,50 @@ def test_dump_outputs_prints_the_stored_cli_output_of_the_committed_seed():
         assert header == f"cli_duality seed=1 case={i} slot={ref['slot']}"
         assert code == f"  exit={ref['outputs']['code']}"
         assert "".join(line[4:] + "\n" for line in stdout) == ref["outputs"]["stdout"]
+
+
+def test_dump_outputs_cli_block_runs_every_command_and_mode():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "dump_outputs.py"),
+                           "--workloads", "cli"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    blocks = {}
+    for block in proc.stdout.replace("\ncli ", "\n\0cli ").split("\0"):
+        header, *lines = block.splitlines()
+        blocks[header] = lines
+    files = sorted(path.name for path in (ROOT / "tests" / "scenarios").glob("*.ini"))
+    commands = list(adelic.cli._SCENARIO_COMMANDS)
+    plain = [f"cli {command} {name}{mode}" for name in (*adelic.PRESET_SCENARIOS, *files)
+             for command in commands for mode in (" --machine", "")]
+    assert set(plain) < set(blocks)
+    assert list(blocks)[-2:] == ["cli paper-example --machine", "cli paper-example"]
+    # the machine lines of the golden runs, and a true [field] claim changes nothing
+    golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
+    checked = 0
+    for header in plain:
+        command, name, *mode = header.split(" ")[1:]
+        key = " ".join([command, f"scenarios/{name}" if name in files else name, *mode])
+        if key in golden:
+            checked += 1
+            assert blocks[header] == [f"  exit={golden[key]['code']}"] + [
+                "    " + line for line in golden[key]["stdout"].splitlines()]
+    assert checked == 4 * (len(adelic.PRESET_SCENARIOS) + len(files))  # all but mu's
+    for base, claim in (("Q_sqrt2", "discriminant = 8"), ("Q_i", "discriminant = -4"),
+                        ("Q_i", "cm = true"), ("x3-x-1_rank2_box.ini", "discriminant = -23")):
+        for header in plain:
+            if header.split(" ")[2] == base:
+                assert blocks[header.replace(base, f"{base}[{claim}]")] == blocks[header]
+    for base, claim, message in (
+            ("Q_sqrt2", "discriminant = 7", "claimed discriminant 7 differs from computed 8"),
+            ("Q_sqrt2", "cm = true", "claimed cm = true"),
+            ("x3-x-1_rank2_box.ini", "discriminant = 23", "claimed discriminant 23"),
+            ("x3-x-1_rank2_box.ini", "cm = true", "claimed cm = true")):
+        wrong = [lines for header, lines in blocks.items() if f"{base}[{claim}]" in header]
+        assert len(wrong) == 2 * len(commands)
+        assert all(lines[0] == "  exit=2" and len(lines) == 2
+                   and lines[1].startswith(f"    stderr: error: [field]: {message}")
+                   for lines in wrong)
 
 
 def test_dump_outputs_prints_every_corpus_field_and_preset():
