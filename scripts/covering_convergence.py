@@ -32,7 +32,7 @@ from pathlib import Path
 from adelic import (
     AdelicBody,
     EnumerationCapError,
-    inhomogeneous_minimum,
+    covering_radius_bounds,
     mu_product_report,
     parse_scenario,
     uniform_ball_body,
@@ -74,7 +74,8 @@ def main():
             if args.mu_rank is not None:
                 lo, hi = mu_product_report(body, resolution=k).mu_bracket
             else:
-                lo, hi = inhomogeneous_minimum(body, resolution=k)
+                lo, hi = covering_radius_bounds(body.lattice().reduced(), body.infinite_part,
+                                                resolution=k)
         except EnumerationCapError as exc:
             print(f"{k:>10} refused: {exc}")
             break

@@ -35,8 +35,8 @@ _EXPORTS = {
     "lattices": ("EmbeddedLattice", "LatticePoint", "covering_radius_bounds",
                  "enumerate_below", "lattice_equal", "lattice_from_module", "polar_lattice"),
     "transference": ("HypothesisFlags", "MinimaReport", "MuProductReport",
-                     "TransferenceReport", "adelic_minima", "inhomogeneous_minimum",
-                     "mu_product_report", "transference_check"),
+                     "TransferenceReport", "adelic_minima", "mu_product_report",
+                     "transference_check"),
     "scenario": ("PRESET_SCENARIOS", "Scenario", "parse_scenario"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

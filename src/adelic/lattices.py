@@ -14,7 +14,8 @@ diagonal bounding form.
 LLL is the Schnorr-Euchner reduction on Python floats: one Gram-Schmidt
 row per arrival at a row, and mu updated in place by size reduction.
 It returns U^-T with U, so a lattice and its polar take one reduction
-from scratch (`reduced_pair`): the polar's starts from J U^-T.
+from scratch (`reduced_pair`): the other's starts from J U^-T.  The
+searches below take a lattice as given and reduce nothing themselves.
 
 One enumeration engine expands a frontier level by level, around the
 origin for minima and around many grid points at once for covering
@@ -83,7 +84,7 @@ class EmbeddedLattice:
 
     def reduced(self) -> "EmbeddedLattice":
         """LLL reduction under the form: the lattice transformed by one integer u."""
-        return self.transformed(_lll_transform(self.basis * np.sqrt(self.form), LLL_DELTA)[0])
+        return self.transformed(_lll_transform(self.basis * np.sqrt(self.form))[0])
 
     def transformed(self, u: list[list[int]]) -> "EmbeddedLattice":
         """The basis u B of the same lattice, u integer unimodular."""
@@ -129,10 +130,12 @@ def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
     the dual's LLL starts there.  Whatever `dual` holds, the second lattice
     is an LLL-reduced basis of it; the duality only makes the start good.
     Of an exact `dual` only that start and the reduced basis are embedded.
+    The relation is symmetric, so either side may go first: the first
+    lattice is reduced exactly as `reduced()` reduces it.
     """
-    u, v = _lll_transform(lat.basis * np.sqrt(lat.form), LLL_DELTA)
+    u, v = _lll_transform(lat.basis * np.sqrt(lat.form))
     start = dual.transformed(v[::-1])
-    w, _ = _lll_transform(start.basis * np.sqrt(start.form), LLL_DELTA)
+    w, _ = _lll_transform(start.basis * np.sqrt(start.form))
     return lat.transformed(u), start.transformed(w)
 
 
@@ -170,17 +173,18 @@ def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:
 # LLL on float rows (plain Euclidean form; callers pre-scale for the twist)
 
 
-def _lll_transform(b: np.ndarray, delta: float) -> tuple[list[list[int]], list[list[int]]]:
+def _lll_transform(b: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
     """The integer transform U of an LLL reduction of the rows of b, and U^-T.
 
-    Schnorr-Euchner (1994) floating-point LLL on Python floats.  Row k of
-    Gram-Schmidt is computed once, when the loop arrives at k (row 0 too,
-    after a swap that leaves k at 1).  Size reduction by row j leaves b*_k
-    and |b*_k|^2 as they are and updates mu in place; row k is recomputed,
-    and the pass repeated, only after a pass that used a coefficient
-    |r| > 2^26, half the float mantissa.  V = U^-T follows each step
-    inverted: row k minus r times row j of U adds r times row k of V to
-    row j, and a swap of two rows of U swaps the same rows of V.
+    Schnorr-Euchner (1994) floating-point LLL on Python floats, with the
+    Lovasz condition at `LLL_DELTA`.  Row k of Gram-Schmidt is computed
+    once, when the loop arrives at k (row 0 too, after a swap that leaves
+    k at 1).  Size reduction by row j leaves b*_k and |b*_k|^2 as they are
+    and updates mu in place; row k is recomputed, and the pass repeated,
+    only after a pass that used a coefficient |r| > 2^26, half the float
+    mantissa.  V = U^-T follows each step inverted: row k minus r times
+    row j of U adds r times row k of V to row j, and a swap of two rows of
+    U swaps the same rows of V.
     """
     m = len(b)
     b = b.tolist()
@@ -216,7 +220,7 @@ def _lll_transform(b: np.ndarray, delta: float) -> tuple[list[list[int]], list[l
                     v[j] = [x + r * y for x, y in zip(v[j], v[k])]
                     mu_k[:j] = [x - r * y for x, y in zip(mu_k[:j], mu[j])]
                     mu_k[j] -= r
-        if norms[k] >= (delta - mu_k[k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (LLL_DELTA - mu_k[k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[k - 1], b[k], u[k - 1], u[k] = b[k], b[k - 1], u[k], u[k - 1]
@@ -455,8 +459,10 @@ def covering_radius_bounds(
     resolution: int | None = None,
     cap: int = ENUMERATION_CAP,
 ) -> tuple[float, float]:
-    """Bracket the covering radius by a grid over the fundamental cell.
+    """Bracket the covering radius by a grid over the fundamental cell of `lat`'s basis.
 
+    Pass it reduced, as for `enumerate_below`: any basis gives a proven
+    bracket, but the slack grows with the lengths of the basis rows.
     Grid points are corner-aligned (multiples of 1/resolution in cell
     coordinates) so that doubling the resolution refines the same grid.
     The lower end is the largest distance (in gauge) from a grid point to
@@ -477,9 +483,8 @@ def covering_radius_bounds(
     k = RESOLUTION if resolution is None else resolution
     if k < 2:
         raise ValueError("resolution must be at least 2")
-    red = lat.reduced()
-    b = red.basis
-    m = red.dim
+    b = lat.basis
+    m = lat.dim
     if k ** m > 2_000_000:
         raise EnumerationCapError(
             f"covering grid would hold {k ** m} points; lower the resolution")
@@ -487,7 +492,7 @@ def covering_radius_bounds(
     # grid point a / k (digits a_0 .. a_m-1, the last fastest) and its Babai
     # nearest-plane point c in r: c_i = rint(f_i + sum_j>i r_ij / r_ii (f_j - c_j))
     # depends on the digits a_i .. a_m-1 alone
-    r = _bounding_factor(red, body)
+    r = _bounding_factor(lat, body)
     fracs, cs, resid = np.empty((k,) * m + (m,)), [None] * m, {}
     for i in range(m - 1, -1, -1):
         f = (np.arange(k) / k).reshape((k,) + (1,) * (m - 1 - i))

@@ -124,8 +124,8 @@ def _charpoly(a: IntMatrix) -> list[int]:
     return c
 
 
-def _aberth_roots(poly: list[float], target: float, max_iter: int = 400) -> list[complex]:
-    """All complex roots of a monic squarefree polynomial, simultaneously."""
+def _aberth_roots(poly: list[float]) -> list[complex]:
+    """All complex roots of a monic squarefree polynomial, simultaneously: 400 steps at most."""
     d = len(poly) - 1
     dpoly = [k * c for k, c in enumerate(poly)][1:]
     radius = 1.0 + max(abs(c) for c in poly[:-1]) if d > 0 else 1.0
@@ -133,7 +133,7 @@ def _aberth_roots(poly: list[float], target: float, max_iter: int = 400) -> list
         radius * cmath.exp(2j * math.pi * (k / d) + 0.4j) * (1 + 1e-3 * k)
         for k in range(d)
     ]
-    for _ in range(max_iter):
+    for _ in range(400):
         moved = 0.0
         for i in range(d):
             pv = _eval_complex(poly, z[i])
@@ -148,13 +148,13 @@ def _aberth_roots(poly: list[float], target: float, max_iter: int = 400) -> list
             step = newton / denom if denom != 0 else newton
             z[i] -= step
             moved = max(moved, abs(step))
-        if moved < target:
+        if moved < ROOT_TOL:
             break
     return z
 
 
-def _newton_polish(poly: list[float], dpoly: list[float], z, steps: int = 6):
-    for _ in range(steps):
+def _newton_polish(poly: list[float], dpoly: list[float], z):
+    for _ in range(6):
         dv = _eval_complex(dpoly, z)
         if dv == 0:
             break
@@ -332,18 +332,18 @@ class NumberField:
         r = 2 * pos - d
         self.signature = (r, d - pos)
         self.check_claims(claimed_discriminant, cm_asserted)
-        self.cm_asserted = cm_asserted
 
         self.real_roots, self.complex_roots = self._roots()
 
     def check_claims(self, discriminant: int | None, cm: bool):
-        """Raise `ValueError` unless a claimed discriminant and a claimed CM hold here."""
+        """Raise `ValueError` unless a claimed discriminant and CM hold; record the CM claim."""
         if discriminant is not None and discriminant != self.discriminant:
             raise ValueError(
                 f"claimed discriminant {discriminant} differs from computed {self.discriminant}")
         if cm and self.signature[0] != 0:
             raise ValueError("claimed cm = true, but a CM field has no real embeddings "
                              f"and this one has {self.signature[0]}")
+        self.cm_asserted = cm
 
     # -- construction helpers ------------------------------------------------
 
@@ -428,7 +428,7 @@ class NumberField:
         r, s = self.signature
         if self.degree == 1:
             return [-fpoly[0]], []
-        roots = _aberth_roots(fpoly, ROOT_TOL)
+        roots = _aberth_roots(fpoly)
         dpoly = [k * c for k, c in enumerate(fpoly)][1:]
         roots = [_newton_polish(fpoly, dpoly, z) for z in roots]
         roots.sort(key=lambda z: abs(z.imag))

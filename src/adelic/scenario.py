@@ -351,7 +351,4 @@ def _build_infinite_part(field: NumberField, n: int, specs: list[BodySpec]) -> P
             place_bodies.append(PlaceBody(kind, dim, SHAPES[bs.shape](bs.value)))
         except ValueError as exc:
             raise ScenarioError(f"[body.v{i}]: {exc}") from exc
-    try:
-        return ProductBody(field, n, place_bodies)
-    except ValueError as exc:
-        raise ScenarioError(f"body sections: {exc}") from exc
+    return ProductBody(field, n, place_bodies)  # count, dims and kinds come from the field

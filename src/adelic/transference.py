@@ -95,15 +95,6 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP,
     raise ConditioningError("minima search did not reach full rank over K")
 
 
-def inhomogeneous_minimum(
-    body: AdelicBody,
-    resolution: int | None = None,
-    cap: int = ENUMERATION_CAP,
-) -> tuple[float, float]:
-    """Bracket for the covering radius of the embedded lattice in the gauge."""
-    return covering_radius_bounds(body.lattice(), body.infinite_part, resolution, cap)
-
-
 @dataclass
 class HypothesisFlags:
     totally_real: bool
@@ -203,10 +194,15 @@ def mu_product_report(
     resolution: int | None = None,
     cap: int = ENUMERATION_CAP,
 ) -> MuProductReport:
-    """Bracket for lambda_1(S) * mu(S*); the k = 1 stream yields lambda_1 by its last level."""
-    lam1 = next(points_by_gauge(body.lattice().reduced(), body.infinite_part, 1, cap)).gauge
+    """Bracket for lambda_1(S) * mu(S*); the k = 1 stream yields lambda_1 by its last level.
+
+    One LLL runs from scratch, on the polar, whose basis the covering grid
+    follows (`reduced_pair`, polar first); the primal's only finishes it.
+    """
     star = adelic_polar(body)
-    lo, hi = inhomogeneous_minimum(star, resolution, cap)
+    red_star, red = reduced_pair(star.lattice(), body.lattice())
+    lam1 = next(points_by_gauge(red, body.infinite_part, 1, cap)).gauge
+    lo, hi = covering_radius_bounds(red_star, star.infinite_part, resolution, cap)
     nd = body.n * body.field.degree
     return MuProductReport(
         lambda1=lam1,

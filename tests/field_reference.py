@@ -301,18 +301,19 @@ def covering_radius_full_window(lat, body, resolution):
 
     The plain search that `adelic.lattices.covering_radius_bounds` prunes:
     the same grid and slack, and each grid point's nearest lattice point
-    taken over all offsets of its own window.  For the grid point f B,
-    g is the gauge to its nearest-plane (Babai) point under the
-    Euclidean Gram-Schmidt basis of B, found here by a QR factorisation.
+    taken over all offsets of its own window.  The lattice is taken as
+    given, as there: pass the basis the pruned search gets, since a second
+    float LLL of a reduced basis need not leave every bit alone.  For the
+    grid point f B, g is the gauge to its nearest-plane (Babai) point under
+    the Euclidean Gram-Schmidt basis of B, found here by a QR factorisation.
     A lattice point c B at gauge <= g lies within g * circ of f B, so
     |c - f| <= g * circ * |B^-1| and c lies in [-w, w + 1]^m for
     w = ceil(g * circ * |B^-1|) + 1.  Grid points with the same w are
     measured together.
     """
     k = resolution
-    red = lat.reduced()
-    b = red.basis
-    m = red.dim
+    b = lat.basis
+    m = lat.dim
     axes = [np.arange(k) / k for _ in range(m)]
     mesh = np.meshgrid(*axes, indexing="ij")
     fracs = np.stack([a.ravel() for a in mesh], axis=1)

@@ -342,7 +342,7 @@ def covering_corpus():
 
 def test_criterion_8_covering_brackets():
     q = rational_field()
-    z2 = lattice_from_module(standard_module(q, 2))
+    z2 = lattice_from_module(standard_module(q, 2)).reduced()
     ball = ProductBody(q, 2, [PlaceBody("real", 2, Ball(F(1)))])
     lo, hi = covering_radius_bounds(z2, ball, resolution=128)
     target = math.sqrt(2) / 2
@@ -351,7 +351,8 @@ def test_criterion_8_covering_brackets():
 
     nested = True
     for lat, body in covering_corpus():
-        brackets = [covering_radius_bounds(lat, body, resolution=k)
+        red = lat.reduced()
+        brackets = [covering_radius_bounds(red, body, resolution=k)
                     for k in (16, 32, 64)]
         for (lo1, hi1), (lo2, hi2) in zip(brackets, brackets[1:]):
             if not (lo1 <= lo2 + 1e-12 and hi2 <= hi1 + 1e-12):

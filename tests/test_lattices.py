@@ -219,7 +219,7 @@ def lll_bases(draw):
 def test_lll_transform_is_lll_reduced_in_exact_arithmetic(rows):
     # U is unimodular, V is U^-T, and U B is size-reduced and Lovasz at delta = 0.99,
     # in Fractions
-    u, v = lattices._lll_transform(np.array(rows, dtype=float), 0.99)
+    u, v = lattices._lll_transform(np.array(rows, dtype=float))
     assert abs(mat_det(u)) == 1
     assert mat_mul(u, transpose(v)) == [[int(i == j) for j in range(len(u))]
                                         for i in range(len(u))]
@@ -699,25 +699,36 @@ def test_lattice_equal_discriminates():
 
 
 def test_covering_radius_of_z1():
-    lat = z_lattice(1)
+    lat = z_lattice(1).reduced()
     lo, hi = covering_radius_bounds(lat, q_body(1, Ball(F(1))), resolution=64)
     assert lo <= 0.5 <= hi
     assert hi - lo < 0.05
 
 
 def test_covering_radius_of_z2_brackets_the_deep_hole():
-    lat = z_lattice(2)
+    lat = z_lattice(2).reduced()
     target = math.sqrt(2) / 2
     lo, hi = covering_radius_bounds(lat, q_body(2, Ball(F(1))), resolution=32)
     assert lo <= target <= hi
 
 
 def test_covering_brackets_nest_with_resolution():
-    lat = z_lattice(2)
+    lat = z_lattice(2).reduced()
     body = q_body(2, Ball(F(1)))
     lo1, hi1 = covering_radius_bounds(lat, body, resolution=16)
     lo2, hi2 = covering_radius_bounds(lat, body, resolution=32)
     assert lo1 <= lo2 <= hi2 <= hi1
+
+
+def test_no_search_reduces_its_own_input(monkeypatch):
+    # enumeration, the minima stream and the covering grid take the basis given
+    lat, body = sqrt2_rank2_case()
+    calls = []
+    monkeypatch.setattr(lattices, "_lll_transform", lambda *args: calls.append(args))
+    assert enumerate_below(lat, body, 1.0)
+    assert next(lattices.points_by_gauge(lat, body, 1))
+    assert covering_radius_bounds(lat, body, resolution=4)
+    assert calls == []
 
 
 def test_covering_radius_guards():
@@ -730,7 +741,7 @@ def test_covering_radius_guards():
 
 
 def test_covering_radius_scaling():
-    lat = z_lattice(2)
+    lat = z_lattice(2).reduced()
     lo1, hi1 = covering_radius_bounds(lat, q_body(2, Ball(F(1))), resolution=32)
     lo2, hi2 = covering_radius_bounds(lat, q_body(2, Ball(F(2))), resolution=32)
     assert lo2 == pytest.approx(lo1 / 2, rel=1e-9)
@@ -741,18 +752,19 @@ def sqrt2_rank2_case():
     k = preset_field("Q_sqrt2")
     one, theta = k.one(), k.theta()
     mod = module_from_matrix(k, [[one + theta, theta], [one, k.from_rational(3)]])
-    return lattice_from_module(mod), uniform_ball_body(k, 2, F(1))
+    return lattice_from_module(mod).reduced(), uniform_ball_body(k, 2, F(1))
 
 
 def covering_cases():
+    """name: (lattice, body, resolution), each lattice LLL-reduced as a search takes it."""
     cubic = NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    skew = integer_lattice([[2, 1], [1, 3]])
+    skew = integer_lattice([[2, 1], [1, 3]]).reduced()
     lat, body = sqrt2_rank2_case()
     return {
-        "z2-ball": (z_lattice(2), q_body(2, Ball(F(1))), 16),
-        "z2-skewed-box": (z_lattice(2), q_body(2, Box((F(1), F(3, 4)))), 16),
+        "z2-ball": (z_lattice(2).reduced(), q_body(2, Ball(F(1))), 16),
+        "z2-skewed-box": (z_lattice(2).reduced(), q_body(2, Box((F(1), F(3, 4)))), 16),
         "sqrt2-rank2-r4": (lat, body, 4),
-        "cubic-rank1-r8": (lattice_from_module(standard_module(cubic, 1)),
+        "cubic-rank1-r8": (lattice_from_module(standard_module(cubic, 1)).reduced(),
                            uniform_ball_body(cubic, 1, F(1)), 8),
         "cross-polytope": (skew, q_body(2, Box((F(1), F(3, 4)))).polar(), 16),
         "ellipsoid": (skew, q_body(2, Ellipsoid(((F(2), F(1)), (F(1), F(3))))), 16),
@@ -802,8 +814,8 @@ def test_covering_search_window_cap():
     body = q_body(2, Box((F(1), F(50))))
     with pytest.raises(EnumerationCapError, match=r"covering search, grid batch 1 "
                        r"\(16 points, nearest-plane bound <= 0.5\)"):
-        covering_radius_bounds(z_lattice(2), body, resolution=8, cap=1000)
-    assert covering_radius_bounds(z_lattice(2), body, resolution=8) == (0.5, 0.625)
+        covering_radius_bounds(z_lattice(2).reduced(), body, resolution=8, cap=1000)
+    assert covering_radius_bounds(z_lattice(2).reduced(), body, resolution=8) == (0.5, 0.625)
 
 
 def count_covering_targets(monkeypatch) -> list[int]:
@@ -828,7 +840,7 @@ def test_nearest_plane_bounds_measure_few_grid_points(monkeypatch):
     # the last batch follows the last bits of the reduced basis
     mat = [[Q.from_rational(x) for x in row] for row in [[-3, 2], [3, -1]]]
     star = adelic_polar(AdelicBody(module_from_matrix(Q, mat), q_body(2, Box((F(1), F(10))))))
-    lat, body = star.lattice(), star.infinite_part
+    lat, body = star.lattice().reduced(), star.infinite_part
     counts = count_covering_targets(monkeypatch)
     argsorted = []
     real_argsort = np.argsort
@@ -873,7 +885,7 @@ def test_covering_bracket_equals_the_full_window_on_random_bodies(seed):
     body = AdelicBody(module, ProductBody(k, n, places))
     resolution = {1: 32, 2: 16, 3: 5, 4: 3}[n * d]
     for side in (body, adelic_polar(body)):
-        lat, pb = side.lattice(), side.infinite_part
+        lat, pb = side.lattice().reduced(), side.infinite_part
         assert covering_radius_bounds(lat, pb, resolution) == \
             covering_radius_full_window(lat, pb, resolution)
 

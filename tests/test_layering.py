@@ -26,7 +26,8 @@ NUMPY_FREE = ("__init__", "errors", "exactla", "numberfield", "omodules", "bodie
               "scenario", "cli")
 FLOAT_LAYER = ("lattices", "transference")
 
-# `dir(adelic)` of a fresh `import adelic` while the package still imported every export
+# `dir(adelic)` of a fresh `import adelic` while the package still imported every export,
+# less `inhomogeneous_minimum`, a one-line wrapper of `covering_radius_bounds` since removed
 PACKAGE_DIR = [
     "AdelicBody", "Ball", "Box", "ConditioningError", "CrossPolytope", "DimensionLimitError",
     "Ellipsoid", "EmbeddedLattice", "EnumerationCapError", "FieldElement", "FractionalIdeal",
@@ -36,7 +37,7 @@ PACKAGE_DIR = [
     "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
     "__package__", "__path__", "__spec__", "__version__", "adelic_equal", "adelic_minima",
     "adelic_polar", "bodies", "covering_radius_bounds", "enumerate_below", "errors",
-    "exactla", "inhomogeneous_minimum", "lattice_equal", "lattice_from_module", "lattices",
+    "exactla", "lattice_equal", "lattice_from_module", "lattices",
     "module_from_matrix", "mu_product_report", "numberfield", "omodules", "parse_scenario",
     "polar_lattice", "preset_field", "quadratic_field", "rational_field", "scenario",
     "standard_module", "transference", "transference_check", "uniform_ball_body",

@@ -23,12 +23,12 @@ from adelic import (
     ScenarioError,
     adelic_minima,
     adelic_polar,
-    inhomogeneous_minimum,
+    mu_product_report,
     parse_scenario,
 )
 from adelic.bodies import SHAPES
 from adelic.cli import _SCENARIO_COMMANDS, _build, build_parser, load_scenario_text, main
-from adelic.lattices import ENUMERATION_CAP, RESOLUTION
+from adelic.lattices import ENUMERATION_CAP, RESOLUTION, points_by_gauge, reduced_pair
 from adelic.scenario import OPTION_MINIMA
 from field_reference import contains
 
@@ -247,8 +247,9 @@ def test_every_compute_option_is_read_by_a_computation():
     with pytest.raises(EnumerationCapError):
         adelic_minima(body, cap=1)
     with pytest.raises(EnumerationCapError):
-        inhomogeneous_minimum(body, resolution=8, cap=1)
-    assert inhomogeneous_minimum(body, resolution=4) != inhomogeneous_minimum(body, resolution=8)
+        mu_product_report(body, resolution=8, cap=1)
+    assert mu_product_report(body, resolution=4).mu_bracket != \
+        mu_product_report(body, resolution=8).mu_bracket
 
 
 # -- command line ------------------------------------------------------------
@@ -471,6 +472,16 @@ def test_cli_true_cm_and_discriminant_claims_build(capsys, tmp_path, field):
     assert (code, err) == (0, "") and "polar biduality=pass" in out
 
 
+@pytest.mark.parametrize("field", ["preset = Q_i", "poly = 1, 0, 1\nbasis = [[1; 0], [0; 1]]"])
+def test_cli_cm_claim_is_recorded_alike_on_presets_and_custom_fields(capsys, tmp_path, field):
+    path = tmp_path / "claim.ini"
+    path.write_text(f"[field]\n{field}\ncm = true\n[module]\nrank = 1\n"
+                    "identity = true\n[body.v1]\nshape = ball\nradius = 1\n")
+    code, out, err = run_cli(["transference", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert "hypotheses: totally_real=False cm=True (asserted: True)\n" in out
+
+
 Q_RANK1 = "[field]\n{field}\n[module]\nrank = 1\n{module}\n[body.v1]\n{body}\n"
 Q_BALL = "shape = ball\nradius = 1"
 
@@ -645,6 +656,10 @@ def test_cli_exit_code_3_on_cap(capsys):
 LARGE_GENERATORS = [[4, 5, 5, -5], [4, 6, 1, 0],
                     [1125899906842612, 1688849860263922, 281474976710639, 22],
                     [-1125899906842632, -1970324836974605, 281474976710664, -1970324836974590]]
+# the generators are the matrix columns
+LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [" + ", ".join(
+    "[" + "; ".join(str(g[i]) for g in LARGE_GENERATORS) + "]" for i in range(4))
+    + "]\n\n[body.v1]\nshape = ball\nradius = 1\n")
 
 
 LLL_PRECISION = "float precision ran out in lattice reduction"
@@ -654,22 +669,34 @@ LLL_PRECISION = "float precision ran out in lattice reduction"
     ("polar", 0, None),
     ("minima", 3, LLL_PRECISION),
     ("transference", 3, LLL_PRECISION),
-    ("mu", 3, LLL_PRECISION),
+    ("mu", 3, "covering grid would hold 16777216 points; lower the resolution"),
     ("verify-duality", 3, "duality check: Gram matrix of the polar lattice is numerically singular"),
 ])
 def test_cli_large_coefficients_end_in_an_exit_code(capsys, tmp_path, command, code, message):
-    # the generators are the matrix columns; each command ends with exit 0-3, no traceback
-    matrix = ", ".join("[" + "; ".join(str(g[i]) for g in LARGE_GENERATORS) + "]"
-                       for i in range(4))
+    # each command ends with exit 0-3, no traceback
     path = tmp_path / "large.ini"
-    path.write_text(f"[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [{matrix}]\n\n"
-                    "[body.v1]\nshape = ball\nradius = 1\n")
+    path.write_text(LARGE_SCENARIO)
     got, out, err = run_cli([command, str(path), "--machine"], capsys)
     assert got == code
     if message is None:
         assert err == "" and "polar biduality=pass" in out
     else:
         assert err == f"error: {message}\n"
+
+
+def test_large_coefficients_primal_reduces_through_the_polar(capsys, tmp_path):
+    # the primal's own LLL from scratch runs out of precision; started from the
+    # polar's transform read off, it reduces and lambda_1 = 1.  `mu` then stops
+    # at the polar's covering grid: its size, or its bounding form
+    body = parse_scenario(LARGE_SCENARIO).build()
+    star = adelic_polar(body)
+    _, red = reduced_pair(star.lattice(), body.lattice())
+    assert red.rows == ([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, -2, 0], [4, 0, 1, 0]], 1)
+    assert next(points_by_gauge(red, body.infinite_part, 1)).gauge == 1.0
+    path = tmp_path / "large.ini"
+    path.write_text(LARGE_SCENARIO)
+    got, _, err = run_cli(["mu", str(path), "--machine", "--resolution", "8"], capsys)
+    assert got == 3 and err == "error: bounding form is numerically singular\n"
 
 
 BALL_Q = ("[field]\npreset = Q\n[module]\nrank = 1\nidentity = true\n"

@@ -72,11 +72,17 @@ def test_dump_outputs_cli_block_runs_every_command_and_mode():
             assert blocks[header] == [f"  exit={golden[key]['code']}"] + [
                 "    " + line for line in golden[key]["stdout"].splitlines()]
     assert checked == 4 * (len(adelic.PRESET_SCENARIOS) + len(files))  # all but mu's
+    # but the human hypotheses line, which records a cm claim
+    recorded = [line.replace("(asserted: False)", "(asserted: True)")
+                for line in blocks["cli transference Q_i"]]
+    assert recorded != blocks["cli transference Q_i"]
     for base, claim in (("Q_sqrt2", "discriminant = 8"), ("Q_i", "discriminant = -4"),
                         ("Q_i", "cm = true"), ("x3-x-1_rank2_box.ini", "discriminant = -23")):
         for header in plain:
             if header.split(" ")[2] == base:
-                assert blocks[header.replace(base, f"{base}[{claim}]")] == blocks[header]
+                expected = (recorded if (header, claim) == ("cli transference Q_i", "cm = true")
+                            else blocks[header])
+                assert blocks[header.replace(base, f"{base}[{claim}]")] == expected
     for base, claim, message in (
             ("Q_sqrt2", "discriminant = 7", "claimed discriminant 7 differs from computed 8"),
             ("Q_sqrt2", "cm = true", "claimed cm = true"),
@@ -171,8 +177,8 @@ def test_minima_scaling_cap_reaches_the_minima_and_transference_rows():
 def test_covering_convergence_exits_1_when_brackets_do_not_nest(monkeypatch):
     # widening brackets must fail the run, also under python -O
     widths = iter([0.5, 0.75])
-    monkeypatch.setattr(adelic, "inhomogeneous_minimum",
-                        lambda body, resolution: (1.0, 1.0 + next(widths)))
+    monkeypatch.setattr(adelic, "covering_radius_bounds",
+                        lambda lat, body, resolution: (1.0, 1.0 + next(widths)))
     monkeypatch.setattr(sys, "argv", ["covering_convergence.py", "Q_sqrt2",
                                       "--min-resolution", "4", "--max-resolution", "8"])
     with pytest.raises(SystemExit) as exc:
@@ -203,12 +209,12 @@ def test_covering_convergence_prints_seconds_and_peak_mb():
 
 
 def test_covering_convergence_ends_the_table_at_a_refused_resolution(monkeypatch, capsys):
-    def bracket(body, resolution):
+    def bracket(lat, body, resolution):
         if resolution > 4:
             raise adelic.EnumerationCapError("covering grid would hold 64 points")
         return 1.0, 1.5
 
-    monkeypatch.setattr(adelic, "inhomogeneous_minimum", bracket)
+    monkeypatch.setattr(adelic, "covering_radius_bounds", bracket)
     monkeypatch.setattr(sys, "argv", ["covering_convergence.py", "Q_sqrt2",
                                       "--min-resolution", "4", "--max-resolution", "16"])
     runpy.run_path(str(ROOT / "scripts" / "covering_convergence.py"), run_name="__main__")

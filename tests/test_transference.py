@@ -26,7 +26,7 @@ from adelic import (
     adelic_equal,
     adelic_minima,
     adelic_polar,
-    inhomogeneous_minimum,
+    covering_radius_bounds,
     module_from_matrix,
     mu_product_report,
     preset_field,
@@ -397,8 +397,8 @@ def test_transference_check_reduces_one_lattice_from_scratch(monkeypatch):
     moved = []
     real = lattices._lll_transform
 
-    def spy(b, delta):
-        u, v = real(b, delta)
+    def spy(b):
+        u, v = real(b)
         moved.append(sum(row != [int(i == j) for j in range(len(u))] for i, row in enumerate(u)))
         return u, v
 
@@ -533,10 +533,13 @@ def test_transference_products_are_scale_invariant():
 # -- inhomogeneous minimum and the mu product --------------------------------
 
 
-def test_inhomogeneous_minimum_of_z():
+def test_mu_product_report_of_z():
+    # Z with the unit ball is its own polar: lambda_1 = 1 and mu = 1/2
     q = rational_field()
     body = AdelicBody(standard_module(q, 1), uniform_ball_body(q, 1, F(1)))
-    lo, hi = inhomogeneous_minimum(body, resolution=64)
+    rep = mu_product_report(body, resolution=64)
+    lo, hi = rep.mu_bracket
+    assert rep.lambda1 == 1.0
     assert lo <= 0.5 <= hi
     assert hi - lo < 0.05
 
@@ -581,8 +584,41 @@ def test_mu_product_report_runs_no_minima_search(monkeypatch, name):
     spy_on(monkeypatch, KRankTracker, lambda *args: trackers.append(args))
     if body.n * body.field.degree > 4:
         # the covering grid refuses nd > 4; lambda_1 is read before it
-        monkeypatch.setattr(transference, "inhomogeneous_minimum",
-                            lambda star, resolution, cap: (1.0, 1.0))
+        monkeypatch.setattr(transference, "covering_radius_bounds",
+                            lambda lat, body, resolution, cap: (1.0, 1.0))
     rep = mu_product_report(body, resolution=4)
     assert rep.lambda1 == expected
     assert trackers == []
+
+
+def test_mu_product_report_reduces_one_lattice_from_scratch(monkeypatch):
+    # two LLL runs, the polar's from scratch; the primal's is a finishing pass:
+    # it moves fewer basis rows (rows of U other than the identity's) than a
+    # reduction from scratch
+    k = preset_field("Q_sqrt2")
+    body = AdelicBody(random_module(k, 2), uniform_ball_body(k, 2, F(1)))
+    moved = []
+    real = lattices._lll_transform
+
+    def spy(b):
+        u, v = real(b)
+        moved.append(sum(row != [int(i == j) for j in range(len(u))] for i, row in enumerate(u)))
+        return u, v
+
+    monkeypatch.setattr(lattices, "_lll_transform", spy)
+    mu_product_report(body, resolution=4)
+    assert len(moved) == 2
+    adelic_minima(body)
+    assert len(moved) == 3 and moved[1] < moved[2]
+
+
+@pytest.mark.parametrize("name", [name for name, body in mu_cases().items()
+                                  if body.n * body.field.degree <= 4])
+def test_mu_bracket_is_that_of_the_polar_reduced_from_scratch(name):
+    # the covering grid follows the polar's basis, which `reduced_pair` reduces
+    # as `reduced()` does: the bracket is that of the polar's own reduction
+    body = mu_cases()[name]
+    star = adelic_polar(body)
+    for resolution in (4, 8):
+        assert mu_product_report(body, resolution=resolution).mu_bracket == \
+            covering_radius_bounds(star.lattice().reduced(), star.infinite_part, resolution)
