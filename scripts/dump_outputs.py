@@ -14,8 +14,14 @@ benchmark does, and prints one header line per case followed by its result:
   and complex roots as float hex;
 - `cli`: once, not per seed, every command with and without `--machine`
   on the packaged presets, on `tests/scenarios/*.ini` and on scenarios
-  with a right or a wrong `[field]` claim, then `paper-example`: the
-  exit code, stdout and stderr, as for `cli_duality`.
+  with a right or a wrong `[field]` claim, with `--all` over
+  `tests/scenarios` and over a directory of an input error and a cap
+  error, and with each argument error (no scenario, a scenario and
+  `--all`, a missing and an empty directory), then `paper-example`: the
+  exit code, stdout and stderr, as for `cli_duality`, with the
+  temporary directory printed as `$TMP` and the checkout as `$ROOT`;
+  last, the text and the parse and build outcome of each of a fixed,
+  seeded set of edited scenarios.
 
 A case that raises prints the exception's type and message instead.
 Dumping two checkouts and comparing them with `diff` shows whether a
@@ -43,6 +49,7 @@ import contextlib
 import difflib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -55,12 +62,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 
 WORKLOADS = ("transference", "covering", "cli_duality", "fields", "cli")
-TEST_SCENARIOS = Path(__file__).resolve().parent.parent / "tests" / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+TEST_SCENARIOS = ROOT / "tests" / "scenarios"
 # (scenario, line added to its [field] section): a true and a false claim of each kind
 CLAIMS = (("Q_sqrt2", "discriminant = 8"), ("Q_sqrt2", "discriminant = 7"),
           ("Q_sqrt2", "cm = true"), ("Q_i", "discriminant = -4"), ("Q_i", "cm = true"),
           ("x3-x-1_rank2_box.ini", "discriminant = -23"),
           ("x3-x-1_rank2_box.ini", "discriminant = 23"), ("x3-x-1_rank2_box.ini", "cm = true"))
+EDITED = 100  # edited scenarios in the cli block
 
 
 def number(v, values: bool) -> str:
@@ -126,20 +135,96 @@ def cli_duality_lines(case, workdir: Path):
 
 
 def cli_runs(workdir: Path):
-    """(header, argv) for every command and mode on every scenario, then `paper-example`."""
-    scenarios = {name: name for name in adelic.PRESET_SCENARIOS}
-    scenarios.update((path.name, str(path)) for path in sorted(TEST_SCENARIOS.glob("*.ini")))
+    """(header, argv) for every command and mode on every scenario and `--all` directory,
+    then every argument error of each command, then `paper-example`."""
+    scenarios = {name: [name] for name in adelic.PRESET_SCENARIOS}
+    scenarios.update((path.name, [str(path)]) for path in sorted(TEST_SCENARIOS.glob("*.ini")))
     for i, (base, claim) in enumerate(CLAIMS):
         path = workdir / f"claim{i}.ini"
-        text = adelic.cli.load_scenario_text(scenarios[base])
+        text = adelic.cli.load_scenario_text(scenarios[base][0])
         path.write_text(text.replace("[field]\n", f"[field]\n{claim}\n", 1))
-        scenarios[f"{base}[{claim}]"] = str(path)
-    for name, arg in scenarios.items():
+        scenarios[f"{base}[{claim}]"] = [str(path)]
+    failing, empty = workdir / "failing", workdir / "empty"
+    failing.mkdir()
+    empty.mkdir()
+    (failing / "a_input.ini").write_text("[field]\npreset = Q\n")  # no module, no body
+    (failing / "b_cap.ini").write_text(adelic.cli.load_scenario_text("Q_sqrt2")
+                                       + "\n[options]\ncap = 1\n")
+    scenarios.update({"--all tests/scenarios": ["--all", str(TEST_SCENARIOS)],
+                      "--all failing": ["--all", str(failing)]})
+    for name, args in scenarios.items():
         for command in adelic.cli._SCENARIO_COMMANDS:
             for mode in (["--machine"], []):
-                yield " ".join(["cli", command, name, *mode]), [command, arg, *mode]
+                yield " ".join(["cli", command, name, *mode]), [command, *args, *mode]
+    for command in adelic.cli._SCENARIO_COMMANDS:
+        for name, args in (("no scenario", []), ("Q --all", ["Q", "--all", str(failing)]),
+                           ("--all missing", ["--all", str(workdir / "missing")]),
+                           ("--all empty", ["--all", str(empty)])):
+            yield f"cli {command} {name}", [command, *args]
     for mode in (["--machine"], []):
         yield " ".join(["cli", "paper-example", *mode]), ["paper-example", *mode]
+
+
+# scenarios with the keys no packaged one has: pseudo lines, budgets, a custom
+# field, an ellipsoid and a box
+EDIT_BASES = {
+    "pseudo": ("[field]\npreset = Q_i\n\n[module]\nrank = 2\npseudo1 = 2,0; 0,2 | 1,0; 0,0\n"
+               "pseudo2 = 1,0; 0,1 | 0,0; 1,0\n\n[body.v1]\nshape = ball\nradius = 1\n\n"
+               "[options]\nresolution = 4\ncap = 20000\n"),
+    "custom": ("[field]\npoly = -2, 0, 1\nbasis = [[1; 0], [0; 1]]\ndiscriminant = 8\n\n"
+               "[module]\nrank = 2\nmatrix = [[2,0; 0,0], [0,0; 1,0]]\n\n"
+               "[body.v1]\nshape = ellipsoid\nq = [[2; 1], [1; 2]]\n\n"
+               "[body.v2]\nshape = box\nhalfwidths = 1, 3/2\n"),
+}
+EDIT_NOISE = ("", "=", "[", "]", "#", "|", ";", ",", " ", "0", "1", "2", "-1", "1/0", "2/3", "x",
+              "pseudo", "pseudo0", "pseudo01", "pseudo1", "pseudo3", "pseudox", "body.v",
+              "body.v0", "body.v3",
+              "options", "cap", "resolution", "shape", "ball", "box", "cross", "ellipsoid",
+              "radius", "halfwidths", "scales", "q", "preset", "poly", "basis", "rank",
+              "identity", "matrix", "cm", "discriminant", "true", "[[1]]", "1e400")
+
+
+def edited_scenarios(count: int, seed: int = 0):
+    """(base, text) of `count` scenarios, each a base after one to three random line edits.
+
+    The bases are the packaged presets, `tests/scenarios/*.ini` and `EDIT_BASES`;
+    an edit deletes, copies or moves a line, or puts a token of `EDIT_NOISE` in place
+    of a piece of it, of its key or of its value.
+    """
+    bases = {name: adelic.cli.load_scenario_text(name) for name in adelic.PRESET_SCENARIOS}
+    bases.update((path.name, path.read_text()) for path in sorted(TEST_SCENARIOS.glob("*.ini")))
+    bases.update(EDIT_BASES)
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = rng.choice(sorted(bases))
+        lines = bases[base].splitlines()
+        for _ in range(rng.randint(1, 3)):
+            i, op = rng.randrange(len(lines)), rng.randrange(6)
+            if op == 0 and len(lines) > 1:
+                del lines[i]
+            elif op == 1:
+                lines.insert(rng.randrange(len(lines) + 1), lines[i])
+            elif op == 2:
+                lines.insert(rng.randrange(len(lines)), lines.pop(i))
+            else:  # a token in place of a piece of the line, of its key or of its value
+                line, eq = lines[i], lines[i].find("=")
+                start, stop = sorted(rng.randint(0, len(line)) for _ in range(2))
+                if eq > 0 and op > 3:
+                    start, stop = (0, eq) if op == 4 else (eq + 1, len(line))
+                lines[i] = line[:start] + rng.choice(EDIT_NOISE) + line[stop:]
+        yield base, "\n".join(lines) + "\n"
+
+
+def scenario_lines(text):
+    """The text, then what parsing and building it give: the scenario, the body, or the error."""
+    yield f"text={text!r}"
+    try:
+        scenario = adelic.parse_scenario(text)
+        yield f"parsed={scenario!r}"
+        body = scenario.build()
+        yield f"built rank={body.n} degree={body.field.degree} places={len(body.field.places)}"
+    except Exception as exc:  # every outcome is dumped, whatever it raises
+        yield f"raised {type(exc).__name__}: {exc}"
 
 
 def field_lines(field, values):
@@ -171,6 +256,10 @@ def dump(args):
                 for header, argv in cli_runs(Path(workdir)):
                     print(header)
                     for line in cli_lines(argv):
+                        print("  " + line.replace(workdir, "$TMP").replace(str(ROOT), "$ROOT"))
+                for i, (base, text) in enumerate(edited_scenarios(EDITED)):
+                    print(f"cli edited i={i} base={base}")
+                    for line in scenario_lines(text):
                         print("  " + line)
                 continue
             for seed in args.seeds:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactla import mat_det, mat_inv
+from .exactla import mat_det, mat_inv, mat_mul
 from .numberfield import NumberField, float_of, np
 from .omodules import KModule
 
@@ -196,18 +196,11 @@ class Ellipsoid:
         return Ellipsoid(tuple(tuple(x / f2 for x in row) for row in self.q))
 
     def commutes_with_pair_rotation(self) -> bool:
-        """Exact check that Q commutes with the block rotation J (J_2k = -e, J_2k+1 = e)."""
+        """Exact test of J Q == Q J for the block rotation J (J_2k = -e, J_2k+1 = e)."""
         m = len(self.q)
-        if m % 2 != 0:
-            return False
-
-        def jq(i, j):  # (J Q)_{ij}: J swaps each (2k, 2k+1) row pair with signs
-            return -self.q[i + 1][j] if i % 2 == 0 else self.q[i - 1][j]
-
-        def qj(i, j):  # (Q J)_{ij}
-            return self.q[i][j + 1] if j % 2 == 0 else -self.q[i][j - 1]
-
-        return all(jq(i, j) == qj(i, j) for i in range(m) for j in range(m))
+        j = [[(c == r - 1) - (c == r + 1) if c // 2 == r // 2 else 0 for c in range(m)]
+             for r in range(m)]
+        return m % 2 == 0 and mat_mul(j, self.q) == mat_mul(self.q, j)
 
 
 Shape = Ball | Box | CrossPolytope | Ellipsoid

@@ -1,8 +1,15 @@
 """Command-line front end: scenario files in, deterministic reports out.
 
+`main` runs every command in one loop over its runs: the named scenario
+file or preset, each `*.ini` file of `--all DIR` under a `scenario file=`
+line, or the packaged `Q_sqrt2` preset for `paper-example`.  A run that
+fails prints `error: ...` on stderr and ends `main`; under `--all` it
+prints `error kind=input|computational detail=...` and the next file runs.
+
 Exit codes: 0 success/pass, 1 a checked bound or identity failed,
 2 input problem (arguments, files, scenario text), 3 computational
-failure (enumeration cap, conditioning, dimension limit).
+failure (enumeration cap, conditioning, dimension limit); under `--all`
+the worst of its runs.
 
 `polar`, `--help` and input errors stay in the exact layer and load no
 numpy; the commands that search or embed import the float layer
@@ -14,12 +21,11 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .bodies import SHAPES, AdelicBody, adelic_equal, adelic_polar
+from .bodies import AdelicBody, adelic_equal, adelic_polar
 from .errors import (
     ENUMERATION_CAP,
     RESOLUTION,
@@ -28,33 +34,15 @@ from .errors import (
     EnumerationCapError,
     ScenarioError,
 )
-from .scenario import OPTION_MINIMA, PRESET_SCENARIOS, parse_scenario
+from .scenario import OPTION_MINIMA, PRESET_SCENARIOS, _shape_text, parse_scenario
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _fmt_coords(coords) -> str:
-    return "[" + ",".join(str(c) for c in coords) + "]"
-
-
 def _fmt_kvector(vec) -> str:
     return "[" + ";".join(",".join(str(c) for c in x.coords) for x in vec) + "]"
-
-
-def _shape_text(shape) -> str:
-    """`shape=<name> <key>=<value>` in scenario syntax, as a body section would give it."""
-    name = next(name for name, cls in SHAPES.items() if type(shape) is cls)
-    key = fields(shape)[0].name
-    value = getattr(shape, key)
-    if not isinstance(value, tuple):
-        text = str(value)
-    elif isinstance(value[0], tuple):
-        text = "[[" + "],[".join(";".join(str(x) for x in row) for row in value) + "]]"
-    else:
-        text = ",".join(str(x) for x in value)
-    return f"shape={name} {key}={text}"
 
 
 class _Report:
@@ -72,8 +60,7 @@ class _Report:
         self.lines.append(text)
 
     def emit(self):
-        for ln in self.lines:
-            print(ln)
+        sys.stdout.write("".join(f"{ln}\n" for ln in self.lines))
 
 
 def _read_scenario_file(path: Path) -> str:
@@ -120,7 +107,7 @@ def _field_header(rep: _Report, body: AdelicBody):
 def _minima_lines(rep: _Report, report, d: int):
     for i, (lam, p, w) in enumerate(
             zip(report.minima, report.points, report.witnesses), start=1):
-        rep.line(f"lambda_{i}={_fmt(lam)} coords={_fmt_coords(p.coords)} "
+        rep.line(f"lambda_{i}={_fmt(lam)} coords=[{','.join(map(str, p.coords))}] "
                  f"preimage={_fmt_kvector(w)}")
     for ell, slack in enumerate(report.thunder_slacks, start=1):
         bound = report.classical[(ell - 1) * d]
@@ -134,8 +121,8 @@ def cmd_polar(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
     rep.human("polar body:")
     rep.line(f"polar conjugated={'true' if star.conjugated else 'false'}")
     for i, (ideal, vec) in enumerate(star.finite_part.pseudo, start=1):
-        ideal_txt = ";".join(",".join(str(c) for c in b.coords) for b in ideal.zbasis)
-        rep.line(f"polar dual_pseudo i={i} ideal=[{ideal_txt}] vector={_fmt_kvector(vec)}")
+        rep.line(f"polar dual_pseudo i={i} ideal={_fmt_kvector(ideal.zbasis)} "
+                 f"vector={_fmt_kvector(vec)}")
     for i, pb in enumerate(star.infinite_part.place_bodies, start=1):
         rep.line(f"polar place={i} {_shape_text(pb.shape)}")
     ok = adelic_equal(adelic_polar(star), body)
@@ -200,37 +187,29 @@ def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int
     return 0 if ok else 1
 
 
-def cmd_paper_example(args, rep: _Report) -> int:
+def cmd_paper_example(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
     from .transference import transference_check
-    body, budgets = _build(args, _preset_text("Q_sqrt2"))  # never a local file of that name
-    field = body.field
-    checks: list[tuple[str, str, str, bool]] = []
-
-    checks.append(("discriminant", str(field.discriminant), "8", field.discriminant == 8))
-
-    dual = adelic_polar(body).finite_part
-    expected = sorted([(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4))])
-    rows, s = dual.int_flat
+    disc = body.field.discriminant
+    rows, s = adelic_polar(body).finite_part.int_flat
     got = sorted(tuple(Fraction(x, s) for x in row) for row in rows)
-    got_txt = ";".join(",".join(str(c) for c in v) for v in got)
-    want_txt = ";".join(",".join(str(c) for c in v) for v in expected)
-    checks.append(("dual_basis", got_txt, want_txt, got == expected))
-
-    tr = transference_check(body, budgets["cap"])
-    row = tr.rows[0]
-    target = 2 ** 0.5 / 4
-    checks.append(("lambda1_S", _fmt(row.lambda_s), "1", abs(row.lambda_s - 1.0) < 1e-9))
-    checks.append(("lambda1_Sstar", _fmt(row.lambda_sstar), _fmt(target),
-                   abs(row.lambda_sstar - target) < 1e-9))
-    checks.append(("product_equals_lower_bound", _fmt(row.product), _fmt(tr.lower),
-                   abs(row.product - tr.lower) < 1e-9))
-
+    want = sorted([(Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 4))])
+    got_txt, want_txt = (";".join(",".join(map(str, v)) for v in vs) for vs in (got, want))
+    tr = transference_check(body, cap)
+    row, target = tr.rows[0], 2 ** 0.5 / 4
+    checks = [
+        ("discriminant", str(disc), "8", disc == 8),
+        ("dual_basis", got_txt, want_txt, got == want),
+        ("lambda1_S", _fmt(row.lambda_s), "1", abs(row.lambda_s - 1.0) < 1e-9),
+        ("lambda1_Sstar", _fmt(row.lambda_sstar), _fmt(target),
+         abs(row.lambda_sstar - target) < 1e-9),
+        ("product_equals_lower_bound", _fmt(row.product), _fmt(tr.lower),
+         abs(row.product - tr.lower) < 1e-9),
+    ]
     rep.human("reproduction of the worked example over Q(sqrt 2):")
-    all_ok = True
-    for name, got_v, want, ok in checks:
-        all_ok &= ok
-        rep.line(f"paper-example {name}={got_v} expected={want} "
+    for name, got_v, want_v, ok in checks:
+        rep.line(f"paper-example {name}={got_v} expected={want_v} "
                  f"ok={'true' if ok else 'false'}")
+    all_ok = all(ok for *_, ok in checks)
     rep.human("overall: " + ("pass" if all_ok else "FAIL"))
     return 0 if all_ok else 1
 
@@ -242,11 +221,6 @@ _SCENARIO_COMMANDS = {
     "mu": cmd_mu,
     "verify-duality": cmd_verify_duality,
 }
-
-
-def _run_command(args, text: str, rep: _Report) -> int:
-    body, budgets = _build(args, text)
-    return _SCENARIO_COMMANDS[args.command](body, rep, **budgets)
 
 
 @functools.cache
@@ -286,6 +260,30 @@ def build_parser() -> argparse.ArgumentParser:
 _COMPUTATIONAL = (EnumerationCapError, ConditioningError, DimensionLimitError)
 
 
+def _refused(message: str) -> list:
+    """One run that fails with `message`, as a bad scenario does."""
+    def read():
+        raise ScenarioError(message)
+    return [(None, read)]
+
+
+def _runs(args) -> list:
+    """(header, reader of the scenario text) of each run; only the runs of --all have a header."""
+    if args.command == "paper-example":  # never a local file of that name
+        return [(None, functools.partial(_preset_text, "Q_sqrt2"))]
+    if args.all is None:
+        if args.scenario is None:
+            return _refused("a scenario file or preset name is required")
+        return [(None, functools.partial(load_scenario_text, args.scenario))]
+    if args.scenario is not None:
+        return _refused("give either a scenario or --all, not both")
+    if not Path(args.all).is_dir():
+        return _refused(f"{args.all!r} is not a directory")
+    return [(f"scenario file={path}", functools.partial(_read_scenario_file, path))
+            for path in sorted(Path(args.all).glob("*.ini"))
+            ] or _refused(f"no .ini files in {args.all!r}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
@@ -293,54 +291,24 @@ def main(argv=None) -> int:
         if getattr(args, key) is not None and getattr(args, key) < least:
             ap.error(f"argument --{key}: must be at least {least}")
 
-    try:
-        if args.command == "paper-example":
-            rep = _Report(args.machine)
-            code = cmd_paper_example(args, rep)
-            rep.emit()
-            return code
-
-        if args.all is not None:
-            if args.scenario is not None:
-                print("error: give either a scenario or --all, not both", file=sys.stderr)
-                return 2
-            directory = Path(args.all)
-            if not directory.is_dir():
-                print(f"error: {args.all!r} is not a directory", file=sys.stderr)
-                return 2
-            files = sorted(directory.glob("*.ini"))
-            if not files:
-                print(f"error: no .ini files in {args.all!r}", file=sys.stderr)
-                return 2
-            worst = 0
-            for path in files:
-                rep = _Report(args.machine)
-                rep.line(f"scenario file={path}")
-                try:
-                    code = _run_command(args, _read_scenario_file(path), rep)
-                except ScenarioError as exc:
-                    rep.line(f"error kind=input detail={exc}")
-                    code = 2
-                except _COMPUTATIONAL as exc:
-                    rep.line(f"error kind=computational detail={exc}")
-                    code = 3
-                rep.emit()
-                worst = max(worst, code)
-            return worst
-
-        if args.scenario is None:
-            print("error: a scenario file or preset name is required", file=sys.stderr)
-            return 2
+    command = _SCENARIO_COMMANDS.get(args.command, cmd_paper_example)
+    worst = 0
+    for header, read in _runs(args):
         rep = _Report(args.machine)
-        code = _run_command(args, load_scenario_text(args.scenario), rep)
+        if header is not None:
+            rep.line(header)
+        try:
+            body, budgets = _build(args, read())
+            code = command(body, rep, **budgets)
+        except (ScenarioError, *_COMPUTATIONAL) as exc:
+            code = 2 if isinstance(exc, ScenarioError) else 3
+            if header is None:  # a single run prints its error alone
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+            rep.line(f"error kind={'input' if code == 2 else 'computational'} detail={exc}")
         rep.emit()
-        return code
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _COMPUTATIONAL as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

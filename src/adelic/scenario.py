@@ -5,12 +5,15 @@ p/q.  Matrix values use one bracket form throughout: rows inside [[...]],
 rows separated by "], [", entries inside a row separated by ";".  An
 entry of a rational matrix is a single rational; an entry of a matrix
 over the field is a comma-joined coordinate vector over the power basis
-(a single rational is accepted and padded).  Errors name the section,
-key, and line that caused them.
+(a single rational is accepted and padded).  One reader takes the keys
+of every section through one table from key to parser (`_SECTION_KEYS`),
+so errors name the section, key and line alike everywhere;
+`_shape_text` writes a body back in the syntax `_BODY_KEYS` reads.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -59,9 +62,8 @@ class Scenario:
 
     def build(self) -> AdelicBody:
         field = _build_field(self.field)
-        module = _build_module(field, self.module)
-        body = _build_infinite_part(field, self.module.rank, self.bodies)
-        return AdelicBody(module, body)
+        return AdelicBody(_build_module(field, self.module),
+                          _build_infinite_part(field, self.module.rank, self.bodies))
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +78,9 @@ def _rational(text: str, where: str) -> Fraction:
 
 
 def _rational_list(text: str, where: str) -> list[Fraction]:
-    parts = [p for p in text.split(",")]
-    if not parts or not text.strip():
+    if not text.strip():
         raise ScenarioError(f"{where}: expected a comma-separated list of rationals")
-    return [_rational(p, where) for p in parts]
+    return [_rational(p, where) for p in text.split(",")]
 
 
 def _int(text: str, where: str) -> int:
@@ -103,29 +104,28 @@ def _matrix_rows(text: str, where: str) -> list[list[str]]:
     return [row.split(";") for row in s[2:-2].split("],[")]
 
 
+def _single(entry: str, where: str) -> Fraction:
+    if "," in entry:
+        raise ScenarioError(f"{where}: entries must be single rationals separated by ';'")
+    return _rational(entry, where)
+
+
+def _coords(entry: str, where: str) -> list[Fraction]:
+    return [_rational(c, where) for c in entry.split(",")]
+
+
 def _rational_matrix(text: str, where: str) -> list[list[Fraction]]:
-    out = []
-    for row in _matrix_rows(text, where):
-        vals = []
-        for entry in row:
-            if "," in entry:
-                raise ScenarioError(f"{where}: entries must be single rationals "
-                                    "separated by ';'")
-            vals.append(_rational(entry, where))
-        out.append(vals)
-    return out
+    return [[_single(entry, where) for entry in row] for row in _matrix_rows(text, where)]
 
 
 def _element_matrix(text: str, where: str) -> list[list[list[Fraction]]]:
-    return [[[_rational(c, where) for c in entry.split(",")] for entry in row]
-            for row in _matrix_rows(text, where)]
+    return [[_coords(entry, where) for entry in row] for row in _matrix_rows(text, where)]
 
 
 def _element_list(text: str, where: str) -> list[list[Fraction]]:
-    entries = text.split(";")
     if not text.strip():
         raise ScenarioError(f"{where}: expected ';'-separated field elements")
-    return [[_rational(c, where) for c in entry.split(",")] for entry in entries]
+    return [_coords(entry, where) for entry in text.split(";")]
 
 
 def _index(name: str, prefix: str) -> int | None:
@@ -134,9 +134,82 @@ def _index(name: str, prefix: str) -> int | None:
     return int(suffix) if re.fullmatch("[1-9][0-9]*", suffix) else None
 
 
+def _preset(text: str, where: str) -> str:
+    if text not in PRESET_FIELDS:
+        raise ScenarioError(f"{where}: unknown preset (known: {', '.join(sorted(PRESET_FIELDS))})")
+    return text
+
+
+def _pseudo(text: str, where: str) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    if "|" not in text:
+        raise ScenarioError(f"{where}: expected '<ideal basis> | <vector>'")
+    return tuple(_element_list(part, where) for part in text.split("|", 1))
+
+
+def _at_least(key: str, text: str, where: str) -> int:
+    if (value := _int(text, where)) < OPTION_MINIMA[key]:
+        raise ScenarioError(f"{where}: {key} must be at least {OPTION_MINIMA[key]}")
+    return value
+
+
+def _shape(text: str, where: str) -> str:
+    if text not in SHAPES:
+        raise ScenarioError(f"{where}: unknown shape {text!r} (known: {', '.join(SHAPES)})")
+    return text
+
+
+# the parser of a shape's one field, by its annotation; the field's name is the key
+_VALUE_PARSERS = {"Fraction": _rational, "tuple[Fraction, ...]": _rational_list,
+                  "tuple[tuple[Fraction, ...], ...]": _rational_matrix}
+_BODY_KEYS = {f.name: _VALUE_PARSERS[f.type] for f in (fields(c)[0] for c in SHAPES.values())}
+
+
+def _shape_text(shape) -> str:
+    """`shape=<name> <key>=<value>`, a body section's two keys as `_BODY_KEYS` reads them."""
+    name = next(name for name, cls in SHAPES.items() if type(shape) is cls)
+    key = fields(shape)[0].name
+    value = getattr(shape, key)
+    if not isinstance(value, tuple):
+        text = str(value)
+    elif isinstance(value[0], tuple):
+        text = "[[" + "],[".join(";".join(str(x) for x in row) for row in value) + "]]"
+    else:
+        text = ",".join(str(x) for x in value)
+    return f"shape={name} {key}={text}"
+
+
+# the parser of each key of a section; every [body.v<k>] reads the keys of `body`
+_SECTION_KEYS = {
+    "field": {"preset": _preset, "poly": _rational_list, "basis": _rational_matrix,
+              "discriminant": _int, "cm": _bool},
+    "module": {"rank": _int, "identity": _bool, "matrix": _element_matrix, "pseudo": _pseudo},
+    "options": {key: functools.partial(_at_least, key) for key in OPTION_MINIMA},
+    "body": {"shape": _shape, **_BODY_KEYS},
+}
+
+
+def _read_keys(sections, name: str) -> dict:
+    """The value of each key of section [name] by its parser, read in file order.
+
+    Errors name `[name] key (line N)`.  pseudo1, pseudo2, ... are read as
+    `pseudo`, each index in decimal digits from 1.  Only [options] may be absent.
+    """
+    if name not in sections and name != "options":
+        raise ScenarioError(f"missing [{name}] section")
+    parsers, values = _SECTION_KEYS[name.split(".")[0]], {}
+    for key, (value, lineno) in sections.get(name, {}).items():
+        family = "pseudo" if key.startswith("pseudo") else key
+        if family not in parsers:
+            raise ScenarioError(f"line {lineno}: unknown key {key!r} in [{name}]")
+        where = f"[{name}] {key} (line {lineno})"
+        if family == "pseudo" and _index(key, "pseudo") is None:
+            raise ScenarioError(f"{where}: pseudo keys are pseudo1, pseudo2, ...")
+        values[key] = parsers[family](value, where)
+    return values
+
+
 def parse_scenario(text: str) -> Scenario:
     sections: dict[str, dict[str, tuple[str, int]]] = {}
-    order: list[str] = []
     current: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -147,7 +220,6 @@ def parse_scenario(text: str) -> Scenario:
             if name in sections:
                 raise ScenarioError(f"line {lineno}: duplicate section [{name}]")
             sections[name] = {}
-            order.append(name)
             current = name
             continue
         if current is None:
@@ -160,45 +232,15 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r} in [{current}]")
         sections[current][key] = (value.strip(), lineno)
 
-    for name in order:
+    for name in sections:
         if name not in ("field", "module", "options") and not name.startswith("body.v"):
             raise ScenarioError(f"unknown section [{name}]")
-
-    fs = _parse_field_section(sections.get("field"))
-    ms = _parse_module_section(sections.get("module"))
-    bodies = _parse_body_sections(sections)
-    options: dict[str, int] = {}
-    for key, (value, lineno) in sections.get("options", {}).items():
-        where = f"[options] {key} (line {lineno})"
-        if key not in OPTION_MINIMA:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r} in [options]")
-        options[key] = _int(value, where)
-        if options[key] < OPTION_MINIMA[key]:
-            raise ScenarioError(f"{where}: {key} must be at least {OPTION_MINIMA[key]}")
-    return Scenario(fs, ms, bodies, options.get("resolution"), options.get("cap"))
+    return Scenario(_parse_field_section(sections), _parse_module_section(sections),
+                    _parse_body_sections(sections), **_read_keys(sections, "options"))
 
 
-def _parse_field_section(sec) -> FieldSpec:
-    if sec is None:
-        raise ScenarioError("missing [field] section")
-    fs = FieldSpec()
-    for key, (value, lineno) in sec.items():
-        where = f"[field] {key} (line {lineno})"
-        if key == "preset":
-            fs.preset = value
-            if value not in PRESET_FIELDS:
-                known = ", ".join(sorted(PRESET_FIELDS))
-                raise ScenarioError(f"{where}: unknown preset (known: {known})")
-        elif key == "poly":
-            fs.poly = _rational_list(value, where)
-        elif key == "basis":
-            fs.basis = _rational_matrix(value, where)
-        elif key == "discriminant":
-            fs.discriminant = _int(value, where)
-        elif key == "cm":
-            fs.cm = _bool(value, where)
-        else:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r} in [field]")
+def _parse_field_section(sections) -> FieldSpec:
+    fs = FieldSpec(**_read_keys(sections, "field"))
     if fs.preset is None and (fs.poly is None or fs.basis is None):
         raise ScenarioError("[field]: needs either preset or both poly and basis")
     if fs.preset is not None and (fs.poly is not None or fs.basis is not None):
@@ -206,46 +248,21 @@ def _parse_field_section(sec) -> FieldSpec:
     return fs
 
 
-def _parse_module_section(sec) -> ModuleSpec:
-    if sec is None:
-        raise ScenarioError("missing [module] section")
-    ms = ModuleSpec()
-    pseudo: dict[int, tuple] = {}
-    for key, (value, lineno) in sec.items():
-        where = f"[module] {key} (line {lineno})"
-        if key == "rank":
-            ms.rank = _int(value, where)
-        elif key == "identity":
-            ms.identity = _bool(value, where)
-        elif key == "matrix":
-            ms.matrix = _element_matrix(value, where)
-        elif key.startswith("pseudo"):
-            idx = _index(key, "pseudo")
-            if idx is None:
-                raise ScenarioError(f"{where}: pseudo keys are pseudo1, pseudo2, ...")
-            if "|" not in value:
-                raise ScenarioError(f"{where}: expected '<ideal basis> | <vector>'")
-            left, _, right = value.partition("|")
-            pseudo[idx] = (_element_list(left, where), _element_list(right, where))
-        else:
-            raise ScenarioError(f"line {lineno}: unknown key {key!r} in [module]")
+def _parse_module_section(sections) -> ModuleSpec:
+    values = _read_keys(sections, "module")
+    pseudo = {_index(key, "pseudo"): values.pop(key) for key in list(values)
+              if key.startswith("pseudo")}
+    ms = ModuleSpec(**values)
     if ms.rank < 1:
         raise ScenarioError("[module]: rank must be a positive integer")
     if pseudo:
         if sorted(pseudo) != list(range(1, ms.rank + 1)):
             raise ScenarioError("[module]: pseudo lines must be pseudo1..pseudoN for rank N")
         ms.pseudo = [pseudo[i] for i in range(1, ms.rank + 1)]
-    chosen = sum(1 for x in (ms.identity, ms.matrix, ms.pseudo) if x)
-    if chosen != 1:
+    if sum(1 for x in (ms.identity, ms.matrix, ms.pseudo) if x) != 1:
         raise ScenarioError(
             "[module]: specify exactly one of identity = true, matrix, or pseudo lines")
     return ms
-
-
-# the parser of a shape's one field, by its annotation; the field's name is the key
-_VALUE_PARSERS = {"Fraction": _rational, "tuple[Fraction, ...]": _rational_list,
-                  "tuple[tuple[Fraction, ...], ...]": _rational_matrix}
-_BODY_KEYS = {f.name: _VALUE_PARSERS[f.type] for f in (fields(c)[0] for c in SHAPES.values())}
 
 
 def _parse_body_sections(sections) -> list[BodySpec]:
@@ -262,18 +279,8 @@ def _parse_body_sections(sections) -> list[BodySpec]:
         raise ScenarioError("body sections must be numbered consecutively from v1")
     out = []
     for i in range(1, len(indices) + 1):
-        shape, given = "", {}
-        for key, (value, lineno) in sections[f"body.v{i}"].items():
-            where = f"[body.v{i}] {key} (line {lineno})"
-            if key == "shape":
-                if value not in SHAPES:
-                    raise ScenarioError(
-                        f"{where}: unknown shape {value!r} (known: {', '.join(SHAPES)})")
-                shape = value
-            elif key in _BODY_KEYS:
-                given[key] = _BODY_KEYS[key](value, where)
-            else:
-                raise ScenarioError(f"line {lineno}: unknown key {key!r} in [body.v{i}]")
+        given = _read_keys(sections, f"body.v{i}")
+        shape = given.pop("shape", "")
         if not shape:
             raise ScenarioError(f"[body.v{i}]: missing shape")
         want = fields(SHAPES[shape])[0].name

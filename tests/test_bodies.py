@@ -91,6 +91,21 @@ def test_pair_rotation_commutation():
         for i, x in enumerate(xs))
     assert Ellipsoid(diag(2, 2, 3, 3)).commutes_with_pair_rotation()
     assert not Ellipsoid(diag(2, 3, 2, 3)).commutes_with_pair_rotation()
+    # an odd size has an unpaired coordinate, even where J Q = Q J would hold
+    assert not Ellipsoid(diag(2, 2, 2)).commutes_with_pair_rotation()
+    assert not Ellipsoid(diag(1)).commutes_with_pair_rotation()
+    # 6x6 with coupled pairs: Q commutes with J when each 2x2 block is a I + b J
+    blocks = [[(9, 0), (1, 1), (0, -1)], [(1, -1), (9, 0), (2, 1)], [(0, 1), (2, -1), (9, 0)]]
+
+    def entry(r, c):
+        a, b = blocks[r // 2][c // 2]
+        return F(a if r % 2 == c % 2 else b if r % 2 else -b)
+
+    q = tuple(tuple(entry(r, c) for c in range(6)) for r in range(6))
+    assert Ellipsoid(q).commutes_with_pair_rotation()
+    skew = [list(row) for row in q]
+    skew[0][3] = skew[3][0] = F(1)  # block (1, 2) becomes [[1, 1], [1, 1]]
+    assert not Ellipsoid(tuple(map(tuple, skew))).commutes_with_pair_rotation()
 
 
 def test_complex_place_restrictions():

@@ -28,9 +28,10 @@ from adelic import (
 )
 from adelic.bodies import SHAPES
 from adelic.cli import _SCENARIO_COMMANDS, _build, build_parser, load_scenario_text, main
-from adelic.lattices import ENUMERATION_CAP, RESOLUTION, points_by_gauge, reduced_pair
+from adelic.lattices import (ENUMERATION_CAP, LLL_DELTA, RESOLUTION, points_by_gauge,
+                             reduced_pair)
 from adelic.scenario import OPTION_MINIMA
-from field_reference import contains
+from field_reference import contains, fraction_gram_schmidt
 
 F = Fraction
 
@@ -697,6 +698,20 @@ def test_large_coefficients_primal_reduces_through_the_polar(capsys, tmp_path):
     path.write_text(LARGE_SCENARIO)
     got, _, err = run_cli(["mu", str(path), "--machine", "--resolution", "8"], capsys)
     assert got == 3 and err == "error: bounding form is numerically singular\n"
+
+
+@pytest.mark.xfail(strict=True, reason="the float LLL returns an unreduced polar basis without "
+                                       "raising (ROADMAP item 6)")
+def test_large_coefficients_polar_reduces_in_exact_arithmetic():
+    # the polar's float reduction must be size-reduced and Lovasz at LLL_DELTA in
+    # Fractions, as the primal read off it is (|b*|^2 = 1, 1, 4, 16).  Today its
+    # rows reach 4.69e14 / 8 and their |b*|^2 are 0.27, 4.12, 0.76 and 0.019
+    body = parse_scenario(LARGE_SCENARIO).build()
+    rows, _ = reduced_pair(adelic_polar(body).lattice(), body.lattice())[0].rows
+    mu, norms = fraction_gram_schmidt(rows)
+    assert all(abs(x) <= F(1, 2) for row in mu for x in row)
+    assert all(norms[k] >= (F(LLL_DELTA) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, len(rows)))
 
 
 BALL_Q = ("[field]\npreset = Q\n[module]\nrank = 1\nidentity = true\n"

@@ -60,7 +60,36 @@ def test_dump_outputs_cli_block_runs_every_command_and_mode():
     plain = [f"cli {command} {name}{mode}" for name in (*adelic.PRESET_SCENARIOS, *files)
              for command in commands for mode in (" --machine", "")]
     assert set(plain) < set(blocks)
-    assert list(blocks)[-2:] == ["cli paper-example --machine", "cli paper-example"]
+    headers = list(blocks)
+    edited = [header for header in headers if header.startswith("cli edited ")]
+    assert len(edited) == 100 and headers[-100:] == edited
+    assert headers[-102:-100] == ["cli paper-example --machine", "cli paper-example"]
+    assert all(lines[0].startswith("  text=") and lines[1].startswith(("  parsed=", "  raised "))
+               for header, lines in blocks.items() if header in edited)
+    # --all runs each file as alone, under its header, with its error on stdout, and
+    # exits with the worst code
+    for command in commands:
+        for mode in (" --machine", ""):
+            want, worst = [], 0
+            for name in files:
+                code, *lines = blocks[f"cli {command} {name}{mode}"]
+                code = int(code.removeprefix("  exit="))
+                kind = {2: "input", 3: "computational"}.get(code)
+                want += [f"    scenario file=$ROOT/tests/scenarios/{name}"] + [
+                    line.replace("stderr: error: ", f"error kind={kind} detail=")
+                    for line in lines]
+                worst = max(worst, code)
+            assert blocks[f"cli {command} --all tests/scenarios{mode}"] == [f"  exit={worst}",
+                                                                            *want]
+            failing = blocks[f"cli {command} --all failing{mode}"]
+            searches = command in ("minima", "transference", "mu")  # the cap stops these
+            assert failing[0] == ("  exit=3" if searches else "  exit=2")
+            assert failing[2] == "    error kind=input detail=missing [module] section"
+        for name, message in (("no scenario", "a scenario file or preset name is required"),
+                              ("Q --all", "give either a scenario or --all, not both"),
+                              ("--all missing", "'$TMP/missing' is not a directory"),
+                              ("--all empty", "no .ini files in '$TMP/empty'")):
+            assert blocks[f"cli {command} {name}"] == ["  exit=2", f"    stderr: error: {message}"]
     # the machine lines of the golden runs, and a true [field] claim changes nothing
     golden = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
     checked = 0
