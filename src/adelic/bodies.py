@@ -235,9 +235,6 @@ class PlaceBody:
     def twist(self) -> int:
         return 2 if self.kind == "complex" else 1
 
-    def gauge(self, x: np.ndarray) -> float:
-        return float(self.shape.gauge_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
-
     def gauge_many(self, pts: np.ndarray) -> np.ndarray:
         return self.shape.gauge_many(pts)
 
@@ -268,9 +265,6 @@ class ProductBody:
         self.place_bodies = list(place_bodies)
         self.slices = field.place_slices(n)
         self.ambient_dim = n * field.degree
-
-    def gauge(self, x: np.ndarray) -> float:
-        return float(self.gauge_many(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def gauge_many(self, pts: np.ndarray) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -334,7 +328,7 @@ class AdelicBody:
         self.conjugated = conjugated
 
     def lattice(self):
-        """The embedded module, an `ExactLattice`; the first call loads the float layer."""
+        """The embedded module, its exact rows; the first call loads the float layer."""
         from .lattices import lattice_from_module
         return lattice_from_module(self.finite_part, self.conjugated)
 

@@ -179,7 +179,7 @@ def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int
     _field_header(rep, body)
     star = adelic_polar(body)
     try:
-        ok = lattice_equal(polar_lattice(body.lattice()), star.lattice())
+        ok = lattice_equal(polar_lattice(body.lattice()), star.lattice().basis)
     except ConditioningError as exc:
         raise ConditioningError(f"duality check: {exc}") from exc
     rep.human("polar lattice of the embedded module vs mirror-embedded dual module:")

@@ -1,15 +1,17 @@
 """Embedded lattices in R^(n*d): reduction, enumeration, minima, covering radii.
 
-A lattice carries the diagonal twisted form F and a float basis (rows).
-A module's lattice holds exact rows (M, s) instead: row i of M / s is
-basis row i's K-vector, and the basis is their embedding, made on its
-first read.  It starts from the Z-basis, and reduction by an integer u
-gives the rows u M, embedded afresh.  All rank decisions, over Q and
-over K, are integer eliminations on a point's integer coordinates, or on
-their product with M; a point is mapped back to a K-vector only when a
-caller keeps it (`preimage_of`: its coordinates times M / s).  Floats
-only measure gauges, and enumeration is seeded by each body's own
-diagonal bounding form.
+A lattice (`EmbeddedLattice`) is its exact rows (M, s) under the
+diagonal twisted form F: row i of M / s is basis row i's K-vector, and
+the float basis is their embedding, made on its first read.  A module's
+lattice starts from its Z-basis, and reduction by an integer u gives the
+rows u M, embedded afresh.  The numeric polar (`polar_lattice`) is a bare
+basis array, which `lattice_equal` compares with the basis of the
+mirror-embedded dual module.  All rank decisions, over Q and over K, are
+integer eliminations on a point's integer coordinates, or on their
+product with M; a point is mapped back to a K-vector only when a caller
+keeps it (`preimage_of`: its coordinates times M / s).  Floats only
+measure gauges, and enumeration is seeded by each body's own diagonal
+bounding form.
 
 LLL is the Schnorr-Euchner reduction on Python floats: one Gram-Schmidt
 row per arrival at a row, and mu updated in place by size reduction.
@@ -58,54 +60,12 @@ NARROW_ROWS = 16  # enumeration levels with fewer frontier rows run on Python fl
 
 
 class EmbeddedLattice:
-    """Full-rank lattice in R^(n*degree) under the twisted form, given by its float rows.
+    """A full-rank lattice in R^(n*degree) under the twisted form, given by exact rows (M, s).
 
-    It has no exact rows and no preimages; a module's lattice is an `ExactLattice`.
-    """
-
-    rows: tuple[list[list[int]], int] | None = None
-
-    def __init__(self, field: NumberField, basis: np.ndarray, conjugated: bool = False):
-        basis = np.asarray(basis, dtype=float)
-        m = basis.shape[0]
-        if basis.shape != (m, m):
-            raise ValueError("lattice basis must be square and full rank")
-        if m % field.degree:
-            raise ValueError("lattice dimension must be a multiple of the field degree")
-        self.field, self.basis, self.conjugated = field, basis, conjugated
-
-    @cached_property
-    def form(self) -> np.ndarray:
-        return self.field.twisted_form_diag(self.dim // self.field.degree)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-    def reduced(self) -> "EmbeddedLattice":
-        """LLL reduction under the form: the lattice transformed by one integer u."""
-        return self.transformed(_lll_transform(self.basis * np.sqrt(self.form))[0])
-
-    def transformed(self, u: list[list[int]]) -> "EmbeddedLattice":
-        """The basis u B of the same lattice, u integer unimodular."""
-        return EmbeddedLattice(self.field, np.array(u, dtype=float) @ self.basis, self.conjugated)
-
-    def preimage_of(self, coords: Sequence[int]) -> KVector | None:
-        """The K-vector of the point: coords times the exact rows, in d-blocks."""
-        if self.rows is None:
-            return None
-        num, s = self.rows
-        flat = [Fraction(x, s) for x in mat_vec(transpose(num), coords)]
-        d = self.field.degree
-        return tuple(self.field.element(flat[k:k + d]) for k in range(0, len(flat), d))
-
-
-class ExactLattice(EmbeddedLattice):
-    """A lattice given by exact rows (M, s): row i of M / s is basis row i's K-vector.
-
-    The K-vectors are flattened power-basis coordinates.  The basis is
-    their embedding (`NumberField.embed_rows`), made on the first read; a
-    change of basis u carries u M alone, so no float sum builds a basis.
+    Row i of M / s is basis row i's K-vector in flattened power-basis
+    coordinates.  The basis is their embedding (`NumberField.embed_rows`),
+    made on the first read; a change of basis u carries u M alone, so no
+    float sum builds a basis.
     """
 
     def __init__(self, field: NumberField, rows: tuple[list[list[int]], int], conjugated: bool):
@@ -115,8 +75,29 @@ class ExactLattice(EmbeddedLattice):
     def basis(self) -> np.ndarray:
         return self.field.embed_rows(self.rows, self.conjugated)
 
-    def transformed(self, u: list[list[int]]) -> "ExactLattice":
-        return ExactLattice(self.field, (mat_mul(u, self.rows[0]), self.rows[1]), self.conjugated)
+    @cached_property
+    def form(self) -> np.ndarray:
+        return self.field.twisted_form_diag(self.dim // self.field.degree)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows[0])
+
+    def reduced(self) -> "EmbeddedLattice":
+        """LLL reduction under the form: the lattice transformed by one integer u."""
+        return self.transformed(_lll_transform(self.basis * np.sqrt(self.form))[0])
+
+    def transformed(self, u: list[list[int]]) -> "EmbeddedLattice":
+        """The basis u B of the same lattice, u integer unimodular: the rows u M."""
+        return EmbeddedLattice(self.field, (mat_mul(u, self.rows[0]), self.rows[1]),
+                               self.conjugated)
+
+    def preimage_of(self, coords: Sequence[int]) -> KVector:
+        """The K-vector of the point: coords times the exact rows, in d-blocks."""
+        num, s = self.rows
+        flat = [Fraction(x, s) for x in mat_vec(transpose(num), coords)]
+        d = self.field.degree
+        return tuple(self.field.element(flat[k:k + d]) for k in range(0, len(flat), d))
 
 
 def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
@@ -129,7 +110,7 @@ def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
     norms of U B inverted in reverse order, so it is nearly reduced, and
     the dual's LLL starts there.  Whatever `dual` holds, the second lattice
     is an LLL-reduced basis of it; the duality only makes the start good.
-    Of an exact `dual` only that start and the reduced basis are embedded.
+    Of `dual` only that start and the reduced basis are embedded.
     The relation is symmetric, so either side may go first: the first
     lattice is reduced exactly as `reduced()` reduces it.
     """
@@ -139,34 +120,37 @@ def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
     return lat.transformed(u), start.transformed(w)
 
 
-def lattice_from_module(module: KModule, conjugated: bool = False) -> ExactLattice:
+def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLattice:
     """A rank-n module's lattice: exact rows its Z-basis `int_flat`, embedded place-major."""
-    return ExactLattice(module.field, module.int_flat, conjugated)
+    return EmbeddedLattice(module.field, module.int_flat, conjugated)
 
 
-def polar_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
-    """Dual basis rows B* with B* diag(F) B^T = I, numeric (no preimages)."""
+def polar_lattice(lat: EmbeddedLattice) -> np.ndarray:
+    """The numeric dual basis: rows B* with B* diag(F) B^T = I.
+
+    It spans the lattice of the trace dual module under the mirror
+    embedding, which the CLI's `verify-duality` checks with `lattice_equal`.
+    """
     gram = (lat.basis * lat.form) @ lat.basis.T
     if not np.linalg.cond(gram) < 1 / np.finfo(float).eps:  # a solve would keep no digit
         raise ConditioningError("Gram matrix of the polar lattice is numerically singular")
-    dual = np.linalg.solve(gram, lat.basis)
-    return EmbeddedLattice(lat.field, dual, not lat.conjugated)
+    return np.linalg.solve(gram, lat.basis)
 
 
-def lattice_equal(a: EmbeddedLattice, b: EmbeddedLattice) -> bool:
-    """Same lattice up to an integer unimodular change of basis."""
-    if a.dim != b.dim:
+def lattice_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two bases (rows) span the same lattice: a = C b with C integer unimodular."""
+    if a.shape != b.shape:
         return False
-    if not np.linalg.cond(b.basis) < 1 / np.finfo(float).eps:
+    if not np.linalg.cond(b) < 1 / np.finfo(float).eps:
         raise ConditioningError("basis of the compared lattice is numerically singular")
-    c = a.basis @ np.linalg.inv(b.basis)
+    c = a @ np.linalg.inv(b)
     cr = np.rint(c)
     if np.max(np.abs(c - cr)) > EQUAL_TOL:
         return False
     if not is_unimodular([[int(x) for x in row] for row in cr]):
         return False
-    scale = max(1.0, float(np.max(np.abs(a.basis))))
-    return float(np.max(np.abs(cr @ b.basis - a.basis))) <= EQUAL_TOL * scale
+    scale = max(1.0, float(np.max(np.abs(a))))
+    return float(np.max(np.abs(cr @ b - a))) <= EQUAL_TOL * scale
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP,
                   reduced: EmbeddedLattice | None = None) -> MinimaReport:
     """Successive minima with exact K-independence bookkeeping.
 
-    The search runs on `reduced`, an LLL-reduced basis of `body.lattice()`
-    with its exact rows, or when it is None on that lattice reduced here.
+    The search runs on `reduced`, an LLL-reduced copy of `body.lattice()`,
+    or when it is None on that lattice reduced here.
 
     One pass over `points_by_gauge` feeds two exact trackers, both on
     the points' integer coordinates: the rank over Q (the classical

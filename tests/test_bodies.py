@@ -205,8 +205,8 @@ def test_gauge_polar_duality_is_tight_somewhere():
     star = pb.polar()
     x = np.array([2.0, 0.0])
     y = np.array([0.5, 0.0])
-    assert pb.gauge(x) == pytest.approx(1)
-    assert star.gauge(y) == pytest.approx(1)
+    assert pb.gauge_many(x[None])[0] == pytest.approx(1)
+    assert star.gauge_many(y[None])[0] == pytest.approx(1)
     assert float(np.dot(x, y)) == pytest.approx(1)
 
 
@@ -219,9 +219,8 @@ def test_product_body_gauge_is_max_over_places():
     k = preset_field("Q_sqrt2")
     body = ProductBody(k, 1, [PlaceBody("real", 1, Box((F(1),))),
                               PlaceBody("real", 1, Box((F(1, 2),)))])
-    assert body.gauge(np.array([1.0, 1.0])) == pytest.approx(2)
-    assert body.gauge(np.array([1.0, 0.25])) == pytest.approx(1)
-    assert body.gauge(k.embed_vector([k.one()])) == pytest.approx(2)
+    pts = np.array([[1.0, 1.0], [1.0, 0.25], k.embed_vector([k.one()])])
+    assert body.gauge_many(pts).tolist() == pytest.approx([2, 1, 2])
 
 
 def test_product_body_validation():

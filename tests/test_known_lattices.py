@@ -100,21 +100,6 @@ def test_kissing_number_is_twice_the_pairs_at_lambda_1(name):
         assert [p.gauge for p in points] == pytest.approx([radius] * len(points), rel=1e-12)
 
 
-# BW16's 2160 pairs take seconds in field arithmetic, so it is left out here
-@pytest.mark.parametrize("name", [name for name in CASES if name != "BW16"])
-def test_krank_on_the_tied_minimal_vectors_matches_field_arithmetic(name):
-    # all pairs at lambda_1, in (gauge, coordinates) order: the tracker on the
-    # reduced rows, against theta images of the field-arithmetic preimages
-    body, lam = body_of(name)
-    red = lattice_from_module(body.finite_part).reduced()
-    points = [p.coords for p in enumerate_below(red, body.infinite_part, lam * (1 + 1e-9))]
-    tracker = KRankTracker(body.field, red.rows)
-    decisions = [tracker.try_add(c) for c in points]
-    preimages = [preimage_by_field_arithmetic(body.finite_part, red, c) for c in points]
-    assert decisions == fraction_krank_decisions(body.field, preimages)
-    assert tracker.rank == sum(decisions) == body.n
-
-
 @pytest.mark.parametrize("name", CASES)
 def test_every_transference_product_is_lambda_1_times_its_polar(name):
     body, lam = body_of(name)
@@ -145,6 +130,28 @@ KRONECKER_FIELDS = {
 
 def unit_ball_body(field, n):
     return AdelicBody(standard_module(field, n), uniform_ball_body(field, n, Fraction(1)))
+
+
+# BW16's 2160 pairs take seconds in field arithmetic, so it is left out here.
+# A Kronecker field's case is O_K^2 under unit balls: n |mu_K| / 2 = |mu_K|
+# pairs zeta e_i, tied at 1, of which n are K-independent.
+@pytest.mark.parametrize("name", [*(name for name in CASES if name != "BW16"), *KRONECKER_FIELDS])
+def test_krank_on_the_tied_minimal_vectors_matches_field_arithmetic(name):
+    # all pairs at lambda_1, in (gauge, coordinates) order: the tracker on the
+    # reduced rows, against theta images of the field-arithmetic preimages
+    if name in CASES:
+        (body, lam), pairs = body_of(name), CASES[name][3] // 2
+    else:
+        make, mu = KRONECKER_FIELDS[name]
+        body, lam, pairs = unit_ball_body(make(), 2), 1.0, mu
+    red = lattice_from_module(body.finite_part).reduced()
+    points = [p.coords for p in enumerate_below(red, body.infinite_part, lam * (1 + 1e-9))]
+    assert len(points) == pairs
+    tracker = KRankTracker(body.field, red.rows)
+    decisions = [tracker.try_add(c) for c in points]
+    preimages = [preimage_by_field_arithmetic(body.finite_part, red, c) for c in points]
+    assert decisions == fraction_krank_decisions(body.field, preimages)
+    assert tracker.rank == sum(decisions) == body.n
 
 
 def test_kronecker_fields_are_every_preset_and_corpus_field():

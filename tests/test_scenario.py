@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -878,18 +879,15 @@ def test_cli_all_reports_unreadable_files_and_goes_on(capsys, tmp_path):
     assert "lambda_1=" in blocks[2]
 
 
-def env_plus(hash_seed):
-    import os
-
-    env = dict(os.environ)
-    env["PYTHONHASHSEED"] = hash_seed
-    return env
+def cli_env(**extra):
+    """The environment of a `python -m adelic.cli` process: this checkout's src on its path."""
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **extra)
 
 
 def test_cli_runs_are_deterministic_across_processes():
     cmd = [sys.executable, "-m", "adelic.cli", "transference", "Q_sqrt5",
            "--machine"]
-    runs = [subprocess.run(cmd, capture_output=True, env=env_plus(seed))
+    runs = [subprocess.run(cmd, capture_output=True, env=cli_env(PYTHONHASHSEED=seed))
             for seed in ("0", "1")]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
@@ -897,7 +895,7 @@ def test_cli_runs_are_deterministic_across_processes():
 
 def test_console_entry_point_help():
     proc = subprocess.run(
-        [sys.executable, "-m", "adelic.cli", "--help"], capture_output=True)
+        [sys.executable, "-m", "adelic.cli", "--help"], capture_output=True, env=cli_env())
     assert proc.returncode == 0
     for sub in ("polar", "minima", "transference", "mu",
                 "verify-duality", "paper-example"):

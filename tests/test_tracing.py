@@ -59,3 +59,27 @@ def test_benchmark_tracer_installs_counts_and_uninstalls():
     assert counts["omodules.trace_dual.calls"] == 1
     for owner, namespace in before.values():
         assert all(vars(owner)[attr] is value for attr, value in namespace.items())
+
+
+def test_benchmark_tracer_counts_the_cli_paths(capsys):
+    # `cli_duality`'s commands and a covering run, through `cli.main` under the
+    # tracer: each wrapped name they reach must count, and uninstall restores all
+    from adelic import cli, lattices  # noqa: F401 (loaded before the namespaces are read)
+
+    before = package_namespaces()
+    tracer = load_tracer_class()()
+    tracer.install()
+    try:
+        codes = [cli.main([*argv, "Q_sqrt2", "--machine"])
+                 for argv in (["polar"], ["verify-duality"], ["mu", "--resolution", "8"])]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0, 0]
+    assert "duality rank=1 equal=true" in capsys.readouterr().out
+    counts = tracer.counts
+    assert counts["cli.main.calls"] == 3
+    assert counts["scenario.parse.calls"] == counts["scenario.build.calls"] == 3
+    assert counts["lattices.duality_check.calls"] == 1
+    assert counts["lattices.cover.calls"] == 1
+    for owner, namespace in before.values():
+        assert all(vars(owner)[attr] is value for attr, value in namespace.items())
