@@ -38,6 +38,17 @@ prints a unified diff and exits 1 on any difference, and otherwise prints
 
     PYTHONPATH=src python3 scripts/dump_outputs.py --against ../parent/src
 
+After a diff it prints one summary line, which tells a change of last bits
+from any other:
+
+    changed C of N lines: F only in float hex, at most U ulp apart; O otherwise
+
+C counts the changed lines on the longer side of the diff.  Within one run
+of changed lines, an added line pairs with the first removed line that
+differs from it only in float hex, if there is one.  F counts these pairs,
+U is the largest distance in doubles between a float of such a pair and
+its counterpart, and O counts the other changed lines, C - F.
+
 With `--values` every float is printed at `.12g` instead of as float hex,
 and witnesses are left out: a change that picks another reduced basis
 (other witnesses, other last bits of a gauge) but keeps every minimum,
@@ -50,6 +61,8 @@ import difflib
 import io
 import os
 import random
+import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -279,6 +292,39 @@ def dump(args):
                         print(f"  raised {type(exc).__name__}: {exc}")
 
 
+FLOAT_HEX = re.compile(r"-?0x[0-9a-f]+(?:\.[0-9a-f]*)?p[+-]\d+")
+
+
+def ulps(a: float, b: float) -> int:
+    """How many steps from one double to the next lead from a to b; the zeros count as one."""
+    def ordinal(x):
+        i = struct.unpack("<q", struct.pack("<d", x))[0]
+        return i if i >= 0 else -(i & (1 << 63) - 1)
+    return abs(ordinal(a) - ordinal(b))
+
+
+def diff_summary(diff: list[str], total: int) -> str:
+    """The summary line of a unified diff of dumps; `total` lines were dumped here."""
+    changed = max(sum(line[0] == sign for line in diff[2:]) for sign in "-+")
+    floats = worst = 0
+    # the removed lines of this run, by their text with the float hex taken out
+    removed: dict[tuple[str, ...], list[str]] = {}
+    for line in diff[2:]:
+        sign, text = line[0], line[1:]
+        skeleton = tuple(FLOAT_HEX.split(text))
+        if sign == "-":
+            removed.setdefault(skeleton, []).append(text)
+        elif sign == "+" and removed.get(skeleton) and removed[skeleton][0] != text:
+            old = removed[skeleton].pop(0)
+            floats += 1
+            worst = max(worst, *(ulps(float.fromhex(a), float.fromhex(b)) for a, b in
+                                 zip(FLOAT_HEX.findall(old), FLOAT_HEX.findall(text))))
+        elif sign != "+":
+            removed = {}
+    return (f"changed {changed} of {total} lines: {floats} only in float hex, "
+            f"at most {worst} ulp apart; {changed - floats} otherwise")
+
+
 def against(args) -> int:
     """Dump here and with PYTHONPATH=args.against; print the diff, or that there is none."""
     here = io.StringIO()
@@ -292,8 +338,7 @@ def against(args) -> int:
     diff = list(difflib.unified_diff(there.splitlines(keepends=True), lines,
                                      fromfile=args.against, tofile=adelic.__path__[0]))
     sys.stdout.writelines(diff)
-    if not diff:
-        print(f"identical ({len(lines)} lines)")
+    print(diff_summary(diff, len(lines)) if diff else f"identical ({len(lines)} lines)")
     return 1 if diff else 0
 
 
@@ -304,8 +349,8 @@ def main():
     ap.add_argument("--values", action="store_true",
                     help="floats at .12g instead of float hex, and no witnesses")
     ap.add_argument("--against", metavar="DIR",
-                    help="compare with the package under DIR: a unified diff and exit 1 on "
-                         "any difference, else 'identical (N lines)'")
+                    help="compare with the package under DIR: a unified diff, a summary line "
+                         "and exit 1 on any difference, else 'identical (N lines)'")
     args = ap.parse_args()
     if args.against:
         sys.exit(against(args))

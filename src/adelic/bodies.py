@@ -250,7 +250,7 @@ class ProductBody:
 
     def __init__(self, field: NumberField, n: int, place_bodies: list[PlaceBody]):
         dims = field.place_dims(n)
-        kinds = [k for k, _ in field.places]
+        kinds = field.place_kinds
         if len(place_bodies) != len(dims):
             raise ValueError(
                 f"expected one body per archimedean place "
@@ -304,7 +304,7 @@ class ProductBody:
 def uniform_ball_body(field: NumberField, n: int, radius: Fraction) -> ProductBody:
     """The same ball at every place; the usual default body."""
     bodies = [PlaceBody(kind, dim, Ball(Fraction(radius)))
-              for (kind, _), dim in zip(field.places, field.place_dims(n))]
+              for kind, dim in zip(field.place_kinds, field.place_dims(n))]
     return ProductBody(field, n, bodies)
 
 

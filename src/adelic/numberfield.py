@@ -9,22 +9,24 @@ theorem).  The integral basis is validated by one solve with its
 transposed numerators: the elimination decides independence, and the
 right-hand sides 1 and the products of basis elements decide that 1 is
 in the span and that the span is a ring.  Floats only enter through the
-root isolation that backs the embeddings.
+roots that back the embeddings, found on their first read: the
+eigenvalues of the companion matrix (`numpy.roots`), each polished by
+Newton steps and certified by its Horner residual.
 
-The field, its elements and its roots are pure Python.  numpy is named
-through `np`, a `LazyModule`: importing this module loads no numpy, and
-the first embedding or twisted form does.
+The field and its elements are pure Python, and the kinds of its places
+come from the signature.  numpy is named through `np`, a `LazyModule`:
+importing this module loads no numpy, and the first root, embedding or
+twisted form does.
 """
 
 from __future__ import annotations
 
-import cmath
 import importlib
-import math
 import operator
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .errors import ConditioningError
@@ -38,8 +40,6 @@ from .exactla import (
     solve_scaled,
     transpose,
 )
-
-ROOT_TOL = 1e-15  # the Aberth stopping step; float64 roots saturate here
 
 
 class LazyModule:
@@ -122,35 +122,6 @@ def _charpoly(a: IntMatrix) -> list[int]:
         c[d - k] = -sum(am[i][i] for i in range(d)) // k
         m = [[x + c[d - k] * (i == j) for j, x in enumerate(row)] for i, row in enumerate(am)]
     return c
-
-
-def _aberth_roots(poly: list[float]) -> list[complex]:
-    """All complex roots of a monic squarefree polynomial, simultaneously: 400 steps at most."""
-    d = len(poly) - 1
-    dpoly = [k * c for k, c in enumerate(poly)][1:]
-    radius = 1.0 + max(abs(c) for c in poly[:-1]) if d > 0 else 1.0
-    z = [
-        radius * cmath.exp(2j * math.pi * (k / d) + 0.4j) * (1 + 1e-3 * k)
-        for k in range(d)
-    ]
-    for _ in range(400):
-        moved = 0.0
-        for i in range(d):
-            pv = _eval_complex(poly, z[i])
-            dv = _eval_complex(dpoly, z[i])
-            if dv == 0:
-                z[i] += 1e-6 + 1e-6j
-                moved = math.inf
-                continue
-            newton = pv / dv
-            s = sum(1 / (z[i] - z[j]) for j in range(d) if j != i)
-            denom = 1 - newton * s
-            step = newton / denom if denom != 0 else newton
-            z[i] -= step
-            moved = max(moved, abs(step))
-        if moved < ROOT_TOL:
-            break
-    return z
 
 
 def _newton_polish(poly: list[float], dpoly: list[float], z):
@@ -332,8 +303,7 @@ class NumberField:
         r = 2 * pos - d
         self.signature = (r, d - pos)
         self.check_claims(claimed_discriminant, cm_asserted)
-
-        self.real_roots, self.complex_roots = self._roots()
+        self._fpoly = [float_of(c, "polynomial coefficient") for c in coeffs]
 
     def check_claims(self, discriminant: int | None, cm: bool):
         """Raise `ValueError` unless a claimed discriminant and CM hold; record the CM claim."""
@@ -422,15 +392,17 @@ class NumberField:
             return False
         return self.degree == 2 or self.cm_asserted
 
+    @cached_property
     def _roots(self) -> tuple[list[float], list[complex]]:
-        """Real roots ascending and complex roots of positive imaginary part by (Re, Im)."""
-        fpoly = [float_of(c, "polynomial coefficient") for c in self.poly]
-        r, s = self.signature
-        if self.degree == 1:
-            return [-fpoly[0]], []
-        roots = _aberth_roots(fpoly)
+        """Real roots ascending and complex roots of positive imaginary part by (Re, Im).
+
+        The eigenvalues of the companion matrix, a backward-stable start
+        (Edelman-Murakami 1995), each polished by Newton steps; found on
+        the first read of `real_roots` or `complex_roots`.
+        """
+        fpoly, (r, s) = self._fpoly, self.signature
         dpoly = [k * c for k, c in enumerate(fpoly)][1:]
-        roots = [_newton_polish(fpoly, dpoly, z) for z in roots]
+        roots = [_newton_polish(fpoly, dpoly, complex(z)) for z in np.roots(fpoly[::-1])]
         roots.sort(key=lambda z: abs(z.imag))
         reals = [_newton_polish(fpoly, dpoly, complex(z.real, 0.0)).real for z in roots[:r]]
         complexes = [z for z in roots[r:] if z.imag > 0]
@@ -444,11 +416,24 @@ class NumberField:
         return reals, complexes
 
     @property
+    def real_roots(self) -> list[float]:
+        return self._roots[0]
+
+    @property
+    def complex_roots(self) -> list[complex]:
+        return self._roots[1]
+
+    @property
+    def place_kinds(self) -> list[str]:
+        """The kind of each archimedean place, in the order of `places`."""
+        r, s = self.signature
+        return ["real"] * r + ["complex"] * s
+
+    @property
     def places(self) -> list[tuple[str, complex]]:
         """Ordered archimedean places: real ascending, then complex by (Re, Im)."""
-        out: list[tuple[str, complex]] = [("real", complex(x, 0)) for x in self.real_roots]
-        out.extend(("complex", z) for z in self.complex_roots)
-        return out
+        roots = [complex(x, 0) for x in self.real_roots] + self.complex_roots
+        return list(zip(self.place_kinds, roots))
 
     def place_dims(self, n: int) -> list[int]:
         """Block sizes of the place-major layout of R^(n*degree)."""
@@ -457,7 +442,7 @@ class NumberField:
 
     def place_slices(self, n: int) -> list[tuple[str, int, int]]:
         out, start = [], 0
-        for (kind, _), dim in zip(self.places, self.place_dims(n)):
+        for kind, dim in zip(self.place_kinds, self.place_dims(n)):
             out.append((kind, start, start + dim))
             start += dim
         return out

@@ -347,13 +347,12 @@ def _build_module(field: NumberField, ms: ModuleSpec) -> KModule:
 
 
 def _build_infinite_part(field: NumberField, n: int, specs: list[BodySpec]) -> ProductBody:
-    places = field.places
-    if len(specs) != len(places):
+    kinds = field.place_kinds
+    if len(specs) != len(kinds):
         raise ScenarioError(
-            f"expected {len(places)} body sections for this field, got {len(specs)}")
-    dims = field.place_dims(n)
+            f"expected {len(kinds)} body sections for this field, got {len(specs)}")
     place_bodies = []
-    for i, (bs, (kind, _), dim) in enumerate(zip(specs, places, dims), start=1):
+    for i, (bs, kind, dim) in enumerate(zip(specs, kinds, field.place_dims(n)), start=1):
         try:
             place_bodies.append(PlaceBody(kind, dim, SHAPES[bs.shape](bs.value)))
         except ValueError as exc:

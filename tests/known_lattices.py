@@ -44,11 +44,34 @@ Over number fields of every degree, two theorems give known answers:
   ball at a complex place has radius 1/2 under the twisted form, so by
   Kronecker on d O^v = O, lambda_l(S*) = 2/d and every transference
   product is 2/d.
+
+Over imaginary quadratic fields of class number above 1, Gauss's reduced
+forms give known answers on every ideal class (Cox, *Primes of the Form
+x^2 + ny^2*, sections 2-3 and 7):
+
+- Each reduced form (a, b, c) of the field discriminant D, with
+  |b| <= a <= c and b >= 0 when |b| = a or a = c, gives the ideal
+  I = [a, (-b + sqrt D) / 2] of norm a, one per ideal class.  The
+  element x = a u + v (-b + sqrt D) / 2 of I has
+  |x|^2 = N(x) = a (a u^2 - b u v + c v^2), least a^2 for a reduced
+  form, so under the unit ball lambda_1 = a exactly, attained at x = a.
+- The trace dual of I is conj(I) / (a sqrt D), which holds
+  1 / sqrt D, and the norms of conj(I) / a are at least 1.  Its least
+  |y| is 1 / sqrt|D|, the polar of the unit ball has radius 1/2 under
+  the twisted form, so lambda_1 of the polar is 2 / sqrt|D| in every
+  class and the transference product is 2a / sqrt|D|.
 """
 
+import math
 from fractions import Fraction
 
-from adelic import NumberField, module_from_matrix, preset_field, rational_field
+from adelic import (
+    FractionalIdeal,
+    NumberField,
+    module_from_matrix,
+    preset_field,
+    rational_field,
+)
 from adelic.exactla import transpose
 
 E8_ROWS = ([[2, 0, 0, 0, 0, 0, 0, 0]]
@@ -133,3 +156,34 @@ def cyclotomic_field(m: int) -> NumberField:
     poly = cyclotomic_poly(m)
     d = len(poly) - 1
     return NumberField(poly, [[int(i == j) for j in range(d)] for i in range(d)])
+
+
+# m: the class number of Q(sqrt m), for discriminants -20, -24 and -23
+CLASS_NUMBERS = {-5: 2, -6: 2, -23: 3}
+
+
+def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
+    """The reduced forms (a, b, c) of a negative fundamental discriminant b^2 - 4ac.
+
+    There is one per class of forms, and so one per ideal class of the
+    imaginary quadratic field of that discriminant.  A reduced form has
+    3 a^2 <= |disc|, so a runs up to sqrt(|disc| / 3).
+    """
+    forms = []
+    for a in range(1, math.isqrt(-disc // 3) + 1):
+        for b in range(1 - a, a + 1):
+            c, rest = divmod(b * b - disc, 4 * a)
+            if not rest and c >= a and (b >= 0 or c > a):
+                forms.append((a, b, c))
+    return forms
+
+
+def class_ideal(field: NumberField, form: tuple[int, int, int]) -> FractionalIdeal:
+    """[a, (-b + sqrt D) / 2] in Q(sqrt m) on the power basis 1, theta = sqrt m.
+
+    sqrt D is 2 theta when D = 4m and theta when D = m.
+    """
+    a, b, _ = form
+    half_root = Fraction(1) if field.discriminant % 4 == 0 else Fraction(1, 2)  # sqrt D / 2
+    return FractionalIdeal(field, [field.from_rational(a),
+                                   field.element([Fraction(-b, 2), half_root])])

@@ -8,6 +8,7 @@ level.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from adelic import (
     AdelicBody,
     FractionalIdeal,
+    KModule,
     KRankTracker,
     NumberField,
     PRESET_FIELDS,
@@ -23,6 +25,7 @@ from adelic import (
     enumerate_below,
     lattice_from_module,
     preset_field,
+    quadratic_field,
     standard_module,
     transference_check,
     uniform_ball_body,
@@ -30,16 +33,19 @@ from adelic import (
 from adelic.exactla import mat_det
 from field_reference import fraction_krank_decisions, preimage_by_field_arithmetic
 from known_lattices import (
+    CLASS_NUMBERS,
     CORPUS_ROOTS_OF_UNITY,
     E8_KISSING,
     E8_ROWS,
     PRESET_ROOTS_OF_UNITY,
     bw16_rows,
+    class_ideal,
     cyclotomic_field,
     d_n_rows,
     e8_over_eisenstein,
     e8_over_q,
     rational_module,
+    reduced_forms,
 )
 from test_transference import benchmark_corpus
 
@@ -188,3 +194,37 @@ def test_power_of_two_cyclotomic_trace_dual_is_o_over_d(m):
     assert field.discriminant == d ** d
     ring = FractionalIdeal.whole_ring(field)
     assert ring.trace_dual().equals(ring.scaled(field.from_rational(Fraction(1, d))))
+
+
+# every ideal class of Q(sqrt -5), Q(sqrt -6) and Q(sqrt -23), one reduced form each
+CLASS_CASES = [(m, form) for m in CLASS_NUMBERS
+               for form in reduced_forms(quadratic_field(m).discriminant)]
+CLASS_IDS = [f"m={m} form={','.join(map(str, form))}" for m, form in CLASS_CASES]
+
+
+def ideal_class_body(m, form):
+    """The pseudo line I e_1 for the ideal I of the form, under the unit ball."""
+    field = quadratic_field(m)
+    module = KModule(field, [(class_ideal(field, form), (field.one(),))])
+    return AdelicBody(module, uniform_ball_body(field, 1, Fraction(1)))
+
+
+def test_reduced_forms_count_the_ideal_classes():
+    assert {m: len(reduced_forms(quadratic_field(m).discriminant))
+            for m in CLASS_NUMBERS} == CLASS_NUMBERS
+
+
+@pytest.mark.parametrize("m,form", CLASS_CASES, ids=CLASS_IDS)
+def test_lambda_1_on_the_ideal_of_a_reduced_form_is_a(m, form):
+    assert adelic_minima(ideal_class_body(m, form)).minima == [form[0]]
+
+
+# the products are 2a / sqrt|D|, measured within 1 ulp
+@pytest.mark.parametrize("m,form", CLASS_CASES, ids=CLASS_IDS)
+def test_transference_product_on_every_ideal_class_is_2a_over_sqrt_disc(m, form):
+    body = ideal_class_body(m, form)
+    root = math.sqrt(-body.field.discriminant)
+    report = transference_check(body)
+    assert report.report_sstar.minima == pytest.approx([2 / root], rel=4 * sys.float_info.epsilon)
+    assert [row.product for row in report.rows] == pytest.approx(
+        [2 * form[0] / root], rel=4 * sys.float_info.epsilon)

@@ -14,10 +14,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 
 import adelic
+from adelic import NumberField
 from test_cli_golden import GOLDEN, RUNS, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,6 +115,22 @@ def test_exact_layer_runs_with_numpy_blocked(tmp_path):
     assert got["biduality"] is True
     assert not set(got["loaded"]) & {f"adelic.{m}" for m in FLOAT_LAYER}
     assert "numpy" in got["float_layer"]
+
+
+def refuse_roots(field):
+    raise AssertionError(f"roots of {field} found")
+
+
+@pytest.mark.parametrize("scenario", [*adelic.PRESET_SCENARIOS, *(
+    str(path) for path in sorted((ROOT / "tests" / "scenarios").glob("*.ini")))])
+def test_polar_and_biduality_find_no_roots(scenario, capsys):
+    # the roots are float data: only an embedding reads them, and the polar needs none
+    with patch.object(NumberField, "_roots", property(refuse_roots)):
+        assert adelic.cli.main(["polar", scenario, "--machine"]) == 0
+    body = adelic.parse_scenario(adelic.cli.load_scenario_text(scenario)).build()
+    assert adelic.adelic_equal(adelic.adelic_polar(adelic.adelic_polar(body)), body)
+    assert "_roots" not in vars(body.field)
+    assert [kind for kind, _ in body.field.places] == body.field.place_kinds
 
 
 def unconditional_imports(module: str) -> set[str]:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -23,9 +24,12 @@ from field_reference import (
     complementary_basis,
     embed_flat,
     fraction_det,
+    precise_root,
     reduction_trace_form,
     sturm_real_root_count,
 )
+from known_lattices import CORPUS_ROOTS_OF_UNITY, cyclotomic_field
+from test_known_lattices import corpus_field
 
 F = Fraction
 
@@ -171,6 +175,14 @@ def test_trace_form_signature_and_discriminant_match_the_references(poly):
     assert k.discriminant == disc
 
 
+@pytest.mark.xfail(strict=True, reason="irreducibility is not decided yet (ROADMAP item 9)")
+def test_a_reducible_polynomial_is_refused():
+    # x^2 - 1 = (x - 1)(x + 1) is squarefree, so its trace form passes, and
+    # Q[x]/(f) is Q x Q, not a field: 1 + theta and 1 - theta are zero divisors
+    with pytest.raises(ValueError, match="irreducible"):
+        NumberField([-1, 0, 1], power_basis(2))
+
+
 def test_root_order_and_residuals(preset):
     coeffs = [float(c) for c in preset.poly]
     scale = 1 + max(abs(c) for c in coeffs)
@@ -208,9 +220,29 @@ def test_root_residual_bound_scales_with_the_polynomial():
 ])
 def test_a_wrong_float_root_fails_the_residual_check(poly, planted, kind):
     # six Newton steps from 10^6 leave z near 10^6 / 64, far from every root
-    with patch.object(numberfield, "_aberth_roots", lambda p: list(planted)):
+    k = NumberField(poly, power_basis(2))
+    with patch.object(numberfield.np, "roots", lambda p: list(planted)):
         with pytest.raises(ConditioningError, match=f"{kind} root residual too large"):
-            NumberField(poly, power_basis(2))
+            k.real_roots
+
+
+# the presets, the other corpus fields and the cyclotomic fields of the known answers
+ROOT_FIELDS = {
+    **{name: lambda name=name: preset_field(name) for name in PRESET_FIELDS},
+    **{name: lambda name=name: corpus_field(name) for name in CORPUS_ROOTS_OF_UNITY},
+    **{f"Q(zeta{m})": lambda m=m: cyclotomic_field(m) for m in (5, 7, 8, 9, 12, 16, 32)},
+}
+
+
+@pytest.mark.parametrize("name", ROOT_FIELDS)
+def test_every_root_part_is_within_1_25_ulp_of_a_60_digit_reference(name):
+    # in ulps of the reference part, so a zero part must come out zero; the worst part
+    # is 1.10 ulp off, the real part of a complex root of x5-x-1
+    field = ROOT_FIELDS[name]()
+    poly = [int(c) for c in field.poly]
+    for z in [complex(x, 0.0) for x in field.real_roots] + field.complex_roots:
+        for got, want in zip((z.real, z.imag), precise_root(poly, z)):
+            assert float(abs(Decimal(got) - want)) <= 1.25 * math.ulp(float(want)), (z, want)
 
 
 def test_embed_sqrt2_orders_real_roots_ascending():

@@ -589,7 +589,7 @@ def test_scenario_resolution_below_two_is_an_input_error(capsys, tmp_path):
 
 
 def test_precision_is_neither_a_flag_nor_an_options_key(capsys, tmp_path):
-    # root isolation runs to one fixed tolerance, numberfield.ROOT_TOL
+    # the roots are the companion eigenvalues after a fixed Newton polish: no precision to set
     with pytest.raises(SystemExit) as exc:
         main(["polar", "Q", "--precision", "60"])
     assert exc.value.code == 2

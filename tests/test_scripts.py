@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts against the package in src/."""
 
 import json
+import math
 import os
 import re
 import runpy
@@ -279,6 +280,39 @@ def test_dump_outputs_against_a_changed_package_prints_the_diff(tmp_path):
     assert proc.stdout.startswith(f"--- {planted}\n")
     assert any(line.startswith("-  real=") for line in proc.stdout.splitlines())
     assert any(line.startswith("+  real=") for line in proc.stdout.splitlines())
+
+
+def test_dump_outputs_summary_counts_a_1_ulp_change_as_float_hex_only(tmp_path):
+    # every real root one double up: each field with a real place dumps another real= line
+    planted = tmp_path / "planted"
+    shutil.copytree(ROOT / "src", planted)
+    numberfield = planted / "adelic" / "numberfield.py"
+    text = numberfield.read_text()
+    assert text.count("reals.sort()") == 1
+    numberfield.write_text(text.replace(
+        "reals.sort()", "reals = sorted(float(np.nextafter(x, np.inf)) for x in reals)"))
+    proc = run_against(planted, tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    *diff, summary = proc.stdout.splitlines()
+    changed = sum(line.startswith("+  real=") for line in diff)
+    assert changed == sum(line.startswith(("+ ", "- ")) for line in diff) / 2 > 0
+    assert re.fullmatch(rf"changed {changed} of \d+ lines: {changed} only in float hex, "
+                        r"at most 1 ulp apart; 0 otherwise", summary)
+
+
+def test_dump_outputs_summary_pairs_lines_within_a_run_and_counts_the_rest(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench on it
+    summary = runpy.run_path(str(ROOT / "scripts" / "dump_outputs.py"))["diff_summary"]
+    x, y = 0.3, math.nextafter(math.nextafter(0.3, 1), 1)
+    diff = ["--- before\n", "+++ after\n", "@@ -1,6 +1,6 @@\n", " case=0\n",
+            "-  S witness=1,2\n", f"-  S minima={x.hex()},{x.hex()}\n",
+            f"+  S minima={x.hex()},{y.hex()}\n", "+  S witness=2,1\n", " case=1\n",
+            f"-  ell=1 product={x.hex()} lower=pass\n", f"+  ell=1 product={x.hex()} lower=fail\n",
+            " case=2\n", f"+  ell=1 product={y.hex()} lower=pass\n"]
+    # the minima lines pair across their run, 2 ulp apart; the witness and a verdict
+    # changed, and the last line pairs with no line of an earlier run
+    assert summary(diff, 10) == ("changed 4 of 10 lines: 1 only in float hex, "
+                                 "at most 2 ulp apart; 3 otherwise")
 
 
 def test_cli_process_times_prints_one_row_per_command():
