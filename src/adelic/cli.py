@@ -178,6 +178,7 @@ def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int
     from .lattices import lattice_equal, polar_lattice
     _field_header(rep, body)
     star = adelic_polar(body)
+    body.field.places  # the roots, first read here, fail with their own message
     try:
         ok = lattice_equal(polar_lattice(body.lattice()), star.lattice().basis)
     except ConditioningError as exc:

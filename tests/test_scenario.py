@@ -27,6 +27,7 @@ from adelic import (
     mu_product_report,
     parse_scenario,
 )
+from adelic import numberfield
 from adelic.bodies import SHAPES
 from adelic.cli import _SCENARIO_COMMANDS, _build, build_parser, load_scenario_text, main
 from adelic.lattices import (ENUMERATION_CAP, LLL_DELTA, RESOLUTION, points_by_gauge,
@@ -684,6 +685,17 @@ def test_cli_large_coefficients_end_in_an_exit_code(capsys, tmp_path, command, c
         assert err == "" and "polar biduality=pass" in out
     else:
         assert err == f"error: {message}\n"
+
+
+def test_verify_duality_reports_a_root_failure_as_the_field_s_own(capsys, monkeypatch, tmp_path):
+    # verify-duality reads the roots first; their failure is not a duality failure
+    path = tmp_path / "sqrt2.ini"
+    path.write_text("[field]\npoly = -2, 0, 1\nbasis = [[1; 0], [0; 1]]\n\n"
+                    "[module]\nrank = 1\nmatrix = [[1]]\n\n[body.v1]\nshape = ball\nradius = 1\n\n"
+                    "[body.v2]\nshape = ball\nradius = 1\n")
+    monkeypatch.setattr(numberfield.np, "roots", lambda p: [1e6, -1.4])
+    got, _, err = run_cli(["verify-duality", str(path), "--machine"], capsys)
+    assert (got, err) == (3, "error: real root residual too large\n")
 
 
 def test_large_coefficients_primal_reduces_through_the_polar(capsys, tmp_path):
