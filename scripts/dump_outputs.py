@@ -38,16 +38,20 @@ prints a unified diff and exits 1 on any difference, and otherwise prints
 
     PYTHONPATH=src python3 scripts/dump_outputs.py --against ../parent/src
 
-After a diff it prints one summary line, which tells a change of last bits
-from any other:
+After a diff it prints one line per record kind with changed lines, then
+one summary line, which tells a change of last bits from any other:
 
+      <kind>: changed C, F only in float hex, at most U ulp apart
     changed C of N lines: F only in float hex, at most U ulp apart; O otherwise
 
 C counts the changed lines on the longer side of the diff.  Within one run
 of changed lines, an added line pairs with the first removed line that
 differs from it only in float hex, if there is one.  F counts these pairs,
 U is the largest distance in doubles between a float of such a pair and
-its counterpart, and O counts the other changed lines, C - F.
+its counterpart, and O counts the other changed lines, C - F.  The kinds
+are `S witness`, `S* witness`, `minima` (either side), `product` (a
+transference row), `covering`, `cli` (with `cli_duality`) and `fields`; a
+`transference` line of no other kind is a raised error.
 
 With `--values` every float is printed at `.12g` instead of as float hex,
 and witnesses are left out: a change that picks another reduced basis
@@ -303,26 +307,85 @@ def ulps(a: float, b: float) -> int:
     return abs(ordinal(a) - ordinal(b))
 
 
-def diff_summary(diff: list[str], total: int) -> str:
-    """The summary line of a unified diff of dumps; `total` lines were dumped here."""
-    changed = max(sum(line[0] == sign for line in diff[2:]) for sign in "-+")
-    floats = worst = 0
+def float_pairs(diff: list[str]) -> list[tuple[int, int]]:
+    """(removed, added) indices into a unified diff of the lines that differ only in float hex.
+
+    Within one run of changed lines, an added line pairs with the first
+    removed line that differs from it only in float hex, if there is one.
+    """
+    pairs = []
     # the removed lines of this run, by their text with the float hex taken out
-    removed: dict[tuple[str, ...], list[str]] = {}
-    for line in diff[2:]:
+    removed: dict[tuple[str, ...], list[int]] = {}
+    for i, line in enumerate(diff[2:], 2):
         sign, text = line[0], line[1:]
         skeleton = tuple(FLOAT_HEX.split(text))
         if sign == "-":
-            removed.setdefault(skeleton, []).append(text)
-        elif sign == "+" and removed.get(skeleton) and removed[skeleton][0] != text:
-            old = removed[skeleton].pop(0)
-            floats += 1
-            worst = max(worst, *(ulps(float.fromhex(a), float.fromhex(b)) for a, b in
-                                 zip(FLOAT_HEX.findall(old), FLOAT_HEX.findall(text))))
+            removed.setdefault(skeleton, []).append(i)
+        elif sign == "+" and removed.get(skeleton) and diff[removed[skeleton][0]][1:] != text:
+            pairs.append((removed[skeleton].pop(0), i))
         elif sign != "+":
             removed = {}
-    return (f"changed {changed} of {total} lines: {floats} only in float hex, "
-            f"at most {worst} ulp apart; {changed - floats} otherwise")
+    return pairs
+
+
+def pair_ulps(diff: list[str], pair: tuple[int, int]) -> int:
+    """The largest distance in doubles between a float of a pair's line and its counterpart."""
+    old, new = (FLOAT_HEX.findall(diff[i]) for i in pair)
+    return max(ulps(float.fromhex(a), float.fromhex(b)) for a, b in zip(old, new))
+
+
+def diff_summary(diff: list[str], total: int) -> str:
+    """The summary line of a unified diff of dumps; `total` lines were dumped here."""
+    changed = max(sum(line[0] == sign for line in diff[2:]) for sign in "-+")
+    pairs = float_pairs(diff)
+    worst = max((pair_ulps(diff, pair) for pair in pairs), default=0)
+    return (f"changed {changed} of {total} lines: {len(pairs)} only in float hex, "
+            f"at most {worst} ulp apart; {changed - len(pairs)} otherwise")
+
+
+# record kinds read off a dumped line's own prefix; any other line takes its block's
+PREFIX_KINDS = (("  S witness=", "S witness"), ("  S* witness=", "S* witness"),
+                ("  S minima=", "minima"), ("  S* minima=", "minima"), ("  ell=", "product"))
+BLOCK_KINDS = {"cli_duality": "cli"}
+
+
+def line_kinds(lines: list[str]) -> list[str]:
+    """The record kind of each dumped line: by its prefix, else its block's workload."""
+    kinds, block = [], None
+    for line in lines:
+        if not line.startswith(" "):
+            block = BLOCK_KINDS.get(line.split()[0], line.split()[0])
+        kinds.append(next((kind for prefix, kind in PREFIX_KINDS if line.startswith(prefix)),
+                          block))
+    return kinds
+
+
+def kind_summaries(diff: list[str], before: list[str], after: list[str]) -> list[str]:
+    """One line per record kind with changed lines: their count, float-hex pairs and ulps.
+
+    A removed line's kind is that of its line of `before`, an added line's of
+    its line of `after`; the count is the larger side, as in `diff_summary`.
+    """
+    old_kinds, new_kinds = line_kinds(before), line_kinds(after)
+    kind, counts = {}, {}
+    old = new = 0
+    for i, line in enumerate(diff[2:], 2):
+        if line.startswith("@@"):
+            old, new = (int(field[1:].split(",")[0]) - 1 for field in line.split()[1:3])
+            continue
+        if line[0] == "-":
+            kind[i] = old_kinds[old]
+        elif line[0] == "+":
+            kind[i] = new_kinds[new]
+        if line[0] in "-+":
+            counts.setdefault(kind[i], {"-": 0, "+": 0})[line[0]] += 1
+        old += line[0] in " -"
+        new += line[0] in " +"
+    pairs = {}
+    for pair in float_pairs(diff):
+        pairs.setdefault(kind[pair[1]], []).append(pair_ulps(diff, pair))
+    return [f"  {k}: changed {max(c.values())}, {len(pairs.get(k, []))} only in float hex, "
+            f"at most {max(pairs.get(k, [0]))} ulp apart" for k, c in counts.items()]
 
 
 def against(args) -> int:
@@ -338,6 +401,8 @@ def against(args) -> int:
     diff = list(difflib.unified_diff(there.splitlines(keepends=True), lines,
                                      fromfile=args.against, tofile=adelic.__path__[0]))
     sys.stdout.writelines(diff)
+    if diff:
+        print("\n".join(kind_summaries(diff, there.splitlines(), here.getvalue().splitlines())))
     print(diff_summary(diff, len(lines)) if diff else f"identical ({len(lines)} lines)")
     return 1 if diff else 0
 

@@ -10,7 +10,11 @@ process, so its peak RSS is its own:
   12 to 36 in steps of 4);
 - `EmbeddedLattice.reduced()` of a Z-lattice at the ranks given by
   --reduce (default 16, 28, 40), timing the LLL reduction and the
-  embedding of the reduced basis alone;
+  embedding of the reduced basis alone; over Q the reduction runs on
+  the exact Gram matrix;
+- the same over Q(zeta_8), zeta_8^4 = -1, at the ranks given by
+  --reduce-cm (default none; 4, 7, 10 give nd 16, 28, 40), where the
+  reduction runs on the rounded float Gram matrix;
 - `adelic_polar` and the biduality check `adelic_equal(adelic_polar(
   star), body)` that `adelic polar` prints, over Q(zeta_8), zeta_8^4 = -1,
   at the ranks given by --duality (default 4 to 12 in steps of 2: nd 16
@@ -29,6 +33,7 @@ failed".
     python3 scripts/minima_scaling.py
     python3 scripts/minima_scaling.py --cubic 2 --z 4 8 --reduce 16 --duality 4
     python3 scripts/minima_scaling.py --cubic --z 36 40 --reduce --duality --cap 10000000
+    python3 scripts/minima_scaling.py --cubic --z --duality --reduce-cm 4 7 10
 """
 
 import argparse
@@ -77,10 +82,10 @@ def random_module(field, n, seed=0):
 
 def run_row(kind: str, n: int, cap: int) -> dict:
     """One row in this process: nd, seconds, peak RSS and the outcome."""
-    field = {"cubic": lambda: NumberField(*CUBIC),
-             "duality": lambda: NumberField(*CYCLOTOMIC_8)}.get(kind, rational_field)()
+    field = {"cubic": lambda: NumberField(*CUBIC), "duality": lambda: NumberField(*CYCLOTOMIC_8),
+             "reduce-cm": lambda: NumberField(*CYCLOTOMIC_8)}.get(kind, rational_field)()
     # a reduction row times the reduction and the embedding of its result alone
-    lat = lattice_from_module(random_module(field, n)) if kind == "reduce" else None
+    lat = lattice_from_module(random_module(field, n)) if kind.startswith("reduce") else None
     if lat is not None:
         lat.basis
     start = time.perf_counter()
@@ -111,6 +116,8 @@ def main():
                     help="ranks of the Z-lattice minima rows")
     ap.add_argument("--reduce", nargs="*", type=int, default=[16, 28, 40],
                     help="ranks of the Z-lattice reduction rows")
+    ap.add_argument("--reduce-cm", nargs="*", type=int, default=[],
+                    help="ranks of the x^4+1 reduction rows")
     ap.add_argument("--duality", nargs="*", type=int, default=list(range(4, 13, 2)),
                     help="ranks of the x^4+1 polar and biduality rows")
     ap.add_argument("--cap", type=int, default=ENUMERATION_CAP,
@@ -124,14 +131,15 @@ def main():
 
     print(f"{'case':<28} {'nd':>3} {'seconds':>8} {'rss_mb':>7}  result")
     rows = ([("cubic", n) for n in args.cubic] + [("z", n) for n in args.z]
-            + [("reduce", n) for n in args.reduce] + [("duality", n) for n in args.duality])
+            + [("reduce", n) for n in args.reduce] + [("reduce-cm", n) for n in args.reduce_cm]
+            + [("duality", n) for n in args.duality])
     for kind, n in rows:
         proc = subprocess.run(
             [sys.executable, __file__, "--row", kind, str(n), "--cap", str(args.cap)],
             capture_output=True, text=True, check=True)
         row = json.loads(proc.stdout.splitlines()[-1])
         name = {"cubic": f"transference x^3-x-1 n={n}", "z": f"minima Z-lattice n={n}",
-                "reduce": f"reduced() Z-lattice n={n}",
+                "reduce": f"reduced() Z-lattice n={n}", "reduce-cm": f"reduced() x^4+1 n={n}",
                 "duality": f"polar x^4+1 n={n}"}[kind]
         print(f"{name:<28} {row['nd']:>3} {row['seconds']:>8.3f} {row['rss_mb']:>7.1f}  "
               f"{row['outcome']}")

@@ -13,11 +13,11 @@ keeps it (`preimage_of`: its coordinates times M / s).  Floats only
 measure gauges, and enumeration is seeded by each body's own diagonal
 bounding form.
 
-LLL is the Schnorr-Euchner reduction on Python floats: one Gram-Schmidt
-row per arrival at a row, and mu updated in place by size reduction.
-It returns U^-T with U, so a lattice and its polar take one reduction
-from scratch (`reduced_pair`): the other's starts from J U^-T.  The
-searches below take a lattice as given and reduce nothing themselves.
+LLL is one integral kernel on an integer Gram matrix (`_gram`), exact
+over a totally real field and elsewhere rounded at the float Gram's own
+precision.  It returns U^-T with U, so a lattice and its polar take one
+reduction from scratch (`reduced_pair`): the other's starts from J U^-T.
+The searches below take a lattice as given and reduce nothing themselves.
 
 One enumeration engine expands a frontier level by level, around the
 origin for minima and around many grid points at once for covering
@@ -40,7 +40,7 @@ budgets `ENUMERATION_CAP` and `RESOLUTION` live in the numpy-free
 from __future__ import annotations
 
 import math
-import operator
+import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -54,7 +54,7 @@ from .exactla import is_unimodular, mat_mul, mat_vec, transpose
 from .numberfield import NumberField
 from .omodules import KModule, KVector
 
-LLL_DELTA = 0.99  # the Lovasz condition of every reduction
+LLL_DELTA = Fraction(99, 100)  # the Lovasz condition of every reduction
 EQUAL_TOL = 1e-8  # entrywise slack of `lattice_equal` on the change of basis
 NARROW_ROWS = 16  # enumeration levels with fewer frontier rows run on Python floats
 
@@ -85,7 +85,7 @@ class EmbeddedLattice:
 
     def reduced(self) -> "EmbeddedLattice":
         """LLL reduction under the form: the lattice transformed by one integer u."""
-        return self.transformed(_lll_transform(self.basis * np.sqrt(self.form))[0])
+        return self.transformed(_lll_transform(_gram(self))[0])
 
     def transformed(self, u: list[list[int]]) -> "EmbeddedLattice":
         """The basis u B of the same lattice, u integer unimodular: the rows u M."""
@@ -110,13 +110,13 @@ def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
     norms of U B inverted in reverse order, so it is nearly reduced, and
     the dual's LLL starts there.  Whatever `dual` holds, the second lattice
     is an LLL-reduced basis of it; the duality only makes the start good.
-    Of `dual` only that start and the reduced basis are embedded.
+    Of `dual` only the reduced basis is embedded, and the start where `_gram` reads floats.
     The relation is symmetric, so either side may go first: the first
     lattice is reduced exactly as `reduced()` reduces it.
     """
-    u, v = _lll_transform(lat.basis * np.sqrt(lat.form))
+    u, v = _lll_transform(_gram(lat))
     start = dual.transformed(v[::-1])
-    w, _ = _lll_transform(start.basis * np.sqrt(start.form))
+    w, _ = _lll_transform(_gram(start))
     return lat.transformed(u), start.transformed(w)
 
 
@@ -154,63 +154,73 @@ def lattice_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# LLL on float rows (plain Euclidean form; callers pre-scale for the twist)
+# LLL on an integer Gram matrix
 
 
-def _lll_transform(b: np.ndarray) -> tuple[list[list[int]], list[list[int]]]:
-    """The integer transform U of an LLL reduction of the rows of b, and U^-T.
+def _gram(lat: EmbeddedLattice) -> list[list[int]]:
+    """The integer Gram matrix under the twisted form, which `_lll_transform` reduces.
 
-    Schnorr-Euchner (1994) floating-point LLL on Python floats, with the
-    Lovasz condition at `LLL_DELTA`.  Row k of Gram-Schmidt is computed
-    once, when the loop arrives at k (row 0 too, after a swap that leaves
-    k at 1).  Size reduction by row j leaves b*_k and |b*_k|^2 as they are
-    and updates mu in place; row k is recomputed, and the pass repeated,
-    only after a pass that used a coefficient |r| > 2^26, half the float
-    mantissa.  V = U^-T follows each step inverted: row k minus r times
-    row j of U adds r times row k of V to row j, and a swap of two rows of
-    U swaps the same rows of V.
+    Over a totally real field it is exact, s^2 times the Gram matrix of the
+    rows (M, s), read off no root: sum_sigma sigma(x) sigma(y) = x^t P y for
+    the trace form P, so it is M (I_n (x) P) M^t.  Elsewhere it is the float
+    B F B^t times 2^e, an ulp of its largest diagonal entry made 1, rounded:
+    reduced exactly under it, a basis is reduced up to that rounding (Buchmann 1994).
     """
-    m = len(b)
-    b = b.tolist()
+    (num, _), d, p = lat.rows, lat.field.degree, lat.field.trace_form
+    if lat.field.is_totally_real:
+        twisted = [[x for k in range(0, len(row), d) for x in mat_vec(p, row[k:k + d])]
+                   for row in num]
+        return mat_mul(twisted, transpose(num))
+    g = (lat.basis * lat.form) @ lat.basis.T
+    e = sys.float_info.mant_dig - math.frexp(float(np.max(np.diag(g))))[1]
+    return np.rint(np.ldexp(g, e)).astype(np.int64).tolist()
+
+
+def _lll_transform(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """The integer transform U of an LLL reduction under the Gram matrix g, and U^-T.
+
+    De Weger's integral LLL (Cohen, GTM 138, Alg. 2.6.7) in Schnorr-Euchner
+    order: row k is size-reduced in full, by rows k-1 .. 0 and leaving
+    |mu| = 1/2 as it is, before its exact Lovasz test at `LLL_DELTA`.
+    Gram-Schmidt runs once: d[i] is the Gram determinant of the first i rows,
+    lam[i][j] = d[j+1] mu_ij, and every division is exact.  A swap takes the
+    positive integer d[1] ... d[m-1] below delta times itself, so the loop
+    ends; a g not positive definite raises.  V = U^-T follows U: q times row
+    j off row k of U adds q times row k of V to row j, and a swap swaps both.
+    """
+    m = len(g)
     u = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [row[:] for row in u]
-    bstar, norms, mu = [[]] * m, [0.0] * m, [[0.0] * m for _ in range(m)]
-
-    def gram_schmidt_row(i: int):
-        v = b[i]
-        for j in range(i):
-            c = mu[i][j] = sum(map(operator.mul, b[i], bstar[j])) / norms[j]
-            v = [x - c * y for x, y in zip(v, bstar[j])]
-        bstar[i], norms[i] = v, sum(x * x for x in v)
-        if not norms[i] > 0:
-            raise ConditioningError("float precision ran out in lattice reduction")
-
-    gram_schmidt_row(0)
-    k, guard = 1, 0
+    d, lam = [1] * (m + 1), [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1):
+            x = g[i][j]
+            for k in range(j):
+                x = (d[k + 1] * x - lam[i][k] * lam[j][k]) // d[k]
+            lam[i][j] = d[i + 1] = x  # d[i + 1] is lam[i][i], the last x
+        if not d[i + 1] > 0:
+            raise ConditioningError("Gram matrix of a lattice reduction is not positive definite")
+    k = 1
     while k < m:
-        mu_k, large = mu[k], True
-        while large:
-            guard += 1
-            if guard > 100000:
-                raise ConditioningError("reduction failed to terminate")
-            gram_schmidt_row(k)
-            large = False
-            for j in range(k - 1, -1, -1):
-                if abs(mu_k[j]) > 0.5:
-                    r = round(mu_k[j])
-                    large = large or abs(r) > 1 << 26
-                    b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                    u[k] = [x - r * y for x, y in zip(u[k], u[j])]
-                    v[j] = [x + r * y for x, y in zip(v[j], v[k])]
-                    mu_k[:j] = [x - r * y for x, y in zip(mu_k[:j], mu[j])]
-                    mu_k[j] -= r
-        if norms[k] >= (LLL_DELTA - mu_k[k - 1] ** 2) * norms[k - 1]:
+        for j in range(k - 1, -1, -1):
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                q = (2 * lam[k][j] + d[j + 1]) // (2 * d[j + 1])
+                lam[k][:j] = [x - q * y for x, y in zip(lam[k], lam[j][:j])]
+                lam[k][j] -= q * d[j + 1]
+                u[k] = [x - q * y for x, y in zip(u[k], u[j])]
+                v[j] = [x + q * y for x, y in zip(v[j], v[k])]
+        x, num, den = lam[k][k - 1], LLL_DELTA.numerator, LLL_DELTA.denominator
+        if den * (d[k + 1] * d[k - 1] + x * x) >= num * d[k] ** 2:
             k += 1
         else:
-            b[k - 1], b[k], u[k - 1], u[k] = b[k], b[k - 1], u[k], u[k - 1]
-            v[k - 1], v[k] = v[k], v[k - 1]
-            if k == 1:
-                gram_schmidt_row(0)
+            b = (d[k - 1] * d[k + 1] + x * x) // d[k]
+            for row in lam[k + 1:]:
+                t = row[k]
+                row[k] = (d[k + 1] * row[k - 1] - x * t) // d[k]
+                row[k - 1] = (b * t + x * row[k]) // d[k + 1]
+            d[k] = b
+            lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
+            u[k - 1], u[k], v[k - 1], v[k] = u[k], u[k - 1], v[k], v[k - 1]
             k = max(k - 1, 1)
     return u, v
 

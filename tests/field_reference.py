@@ -17,6 +17,14 @@ random_module = runpy.run_path(
     str(Path(__file__).resolve().parent.parent / "scripts" / "minima_scaling.py"))["random_module"]
 
 
+# generators with entries near 2^50 of a rank-4 Z-lattice of determinant 8: a
+# nonsingular basis on which float Gram-Schmidt and the float duality check
+# both run out of precision
+LARGE_GENERATORS = [[4, 5, 5, -5], [4, 6, 1, 0],
+                    [1125899906842612, 1688849860263922, 281474976710639, 22],
+                    [-1125899906842632, -1970324836974605, 281474976710664, -1970324836974590]]
+
+
 def flatten_kvector(xs) -> list[Fraction]:
     """Rational coordinates of a K-vector, component-major over the power basis."""
     return [c for x in xs for c in x.coords]
@@ -271,6 +279,16 @@ def kvectors(field, flat):
                   for k in range(0, len(row), d)) for row in rows]
 
 
+def trace_gram(field, flat):
+    """sum_b Tr(x_b y_b) over the K-vectors of flat = (N, s), in field arithmetic.
+
+    Over a totally real field this is the Gram matrix under the twisted
+    form, sum over the places of sigma(x) sigma(y), found with no root.
+    """
+    xs = kvectors(field, flat)
+    return [[sum((a * b).trace() for a, b in zip(x, y)) for y in xs] for x in xs]
+
+
 def module_zbasis(module):
     """A module's Z-basis alpha w_i, alpha over each ideal's Z-basis, in field arithmetic."""
     return [tuple(alpha * x for x in w) for a, w in module.pseudo for alpha in a.zbasis]
@@ -378,17 +396,28 @@ def covering_radius_full_window(lat, body, resolution):
     return lower, lower + slack
 
 
-def fraction_gram_schmidt(rows):
-    """mu and |b*|^2 of integer rows, by the classical formulas on `Fraction`s."""
-    bstar, mu, norms = [], [], []
-    for i, row in enumerate(rows):
-        v = [Fraction(x) for x in row]
-        mu.append([sum(x * y for x, y in zip(row, bstar[j])) / norms[j] for j in range(i)])
+def fraction_gram_schmidt(g):
+    """mu and |b*|^2 of the rows whose Gram matrix is g, on `Fraction`s.
+
+    <b_i, b*_j> is g_ij minus mu_jk <b_i, b*_k> over k < j, mu_ij is that over
+    |b*_j|^2, and |b*_i|^2 is <b_i, b*_i>.
+    """
+    mu, norms = [], []
+    for i, row in enumerate(g):
+        dots = []
         for j in range(i):
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        bstar.append(v)
-        norms.append(sum(x * x for x in v))
+            dots.append(Fraction(row[j]) - sum(mu[j][k] * dots[k] for k in range(j)))
+        mu.append([x / norms[j] for j, x in enumerate(dots)])
+        norms.append(row[i] - sum(m * x for m, x in zip(mu[i], dots)))
     return mu, norms
+
+
+def is_lll_reduced(g, delta=Fraction(99, 100)) -> bool:
+    """Whether the rows of Gram matrix g are size-reduced and Lovasz at delta, exactly."""
+    mu, norms = fraction_gram_schmidt(g)
+    return (all(abs(x) <= Fraction(1, 2) for row in mu for x in row)
+            and all(norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]
+                    for k in range(1, len(g))))
 
 
 def enumerate_quadratic_recursive(r, bound, cap):

@@ -15,6 +15,7 @@ from adelic import (
     AdelicBody,
     Ball,
     Box,
+    ConditioningError,
     CrossPolytope,
     DimensionLimitError,
     Ellipsoid,
@@ -39,14 +40,16 @@ from adelic import (
     uniform_ball_body,
 )
 from field_reference import (
+    LARGE_GENERATORS,
     circumradii,
     classical_minima,
     covering_radius_full_window,
     enumerate_quadratic_recursive,
-    fraction_gram_schmidt,
+    is_lll_reduced,
     kvectors,
     preimage_by_field_arithmetic,
     random_module,
+    trace_gram,
 )
 
 F = Fraction
@@ -214,19 +217,47 @@ def lll_bases(draw):
 @settings(max_examples=30, deadline=None)
 @given(lll_bases())
 @example([[1, 0], [1000, 1]])
-# first coefficient about -2^33: without a fresh row after it, mu_20 is off by more than 1/2
+# a first size-reduction coefficient about -2^33
 @example([[1, 2, -2], [-8589934589, -17179869174, 17179869179], [4294967299, 42949672974, 0]])
+@example(LARGE_GENERATORS)
 def test_lll_transform_is_lll_reduced_in_exact_arithmetic(rows):
-    # U is unimodular, V is U^-T, and U B is size-reduced and Lovasz at delta = 0.99,
-    # in Fractions
-    u, v = lattices._lll_transform(np.array(rows, dtype=float))
+    # on the Gram matrix B B^t: U is unimodular, V is U^-T, and U B is size-reduced
+    # and Lovasz at delta = 0.99, in Fractions
+    u, v = lattices._lll_transform(mat_mul(rows, transpose(rows)))
     assert abs(mat_det(u)) == 1
     assert mat_mul(u, transpose(v)) == [[int(i == j) for j in range(len(u))]
                                         for i in range(len(u))]
-    mu, norms = fraction_gram_schmidt(mat_mul(u, rows))
-    assert all(abs(x) <= F(1, 2) for row in mu for x in row)
-    assert all(norms[k] >= (F(99, 100) - mu[k][k - 1] ** 2) * norms[k - 1]
-               for k in range(1, len(rows)))
+    reduced = mat_mul(u, rows)
+    assert is_lll_reduced(mat_mul(reduced, transpose(reduced)))
+
+
+@pytest.mark.parametrize("name,n", [("Q", 6), ("Q_sqrt2", 4), ("Q_sqrt5", 4), ("x3-3x-1", 3)])
+def test_totally_real_reduction_reads_no_float(monkeypatch, name, n):
+    # over a totally real field the kernel runs on the exact Gram matrix: with the
+    # roots and the embedding refused, both reductions are exactly LLL-reduced
+    k = NumberField([-1, -3, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) \
+        if name == "x3-3x-1" else preset_field(name)
+    body = AdelicBody(random_module(k, n, seed=1), uniform_ball_body(k, n, F(1)))
+    probe = body.lattice()
+    exact, s = lattices._gram(probe), probe.rows[1]
+    floats = (probe.basis * probe.form) @ probe.basis.T
+    assert np.max(np.abs(np.array(exact, dtype=float) / s ** 2 - floats)) \
+        <= 1e-12 * np.max(np.abs(floats))
+    assert [[F(x, s * s) for x in row] for row in exact] == trace_gram(k, probe.rows)
+
+    def refuse(*args):
+        raise AssertionError("a float was read")
+    monkeypatch.setattr(NumberField, "_roots", property(refuse))
+    monkeypatch.setattr(NumberField, "embed_rows", refuse)
+    lat, dual = body.lattice(), adelic_polar(body).lattice()
+    assert lattices._gram(lat) == exact
+    for red in (lat.reduced(),) + lattices.reduced_pair(lat, dual):
+        assert is_lll_reduced(trace_gram(k, red.rows))
+
+
+def test_lll_transform_refuses_a_gram_matrix_that_is_not_positive_definite():
+    with pytest.raises(ConditioningError, match="not positive definite"):
+        lattices._lll_transform([[1, 2], [2, 1]])
 
 
 def test_lattice_takes_the_twisted_form_of_its_dimension():

@@ -30,10 +30,11 @@ from adelic import (
 from adelic import numberfield
 from adelic.bodies import SHAPES
 from adelic.cli import _SCENARIO_COMMANDS, _build, build_parser, load_scenario_text, main
+from adelic.exactla import mat_mul, transpose
 from adelic.lattices import (ENUMERATION_CAP, LLL_DELTA, RESOLUTION, points_by_gauge,
                              reduced_pair)
 from adelic.scenario import OPTION_MINIMA
-from field_reference import contains, fraction_gram_schmidt
+from field_reference import LARGE_GENERATORS, contains, is_lll_reduced
 
 F = Fraction
 
@@ -653,36 +654,36 @@ def test_cli_exit_code_3_on_cap(capsys):
     assert "error" in err
 
 
-# generators with entries near 2^50 of a rank-4 Z-lattice of determinant 8: a
-# nonsingular basis on which float Gram-Schmidt and the float duality check
-# both run out of precision
-LARGE_GENERATORS = [[4, 5, 5, -5], [4, 6, 1, 0],
-                    [1125899906842612, 1688849860263922, 281474976710639, 22],
-                    [-1125899906842632, -1970324836974605, 281474976710664, -1970324836974590]]
 # the generators are the matrix columns
 LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [" + ", ".join(
     "[" + "; ".join(str(g[i]) for g in LARGE_GENERATORS) + "]" for i in range(4))
     + "]\n\n[body.v1]\nshape = ball\nradius = 1\n")
 
 
-LLL_PRECISION = "float precision ran out in lattice reduction"
-
-
 @pytest.mark.parametrize("command,code,message", [
-    ("polar", 0, None),
-    ("minima", 3, LLL_PRECISION),
-    ("transference", 3, LLL_PRECISION),
+    ("polar", 0, "polar biduality=pass"),
+    ("minima", 0, "lambda_1=1 coords=[0,1,0,0] preimage=[0;1;0;0]\n"
+                  "lambda_2=1 coords=[1,0,0,0] preimage=[0;0;0;1]\n"
+                  "lambda_3=2 coords=[0,0,1,0] preimage=[0;0;2;0]\n"
+                  "lambda_4=4.12310562562 coords=[0,0,0,1] preimage=[4;0;1;0]\n"),
+    ("transference", 0, "\n".join(
+        f"transfer ell={ell} lambda_S={s} lambda_Sstar={t} product={p} lower=1 upper=8 "
+        "verdict=pass" for ell, s, t, p in [
+            (1, "1", "1", "1"), (2, "1", "1", "1"),
+            (3, "2", "0.515388203202", "1.0307764064"),
+            (4, "4.12310562562", "0.25", "1.0307764064")])),
     ("mu", 3, "covering grid would hold 16777216 points; lower the resolution"),
     ("verify-duality", 3, "duality check: Gram matrix of the polar lattice is numerically singular"),
 ])
 def test_cli_large_coefficients_end_in_an_exit_code(capsys, tmp_path, command, code, message):
-    # each command ends with exit 0-3, no traceback
+    # each command ends with exit 0-3, no traceback; the exact reduction answers
+    # `minima` and `transference`, and the float duality check still refuses
     path = tmp_path / "large.ini"
     path.write_text(LARGE_SCENARIO)
     got, out, err = run_cli([command, str(path), "--machine"], capsys)
     assert got == code
-    if message is None:
-        assert err == "" and "polar biduality=pass" in out
+    if code == 0:
+        assert err == "" and message in out
     else:
         assert err == f"error: {message}\n"
 
@@ -699,32 +700,27 @@ def test_verify_duality_reports_a_root_failure_as_the_field_s_own(capsys, monkey
 
 
 def test_large_coefficients_primal_reduces_through_the_polar(capsys, tmp_path):
-    # the primal's own LLL from scratch runs out of precision; started from the
-    # polar's transform read off, it reduces and lambda_1 = 1.  `mu` then stops
-    # at the polar's covering grid: its size, or its bounding form
+    # started from the polar's transform read off, the primal reduces to the rows
+    # of |b_i|^2 = 1, 1, 4, 17 and lambda_1 = 1; `mu` answers at resolution 8 and
+    # stops at the default grid's size
     body = parse_scenario(LARGE_SCENARIO).build()
     star = adelic_polar(body)
     _, red = reduced_pair(star.lattice(), body.lattice())
-    assert red.rows == ([[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, -2, 0], [4, 0, 1, 0]], 1)
+    assert red.rows == ([[0, 0, 0, -1], [0, 1, 0, 0], [0, 0, -2, 0], [4, 0, -1, 0]], 1)
     assert next(points_by_gauge(red, body.infinite_part, 1)).gauge == 1.0
     path = tmp_path / "large.ini"
     path.write_text(LARGE_SCENARIO)
-    got, _, err = run_cli(["mu", str(path), "--machine", "--resolution", "8"], capsys)
-    assert got == 3 and err == "error: bounding form is numerically singular\n"
+    got, out, err = run_cli(["mu", str(path), "--machine", "--resolution", "8"], capsys)
+    assert (got, err) == (0, "")
+    assert "mu_lower=0.752599661175 mu_upper=0.925436423875" in out
 
 
-@pytest.mark.xfail(strict=True, reason="the float LLL returns an unreduced polar basis without "
-                                       "raising (ROADMAP item 6)")
 def test_large_coefficients_polar_reduces_in_exact_arithmetic():
-    # the polar's float reduction must be size-reduced and Lovasz at LLL_DELTA in
-    # Fractions, as the primal read off it is (|b*|^2 = 1, 1, 4, 16).  Today its
-    # rows reach 4.69e14 / 8 and their |b*|^2 are 0.27, 4.12, 0.76 and 0.019
+    # the polar's reduction is size-reduced and Lovasz at LLL_DELTA in Fractions,
+    # as the primal read off it is (|b*|^2 = 1, 1, 4, 16)
     body = parse_scenario(LARGE_SCENARIO).build()
     rows, _ = reduced_pair(adelic_polar(body).lattice(), body.lattice())[0].rows
-    mu, norms = fraction_gram_schmidt(rows)
-    assert all(abs(x) <= F(1, 2) for row in mu for x in row)
-    assert all(norms[k] >= (F(LLL_DELTA) - mu[k][k - 1] ** 2) * norms[k - 1]
-               for k in range(1, len(rows)))
+    assert is_lll_reduced(mat_mul(rows, transpose(rows)), LLL_DELTA)
 
 
 BALL_Q = ("[field]\npreset = Q\n[module]\nrank = 1\nidentity = true\n"

@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts against the package in src/."""
 
+import difflib
 import json
 import math
 import os
@@ -179,6 +180,17 @@ def test_minima_scaling_prints_one_row_per_case():
     assert all(float(row[-3]) >= 0 and float(row[-2]) > 0 for row in rows)
 
 
+def test_minima_scaling_reduce_cm_rows_reduce_over_x4_plus_1():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
+                           "--cubic", "--z", "--reduce", "--duality", "--reduce-cm", "2", "4"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [(" ".join(row[:3]), row[-4], row[-1]) for row in rows] == [
+        ("reduced() x^4+1 n=2", "8", "ok"), ("reduced() x^4+1 n=4", "16", "ok")]
+
+
 def test_minima_scaling_duality_rows_time_polar_and_biduality():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
@@ -313,6 +325,26 @@ def test_dump_outputs_summary_pairs_lines_within_a_run_and_counts_the_rest(monke
     # changed, and the last line pairs with no line of an earlier run
     assert summary(diff, 10) == ("changed 4 of 10 lines: 1 only in float hex, "
                                  "at most 2 ulp apart; 3 otherwise")
+
+
+def test_dump_outputs_kind_summaries_count_each_record_kind(monkeypatch):
+    # a planted witness sign flip and a 1-ulp minimum, each under its own kind;
+    # a changed cli output line takes the kind of its block
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench on it
+    script = runpy.run_path(str(ROOT / "scripts" / "dump_outputs.py"))
+    x, y = 0.3, math.nextafter(0.3, 1)
+    before = ["transference seed=1 case=0 slot=Q/2/a/ball/r1",
+              f"  S minima={x.hex()} classical={x.hex()}", "  S witness=1;0",
+              f"  ell=1 product={x.hex()} lower=pass upper=pass",
+              "cli minima Q --machine", "  exit=0", "  lambda_1=1"]
+    after = before[:1] + [f"  S minima={y.hex()} classical={x.hex()}", "  S witness=-1;0"] \
+        + before[3:6] + ["  lambda_1=2"]
+    diff = list(difflib.unified_diff([line + "\n" for line in before],
+                                     [line + "\n" for line in after]))
+    assert script["kind_summaries"](diff, before, after) == [
+        "  minima: changed 1, 1 only in float hex, at most 1 ulp apart",
+        "  S witness: changed 1, 0 only in float hex, at most 0 ulp apart",
+        "  cli: changed 1, 0 only in float hex, at most 0 ulp apart"]
 
 
 def test_cli_process_times_prints_one_row_per_command():
