@@ -13,8 +13,8 @@ process, so its peak RSS is its own:
   embedding of the reduced basis alone; over Q the reduction runs on
   the exact Gram matrix;
 - the same over Q(zeta_8), zeta_8^4 = -1, at the ranks given by
-  --reduce-cm (default none; 4, 7, 10 give nd 16, 28, 40), where the
-  reduction runs on the rounded float Gram matrix;
+  --reduce-cm (default 4, 7, 10: nd 16, 28, 40), where the reduction
+  runs on the Gram matrix of the twisted form rounded at the roots;
 - `adelic_polar` and the biduality check `adelic_equal(adelic_polar(
   star), body)` that `adelic polar` prints, over Q(zeta_8), zeta_8^4 = -1,
   at the ranks given by --duality (default 4 to 12 in steps of 2: nd 16
@@ -33,7 +33,7 @@ failed".
     python3 scripts/minima_scaling.py
     python3 scripts/minima_scaling.py --cubic 2 --z 4 8 --reduce 16 --duality 4
     python3 scripts/minima_scaling.py --cubic --z 36 40 --reduce --duality --cap 10000000
-    python3 scripts/minima_scaling.py --cubic --z --duality --reduce-cm 4 7 10
+    python3 scripts/minima_scaling.py --cubic --z --reduce --duality --reduce-cm 10
 """
 
 import argparse
@@ -116,7 +116,7 @@ def main():
                     help="ranks of the Z-lattice minima rows")
     ap.add_argument("--reduce", nargs="*", type=int, default=[16, 28, 40],
                     help="ranks of the Z-lattice reduction rows")
-    ap.add_argument("--reduce-cm", nargs="*", type=int, default=[],
+    ap.add_argument("--reduce-cm", nargs="*", type=int, default=[4, 7, 10],
                     help="ranks of the x^4+1 reduction rows")
     ap.add_argument("--duality", nargs="*", type=int, default=list(range(4, 13, 2)),
                     help="ranks of the x^4+1 polar and biduality rows")

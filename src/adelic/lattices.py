@@ -13,11 +13,10 @@ keeps it (`preimage_of`: its coordinates times M / s).  Floats only
 measure gauges, and enumeration is seeded by each body's own diagonal
 bounding form.
 
-LLL is one integral kernel on an integer Gram matrix (`_gram`), exact
-over a totally real field and elsewhere rounded at the float Gram's own
-precision.  It returns U^-T with U, so a lattice and its polar take one
-reduction from scratch (`reduced_pair`): the other's starts from J U^-T.
-The searches below take a lattice as given and reduce nothing themselves.
+LLL is one integral kernel on the Gram matrix of the exact rows (`_gram`).
+It returns U^-T with U, so a lattice and its polar take one reduction
+from scratch (`reduced_pair`): the other's starts from J U^-T.  The
+searches below take a lattice as given and reduce nothing themselves.
 
 One enumeration engine expands a frontier level by level, around the
 origin for minima and around many grid points at once for covering
@@ -110,7 +109,6 @@ def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
     norms of U B inverted in reverse order, so it is nearly reduced, and
     the dual's LLL starts there.  Whatever `dual` holds, the second lattice
     is an LLL-reduced basis of it; the duality only makes the start good.
-    Of `dual` only the reduced basis is embedded, and the start where `_gram` reads floats.
     The relation is symmetric, so either side may go first: the first
     lattice is reduced exactly as `reduced()` reduces it.
     """
@@ -160,20 +158,22 @@ def lattice_equal(a: np.ndarray, b: np.ndarray) -> bool:
 def _gram(lat: EmbeddedLattice) -> list[list[int]]:
     """The integer Gram matrix under the twisted form, which `_lll_transform` reduces.
 
-    Over a totally real field it is exact, s^2 times the Gram matrix of the
-    rows (M, s), read off no root: sum_sigma sigma(x) sigma(y) = x^t P y for
-    the trace form P, so it is M (I_n (x) P) M^t.  Elsewhere it is the float
-    B F B^t times 2^e, an ulp of its largest diagonal entry made 1, rounded:
-    reduced exactly under it, a basis is reduced up to that rounding (Buchmann 1994).
+    M (I_n (x) H) M^t for the rows (M, s) and the form x^t H y on power-basis
+    coordinates: over a totally real field the trace form P, exact and read off
+    no root; elsewhere the float form at the roots, scaled until its least
+    eigenvalue has half the mantissa's bits and rounded, so that the matrix is
+    positive definite whatever the rows' skew (x^4+1's 4 I comes out exact).
     """
-    (num, _), d, p = lat.rows, lat.field.degree, lat.field.trace_form
-    if lat.field.is_totally_real:
-        twisted = [[x for k in range(0, len(row), d) for x in mat_vec(p, row[k:k + d])]
-                   for row in num]
-        return mat_mul(twisted, transpose(num))
-    g = (lat.basis * lat.form) @ lat.basis.T
-    e = sys.float_info.mant_dig - math.frexp(float(np.max(np.diag(g))))[1]
-    return np.rint(np.ldexp(g, e)).astype(np.int64).tolist()
+    (num, _), d, h = lat.rows, lat.field.degree, lat.field.trace_form
+    if not lat.field.is_totally_real:
+        e = lat.field.embed_rows(([[int(i == j) for j in range(d)] for i in range(d)], 1))
+        f = (e * lat.field.twisted_form_diag(1)) @ e.T
+        scale = sys.float_info.mant_dig // 2 - math.frexp(float(np.linalg.eigvalsh(f)[0]))[1]
+        h = [[int(x) for x in row] for row in np.rint(np.ldexp(f, scale)).tolist()]
+        g = math.gcd(*(x for row in h for x in row))
+        h = [[x // g for x in row] for row in h]
+    twisted = [[x for k in range(0, len(row), d) for x in mat_vec(h, row[k:k + d])] for row in num]
+    return mat_mul(twisted, transpose(num))
 
 
 def _lll_transform(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:

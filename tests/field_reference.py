@@ -18,8 +18,8 @@ random_module = runpy.run_path(
 
 
 # generators with entries near 2^50 of a rank-4 Z-lattice of determinant 8: a
-# nonsingular basis on which float Gram-Schmidt and the float duality check
-# both run out of precision
+# nonsingular basis that reduces exactly, and that the float duality check of
+# `polar_lattice` still refuses
 LARGE_GENERATORS = [[4, 5, 5, -5], [4, 6, 1, 0],
                     [1125899906842612, 1688849860263922, 281474976710639, 22],
                     [-1125899906842632, -1970324836974605, 281474976710664, -1970324836974590]]

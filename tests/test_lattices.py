@@ -174,7 +174,8 @@ def test_minima_preimages_read_the_module_numerators(monkeypatch, name):
 def test_reduced_basis_is_the_embedding_of_its_exact_rows(monkeypatch):
     # a reduction carries the exact rows u M alone, and the reduced basis is
     # their embedding bit for bit, on either side; a transference check embeds
-    # each side's start and its reduced basis, and nothing else
+    # each side's reduced basis and, for each reduction's twisted form, the
+    # power basis, and nothing else
     module = skewed_module("x3-x-1")
     k, lat = module.field, lattice_from_module(module)
     transforms = []
@@ -194,7 +195,8 @@ def test_reduced_basis_is_the_embedding_of_its_exact_rows(monkeypatch):
     monkeypatch.setattr(NumberField, "embed_rows",
                         lambda self, *args: calls.append(args) or embed(self, *args))
     transference_check(body)
-    assert len(calls) == 4
+    power_basis = (([[int(i == j) for j in range(3)] for i in range(3)], 1),)
+    assert len(calls) == 4 and calls.count(power_basis) == 2
 
 
 @st.composite
@@ -253,6 +255,37 @@ def test_totally_real_reduction_reads_no_float(monkeypatch, name, n):
     assert lattices._gram(lat) == exact
     for red in (lat.reduced(),) + lattices.reduced_pair(lat, dual):
         assert is_lll_reduced(trace_gram(k, red.rows))
+
+
+@pytest.mark.parametrize("poly,n", [([1, 0, 1], 4), ([1, 0, 0, 0, 1], 2), ([-1, -1, 0, 1], 3)])
+def test_rounded_twisted_form_gives_the_gram_matrix_of_the_rows(poly, n):
+    # elsewhere than over a totally real field the Gram matrix is that of the exact rows
+    # under the twisted form rounded at the roots: within 2^-24 of the float Gram matrix
+    d = len(poly) - 1
+    k = NumberField(poly, [[int(i == j) for j in range(d)] for i in range(d)])
+    lat = lattice_from_module(random_module(k, n, seed=1))
+    g = lattices._gram(lat)
+    floats = (lat.basis * lat.form) @ lat.basis.T
+    scaled = np.array(g, dtype=float) * (floats[0, 0] / g[0][0])
+    assert np.max(np.abs(scaled - floats)) <= 2.0 ** -24 * np.max(np.abs(floats))
+    assert is_lll_reduced(lattices._gram(lat.reduced()))
+
+
+@pytest.mark.parametrize("poly", [[1, 0, 1], [3, 0, 1], [1, 0, 0, 0, 1], [1, 0, -1, 0, 1],
+                                  [1, 0, 0, 1, 0, 0, 1]])
+def test_rounded_twisted_form_is_the_exact_form_of_a_cm_field(poly):
+    # over a CM field the twisted form is Tr(x conj y), an integer matrix on the power
+    # basis, and the rounding gives it exactly over the gcd of its entries; conj theta
+    # is -theta for theta^2 = -3 and 1 / theta for a root of unity
+    d = len(poly) - 1
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    k = NumberField(poly, power)
+    theta = k.theta()
+    bar = -theta if poly[0] == 3 else theta.inverse()
+    exact = [[int((theta ** i * bar ** j).trace()) for j in range(d)] for i in range(d)]
+    g = math.gcd(*(x for row in exact for x in row))
+    got = lattices._gram(EmbeddedLattice(k, (power, 1), False))
+    assert got == [[x // g for x in row] for row in exact]
 
 
 def test_lll_transform_refuses_a_gram_matrix_that_is_not_positive_definite():

@@ -723,6 +723,57 @@ def test_large_coefficients_polar_reduces_in_exact_arithmetic():
     assert is_lll_reduced(mat_mul(rows, transpose(rows)), LLL_DELTA)
 
 
+# rank-2 modules with the generators (1, 0) and (2^30, 1) over fields that are not
+# totally real: the float Gram matrix of the rows is singular, |(2^30, 1)|^2 = 2^60 + 1
+# rounding to 2^60, while the Gram matrix under the rounded twisted form is exact in
+# the rows; and the large generators over Q_i
+SKEWED = {name: f"[field]\n{field}\n\n[module]\nrank = 2\nmatrix = [[1; {2 ** 30}], [0; 1]]\n\n"
+          + "".join(f"[body.v{v}]\nshape = ball\nradius = 1\n" for v in range(1, places + 1))
+          for name, field, places in [
+              ("Q_i", "preset = Q_i", 1),
+              ("x4+1", "poly = 1, 0, 0, 0, 1\n"
+                       "basis = [[1; 0; 0; 0], [0; 1; 0; 0], [0; 0; 1; 0], [0; 0; 0; 1]]", 2),
+              ("x3-x-1", "poly = -1, -1, 0, 1\nbasis = [[1; 0; 0], [0; 1; 0], [0; 0; 1]]", 2)]}
+SKEWED["large Q_i"] = LARGE_SCENARIO.replace("preset = Q", "preset = Q_i")
+
+
+@pytest.mark.parametrize("name,command,lines", [
+    ("Q_i", "minima", ["lambda_1=1 coords=[0,0,0,1] preimage=[0,0;0,1]",
+                       "lambda_2=1 coords=[0,1,0,0] preimage=[0,1;0,0]"]),
+    ("Q_i", "transference", [
+        f"transfer ell={ell} lambda_S=1 lambda_Sstar=1 product=1 lower=0.5 upper=8 verdict=pass"
+        for ell in (1, 2)]),
+    ("x4+1", "minima", ["lambda_1=1 coords=[0,0,0,0,0,1,0,0] preimage=[0,0,0,0;0,1,0,0]",
+                        "lambda_2=1 coords=[0,1,0,0,0,0,0,0] preimage=[0,1,0,0;0,0,0,0]"]),
+    ("x4+1", "transference", [
+        f"transfer ell={ell} lambda_S=1 lambda_Sstar=0.5 product=0.5 lower=n/a "
+        "upper=22.627416998 verdict=pass" for ell in (1, 2)]),
+    ("x3-x-1", "minima", ["lambda_1=1 coords=[0,0,0,1,0,0] preimage=[0,0,0;1,0,0]",
+                          "lambda_2=1 coords=[1,0,0,0,0,0] preimage=[1,0,0;0,0,0]"]),
+    ("x3-x-1", "transference", [
+        f"transfer ell={ell} lambda_S=1 lambda_Sstar=0.564835226414 product=0.564835226414 "
+        "lower=n/a upper=14.6969384567 verdict=pass" for ell in (1, 2)]),
+    ("large Q_i", "minima", [
+        "lambda_1=1 coords=[0,0,0,1,0,0,0,0] preimage=[0,0;0,1;0,0;0,0]",
+        "lambda_2=1 coords=[0,0,1,0,0,0,0,0] preimage=[0,0;0,0;0,0;0,1]",
+        "lambda_3=2 coords=[0,0,0,0,0,1,0,0] preimage=[0,0;0,0;0,2;0,0]",
+        "lambda_4=4.12310562562 coords=[0,0,0,0,0,0,0,1] preimage=[0,4;0,0;0,1;0,0]"]),
+    ("large Q_i", "transference", [
+        f"transfer ell={ell} lambda_S={s} lambda_Sstar={t} product={p} lower=0.5 "
+        "upper=22.627416998 verdict=pass" for ell, s, t, p in [
+            (1, "1", "1", "1"), (2, "1", "1", "1"),
+            (3, "2", "0.515388203202", "1.0307764064"),
+            (4, "4.12310562562", "0.25", "1.0307764064")]]),
+])
+def test_cli_skewed_modules_over_fields_not_totally_real_answer(capsys, tmp_path, name,
+                                                                 command, lines):
+    path = tmp_path / "skewed.ini"
+    path.write_text(SKEWED[name])
+    got, out, err = run_cli([command, str(path), "--machine"], capsys)
+    assert (got, err) == (0, "")
+    assert [line for line in out.splitlines() if not line.startswith("thunder")] == lines
+
+
 BALL_Q = ("[field]\npreset = Q\n[module]\nrank = 1\nidentity = true\n"
           "[body.v1]\nshape = ball\nradius = 1\n")
 OUT_OF_RANGE = {

@@ -170,31 +170,23 @@ def test_dump_outputs_values_prints_no_witness_and_no_float_hex():
 def test_minima_scaling_prints_one_row_per_case():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
-                           "--cubic", "2", "--z", "4", "8", "--reduce", "6", "16", "--duality"],
+                           "--cubic", "2", "--z", "4", "8", "--reduce", "6", "16",
+                           "--reduce-cm", "2", "4", "--duality"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
     assert [(row[-4], row[-1]) for row in rows] == [
-        ("6", "ok"), ("4", "ok"), ("8", "ok"), ("6", "ok"), ("16", "ok")]
-    assert [row[0] for row in rows[3:]] == ["reduced()", "reduced()"]
+        ("6", "ok"), ("4", "ok"), ("8", "ok"), ("6", "ok"), ("16", "ok"), ("8", "ok"),
+        ("16", "ok")]
+    assert [" ".join(row[:2]) for row in rows[3:]] == [
+        "reduced() Z-lattice", "reduced() Z-lattice", "reduced() x^4+1", "reduced() x^4+1"]
     assert all(float(row[-3]) >= 0 and float(row[-2]) > 0 for row in rows)
-
-
-def test_minima_scaling_reduce_cm_rows_reduce_over_x4_plus_1():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
-                           "--cubic", "--z", "--reduce", "--duality", "--reduce-cm", "2", "4"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
-    assert [(" ".join(row[:3]), row[-4], row[-1]) for row in rows] == [
-        ("reduced() x^4+1 n=2", "8", "ok"), ("reduced() x^4+1 n=4", "16", "ok")]
 
 
 def test_minima_scaling_duality_rows_time_polar_and_biduality():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
-                           "--cubic", "--z", "--reduce", "--duality", "2", "4"],
+                           "--cubic", "--z", "--reduce", "--reduce-cm", "--duality", "2", "4"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[1:]]
@@ -206,7 +198,8 @@ def test_minima_scaling_duality_rows_time_polar_and_biduality():
 def test_minima_scaling_cap_reaches_the_minima_and_transference_rows():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "minima_scaling.py"),
-                           "--cubic", "2", "--z", "4", "--reduce", "--duality", "--cap", "1"],
+                           "--cubic", "2", "--z", "4", "--reduce", "--reduce-cm", "--duality",
+                           "--cap", "1"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[1:]
