@@ -39,7 +39,6 @@ budgets `ENUMERATION_CAP` and `RESOLUTION` live in the numpy-free
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -156,22 +155,8 @@ def lattice_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _gram(lat: EmbeddedLattice) -> list[list[int]]:
-    """The integer Gram matrix under the twisted form, which `_lll_transform` reduces.
-
-    M (I_n (x) H) M^t for the rows (M, s) and the form x^t H y on power-basis
-    coordinates: over a totally real field the trace form P, exact and read off
-    no root; elsewhere the float form at the roots, scaled until its least
-    eigenvalue has half the mantissa's bits and rounded, so that the matrix is
-    positive definite whatever the rows' skew (x^4+1's 4 I comes out exact).
-    """
-    (num, _), d, h = lat.rows, lat.field.degree, lat.field.trace_form
-    if not lat.field.is_totally_real:
-        e = lat.field.embed_rows(([[int(i == j) for j in range(d)] for i in range(d)], 1))
-        f = (e * lat.field.twisted_form_diag(1)) @ e.T
-        scale = sys.float_info.mant_dig // 2 - math.frexp(float(np.linalg.eigvalsh(f)[0]))[1]
-        h = [[int(x) for x in row] for row in np.rint(np.ldexp(f, scale)).tolist()]
-        g = math.gcd(*(x for row in h for x in row))
-        h = [[x // g for x in row] for row in h]
+    """M (I_n (x) H) M^t for the rows (M, s) and the field's `reduction_form` H."""
+    (num, _), d, h = lat.rows, lat.field.degree, lat.field.reduction_form
     twisted = [[x for k in range(0, len(row), d) for x in mat_vec(h, row[k:k + d])] for row in num]
     return mat_mul(twisted, transpose(num))
 
@@ -461,15 +446,20 @@ def covering_radius_bounds(
     coordinates) so that doubling the resolution refines the same grid.
     The lower end is the largest distance (in gauge) from a grid point to
     its nearest lattice point, the upper end adds the Lipschitz slack of
-    the grid spacing.  A grid point's bound is the gauge to its Babai
-    nearest-plane lattice point.  The 16 largest bounds go first, then
-    the points above the maximum they leave, sorted once, in doubling
-    batches until the next bound is at most the running maximum.  A
-    batch's nearest points come from one centred enumeration, each point
-    within the bounding form at its own bound, so the cost is the
-    resolution**dim bound gauges plus the lattice points near the few
-    grid points measured.  A batch that hits the enumeration cap raises,
-    naming it.  Dimensions above 4 are rejected.
+    the grid spacing.  The body and the lattice are centrally symmetric,
+    so -x is as far from the lattice as x, and the grid {a / k} mod 1 is
+    closed under a -> -a mod k: only the points with first digit
+    a_0 <= k // 2, which meet every +- pair, are measured, and their
+    largest distance is the whole grid's in exact arithmetic.  A grid
+    point's bound is the gauge to its Babai nearest-plane lattice point.
+    The 16 largest bounds go first, then the points above the maximum
+    they leave, sorted once, in doubling batches until the next bound is
+    at most the running maximum.  A batch's nearest points come from one
+    centred enumeration, each point within the bounding form at its own
+    bound, so the cost is about half the resolution**dim bound gauges
+    plus the lattice points near the few grid points measured.  A batch
+    that hits the enumeration cap raises, naming it.  Dimensions above 4
+    are rejected, and so are grids of over 2M points, counted whole.
     """
     if lat.dim > 4:
         raise DimensionLimitError(
@@ -483,13 +473,13 @@ def covering_radius_bounds(
         raise EnumerationCapError(
             f"covering grid would hold {k ** m} points; lower the resolution")
 
-    # grid point a / k (digits a_0 .. a_m-1, the last fastest) and its Babai
-    # nearest-plane point c in r: c_i = rint(f_i + sum_j>i r_ij / r_ii (f_j - c_j))
-    # depends on the digits a_i .. a_m-1 alone
-    r = _bounding_factor(lat, body)
-    fracs, cs, resid = np.empty((k,) * m + (m,)), [None] * m, {}
+    # grid point a / k (digits a_0 <= k // 2 and a_1 .. a_m-1 < k, the last
+    # fastest) and its Babai nearest-plane point c in r: c_i = rint(f_i +
+    # sum_j>i r_ij / r_ii (f_j - c_j)) depends on the digits a_i .. a_m-1 alone
+    r, h = _bounding_factor(lat, body), k // 2 + 1
+    fracs, cs, resid = np.empty((h,) + (k,) * (m - 1) + (m,)), [None] * m, {}
     for i in range(m - 1, -1, -1):
-        f = (np.arange(k) / k).reshape((k,) + (1,) * (m - 1 - i))
+        f = (np.arange(h if i == 0 else k) / k).reshape((-1,) + (1,) * (m - 1 - i))
         cs[i] = np.rint(f + sum(r[i, j] / r[i, i] * resid[j] for j in range(i + 1, m)))
         resid[i], fracs[..., i] = f - cs[i], f
     # the points c fill a small box: each box point's vector is the per-row
@@ -498,7 +488,7 @@ def covering_radius_bounds(
     lo, span = [c.min() for c in cs], [int(c.max() - c.min()) + 1 for c in cs]
     box = np.indices(span).reshape(m, -1).T + lo
     key = sum((c - l) * math.prod(span[i + 1:]) for i, (c, l) in enumerate(zip(cs, lo)))
-    diff = (box[:, None, :] @ b)[:, 0, :][key.astype(np.intp).ravel()]
+    diff = np.take((box[:, None, :] @ b)[:, 0, :], key.astype(np.intp).ravel(), axis=0)
     del cs, resid, key
     fracs = fracs.reshape(-1, m)
     grid = fracs @ b
@@ -514,14 +504,14 @@ def covering_radius_bounds(
         batch += 1
         bounds = body.enumeration_quadratic_bound(upper[idx]) * (1 + 1e-9)
         try:
-            coords, near = _enumerate_quadratic(r, bounds, cap, fracs[idx])
+            coords, near = _enumerate_quadratic(r, bounds, cap, np.take(fracs, idx, axis=0))
         except EnumerationCapError as exc:
             raise EnumerationCapError(
                 f"covering search, grid batch {batch} ({len(idx)} points, nearest-plane "
                 f"bound <= {upper[idx].max():.6g}): {exc}") from exc
         vecs = (coords.astype(float)[:, None, :] @ b)[:, 0, :]
         best = np.full(len(idx), np.inf)
-        np.minimum.at(best, near, body.gauge_many(grid[idx][near] - vecs))
+        np.minimum.at(best, near, body.gauge_many(np.take(grid, idx[near], axis=0) - vecs))
         lower = max(lower, float(np.max(best)))
         # later points have smaller bounds and a search visits a few nodes per
         # point found: at this batch's rate the next one finds an eighth of the cap

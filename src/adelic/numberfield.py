@@ -22,6 +22,7 @@ twisted form does.
 from __future__ import annotations
 
 import importlib
+import math
 import operator
 import sys
 from decimal import Decimal
@@ -488,6 +489,23 @@ class NumberField:
     def embed_vector(self, xs: Sequence[FieldElement], conjugated: bool = False) -> np.ndarray:
         """`embed_rows` of the one K-vector xs."""
         return self.embed_rows(integer_matrix([[c for x in xs for c in x.coords]]), conjugated)[0]
+
+    @cached_property
+    def reduction_form(self) -> IntMatrix:
+        """The twisted form as an integer form x^t H y on power-basis coordinates, for LLL.
+
+        The trace form P over a totally real field; elsewhere the float form
+        at the roots, scaled until its least eigenvalue has half the mantissa's
+        bits, rounded and divided by its entries' gcd.  Computed once per field.
+        """
+        if self.is_totally_real:
+            return self.trace_form
+        e = self.embed_rows((np.eye(self.degree, dtype=int).tolist(), 1))
+        f = (e * self.twisted_form_diag(1)) @ e.T
+        scale = sys.float_info.mant_dig // 2 - math.frexp(float(np.linalg.eigvalsh(f)[0]))[1]
+        h = [[int(x) for x in row] for row in np.rint(np.ldexp(f, scale)).tolist()]
+        g = math.gcd(*(x for row in h for x in row))
+        return [[x // g for x in row] for row in h]
 
     def twisted_form_diag(self, n: int) -> np.ndarray:
         """Diagonal of the scalar product twisted by 2 at complex places."""

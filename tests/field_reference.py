@@ -341,12 +341,13 @@ def contains(lattice, x) -> bool:
     return all(x.denominator == 1 for x, in gauss_jordan_solve(transpose(rows), [[c] for c in v]))
 
 
-def covering_radius_full_window(lat, body, resolution):
+def covering_radius_full_window(lat, body, resolution, whole=False):
     """Covering bracket with every grid point measured against its whole offset window.
 
     The plain search that `adelic.lattices.covering_radius_bounds` prunes:
-    the same grid and slack, and each grid point's nearest lattice point
-    taken over all offsets of its own window.  The lattice is taken as
+    the same grid points (first digit at most resolution // 2, or every
+    point when `whole`) and slack, and each grid point's nearest lattice
+    point taken over all offsets of its own window.  The lattice is taken as
     given, as there: pass the basis the pruned search gets, since a second
     float LLL of a reduced basis need not leave every bit alone.  For the
     grid point f B, g is the gauge to its nearest-plane (Babai) point under
@@ -359,7 +360,7 @@ def covering_radius_full_window(lat, body, resolution):
     k = resolution
     b = lat.basis
     m = lat.dim
-    axes = [np.arange(k) / k for _ in range(m)]
+    axes = [np.arange(k if whole or i else k // 2 + 1) / k for i in range(m)]
     mesh = np.meshgrid(*axes, indexing="ij")
     fracs = np.stack([a.ravel() for a in mesh], axis=1)
     grid = fracs @ b
