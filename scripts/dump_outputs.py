@@ -14,7 +14,8 @@ benchmark does, and prints one header line per case followed by its result:
   and complex roots as float hex;
 - `cli`: once, not per seed, every command with and without `--machine`
   on the packaged presets, on `tests/scenarios/*.ini` and on scenarios
-  with a right or a wrong `[field]` claim, with `--all` over
+  with a right or a wrong `[field]` claim, on a module with entries
+  near 2^50 (`LARGE_SCENARIO`), with `--all` over
   `tests/scenarios` and over a directory of an input error and a cap
   error, and with each argument error (no scenario, a scenario and
   `--all`, a missing and an empty directory), then `paper-example`: the
@@ -87,6 +88,13 @@ CLAIMS = (("Q_sqrt2", "discriminant = 8"), ("Q_sqrt2", "discriminant = 7"),
           ("x3-x-1_rank2_box.ini", "discriminant = -23"),
           ("x3-x-1_rank2_box.ini", "discriminant = 23"), ("x3-x-1_rank2_box.ini", "cm = true"))
 EDITED = 100  # edited scenarios in the cli block
+# a rank-4 module over Q of determinant 8 with entries near 2^50, whose lattice
+# reduces exactly; its pairing with its polar's is decided after reduction
+LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = ["
+                  "[4; 4; 1125899906842612; -1125899906842632], "
+                  "[5; 6; 1688849860263922; -1970324836974605], "
+                  "[5; 1; 281474976710639; 281474976710664], "
+                  "[-5; 0; 22; -1970324836974590]]\n\n[body.v1]\nshape = ball\nradius = 1\n")
 
 
 def number(v, values: bool) -> str:
@@ -161,6 +169,8 @@ def cli_runs(workdir: Path):
         text = adelic.cli.load_scenario_text(scenarios[base][0])
         path.write_text(text.replace("[field]\n", f"[field]\n{claim}\n", 1))
         scenarios[f"{base}[{claim}]"] = [str(path)]
+    (workdir / "large.ini").write_text(LARGE_SCENARIO)
+    scenarios["large-coefficients"] = [str(workdir / "large.ini")]
     failing, empty = workdir / "failing", workdir / "empty"
     failing.mkdir()
     empty.mkdir()

@@ -33,7 +33,7 @@ _EXPORTS = {
     "bodies": ("AdelicBody", "Ball", "Box", "CrossPolytope", "Ellipsoid", "PlaceBody",
                "ProductBody", "adelic_equal", "adelic_polar", "uniform_ball_body"),
     "lattices": ("EmbeddedLattice", "LatticePoint", "covering_radius_bounds",
-                 "enumerate_below", "lattice_equal", "lattice_from_module", "polar_lattice"),
+                 "enumerate_below", "lattice_equal", "lattice_from_module"),
     "transference": ("HypothesisFlags", "MinimaReport", "MuProductReport",
                      "TransferenceReport", "adelic_minima", "mu_product_report",
                      "transference_check"),

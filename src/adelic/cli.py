@@ -175,12 +175,12 @@ def cmd_mu(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
 
 
 def cmd_verify_duality(body: AdelicBody, rep: _Report, cap: int, resolution: int) -> int:
-    from .lattices import lattice_equal, polar_lattice
+    from .lattices import lattice_equal
     _field_header(rep, body)
     star = adelic_polar(body)
     body.field.places  # the roots, first read here, fail with their own message
     try:
-        ok = lattice_equal(polar_lattice(body.lattice()), star.lattice().basis)
+        ok = lattice_equal(body.lattice(), star.lattice())
     except ConditioningError as exc:
         raise ConditioningError(f"duality check: {exc}") from exc
     rep.human("polar lattice of the embedded module vs mirror-embedded dual module:")

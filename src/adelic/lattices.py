@@ -4,9 +4,9 @@ A lattice (`EmbeddedLattice`) is its exact rows (M, s) under the
 diagonal twisted form F: row i of M / s is basis row i's K-vector, and
 the float basis is their embedding, made on its first read.  A module's
 lattice starts from its Z-basis, and reduction by an integer u gives the
-rows u M, embedded afresh.  The numeric polar (`polar_lattice`) is a bare
-basis array, which `lattice_equal` compares with the basis of the
-mirror-embedded dual module.  All rank decisions, over Q and over K, are
+rows u M, embedded afresh.  `lattice_equal` decides polarity by its
+definition: the pairing of a lattice with its dual's basis is integral and
+unimodular.  All rank decisions, over Q and over K, are
 integer eliminations on a point's integer coordinates, or on their
 product with M; a point is mapped back to a K-vector only when a caller
 keeps it (`preimage_of`: its coordinates times M / s).  Floats only
@@ -39,6 +39,7 @@ budgets `ENUMERATION_CAP` and `RESOLUTION` live in the numpy-free
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
@@ -53,7 +54,6 @@ from .numberfield import NumberField
 from .omodules import KModule, KVector
 
 LLL_DELTA = Fraction(99, 100)  # the Lovasz condition of every reduction
-EQUAL_TOL = 1e-8  # entrywise slack of `lattice_equal` on the change of basis
 NARROW_ROWS = 16  # enumeration levels with fewer frontier rows run on Python floats
 
 
@@ -122,32 +122,24 @@ def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLa
     return EmbeddedLattice(module.field, module.int_flat, conjugated)
 
 
-def polar_lattice(lat: EmbeddedLattice) -> np.ndarray:
-    """The numeric dual basis: rows B* with B* diag(F) B^T = I.
+def lattice_equal(lat: EmbeddedLattice, dual: EmbeddedLattice) -> bool:
+    """Whether `dual` spans the polar of `lat`: the pairing P = B* F B^t is integral unimodular.
 
-    It spans the lattice of the trace dual module under the mirror
-    embedding, which the CLI's `verify-duality` checks with `lattice_equal`.
+    Entry ij is <b*_i, b_j>, named as an integer within 2^-26 S_ij, S_ij = |b*_i| |b_j| by
+    Cauchy-Schwarz: the product rounds within nd eps S_ij (Higham 2002, 3.5), and half the
+    mantissa is left for the embedding's rounding, as `NumberField.reduction_form` leaves
+    it.  Where the slack reaches 1/2 no integer is named, and the pair is decided again
+    on `reduced_pair`, whose bases span the same lattices.
     """
-    gram = (lat.basis * lat.form) @ lat.basis.T
-    if not np.linalg.cond(gram) < 1 / np.finfo(float).eps:  # a solve would keep no digit
-        raise ConditioningError("Gram matrix of the polar lattice is numerically singular")
-    return np.linalg.solve(gram, lat.basis)
-
-
-def lattice_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two bases (rows) span the same lattice: a = C b with C integer unimodular."""
-    if a.shape != b.shape:
-        return False
-    if not np.linalg.cond(b) < 1 / np.finfo(float).eps:
-        raise ConditioningError("basis of the compared lattice is numerically singular")
-    c = a @ np.linalg.inv(b)
-    cr = np.rint(c)
-    if np.max(np.abs(c - cr)) > EQUAL_TOL:
-        return False
-    if not is_unimodular([[int(x) for x in row] for row in cr]):
-        return False
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return float(np.max(np.abs(cr @ b - a))) <= EQUAL_TOL * scale
+    for reduce in (False, True):
+        a, b = reduced_pair(lat, dual) if reduce else (lat, dual)
+        p = (b.basis * b.form) @ a.basis.T
+        norms = [np.sqrt((x.basis * x.basis * x.form).sum(axis=1)) for x in (b, a)]
+        tol = np.ldexp(np.outer(*norms), -(sys.float_info.mant_dig // 2))
+        if np.max(tol) < 0.5:
+            pr = np.rint(p)
+            return bool(np.all(np.abs(p - pr) <= tol)) and is_unimodular(pr.astype(int).tolist())
+    raise ConditioningError("pairing of the reduced lattices is too large to round")
 
 
 # ---------------------------------------------------------------------------

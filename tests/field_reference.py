@@ -18,11 +18,15 @@ random_module = runpy.run_path(
 
 
 # generators with entries near 2^50 of a rank-4 Z-lattice of determinant 8: a
-# nonsingular basis that reduces exactly, and that the float duality check of
-# `polar_lattice` still refuses
+# nonsingular basis that reduces exactly, whose pairing with its dual basis is too
+# large to round, so that `lattice_equal` decides it on the reduced pair
 LARGE_GENERATORS = [[4, 5, 5, -5], [4, 6, 1, 0],
                     [1125899906842612, 1688849860263922, 281474976710639, 22],
                     [-1125899906842632, -1970324836974605, 281474976710664, -1970324836974590]]
+# their module over Q, the generators being the matrix columns, under a unit ball
+LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [" + ", ".join(
+    "[" + "; ".join(str(g[i]) for g in LARGE_GENERATORS) + "]" for i in range(4))
+    + "]\n\n[body.v1]\nshape = ball\nradius = 1\n")
 
 
 def flatten_kvector(xs) -> list[Fraction]:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic import lattices
-from adelic.exactla import RankTracker, mat_det, mat_mul, transpose
+from adelic.exactla import RankTracker, is_unimodular_ratio, mat_det, mat_mul, transpose
 from adelic import (
     AdelicBody,
     Ball,
@@ -22,6 +22,7 @@ from adelic import (
     EmbeddedLattice,
     EnumerationCapError,
     FieldElement,
+    KModule,
     NumberField,
     PlaceBody,
     ProductBody,
@@ -32,7 +33,6 @@ from adelic import (
     lattice_equal,
     lattice_from_module,
     module_from_matrix,
-    polar_lattice,
     preset_field,
     rational_field,
     standard_module,
@@ -100,7 +100,7 @@ def test_reduction_preserves_the_lattice():
             rows = rng.integers(-5, 6, size=(3, 3))
         lat = integer_lattice(rows.tolist())
         red = lat.reduced()
-        assert lattice_equal(red.basis, lat.basis)
+        assert is_unimodular_ratio(red.rows, lat.rows)
         assert abs(np.linalg.det(red.basis)) == pytest.approx(
             abs(np.linalg.det(lat.basis)), rel=1e-9)
 
@@ -109,7 +109,7 @@ def test_reduction_shortens_a_skewed_basis():
     lat = integer_lattice([[1, 0], [1000, 1]])
     red = lat.reduced()
     assert np.max(np.abs(red.basis)) <= 2
-    assert lattice_equal(red.basis, lat.basis)
+    assert is_unimodular_ratio(red.rows, lat.rows)
 
 
 def test_reduction_keeps_back_map_exact():
@@ -703,29 +703,21 @@ def test_minima_count_capped_by_rank():
 
 def test_z_lattice_is_self_dual():
     lat = z_lattice(2)
-    assert lattice_equal(polar_lattice(lat), lat.basis)
+    assert lattice_equal(lat, lat)
 
 
 def test_polar_of_diagonal_lattice():
     lat = integer_lattice([[2, 0], [0, 1]])
-    assert lattice_equal(polar_lattice(lat), np.diag([0.5, 1.0]))
+    assert lattice_equal(lat, EmbeddedLattice(Q, ([[1, 0], [0, 2]], 2), False))
 
 
 def test_polar_involution():
-    # the numeric polar of the mirror-embedded dual module spans the primal
+    # the pairing is symmetric: the mirror-embedded dual module's polar is the primal
     for name, n in (("Q", 3), ("Q_sqrt2", 2), ("Q_i", 2), ("Q_sqrt-3", 2)):
         for seed in range(3):
             mod = random_module(preset_field(name), n, seed)
             dual = lattice_from_module(mod.trace_dual(), True)
-            assert lattice_equal(polar_lattice(dual), lattice_from_module(mod).basis)
-
-
-def test_polar_pairings_are_integral():
-    k = preset_field("Q_sqrt5")
-    lat = lattice_from_module(standard_module(k, 1))
-    dual = polar_lattice(lat)
-    pairings = (lat.basis * lat.form) @ dual.T
-    assert np.allclose(pairings, np.rint(pairings), atol=1e-9)
+            assert lattice_equal(dual, lattice_from_module(mod))
 
 
 def test_polar_lattice_matches_mirror_embedded_dual_module():
@@ -734,19 +726,47 @@ def test_polar_lattice_matches_mirror_embedded_dual_module():
         mod = standard_module(k, 1)
         lat = lattice_from_module(mod)
         mirrored = lattice_from_module(mod.trace_dual(), not lat.conjugated)
-        assert lattice_equal(polar_lattice(lat), mirrored.basis)
+        assert lattice_equal(lat, mirrored)
     # a wrong module is told apart
     k = preset_field("Q_sqrt2")
     mod = standard_module(k, 1)
     lat = lattice_from_module(mod)
-    assert not lattice_equal(polar_lattice(lat), lattice_from_module(mod, True).basis)
+    assert not lattice_equal(lat, lattice_from_module(mod, True))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("poly", [[-1, 1], [1, 0, 1], [-2, 0, 1], [1, 0, 0, 0, 1],
+                                  [-1, -1, 0, 1], [1, 0, 0, 1, 0, 0, 1]],
+                         ids=["Q", "Q_i", "Q_sqrt2", "x4+1", "x3-x-1", "x6+x3+1"])
+def test_pairing_decides_the_mirrored_trace_dual(poly, n):
+    # the mirror-embedded trace dual pairs with the module integrally and unimodularly;
+    # doubling its first ideal leaves the pairing integral but of determinant 2^d, and
+    # over a field with complex places the unmirrored dual is another lattice at n >= 2
+    d = len(poly) - 1
+    k = NumberField(poly, [[int(i == j) for j in range(d)] for i in range(d)])
+    mod = random_module(k, n)
+    lat, dual = lattice_from_module(mod), mod.trace_dual()
+    assert lattice_equal(lat, lattice_from_module(dual, True))
+    (ideal, vec), *rest = dual.pseudo
+    doubled = KModule(k, [(ideal.scaled(k.from_rational(2)), vec), *rest])
+    assert not lattice_equal(lat, lattice_from_module(doubled, True))
+    if k.signature[1] and n >= 2:
+        assert not lattice_equal(lat, lattice_from_module(dual, False))
 
 
 def test_lattice_equal_discriminates():
-    z2 = z_lattice(2).basis
-    assert not lattice_equal(z2, integer_lattice([[2, 0], [0, 2]]).basis)
-    assert lattice_equal(z2, integer_lattice([[1, 1], [0, 1]]).basis)
-    assert not lattice_equal(z2, z_lattice(3).basis)
+    z2 = z_lattice(2)
+    assert not lattice_equal(z2, integer_lattice([[2, 0], [0, 2]]))  # integral, index 4
+    assert lattice_equal(z2, integer_lattice([[1, 1], [0, 1]]))
+    assert not lattice_equal(z2, EmbeddedLattice(Q, ([[1, 0], [0, 1]], 2), False))
+
+
+def test_lattice_equal_refuses_a_pairing_too_large_to_round():
+    # |b*_1| |b_2| = 2^30 in the reduced bases too: 2^-26 of it names no integer
+    lat = integer_lattice([[1, 0], [0, 2 ** 30]])
+    dual = EmbeddedLattice(Q, ([[2 ** 30, 0], [0, 1]], 2 ** 30), False)
+    with pytest.raises(ConditioningError, match="too large to round"):
+        lattice_equal(lat, dual)
 
 
 # -- covering radius ---------------------------------------------------------

@@ -41,7 +41,7 @@ PACKAGE_DIR = [
     "adelic_polar", "bodies", "covering_radius_bounds", "enumerate_below", "errors",
     "exactla", "lattice_equal", "lattice_from_module", "lattices",
     "module_from_matrix", "mu_product_report", "numberfield", "omodules", "parse_scenario",
-    "polar_lattice", "preset_field", "quadratic_field", "rational_field", "scenario",
+    "preset_field", "quadratic_field", "rational_field", "scenario",
     "standard_module", "transference", "transference_check", "uniform_ball_body",
 ]
 PACKAGE_ALL = [name for name in PACKAGE_DIR if name[0] != "_" and name not in (

@@ -11,6 +11,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,14 +28,14 @@ from adelic import (
     mu_product_report,
     parse_scenario,
 )
-from adelic import numberfield
+from adelic import lattices, numberfield
 from adelic.bodies import SHAPES
 from adelic.cli import _SCENARIO_COMMANDS, _build, build_parser, load_scenario_text, main
 from adelic.exactla import mat_mul, transpose
 from adelic.lattices import (ENUMERATION_CAP, LLL_DELTA, RESOLUTION, points_by_gauge,
                              reduced_pair)
 from adelic.scenario import OPTION_MINIMA
-from field_reference import LARGE_GENERATORS, contains, is_lll_reduced
+from field_reference import LARGE_SCENARIO, contains, is_lll_reduced
 
 F = Fraction
 
@@ -654,12 +655,6 @@ def test_cli_exit_code_3_on_cap(capsys):
     assert "error" in err
 
 
-# the generators are the matrix columns
-LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [" + ", ".join(
-    "[" + "; ".join(str(g[i]) for g in LARGE_GENERATORS) + "]" for i in range(4))
-    + "]\n\n[body.v1]\nshape = ball\nradius = 1\n")
-
-
 @pytest.mark.parametrize("command,code,message", [
     ("polar", 0, "polar biduality=pass"),
     ("minima", 0, "lambda_1=1 coords=[0,1,0,0] preimage=[0;1;0;0]\n"
@@ -673,11 +668,11 @@ LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [" + ", "
             (3, "2", "0.515388203202", "1.0307764064"),
             (4, "4.12310562562", "0.25", "1.0307764064")])),
     ("mu", 3, "covering grid would hold 16777216 points; lower the resolution"),
-    ("verify-duality", 3, "duality check: Gram matrix of the polar lattice is numerically singular"),
+    ("verify-duality", 0, "duality rank=4 equal=true"),
 ])
 def test_cli_large_coefficients_end_in_an_exit_code(capsys, tmp_path, command, code, message):
     # each command ends with exit 0-3, no traceback; the exact reduction answers
-    # `minima` and `transference`, and the float duality check still refuses
+    # `minima` and `transference`, and `verify-duality` through the reduced pair
     path = tmp_path / "large.ini"
     path.write_text(LARGE_SCENARIO)
     got, out, err = run_cli([command, str(path), "--machine"], capsys)
@@ -697,6 +692,23 @@ def test_verify_duality_reports_a_root_failure_as_the_field_s_own(capsys, monkey
     monkeypatch.setattr(numberfield.np, "roots", lambda p: [1e6, -1.4])
     got, _, err = run_cli(["verify-duality", str(path), "--machine"], capsys)
     assert (got, err) == (3, "error: real root residual too large\n")
+
+
+@pytest.mark.parametrize("module,names", [(np.linalg, ("cond", "inv", "solve")),
+                                          (lattices, ("_lll_transform",))],
+                         ids=["float solves", "reduction"])
+def test_verify_duality_on_the_presets_pairs_the_lattices_as_given(capsys, monkeypatch,
+                                                                   module, names):
+    # the check is one pairing matrix: no condition number, inverse or solve, and no
+    # packaged scenario's pairing is too large to round, so none is reduced
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for name in names:
+        monkeypatch.setattr(module, name, refuse)
+    for name in PRESET_SCENARIOS:
+        got, out, err = run_cli(["verify-duality", name, "--machine"], capsys)
+        assert (got, err) == (0, "") and out.endswith(" equal=true\n")
 
 
 def test_large_coefficients_primal_reduces_through_the_polar(capsys, tmp_path):
@@ -764,6 +776,8 @@ SKEWED["large Q_i"] = LARGE_SCENARIO.replace("preset = Q", "preset = Q_i")
             (1, "1", "1", "1"), (2, "1", "1", "1"),
             (3, "2", "0.515388203202", "1.0307764064"),
             (4, "4.12310562562", "0.25", "1.0307764064")]]),
+    *((name, "verify-duality", [f"duality rank={rank} equal=true"])
+      for name, rank in (("Q_i", 2), ("x4+1", 2), ("x3-x-1", 2), ("large Q_i", 4))),
 ])
 def test_cli_skewed_modules_over_fields_not_totally_real_answer(capsys, tmp_path, name,
                                                                  command, lines):

@@ -15,6 +15,7 @@ import pytest
 
 import adelic
 import adelic.cli
+from field_reference import LARGE_SCENARIO
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,6 +63,13 @@ def test_dump_outputs_cli_block_runs_every_command_and_mode():
     plain = [f"cli {command} {name}{mode}" for name in (*adelic.PRESET_SCENARIOS, *files)
              for command in commands for mode in (" --machine", "")]
     assert set(plain) < set(blocks)
+    # the large-coefficient module, written to $TMP, under every command and mode
+    script = runpy.run_path(str(ROOT / "scripts" / "dump_outputs.py"))
+    assert script["LARGE_SCENARIO"] == LARGE_SCENARIO
+    assert {f"cli {command} large-coefficients{mode}" for command in commands
+            for mode in (" --machine", "")} < set(blocks)
+    assert blocks["cli verify-duality large-coefficients --machine"] == [
+        "  exit=0", "    duality rank=4 equal=true"]
     headers = list(blocks)
     edited = [header for header in headers if header.startswith("cli edited ")]
     assert len(edited) == 100 and headers[-100:] == edited
