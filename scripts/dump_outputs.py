@@ -88,13 +88,16 @@ CLAIMS = (("Q_sqrt2", "discriminant = 8"), ("Q_sqrt2", "discriminant = 7"),
           ("x3-x-1_rank2_box.ini", "discriminant = -23"),
           ("x3-x-1_rank2_box.ini", "discriminant = 23"), ("x3-x-1_rank2_box.ini", "cm = true"))
 EDITED = 100  # edited scenarios in the cli block
-# a rank-4 module over Q of determinant 8 with entries near 2^50, whose lattice
-# reduces exactly; its pairing with its polar's is decided after reduction
-LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = ["
-                  "[4; 4; 1125899906842612; -1125899906842632], "
-                  "[5; 6; 1688849860263922; -1970324836974605], "
-                  "[5; 1; 281474976710639; 281474976710664], "
-                  "[-5; 0; 22; -1970324836974590]]\n\n[body.v1]\nshape = ball\nradius = 1\n")
+# generators with entries near 2^50 of a rank-4 Z-lattice of determinant 8: a
+# nonsingular basis that reduces exactly, whose pairing with its dual basis is too
+# large to round, so that `lattice_equal` decides it on the reduced pair
+LARGE_GENERATORS = [[4, 5, 5, -5], [4, 6, 1, 0],
+                    [1125899906842612, 1688849860263922, 281474976710639, 22],
+                    [-1125899906842632, -1970324836974605, 281474976710664, -1970324836974590]]
+# their module over Q, the generators being the matrix columns, under a unit ball
+LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [" + ", ".join(
+    "[" + "; ".join(str(g[i]) for g in LARGE_GENERATORS) + "]" for i in range(4))
+    + "]\n\n[body.v1]\nshape = ball\nradius = 1\n")
 
 
 def number(v, values: bool) -> str:

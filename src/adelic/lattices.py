@@ -4,14 +4,13 @@ A lattice (`EmbeddedLattice`) is its exact rows (M, s) under the
 diagonal twisted form F: row i of M / s is basis row i's K-vector, and
 the float basis is their embedding, made on its first read.  A module's
 lattice starts from its Z-basis, and reduction by an integer u gives the
-rows u M, embedded afresh.  `lattice_equal` decides polarity by its
-definition: the pairing of a lattice with its dual's basis is integral and
-unimodular.  All rank decisions, over Q and over K, are
-integer eliminations on a point's integer coordinates, or on their
-product with M; a point is mapped back to a K-vector only when a caller
-keeps it (`preimage_of`: its coordinates times M / s).  Floats only
-measure gauges, and enumeration is seeded by each body's own diagonal
-bounding form.
+rows u M, embedded afresh.  `lattice_equal` decides polarity: a dual
+basis pairs with the lattice's integrally and unimodularly.  All rank
+decisions, over Q and over K, are integer eliminations on a point's
+integer coordinates, or on their product with M; a point is mapped back
+to a K-vector only when a caller keeps it (`preimage_of`: its
+coordinates times M / s).  Floats only measure gauges, and enumeration
+is seeded by each body's own diagonal bounding form.
 
 LLL is one integral kernel on the Gram matrix of the exact rows (`_gram`).
 It returns U^-T with U, so a lattice and its polar take one reduction
@@ -125,17 +124,22 @@ def lattice_from_module(module: KModule, conjugated: bool = False) -> EmbeddedLa
 def lattice_equal(lat: EmbeddedLattice, dual: EmbeddedLattice) -> bool:
     """Whether `dual` spans the polar of `lat`: the pairing P = B* F B^t is integral unimodular.
 
-    Entry ij is <b*_i, b_j>, named as an integer within 2^-26 S_ij, S_ij = |b*_i| |b_j| by
-    Cauchy-Schwarz: the product rounds within nd eps S_ij (Higham 2002, 3.5), and half the
-    mantissa is left for the embedding's rounding, as `NumberField.reduction_form` leaves
-    it.  Where the slack reaches 1/2 no integer is named, and the pair is decided again
-    on `reduced_pair`, whose bases span the same lattices.
+    Entry ij is named an integer within 2^-26 S_ij (half the mantissa, as in
+    `NumberField.reduction_form`), S_ij = w sum_k |c*_ik|_R |c_jk|_R over the rows' exact
+    K-components, |c|_R = sum_t |c_t| R^t, R = max(1, |theta|), w = d + 2 r_2: an embedded
+    entry's terms sum to at most |c|_R however they cancel, so S_ij / eps bounds the
+    rounding of the embeddings and the product (Higham 2002, 3.5).  Where 2^-26 S reaches
+    1/2, the pair is decided again on `reduced_pair`, whose bases span the same lattices.
     """
+    k, d = lat.field, lat.field.degree
+    powers = max(1.0, *map(abs, k.real_roots + k.complex_roots)) ** np.arange(d)
+    w = np.ldexp(d + 2 * k.signature[1], -(sys.float_info.mant_dig // 2))
     for reduce in (False, True):
         a, b = reduced_pair(lat, dual) if reduce else (lat, dual)
         p = (b.basis * b.form) @ a.basis.T
-        norms = [np.sqrt((x.basis * x.basis * x.form).sum(axis=1)) for x in (b, a)]
-        tol = np.ldexp(np.outer(*norms), -(sys.float_info.mant_dig // 2))
+        c = [(np.abs(np.array(num, dtype=object)).reshape(len(num), -1, d) / s).astype(float)
+             @ powers for num, s in (b.rows, a.rows)]
+        tol = w * (c[0] @ c[1].T)
         if np.max(tol) < 0.5:
             pr = np.rint(p)
             return bool(np.all(np.abs(p - pr) <= tol)) and is_unimodular(pr.astype(int).tolist())

@@ -2,6 +2,7 @@
 
 import math
 import runpy
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -12,21 +13,14 @@ from adelic import ConditioningError, EnumerationCapError, FieldElement
 from adelic.exactla import RankTracker, mat_inv, mat_mul, mat_vec, transpose
 from adelic.lattices import points_by_gauge
 
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # the scale rows' matrix recipe, shared with the script that reproduces them
-random_module = runpy.run_path(
-    str(Path(__file__).resolve().parent.parent / "scripts" / "minima_scaling.py"))["random_module"]
-
-
-# generators with entries near 2^50 of a rank-4 Z-lattice of determinant 8: a
-# nonsingular basis that reduces exactly, whose pairing with its dual basis is too
-# large to round, so that `lattice_equal` decides it on the reduced pair
-LARGE_GENERATORS = [[4, 5, 5, -5], [4, 6, 1, 0],
-                    [1125899906842612, 1688849860263922, 281474976710639, 22],
-                    [-1125899906842632, -1970324836974605, 281474976710664, -1970324836974590]]
-# their module over Q, the generators being the matrix columns, under a unit ball
-LARGE_SCENARIO = ("[field]\npreset = Q\n\n[module]\nrank = 4\nmatrix = [" + ", ".join(
-    "[" + "; ".join(str(g[i]) for g in LARGE_GENERATORS) + "]" for i in range(4))
-    + "]\n\n[body.v1]\nshape = ball\nradius = 1\n")
+random_module = runpy.run_path(str(SCRIPTS / "minima_scaling.py"))["random_module"]
+# the generators near 2^50 and their scenario, which the output dump runs under every command
+_path = list(sys.path)
+_dump = runpy.run_path(str(SCRIPTS / "dump_outputs.py"))
+sys.path[:] = _path  # the script puts perfbench on it
+LARGE_GENERATORS, LARGE_SCENARIO = _dump["LARGE_GENERATORS"], _dump["LARGE_SCENARIO"]
 
 
 def flatten_kvector(xs) -> list[Fraction]:

@@ -759,14 +759,18 @@ def test_lattice_equal_discriminates():
     assert not lattice_equal(z2, integer_lattice([[2, 0], [0, 2]]))  # integral, index 4
     assert lattice_equal(z2, integer_lattice([[1, 1], [0, 1]]))
     assert not lattice_equal(z2, EmbeddedLattice(Q, ([[1, 0], [0, 1]], 2), False))
+    # the dual of diag(1, 2^24) with a row moved by 2^-27 e_1: its pairing entry 1/8
+    # has terms of 1/8 alone, so it is no integer, though |b*_1| |b_2| is 2^24
+    lat = integer_lattice([[1, 0], [0, 2 ** 24]])
+    assert not lattice_equal(lat, EmbeddedLattice(Q, ([[2 ** 27, 1], [0, 8]], 2 ** 27), False))
 
 
 def test_lattice_equal_refuses_a_pairing_too_large_to_round():
-    # |b*_1| |b_2| = 2^30 in the reduced bases too: 2^-26 of it names no integer
-    lat = integer_lattice([[1, 0], [0, 2 ** 30]])
-    dual = EmbeddedLattice(Q, ([[2 ** 30, 0], [0, 1]], 2 ** 30), False)
+    # the pairing of Z^2 with 2^30 Z^2 is 2^30 I in the reduced bases too, and its
+    # slack 2^-26 2^30 = 16 names no integer
+    dual = integer_lattice([[2 ** 30, 0], [0, 2 ** 30]])
     with pytest.raises(ConditioningError, match="too large to round"):
-        lattice_equal(lat, dual)
+        lattice_equal(z_lattice(2), dual)
 
 
 # -- covering radius ---------------------------------------------------------

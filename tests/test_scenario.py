@@ -749,6 +749,31 @@ SKEWED = {name: f"[field]\n{field}\n\n[module]\nrank = 2\nmatrix = [[1; {2 ** 30
 SKEWED["large Q_i"] = LARGE_SCENARIO.replace("preset = Q", "preset = Q_i")
 
 
+# modules whose pairing has terms far apart: diag(1, 2^e) over Q, decided as given
+# since its zero terms have no slack; over Q_sqrt2 the unit (1 + sqrt2)^20, whose
+# embedding 2.2e-8 at the second place sums coordinates near 2.3e7 with cancellation,
+# decided after reduction; and the ideal (1 + 2 theta) of Q(sqrt(10^12 + 3)), whose
+# dual's coordinates near 1e-12 meet theta near 1e6: its pairing rounds within eps
+# of its terms near 1, which the coordinates bound only with their weights |theta|^t
+APART = {f"diag(1, 2^{e})": f"[field]\npreset = Q\n\n[module]\nrank = 2\n"
+         f"matrix = [[1; 0], [0; {2 ** e}]]\n\n[body.v1]\nshape = ball\nradius = 1\n"
+         for e in (25, 26, 60)}
+APART["unit"] = ("[field]\npreset = Q_sqrt2\n\n[module]\nrank = 1\n"
+                 "matrix = [[22619537, 15994428]]\n\n[body.v1]\nshape = ball\nradius = 1\n\n"
+                 "[body.v2]\nshape = ball\nradius = 1\n")
+APART["large root"] = ("[field]\npoly = -1000000000003, 0, 1\nbasis = [[1; 0], [0; 1]]\n\n"
+                       "[module]\nrank = 1\nmatrix = [[1, 2]]\n\n[body.v1]\nshape = ball\n"
+                       "radius = 1\n\n[body.v2]\nshape = ball\nradius = 1\n")
+
+
+@pytest.mark.parametrize("name", APART)
+def test_verify_duality_answers_pairings_with_terms_far_apart(capsys, tmp_path, name):
+    path = tmp_path / "apart.ini"
+    path.write_text(APART[name])
+    got, out, err = run_cli(["verify-duality", str(path), "--machine"], capsys)
+    assert (got, err) == (0, "") and out.endswith(" equal=true\n")
+
+
 @pytest.mark.parametrize("name,command,lines", [
     ("Q_i", "minima", ["lambda_1=1 coords=[0,0,0,1] preimage=[0,0;0,1]",
                        "lambda_2=1 coords=[0,1,0,0] preimage=[0,1;0,0]"]),
