@@ -30,21 +30,33 @@ failed".
 --cap N sets the enumeration cap of every minima and transference row
 (default `adelic.lattices.ENUMERATION_CAP`).
 
+With `--against DIR` each row also runs with PYTHONPATH=DIR, the package
+imported here and the one under DIR in alternating order from one row to
+the next.  Each row then shows both times, their ratio, and whether both
+trees computed the same result: the outcome, and the minima in float hex
+(transference and minima rows) or the reduced rows (reduction rows).  The
+script exits 1 if any row's result differs:
+
     python3 scripts/minima_scaling.py
     python3 scripts/minima_scaling.py --cubic 2 --z 4 8 --reduce 16 --duality 4
     python3 scripts/minima_scaling.py --cubic --z 36 40 --reduce --duality --cap 10000000
     python3 scripts/minima_scaling.py --cubic --z --reduce --duality --reduce-cm 10
+    python3 scripts/minima_scaling.py --reduce --reduce-cm --duality --against ../parent/src
 """
 
 import argparse
+import hashlib
 import json
+import os
 import random
 import resource
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import adelic
 from adelic import (
     AdelicBody,
     EnumerationCapError,
@@ -81,17 +93,18 @@ def random_module(field, n, seed=0):
 
 
 def run_row(kind: str, n: int, cap: int) -> dict:
-    """One row in this process: nd, seconds, peak RSS and the outcome."""
+    """One row in this process: nd, seconds, peak RSS, the outcome and a digest of the result."""
     field = {"cubic": lambda: NumberField(*CUBIC), "duality": lambda: NumberField(*CYCLOTOMIC_8),
              "reduce-cm": lambda: NumberField(*CYCLOTOMIC_8)}.get(kind, rational_field)()
     # a reduction row times the reduction and the embedding of its result alone
     lat = lattice_from_module(random_module(field, n)) if kind.startswith("reduce") else None
     if lat is not None:
         lat.basis
-    start = time.perf_counter()
+    start, result = time.perf_counter(), None
     try:
         if lat is not None:
-            lat.reduced().basis
+            result = lat.reduced()
+            result.basis
             outcome = "ok"
         else:
             body = AdelicBody(random_module(field, n), uniform_ball_body(field, n, Fraction(1)))
@@ -99,13 +112,28 @@ def run_row(kind: str, n: int, cap: int) -> dict:
                 ok = adelic_equal(adelic_polar(adelic_polar(body)), body)
                 outcome = "ok" if ok else "biduality failed"
             else:
-                (transference_check if kind == "cubic" else adelic_minima)(body, cap)
+                result = (transference_check if kind == "cubic" else adelic_minima)(body, cap)
                 outcome = "ok"
     except EnumerationCapError as exc:
         outcome = str(exc)
     seconds = time.perf_counter() - start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    return {"nd": n * field.degree, "seconds": seconds, "rss_mb": rss_mb, "outcome": outcome}
+    if lat is not None and result is not None:
+        result = hashlib.sha256(repr(result.rows).encode()).hexdigest()
+    elif result is not None:
+        reports = (result.report_s, result.report_sstar) if kind == "cubic" else (result,)
+        result = [x.hex() for report in reports for x in report.minima]
+    return {"nd": n * field.degree, "seconds": seconds, "rss_mb": rss_mb, "outcome": outcome,
+            "result": result}
+
+
+def run_tree(tree: Path | None, kind: str, n: int, cap: int) -> dict:
+    """`run_row` in a fresh process, with PYTHONPATH=tree unless tree is None."""
+    env = dict(os.environ) if tree is None else dict(os.environ, PYTHONPATH=str(tree))
+    proc = subprocess.run(
+        [sys.executable, __file__, "--row", kind, str(n), "--cap", str(cap)],
+        capture_output=True, text=True, check=True, env=env)
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def main():
@@ -122,28 +150,45 @@ def main():
                     help="ranks of the x^4+1 polar and biduality rows")
     ap.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                     help="enumeration cap of the minima and transference rows")
+    ap.add_argument("--against", metavar="DIR", type=Path,
+                    help="also run every row on the package under DIR, alternating with this one")
     ap.add_argument("--row", nargs=2, metavar=("KIND", "N"), help=argparse.SUPPRESS)
     args = ap.parse_args()
 
     if args.row:
         print(json.dumps(run_row(args.row[0], int(args.row[1]), args.cap)))
-        return
+        return 0
 
-    print(f"{'case':<28} {'nd':>3} {'seconds':>8} {'rss_mb':>7}  result")
+    trees = [None] if args.against is None else [
+        Path(adelic.__file__).resolve().parents[1], args.against.resolve()]
+    against = " against_s  ratio" if args.against is not None else ""
+    same = "  identical" if args.against is not None else ""
+    print(f"{'case':<28} {'nd':>3} {'seconds':>8}{against} {'rss_mb':>7}{same}  result")
     rows = ([("cubic", n) for n in args.cubic] + [("z", n) for n in args.z]
             + [("reduce", n) for n in args.reduce] + [("reduce-cm", n) for n in args.reduce_cm]
             + [("duality", n) for n in args.duality])
-    for kind, n in rows:
-        proc = subprocess.run(
-            [sys.executable, __file__, "--row", kind, str(n), "--cap", str(args.cap)],
-            capture_output=True, text=True, check=True)
-        row = json.loads(proc.stdout.splitlines()[-1])
+    differs = False
+    for i, (kind, n) in enumerate(rows):
+        runs = [None] * len(trees)
+        order = list(enumerate(trees))
+        for j, tree in order if i % 2 == 0 else order[::-1]:
+            runs[j] = run_tree(tree, kind, n, args.cap)
+        row = runs[0]
         name = {"cubic": f"transference x^3-x-1 n={n}", "z": f"minima Z-lattice n={n}",
                 "reduce": f"reduced() Z-lattice n={n}", "reduce-cm": f"reduced() x^4+1 n={n}",
                 "duality": f"polar x^4+1 n={n}"}[kind]
-        print(f"{name:<28} {row['nd']:>3} {row['seconds']:>8.3f} {row['rss_mb']:>7.1f}  "
-              f"{row['outcome']}")
+        line = f"{name:<28} {row['nd']:>3} {row['seconds']:>8.3f}"
+        if args.against is not None:
+            other = runs[1]
+            identical = all(row[key] == other[key] for key in ("nd", "outcome", "result"))
+            differs |= not identical
+            line += f" {other['seconds']:>9.3f} {row['seconds'] / other['seconds']:>6.2f}"
+            line += f" {row['rss_mb']:>7.1f}  {'yes' if identical else 'NO':>9}"
+        else:
+            line += f" {row['rss_mb']:>7.1f}"
+        print(f"{line}  {row['outcome']}")
+    return 1 if differs else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -151,10 +151,20 @@ def lattice_equal(lat: EmbeddedLattice, dual: EmbeddedLattice) -> bool:
 
 
 def _gram(lat: EmbeddedLattice) -> list[list[int]]:
-    """M (I_n (x) H) M^t for the rows (M, s) and the field's `reduction_form` H."""
+    """M (I_n (x) H) M^t for the rows (M, s) and the field's `reduction_form` H.
+
+    H is applied to every d-block of every row in one product, giving the
+    rows H x_i.  Entry ij is (H x_i) . x_j, computed for j <= i, the entries
+    `_lll_transform` reads, and mirrored above the diagonal: H is symmetric.
+    """
     (num, _), d, h = lat.rows, lat.field.degree, lat.field.reduction_form
-    twisted = [[x for k in range(0, len(row), d) for x in mat_vec(h, row[k:k + d])] for row in num]
-    return mat_mul(twisted, transpose(num))
+    hx = [x for b in mat_mul([r[k:k + d] for r in num for k in range(0, len(r), d)], transpose(h))
+          for x in b]
+    w = len(num[0])
+    g = [mat_vec(num[:i + 1], hx[i * w:(i + 1) * w]) for i in range(len(num))]
+    for i, row in enumerate(g):
+        row.extend(g[j][i] for j in range(i + 1, len(g)))
+    return g
 
 
 def _lll_transform(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -251,7 +261,11 @@ def _enumerate_quadratic(r: np.ndarray, bound, cap: int, targets: np.ndarray | N
         except (OverflowError, ValueError):  # a range that is not finite: numpy decides it
             break
         i -= 1
-    coords, root = _wide_levels(r, i, shift, frontier, nodes, cap)
+    if i >= 0:
+        coords, root = _wide_levels(r, i, shift, frontier, nodes, cap)
+    else:  # every level ran on Python floats: the frontier is the result
+        coords = np.array([cs for cs, _, _ in frontier], dtype=np.int64).reshape(-1, m)
+        root = np.array([k for _, _, k in frontier], dtype=np.intp)
     if centred:
         return coords, root
     # the zero vector stays first; flip each pair to its first-nonzero-positive member
@@ -293,10 +307,7 @@ def _narrow_level(r, i, shift, frontier, nodes, cap):
 
 
 def _wide_levels(r, top, shift, frontier, nodes, cap):
-    """Levels top .. 0 of `_enumerate_quadratic` on numpy columns: (coords, root).
-
-    With top = -1 no level is left, and the frontier is returned as arrays.
-    """
+    """Levels top .. 0 of `_enumerate_quadratic` on numpy columns: (coords, root)."""
     m = r.shape[0]
     remaining = np.array([rem for _, rem, _ in frontier], dtype=float)
     root = np.array([k for _, _, k in frontier], dtype=np.intp)

@@ -63,7 +63,18 @@ np = LazyModule("numpy")  # the float side of fields and bodies
 
 
 def float_of(x: Fraction, what: str, bound: float = sys.float_info.max) -> float:
-    """x as a float; a `ConditioningError` naming x unless x = 0 or 1 / bound <= |x| <= bound."""
+    """x as a float; a `ConditioningError` naming x unless x = 0 or 1 / bound <= |x| <= bound.
+
+    The quotient of x's terms is float(x), correctly rounded, and rounding is
+    monotone: strictly inside (1 / bound, bound) it proves x inside the range.
+    Only at the ends, at 0 and on overflow is x compared exactly.
+    """
+    try:
+        f = x.numerator / x.denominator
+        if 1 / bound < abs(f) < bound:
+            return f
+    except OverflowError:
+        pass
     if x and not 1 / bound <= abs(x) <= bound:
         raise ConditioningError(f"{what} {Decimal(x.numerator) / x.denominator:.3e} "
                                 "is outside the float range")
@@ -337,19 +348,25 @@ class NumberField:
 
     # -- exact arithmetic core -----------------------------------------------
 
+    def theta_images(self, z: Sequence[int]) -> list[list[int]]:
+        """z, theta z, ..., theta^(d-1) z for a flattened K-vector z, each flattened.
+
+        Times theta, each d-block's coordinates shift up one place and its
+        top one comes back as that multiple of theta^d's coordinates.
+        """
+        d, r = self.degree, self._theta_d
+        images = [list(z)]
+        for _ in range(d - 1):
+            prev, image = images[-1], []
+            for k in range(0, len(z), d):
+                top, shifted = prev[k + d - 1], [0, *prev[k:k + d - 1]]
+                image += [x + top * c for x, c in zip(shifted, r)] if top else shifted
+            images.append(image)
+        return images
+
     def _mult_matrix(self, coords: Sequence[Fraction]) -> Matrix:
         # column j = coords of x * theta^j; integers for integer coords
-        d = self.degree
-        cols = []
-        cur = list(coords)
-        cols.append(cur[:])
-        for _ in range(d - 1):
-            cur = [0] + cur
-            top = cur.pop()
-            if top:
-                cur = [c + top * rr for c, rr in zip(cur, self._theta_d)]
-            cols.append(cur[:])
-        return [[cols[j][i] for j in range(d)] for i in range(d)]
+        return transpose(self.theta_images(coords))
 
     def _ring_stable(self, num: IntMatrix, lead: Sequence[int] = ()) -> tuple[bool, bool]:
         """Whether the Z-span of the rows of N is stable under the integral basis.

@@ -15,11 +15,12 @@ with its ideal's under the trace form P[i][j] = Tr(theta^(i+j)).  Given
 the first, the pairing of the two modules' Z-bases is block-diagonal
 with exactly these d x d blocks.  Equality holds for identical
 pseudo-bases and is otherwise one unimodular-ratio test.
-`KRankTracker` reads a lattice point as its power-basis numerators, its
-coordinates times the lattice's exact rows, and takes their images
-under theta block by block with the integer companion matrix, so K-rank
-is decided on Python ints without an nd x nd matrix and without the
-pseudo-basis.
+Multiplication by theta is one shift per d-block
+(`NumberField.theta_images`): the rows of R(W) are the theta-images of
+W's rows, and `KRankTracker` reads a lattice point as its power-basis
+numerators, its coordinates times the lattice's exact rows, and spans
+their K-span by the same images, so K-rank is decided on Python ints
+without an nd x nd matrix and without the pseudo-basis.
 """
 
 from __future__ import annotations
@@ -53,18 +54,15 @@ class KRankTracker:
     of M / s being its flattened power-basis coordinates.  The point
     with coordinates c is the K-vector z / s for z = c M, so z is read
     with one product by the columns of M.  The K-span of z is spanned
-    over Q by z, theta z, ..., theta^(d-1) z, each image computed from
-    the one before block by block with the integer companion matrix
-    M(theta) (n d^2 products, no nd x nd matrix).  One exact
-    `RankTracker` holds the Q-span of the K-spans accepted so far: a
-    point raises the K-rank exactly when z leaves that span, and then
-    its images join it.
+    over Q by z, theta z, ..., theta^(d-1) z (`NumberField.theta_images`,
+    one shift per d-block, no nd x nd matrix).  One exact `RankTracker`
+    holds the Q-span of the K-spans accepted so far: a point raises the
+    K-rank exactly when z leaves that span, and then its images join it.
     """
 
     def __init__(self, field: NumberField, rows: tuple[IntMatrix, int]):
-        self.degree = d = field.degree
+        self.field = field
         self.columns = transpose(rows[0])
-        self.theta = field._mult_matrix([int(k == 1) for k in range(d)])
         self.span = RankTracker(len(self.columns))
 
     def try_add(self, coords: Sequence[int]) -> bool:
@@ -74,15 +72,13 @@ class KRankTracker:
         z = mat_vec(self.columns, coords)
         if not self.span.try_add(z):
             return False
-        for _ in range(self.degree - 1):
-            z = [x for k in range(0, len(z), self.degree)
-                 for x in mat_vec(self.theta, z[k:k + self.degree])]
-            self.span.try_add(z)
+        for image in self.field.theta_images(z)[1:]:
+            self.span.try_add(image)
         return True
 
     @property
     def rank(self) -> int:
-        return self.span.rank // self.degree
+        return self.span.rank // self.field.degree
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +195,11 @@ class KModule:
     def regular(self) -> tuple[IntMatrix, int]:
         """R(W) = N / t as (N, t): the nd x nd matrix with flatten(x W) = flatten(x) R(W).
 
-        W has the pseudo-vectors as rows; block (i, j) is the transposed
-        multiplication matrix of W_ij, on W's numerators.
+        W has the pseudo-vectors w_i as rows, and flatten(x W) sums
+        x_ik flatten(theta^k w_i): row id + k is theta^k w_i, on W's numerators.
         """
-        d, mult = self.field.degree, self.field._mult_matrix
         num, t = self.int_vectors
-        return [[x for part in parts for x in part] for w in num
-                for parts in zip(*(transpose(mult(w[j:j + d])) for j in range(0, len(w), d)))], t
+        return [image for w in num for image in self.field.theta_images(w)], t
 
     @cached_property
     def int_flat(self) -> tuple[IntMatrix, int]:

@@ -8,7 +8,8 @@ order (`points_by_gauge`) and keeping those that increase the rank over
 K.  That rank is decided exactly on the points' integer coordinates:
 the reduced lattice's exact rows carry them to power-basis numerators,
 whose images under theta span their K-span, and a point already in the
-Q-span of the points before it is not K-tested at all.  Only the kept
+Q-span of the points before it is not K-tested at all; over Q, where
+the K-span is the Q-span, no point is.  Only the kept
 points, the witnesses, are mapped back to exact K-vectors, through the
 same rows.  Dilation acts on the infinite places only, so a point's
 minimum level is just its gauge.  A transference check searches S and
@@ -56,7 +57,8 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP,
     One pass over `points_by_gauge` feeds two exact trackers, both on
     the points' integer coordinates: the rank over Q (the classical
     minima up to index (n-1)d+1) and the K-rank (the adelic minima; see
-    `KRankTracker`).  Only a point that raises the Q-rank is K-tested:
+    `KRankTracker`), which over Q is the rank over Q and needs no
+    tracker of its own.  Only a point that raises the Q-rank is K-tested:
     every point read so far lies in the K-span W of the witnesses so far
     (it is one, was K-rejected or was Q-rejected: by induction), and a
     Q-rejected point is in the Q-span of earlier points, so in W.  So
@@ -70,7 +72,8 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP,
     n, d = body.n, field.degree
     target_classical = (n - 1) * d + 1
     red = body.lattice().reduced() if reduced is None else reduced
-    ktracker = KRankTracker(field, red.rows)
+    # over Q a point's K-span is its Q-span, so the Q decision is the K decision
+    ktracker = KRankTracker(field, red.rows) if d > 1 else None
     rtracker = RankTracker(red.dim)
     minima: list[float] = []
     witnesses: list[KVector] = []
@@ -80,7 +83,7 @@ def adelic_minima(body: AdelicBody, cap: int = ENUMERATION_CAP,
         if not rtracker.try_add(p.coords):
             continue  # in the Q-span of earlier points, so in the K-span of the witnesses
         classical.append(p.gauge)
-        if len(minima) < n and ktracker.try_add(p.coords):
+        if len(minima) < n and (ktracker is None or ktracker.try_add(p.coords)):
             minima.append(p.gauge)
             witnesses.append(red.preimage_of(p.coords))
             kept.append(p)

@@ -72,6 +72,26 @@ def _divmod(a, b):
     return _trim(q), _trim(a)
 
 
+def times_theta_power(poly, coords, k) -> list[Fraction]:
+    """Power-basis coordinates of x theta^k: x(t) t^k reduced mod f by long division."""
+    _, r = _divmod([Fraction(0)] * k + [Fraction(c) for c in coords], [Fraction(c) for c in poly])
+    return r + [Fraction(0)] * (len(poly) - 1 - len(r))
+
+
+def blockwise_regular(field, int_vectors):
+    """R(W) on W's numerators (N, t), block by block: block (i, j) is the transposed
+    multiplication matrix of W_ij, whose column k is W_ij theta^k by long division."""
+    num, t = int_vectors
+    d = field.degree
+
+    def mult(x):
+        cols = [times_theta_power(field.poly, x, k) for k in range(d)]
+        return [[cols[k][i] for k in range(d)] for i in range(d)]
+
+    return [[x for part in parts for x in part] for w in num
+            for parts in zip(*(transpose(mult(w[j:j + d])) for j in range(0, len(w), d)))], t
+
+
 def _sign_changes(signs):
     signs = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)

@@ -292,6 +292,22 @@ def test_rounded_twisted_form_is_the_exact_form_of_a_cm_field(poly):
     assert got == [[x // g for x in row] for row in exact]
 
 
+@pytest.mark.parametrize("poly,n", [([-1, -3, 0, 1], 2), ([1, 0, 0, 0, 1], 2),
+                                    ([-1, -1, 0, 1], 3)], ids=["real", "cm", "mixed"])
+def test_gram_is_the_full_product_under_the_block_diagonal_form(poly, n):
+    # M (I_n (x) H) M^t entry by entry, on the module's rows and on reduced ones
+    d = len(poly) - 1
+    k = NumberField(poly, [[int(i == j) for j in range(d)] for i in range(d)])
+    h = k.reduction_form
+    form = [[h[a % d][b % d] if a // d == b // d else 0 for b in range(n * d)]
+            for a in range(n * d)]
+    lat = lattice_from_module(random_module(k, n, seed=3))
+    for rows in (lat.rows[0], lat.reduced().rows[0]):
+        full = [[sum(x[a] * form[a][b] * y[b] for a in range(n * d) for b in range(n * d))
+                 for y in rows] for x in rows]
+        assert lattices._gram(EmbeddedLattice(k, (rows, 1), False)) == full
+
+
 def test_lll_transform_refuses_a_gram_matrix_that_is_not_positive_definite():
     with pytest.raises(ConditioningError, match="not positive definite"):
         lattices._lll_transform([[1, 2], [2, 1]])

@@ -2,6 +2,8 @@
 
 import math
 import random
+import struct
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from unittest.mock import patch
@@ -20,6 +22,8 @@ from adelic import (
     quadratic_field,
     rational_field,
 )
+from adelic.bodies import SHAPE_BOUND
+from adelic.numberfield import float_of
 from field_reference import (
     complementary_basis,
     embed_flat,
@@ -27,10 +31,12 @@ from field_reference import (
     precise_root,
     reduction_trace_form,
     sturm_real_root_count,
+    times_theta_power,
 )
 from known_lattices import CORPUS_ROOTS_OF_UNITY, cyclotomic_field
 from test_known_lattices import corpus_field
 from test_layering import refuse_roots
+from test_transference import benchmark_corpus
 
 F = Fraction
 
@@ -421,3 +427,65 @@ def test_preset_names_round_trip():
         assert preset_field(name).name == name
     with pytest.raises(ValueError, match="unknown preset"):
         preset_field("Q_sqrt7")
+
+
+CORPUS_FIELDS = sorted(benchmark_corpus().FIELDS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(CORPUS_FIELDS), st.integers(1, 3), st.data())
+def test_theta_images_are_the_products_by_powers_of_theta(name, n, data):
+    # image j of a flattened K-vector holds theta^j times each d-block, and the
+    # multiplication matrix of an element has that element's images as columns
+    k = corpus_field(name)
+    d = k.degree
+    z = data.draw(st.lists(st.integers(-2 ** 64, 2 ** 64), min_size=n * d, max_size=n * d))
+    images = k.theta_images(z)
+    assert images == [[x for b in range(0, n * d, d)
+                       for x in times_theta_power(k.poly, z[b:b + d], j)] for j in range(d)]
+    assert all(type(x) is int for image in images for x in image)
+    mult = k._mult_matrix(z[:d])
+    assert [[row[j] for row in mult] for j in range(d)] == [
+        times_theta_power(k.poly, z[:d], j) for j in range(d)]
+
+
+@pytest.mark.parametrize("field", [
+    *(pytest.param(lambda name=name: corpus_field(name), id=f"corpus {name}")
+      for name in CORPUS_FIELDS),
+    *(pytest.param(lambda name=name: preset_field(name), id=f"preset {name}")
+      for name in sorted(PRESET_FIELDS))])
+def test_reduction_form_is_symmetric(field):
+    # the LLL Gram matrix computes its lower triangle and mirrors it
+    h = field().reduction_form
+    assert h == [list(col) for col in zip(*h)]
+
+
+def float_bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@pytest.mark.parametrize("bound", [SHAPE_BOUND, sys.float_info.max], ids=["shape", "default"])
+def test_float_of_at_the_ends_of_its_range(bound):
+    top, low = Fraction(bound), Fraction(1 / bound)
+    for x in (top, low, -top, -low, F(0)):
+        assert float_bits(float_of(x, "x", bound)) == float_bits(float(x))
+    part = F(1, 2 ** 60)
+    for x in (top * (1 + part), low * (1 - part), -top * (1 + part)):
+        with pytest.raises(ConditioningError) as exc:
+            float_of(x, "x", bound)
+        shown = Decimal(x.numerator) / x.denominator
+        assert str(exc.value) == f"x {shown:.3e} is outside the float range"
+    with pytest.raises(ConditioningError, match=r"^x 1\.000e\+400 is outside the float range$"):
+        float_of(F(10) ** 400, "x", bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2 ** 1100, 2 ** 1100), st.integers(1, 2 ** 1100),
+       st.sampled_from([SHAPE_BOUND, sys.float_info.max]))
+def test_float_of_is_float_inside_the_exact_range_and_refuses_outside(num, den, bound):
+    x = F(num, den)
+    if x == 0 or F(1 / bound) <= abs(x) <= F(bound):
+        assert float_bits(float_of(x, "x", bound)) == float_bits(float(x))
+    else:
+        with pytest.raises(ConditioningError, match="outside the float range"):
+            float_of(x, "x", bound)

@@ -26,6 +26,7 @@ from adelic import exactla, omodules
 from adelic.cli import main
 from adelic.exactla import RankTracker, integer_matrix, is_unimodular, mat_mul, transpose
 from field_reference import (
+    blockwise_regular,
     complementary_basis,
     contains,
     flat_pairing,
@@ -35,9 +36,12 @@ from field_reference import (
     kcombination,
     kvectors,
     preimage_by_field_arithmetic,
+    random_module,
     rational_flat,
     t_n,
 )
+from test_known_lattices import corpus_field
+from test_transference import benchmark_corpus
 
 F = Fraction
 
@@ -348,6 +352,18 @@ def test_trace_dual_vectors_are_the_inverse_transpose(k):
         rows, inverse = random_invertible_rows(k, n, rng)
         dual = KModule(k, [(ring, w) for w in rows]).trace_dual()
         assert [w for _, w in dual.pseudo] == [tuple(col) for col in transpose(inverse)]
+
+
+@pytest.mark.parametrize("name", sorted(benchmark_corpus().FIELDS))
+def test_regular_representation_is_the_blockwise_transposed_multiplication(name):
+    # row i d + k of R(W) is theta^k w_i; block (i, j) the transposed
+    # multiplication matrix of W_ij, with products by long division
+    k = corpus_field(name)
+    for n, seed in ((1, 0), (2, 1), (3, 2)):
+        module = random_module(k, n, seed)
+        assert module.regular == blockwise_regular(k, module.int_vectors)
+    skew = KModule(k, [(FractionalIdeal.whole_ring(k), (k.element([F(1, 3)] * k.degree),))])
+    assert skew.regular == blockwise_regular(k, skew.int_vectors)
 
 
 def test_flat_multiplies_no_field_elements(monkeypatch):

@@ -214,6 +214,34 @@ def test_minima_scaling_cap_reaches_the_minima_and_transference_rows():
     assert all("enumeration would visit more than 1 nodes" in row for row in rows)
 
 
+def test_minima_scaling_against_a_tree_compares_every_row(tmp_path):
+    # the same package under both names: every row identical, exit 0; a copy
+    # whose LLL stops at the Lovasz constant 3/4 reduces to other rows: exit 1
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "minima_scaling.py"), "--cubic", "2",
+            "--z", "4", "--reduce", "16", "--reduce-cm", "--duality", "2"]
+    proc = subprocess.run([*argv, "--against", str(ROOT / "src")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["case", "nd", "seconds", "against_s", "ratio", "rss_mb",
+                              "identical", "result"]
+    assert [row.split()[-2:] for row in rows] == [["yes", "ok"]] * 4
+    for row in rows:
+        seconds, against_s, ratio = map(float, row.split()[-6:-3])
+        assert seconds > 0 and against_s > 0 and ratio > 0
+
+    shutil.copytree(ROOT / "src" / "adelic", tmp_path / "adelic")
+    lattices_py = tmp_path / "adelic" / "lattices.py"
+    text = lattices_py.read_text()
+    assert "LLL_DELTA = Fraction(99, 100)" in text
+    lattices_py.write_text(text.replace("Fraction(99, 100)", "Fraction(3, 4)"))
+    proc = subprocess.run([*argv, "--against", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert [row.split()[-2] for row in proc.stdout.splitlines()[1:]][2] == "NO"
+
+
 def test_covering_convergence_exits_1_when_brackets_do_not_nest(monkeypatch):
     # widening brackets must fail the run, also under python -O
     widths = iter([0.5, 0.75])

@@ -200,6 +200,54 @@ def test_q_rejected_points_are_not_k_tested(monkeypatch, field):
     assert [p.coords for p in rep.points] == expected
 
 
+def test_over_q_the_rank_over_q_decides_the_minima(monkeypatch):
+    # over Q a point's K-span is its Q-span: adelic_minima builds no K-rank
+    # tracker and returns what a pass that K-tests every point returns
+    k = rational_field()
+    places = [PlaceBody("real", 3, Box((F(1), F(7), F(1, 3))))]
+    body = AdelicBody(random_module(k, 3, seed=4), ProductBody(k, 3, places))
+    red = body.lattice().reduced()
+    tracker, rtracker = KRankTracker(k, red.rows), exactla.RankTracker(red.dim)
+    kept, classical = [], []
+    for p in transference.points_by_gauge(red, body.infinite_part, 3):
+        if tracker.try_add(p.coords):
+            kept.append(p)
+        if rtracker.try_add(p.coords):
+            classical.append(p.gauge)
+
+    def refuse(*args):
+        raise AssertionError("a K-rank tracker was asked")
+    monkeypatch.setattr(KRankTracker, "__init__", refuse)
+    monkeypatch.setattr(KRankTracker, "try_add", refuse)
+    rep = adelic_minima(body)
+    assert rep.points == kept and rep.minima == [p.gauge for p in kept]
+    assert rep.classical == classical and rep.thunder_slacks == [0.0] * 3
+    assert rep.witnesses == [red.preimage_of(p.coords) for p in kept]
+
+
+SCALING_FIELDS = {
+    "Q": rational_field, "Q_sqrt2": lambda: preset_field("Q_sqrt2"),
+    "Q_i": lambda: preset_field("Q_i"),
+    "x3-x-1": lambda: NumberField([-1, -1, 0, 1], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "x4+1": lambda: NumberField([1, 0, 0, 0, 1], [[int(i == j) for j in range(4)]
+                                                 for i in range(4)]),
+}
+
+
+@pytest.mark.parametrize("name", SCALING_FIELDS)
+def test_scaling_the_body_by_2_to_the_k_scales_every_minimum_bit_exactly(name):
+    # dilation by 2^k divides every gauge by 2^k, and every float on the way to a
+    # minimum is a power of 2 times the unscaled one: the minima move exactly
+    k = SCALING_FIELDS[name]()
+    for n, seed in ((n, seed) for n in (1, 2, 3) for seed in range(4)):
+        body = AdelicBody(random_module(k, n, seed), uniform_ball_body(k, n, F(3, 2)))
+        rep = adelic_minima(body)
+        for e in (1, 5, -3):
+            scaled = adelic_minima(body.scaled(F(2) ** e))
+            assert scaled.minima == [math.ldexp(x, -e) for x in rep.minima], (n, seed, e)
+            assert scaled.classical == [math.ldexp(x, -e) for x in rep.classical], (n, seed, e)
+
+
 def spy_on(monkeypatch, original, record):
     """Route every binding of `original` in the adelic modules through `record` first."""
     def spy(*args):
