@@ -7,6 +7,8 @@ and every import the command pays for:
 
 - `import adelic`;
 - `polar`, `verify-duality` and `transference` on each preset;
+- `polar` and `verify-duality` on each `tests/scenarios/*.ini` file
+  (power bases of degree 3 to 5);
 - `--help`;
 - `polar` on a scenario file with an input error (exit 2).
 
@@ -29,7 +31,9 @@ import tempfile
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+SCENARIOS = sorted((ROOT / "tests" / "scenarios").glob("*.ini"))
 PRESETS = ("Q", "Q_sqrt2", "Q_sqrt5", "Q_i", "Q_sqrt-3")
 BAD_SCENARIO = """\
 [field]
@@ -55,6 +59,9 @@ def commands(bad: Path) -> dict[str, list[str]]:
     for command in ("polar", "verify-duality", "transference"):
         rows.update({f"{command} {p}": ["-m", "adelic.cli", command, p, "--machine"]
                      for p in PRESETS})
+    for command in ("polar", "verify-duality"):
+        rows.update({f"{command} {path.stem}": ["-m", "adelic.cli", command, str(path), "--machine"]
+                     for path in SCENARIOS})
     rows["--help"] = ["-m", "adelic.cli", "--help"]
     rows["bad scenario"] = ["-m", "adelic.cli", "polar", str(bad), "--machine"]
     return rows
@@ -91,13 +98,13 @@ def main(argv=None) -> int:
                     outputs[label].add(output)
 
     differs = False
-    header = f"{'command':<28} {'median_s':>9}"
+    header = f"{'command':<32} {'median_s':>9}"
     if args.against is not None:
         header += f" {'against_s':>9} {'ratio':>6}  identical"
     print(header)
     for label in rows:
         medians = [statistics.median(ts) for ts in times[label]]
-        line = f"{label:<28} {medians[0]:>9.3f}"
+        line = f"{label:<32} {medians[0]:>9.3f}"
         if args.against is not None:
             same = len(outputs[label]) == 1
             differs |= not same

@@ -82,7 +82,7 @@ class EmbeddedLattice:
 
     def reduced(self) -> "EmbeddedLattice":
         """LLL reduction under the form: the lattice transformed by one integer u."""
-        return self.transformed(_lll_transform(_gram(self))[0])
+        return self.transformed(_lll_transform(_gram(self), inverse=False)[0])
 
     def transformed(self, u: list[list[int]]) -> "EmbeddedLattice":
         """The basis u B of the same lattice, u integer unimodular: the rows u M."""
@@ -112,7 +112,7 @@ def reduced_pair(lat: EmbeddedLattice, dual: EmbeddedLattice
     """
     u, v = _lll_transform(_gram(lat))
     start = dual.transformed(v[::-1])
-    w, _ = _lll_transform(_gram(start))
+    w, _ = _lll_transform(_gram(start), inverse=False)
     return lat.transformed(u), start.transformed(w)
 
 
@@ -167,8 +167,9 @@ def _gram(lat: EmbeddedLattice) -> list[list[int]]:
     return g
 
 
-def _lll_transform(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """The integer transform U of an LLL reduction under the Gram matrix g, and U^-T.
+def _lll_transform(g: list[list[int]], inverse: bool = True
+                   ) -> tuple[list[list[int]], list[list[int]] | None]:
+    """The integer transform U of an LLL reduction under the Gram matrix g, and U^-T or None.
 
     De Weger's integral LLL (Cohen, GTM 138, Alg. 2.6.7) in Schnorr-Euchner
     order: row k is size-reduced in full, by rows k-1 .. 0 and leaving
@@ -176,12 +177,12 @@ def _lll_transform(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
     Gram-Schmidt runs once: d[i] is the Gram determinant of the first i rows,
     lam[i][j] = d[j+1] mu_ij, and every division is exact.  A swap takes the
     positive integer d[1] ... d[m-1] below delta times itself, so the loop
-    ends; a g not positive definite raises.  V = U^-T follows U: q times row
-    j off row k of U adds q times row k of V to row j, and a swap swaps both.
+    ends; a g not positive definite raises.  V = U^-T, if `inverse`, follows U: q
+    times row j off row k of U adds q times row k of V to row j; a swap swaps both.
     """
     m = len(g)
     u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [row[:] for row in u]
+    v = [row[:] for row in u] if inverse else None
     d, lam = [1] * (m + 1), [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1):
@@ -199,7 +200,8 @@ def _lll_transform(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
                 lam[k][:j] = [x - q * y for x, y in zip(lam[k], lam[j][:j])]
                 lam[k][j] -= q * d[j + 1]
                 u[k] = [x - q * y for x, y in zip(u[k], u[j])]
-                v[j] = [x + q * y for x, y in zip(v[j], v[k])]
+                if v:
+                    v[j] = [x + q * y for x, y in zip(v[j], v[k])]
         x, num, den = lam[k][k - 1], LLL_DELTA.numerator, LLL_DELTA.denominator
         if den * (d[k + 1] * d[k - 1] + x * x) >= num * d[k] ** 2:
             k += 1
@@ -211,7 +213,9 @@ def _lll_transform(g: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
                 row[k - 1] = (b * t + x * row[k]) // d[k + 1]
             d[k] = b
             lam[k][:k - 1], lam[k - 1][:k - 1] = lam[k - 1][:k - 1], lam[k][:k - 1]
-            u[k - 1], u[k], v[k - 1], v[k] = u[k], u[k - 1], v[k], v[k - 1]
+            u[k - 1], u[k] = u[k], u[k - 1]
+            if v:
+                v[k - 1], v[k] = v[k], v[k - 1]
             k = max(k - 1, 1)
     return u, v
 

@@ -5,13 +5,14 @@ carry exact rational coordinates over the power basis.  One integer table
 decides the field: the trace form P[i][j] = Tr(theta^(i+j)), the power
 sums of the roots (Newton's identities).  det P is nonzero exactly when f
 is squarefree, and the signature of P counts the real places (Hermite's
-theorem).  The integral basis is validated by one solve with its
-transposed numerators: the elimination decides independence, and the
-right-hand sides 1 and the products of basis elements decide that 1 is
-in the span and that the span is a ring.  Floats only enter through the
-roots that back the embeddings, found on their first read: the
-eigenvalues of the companion matrix (`numpy.roots`), each polished by
-Newton steps and certified by its Horner residual.
+theorem).  The power basis is an order by construction, with Gram matrix
+P; any other integral basis is validated by one solve with its transposed
+numerators: the elimination decides independence, and the right-hand
+sides 1 and the basis products decide that 1 is in the span and that the
+span is a ring.  Floats only enter through the roots that back the
+embeddings, found on their first read: the eigenvalues of the companion
+matrix (`numpy.roots`), each polished by Newton steps and certified by
+its Horner residual.
 
 The field and its elements are pure Python, and the kinds of its places
 come from the signature.  numpy is named through `np`, a `LazyModule`:
@@ -292,20 +293,24 @@ class NumberField:
             raise ValueError("integral basis must consist of degree many vectors")
         self.basis_matrix: Matrix = basis
         num, t = integer_matrix(basis)
-        # one solve with N^t decides all three: 1 = x B for B = N / t is N^t x = t e_0
-        try:
-            has_one, closed = self._ring_stable(num, [t * (r == 0) for r in range(d)])
-        except ValueError:
-            raise ValueError("integral basis is linearly dependent") from None
-        if not has_one:
-            raise ValueError("integral basis does not contain 1")
-        if not closed:
-            raise ValueError("integral basis is not closed under multiplication")
-
-        # B P B^t on B's numerators, integral: the basis spans an order
-        gram = mat_mul(mat_mul(num, self.trace_form), transpose(num))
-        self.trace_gram: IntMatrix = [[x // (t * t) for x in row] for row in gram]
-        self.discriminant = int(mat_det(self.trace_gram))
+        if t == 1 and num == [[int(i == j) for j in range(d)] for i in range(d)]:
+            # the power basis holds 1, is independent, and is closed under
+            # multiplication since theta^d = sum_j -a_j theta^j: an order as given
+            self.trace_gram, self.discriminant = self.trace_form, (-1) ** d * charpoly[0]
+        else:
+            # one solve with N^t decides all three: 1 = x B for B = N / t is N^t x = t e_0
+            try:
+                has_one, closed = self._ring_stable(num, [t * (r == 0) for r in range(d)])
+            except ValueError:
+                raise ValueError("integral basis is linearly dependent") from None
+            if not has_one:
+                raise ValueError("integral basis does not contain 1")
+            if not closed:
+                raise ValueError("integral basis is not closed under multiplication")
+            # B P B^t on B's numerators, integral: the basis spans an order
+            gram = mat_mul(mat_mul(num, self.trace_form), transpose(num))
+            self.trace_gram: IntMatrix = [[x // (t * t) for x in row] for row in gram]
+            self.discriminant = int(mat_det(self.trace_gram))
 
         # Hermite: P has pos - neg = r, the number of real roots.  P is
         # symmetric, so its eigenvalues are real and none is zero, and

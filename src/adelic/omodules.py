@@ -1,20 +1,21 @@
 """Fractional ideals and finitely generated O-modules in K^n.
 
-Modules are carried as pseudo-bases (ideal, vector), after Cohen, GTM
-193, ch. 1.  Every rational matrix here is held as integer numerators N
-with one scale s (the matrix is N / s): an ideal's coordinates
-`int_coords`, the pseudo-vectors `int_vectors`, the regular
+Modules are pseudo-bases (ideal, vector), after Cohen, GTM 193, ch. 1,
+held as their `ideals` and vectors' numerators; the element pairs
+`pseudo` are a view built on first read.  Every rational matrix here is
+integer numerators N over one scale s, in lowest terms: an ideal's
+coordinates `int_coords`, the pseudo-vectors `int_vectors`, the regular
 representation R(W) over Q of the pseudo-vector matrix W, and the
 module's Z-basis `int_flat`, the product blockdiag(C_i) R(W).  A module
 is eliminated once, by the solve with R(W)^t that gives the dual's
-vectors (W^-1)^t and tests K-independence.  The trace dual takes one
-dual per distinct ideal and is certified on its two parts: the vectors,
-W*^t W = I on R(W), which also lets the dual's own inverse W^t be read
-off; and the ideals, each dual ideal's Z-basis pairing unimodularly
-with its ideal's under the trace form P[i][j] = Tr(theta^(i+j)).  Given
-the first, the pairing of the two modules' Z-bases is block-diagonal
-with exactly these d x d blocks.  Equality holds for identical
-pseudo-bases and is otherwise one unimodular-ratio test.
+vectors (W^-1)^t, as numerators, and tests K-independence.  The trace
+dual takes one dual per distinct ideal and is certified on its two
+parts: the vectors, W*^t W = I on R(W), which also gives the dual's own
+inverse W^t; and the ideals, each dual ideal's Z-basis pairing
+unimodularly with its ideal's under P[i][j] = Tr(theta^(i+j)), which
+also makes the ideal its dual's dual.  The two modules' Z-bases then
+pair block-diagonally with these d x d blocks.  Equality holds for
+equal numerators (canonical) and is otherwise one unimodular-ratio test.
 Multiplication by theta is one shift per d-block
 (`NumberField.theta_images`): the rows of R(W) are the theta-images of
 W's rows, and `KRankTracker` reads a lattice point as its power-basis
@@ -125,10 +126,7 @@ class FractionalIdeal:
         return FractionalIdeal(self.field, [x * b for b in self.zbasis])
 
     def trace_dual(self) -> "FractionalIdeal":
-        """The complementary ideal: all y with Tr(y * a) integral on this ideal.
-
-        Computed once per ideal object.
-        """
+        """The complementary ideal, all y with Tr(y * a) integral here; once per object."""
         return self._dual
 
     def pairing(self, other: "FractionalIdeal") -> tuple[IntMatrix, int]:
@@ -138,15 +136,20 @@ class FractionalIdeal:
 
     @cached_property
     def _dual(self) -> "FractionalIdeal":
-        # for the coordinate matrix C = N / s the dual basis is
-        # (C P C^t)^-1 C = Y / q, from (N P N^t) Y = q s N
+        """The complementary ideal, verified; it knows this ideal as its own dual.
+
+        For the coordinate matrix C = N / s the dual basis is (C P C^t)^-1 C =
+        Y / q, from (N P N^t) Y = q s N.  The pairings Tr(u * a) of the two
+        Z-bases form the identity, and Tr(a * u) = Tr(u * a), so the one
+        check certifies each ideal as the other's dual.
+        """
         n, s = self.int_coords
         y, q = solve_scaled(self.pairing(self)[0], [[s * x for x in row] for row in n])
         # the complementary ideal of an O-ideal is an O-ideal
         dual = FractionalIdeal._known(self.field, (y, q))
-        # the pairings Tr(u * a) of the two Z-bases form the identity
         if not is_unimodular(*dual.pairing(self)):
             raise ConditioningError("ideal trace dual failed verification")
+        dual._dual = self
         return dual
 
     @classmethod
@@ -167,7 +170,8 @@ class KModule:
     def __init__(self, field: NumberField, pseudo: Sequence[tuple[FractionalIdeal, KVector]]):
         self.field = field
         self.rank = len(pseudo)
-        self.pseudo = [(a, tuple(w)) for a, w in pseudo]
+        self.pseudo = [(a, tuple(w)) for a, w in pseudo]  # seeds the view
+        self.ideals = [a for a, _ in self.pseudo]
         for a, w in self.pseudo:
             if a.field is not field:
                 raise ValueError("ideal belongs to a different field")
@@ -178,13 +182,20 @@ class KModule:
         self._inverse
 
     @classmethod
-    def _known(cls, field: NumberField, pseudo: list[tuple[FractionalIdeal, KVector]],
+    def _known(cls, field: NumberField, ideals: list[FractionalIdeal],
                int_vectors: tuple[IntMatrix, int]) -> "KModule":
-        """A module whose pseudo-vectors, with numerators `int_vectors`, are K-independent."""
+        """A module whose pseudo-vectors, `int_vectors` in lowest terms, are K-independent."""
         module = cls.__new__(cls)
-        module.field, module.rank, module.pseudo = field, len(pseudo), pseudo
+        module.field, module.rank, module.ideals = field, len(ideals), ideals
         module.int_vectors = int_vectors
         return module
+
+    @cached_property
+    def pseudo(self) -> list[tuple[FractionalIdeal, KVector]]:
+        """(ideal, vector) pairs: the elements given, else a view of `int_vectors` on first read."""
+        (num, t), d = self.int_vectors, self.field.degree
+        return [(a, tuple(self.field.element([Fraction(v, t) for v in row[k:k + d]])
+                          for k in range(0, len(row), d))) for a, row in zip(self.ideals, num)]
 
     @cached_property
     def int_vectors(self) -> tuple[IntMatrix, int]:
@@ -209,20 +220,19 @@ class KModule:
         """
         d = self.field.degree
         r, t = self.regular
-        s = math.lcm(*(a.int_coords[1] for a, _ in self.pseudo))
+        s = math.lcm(*(a.int_coords[1] for a in self.ideals))
         rows: IntMatrix = []
-        for i, (a, _) in enumerate(self.pseudo):
+        for i, a in enumerate(self.ideals):
             c, si = a.int_coords
             rows.extend([x * (s // si) for x in row] for row in mat_mul(c, r[i * d:(i + 1) * d]))
         return rows, s * t
 
     def equals(self, other: "KModule") -> bool:
+        """One module: equal numerators, canonical in lowest terms, or a unimodular ratio."""
         if self.rank != other.rank or not self.field.same_presentation(other.field):
             return False
-        # identical pseudo-bases span one module; coordinates, not elements, are
-        # compared, since the two fields may be distinct objects
-        if all(a.int_coords == b.int_coords and [x.coords for x in v] == [x.coords for x in w]
-               for (a, v), (b, w) in zip(self.pseudo, other.pseudo)):
+        if (self.int_vectors == other.int_vectors
+                and [a.int_coords for a in self.ideals] == [b.int_coords for b in other.ideals]):
             return True
         return is_unimodular_ratio(self.int_flat, other.int_flat)
 
@@ -245,7 +255,7 @@ class KModule:
         # row j of W* = (W^-1)^t is the j-th component of every row of W^-1, block j of y
         rows = [[v for col in transpose(y[j * d:(j + 1) * d]) for v in col] for j in range(n)]
         # module_from_matrix and standard_module share one ideal across the pairs
-        duals = {a: a.trace_dual() for a in dict.fromkeys(a for a, _ in self.pseudo)}
+        duals = {a: a.trace_dual() for a in dict.fromkeys(self.ideals)}
         # the vectors: column i of W*, flattened, times R(W) is e_(id), so W*^t W = I over K
         # and (W*)^-1 = W^t; the ideals: each dual pairs unimodularly with its ideal, and the
         # two Z-bases' pairing is block-diagonal with these blocks
@@ -254,11 +264,8 @@ class KModule:
         if (mat_mul(cols, self.regular[0]) != eye
                 or not all(is_unimodular(*b.pairing(a)) for a, b in duals.items())):
             raise ConditioningError("trace dual routes disagree")
-        wstar = [tuple(field.element([Fraction(v, q) for v in row[k:k + d]])
-                       for k in range(0, n * d, d)) for row in rows]
         # W* is invertible, so needs no independence test; (rows, q) is in lowest terms
-        dual = KModule._known(field, [(duals[a], w) for (a, _), w in zip(self.pseudo, wstar)],
-                              (rows, q))
+        dual = KModule._known(field, [duals[a] for a in self.ideals], (rows, q))
         # column i of (W*)^-1 = W^t is column i of W flattened, in lowest terms as solved
         dual._inverse = ([w[c::d] for w in num for c in range(d)], t)
         return dual

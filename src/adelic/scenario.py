@@ -72,6 +72,10 @@ class Scenario:
 
 def _rational(text: str, where: str) -> Fraction:
     try:
+        return Fraction(int(text))  # what int() reads, Fraction reads alike, and faster
+    except ValueError:
+        pass
+    try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ScenarioError(f"{where}: {text.strip()!r} is not a rational") from None

@@ -181,7 +181,8 @@ def test_reduced_basis_is_the_embedding_of_its_exact_rows(monkeypatch):
     transforms = []
     lll = lattices._lll_transform
     monkeypatch.setattr(lattices, "_lll_transform",
-                        lambda *args: transforms.append(lll(*args)) or transforms[-1])
+                        lambda *args, **kwargs: transforms.append(lll(*args, **kwargs))
+                        or transforms[-1])
     red = lat.reduced()
     [(u, _)] = transforms
     assert red.rows == (mat_mul(u, lat.rows[0]), lat.rows[1])

@@ -6,6 +6,7 @@ import struct
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -23,7 +24,9 @@ from adelic import (
     rational_field,
 )
 from adelic.bodies import SHAPE_BOUND
+from adelic.exactla import mat_det, mat_mul, transpose
 from adelic.numberfield import float_of
+from adelic.scenario import parse_scenario
 from field_reference import (
     complementary_basis,
     embed_flat,
@@ -362,6 +365,58 @@ def test_validation_rejects_bad_bases():
     # dependent rows
     with pytest.raises(ValueError, match="dependent"):
         NumberField([-2, 0, 1], [[1, 0], [2, 0]])
+
+
+SCENARIOS = Path(__file__).with_name("scenarios")
+
+
+def defining_polynomials():
+    """Every preset's, corpus field's and test scenario field's polynomial, by label."""
+    polys = {f"preset {name}": preset_field(name).poly for name in sorted(PRESET_FIELDS)}
+    polys.update({f"corpus {name}": benchmark_corpus().FIELDS[name][0]
+                  for name in sorted(benchmark_corpus().FIELDS)})
+    polys.update({f"scenario {path.stem}": parse_scenario(path.read_text()).field.poly
+                  for path in sorted(SCENARIOS.glob("*.ini"))})
+    return polys
+
+
+POLYS = defining_polynomials()
+
+
+def ring_solve_spy(monkeypatch):
+    """The fields whose construction calls `_ring_stable`, in call order."""
+    calls, real = [], NumberField._ring_stable
+    monkeypatch.setattr(NumberField, "_ring_stable",
+                        lambda self, *args: calls.append(self) or real(self, *args))
+    return calls
+
+
+@pytest.mark.parametrize("poly", list(POLYS.values()), ids=list(POLYS))
+def test_the_power_basis_is_an_order_without_the_ring_solve(poly, monkeypatch):
+    d = len(poly) - 1
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    calls = ring_solve_spy(monkeypatch)
+    k = NumberField(poly, eye)
+    assert calls == []
+    # the route any other basis takes: the ring solve finds 1 in the span and the
+    # span a ring, and the Gram matrix and discriminant are computed from the basis
+    assert k._ring_stable(eye, [int(r == 0) for r in range(d)]) == (True, True)
+    gram = mat_mul(mat_mul(eye, k.trace_form), transpose(eye))
+    assert k.trace_gram == gram and k.discriminant == int(mat_det(gram))
+    r = sturm_real_root_count(poly)
+    assert k.signature == (r, (d - r) // 2)
+
+
+def test_only_a_basis_other_than_the_power_basis_runs_the_ring_solve(monkeypatch):
+    calls = ring_solve_spy(monkeypatch)
+    for name in PRESET_FIELDS:
+        preset_field(name)
+    assert [k.name for k in calls] == ["Q_sqrt5", "Q_sqrt-3"]
+    calls.clear()
+    fields = [corpus_field(name) for name in CORPUS_FIELDS]
+    others = [k for k in fields if k.basis_matrix != [[int(i == j) for j in range(k.degree)]
+                                                      for i in range(k.degree)]]
+    assert calls == others and [k.poly for k in others] == [(3, 0, 1), (-5, 0, 1)]
 
 
 def test_validation_rejects_wrong_discriminant():

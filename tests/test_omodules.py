@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,16 +15,20 @@ from adelic import (
     KModule,
     KRankTracker,
     NumberField,
+    adelic_equal,
+    adelic_polar,
     lattice_from_module,
     module_from_matrix,
+    parse_scenario,
     preset_field,
     quadratic_field,
     rational_field,
     standard_module,
+    transference_check,
 )
 
 from adelic import exactla, omodules
-from adelic.cli import main
+from adelic.cli import load_scenario_text, main
 from adelic.exactla import RankTracker, integer_matrix, is_unimodular, mat_mul, transpose
 from field_reference import (
     blockwise_regular,
@@ -259,7 +264,9 @@ def test_trace_dual_inverts_no_matrix_over_k(monkeypatch):
         dual = m.trace_dual()
         bidual = dual.trace_dual()
         assert bidual.equals(m)
-        assert len(k_entries) >= 5 and not any(k_entries)
+        # one solve for the ring's dual ideal and one unimodular test for it,
+        # then one ideal check per module dual; the dual ideal knows its dual
+        assert k_entries == [False] * 4
 
 
 def test_pseudo_basis_with_scaled_ideals():
@@ -734,3 +741,83 @@ def test_a_wrong_dual_vector_matrix_fails_the_trace_dual(wrong):
     vars(m)["_inverse"] = (y, q)
     with pytest.raises(ConditioningError, match="trace dual routes disagree"):
         m.trace_dual()
+
+
+# -- the dual module on numerators ---------------------------------------------
+
+
+def dual_spy(monkeypatch):
+    """The duals `KModule.trace_dual` returns, and one entry per `FieldElement` built in it."""
+    duals, built, running = [], [], []
+    init, trace_dual = FieldElement.__init__, KModule.trace_dual
+
+    def counted_init(self, *args):
+        built.extend(running)
+        init(self, *args)
+
+    def recorded_dual(self):
+        running.append(self)
+        try:
+            duals.append(trace_dual(self))
+        finally:
+            running.pop()
+        return duals[-1]
+
+    monkeypatch.setattr(FieldElement, "__init__", counted_init)
+    monkeypatch.setattr(KModule, "trace_dual", recorded_dual)
+    return duals, built
+
+
+@pytest.mark.parametrize("name", ["Q_sqrt2", "Q_i", "x3-x-1", "x4+1"])
+def test_the_dual_pseudo_basis_read_late_is_the_inverse_transpose(name, monkeypatch):
+    # the dual is made of its ideals and numerators; its elements, built on the
+    # first read of `pseudo`, are those of (W^-1)^t, coordinate for coordinate
+    k = corpus_field(name)
+    rng = random.Random(k.degree)
+    ring = FractionalIdeal.whole_ring(k)
+    _, built = dual_spy(monkeypatch)
+    for n in (1, 2, 3):
+        rows, inverse = random_invertible_rows(k, n, rng)
+        module = KModule(k, [(ring, w) for w in rows])
+        dual = module.trace_dual()
+        assert built == [] and "pseudo" not in vars(dual)
+        # the module's own reads, its embedded Z-basis and equality, leave it on numerators
+        assert lattice_from_module(dual).basis.shape == (n * k.degree,) * 2 and dual.equals(dual)
+        assert "pseudo" not in vars(dual)
+        assert [a for a, _ in dual.pseudo] == [ring.trace_dual()] * n
+        assert [[x.coords for x in w] for _, w in dual.pseudo] == \
+            [[x.coords for x in col] for col in transpose(inverse)]
+        assert all(type(c) is Fraction for _, w in dual.pseudo for x in w for c in x.coords)
+
+
+SCENARIOS = [*PRESETS, *(pytest.param(str(path), id=path.stem) for path in
+                         sorted((Path(__file__).parent / "scenarios").glob("*.ini")))]
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_verify_duality_and_transference_build_no_element_of_the_dual(scenario, monkeypatch,
+                                                                       capsys):
+    duals, built = dual_spy(monkeypatch)
+    assert main(["verify-duality", scenario, "--machine"]) == 0
+    body = parse_scenario(load_scenario_text(scenario)).build()
+    transference_check(body)
+    assert len(duals) == 2 and built == []
+    assert not any("pseudo" in vars(dual) for dual in duals)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_polar_biduality_is_decided_on_the_body_s_own_ideals(scenario, monkeypatch, capsys):
+    # the dual ideals know their duals, so the bidual holds the body's ideals and
+    # W's numerators, and equality is read off them without a unimodular ratio
+    ratios = []
+    ratio = omodules.is_unimodular_ratio
+    monkeypatch.setattr(omodules, "is_unimodular_ratio",
+                        lambda *args: ratios.append(args) or ratio(*args))
+    body = parse_scenario(load_scenario_text(scenario)).build()
+    bidual = adelic_polar(adelic_polar(body))
+    module, own = bidual.finite_part, body.finite_part
+    assert all(a is b for a, b in zip(module.ideals, own.ideals))
+    assert module.int_vectors == own.int_vectors
+    assert adelic_equal(bidual, body) and "pseudo" not in vars(module) and ratios == []
+    assert main(["polar", scenario, "--machine"]) == 0
+    assert "polar biduality=pass" in capsys.readouterr().out and ratios == []

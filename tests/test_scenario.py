@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adelic import (
@@ -28,7 +28,7 @@ from adelic import (
     mu_product_report,
     parse_scenario,
 )
-from adelic import lattices, numberfield
+from adelic import lattices, numberfield, scenario
 from adelic.bodies import SHAPES
 from adelic.cli import _SCENARIO_COMMANDS, _build, build_parser, load_scenario_text, main
 from adelic.exactla import mat_mul, transpose
@@ -150,6 +150,33 @@ def test_box_at_complex_place_is_rejected():
 def test_malformed_rational_names_the_line():
     msg = scenario_error(PSEUDO.replace("radius = 1", "radius = banana"))
     assert "banana" in msg and "line 11" in msg
+
+
+def fraction_reading(text):
+    """What `Fraction` makes of a token: its value, or the message the reader gives."""
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return f"here: {text.strip()!r} is not a rational"
+
+
+def scenario_reading(text):
+    try:
+        return scenario._rational(text, "here")
+    except ScenarioError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="0123456789+-_/.e \u0663\u00b2", max_size=8))
+@example("--3").via("int() refuses it; a test on lstrip('-') would not")
+@example("1_000").via("int() and Fraction both take one underscore between digits")
+@example("-0").via("negative zero")
+@example(" 7 ").via("int() strips what Fraction's reader strips")
+def test_the_reader_takes_exactly_what_fraction_takes(text):
+    # integer tokens are read by int(), which accepts a subset of what Fraction accepts
+    got, want = scenario_reading(text), fraction_reading(text)
+    assert got == want and type(got) is type(want)
 
 
 def test_rank_matrix_mismatch():

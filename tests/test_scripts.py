@@ -384,5 +384,7 @@ def test_cli_process_times_prints_one_row_per_command():
         "import adelic",
         *(f"{command} {preset}" for command in ("polar", "verify-duality", "transference")
           for preset in adelic.PRESET_SCENARIOS),
+        *(f"{command} {path.stem}" for command in ("polar", "verify-duality")
+          for path in sorted((ROOT / "tests" / "scenarios").glob("*.ini"))),
         "--help", "bad scenario"]
     assert all(row.endswith(" yes") for row in rows)

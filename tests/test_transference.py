@@ -445,8 +445,8 @@ def test_transference_check_reduces_one_lattice_from_scratch(monkeypatch):
     moved = []
     real = lattices._lll_transform
 
-    def spy(b):
-        u, v = real(b)
+    def spy(b, **kwargs):
+        u, v = real(b, **kwargs)
         moved.append(sum(row != [int(i == j) for j in range(len(u))] for i, row in enumerate(u)))
         return u, v
 
@@ -648,8 +648,8 @@ def test_mu_product_report_reduces_one_lattice_from_scratch(monkeypatch):
     moved = []
     real = lattices._lll_transform
 
-    def spy(b):
-        u, v = real(b)
+    def spy(b, **kwargs):
+        u, v = real(b, **kwargs)
         moved.append(sum(row != [int(i == j) for j in range(len(u))] for i, row in enumerate(u)))
         return u, v
 
